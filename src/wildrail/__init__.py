@@ -49,15 +49,9 @@ from .model import (
     InsufficientDataError,
     ModelCounts,
     SeasonScheme,
-    estimate_mu,
-    estimate_p_line,
-    estimate_p_segment,
-    estimate_p_time,
     fit,
     model_from_json,
     model_to_json,
-    spatial_part,
-    temporal_part,
 )
 from .warn import (
     DEFAULT_PROFILE,
@@ -107,12 +101,6 @@ __all__ = [
     "FittedModel",
     "InsufficientDataError",
     "fit",
-    "estimate_mu",
-    "estimate_p_time",
-    "estimate_p_line",
-    "estimate_p_segment",
-    "temporal_part",
-    "spatial_part",
     "model_to_json",
     "model_from_json",
     # warn

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import pearsonr, spearmanr
 
 from .ingest import Dataset, SpeedProfile, TrafficTable, bin_start
 from .model import SeasonScheme
@@ -220,9 +219,40 @@ def speed_correlation(
         raise UndefinedCorrelationError(
             "accidents-per-train is constant across bins; correlation undefined"
         )
-    pearson = float(pearsonr(speed_arr, risk_arr).statistic)
-    spearman = float(spearmanr(speed_arr, risk_arr).statistic)
+    pearson = _pearson(speed_arr, risk_arr)
+    spearman = _spearman(speed_arr, risk_arr)
     return CorrelationReport(n=len(pairs), pearson=pearson, spearman=spearman, pairs=tuple(pairs))
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r of two non-constant vectors, clipped to [-1, 1].
+
+    Each centred vector is scaled by its largest magnitude before the norm,
+    so squaring cannot overflow.
+    """
+
+    def unit(v: np.ndarray) -> np.ndarray:
+        centred = v - v.mean()
+        vmax = np.abs(centred).max()
+        return centred / (vmax * np.linalg.norm(centred / vmax, axis=-1))
+
+    return float(np.clip(np.dot(unit(x), unit(y)), -1.0, 1.0))
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the average of their ranks."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: the correlation of the average ranks."""
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
 
 
 def correlation_to_json(report: CorrelationReport) -> str:

@@ -101,6 +101,19 @@ def _get(args: argparse.Namespace, config: dict[str, Any], key: str, default: An
     return default
 
 
+def _get_number(
+    args: argparse.Namespace, config: dict[str, Any], key: str, default: Any = None, kind=float
+) -> Any:
+    """Effective numeric option value; a config value of the wrong type is an input error."""
+    value = _get(args, config, key, default)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"--{key.replace('_', '-')} must be a number, got {value!r}") from None
+
+
 def _require(args: argparse.Namespace, config: dict[str, Any], key: str) -> Any:
     value = _get(args, config, key)
     if value is None:
@@ -140,7 +153,10 @@ def parse_thresholds_spec(spec: Any) -> tuple[float, ...]:
         except ValueError:
             raise ValueError(f"thresholds must be numbers, got {spec!r}") from None
     else:
-        values = tuple(float(v) for v in spec)
+        try:
+            values = tuple(float(v) for v in spec)
+        except (TypeError, ValueError):
+            raise ValueError(f"thresholds must be a list of numbers, got {spec!r}") from None
     if not values:
         raise ValueError("at least one threshold is required")
     for a, b in zip(values, values[1:]):
@@ -167,8 +183,8 @@ def _resolve_seasons(args: argparse.Namespace, config: dict[str, Any]) -> Season
 
 def _resolve_bins(args: argparse.Namespace, config: dict[str, Any]) -> BinConfig:
     return BinConfig(
-        delta_x=float(_get(args, config, "delta_x", 5.0)),
-        delta_t=float(_get(args, config, "delta_t", 1.0)),
+        delta_x=_get_number(args, config, "delta_x", 5.0),
+        delta_t=_get_number(args, config, "delta_t", 1.0),
     )
 
 
@@ -222,7 +238,7 @@ def cmd_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
     total_days = count_days(data.period_start, data.period_end, days_per_year)
     seasons = _resolve_seasons(args, config)
     bins = _resolve_bins(args, config)
-    smoothing = float(_get(args, config, "smoothing", 0.0))
+    smoothing = _get_number(args, config, "smoothing", 0.0)
     model = fit(data, seasons, bins, total_days=total_days, smoothing=smoothing)
     out = _get(args, config, "out") or _out_path(args, config, "model.json")
     _write_text(out, model_to_json(model))
@@ -258,6 +274,12 @@ def _print_warn_summary(grid) -> None:
 
 
 def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    month = _get_number(args, config, "month", kind=int)
+    hour = _get_number(args, config, "hour")
+    if month is not None and not 1 <= month <= 12:
+        raise ValueError(f"--month must be 1..12, got {month!r}")
+    if hour is not None and not 0.0 <= hour < 24.0:
+        raise ValueError(f"--hour must be in [0, 24), got {hour!r}")
     model = model_from_json(_read_text(_require(args, config, "model")))
     traffic = _load_traffic(args, config, model.bins.delta_x)
     thresholds = _resolve_thresholds(args, config)
@@ -268,16 +290,8 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
     geometry_path = _get(args, config, "geometry")
     if geometry_path is not None:
         geometries = parse_geometries(_read_text(geometry_path))
-        theta_map = float(_get(args, config, "theta_map", grid.thresholds[0]))
-        month = _get(args, config, "month")
-        hour = _get(args, config, "hour")
-        geojson = warnings_to_geojson(
-            grid,
-            geometries,
-            theta_map,
-            month=None if month is None else int(month),
-            hour=None if hour is None else float(hour),
-        )
+        theta_map = _get_number(args, config, "theta_map", grid.thresholds[0])
+        geojson = warnings_to_geojson(grid, geometries, theta_map, month=month, hour=hour)
         geo_path = _out_path(args, config, "warnings.geojson")
         _write_text(geo_path, geojson)
         print(f"warned segments written to {geo_path}")
@@ -288,7 +302,7 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def cmd_map(args: argparse.Namespace, config: dict[str, Any]) -> int:
     data = _load_dataset(_require(args, config, "accidents"), args, config)
     geometries = parse_geometries(_read_text(_require(args, config, "geometry")))
-    spacing = float(_get(args, config, "spacing", 2.5))
+    spacing = _get_number(args, config, "spacing", 2.5)
     points: list[tuple[float, float]] = []
     skipped = 0
     for rec in data.records:
@@ -334,7 +348,7 @@ def cmd_profile(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 def cmd_corr(args: argparse.Namespace, config: dict[str, Any]) -> int:
     data = _load_dataset(_require(args, config, "accidents"), args, config)
-    delta_x = float(_get(args, config, "delta_x", 5.0))
+    delta_x = _get_number(args, config, "delta_x", 5.0)
     traffic = _load_traffic(args, config, delta_x)
     speeds = parse_speed_profiles(_read_text(_require(args, config, "speeds")))
     report = speed_correlation(data, traffic, speeds, delta_x)
@@ -353,7 +367,7 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
     test_path = _require(args, config, "test")
     test = _load_dataset(test_path, args, config)
     thresholds = _resolve_thresholds(args, config)
-    theta = float(_get(args, config, "theta", thresholds[0]))
+    theta = _get_number(args, config, "theta", thresholds[0])
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
     include_adjacent = bool(_get(args, config, "adjacent", False))
     report = evaluate_holdout(grid, test, theta, include_adjacent=include_adjacent)
@@ -387,11 +401,6 @@ def _add_common_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--seasons",
         help="month grouping, e.g. 'short=11,12,1,2;long=5,6,7,8;mid=3,4,9,10'",
-    )
-    sp.add_argument(
-        "--seed",
-        type=int,
-        help="random seed for any sampling step (reserved; current commands do not sample)",
     )
     sp.add_argument("--period-start", dest="period_start", help="observation start, YYYY-MM-DD")
     sp.add_argument("--period-end", dest="period_end", help="observation end, YYYY-MM-DD")

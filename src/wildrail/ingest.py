@@ -435,10 +435,14 @@ def parse_geometries(stream: Union[str, IO[str]]) -> dict[str, LineGeometry]:
         raise ParseError("FeatureCollection must carry a 'features' array")
     result: dict[str, LineGeometry] = {}
     for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ParseError(f"feature {i}: must be a GeoJSON Feature object")
         geom = feature.get("geometry") or {}
         props = feature.get("properties") or {}
-        if geom.get("type") != "LineString":
+        if not isinstance(geom, dict) or geom.get("type") != "LineString":
             raise ParseError(f"feature {i}: geometry must be a LineString")
+        if not isinstance(props, dict):
+            raise ParseError(f"feature {i}: properties must be an object")
         line = props.get("line")
         kms = props.get("km")
         coords = geom.get("coordinates") or []

@@ -3,8 +3,9 @@
 The model is a set of count ratios over a fixed binning: a monthly accident
 rate mu(tau) = N_tau / (T/12), an hour-of-day distribution conditioned on the
 daylight season containing the month, a line distribution p(l) = N_l / N, and
-a km-bin distribution along each line p(x, dx | l).  All tables keep their
-underlying counts so estimates stay auditable.
+a km-bin distribution along each line p(x, dx | l).  The counts are the source
+of truth: every table is derived from them by one function, both when fitting
+and when loading a saved model.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ __all__ = [
     "ModelCounts",
     "FittedModel",
     "fit",
-    "estimate_mu",
-    "estimate_p_time",
-    "estimate_p_line",
-    "estimate_p_segment",
-    "temporal_part",
-    "spatial_part",
     "model_to_json",
     "model_from_json",
 ]
@@ -233,15 +228,9 @@ def fit(
         bins = BinConfig()
     if data.n == 0:
         raise ValueError("cannot fit a model on an empty dataset")
-    T = float(data.total_days if total_days is None else total_days)
-    if not T > 0:
-        raise ValueError(f"total_days must be positive, got {T!r}")
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be non-negative, got {smoothing!r}")
 
     by_month = {m: 0 for m in MONTHS}
-    t_starts = bins.t_starts
-    by_season_tbin = {label: {ts: 0 for ts in t_starts} for label in seasons.labels}
+    by_season_tbin = {label: {ts: 0 for ts in bins.t_starts} for label in seasons.labels}
     lines = sorted({rec.line for rec in data.records})
     by_line = {line: 0 for line in lines}
     line_bin_idx: dict[str, dict[int, int]] = {line: {} for line in lines}
@@ -252,9 +241,6 @@ def fit(
         idx = bin_index(rec.km, bins.delta_x)
         per_line = line_bin_idx[rec.line]
         per_line[idx] = per_line.get(idx, 0) + 1
-    by_season = {
-        label: sum(by_month[m] for m in months) for label, months in seasons.groups.items()
-    }
     # dense per-line bins over the observed index range, zeros in the gaps
     by_line_xbin: dict[str, dict[float, int]] = {}
     for line in lines:
@@ -263,33 +249,48 @@ def fit(
         by_line_xbin[line] = {
             i * bins.delta_x: indices.get(i, 0) for i in range(lo, hi + 1)
         }
+    counts = {
+        "n": data.n,
+        "total_days": float(data.total_days if total_days is None else total_days),
+        "by_month": by_month,
+        "by_season_tbin": by_season_tbin,
+        "by_line": by_line,
+        "by_line_xbin": by_line_xbin,
+    }
+    return _model_from_counts(counts, seasons, bins, smoothing)
 
+
+def _model_from_counts(
+    counts: dict, seasons: SeasonScheme, bins: BinConfig, smoothing: float
+) -> FittedModel:
+    """Derive the per-season totals and every probability table from raw counts.
+
+    ``counts`` holds the ModelCounts fields except ``by_season``.  This is
+    the only place the tables are computed, for fitted and loaded models alike.
+    """
+    T = counts["total_days"]
+    if not 0 < T < math.inf:
+        raise ValueError(f"total_days must be positive and finite, got {T!r}")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be non-negative and finite, got {smoothing!r}")
+    by_month = counts["by_month"]
+    by_season = {
+        label: sum(by_month[m] for m in months) for label, months in seasons.groups.items()
+    }
     month_denom = T / MONTHS_PER_YEAR
     mu = {m: by_month[m] / month_denom for m in MONTHS}
     p_time: dict[str, dict[float, float]] = {}
-    for label in seasons.labels:
-        denom = by_season[label] + smoothing * len(t_starts)
+    for label, table in counts["by_season_tbin"].items():
+        denom = by_season[label] + smoothing * len(table)
         if denom > 0:
-            p_time[label] = {
-                ts: (cnt + smoothing) / denom for ts, cnt in by_season_tbin[label].items()
-            }
-    line_denom = data.n + smoothing * len(lines)
-    p_line = {line: (by_line[line] + smoothing) / line_denom for line in lines}
+            p_time[label] = {ts: (cnt + smoothing) / denom for ts, cnt in table.items()}
+    by_line = counts["by_line"]
+    line_denom = counts["n"] + smoothing * len(by_line)
+    p_line = {line: (cnt + smoothing) / line_denom for line, cnt in by_line.items()}
     p_segment: dict[str, dict[float, float]] = {}
-    for line in lines:
-        table = by_line_xbin[line]
+    for line, table in counts["by_line_xbin"].items():
         denom = by_line[line] + smoothing * len(table)
         p_segment[line] = {xs: (cnt + smoothing) / denom for xs, cnt in table.items()}
-
-    counts = ModelCounts(
-        n=data.n,
-        total_days=T,
-        by_month=by_month,
-        by_season=by_season,
-        by_season_tbin=by_season_tbin,
-        by_line=by_line,
-        by_line_xbin=by_line_xbin,
-    )
     return FittedModel(
         mu=mu,
         p_time=p_time,
@@ -297,77 +298,9 @@ def fit(
         p_segment=p_segment,
         seasons=seasons,
         bins=bins,
-        counts=counts,
+        counts=ModelCounts(by_season=by_season, **counts),
         smoothing=smoothing,
     )
-
-
-def estimate_mu(data: Dataset, tau: int, *, total_days: float | None = None) -> float:
-    """Accidents per average month for calendar month ``tau``: N_tau / (T/12)."""
-    if tau not in MONTHS:
-        raise ValueError(f"month must be 1..12, got {tau!r}")
-    T = float(data.total_days if total_days is None else total_days)
-    if not T > 0:
-        raise ValueError(f"total_days must be positive, got {T!r}")
-    n_tau = sum(1 for rec in data.records if rec.month == tau)
-    return n_tau / (T / MONTHS_PER_YEAR)
-
-
-def estimate_p_time(
-    data: Dataset, seasons: SeasonScheme, tau: int, t: float, delta_t: float
-) -> float:
-    """Probability that an accident in tau's season falls in [t, t+delta_t) hours.
-
-    Raises:
-        InsufficientDataError: the season containing ``tau`` has no accidents.
-    """
-    label = seasons.season_of(tau)
-    in_season = [rec for rec in data.records if seasons.season_of(rec.month) == label]
-    if not in_season:
-        raise InsufficientDataError(f"no accidents in season {label!r}; p(t|season) undefined")
-    hits = sum(1 for rec in in_season if t <= rec.hour < t + delta_t)
-    return hits / len(in_season)
-
-
-def estimate_p_line(data: Dataset, line: str) -> float:
-    """Probability that an accident falls on ``line``: N_l / N."""
-    if data.n == 0:
-        raise InsufficientDataError("empty dataset; p(l) undefined")
-    return sum(1 for rec in data.records if rec.line == line) / data.n
-
-
-def estimate_p_segment(data: Dataset, line: str, x: float, delta_x: float) -> float:
-    """Probability that an accident on ``line`` falls in [x, x+delta_x) km.
-
-    Raises:
-        InsufficientDataError: ``line`` has no accidents.
-    """
-    n_line = sum(1 for rec in data.records if rec.line == line)
-    if n_line == 0:
-        raise InsufficientDataError(f"no accidents on line {line!r}; p(x|line) undefined")
-    hits = sum(1 for rec in data.records if rec.line == line and x <= rec.km < x + delta_x)
-    return hits / n_line
-
-
-def temporal_part(model: FittedModel, tau: int, t: float) -> float:
-    """p(tau, t, delta_t) = p(t, t+delta_t | season(tau)) * mu(tau).
-
-    mu(tau) = 0 short-circuits to 0 even when the season's hour distribution
-    is undefined; otherwise an undefined distribution propagates as
-    InsufficientDataError.
-    """
-    mu = model.mu_at(tau)
-    if mu == 0.0:
-        return 0.0
-    return model.p_time_at(tau, t) * mu
-
-
-def spatial_part(model: FittedModel, line: str, x: float) -> float:
-    """p(l, x, delta_x) = p(x, x+delta_x | l) * p(l), with p(l)=0 short-circuiting to 0."""
-    p_line = model.p_line_at(line)
-    if p_line == 0.0:
-        return 0.0
-    return model.p_segment_at(line, x) * p_line
 
 
 _FORMAT_TAG = "wildrail.model/1"
@@ -412,8 +345,15 @@ def model_to_json(model: FittedModel) -> str:
 def model_from_json(text: str) -> FittedModel:
     """Rebuild a FittedModel from model_to_json output.
 
+    Only the bins, seasons, smoothing and counts are read; every table is
+    derived from the counts as ``fit`` derives it.  The document must be
+    exactly what ``model_to_json`` writes for the rebuilt model, so a table
+    that disagrees with its counts (tampered, NaN, negative) or a stray key
+    is rejected.
+
     Raises:
-        ValueError: malformed JSON or wrong document format.
+        ValueError: malformed JSON, wrong document format, counts no dataset
+            could produce, or tables that disagree with the counts.
     """
     try:
         doc = json.loads(text)
@@ -426,37 +366,51 @@ def model_from_json(text: str) -> FittedModel:
             groups={label: tuple(months) for label, months in doc["seasons"].items()}
         )
         bins = BinConfig(delta_x=doc["bins"]["delta_x"], delta_t=doc["bins"]["delta_t"])
-        raw_counts = doc["counts"]
-        counts = ModelCounts(
-            n=int(raw_counts["n"]),
-            total_days=float(raw_counts["total_days"]),
-            by_month={int(m): int(c) for m, c in raw_counts["by_month"].items()},
-            by_season={label: int(c) for label, c in raw_counts["by_season"].items()},
-            by_season_tbin={
+        smoothing = float(doc["smoothing"])
+        raw = doc["counts"]
+        counts = {
+            "n": int(raw["n"]),
+            "total_days": float(raw["total_days"]),
+            "by_month": {int(m): int(c) for m, c in raw["by_month"].items()},
+            "by_season_tbin": {
                 label: {float(ts): int(c) for ts, c in table.items()}
-                for label, table in raw_counts["by_season_tbin"].items()
+                for label, table in raw["by_season_tbin"].items()
             },
-            by_line={line: int(c) for line, c in raw_counts["by_line"].items()},
-            by_line_xbin={
+            "by_line": {line: int(c) for line, c in raw["by_line"].items()},
+            "by_line_xbin": {
                 line: {float(xs): int(c) for xs, c in table.items()}
-                for line, table in raw_counts["by_line_xbin"].items()
+                for line, table in raw["by_line_xbin"].items()
             },
-        )
-        return FittedModel(
-            mu={int(m): float(v) for m, v in doc["mu"].items()},
-            p_time={
-                label: {float(ts): float(p) for ts, p in table.items()}
-                for label, table in doc["p_time"].items()
-            },
-            p_line={line: float(p) for line, p in doc["p_line"].items()},
-            p_segment={
-                line: {float(xs): float(p) for xs, p in table.items()}
-                for line, table in doc["p_segment"].items()
-            },
-            seasons=seasons,
-            bins=bins,
-            counts=counts,
-            smoothing=float(doc.get("smoothing", 0.0)),
-        )
-    except (KeyError, TypeError) as exc:
+        }
+        _check_counts(counts, seasons, bins)
+        model = _model_from_counts(counts, seasons, bins, smoothing)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc!r}") from None
+    canonical = json.loads(model_to_json(model))
+    differing = sorted(k for k in doc.keys() | canonical.keys() if doc.get(k) != canonical.get(k))
+    if differing:
+        raise ValueError(f"model document disagrees with its counts in {differing}")
+    return model
+
+
+def _check_counts(counts: dict, seasons: SeasonScheme, bins: BinConfig) -> None:
+    """Reject counts that no dataset could produce; fit's own always pass."""
+    by_month, by_line, by_line_xbin = counts["by_month"], counts["by_line"], counts["by_line_xbin"]
+    n = counts["n"]
+    if set(by_month) != set(MONTHS) or min(by_month.values()) < 0:
+        raise ValueError("monthly counts must cover months 1..12 and be non-negative")
+    if sum(by_month.values()) != n or sum(by_line.values()) != n or n <= 0:
+        raise ValueError(f"monthly and per-line counts must both sum to n={n} > 0")
+    for label, months in seasons.groups.items():
+        table = counts["by_season_tbin"][label]
+        if (
+            tuple(sorted(table)) != bins.t_starts
+            or min(table.values()) < 0
+            or sum(table.values()) != sum(by_month[m] for m in months)
+        ):
+            raise ValueError(f"hour-bin counts of season {label!r} disagree with its months")
+    if set(by_line_xbin) != set(by_line):
+        raise ValueError("km-bin counts must cover exactly the counted lines")
+    for line, table in by_line_xbin.items():
+        if by_line[line] <= 0 or sum(table.values()) != by_line[line] or min(table.values()) < 0:
+            raise ValueError(f"km-bin counts of line {line!r} disagree with its count")

@@ -2,7 +2,7 @@
 
 A cell is (line, km bin, month, hour bin).  Its per-train probability is
 
-    p_pt = temporal_part(month, t) * spatial_part(line, x) / m_window
+    p_pt = [p(t | season(month)) * mu(month)] * [p(x | line) * p(line)] / m_window
 
 where m_window = m(line, x) * alpha(t, delta_t) * delta_t is the expected
 number of trains in the window.  A warning is raised in a cell exactly when
@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, bin_index, km_to_geo
-from .model import MONTHS, FittedModel, spatial_part, temporal_part
+from .model import MONTHS, FittedModel, InsufficientDataError
 
 __all__ = [
     "NoTrafficError",
@@ -174,20 +174,26 @@ def p_per_train(
 ) -> float:
     """Per-train accident probability for one cell.
 
-    The window width is the model's time bin.  The value is an expected event
-    count per train and is not clamped to [0, 1].
+    The value is the cell containing (tau, t, line, x) of the grid that
+    ``sweep_all`` computes: an expected event count per train, not clamped.
 
     Raises:
         NoTrafficError: the window has zero expected trains.
         InsufficientDataError: a required model probability is undefined.
+        ValueError: a month, hour or km outside the grid, or traffic binned
+            on a different km grid than the model.
     """
-    delta_t = model.bins.delta_t
-    m_window = traffic_m(traffic, profile, line, x, model.bins.t_bin(t), delta_t)
-    if m_window == 0.0:
+    bins = model.bins
+    grid = _build_grid(
+        model, traffic, profile, (), (line,), (tau,), (bins.t_bin(t),), {line: (bins.x_bin(x),)}
+    )
+    bits = int(grid.flags[line][0, 0, 0])
+    if bits & _NO_TRAFFIC_BIT:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
-    temporal = temporal_part(model, tau, t)
-    spatial = spatial_part(model, line, x)
-    return temporal * spatial / m_window
+    if bits & _INSUFFICIENT_BIT:
+        label = model.seasons.season_of(tau)
+        raise InsufficientDataError(f"no accidents in season {label!r}; p(t|season) undefined")
+    return float(grid.p_pt[line][0, 0, 0])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from wildrail import (
     speed_correlation,
     sweep_all,
 )
-from wildrail.analysis import HexGrid, KM_PER_DEGREE
+from wildrail.analysis import HexGrid, KM_PER_DEGREE, _pearson, _spearman
 from oracles import (
     nearest_center_exhaustive,
     pearson_manual,
@@ -192,6 +192,25 @@ def test_speed_correlation_matches_manual_formulas(bundled_data, bundled_traffic
     assert report.pearson == pytest.approx(pearson_manual(xs, ys), rel=1e-12)
     assert report.spearman == pytest.approx(spearman_manual(xs, ys), rel=1e-12)
     assert report.n == len(report.pairs) == 37  # every bundled traffic bin has a speed
+
+
+def test_correlations_reproduce_scipy_bit_for_bit() -> None:
+    # the coefficients follow scipy's own arithmetic; scipy is not a dependency,
+    # so this cross-check runs only where it happens to be installed
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(20240601)
+    for i in range(400):
+        n = int(rng.integers(3, 120))
+        if i % 2:  # few distinct speeds and many zero risks: heavy ties
+            x = rng.choice([60.0, 80.0, 100.0, 120.0, 160.0], n)
+            y = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.integers(1, 9, n) / rng.integers(10, 300, n))
+        else:
+            x = rng.standard_normal(n) * 1e3
+            y = rng.exponential(size=n) * 1e-4 + 1e-7 * x
+        if x.min() == x.max() or y.min() == y.max():
+            continue
+        assert _pearson(x, y) == float(stats.pearsonr(x, y).statistic)
+        assert _spearman(x, y) == float(stats.spearmanr(x, y).statistic)
 
 
 def test_speed_correlation_drops_uncovered_bins() -> None:

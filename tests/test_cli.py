@@ -34,6 +34,13 @@ def fitted(tmp_path: Path) -> Path:
     return tmp_path / "model.json"
 
 
+def assert_input_error(code: int, capsys) -> None:
+    """Exit code 2 with exactly one ``error:`` line and no traceback."""
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 # --- fit ---
 
 
@@ -161,11 +168,48 @@ def test_warn_rejects_traffic_on_a_different_grid(tmp_path: Path, fitted: Path, 
     assert "aligned" in capsys.readouterr().err
 
 
-def test_warn_rejects_bad_thresholds(tmp_path: Path, fitted: Path) -> None:
+def test_warn_rejects_bad_thresholds(tmp_path: Path, fitted: Path, capsys) -> None:
     base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)]
     assert main(base + ["--thresholds", "0.002,0.001"]) == 2
     assert main(base + ["--thresholds", "0"]) == 2
     assert main(base + ["--thresholds", "abc"]) == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"thresholds": 5}))
+    capsys.readouterr()
+    assert_input_error(main(base + ["--config", str(config)]), capsys)
+
+
+def test_warn_rejects_map_filters_that_match_nothing(tmp_path: Path, fitted: Path, capsys) -> None:
+    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", GEOMETRY,
+            "--out-dir", str(tmp_path)]
+    assert_input_error(main(base + ["--month", "13"]), capsys)
+    assert_input_error(main(base + ["--hour", "25"]), capsys)
+    for key, value in (("month", 13), ("hour", 25), ("month", [1]), ("hour", "noon")):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: value}))
+        assert_input_error(main(base + ["--config", str(config)]), capsys)
+    assert not (tmp_path / "warnings.geojson").exists()
+
+
+def test_warn_rejects_malformed_model_and_geometry(tmp_path: Path, fitted: Path, capsys) -> None:
+    doc = json.loads(fitted.read_text())
+    bad_models = {
+        "seasons.json": {**doc, "seasons": [1, 2]},
+        "nan.json": {**doc, "p_line": {**doc["p_line"], "139": float("nan")}},
+        "tampered.json": {**doc, "mu": {**doc["mu"], "1": 0.5}},
+    }
+    for name, bad in bad_models.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(bad))
+        code = main(["warn", "--model", str(path), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)])
+        assert_input_error(code, capsys)
+    geometry = tmp_path / "features.geojson"
+    geometry.write_text(json.dumps({"type": "FeatureCollection", "features": [5]}))
+    code = main(
+        ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", str(geometry),
+         "--out-dir", str(tmp_path)]
+    )
+    assert_input_error(code, capsys)
 
 
 # --- map ---
@@ -320,3 +364,5 @@ def test_parse_thresholds_spec() -> None:
         parse_thresholds_spec("")
     with pytest.raises(ValueError):
         parse_thresholds_spec("-0.1,0.2")
+    with pytest.raises(ValueError):  # a config value that is neither a string nor a list
+        parse_thresholds_spec(5)

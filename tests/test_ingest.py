@@ -335,6 +335,8 @@ def test_parse_geometries_rejects_bad_documents() -> None:
     )
     with pytest.raises(ParseError):
         parse_geometries(io.StringIO(point))
+    with pytest.raises(ParseError):  # a feature that is not an object
+        parse_geometries(io.StringIO('{"type": "FeatureCollection", "features": [5]}'))
 
 
 def test_parse_geometries_rejects_duplicate_lines() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import random
 
 import numpy as np
@@ -17,25 +18,17 @@ from wildrail import (
     Dataset,
     InsufficientDataError,
     SeasonScheme,
+    DEFAULT_PROFILE,
+    TrafficTable,
     count_days,
-    estimate_mu,
-    estimate_p_line,
-    estimate_p_segment,
-    estimate_p_time,
     fit,
     model_from_json,
     model_to_json,
-    spatial_part,
-    temporal_part,
+    p_per_train,
+    traffic_m,
 )
 from conftest import PERIOD, make_synthetic
 from oracles import expected_tables, table_counts
-
-
-def rel_close(a: float, b: float, tol: float = 1e-12) -> bool:
-    if b == 0:
-        return a == 0
-    return abs(a - b) <= tol * abs(b)
 
 
 # --- season scheme ---
@@ -96,47 +89,25 @@ def test_bin_config_rejects_out_of_range_lookups() -> None:
         bins.x_bin(-1.0)
 
 
-# --- estimators on the bundled example data ---
+# --- fitted tables on the bundled example data ---
 
 
-def test_bundled_counts_match_reference_totals(bundled_data) -> None:
+def test_bundled_counts_match_reference_totals(bundled_data, bundled_model) -> None:
     T = count_days(*PERIOD, "365")
     assert T == 1095
     assert bundled_data.n == 877
-    assert estimate_mu(bundled_data, 1, total_days=T) == 81 / (1095 / 12)
-    assert estimate_p_time(bundled_data, DEFAULT_SEASONS, 1, 18.0, 1.0) == 37 / 338
-    assert estimate_p_line(bundled_data, "139") == 285 / 877
-    assert estimate_p_segment(bundled_data, "139", 10.0, 5.0) == 50 / 285
-
-
-def test_fit_agrees_with_standalone_estimators(bundled_data, bundled_model) -> None:
-    T = count_days(*PERIOD, "365")
-    for tau in range(1, 13):
-        assert bundled_model.mu_at(tau) == estimate_mu(bundled_data, tau, total_days=T)
-        for t in (0.0, 6.0, 18.0, 23.0):
-            assert bundled_model.p_time_at(tau, t) == estimate_p_time(
-                bundled_data, DEFAULT_SEASONS, tau, t, 1.0
-            )
-    for line in bundled_model.lines:
-        assert bundled_model.p_line_at(line) == estimate_p_line(bundled_data, line)
-        for x in bundled_model.x_bins_for(line):
-            assert bundled_model.p_segment_at(line, x) == estimate_p_segment(
-                bundled_data, line, x, 5.0
-            )
+    assert bundled_model.mu_at(1) == 81 / (1095 / 12)
+    assert bundled_model.p_time_at(1, 18.0) == 37 / 338
+    assert bundled_model.p_line_at("139") == 285 / 877
+    assert bundled_model.p_segment_at("139", 10.0) == 50 / 285
 
 
 def test_estimator_guards() -> None:
     empty = Dataset(records=(), period_start=PERIOD[0], period_end=PERIOD[1])
-    with pytest.raises(ValueError):
-        estimate_mu(empty, 13)
-    with pytest.raises(InsufficientDataError):
-        estimate_p_line(empty, "139")
-    with pytest.raises(InsufficientDataError):
-        estimate_p_time(empty, DEFAULT_SEASONS, 1, 18.0, 1.0)
     rec = AccidentRecord(date=dt.date(2020, 1, 5), time=0, line="1", km=0.0)
     tiny = Dataset(records=(rec,), period_start=PERIOD[0], period_end=PERIOD[1])
-    with pytest.raises(InsufficientDataError):
-        estimate_p_segment(tiny, "999", 0.0, 5.0)
+    with pytest.raises(ValueError):
+        fit(tiny, total_days=1095).mu_at(13)
     with pytest.raises(ValueError):
         fit(empty)
     with pytest.raises(ValueError):
@@ -149,20 +120,23 @@ def test_estimator_guards() -> None:
 
 
 def test_fit_tables_match_counting_oracle(bundled_data, bundled_model) -> None:
+    # the oracle's exact fractions round to exactly the fitted doubles
     counts = table_counts(bundled_data.records, DEFAULT_SEASONS.groups, 5.0, 60)
     tables = expected_tables(counts, 1095)
     for tau in range(1, 13):
-        assert rel_close(bundled_model.mu[tau], float(tables["mu"][tau]))
+        assert bundled_model.mu_at(tau) == float(tables["mu"][tau])
     for label, per_bin in tables["p_time"].items():
+        assert set(bundled_model.p_time[label]) == {float(ti) for ti in per_bin}
         for ti, value in per_bin.items():
-            assert rel_close(bundled_model.p_time[label][float(ti)], float(value))
+            assert bundled_model.p_time[label][float(ti)] == float(value)
+    assert set(bundled_model.p_line) == set(tables["p_line"])
     for line, p in tables["p_line"].items():
-        assert rel_close(bundled_model.p_line[line], float(p))
+        assert bundled_model.p_line_at(line) == float(p)
     for line, per_bin in tables["p_segment"].items():
         got = bundled_model.p_segment[line]
         assert set(got) == {i * 5.0 for i in per_bin}
         for i, value in per_bin.items():
-            assert rel_close(got[i * 5.0], float(value))
+            assert bundled_model.p_segment_at(line, i * 5.0) == float(value)
 
 
 def test_fit_supports_are_dense_per_line(bundled_model) -> None:
@@ -223,7 +197,12 @@ def test_smoothing_keeps_normalization_and_shrinks_extremes(seed: int, smoothing
         assert abs(sum(table.values()) - 1.0) <= 1e-9
 
 
-# --- temporal and spatial parts ---
+# --- per-train probability at the edges of the tables ---
+
+# trains on the one-month model's line and on a line without accidents
+ONE_MONTH_TRAFFIC = TrafficTable(
+    counts={("7", 0.0): 120.0, ("7", 5.0): 120.0, ("999", 0.0): 80.0}, delta_x=5.0
+)
 
 
 def make_one_month_model():
@@ -235,24 +214,31 @@ def make_one_month_model():
     return fit(data, total_days=1095)
 
 
+def one_month_p(model, tau: int, t: float, line: str, x: float) -> float:
+    return p_per_train(model, ONE_MONTH_TRAFFIC, DEFAULT_PROFILE, tau, t, line, x)
+
+
 def test_zero_rate_month_short_circuits_missing_season() -> None:
     model = make_one_month_model()
     # June never occurs: mu=0, and its season has no hour table at all
     assert model.mu_at(6) == 0.0
     with pytest.raises(InsufficientDataError):
         model.p_time_at(6, 12.0)
-    assert temporal_part(model, 6, 12.0) == 0.0
-    assert temporal_part(model, 1, 18.0) == model.p_time_at(1, 18.0) * model.mu_at(1)
+    assert one_month_p(model, 6, 12.0, "7", 0.0) == 0.0
+    m = traffic_m(ONE_MONTH_TRAFFIC, DEFAULT_PROFILE, "7", 0.0, 18.0, 1.0)
+    temporal = model.p_time_at(1, 18.0) * model.mu_at(1)
+    spatial = model.p_segment_at("7", 0.0) * model.p_line_at("7")
+    assert one_month_p(model, 1, 18.0, "7", 0.0) == temporal * spatial / m
 
 
 def test_spatial_part_handles_unknown_locations() -> None:
     model = make_one_month_model()
     assert model.p_line_at("999") == 0.0
-    assert spatial_part(model, "999", 0.0) == 0.0
+    assert one_month_p(model, 1, 18.0, "999", 0.0) == 0.0
     with pytest.raises(InsufficientDataError):
         model.p_segment_at("999", 0.0)
     assert model.p_segment_at("7", 500.0) == 0.0
-    assert spatial_part(model, "7", 0.0) == model.p_segment_at("7", 0.0) * model.p_line_at("7")
+    assert one_month_p(model, 1, 18.0, "7", 5.0) > 0.0
 
 
 # --- serialization ---
@@ -279,6 +265,12 @@ def test_model_json_round_trip_synthetic(seed: int) -> None:
     assert model_to_json(back) == model_to_json(model)
 
 
+def tamper(model, edit) -> str:
+    doc = json.loads(model_to_json(model))
+    edit(doc)
+    return json.dumps(doc)
+
+
 def test_model_from_json_rejects_malformed_input(bundled_model) -> None:
     with pytest.raises(ValueError):
         model_from_json("not json")
@@ -289,3 +281,23 @@ def test_model_from_json_rejects_malformed_input(bundled_model) -> None:
     text = model_to_json(bundled_model).replace('"mu"', '"nu"', 1)
     with pytest.raises(ValueError):
         model_from_json(text)
+    # tables are derived from the counts, so any table, key or count that
+    # disagrees with them, or counts no dataset could give, are rejected
+    edits = (
+        lambda d: d.update(seasons=[1, 2]),
+        lambda d: d["p_line"].update({"139": float("nan")}),
+        lambda d: d["p_line"].update({"139": -0.25}),
+        lambda d: d["mu"].update({"1": d["mu"]["1"] * 2}),
+        lambda d: d["p_segment"]["139"].pop("10.0"),
+        lambda d: d.update(notes="stray key"),
+        lambda d: d["counts"]["by_line"].update({"139": d["counts"]["by_line"]["139"] + 1}),
+        lambda d: d["counts"]["by_month"].update({"1": -81}),
+        lambda d: d["counts"]["by_month"].update({"1": float("inf")}),
+        lambda d: d["counts"].update(total_days=0),
+        lambda d: d["counts"].update(n="877"),
+        lambda d: d["counts"]["by_season_tbin"]["short"].pop("18.0"),
+        lambda d: d["counts"]["by_line_xbin"].pop("139"),
+    )
+    for edit in edits:
+        with pytest.raises(ValueError):
+            model_from_json(tamper(bundled_model, edit))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -21,6 +22,7 @@ from wildrail import (
     FLAG_NO_TRAFFIC,
     AccidentRecord,
     Dataset,
+    InsufficientDataError,
     LineGeometry,
     NoTrafficError,
     TrafficProfile,
@@ -29,9 +31,7 @@ from wildrail import (
     bayes_warn_animals,
     fit,
     p_per_train,
-    spatial_part,
     sweep_all,
-    temporal_part,
     traffic_m,
     warnings_to_csv,
     warnings_to_geojson,
@@ -122,8 +122,8 @@ def test_traffic_m_window() -> None:
 
 def test_p_per_train_composes_parts(bundled_model, bundled_traffic) -> None:
     p = p_per_train(bundled_model, bundled_traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
-    temporal = temporal_part(bundled_model, 1, 18.0)
-    spatial = spatial_part(bundled_model, "139", 12.0)
+    temporal = bundled_model.p_time_at(1, 18.0) * bundled_model.mu_at(1)
+    spatial = bundled_model.p_segment_at("139", 12.0) * bundled_model.p_line_at("139")
     m = traffic_m(bundled_traffic, DEFAULT_PROFILE, "139", 12.0, 18.0, 1.0)
     assert p == temporal * spatial / m
 
@@ -132,6 +132,19 @@ def test_p_per_train_requires_traffic(bundled_model) -> None:
     empty = TrafficTable(counts={}, delta_x=5.0)
     with pytest.raises(NoTrafficError):
         p_per_train(bundled_model, empty, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
+
+
+def test_p_per_train_reports_no_traffic_before_insufficient_data(bundled_model, bundled_traffic) -> None:
+    # a hand-built model whose January season lost its hour table
+    label = bundled_model.seasons.season_of(1)
+    broken = dataclasses.replace(
+        bundled_model, p_time={k: v for k, v in bundled_model.p_time.items() if k != label}
+    )
+    with pytest.raises(InsufficientDataError):
+        p_per_train(broken, bundled_traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
+    empty = TrafficTable(counts={}, delta_x=5.0)
+    with pytest.raises(NoTrafficError):
+        p_per_train(broken, empty, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
 
 
 # --- grid construction ---
