@@ -31,6 +31,9 @@ KM_PER_DEGREE = math.pi * 6371.0 / 180.0
 
 UNKNOWN_SPECIES = "unknown"
 
+# records or points handled per array block, so temporaries stay a few MB
+_BLOCK = 1 << 15
+
 
 class UndefinedCorrelationError(ValueError):
     """Correlation is undefined because one of the variables has zero variance."""
@@ -75,26 +78,44 @@ class HexGrid:
         v = self.vertical_step
         return (col * self.spacing, (row + 0.5 * (col & 1)) * v)
 
+    def assign(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest hex centre to each projected point, as int64 (col, row) arrays.
+
+        The candidates are the 9 centres in the columns next to round(x /
+        spacing) and, in each, the rows next to its rounded row.  They are
+        scored in ascending (col, row) order and the first strict minimum of
+        the squared distance wins, so a tie goes to the smallest (col, row).
+        """
+        v = self.vertical_step
+        col0 = np.round(x / self.spacing)
+        best_d2 = best_col = best_row = None
+        for col in (col0 - 1.0, col0, col0 + 1.0):
+            offset = 0.5 * (col.astype(np.int64) & 1)  # odd columns sit half a step lower
+            row0 = np.round(y / v - offset)
+            for row in (row0 - 1.0, row0, row0 + 1.0):
+                d2 = (x - col * self.spacing) ** 2 + (y - (row + offset) * v) ** 2
+                if best_d2 is None:
+                    best_d2, best_col, best_row = d2, col.copy(), row
+                    continue
+                closer = d2 < best_d2
+                np.copyto(best_d2, d2, where=closer)
+                np.copyto(best_col, col, where=closer)
+                np.copyto(best_row, row, where=closer)
+        return best_col.astype(np.int64), best_row.astype(np.int64)
+
     def assign_xy(self, x: float, y: float) -> tuple[int, int]:
         """Nearest hex center to a projected point; ties go to the smallest (col, row)."""
-        v = self.vertical_step
-        col0 = round(x / self.spacing)
-        best: tuple[float, int, int] | None = None
-        for col in (col0 - 1, col0, col0 + 1):
-            offset = 0.5 * (col & 1)
-            row0 = round(y / v - offset)
-            for row in (row0 - 1, row0, row0 + 1):
-                cx, cy = self.center_xy(col, row)
-                d2 = (x - cx) ** 2 + (y - cy) ** 2
-                key = (d2, col, row)
-                if best is None or key < best:
-                    best = key
-        assert best is not None
-        return (best[1], best[2])
+        cols, rows = self.assign(np.array([x], dtype=float), np.array([y], dtype=float))
+        return (int(cols[0]), int(rows[0]))
 
 
 def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
     """Count (lat, lon) points into nearest-center hexagonal cells.
+
+    The lattice is centred on (lat0, lon0), the mean of the points summed in
+    input order.  Each point goes to its nearest centre with ties to the
+    smallest (col, row), as ``HexGrid.assign``.  ``cells`` lists the occupied
+    cells in the order of their first point.
 
     Args:
         points: geographic points as (lat, lon) pairs.
@@ -112,9 +133,11 @@ def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
     lon0 = sum(lon for _, lon in points) / len(points)
     grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells={})
     cells: dict[tuple[int, int], int] = {}
-    for lat, lon in points:
-        key = grid.assign_xy(*grid.project(lat, lon))
-        cells[key] = cells.get(key, 0) + 1
+    for start in range(0, len(points), _BLOCK):
+        block = np.array(points[start : start + _BLOCK], dtype=float)
+        cols, rows = grid.assign(*grid.project(block[:, 0], block[:, 1]))
+        for key in zip(cols.tolist(), rows.tolist()):
+            cells[key] = cells.get(key, 0) + 1
     return HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
 
 
@@ -296,63 +319,77 @@ def evaluate_holdout(
 ) -> EvalReport:
     """Score a warning grid against a held-out accident set.
 
-    Each test accident maps to its grid cell by line, km bin (a km exactly at
-    a line's final bin edge clamps into the final bin), hour bin, and month;
-    accidents that miss the grid are counted as unmapped and excluded from
-    the hit rate.  ``include_adjacent`` additionally accepts a warning in a
-    neighbouring km bin as a hit (off by default).
+    Each test accident maps to its grid cell as ``WarningGrid.locate`` does:
+    by line, km bin (the corrected floor of ``bin_index``; a km exactly at a
+    line's final bin edge clamps into the final bin), month, and hour bin
+    (0 <= hour < 24 and the bin start one of the grid's).  Accidents that
+    miss the grid are counted as unmapped and excluded from the hit rate.
+    A mapped accident is a hit at theta when its cell's p_pt is strictly
+    above theta; flagged (NaN) cells never hit.  ``include_adjacent``
+    also accepts the neighbouring km bins on the same line (off by default).
 
     Raises:
-        ValueError: empty test set or negative theta.
+        ValueError: empty test set, or theta negative or not finite.
     """
     if test.n == 0:
         raise ValueError("empty test set")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if theta < 0:
         raise ValueError(f"theta must be non-negative, got {theta!r}")
-    # per accident, the p_pt values that can produce its hit (cell + optional neighbours)
-    mapped_ps: list[list[float]] = []
-    n_unmapped = 0
-    for rec in test.records:
-        if rec.line not in grid.x_starts:
-            n_unmapped += 1
-            continue
-        xi = grid.x_index(rec.line, rec.km)
-        mi = grid.month_index(rec.month)
-        ti = grid.t_index(rec.hour)
-        if xi is None or mi is None or ti is None:
-            n_unmapped += 1
-            continue
-        arr = grid.p_pt[rec.line]
-        candidates = [xi]
-        if include_adjacent:
-            candidates.extend(i for i in (xi - 1, xi + 1) if 0 <= i < arr.shape[0])
-        ps = [float(arr[i, mi, ti]) for i in candidates]
-        mapped_ps.append([p for p in ps if not math.isnan(p)])
-    n_mapped = len(mapped_ps)
+    names = tuple(grid.x_starts)
+    # per mapped accident, the largest p_pt among the cells that can make it a
+    # hit, -inf when all of them are flagged
+    best: list[np.ndarray] = []
+    for start in range(0, test.n, _BLOCK):
+        records = test.records[start : start + _BLOCK]
+        li, xi, mi, ti = grid.locate(
+            [rec.line for rec in records],
+            np.array([rec.km for rec in records], dtype=float),
+            np.array([rec.date.month for rec in records], dtype=float),
+            np.array([rec.time for rec in records], dtype=float) / 60.0,
+        )
+        mapped = np.flatnonzero((xi >= 0) & (mi >= 0) & (ti >= 0))
+        mapped = mapped[np.argsort(li[mapped], kind="stable")]
+        for group in np.split(mapped, np.flatnonzero(np.diff(li[mapped])) + 1):
+            if group.size:
+                p_pt = grid.p_pt[names[li[group[0]]]]
+                best.append(_best_p(p_pt, xi[group], mi[group], ti[group], include_adjacent))
+    ordered = np.sort(np.concatenate(best)) if best else np.empty(0)
+    n_mapped = int(ordered.size)
     traffic_positive = grid.traffic_positive_cells()
-
-    def point(th: float) -> tuple[float, float]:
-        hits = sum(1 for ps in mapped_ps if any(p > th for p in ps))
+    points: dict[float, tuple[float, float, int]] = {}
+    for th in sorted(set(grid.thresholds) | {float(theta)}):
+        # strictly above th: everything right of the last value <= th
+        hits = n_mapped - int(np.searchsorted(ordered, th, side="right"))
         hit_rate = hits / n_mapped if n_mapped else 0.0
         warned_fraction = grid.warned_cells(th) / traffic_positive if traffic_positive else 0.0
-        return (warned_fraction, hit_rate)
-
-    warned_fraction, hit_rate = point(theta)
-    hits_at_theta = sum(1 for ps in mapped_ps if any(p > theta for p in ps))
-    curve = tuple(
-        (th,) + point(th) for th in sorted(set(grid.thresholds) | {float(theta)})
-    )
+        points[th] = (warned_fraction, hit_rate, hits)
+    warned_fraction, hit_rate, hits_at_theta = points[float(theta)]
     return EvalReport(
         theta=float(theta),
         hit_rate=hit_rate,
         warned_fraction=warned_fraction,
         n_test=test.n,
         n_mapped=n_mapped,
-        n_unmapped=n_unmapped,
+        n_unmapped=test.n - n_mapped,
         hits=hits_at_theta,
-        curve=curve,
+        curve=tuple((th, wf, hr) for th, (wf, hr, _) in points.items()),
         include_adjacent=include_adjacent,
     )
+
+
+def _best_p(
+    p_pt: np.ndarray, xi: np.ndarray, mi: np.ndarray, ti: np.ndarray, include_adjacent: bool
+) -> np.ndarray:
+    """Largest p_pt over each accident's cell (and its km neighbours), NaN read as -inf."""
+    best = p_pt[xi, mi, ti]
+    if include_adjacent:
+        last = p_pt.shape[0] - 1
+        for near in (xi - 1, xi + 1):
+            # at either end of the line the clip reads the accident's own cell again
+            best = np.fmax(best, p_pt[np.clip(near, 0, last), mi, ti])
+    return np.where(np.isnan(best), -np.inf, best)
 
 
 def eval_report_to_json(report: EvalReport) -> str:

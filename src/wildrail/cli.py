@@ -52,6 +52,7 @@ from .model import (
 )
 from .warn import (
     DEFAULT_PROFILE,
+    FLAG_EXCEEDS_UNITY,
     NoTrafficError,
     sweep_all,
     warnings_to_csv,
@@ -284,6 +285,13 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
     traffic = _load_traffic(args, config, model.bins.delta_x)
     thresholds = _resolve_thresholds(args, config)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
+    exceeds = grid.flagged_cells(FLAG_EXCEEDS_UNITY)
+    if exceeds:
+        print(
+            f"warning: {exceeds} cells have p_pt > 1 ({FLAG_EXCEEDS_UNITY});"
+            " check the traffic table",
+            file=sys.stderr,
+        )
     csv_path = _out_path(args, config, "warnings.csv")
     _write_text(csv_path, warnings_to_csv(grid))
     print(f"warning grid written to {csv_path}")
@@ -369,7 +377,9 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
     thresholds = _resolve_thresholds(args, config)
     theta = _get_number(args, config, "theta", thresholds[0])
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
-    include_adjacent = bool(_get(args, config, "adjacent", False))
+    include_adjacent = _get(args, config, "adjacent", False)
+    if not isinstance(include_adjacent, bool):
+        raise ValueError(f"--adjacent must be true or false, got {include_adjacent!r}")
     report = evaluate_holdout(grid, test, theta, include_adjacent=include_adjacent)
     out = _out_path(args, config, "eval.json")
     _write_text(out, eval_report_to_json(report))

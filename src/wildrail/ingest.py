@@ -256,6 +256,11 @@ def dataset_to_csv(data: Dataset) -> str:
     return out.getvalue()
 
 
+def _check_bin_width(delta_x: float) -> None:
+    if not (math.isfinite(delta_x) and delta_x > 0):
+        raise ValueError(f"delta_x must be positive and finite, got {delta_x!r}")
+
+
 @dataclass(frozen=True)
 class TrafficTable:
     """Daily train counts per (line, km bin).
@@ -268,8 +273,7 @@ class TrafficTable:
     delta_x: float
 
     def __post_init__(self) -> None:
-        if self.delta_x <= 0:
-            raise ValueError(f"delta_x must be positive, got {self.delta_x!r}")
+        _check_bin_width(self.delta_x)
         for (line, start), value in self.counts.items():
             ratio = start / self.delta_x
             if abs(ratio - round(ratio)) > 1e-9:
@@ -292,9 +296,15 @@ class TrafficTable:
 def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
     """Parse traffic CSV (``line,km_from,count``) into a TrafficTable.
 
-    km_from must sit on the ``delta_x`` grid.  Duplicate (line, bin) rows are
-    summed.  An empty stream yields an empty table (all lookups return 0).
+    km_from must be non-negative and sit on the ``delta_x`` grid.  Duplicate
+    (line, bin) rows are summed.  An empty stream yields an empty table (all
+    lookups return 0).
+
+    Raises:
+        ValueError: delta_x not positive and finite.
+        ParseError: malformed header, row or field.
     """
+    _check_bin_width(delta_x)
     reader = csv.reader(_open_text(stream))
     counts: dict[tuple[str, float], float] = {}
     if not _read_header(reader, TRAFFIC_HEADER, "traffic"):
@@ -308,6 +318,8 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
         if not line:
             raise ParseError("line identifier must be non-empty", line_no)
         km_from = _parse_float_field(km_text, "km_from", line_no)
+        if km_from < 0:
+            raise ParseError(f"km_from must be non-negative, got {km_text!r}", line_no)
         ratio = km_from / delta_x
         if abs(ratio - round(ratio)) > 1e-9:
             raise ParseError(f"km_from {km_text} is not aligned to the {delta_x} km grid", line_no)
@@ -326,7 +338,12 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
     on a representative day.  A run adds one train to every delta_x bin its
     [km_from, km_to) extent overlaps; the departure time is validated but not
     retained (time-of-day shaping is owned by the traffic profile).
+
+    Raises:
+        ValueError: delta_x not positive and finite.
+        ParseError: malformed header, row or field.
     """
+    _check_bin_width(delta_x)
     reader = csv.reader(_open_text(stream))
     counts: dict[tuple[str, float], float] = {}
     if not _read_header(reader, TRAFFIC_RUN_HEADER, "traffic run"):
@@ -416,12 +433,38 @@ def km_to_geo(geometry: LineGeometry, km: float) -> tuple[float, float]:
     return (lat0 + t * (lat1 - lat0), lon0 + t * (lon1 - lon0))
 
 
+def _json_number(value: object) -> float | None:
+    """A finite JSON number as a float; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _vertex(coord: object, km: object, feature: int) -> tuple[float, float, float]:
+    """(lat, lon, km) from a GeoJSON [lon, lat] or [lon, lat, alt] position; alt is ignored."""
+    parts = [_json_number(v) for v in coord] if isinstance(coord, list) else []
+    if len(parts) not in (2, 3) or None in parts:
+        raise ParseError(
+            f"feature {feature}: coordinate {coord!r} must be [lon, lat] or [lon, lat, alt] numbers"
+        )
+    km_value = _json_number(km)
+    if km_value is None:
+        raise ParseError(f"feature {feature}: km {km!r} must be a finite number")
+    return (parts[1], parts[0], km_value)
+
+
 def parse_geometries(stream: Union[str, IO[str]]) -> dict[str, LineGeometry]:
     """Parse line geometries from GeoJSON.
 
     Expects a FeatureCollection of LineString features; each feature carries
     ``properties.line`` and a ``properties.km`` array parallel to the
-    coordinate list (GeoJSON coordinates are [lon, lat]).
+    coordinate list (GeoJSON coordinates are [lon, lat], or [lon, lat, alt]
+    with the altitude ignored).  Every coordinate and km must be a finite
+    number.
     """
     text = stream if isinstance(stream, str) else stream.read()
     try:
@@ -448,13 +491,13 @@ def parse_geometries(stream: Union[str, IO[str]]) -> dict[str, LineGeometry]:
         coords = geom.get("coordinates") or []
         if not line:
             raise ParseError(f"feature {i}: missing 'line' property")
+        if not isinstance(coords, list):
+            raise ParseError(f"feature {i}: coordinates must be an array")
         if not isinstance(kms, list) or len(kms) != len(coords):
             raise ParseError(f"feature {i}: 'km' array must parallel the coordinates")
         if line in result:
             raise ParseError(f"feature {i}: duplicate geometry for line {line}")
-        vertices = tuple(
-            (float(lat), float(lon), float(km)) for (lon, lat), km in zip(coords, kms)
-        )
+        vertices = tuple(_vertex(coord, km, i) for coord, km in zip(coords, kms))
         result[str(line)] = LineGeometry(line=str(line), vertices=vertices)
     return result
 

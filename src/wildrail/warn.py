@@ -19,7 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -233,37 +233,63 @@ class WarningGrid:
     m_window: dict[str, np.ndarray]
     flags: dict[str, np.ndarray]
 
+    def locate(
+        self, lines: Sequence[str], km: np.ndarray, months: np.ndarray, hours: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Array form of the cell lookup, one query per element.
+
+        Returns int64 arrays (li, xi, mi, ti): the position of each query's
+        line in ``x_starts`` and its km bin, month and hour bin indices, with
+        -1 where that part misses the grid (an unknown line also gives
+        xi = -1).  The rules are those of ``x_index``, ``month_index`` and
+        ``t_index``, which are one-element views of this.
+        """
+        li = self._line_positions(lines)
+        return (
+            li,
+            self._x_indices(li, np.asarray(km, dtype=float)),
+            _positions(self.months, np.asarray(months, dtype=float)),
+            self._t_indices(np.asarray(hours, dtype=float)),
+        )
+
+    def _line_positions(self, lines: Sequence[str]) -> np.ndarray:
+        names = {line: i for i, line in enumerate(self.x_starts)}
+        return np.array([names.get(line, -1) for line in lines], dtype=np.int64)
+
+    def _x_indices(self, li: np.ndarray, km: np.ndarray) -> np.ndarray:
+        # one (first bin, bin count) row per line, plus an empty row that li = -1 picks
+        firsts = np.array(
+            [round(s[0] / self.delta_x) if s else 0 for s in self.x_starts.values()] + [0],
+            dtype=float,
+        )
+        sizes = np.array([len(s) for s in self.x_starts.values()] + [0], dtype=float)
+        first, size = firsts[li], sizes[li]
+        # positions stay floats until checked, so a huge km cannot overflow
+        pos = _bin_floor(km, self.delta_x) - first
+        inside = (pos >= 0) & (pos < size)
+        end_edge = (size > 0) & (pos == size) & (km == (first + size) * self.delta_x)
+        pos = np.where(end_edge, size - 1, pos)
+        return np.where(inside | end_edge, pos, -1).astype(np.int64)
+
+    def _t_indices(self, hours: np.ndarray) -> np.ndarray:
+        starts = _bin_floor(hours, self.delta_t) * self.delta_t
+        in_day = (hours >= 0.0) & (hours < 24.0)
+        return np.where(in_day, _positions(self.t_starts, starts), -1)
+
     def x_index(self, line: str, km: float) -> int | None:
         """Index of the km bin containing ``km``, or None when off-grid.
 
         A value exactly at the final bin's end edge is clamped into the final
         bin; anything further out is off-grid.
         """
-        starts = self.x_starts.get(line)
-        if not starts:
-            return None
-        first = round(starts[0] / self.delta_x)
-        pos = bin_index(km, self.delta_x) - first
-        if 0 <= pos < len(starts):
-            return pos
-        if pos == len(starts) and km == (first + len(starts)) * self.delta_x:
-            return len(starts) - 1
-        return None
+        li = self._line_positions((line,))
+        return _scalar_index(self._x_indices(li, np.array([km], dtype=float)))
 
     def month_index(self, month: int) -> int | None:
-        try:
-            return self.months.index(month)
-        except ValueError:
-            return None
+        return _scalar_index(_positions(self.months, np.array([month], dtype=float)))
 
     def t_index(self, hour: float) -> int | None:
-        if not 0.0 <= hour < 24.0:
-            return None
-        start = bin_index(hour, self.delta_t) * self.delta_t
-        try:
-            return self.t_starts.index(start)
-        except ValueError:
-            return None
+        return _scalar_index(self._t_indices(np.array([hour], dtype=float)))
 
     def warned_mask(self, line: str, theta: float) -> np.ndarray:
         """Boolean (n_x, n_months, n_t) array: p_pt strictly above theta (NaN never warns)."""
@@ -276,6 +302,11 @@ class WarningGrid:
         for line in self.lines:
             total += int((self.m_window[line] > 0.0).sum()) * len(self.months)
         return total
+
+    def flagged_cells(self, flag: str) -> int:
+        """Number of cells carrying ``flag`` (one of the FLAG_* names)."""
+        bit = {name: bit for bit, name in _FLAG_NAMES}[flag]
+        return sum(int(np.count_nonzero(self.flags[line] & bit)) for line in self.lines)
 
     def warned_cells(self, theta: float) -> int:
         return sum(int(self.warned_mask(line, theta).sum()) for line in self.lines)
@@ -312,6 +343,30 @@ class WarningGrid:
                 for mi in range(len(self.months)):
                     for ti in range(len(self.t_starts)):
                         yield self.cell(line, xi, mi, ti)
+
+
+def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
+    """``bin_index`` over an array, kept as floats so a huge value cannot overflow."""
+    idx = np.floor(values / delta)
+    down = idx * delta > values
+    up = ~down & ((idx + 1) * delta <= values)
+    return idx - down + up
+
+
+def _positions(values: tuple[float, ...], query: np.ndarray) -> np.ndarray:
+    """Index of each query in ``values`` by exact equality, as ``tuple.index``; -1 where absent."""
+    if not values:
+        return np.full(query.shape, -1, dtype=np.int64)
+    table = np.asarray(values, dtype=float)
+    order = np.argsort(table, kind="stable")
+    ordered = table[order]
+    at = np.minimum(np.searchsorted(ordered, query), len(values) - 1)
+    return np.where(ordered[at] == query, order[at], -1)
+
+
+def _scalar_index(indices: np.ndarray) -> int | None:
+    index = int(indices[0])
+    return None if index < 0 else index
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:

@@ -213,6 +213,122 @@ def nearest_center_exhaustive(
     return (best[1], best[2])
 
 
+def _bin_index(value: float, delta: float) -> int:
+    """The package's corrected floor, written out per value."""
+    idx = math.floor(value / delta)
+    if idx * delta > value:
+        idx -= 1
+    elif (idx + 1) * delta <= value:
+        idx += 1
+    return idx
+
+
+def nearest_center_loop(x: float, y: float, spacing: float) -> tuple[int, int]:
+    """The 9-candidate nearest-centre search, one point at a time."""
+    v = 2.0 * spacing / math.sqrt(3.0)
+    col0 = round(x / spacing)
+    best: tuple[float, int, int] | None = None
+    for col in (col0 - 1, col0, col0 + 1):
+        offset = 0.5 * (col & 1)
+        row0 = round(y / v - offset)
+        for row in (row0 - 1, row0, row0 + 1):
+            cx, cy = col * spacing, (row + offset) * v
+            key = ((x - cx) ** 2 + (y - cy) ** 2, col, row)
+            if best is None or key < best:
+                best = key
+    assert best is not None
+    return (best[1], best[2])
+
+
+KM_PER_DEGREE = math.pi * 6371.0 / 180.0
+
+
+def hex_bin_loop(points: Sequence[tuple[float, float]], spacing: float) -> dict:
+    """Hex counts point by point: the fields of the package's HexGrid.
+
+    The centroid is the sequential sum of the points, the projection is
+    equirectangular around it, and ``cells`` keeps first-appearance order.
+    """
+    if not points:
+        return {"spacing": spacing, "lat0": 0.0, "lon0": 0.0, "cells": {}}
+    lat0 = sum(lat for lat, _ in points) / len(points)
+    lon0 = sum(lon for _, lon in points) / len(points)
+    cos0 = math.cos(math.radians(lat0))
+    cells: dict[tuple[int, int], int] = {}
+    for lat, lon in points:
+        x = (lon - lon0) * KM_PER_DEGREE * cos0
+        y = (lat - lat0) * KM_PER_DEGREE
+        key = nearest_center_loop(x, y, spacing)
+        cells[key] = cells.get(key, 0) + 1
+    return {"spacing": spacing, "lat0": lat0, "lon0": lon0, "cells": cells}
+
+
+# --- hold-out scoring ---
+
+
+def cell_of(grid, line: str, km: float, month: int, hour: float) -> tuple[int, int, int] | None:
+    """(xi, mi, ti) of one accident in a WarningGrid, by tuple lookups; None off-grid."""
+    starts = grid.x_starts.get(line)
+    if not starts:
+        return None
+    first = round(starts[0] / grid.delta_x)
+    xi = _bin_index(km, grid.delta_x) - first
+    if not 0 <= xi < len(starts):
+        if xi == len(starts) and km == (first + len(starts)) * grid.delta_x:
+            xi = len(starts) - 1  # the final bin's end edge clamps into it
+        else:
+            return None
+    if month not in grid.months or not 0.0 <= hour < 24.0:
+        return None
+    t_start = _bin_index(hour, grid.delta_t) * grid.delta_t
+    if t_start not in grid.t_starts:
+        return None
+    return (xi, grid.months.index(month), grid.t_starts.index(t_start))
+
+
+def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = False) -> dict:
+    """Hold-out scoring one accident at a time: the fields of the package's EvalReport.
+
+    Warned and traffic-positive cell counts are read from the grid's own
+    ``warned_cells`` and ``traffic_positive_cells``.
+    """
+    mapped_ps: list[list[float]] = []
+    for rec in records:
+        cell = cell_of(grid, rec.line, rec.km, rec.date.month, rec.time / 60.0)
+        if cell is None:
+            continue
+        xi, mi, ti = cell
+        arr = grid.p_pt[rec.line]
+        candidates = [xi]
+        if include_adjacent:
+            candidates.extend(i for i in (xi - 1, xi + 1) if 0 <= i < arr.shape[0])
+        ps = [float(arr[i, mi, ti]) for i in candidates]
+        mapped_ps.append([p for p in ps if not math.isnan(p)])
+    n_mapped = len(mapped_ps)
+    traffic_positive = grid.traffic_positive_cells()
+
+    def point(th: float) -> tuple[float, float, int]:
+        hits = sum(1 for ps in mapped_ps if any(p > th for p in ps))
+        hit_rate = hits / n_mapped if n_mapped else 0.0
+        warned_fraction = grid.warned_cells(th) / traffic_positive if traffic_positive else 0.0
+        return (warned_fraction, hit_rate, hits)
+
+    warned_fraction, hit_rate, hits = point(theta)
+    return {
+        "theta": float(theta),
+        "hit_rate": hit_rate,
+        "warned_fraction": warned_fraction,
+        "n_test": len(records),
+        "n_mapped": n_mapped,
+        "n_unmapped": len(records) - n_mapped,
+        "hits": hits,
+        "curve": tuple(
+            (th,) + point(th)[:2] for th in sorted(set(grid.thresholds) | {float(theta)})
+        ),
+        "include_adjacent": include_adjacent,
+    }
+
+
 # --- correlation helpers ---
 
 

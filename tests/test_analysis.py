@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wildrail import (
     DEFAULT_PROFILE,
     DEFAULT_SEASONS,
     AccidentRecord,
+    BinConfig,
     Dataset,
     SpeedProfile,
     TrafficTable,
@@ -30,12 +32,17 @@ from wildrail import (
     speed_correlation,
     sweep_all,
 )
-from wildrail.analysis import HexGrid, KM_PER_DEGREE, _pearson, _spearman
+from wildrail import analysis
+from wildrail.analysis import EvalReport, HexGrid, KM_PER_DEGREE, _pearson, _spearman
 from oracles import (
+    cell_of,
+    evaluate_holdout_loop,
+    hex_bin_loop,
     nearest_center_exhaustive,
     pearson_manual,
     spearman_manual,
 )
+from conftest import make_synthetic
 
 PERIOD = (dt.date(2020, 1, 1), dt.date(2022, 12, 31))
 
@@ -96,6 +103,70 @@ def test_hex_assignment_is_within_cover_radius(x: float, y: float) -> None:
     cx, cy = grid.center_xy(col, row)
     cover = grid.vertical_step / math.sqrt(3.0)  # circumradius of the hex cell
     assert math.hypot(x - cx, y - cy) <= cover * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 2.5, 5.0])
+def test_hex_assignment_breaks_exact_ties_toward_smallest_cell(spacing: float) -> None:
+    grid = HexGrid(spacing=spacing, lat0=50.0, lon0=19.0, cells={})
+    v = grid.vertical_step
+    # points on the edges between neighbouring cells, on both sides of the
+    # origin; most are exactly equidistant from two centres in floating point,
+    # so the tie rule decides them
+    ties = []
+    for col in (-3, -2, -1, 0, 1, 2):
+        for row in (-2, -1, 0, 1):
+            cx, cy = grid.center_xy(col, row)
+            ties += [
+                (cx, cy + v / 2),  # between (col, row) and (col, row + 1)
+                (cx + spacing / 2, cy + v / 4),  # between two columns
+                (cx + spacing / 2, cy - v / 4),
+                (cx - spacing / 2, cy + v / 4),
+            ]
+    xs = np.array([x for x, _ in ties])
+    ys = np.array([y for _, y in ties])
+    cols, rows = grid.assign(xs, ys)
+    expected = [nearest_center_exhaustive(x, y, spacing) for x, y in ties]
+    assert list(zip(cols.tolist(), rows.tolist())) == expected
+    assert [grid.assign_xy(x, y) for x, y in ties] == expected
+
+
+def assert_same_hex_grid(points, spacing: float) -> None:
+    grid = hex_bin(points, spacing)
+    assert grid == HexGrid(**hex_bin_loop(points, spacing))
+    assert list(grid.cells) == list(hex_bin_loop(points, spacing)["cells"])
+
+
+@given(
+    points=st.lists(
+        st.tuples(
+            st.floats(min_value=49.0, max_value=51.0, allow_nan=False),
+            st.floats(min_value=18.0, max_value=21.0, allow_nan=False),
+        ),
+        max_size=40,
+    ),
+    repeats=st.integers(min_value=1, max_value=3),
+    spacing=st.sampled_from([0.5, 2.5, 10.0]),
+    block=st.sampled_from([1, 3, 1 << 15]),
+)
+def test_hex_bin_matches_point_loop(points, repeats: int, spacing: float, block: int) -> None:
+    # repeated points share cells; small blocks put seams between them
+    points = points * repeats
+    with mock.patch.object(analysis, "_BLOCK", block):
+        assert_same_hex_grid(points, spacing)
+
+
+def test_hex_bin_matches_point_loop_across_block_seams() -> None:
+    rng = np.random.default_rng(11)
+    n = 2 * analysis._BLOCK + 5
+    lats = 50.0 + rng.normal(0.0, 0.2, n)
+    lons = 19.0 + rng.normal(0.0, 0.3, n)
+    assert_same_hex_grid(list(zip(lats.tolist(), lons.tolist())), 2.5)
+
+
+def test_hex_bin_empty_and_single_point() -> None:
+    assert_same_hex_grid([], 2.5)
+    assert_same_hex_grid([(50.2, 19.7)], 2.5)
+    assert hex_bin([(50.2, 19.7)], 2.5).cells == {(0, 0): 1}
 
 
 def test_hex_bin_counts_points() -> None:
@@ -313,6 +384,93 @@ def test_holdout_respects_final_edge_clamp(eval_grid) -> None:
     edge = dataset([record(line="139", km=60.0)])
     report = evaluate_holdout(eval_grid, edge, 0.001)
     assert report.n_mapped == 1
+
+
+def test_holdout_rejects_non_finite_theta(eval_grid) -> None:
+    strays = dataset([record()])
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_holdout(eval_grid, strays, theta)
+
+
+def assert_same_report(grid, test: Dataset, theta: float) -> None:
+    for adjacent in (False, True):
+        report = evaluate_holdout(grid, test, theta, include_adjacent=adjacent)
+        assert report == EvalReport(**evaluate_holdout_loop(grid, test.records, theta, adjacent))
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    delta_t=st.sampled_from([1.0, 0.5, 0.25]),
+    block=st.sampled_from([1, 4, 1 << 15]),
+    data=st.data(),
+)
+def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data) -> None:
+    train, traffic = make_synthetic(np.random.default_rng(seed), max_records=200)
+    model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
+    grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.0005, 0.001, 0.002))
+    # km choices: every bin start, each line's final edge and a step past it,
+    # so adjacent bins at both ends of a line and the end-edge clamp are hit
+    edges = sorted({x for starts in grid.x_starts.values() for x in starts + (starts[-1] + 5.0,)})
+    km = st.one_of(
+        st.sampled_from(edges + [edges[-1] + 5.0, edges[-1] + 0.1]),
+        st.floats(min_value=0.0, max_value=edges[-1] + 10.0),
+    )
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(grid.lines + ("999",)),  # "999" is unknown
+                km,
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=0, max_value=24 * 60 - 1),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    records = [
+        AccidentRecord(date=dt.date(2023, month, 1), time=time, line=line, km=km)
+        for line, km, month, time in rows
+    ]
+    test = Dataset(records=tuple(records), period_start=dt.date(2023, 1, 1),
+                   period_end=dt.date(2023, 12, 31))
+    # theta equal to a test accident's own p_pt checks that hits are strict;
+    # flagged cells carry NaN and never hit
+    own = [
+        float(grid.p_pt[rec.line][cell])
+        for rec in records
+        if (cell := cell_of(grid, rec.line, rec.km, rec.month, rec.hour)) is not None
+    ]
+    thetas = [p for p in own if not math.isnan(p)] + [0.0, 0.001]
+    theta = data.draw(st.sampled_from(thetas))
+    with mock.patch.object(analysis, "_BLOCK", block):
+        assert_same_report(grid, test, theta)
+
+
+def test_holdout_matches_record_loop_across_block_seams(eval_grid, bundled_test_data) -> None:
+    # the bundled hold-out set, moved along its lines and around the clock,
+    # past two block seams
+    rng = np.random.default_rng(5)
+    base = bundled_test_data.records
+    n = 2 * analysis._BLOCK + 7
+    records = tuple(
+        AccidentRecord(
+            date=base[i % len(base)].date,
+            time=int(t),
+            line=base[i % len(base)].line,
+            km=float(km),
+        )
+        for i, t, km in zip(range(n), rng.integers(0, 24 * 60, n), rng.uniform(0.0, 70.0, n))
+    )
+    test = Dataset(records=records, period_start=bundled_test_data.period_start,
+                   period_end=bundled_test_data.period_end)
+    assert_same_report(eval_grid, test, 0.001)
+
+
+def test_holdout_single_record_matches_record_loop(eval_grid) -> None:
+    for rec in (record(), record(line="999"), record(km=60.0), record(km=0.0, hour=0)):
+        assert_same_report(eval_grid, dataset([rec]), 0.0005)
 
 
 def test_eval_json_layout(eval_grid, bundled_test_data) -> None:

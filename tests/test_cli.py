@@ -118,6 +118,31 @@ def test_warn_writes_grid_csv(tmp_path: Path, fitted: Path, capsys) -> None:
     assert hot[10] == "1"  # warned at theta=0.001
 
 
+def test_warn_reports_exceeds_unity_cells(tmp_path: Path, fitted: Path, capsys) -> None:
+    # the bundled data has no such cells: nothing on stderr
+    assert main(["warn", "--model", str(fitted), "--traffic", TRAFFIC,
+                 "--out-dir", str(tmp_path / "bundled")]) == 0
+    assert capsys.readouterr().err == ""
+    # one accident in a week against one train a day: p_pt far above 1 in
+    # the accident's season, month by month
+    accidents = tmp_path / "acc.csv"
+    accidents.write_text("date,time,line,km,species\n2021-01-05,12:30,9,2.0,roe deer\n")
+    traffic = tmp_path / "traffic.csv"
+    traffic.write_text("line,km_from,count\n9,0,1\n")
+    model = tmp_path / "m.json"
+    assert main(["fit", "--accidents", str(accidents), "--out", str(model),
+                 "--period-start", "2021-01-01", "--period-end", "2021-01-07"]) == 0
+    capsys.readouterr()
+    assert main(["warn", "--model", str(model), "--traffic", str(traffic),
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "warnings.csv").read_text().splitlines()))
+    n_exceeds = sum("exceeds_unity" in row["flags"] for row in rows)
+    assert n_exceeds > 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {n_exceeds} cells have p_pt > 1 (exceeds_unity); check the traffic table"
+    ]
+
+
 def test_warn_with_geometry_writes_geojson(tmp_path: Path, fitted: Path) -> None:
     code = main(
         ["warn", "--model", str(fitted), "--traffic", TRAFFIC,
@@ -204,12 +229,18 @@ def test_warn_rejects_malformed_model_and_geometry(tmp_path: Path, fitted: Path,
         code = main(["warn", "--model", str(path), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)])
         assert_input_error(code, capsys)
     geometry = tmp_path / "features.geojson"
-    geometry.write_text(json.dumps({"type": "FeatureCollection", "features": [5]}))
-    code = main(
-        ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", str(geometry),
-         "--out-dir", str(tmp_path)]
-    )
-    assert_input_error(code, capsys)
+    null_coordinate = {
+        "type": "Feature",
+        "properties": {"line": "1", "km": [0.0, 5.0]},
+        "geometry": {"type": "LineString", "coordinates": [None, [19.1, 50.1]]},
+    }
+    for features in ([5], [null_coordinate]):
+        geometry.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        code = main(
+            ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", str(geometry),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_input_error(code, capsys)
 
 
 # --- map ---
@@ -330,6 +361,33 @@ def test_eval_adjacent_flag(tmp_path: Path, fitted: Path) -> None:
     assert code == 0
     doc = json.loads((tmp_path / "eval.json").read_text())
     assert doc["include_adjacent"] is True
+
+
+def test_eval_rejects_non_finite_theta(tmp_path: Path, fitted: Path, capsys) -> None:
+    base = ["eval", "--model", str(fitted), "--traffic", TRAFFIC, "--test", TEST_ACCIDENTS,
+            "--out-dir", str(tmp_path)]
+    for value in ("nan", "inf", "-inf"):
+        assert_input_error(main(base + [f"--theta={value}"]), capsys)
+    config = tmp_path / "config.json"
+    for text in ('{"theta": NaN}', '{"theta": Infinity}', '{"theta": "nan"}'):
+        config.write_text(text)
+        assert_input_error(main(base + ["--config", str(config)]), capsys)
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_eval_adjacent_from_config_must_be_boolean(tmp_path: Path, fitted: Path, capsys) -> None:
+    base = ["eval", "--model", str(fitted), "--traffic", TRAFFIC, "--test", TEST_ACCIDENTS,
+            "--out-dir", str(tmp_path)]
+    config = tmp_path / "config.json"
+    for value in ("no", "false", 0, 1, None, []):
+        config.write_text(json.dumps({"adjacent": value}))
+        assert_input_error(main(base + ["--config", str(config)]), capsys)
+    assert not (tmp_path / "eval.json").exists()
+    for value in (False, True):
+        config.write_text(json.dumps({"adjacent": value}))
+        assert main(base + ["--config", str(config)]) == 0
+        doc = json.loads((tmp_path / "eval.json").read_text())
+        assert doc["include_adjacent"] is value
 
 
 # --- argument plumbing ---

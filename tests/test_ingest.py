@@ -214,6 +214,24 @@ def test_parse_traffic_rejects_bad_rows() -> None:
         parse_traffic(io.StringIO("wrong,header,here\n"), 5.0)
 
 
+def test_parse_traffic_rejects_negative_km_from() -> None:
+    with pytest.raises(ParseError, match="line 2: km_from must be non-negative"):
+        parse_traffic(io.StringIO("line,km_from,count\n139,-5.0,10\n"), 5.0)
+
+
+@pytest.mark.parametrize("delta_x", [0.0, -5.0, math.nan, math.inf])
+def test_traffic_parsers_reject_bad_bin_width(delta_x: float) -> None:
+    # checked before any row is read, so no division by zero can happen
+    for parse, text in (
+        (parse_traffic, "line,km_from,count\n139,10.0,5\n"),
+        (parse_traffic_runs, "line,km_from,km_to,departure\n139,5.0,10.0,06:00\n"),
+    ):
+        for stream in (text, ""):
+            with pytest.raises(ValueError, match="delta_x must be positive and finite") as info:
+                parse(io.StringIO(stream), delta_x)
+            assert not isinstance(info.value, ParseError)
+
+
 def test_parse_traffic_empty_inputs() -> None:
     assert parse_traffic(io.StringIO(""), 5.0).counts == {}
     assert parse_traffic(io.StringIO("line,km_from,count\n"), 5.0).counts == {}
@@ -337,6 +355,40 @@ def test_parse_geometries_rejects_bad_documents() -> None:
         parse_geometries(io.StringIO(point))
     with pytest.raises(ParseError):  # a feature that is not an object
         parse_geometries(io.StringIO('{"type": "FeatureCollection", "features": [5]}'))
+
+
+def geometry_doc(coords: str, kms: str = "[0.0, 5.0]") -> io.StringIO:
+    return io.StringIO(
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+        f'"properties": {{"line": "1", "km": {kms}}}, '
+        f'"geometry": {{"type": "LineString", "coordinates": {coords}}}}}]}}'
+    )
+
+
+def test_parse_geometries_ignores_altitude() -> None:
+    parsed = parse_geometries(geometry_doc("[[19.0, 50.0, 210.5], [19.1, 50.1, 198]]"))
+    assert parsed["1"].vertices == ((50.0, 19.0, 0.0), (50.1, 19.1, 5.0))
+
+
+@pytest.mark.parametrize(
+    "coords, kms",
+    [
+        ("[null, [19.1, 50.1]]", "[0.0, 5.0]"),
+        ("[[19.0], [19.1, 50.1]]", "[0.0, 5.0]"),  # short
+        ("[[19.0, 50.0, 1.0, 2.0], [19.1, 50.1]]", "[0.0, 5.0]"),  # too long
+        ("[19.0, 50.0]", "[0.0, 5.0]"),  # positions not lists
+        ('[["19.0", 50.0], [19.1, 50.1]]', "[0.0, 5.0]"),
+        ("[[true, 50.0], [19.1, 50.1]]", "[0.0, 5.0]"),
+        ("[[NaN, 50.0], [19.1, 50.1]]", "[0.0, 5.0]"),
+        ("[[19.0, 50.0, null], [19.1, 50.1]]", "[0.0, 5.0]"),
+        ("[[19.0, 50.0], [19.1, 50.1]]", '[0.0, "5"]'),  # km not a number
+        ("[[19.0, 50.0], [19.1, 50.1]]", "[0.0, NaN]"),
+        ("5", "[0.0, 5.0]"),  # coordinates not an array
+    ],
+)
+def test_parse_geometries_rejects_bad_coordinates(coords: str, kms: str) -> None:
+    with pytest.raises(ParseError, match="feature 0"):
+        parse_geometries(geometry_doc(coords, kms))
 
 
 def test_parse_geometries_rejects_duplicate_lines() -> None:

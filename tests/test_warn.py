@@ -21,6 +21,7 @@ from wildrail import (
     FLAG_INSUFFICIENT_DATA,
     FLAG_NO_TRAFFIC,
     AccidentRecord,
+    BinConfig,
     Dataset,
     InsufficientDataError,
     LineGeometry,
@@ -37,7 +38,7 @@ from wildrail import (
     warnings_to_geojson,
 )
 from conftest import make_synthetic
-from oracles import alpha_fraction, partition_mass
+from oracles import alpha_fraction, cell_of, partition_mass
 
 THRESHOLDS = (0.0005, 0.001, 0.002)
 
@@ -325,6 +326,54 @@ def test_cell_index_lookups(bundled_grid) -> None:
     assert bundled_grid.t_index(18.75) == 18
     assert bundled_grid.t_index(24.0) is None
     assert bundled_grid.t_index(-0.1) is None
+
+
+@given(
+    seed=st.integers(0, 5_000),
+    delta_t=st.sampled_from([1.0, 0.5, 0.25]),
+    data=st.data(),
+)
+@settings(max_examples=30)
+def test_locate_matches_tuple_lookups(seed: int, delta_t: float, data) -> None:
+    train, traffic = make_synthetic(np.random.default_rng(seed), max_records=100)
+    model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
+    grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.001,))
+    edges = [x for starts in grid.x_starts.values() for x in starts + (starts[-1] + 5.0,)]
+    # bin edges and their floating-point neighbours, negatives and far-off values
+    km = st.one_of(
+        st.sampled_from(edges).flatmap(
+            lambda e: st.sampled_from([e, math.nextafter(e, -1.0), math.nextafter(e, 1e9)])
+        ),
+        st.floats(min_value=-10.0, max_value=1e300, allow_nan=False, allow_infinity=False),
+    )
+    hour = st.one_of(
+        st.sampled_from([0.0, 24.0, -0.0, math.nextafter(24.0, 0.0), -1e-12, 23.999]),
+        st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
+    )
+    queries = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(grid.lines + ("999",)), km, st.integers(-1, 14), hour),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    lines, kms, months, hours = zip(*queries)
+    li, xi, mi, ti = grid.locate(lines, np.array(kms), np.array(months), np.array(hours))
+    for q, line, k, month, hour_q in zip(range(len(queries)), lines, kms, months, hours):
+        expected = cell_of(grid, line, k, month, hour_q)
+        got = (int(xi[q]), int(mi[q]), int(ti[q]))
+        assert (got if min(got) >= 0 else None) == expected
+        assert int(li[q]) == (grid.lines.index(line) if line in grid.lines else -1)
+        assert grid.x_index(line, k) == (None if xi[q] < 0 else int(xi[q]))
+        assert grid.month_index(month) == (None if mi[q] < 0 else int(mi[q]))
+        assert grid.t_index(hour_q) == (None if ti[q] < 0 else int(ti[q]))
+
+
+def test_locate_puts_non_finite_values_off_grid(bundled_grid) -> None:
+    bad = [math.nan, math.inf, -math.inf]
+    li, xi, mi, ti = bundled_grid.locate(["139"] * 3, np.array(bad), np.array(bad), np.array(bad))
+    assert li.tolist() == [1, 1, 1]
+    assert xi.tolist() == mi.tolist() == ti.tolist() == [-1, -1, -1]
 
 
 def test_cell_materialization_is_consistent(bundled_grid) -> None:
