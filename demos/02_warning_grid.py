@@ -52,10 +52,10 @@ for line in grid.lines:
         flat.append((float(p[xi, mi, ti]), line, int(xi), int(mi), int(ti)))
 print("\ntop cells per line:")
 for value, line, xi, mi, ti in sorted(flat, reverse=True):
-    cell = grid.cell(line, xi, mi, ti)
+    x_from, t_from = grid.x_starts[line][xi], grid.t_starts[ti]
     print(
-        f"  line {cell.line} km [{cell.x_from:.0f},{cell.x_to:.0f}) "
-        f"month {cell.month:2d} {cell.t_from:.0f}-{cell.t_to:.0f} h: p_pt={value:.6f}"
+        f"  line {line} km [{x_from:.0f},{x_from + grid.delta_x:.0f}) "
+        f"month {grid.months[mi]:2d} {t_from:.0f}-{t_from + grid.delta_t:.0f} h: p_pt={value:.6f}"
     )
 
 csv_path = OUT / "warnings.csv"

@@ -58,7 +58,6 @@ from .warn import (
     FLAG_EXCEEDS_UNITY,
     FLAG_INSUFFICIENT_DATA,
     FLAG_NO_TRAFFIC,
-    CellResult,
     NoTrafficError,
     TrafficProfile,
     WarningGrid,
@@ -110,7 +109,6 @@ __all__ = [
     "FLAG_INSUFFICIENT_DATA",
     "FLAG_NO_TRAFFIC",
     "NoTrafficError",
-    "CellResult",
     "WarningGrid",
     "alpha",
     "traffic_m",

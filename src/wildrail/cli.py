@@ -15,6 +15,7 @@ import argparse
 import calendar
 import datetime as dt
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -53,6 +54,8 @@ from .model import (
 from .warn import (
     DEFAULT_PROFILE,
     FLAG_EXCEEDS_UNITY,
+    FLAG_INSUFFICIENT_DATA,
+    FLAG_NO_TRAFFIC,
     NoTrafficError,
     sweep_all,
     warnings_to_csv,
@@ -258,6 +261,8 @@ def cmd_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def _print_warn_summary(grid) -> None:
     theta = grid.thresholds[0]
     print(f"cells: {grid.n_cells()} ({grid.traffic_positive_cells()} with traffic)")
+    flags = (FLAG_NO_TRAFFIC, FLAG_INSUFFICIENT_DATA, FLAG_EXCEEDS_UNITY)
+    print("flagged cells: " + " ".join(f"{flag}={grid.flagged_cells(flag)}" for flag in flags))
     for theta_i in grid.thresholds:
         print(f"warned cells at theta={theta_i!r}: {grid.warned_cells(theta_i)}")
     print(f"warned km-bins per line and month at theta={theta!r}:")
@@ -285,6 +290,9 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
     traffic = _load_traffic(args, config, model.bins.delta_x)
     thresholds = _resolve_thresholds(args, config)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
+    theta_map = _get_number(args, config, "theta_map", grid.thresholds[0])
+    if not math.isfinite(theta_map):
+        raise ValueError(f"--theta-map must be finite, got {theta_map!r}")
     exceeds = grid.flagged_cells(FLAG_EXCEEDS_UNITY)
     if exceeds:
         print(
@@ -298,7 +306,6 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
     geometry_path = _get(args, config, "geometry")
     if geometry_path is not None:
         geometries = parse_geometries(_read_text(geometry_path))
-        theta_map = _get_number(args, config, "theta_map", grid.thresholds[0])
         geojson = warnings_to_geojson(grid, geometries, theta_map, month=month, hour=hour)
         geo_path = _out_path(args, config, "warnings.geojson")
         _write_text(geo_path, geojson)

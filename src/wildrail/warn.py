@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "NoTrafficError",
     "TrafficProfile",
     "DEFAULT_PROFILE",
-    "CellResult",
     "WarningGrid",
     "alpha",
     "traffic_m",
@@ -53,6 +53,12 @@ _FLAG_NAMES = (
     (_NO_TRAFFIC_BIT, FLAG_NO_TRAFFIC),
     (_INSUFFICIENT_BIT, FLAG_INSUFFICIENT_DATA),
     (_EXCEEDS_BIT, FLAG_EXCEEDS_UNITY),
+)
+
+# the CSV flags field for each bitmask value 0..7: names joined in _FLAG_NAMES order
+_FLAG_TEXT = np.array(
+    [";".join(name for bit, name in _FLAG_NAMES if bits & bit) for bits in range(8)],
+    dtype=object,
 )
 
 
@@ -197,22 +203,6 @@ def p_per_train(
 
 
 @dataclass(frozen=True)
-class CellResult:
-    """One grid cell: location, window, traffic, probability, flags, warnings."""
-
-    line: str
-    x_from: float
-    x_to: float
-    month: int
-    t_from: float
-    t_to: float
-    m_window: float
-    p_pt: float | None
-    flags: tuple[str, ...]
-    warned: dict[float, bool]
-
-
-@dataclass(frozen=True)
 class WarningGrid:
     """Warning state over (line, km bin, month, hour bin) cells.
 
@@ -314,36 +304,6 @@ class WarningGrid:
     def n_cells(self) -> int:
         return sum(arr.size for arr in self.p_pt.values())
 
-    def cell(self, line: str, xi: int, mi: int, ti: int) -> CellResult:
-        """Materialize the cell at array indices (xi, mi, ti) of ``line``."""
-        p = float(self.p_pt[line][xi, mi, ti])
-        bits = int(self.flags[line][xi, mi, ti])
-        flags = tuple(name for bit, name in _FLAG_NAMES if bits & bit)
-        p_out: float | None = None if math.isnan(p) else p
-        warned = {theta: (p_out is not None and p_out > theta) for theta in self.thresholds}
-        x_from = self.x_starts[line][xi]
-        t_from = self.t_starts[ti]
-        return CellResult(
-            line=line,
-            x_from=x_from,
-            x_to=x_from + self.delta_x,
-            month=self.months[mi],
-            t_from=t_from,
-            t_to=t_from + self.delta_t,
-            m_window=float(self.m_window[line][xi, ti]),
-            p_pt=p_out,
-            flags=flags,
-            warned=warned,
-        )
-
-    def cells(self) -> Iterator[CellResult]:
-        """All cells in deterministic (line, x, month, t) order."""
-        for line in self.lines:
-            for xi in range(len(self.x_starts[line])):
-                for mi in range(len(self.months)):
-                    for ti in range(len(self.t_starts)):
-                        yield self.cell(line, xi, mi, ti)
-
 
 def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
     """``bin_index`` over an array, kept as floats so a huge value cannot overflow."""
@@ -373,6 +333,8 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
     out = tuple(sorted(set(float(th) for th in thresholds)))
     if not out:
         raise ValueError("at least one threshold is required")
+    if not all(math.isfinite(th) for th in out):
+        raise ValueError(f"thresholds must be finite, got {out!r}")
     if out[0] <= 0:
         raise ValueError(f"thresholds must be strictly positive, got {out[0]!r}")
     return out
@@ -541,7 +503,8 @@ def warnings_to_csv(grid: WarningGrid) -> str:
 
     Columns: line, x_from, x_to, month, hour_from, hour_to, m_window, p_pt,
     flags (semicolon-joined), then one warned@<theta> 0/1 column per
-    threshold.  Cells without a defined p_pt leave that field empty.
+    threshold.  Cells without a defined p_pt leave that field empty.  Rows
+    run over (line, x, month, t); columns are built one line at a time.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -557,20 +520,43 @@ def warnings_to_csv(grid: WarningGrid) -> str:
         "flags",
     ] + [f"warned@{theta!r}" for theta in grid.thresholds]
     writer.writerow(header)
-    for cell in grid.cells():
-        row = [
-            cell.line,
-            repr(cell.x_from),
-            repr(cell.x_to),
-            cell.month,
-            repr(cell.t_from),
-            repr(cell.t_to),
-            repr(cell.m_window),
-            "" if cell.p_pt is None else repr(cell.p_pt),
-            ";".join(cell.flags),
-        ] + [int(cell.warned[theta]) for theta in grid.thresholds]
-        writer.writerow(row)
+    months = np.array(grid.months, dtype=object)[None, :, None]
+    hour_from = _reprs(grid.t_starts)[None, None, :]
+    hour_to = _reprs([t + grid.delta_t for t in grid.t_starts])[None, None, :]
+    for line in grid.lines:
+        p = grid.p_pt[line]
+        starts = grid.x_starts[line]
+
+        def column(values: np.ndarray) -> list:
+            # values over some of the (x, month, t) axes, repeated over the rest, in row order
+            return np.broadcast_to(values, p.shape).ravel().tolist()
+
+        window = grid.m_window[line]
+        m_window = _reprs(window.ravel().tolist()).reshape(window.shape)[:, None, :]
+        warned = [
+            grid.warned_mask(line, theta).ravel().astype(np.uint8).tolist()
+            for theta in grid.thresholds
+        ]
+        writer.writerows(
+            zip(
+                itertools.repeat(line),
+                column(_reprs(starts)[:, None, None]),
+                column(_reprs([x + grid.delta_x for x in starts])[:, None, None]),
+                column(months),
+                column(hour_from),
+                column(hour_to),
+                column(m_window),
+                ["" if math.isnan(v) else repr(v) for v in p.ravel().tolist()],
+                _FLAG_TEXT[grid.flags[line].ravel()].tolist(),
+                *warned,
+            )
+        )
     return out.getvalue()
+
+
+def _reprs(values) -> np.ndarray:
+    """``repr`` of each value, as a 1-D object array of str."""
+    return np.array([repr(v) for v in values], dtype=object)
 
 
 def _segment_coordinates(geometry: LineGeometry, km_a: float, km_b: float) -> list[list[float]]:
@@ -601,32 +587,34 @@ def warnings_to_geojson(
     filters; the warned months and window starts are listed in its
     properties.  Bins on lines without geometry, or falling entirely outside
     the calibrated km range, are omitted (they remain in the CSV export).
+
+    Raises:
+        ValueError: ``theta`` is not finite.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    # the (month, hour bin) cells the filters keep; a filter that matches nothing keeps none
+    keep = np.zeros((len(grid.months), len(grid.t_starts)), dtype=bool)
+    mi = slice(None) if month is None else grid.month_index(month)
+    ti = slice(None) if hour is None else grid.t_index(hour)
+    if mi is not None and ti is not None:
+        keep[mi, ti] = True
     features = []
     for line in grid.lines:
         geometry = geometries.get(line)
         if geometry is None:
             continue
-        mask = grid.warned_mask(line, theta)
+        mask = grid.warned_mask(line, theta) & keep
         p_arr = grid.p_pt[line]
         starts = grid.x_starts[line]
-        for xi, x_from in enumerate(starts):
-            hits = [
-                (grid.months[mi], grid.t_starts[ti])
-                for mi in range(len(grid.months))
-                for ti in range(len(grid.t_starts))
-                if mask[xi, mi, ti]
-                and (month is None or grid.months[mi] == month)
-                and (hour is None or grid.t_starts[ti] == bin_index(hour, grid.delta_t) * grid.delta_t)
-            ]
-            if not hits:
-                continue
+        for xi in np.flatnonzero(mask.any(axis=(1, 2))).tolist():
+            x_from = starts[xi]
             x_to = x_from + grid.delta_x
             seg_a = max(x_from, geometry.km_min)
             seg_b = min(x_to, geometry.km_max)
             if seg_a >= seg_b:
                 continue
-            p_max = max(float(p_arr[xi, grid.months.index(m), grid.t_starts.index(ts)]) for m, ts in hits)
+            cells = mask[xi]
             features.append(
                 {
                     "type": "Feature",
@@ -635,9 +623,9 @@ def warnings_to_geojson(
                         "x_from": x_from,
                         "x_to": x_to,
                         "theta": theta,
-                        "months": sorted({m for m, _ in hits}),
-                        "hours": sorted({ts for _, ts in hits}),
-                        "p_pt_max": p_max,
+                        "months": [grid.months[mi] for mi in np.flatnonzero(cells.any(axis=1))],
+                        "hours": [grid.t_starts[ti] for ti in np.flatnonzero(cells.any(axis=0))],
+                        "p_pt_max": float(p_arr[xi][cells].max()),
                     },
                     "geometry": {
                         "type": "LineString",
@@ -646,3 +634,4 @@ def warnings_to_geojson(
                 }
             )
     return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
+

@@ -9,7 +9,10 @@ widths must be whole numbers of minutes.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -327,6 +330,127 @@ def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = 
         ),
         "include_adjacent": include_adjacent,
     }
+
+
+# --- grid export ---
+# the per-cell exporters: every cell is materialized as a record with its own
+# warned dict, the representation the package's column exporters replaced
+
+FLAG_BITS = ((1, NO_TRAFFIC), (2, INSUFFICIENT), (4, EXCEEDS))
+
+
+def cell_record(grid, line: str, xi: int, mi: int, ti: int) -> dict:
+    """The cell at array indices (xi, mi, ti) of ``line``, with p_pt None where undefined."""
+    p = float(grid.p_pt[line][xi, mi, ti])
+    bits = int(grid.flags[line][xi, mi, ti])
+    p_out = None if math.isnan(p) else p
+    x_from = grid.x_starts[line][xi]
+    t_from = grid.t_starts[ti]
+    return {
+        "line": line,
+        "x_from": x_from,
+        "x_to": x_from + grid.delta_x,
+        "month": grid.months[mi],
+        "t_from": t_from,
+        "t_to": t_from + grid.delta_t,
+        "m_window": float(grid.m_window[line][xi, ti]),
+        "p_pt": p_out,
+        "flags": tuple(name for bit, name in FLAG_BITS if bits & bit),
+        "warned": {th: (p_out is not None and p_out > th) for th in grid.thresholds},
+    }
+
+
+def warnings_to_csv_loop(grid) -> str:
+    """The warnings CSV written one materialized cell at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["line", "x_from", "x_to", "month", "hour_from", "hour_to", "m_window", "p_pt", "flags"]
+        + [f"warned@{theta!r}" for theta in grid.thresholds]
+    )
+    for line in grid.lines:
+        for xi in range(len(grid.x_starts[line])):
+            for mi in range(len(grid.months)):
+                for ti in range(len(grid.t_starts)):
+                    cell = cell_record(grid, line, xi, mi, ti)
+                    writer.writerow(
+                        [
+                            cell["line"],
+                            repr(cell["x_from"]),
+                            repr(cell["x_to"]),
+                            cell["month"],
+                            repr(cell["t_from"]),
+                            repr(cell["t_to"]),
+                            repr(cell["m_window"]),
+                            "" if cell["p_pt"] is None else repr(cell["p_pt"]),
+                            ";".join(cell["flags"]),
+                        ]
+                        + [int(cell["warned"][theta]) for theta in grid.thresholds]
+                    )
+    return out.getvalue()
+
+
+def km_to_geo_loop(geometry, km: float) -> tuple[float, float]:
+    """(lat, lon) at a km post: linear interpolation after the last vertex at or before km."""
+    vertices = geometry.vertices
+    idx = max(i for i, (_, _, vkm) in enumerate(vertices) if vkm <= km)
+    if idx == len(vertices) - 1:
+        return (vertices[idx][0], vertices[idx][1])
+    lat0, lon0, k0 = vertices[idx]
+    lat1, lon1, k1 = vertices[idx + 1]
+    if km == k0:
+        return (lat0, lon0)
+    t = (km - k0) / (k1 - k0)
+    return (lat0 + t * (lat1 - lat0), lon0 + t * (lon1 - lon0))
+
+
+def warnings_to_geojson_loop(grid, geometries, theta: float, month=None, hour=None) -> str:
+    """Warned track segments found by visiting every (month, hour) cell of each km bin."""
+    features = []
+    for line in grid.lines:
+        geometry = geometries.get(line)
+        if geometry is None:
+            continue
+        for xi, x_from in enumerate(grid.x_starts[line]):
+            hits = []
+            for mi in range(len(grid.months)):
+                for ti in range(len(grid.t_starts)):
+                    cell = cell_record(grid, line, xi, mi, ti)
+                    if cell["p_pt"] is None or not cell["p_pt"] > theta:
+                        continue
+                    if month is not None and cell["month"] != month:
+                        continue
+                    if hour is not None and cell["t_from"] != _bin_index(hour, grid.delta_t) * grid.delta_t:
+                        continue
+                    hits.append(cell)
+            if not hits:
+                continue
+            x_to = x_from + grid.delta_x
+            seg_a = max(x_from, geometry.km_min)
+            seg_b = min(x_to, geometry.km_max)
+            if seg_a >= seg_b:
+                continue
+            lat, lon = km_to_geo_loop(geometry, seg_a)
+            coords = [[lon, lat]]
+            coords.extend([vlon, vlat] for vlat, vlon, vkm in geometry.vertices if seg_a < vkm < seg_b)
+            lat, lon = km_to_geo_loop(geometry, seg_b)
+            coords.append([lon, lat])
+            features.append(
+                {
+                    "type": "Feature",
+                    "properties": {
+                        "line": line,
+                        "x_from": x_from,
+                        "x_to": x_to,
+                        "theta": theta,
+                        "months": sorted({c["month"] for c in hits}),
+                        "hours": sorted({c["t_from"] for c in hits}),
+                        "p_pt_max": max(c["p_pt"] for c in hits),
+                    },
+                    "geometry": {"type": "LineString", "coordinates": coords},
+                }
+            )
+    return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
 
 
 # --- correlation helpers ---

@@ -98,8 +98,7 @@ def test_criterion_1_worked_example_reproduction() -> None:
     quoted = 0.11 * 0.89 * 0.33 * 0.175 / 5.15
     assert 0.00108 <= quoted <= 0.00112
     assert p_pt > 0.001
-    cell = grid.cell("139", 0, 0, 0)
-    assert cell.warned[0.001] is True
+    assert grid.warned_mask("139", 0.001)[0, 0, 0]
     assert elapsed < 0.1
 
 

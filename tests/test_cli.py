@@ -8,8 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from wildrail import model_from_json
-from wildrail.cli import main, parse_seasons_spec, parse_thresholds_spec
+from wildrail import (
+    DEFAULT_PROFILE,
+    FLAG_EXCEEDS_UNITY,
+    FLAG_INSUFFICIENT_DATA,
+    FLAG_NO_TRAFFIC,
+    TrafficTable,
+    model_from_json,
+    sweep_all,
+)
+from wildrail.cli import DEFAULT_THRESHOLDS, main, parse_seasons_spec, parse_thresholds_spec
 from conftest import DATA_DIR
 
 ACCIDENTS = str(DATA_DIR / "accidents_2020_2022.csv")
@@ -17,6 +25,8 @@ TEST_ACCIDENTS = str(DATA_DIR / "accidents_2023_test.csv")
 TRAFFIC = str(DATA_DIR / "traffic.csv")
 SPEEDS = str(DATA_DIR / "speeds.csv")
 GEOMETRY = str(DATA_DIR / "lines.geojson")
+
+FLAGS = (FLAG_NO_TRAFFIC, FLAG_INSUFFICIENT_DATA, FLAG_EXCEEDS_UNITY)
 
 PERIOD_FLAGS = ["--period-start", "2020-01-01", "--period-end", "2022-12-31"]
 
@@ -108,7 +118,8 @@ def test_warn_writes_grid_csv(tmp_path: Path, fitted: Path, capsys) -> None:
     assert code == 0
     out = capsys.readouterr().out
     assert "warned cells at theta=0.001" in out
-    rows = list(csv.reader((tmp_path / "warnings.csv").open()))
+    with (tmp_path / "warnings.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][:3] == ["line", "x_from", "x_to"]
     assert rows[0][9:] == ["warned@0.0005", "warned@0.001", "warned@0.002"]
     assert len(rows) == 1 + (12 + 9 + 16) * 12 * 24
@@ -167,7 +178,8 @@ def test_warn_accepts_run_level_traffic(tmp_path: Path, fitted: Path) -> None:
         ["warn", "--model", str(fitted), "--traffic-runs", str(runs), "--out-dir", str(tmp_path)]
     )
     assert code == 0
-    rows = list(csv.reader((tmp_path / "warnings.csv").open()))
+    with (tmp_path / "warnings.csv").open() as fh:
+        rows = list(csv.reader(fh))
     by_line = {r[0] for r in rows[1:]}
     assert by_line == {"1", "139", "140"}  # model lines survive even without runs
 
@@ -202,6 +214,41 @@ def test_warn_rejects_bad_thresholds(tmp_path: Path, fitted: Path, capsys) -> No
     config.write_text(json.dumps({"thresholds": 5}))
     capsys.readouterr()
     assert_input_error(main(base + ["--config", str(config)]), capsys)
+    for value in ("nan", "inf", "0.001,inf", "-inf"):
+        assert_input_error(main(base + [f"--thresholds={value}"]), capsys)
+    assert not (tmp_path / "warnings.csv").exists()
+
+
+def test_warn_rejects_non_finite_theta_map(tmp_path: Path, fitted: Path, capsys) -> None:
+    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", GEOMETRY,
+            "--out-dir", str(tmp_path)]
+    for value in ("nan", "inf", "-inf"):
+        assert_input_error(main(base + [f"--theta-map={value}"]), capsys)
+    config = tmp_path / "config.json"
+    for text in ('{"theta_map": NaN}', '{"theta_map": Infinity}'):
+        config.write_text(text)
+        assert_input_error(main(base + ["--config", str(config)]), capsys)
+    assert not (tmp_path / "warnings.csv").exists()
+    assert not (tmp_path / "warnings.geojson").exists()
+
+
+def test_warn_counts_cells_per_flag(tmp_path: Path, fitted: Path, capsys) -> None:
+    # traffic in one km bin only: every other cell is flagged no_traffic
+    traffic = tmp_path / "one_bin.csv"
+    traffic.write_text("line,km_from,count\n139,10,131\n")
+    assert main(["warn", "--model", str(fitted), "--traffic", str(traffic),
+                 "--out-dir", str(tmp_path)]) == 0
+    grid = sweep_all(
+        model_from_json(fitted.read_text()),
+        TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0),
+        DEFAULT_PROFILE,
+        DEFAULT_THRESHOLDS,
+    )
+    counts = {flag: grid.flagged_cells(flag) for flag in FLAGS}
+    assert counts[FLAG_NO_TRAFFIC] == grid.n_cells() - grid.traffic_positive_cells()
+    assert counts[FLAG_NO_TRAFFIC] > 0
+    expected = "flagged cells: " + " ".join(f"{flag}={n}" for flag, n in counts.items())
+    assert expected in capsys.readouterr().out.splitlines()
 
 
 def test_warn_rejects_map_filters_that_match_nothing(tmp_path: Path, fitted: Path, capsys) -> None:

@@ -38,7 +38,13 @@ from wildrail import (
     warnings_to_geojson,
 )
 from conftest import make_synthetic
-from oracles import alpha_fraction, cell_of, partition_mass
+from oracles import (
+    alpha_fraction,
+    cell_of,
+    partition_mass,
+    warnings_to_csv_loop,
+    warnings_to_geojson_loop,
+)
 
 THRESHOLDS = (0.0005, 0.001, 0.002)
 
@@ -196,6 +202,9 @@ def test_thresholds_are_sorted_and_deduplicated(bundled_model, bundled_traffic) 
         sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, (0.0, 0.001))
     with pytest.raises(ValueError):
         sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, (-0.001,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, (0.001, bad))
 
 
 def test_mismatched_traffic_bin_width_is_rejected(bundled_model) -> None:
@@ -232,6 +241,10 @@ def test_single_window_sweep_validates_arguments(bundled_model, bundled_traffic)
         bayes_warn_animals(bundled_model, bundled_traffic, DEFAULT_PROFILE, **{**good, "delta_t": 0.5})
     with pytest.raises(ValueError):
         bayes_warn_animals(bundled_model, bundled_traffic, DEFAULT_PROFILE, **{**good, "tau": 0})
+    with pytest.raises(ValueError, match="finite"):
+        bayes_warn_animals(
+            bundled_model, bundled_traffic, DEFAULT_PROFILE, **{**good, "thresholds": (math.nan,)}
+        )
 
 
 # --- warned state ---
@@ -287,12 +300,11 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     ti = grid.t_index(12.5)
     p = float(grid.p_pt["9"][xi, mi, ti])
     assert p > 1.0
-    assert int(grid.flags["9"][xi, mi, ti]) == 4
-    cell = grid.cell("9", xi, mi, ti)
-    assert cell.flags == (FLAG_EXCEEDS_UNITY,)
-    assert cell.warned[0.001] is True
-    row = warnings_to_csv(grid).splitlines()[1 + (mi * 24) + ti]
-    assert FLAG_EXCEEDS_UNITY in row
+    assert int(grid.flags["9"][xi, mi, ti]) == 4  # exceeds_unity alone
+    assert grid.warned_mask("9", 0.001)[xi, mi, ti]
+    row = list(csv.reader(io.StringIO(warnings_to_csv(grid))))[1 + (mi * 24) + ti]
+    assert row[:5] == ["9", "0.0", "5.0", "1", "12.0"]
+    assert row[7:] == [repr(p), FLAG_EXCEEDS_UNITY, "1"]
 
 
 def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, bundled_grid) -> None:
@@ -377,15 +389,19 @@ def test_locate_puts_non_finite_values_off_grid(bundled_grid) -> None:
 
 
 def test_cell_materialization_is_consistent(bundled_grid) -> None:
-    cell = bundled_grid.cell("139", 2, 0, 18)
-    assert cell.line == "139"
-    assert (cell.x_from, cell.x_to) == (10.0, 15.0)
-    assert cell.month == 1
-    assert (cell.t_from, cell.t_to) == (18.0, 19.0)
-    assert cell.p_pt == float(bundled_grid.p_pt["139"][2, 0, 18])
-    assert cell.warned == {th: cell.p_pt > th for th in THRESHOLDS}
-    count = sum(1 for _ in bundled_grid.cells())
-    assert count == bundled_grid.n_cells()
+    rows = list(csv.reader(io.StringIO(warnings_to_csv(bundled_grid))))
+    assert len(rows) == bundled_grid.n_cells() + 1
+    # rows run over (line, x, month, t); line "139" follows line "1"
+    n_m, n_t = len(bundled_grid.months), len(bundled_grid.t_starts)
+    xi, mi, ti = 2, 0, 18
+    row = rows[1 + bundled_grid.p_pt["1"].size + (xi * n_m + mi) * n_t + ti]
+    assert row[0] == "139"
+    assert (row[1], row[2]) == ("10.0", "15.0")
+    assert row[3] == "1"
+    assert (row[4], row[5]) == ("18.0", "19.0")
+    p = float(bundled_grid.p_pt["139"][xi, mi, ti])
+    assert row[7] == repr(p)
+    assert row[9:] == [str(int(p > th)) for th in THRESHOLDS]
 
 
 def test_traffic_positive_and_warned_counts(bundled_grid) -> None:
@@ -461,6 +477,12 @@ def test_warning_geojson_month_and_hour_filters(bundled_grid, bundled_geometries
         assert feature["properties"]["hours"] == [18.0]
 
 
+def test_warning_geojson_rejects_non_finite_theta(bundled_grid, bundled_geometries) -> None:
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            warnings_to_geojson(bundled_grid, bundled_geometries, theta)
+
+
 def test_warning_geojson_skips_uncovered_lines(bundled_grid, bundled_geometries) -> None:
     only_139 = {"139": bundled_geometries["139"]}
     doc = json.loads(warnings_to_geojson(bundled_grid, only_139, 0.0005))
@@ -475,6 +497,73 @@ def test_warning_geojson_skips_uncovered_lines(bundled_grid, bundled_geometries)
         assert feature["properties"]["x_from"] < 12.0
         for lon, lat in feature["geometry"]["coordinates"]:
             assert 18.90 <= lon <= 19.05
+
+
+# --- exporters against the per-cell reference ---
+
+# names that csv.writer must quote, plus a plain one
+LINE_NAMES = ("a,b", '"q"', "plain")
+
+
+@given(
+    seed=st.integers(0, 5_000),
+    delta_t=st.sampled_from([1.0, 0.5, 0.25]),
+    traffic_scale=st.sampled_from([1.0, 1e-4]),
+    data=st.data(),
+)
+@settings(max_examples=40)
+def test_exporters_match_cell_loops(
+    seed: int, delta_t: float, traffic_scale: float, data
+) -> None:
+    rng = np.random.default_rng(seed)
+    train, traffic = make_synthetic(rng, max_records=100, max_lines=3, km_span=20.0)
+    names = {str(100 + i): name for i, name in enumerate(LINE_NAMES)}
+    train = dataclasses.replace(
+        train, records=tuple(dataclasses.replace(r, line=names[r.line]) for r in train.records)
+    )
+    # thin traffic pushes p_pt past 1, so exceeds_unity cells appear
+    traffic = TrafficTable(
+        counts={(names[line], x): c * traffic_scale for (line, x), c in traffic.counts.items()},
+        delta_x=5.0,
+    )
+    model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
+    # a season without its hour table makes its months insufficient_data
+    dropped = data.draw(st.sampled_from([None, *sorted(model.p_time)]))
+    model = dataclasses.replace(
+        model, p_time={k: v for k, v in model.p_time.items() if k != dropped}
+    )
+    probe = sweep_all(model, traffic, DEFAULT_PROFILE, (1.0,))
+    # thresholds equal to cells' own p_pt check that warnings stay strict
+    own = sorted({float(v) for p in probe.p_pt.values() for v in p[p > 0.0]})
+    choices = st.sampled_from(own + [0.0005, 0.001, 1.0])
+    thresholds = data.draw(st.lists(choices, min_size=1, max_size=3))
+    grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
+    assert warnings_to_csv(grid) == warnings_to_csv_loop(grid)
+
+    # each line's geometry covers part of its km range; one line may have none
+    without = data.draw(st.sampled_from([None, *grid.lines]))
+    geometries = {}
+    for i, line in enumerate(ln for ln in grid.lines if ln != without):
+        k0 = float(rng.uniform(0.0, 6.0))
+        k1 = k0 + float(rng.uniform(0.5, 10.0))
+        k2 = k1 + float(rng.uniform(0.5, 20.0))
+        geometries[line] = LineGeometry(
+            line=line, vertices=((50.0, 19.0 + i, k0), (50.05, 19.1 + i, k1), (50.1, 19.15 + i, k2))
+        )
+    theta = data.draw(choices)
+    # filters that keep a warned cell, and ones that match nothing (month 13, hours 24 and -1)
+    warned = sorted(
+        {
+            (grid.months[mi], grid.t_starts[ti])
+            for line in grid.lines
+            for mi, ti in zip(*np.nonzero(grid.warned_mask(line, theta).any(axis=0)))
+        }
+    )
+    warned_month, warned_hour = data.draw(st.sampled_from(warned or [(1, 0.0)]))
+    month = data.draw(st.sampled_from([None, warned_month, 13]))
+    hour = data.draw(st.sampled_from([None, warned_hour, warned_hour + 0.5 * delta_t, 24.0, -1.0]))
+    got = warnings_to_geojson(grid, geometries, theta, month=month, hour=hour)
+    assert got == warnings_to_geojson_loop(grid, geometries, theta, month=month, hour=hour)
 
 
 # --- randomized consistency between scalar and grid paths ---
