@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Dataset, SpeedProfile, TrafficTable, bin_start
+from .ingest import Dataset, SpeedProfile, TrafficTable
 from .model import SeasonScheme
 from .warn import WarningGrid
 
@@ -171,18 +172,20 @@ def species_profile(data: Dataset) -> dict[str, int]:
     Records with an empty species field are grouped under "unknown".
     """
     counts: dict[str, int] = {}
-    for rec in data.records:
-        label = rec.species.strip() or UNKNOWN_SPECIES
-        counts[label] = counts.get(label, 0) + 1
+    for species, count in Counter(data.species).items():
+        label = species.strip() or UNKNOWN_SPECIES
+        counts[label] = counts.get(label, 0) + count
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def hourly_profile(data: Dataset, seasons: SeasonScheme) -> dict[tuple[str, int], int]:
     """Accident counts per (season label, hour of day), dense over all 24 hours."""
-    counts = {(label, hour): 0 for label in seasons.labels for hour in range(24)}
-    for rec in data.records:
-        counts[(seasons.season_of(rec.month), rec.time // 60)] += 1
-    return counts
+    labels = seasons.labels
+    counts = np.bincount(
+        seasons.label_indices(data.months) * 24 + data.minutes // 60, minlength=len(labels) * 24
+    )
+    keys = [(label, hour) for label in labels for hour in range(24)]
+    return dict(zip(keys, counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -216,10 +219,11 @@ def speed_correlation(
         raise ValueError(
             f"delta_x={delta_x} does not match the traffic table bin width {traffic.delta_x}"
         )
-    acc_counts: dict[tuple[str, float], int] = {}
-    for rec in data.records:
-        key = (rec.line, bin_start(rec.km, delta_x))
-        acc_counts[key] = acc_counts.get(key, 0) + 1
+    acc_counts = {
+        (line, i * delta_x): count
+        for line, per_bin in data.km_bin_counts(delta_x).items()
+        for i, count in per_bin.items()
+    }
     pairs: list[tuple[str, float, float, float]] = []
     for line, x_from in sorted(traffic.counts):
         m = traffic.counts[(line, x_from)]
@@ -338,16 +342,15 @@ def evaluate_holdout(
     if theta < 0:
         raise ValueError(f"theta must be non-negative, got {theta!r}")
     names = tuple(grid.x_starts)
+    test_lines = np.array(test.line_names, dtype=object)
+    hours = test.minutes / 60.0
     # per mapped accident, the largest p_pt among the cells that can make it a
     # hit, -inf when all of them are flagged
     best: list[np.ndarray] = []
     for start in range(0, test.n, _BLOCK):
-        records = test.records[start : start + _BLOCK]
+        block = slice(start, start + _BLOCK)
         li, xi, mi, ti = grid.locate(
-            [rec.line for rec in records],
-            np.array([rec.km for rec in records], dtype=float),
-            np.array([rec.date.month for rec in records], dtype=float),
-            np.array([rec.time for rec in records], dtype=float) / 60.0,
+            test_lines[test.line_codes[block]], test.kms[block], test.months[block], hours[block]
         )
         mapped = np.flatnonzero((xi >= 0) & (mi >= 0) & (ti >= 0))
         mapped = mapped[np.argsort(li[mapped], kind="stable")]

@@ -212,8 +212,8 @@ def _load_dataset(path: str, args: argparse.Namespace, config: dict[str, Any]) -
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     # no explicit period: use the span of the data itself
-    dates = [rec.date for rec in data.records]
-    return Dataset(records=data.records, period_start=min(dates), period_end=max(dates))
+    first, last = (dt.date.fromordinal(int(day)) for day in (data.dates.min(), data.dates.max()))
+    return data.with_period(first, last)
 
 
 def _load_traffic(args: argparse.Namespace, config: dict[str, Any], delta_x: float):
@@ -289,10 +289,12 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
     model = model_from_json(_read_text(_require(args, config, "model")))
     traffic = _load_traffic(args, config, model.bins.delta_x)
     thresholds = _resolve_thresholds(args, config)
+    theta_map = _get_number(args, config, "theta_map", thresholds[0])
+    if not (math.isfinite(theta_map) and theta_map > 0):
+        raise ValueError(f"--theta-map must be positive and finite, got {theta_map!r}")
+    geometry_path = _get(args, config, "geometry")
+    geometries = None if geometry_path is None else parse_geometries(_read_text(geometry_path))
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
-    theta_map = _get_number(args, config, "theta_map", grid.thresholds[0])
-    if not math.isfinite(theta_map):
-        raise ValueError(f"--theta-map must be finite, got {theta_map!r}")
     exceeds = grid.flagged_cells(FLAG_EXCEEDS_UNITY)
     if exceeds:
         print(
@@ -303,9 +305,7 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
     csv_path = _out_path(args, config, "warnings.csv")
     _write_text(csv_path, warnings_to_csv(grid))
     print(f"warning grid written to {csv_path}")
-    geometry_path = _get(args, config, "geometry")
-    if geometry_path is not None:
-        geometries = parse_geometries(_read_text(geometry_path))
+    if geometries is not None:
         geojson = warnings_to_geojson(grid, geometries, theta_map, month=month, hour=hour)
         geo_path = _out_path(args, config, "warnings.geojson")
         _write_text(geo_path, geojson)
@@ -320,12 +320,12 @@ def cmd_map(args: argparse.Namespace, config: dict[str, Any]) -> int:
     spacing = _get_number(args, config, "spacing", 2.5)
     points: list[tuple[float, float]] = []
     skipped = 0
-    for rec in data.records:
-        geometry = geometries.get(rec.line)
-        if geometry is None or not geometry.km_min <= rec.km <= geometry.km_max:
+    for code, km in zip(data.line_codes.tolist(), data.kms.tolist()):
+        geometry = geometries.get(data.line_names[code])
+        if geometry is None or not geometry.km_min <= km <= geometry.km_max:
             skipped += 1
             continue
-        points.append(km_to_geo(geometry, rec.km))
+        points.append(km_to_geo(geometry, km))
     grid = hex_bin(points, spacing)
     out = _out_path(args, config, "hexmap.geojson")
     _write_text(out, hex_grid_to_geojson(grid))
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_warn.add_argument("--geometry", help="line geometry GeoJSON for the map export")
     p_warn.add_argument(
         "--theta-map", dest="theta_map", type=float,
-        help="threshold for the GeoJSON export (default: smallest threshold)",
+        help="threshold for the GeoJSON export, positive (default: smallest threshold)",
     )
     p_warn.add_argument("--month", type=int, help="restrict the GeoJSON export to one month")
     p_warn.add_argument("--hour", type=float, help="restrict the GeoJSON export to one hour bin")

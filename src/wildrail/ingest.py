@@ -11,6 +11,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
+import numpy as np
+
 __all__ = [
     "ParseError",
     "AccidentRecord",
@@ -66,6 +68,14 @@ def bin_index(value: float, delta: float) -> int:
     elif (idx + 1) * delta <= value:
         idx += 1
     return idx
+
+
+def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
+    """``bin_index`` over an array, kept as floats so a huge value cannot overflow."""
+    idx = np.floor(values / delta)
+    down = idx * delta > values
+    up = ~down & ((idx + 1) * delta <= values)
+    return idx - down + up
 
 
 def bin_start(value: float, delta: float) -> float:
@@ -134,11 +144,26 @@ class Dataset:
 
     The period is what the exposure time T is computed from, so it must be
     stated even when no accident falls on its first or last day.
+
+    The records are held as columns, one entry per record in input order:
+    ``line_codes`` indexes ``line_names`` (the distinct lines, sorted);
+    ``kms``, ``months`` (1..12), ``minutes`` (since midnight) and ``dates``
+    (``date.toordinal()``) are read-only numpy arrays; ``species`` is a tuple
+    of str.  ``records`` is built from the columns on first access and
+    cached.  A Dataset made from records builds its columns from them, and
+    two datasets are equal when their records and periods are.
     """
 
     records: tuple[AccidentRecord, ...]
     period_start: dt.date
     period_end: dt.date
+    line_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    line_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    kms: np.ndarray = field(init=False, repr=False, compare=False)
+    months: np.ndarray = field(init=False, repr=False, compare=False)
+    minutes: np.ndarray = field(init=False, repr=False, compare=False)
+    dates: np.ndarray = field(init=False, repr=False, compare=False)
+    species: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.period_end < self.period_start:
@@ -149,16 +174,129 @@ class Dataset:
                     f"record dated {rec.date} falls outside period "
                     f"{self.period_start}..{self.period_end}"
                 )
+        lines: dict[str, int] = {}
+        days: dict[dt.date, int] = {}
+        columns = _columns(
+            lines,
+            [lines.setdefault(rec.line, len(lines)) for rec in self.records],
+            days,
+            [days.setdefault(rec.date, len(days)) for rec in self.records],
+            [rec.time for rec in self.records],
+            [rec.km for rec in self.records],
+            tuple(rec.species for rec in self.records),
+        )
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _from_columns(cls, period_start: dt.date, period_end: dt.date, columns: dict) -> Dataset:
+        """A Dataset without records yet, over columns whose dates lie in the period."""
+        if period_end < period_start:
+            raise ValueError("period_end precedes period_start")
+        data = object.__new__(cls)
+        object.__setattr__(data, "period_start", period_start)
+        object.__setattr__(data, "period_end", period_end)
+        for name, column in columns.items():
+            object.__setattr__(data, name, column)
+        return data
+
+    def __getattr__(self, name: str):
+        # only reached for ``records`` of a column-built Dataset not yet read
+        if name != "records":
+            raise AttributeError(name)
+        days = {day: dt.date.fromordinal(day) for day in set(self.dates.tolist())}
+        names = self.line_names
+        records = tuple(
+            AccidentRecord(days[day], minute, names[code], km, species)
+            for day, minute, code, km, species in zip(
+                self.dates.tolist(),
+                self.minutes.tolist(),
+                self.line_codes.tolist(),
+                self.kms.tolist(),
+                self.species,
+            )
+        )
+        object.__setattr__(self, "records", records)
+        return records
 
     @property
     def n(self) -> int:
         """Total number of records (N)."""
-        return len(self.records)
+        return len(self.kms)
 
     @property
     def total_days(self) -> int:
         """Calendar days in the observation period, inclusive."""
         return count_days(self.period_start, self.period_end)
+
+    def with_period(self, start: dt.date, end: dt.date) -> Dataset:
+        """The same records over another observation period.
+
+        Raises:
+            ValueError: end before start, or a record dated outside [start, end].
+        """
+        data = Dataset._from_columns(start, end, {name: getattr(self, name) for name in _COLUMNS})
+        outside = np.flatnonzero((self.dates < start.toordinal()) | (self.dates > end.toordinal()))
+        if outside.size:
+            date = dt.date.fromordinal(int(self.dates[outside[0]]))
+            raise ValueError(f"record dated {date} falls outside period {start}..{end}")
+        return data
+
+    def km_bin_counts(self, delta: float) -> dict[str, dict[int, int]]:
+        """Records per line and km bin: line -> ``bin_index(km, delta)`` -> count.
+
+        Only occupied bins are listed; lines and bins ascend.
+        """
+        if not self.n:
+            return {}
+        bins = _bin_floor(self.kms, delta)
+        order = np.lexsort((bins, self.line_codes))
+        codes, bins = self.line_codes[order], bins[order]
+        firsts = np.flatnonzero(
+            np.concatenate(([True], (codes[1:] != codes[:-1]) | (bins[1:] != bins[:-1])))
+        )
+        sizes = np.diff(firsts, append=len(order))
+        counts: dict[str, dict[int, int]] = {name: {} for name in self.line_names}
+        for code, index, size in zip(codes[firsts].tolist(), bins[firsts].tolist(), sizes.tolist()):
+            counts[self.line_names[code]][int(index)] = size
+        return counts
+
+
+_COLUMNS = ("line_names", "line_codes", "kms", "months", "minutes", "dates", "species")
+
+
+def _columns(
+    lines: Iterable[str],
+    line_codes: list[int],
+    days: Iterable[dt.date],
+    day_codes: list[int],
+    minutes: list[int],
+    kms: list[float],
+    species: tuple[str, ...],
+) -> dict:
+    """The Dataset columns, by name.
+
+    ``lines`` and ``days`` list the distinct values in the order that
+    ``line_codes`` and ``day_codes`` number them.
+    """
+    lines = list(lines)
+    position = {name: i for i, name in enumerate(sorted(lines))}
+    renumber = np.array([position[name] for name in lines], dtype=np.int64)
+    days = list(days)
+    day_codes_arr = np.array(day_codes, dtype=np.int64)
+    columns = {
+        "line_names": tuple(position),
+        "line_codes": renumber[np.array(line_codes, dtype=np.int64)],
+        "kms": np.array(kms, dtype=float),
+        "months": np.array([day.month for day in days], dtype=np.int64)[day_codes_arr],
+        "minutes": np.array(minutes, dtype=np.int64),
+        "dates": np.array([day.toordinal() for day in days], dtype=np.int64)[day_codes_arr],
+        "species": species,
+    }
+    for column in columns.values():
+        if isinstance(column, np.ndarray):
+            column.setflags(write=False)
+    return columns
 
 
 def _open_text(stream: Union[str, IO[str]]) -> IO[str]:
@@ -207,7 +345,8 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
 
     Parsing is strict: any malformed row aborts with a ParseError naming the
     offending physical line, as does a record dated outside ``period``.  An
-    input with no data rows is an error.
+    input with no data rows is an error.  The rows go straight into the
+    Dataset columns; each distinct date and time text is parsed once.
 
     Args:
         stream: CSV text or an open text stream.
@@ -220,29 +359,51 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
     reader = csv.reader(_open_text(stream))
     if not _read_header(reader, ACCIDENT_HEADER, "accident"):
         raise ParseError("empty accident file")
-    records: list[AccidentRecord] = []
+    n_fields = len(ACCIDENT_HEADER)
+    lines: dict[str, int] = {}
+    day_of_text: dict[str, int] = {}  # date text -> its position in days
+    days: list[dt.date] = []
+    in_period: list[bool] = []
+    minute_of_text: dict[str, int] = {}
+    line_codes: list[int] = []
+    day_codes: list[int] = []
+    minutes: list[int] = []
+    kms: list[float] = []
+    species: list[str] = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != len(ACCIDENT_HEADER):
-            raise ParseError(f"expected {len(ACCIDENT_HEADER)} fields, got {len(row)}", line_no)
-        date_text, time_text, line, km_text, species = (cell.strip() for cell in row)
-        try:
-            date = dt.date.fromisoformat(date_text)
-        except ValueError:
-            raise ParseError(f"invalid calendar date {date_text!r}", line_no) from None
-        time = _parse_time_field(time_text, line_no)
+        if len(row) != n_fields:
+            raise ParseError(f"expected {n_fields} fields, got {len(row)}", line_no)
+        date_text, time_text, line, km_text, species_text = [cell.strip() for cell in row]
+        day = day_of_text.get(date_text)
+        if day is None:
+            try:
+                date = dt.date.fromisoformat(date_text)
+            except ValueError:
+                raise ParseError(f"invalid calendar date {date_text!r}", line_no) from None
+            day = day_of_text[date_text] = len(days)
+            days.append(date)
+            in_period.append(start <= date <= end)
+        minute = minute_of_text.get(time_text)
+        if minute is None:
+            minute = minute_of_text[time_text] = _parse_time_field(time_text, line_no)
         km = _parse_float_field(km_text, "km", line_no)
         if km < 0:
             raise ParseError(f"km must be non-negative, got {km_text!r}", line_no)
         if not line:
             raise ParseError("line identifier must be non-empty", line_no)
-        if not start <= date <= end:
-            raise ParseError(f"record dated {date} outside period {start}..{end}", line_no)
-        records.append(AccidentRecord(date=date, time=time, line=line, km=km, species=species))
-    if not records:
+        if not in_period[day]:
+            raise ParseError(f"record dated {days[day]} outside period {start}..{end}", line_no)
+        line_codes.append(lines.setdefault(line, len(lines)))
+        day_codes.append(day)
+        minutes.append(minute)
+        kms.append(km)
+        species.append(species_text)
+    if not kms:
         raise ParseError("no accident records in input")
-    return Dataset(records=tuple(records), period_start=start, period_end=end)
+    columns = _columns(lines, line_codes, days, day_codes, minutes, kms, tuple(species))
+    return Dataset._from_columns(start, end, columns)
 
 
 def dataset_to_csv(data: Dataset) -> str:

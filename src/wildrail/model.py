@@ -14,7 +14,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .ingest import Dataset, bin_index, bin_start
+import numpy as np
+
+from .ingest import Dataset, _bin_floor, bin_start
 
 __all__ = [
     "InsufficientDataError",
@@ -78,6 +80,11 @@ class SeasonScheme:
         if month not in MONTHS:
             raise ValueError(f"month must be 1..12, got {month!r}")
         return self._by_month[month]
+
+    def label_indices(self, months: np.ndarray) -> np.ndarray:
+        """Position in ``labels`` of the season of each month; months must be 1..12."""
+        table = [0] + [self.labels.index(self._by_month[m]) for m in MONTHS]
+        return np.array(table, dtype=np.int64)[months]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -229,22 +236,23 @@ def fit(
     if data.n == 0:
         raise ValueError("cannot fit a model on an empty dataset")
 
-    by_month = {m: 0 for m in MONTHS}
-    by_season_tbin = {label: {ts: 0 for ts in bins.t_starts} for label in seasons.labels}
-    lines = sorted({rec.line for rec in data.records})
-    by_line = {line: 0 for line in lines}
-    line_bin_idx: dict[str, dict[int, int]] = {line: {} for line in lines}
-    for rec in data.records:
-        by_month[rec.month] += 1
-        by_season_tbin[seasons.season_of(rec.month)][bins.t_bin(rec.hour)] += 1
-        by_line[rec.line] += 1
-        idx = bin_index(rec.km, bins.delta_x)
-        per_line = line_bin_idx[rec.line]
-        per_line[idx] = per_line.get(idx, 0) + 1
+    labels = seasons.labels
+    n_t = bins.n_t_bins
+    month_counts = np.bincount(data.months, minlength=MONTHS_PER_YEAR + 1)
+    by_month = {m: int(month_counts[m]) for m in MONTHS}
+    # one (season, hour bin) key per record
+    t_bins = _bin_floor(data.minutes / 60.0, bins.delta_t).astype(np.int64)
+    tbin_counts = np.bincount(
+        seasons.label_indices(data.months) * n_t + t_bins, minlength=len(labels) * n_t
+    ).reshape(len(labels), n_t)
+    by_season_tbin = {
+        label: dict(zip(bins.t_starts, row)) for label, row in zip(labels, tbin_counts.tolist())
+    }
+    line_counts = np.bincount(data.line_codes, minlength=len(data.line_names))
+    by_line = dict(zip(data.line_names, line_counts.tolist()))
     # dense per-line bins over the observed index range, zeros in the gaps
     by_line_xbin: dict[str, dict[float, int]] = {}
-    for line in lines:
-        indices = line_bin_idx[line]
+    for line, indices in data.km_bin_counts(bins.delta_x).items():
         lo, hi = min(indices), max(indices)
         by_line_xbin[line] = {
             i * bins.delta_x: indices.get(i, 0) for i in range(lo, hi + 1)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import LineGeometry, TrafficTable, bin_index, km_to_geo
+from .ingest import LineGeometry, TrafficTable, _bin_floor, bin_index, km_to_geo
 from .model import MONTHS, FittedModel, InsufficientDataError
 
 __all__ = [
@@ -303,14 +303,6 @@ class WarningGrid:
 
     def n_cells(self) -> int:
         return sum(arr.size for arr in self.p_pt.values())
-
-
-def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
-    """``bin_index`` over an array, kept as floats so a huge value cannot overflow."""
-    idx = np.floor(values / delta)
-    down = idx * delta > values
-    up = ~down & ((idx + 1) * delta <= values)
-    return idx - down + up
 
 
 def _positions(values: tuple[float, ...], query: np.ndarray) -> np.ndarray:

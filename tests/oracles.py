@@ -40,6 +40,77 @@ def floor_bin(value: float, delta: float) -> int:
     return math.floor(Fraction(value) / Fraction(delta))
 
 
+# --- accident CSV ---
+
+
+class LoopParseError(ValueError):
+    """The loop parser's error; formatted like the package's ParseError."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+        self.line_no = line_no
+
+
+def _time_minutes(text: str, line_no: int) -> int:
+    parts = text.strip().split(":")
+    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        raise LoopParseError(f"time must be HH:MM, got {text!r}", line_no)
+    hh, mm = int(parts[0]), int(parts[1])
+    if hh > 23 or mm > 59:
+        raise LoopParseError(f"time out of range, got {text!r}", line_no)
+    return hh * 60 + mm
+
+
+def parse_accidents_loop(text: str, period: tuple[dt.date, dt.date]) -> list[tuple]:
+    """Accident CSV parsed row by row, every field of every row parsed on its own.
+
+    Returns one (date, time, line, km, species) tuple per record, the fields
+    of the package's AccidentRecord, and raises LoopParseError where the
+    package raises ParseError.
+    """
+    header = ("date", "time", "line", "km", "species")
+    start, end = period
+    reader = csv.reader(io.StringIO(text))
+    try:
+        got = tuple(cell.strip() for cell in next(reader))
+    except StopIteration:
+        raise LoopParseError("empty accident file") from None
+    if got != header:
+        raise LoopParseError(
+            f"accident header must be {','.join(header)!r}, got {','.join(got)!r}", line_no=1
+        )
+    records = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise LoopParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
+        date_text, time_text, line, km_text, species = (cell.strip() for cell in row)
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            raise LoopParseError(f"invalid calendar date {date_text!r}", line_no) from None
+        time = _time_minutes(time_text, line_no)
+        try:
+            km = float(km_text)
+        except ValueError:
+            raise LoopParseError(f"km must be a number, got {km_text!r}", line_no) from None
+        if not math.isfinite(km):
+            raise LoopParseError(f"km must be finite, got {km_text!r}", line_no)
+        if km < 0:
+            raise LoopParseError(f"km must be non-negative, got {km_text!r}", line_no)
+        if not line:
+            raise LoopParseError("line identifier must be non-empty", line_no)
+        if not start <= date <= end:
+            raise LoopParseError(f"record dated {date} outside period {start}..{end}", line_no)
+        records.append((date, time, line, km, species))
+    if not records:
+        raise LoopParseError("no accident records in input")
+    return records
+
+
 # --- probability tables ---
 # records are the implementation's AccidentRecord dataclasses, but only their
 # plain fields (date, time, line, km) are touched
@@ -85,6 +156,40 @@ def table_counts(
         "by_season": by_season,
         "by_season_tbin": by_season_tbin,
         "by_line": by_line,
+        "by_line_xbin": by_line_xbin,
+    }
+
+
+def fit_counts_loop(
+    records: Iterable, season_groups: dict[str, tuple[int, ...]], delta_x: float, delta_t: float
+) -> dict:
+    """The counts behind a fitted model, one record at a time, keyed as the package keys them.
+
+    Hour bins start at ``i * delta_t`` and km bins at ``i * delta_x`` for the
+    corrected-floor index ``i``; each line's km bins are dense over its
+    observed range.
+    """
+    month_season = {m: lab for lab, months in season_groups.items() for m in months}
+    t_starts = [i * delta_t for i in range(round(24.0 / delta_t))]
+    by_month = {m: 0 for m in range(1, 13)}
+    by_season_tbin = {lab: {ts: 0 for ts in t_starts} for lab in season_groups}
+    by_line: dict[str, int] = {}
+    indices: dict[str, dict[int, int]] = {}
+    for r in records:
+        by_month[r.date.month] += 1
+        by_season_tbin[month_season[r.date.month]][_bin_index(r.time / 60.0, delta_t) * delta_t] += 1
+        by_line[r.line] = by_line.get(r.line, 0) + 1
+        per_line = indices.setdefault(r.line, {})
+        idx = _bin_index(r.km, delta_x)
+        per_line[idx] = per_line.get(idx, 0) + 1
+    by_line_xbin = {}
+    for line in sorted(indices):
+        lo, hi = min(indices[line]), max(indices[line])
+        by_line_xbin[line] = {i * delta_x: indices[line].get(i, 0) for i in range(lo, hi + 1)}
+    return {
+        "by_month": by_month,
+        "by_season_tbin": by_season_tbin,
+        "by_line": {line: by_line[line] for line in sorted(by_line)},
         "by_line_xbin": by_line_xbin,
     }
 
@@ -451,6 +556,45 @@ def warnings_to_geojson_loop(grid, geometries, theta: float, month=None, hour=No
                 }
             )
     return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
+
+
+# --- profiles and speed correlation ---
+
+
+def species_profile_loop(records: Iterable) -> dict[str, int]:
+    """Records per stripped species label ("unknown" when empty), most frequent first."""
+    counts: dict[str, int] = {}
+    for r in records:
+        label = r.species.strip() or "unknown"
+        counts[label] = counts.get(label, 0) + 1
+    return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def hourly_profile_loop(records: Iterable, season_groups: dict[str, tuple[int, ...]]) -> dict:
+    """Records per (season label, hour of day), dense over all 24 hours."""
+    month_season = {m: lab for lab, months in season_groups.items() for m in months}
+    counts = {(lab, hour): 0 for lab in season_groups for hour in range(24)}
+    for r in records:
+        counts[(month_season[r.date.month], r.time // 60)] += 1
+    return counts
+
+
+def speed_pairs_loop(records: Iterable, traffic, speeds: dict, delta_x: float) -> list[tuple]:
+    """(line, x_from, speed, accidents per train) per usable traffic bin, counted record by record.
+
+    ``speeds`` maps a line to an object with ``speed_at(km)``.
+    """
+    acc_counts: dict[tuple[str, float], int] = {}
+    for r in records:
+        key = (r.line, _bin_index(r.km, delta_x) * delta_x)
+        acc_counts[key] = acc_counts.get(key, 0) + 1
+    pairs = []
+    for line, x_from in sorted(traffic.counts):
+        m = traffic.counts[(line, x_from)]
+        speed = speeds[line].speed_at(x_from + delta_x / 2.0) if line in speeds else None
+        if m > 0 and speed is not None:
+            pairs.append((line, x_from, speed, acc_counts.get((line, x_from), 0) / m))
+    return pairs
 
 
 # --- correlation helpers ---

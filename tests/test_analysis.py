@@ -28,6 +28,7 @@ from wildrail import (
     hex_bin,
     hex_grid_to_geojson,
     hourly_profile,
+    parse_accidents,
     species_profile,
     speed_correlation,
     sweep_all,
@@ -42,7 +43,7 @@ from oracles import (
     pearson_manual,
     spearman_manual,
 )
-from conftest import make_synthetic
+from conftest import DATA_DIR, make_synthetic
 
 PERIOD = (dt.date(2020, 1, 1), dt.date(2022, 12, 31))
 
@@ -471,6 +472,18 @@ def test_holdout_matches_record_loop_across_block_seams(eval_grid, bundled_test_
 def test_holdout_single_record_matches_record_loop(eval_grid) -> None:
     for rec in (record(), record(line="999"), record(km=60.0), record(km=0.0, hour=0)):
         assert_same_report(eval_grid, dataset([rec]), 0.0005)
+
+
+def test_holdout_and_profiles_read_columns_only(eval_grid, bundled_traffic, bundled_speeds) -> None:
+    # a freshly parsed log is scored and profiled without building its records
+    with open(DATA_DIR / "accidents_2023_test.csv", encoding="utf-8") as fh:
+        test = parse_accidents(fh, (dt.date(2023, 1, 1), dt.date(2023, 12, 31)))
+    evaluate_holdout(eval_grid, test, 0.001, include_adjacent=True)
+    speed_correlation(test, bundled_traffic, bundled_speeds)
+    species_profile(test)
+    hourly_profile(test, DEFAULT_SEASONS)
+    fit(test)
+    assert "records" not in vars(test)
 
 
 def test_eval_json_layout(eval_grid, bundled_test_data) -> None:

@@ -232,6 +232,19 @@ def test_warn_rejects_non_finite_theta_map(tmp_path: Path, fitted: Path, capsys)
     assert not (tmp_path / "warnings.geojson").exists()
 
 
+def test_warn_rejects_non_positive_theta_map(tmp_path: Path, fitted: Path, capsys) -> None:
+    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", GEOMETRY,
+            "--out-dir", str(tmp_path)]
+    for value in ("0", "-1", "-0.0", "-1e-300"):
+        assert_input_error(main(base + [f"--theta-map={value}"]), capsys)
+    config = tmp_path / "config.json"
+    for value in (0, -1, -0.001):
+        config.write_text(json.dumps({"theta_map": value}))
+        assert_input_error(main(base + ["--config", str(config)]), capsys)
+    assert not (tmp_path / "warnings.csv").exists()
+    assert not (tmp_path / "warnings.geojson").exists()
+
+
 def test_warn_counts_cells_per_flag(tmp_path: Path, fitted: Path, capsys) -> None:
     # traffic in one km bin only: every other cell is flagged no_traffic
     traffic = tmp_path / "one_bin.csv"
@@ -288,6 +301,8 @@ def test_warn_rejects_malformed_model_and_geometry(tmp_path: Path, fitted: Path,
              "--out-dir", str(tmp_path)]
         )
         assert_input_error(code, capsys)
+    # the geometry is read before any output is written
+    assert not (tmp_path / "warnings.csv").exists()
 
 
 # --- map ---

@@ -2,33 +2,53 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import datetime as dt
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wildrail import (
+    DEFAULT_SEASONS,
     AccidentRecord,
+    BinConfig,
     Dataset,
     LineGeometry,
     ParseError,
     SpeedProfile,
     bin_index,
     bin_start,
+    TrafficTable,
+    UndefinedCorrelationError,
     count_days,
     dataset_to_csv,
+    fit,
     geometries_to_geojson,
+    hourly_profile,
     km_to_geo,
     parse_accidents,
     parse_geometries,
     parse_speed_profiles,
     parse_traffic,
     parse_traffic_runs,
+    species_profile,
+    speed_correlation,
 )
-from oracles import count_days_loop, floor_bin
+from oracles import (
+    LoopParseError,
+    count_days_loop,
+    fit_counts_loop,
+    floor_bin,
+    hourly_profile_loop,
+    parse_accidents_loop,
+    species_profile_loop,
+    speed_pairs_loop,
+)
 
 PERIOD = (dt.date(2020, 1, 1), dt.date(2022, 12, 31))
 
@@ -188,6 +208,219 @@ def test_parse_accidents_header_and_empty() -> None:
         parse_accidents(io.StringIO(""), PERIOD)
     with pytest.raises(ParseError):
         parse_accidents(io.StringIO("date,time,line,km,species\n"), PERIOD)
+
+
+# --- columnar parsing against the row loop ---
+
+# valid field texts, repeated across rows so the per-text memos are reused
+DATE_TEXTS = ("2020-01-01", "2022-12-31", "2021-02-28", "2020-02-29", " 2021-07-02 ", "20210703")
+TIME_TEXTS = ("00:00", "23:59", "18:23", "7:05", "06:0", " 12:30 ", "\uff11\uff12:00")
+LINE_TEXTS = ("1", "139", "a,b", '"q"', " 7 ")
+SPECIES_TEXTS = ("", "roe deer", " fox ", "a,b", 'say "hi"', "two\nlines")
+# malformed or out-of-period texts per field
+BAD_TEXTS = (
+    ("2020-13-01", "2020-02-30", "x", "", "2019-12-31", "2023-01-01"),
+    ("24:00", "10:61", "1000", "ab:cd", "", "1:2:3", "-1:00"),
+    ("", "  "),
+    ("-1.0", "-1e-300", "nan", "inf", "-inf", "abc", "", "1e999"),
+)
+
+
+def km_texts(delta: float) -> st.SearchStrategy[str]:
+    """Bin edges, their float neighbours, plain values and other spellings.
+
+    Short decimal spellings of edges such as "1.7" with 0.1 km bins are where
+    the plain floor of km / delta is one bin too high.
+    """
+    edges = [k * delta for k in range(9)]
+    near = [math.nextafter(e, -math.inf) for e in edges[1:]] + [
+        math.nextafter(e, math.inf) for e in edges
+    ]
+    return st.one_of(
+        st.sampled_from([repr(v) for v in edges + near]),
+        st.integers(0, 40).map(lambda k: f"{k * delta:.10g}"),
+        st.floats(min_value=0.0, max_value=50.0).map(repr),
+        st.sampled_from(["-0.0", "1e1", " 5 ", "0", "2.50"]),
+    )
+
+
+@st.composite
+def accident_csv(draw, delta: float) -> str:
+    rows = draw(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.tuples(
+                        st.sampled_from(DATE_TEXTS),
+                        st.sampled_from(TIME_TEXTS),
+                        st.sampled_from(LINE_TEXTS),
+                        km_texts(delta),
+                        st.sampled_from(SPECIES_TEXTS),
+                    ).map(list),
+                    st.just([]),  # a blank line
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=25,
+        )
+    )
+    rows = [row for group in rows for row in group]
+    # now and then put bad texts into a few rows; one bad text may recur
+    filled = [row for row in rows if row]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3])) if filled else 0):
+        row = draw(st.sampled_from(filled))
+        column = draw(st.integers(0, len(BAD_TEXTS)))
+        if column == len(BAD_TEXTS):
+            row.append("extra")  # wrong field count
+        else:
+            row[column] = draw(st.sampled_from(BAD_TEXTS[column]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator="\n")
+    writer.writerow(["date", "time", "line", "km", "species"])
+    for row in rows:
+        if row:
+            writer.writerow(row)
+        else:
+            out.write("\n")
+    return out.getvalue()
+
+
+@given(
+    delta_x=st.sampled_from([5.0, 2.5, 0.1]),
+    delta_t=st.sampled_from([1.0, 0.5, 0.25]),
+    data=st.data(),
+)
+def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) -> None:
+    text = data.draw(accident_csv(delta_x))
+    try:
+        expected = parse_accidents_loop(text, PERIOD)
+    except LoopParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_accidents(text, PERIOD)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        return
+    parsed = parse_accidents(text, PERIOD)
+    records = [AccidentRecord(*row) for row in expected]
+
+    # columns
+    assert parsed.n == len(records)
+    assert parsed.line_names == tuple(sorted({r.line for r in records}))
+    assert [parsed.line_names[c] for c in parsed.line_codes.tolist()] == [r.line for r in records]
+    assert parsed.kms.tolist() == [r.km for r in records]
+    assert parsed.months.tolist() == [r.month for r in records]
+    assert parsed.minutes.tolist() == [r.time for r in records]
+    assert parsed.dates.tolist() == [r.date.toordinal() for r in records]
+    assert parsed.species == tuple(r.species for r in records)
+
+    # results, which read the columns and leave the records unbuilt
+    model = fit(parsed, bins=BinConfig(delta_x=delta_x, delta_t=delta_t))
+    counts = fit_counts_loop(records, DEFAULT_SEASONS.groups, delta_x, delta_t)
+    assert {key: getattr(model.counts, key) for key in counts} == counts
+    assert model.counts.n == len(records)
+    assert hourly_profile(parsed, DEFAULT_SEASONS) == hourly_profile_loop(
+        records, DEFAULT_SEASONS.groups
+    )
+    species = species_profile(parsed)
+    assert list(species.items()) == list(species_profile_loop(records).items())
+    traffic, speeds = speed_inputs(counts["by_line_xbin"], delta_x)
+    pairs = speed_pairs_loop(records, traffic, speeds, delta_x)
+    try:
+        report = speed_correlation(parsed, traffic, speeds, delta_x)
+    except (UndefinedCorrelationError, ValueError):
+        # fewer than 3 pairs, or one of the variables constant
+        assert len(pairs) < 3 or any(len({p[k] for p in pairs}) == 1 for k in (2, 3))
+    else:
+        assert report.pairs == tuple(pairs)
+    assert "records" not in vars(parsed)
+
+    # records, and equality with the dataset built from them
+    assert parsed.records == tuple(records)
+    assert parsed == Dataset(records=tuple(records), period_start=PERIOD[0], period_end=PERIOD[1])
+
+
+def speed_inputs(by_line_xbin: dict, delta_x: float):
+    """Traffic over each line's accident bins and one past them, some bins without
+    trains, and a speed step per bin."""
+    counts, speeds = {}, {}
+    for line, table in by_line_xbin.items():
+        indices = [round(x / delta_x) for x in table] + [round(max(table) / delta_x) + 1]
+        for i in indices:
+            counts[(line, i * delta_x)] = 0.0 if i % 5 == 4 else 10.0 + i % 7
+        speeds[line] = SpeedProfile(
+            line=line,
+            intervals=tuple((i * delta_x, (i + 1) * delta_x, 50.0 + 10 * (i % 3)) for i in indices),
+        )
+    return TrafficTable(counts=counts, delta_x=delta_x), speeds
+
+
+@pytest.mark.parametrize(
+    "rows,line_no,fragment",
+    [
+        # the second and fourth rows share a bad text: the error names the first
+        (["2020-01-05,25:00,1,1.0,", "2020-01-05,10:00,1,1.0,", "2020-01-05,25:00,1,1.0,"], 2, "25:00"),
+        (["2020-01-05,10:00,1,1.0,", "2020-13-05,10:00,1,1.0,", "2020-13-05,10:00,1,1.0,"], 3, "2020-13-05"),
+        (["2019-06-01,10:00,1,1.0,", "2019-06-01,10:00,1,1.0,"], 2, "2019-06-01"),
+        # a memoised good date still gets the later checks of its own row
+        (["2020-01-05,10:00,1,1.0,", "2020-01-05,10:00,,1.0,"], 3, "line"),
+        # a time error comes before an out-of-period date in the same row
+        (["2019-06-01,10:61,1,1.0,"], 2, "time"),
+    ],
+)
+def test_parse_error_names_first_row_of_repeated_value(rows, line_no: int, fragment: str) -> None:
+    text = "date,time,line,km,species\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_accidents(text, PERIOD)
+    with pytest.raises(LoopParseError) as loop_err:
+        parse_accidents_loop(text, PERIOD)
+    assert err.value.line_no == line_no == loop_err.value.line_no
+    assert str(err.value) == str(loop_err.value)
+    assert fragment in str(err.value)
+
+
+def test_dataset_from_records_builds_columns() -> None:
+    parsed = parse_accidents(GOOD_CSV, PERIOD)
+    records = tuple(parse_accidents(GOOD_CSV, PERIOD).records)
+    built = Dataset(records=records, period_start=PERIOD[0], period_end=PERIOD[1])
+    assert built.records is records
+    assert built == parsed and hash(built) == hash(parsed)
+    for name in ("line_names", "species"):
+        assert getattr(built, name) == getattr(parsed, name)
+    for name in ("line_codes", "kms", "months", "minutes", "dates"):
+        assert np.array_equal(getattr(built, name), getattr(parsed, name))
+    assert parsed.line_names == ("1", "139", "140")
+    assert parsed.line_codes.tolist() == [1, 0, 2]
+    assert parsed.records is parsed.records  # built once, then cached
+    with pytest.raises(ValueError):
+        parsed.kms[0] = 1.0  # the columns are read-only
+
+
+def test_dataset_replace_and_equality() -> None:
+    parsed = parse_accidents(GOOD_CSV, PERIOD)
+    moved = dataclasses.replace(
+        parsed, records=tuple(dataclasses.replace(r, km=r.km + 1.0) for r in parsed.records)
+    )
+    assert moved.kms.tolist() == [13.4, 1.0, 80.9]
+    assert moved.period_start == parsed.period_start and moved != parsed
+    longer = dataclasses.replace(parsed, period_end=dt.date(2023, 6, 30))
+    assert longer.records == parsed.records and longer != parsed
+    assert longer.total_days == parsed.total_days + 181
+    with pytest.raises(ValueError, match="outside period"):
+        dataclasses.replace(parsed, period_end=dt.date(2022, 12, 30))
+    assert parsed != parse_accidents(GOOD_CSV.replace("roe deer", "fox"), PERIOD)
+
+
+def test_dataset_with_period() -> None:
+    parsed = parse_accidents(GOOD_CSV, PERIOD)
+    span = parsed.with_period(dt.date(2020, 1, 15), dt.date(2022, 12, 31))
+    assert span.period_start == dt.date(2020, 1, 15)
+    assert span.kms is parsed.kms and "records" not in vars(span)
+    assert span.records == parsed.records
+    with pytest.raises(ValueError, match="record dated 2020-01-15 falls outside"):
+        parsed.with_period(dt.date(2020, 1, 16), dt.date(2022, 12, 31))
+    with pytest.raises(ValueError, match="precedes"):
+        parsed.with_period(dt.date(2022, 1, 1), dt.date(2021, 1, 1))
 
 
 # --- traffic CSV ---
