@@ -8,8 +8,9 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -138,75 +139,73 @@ class AccidentRecord:
         return self.time / 60.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Accident records together with the observation period that produced them.
+    """Accident records as columns, together with the observation period.
 
     The period is what the exposure time T is computed from, so it must be
-    stated even when no accident falls on its first or last day.
+    stated even when no accident falls on its first or last day.  Every date
+    must lie inside it; ``__post_init__`` holds that rule for every way a
+    Dataset is made (``parse_accidents``, ``from_records``, ``with_period``,
+    ``dataclasses.replace``).
 
-    The records are held as columns, one entry per record in input order:
-    ``line_codes`` indexes ``line_names`` (the distinct lines, sorted);
-    ``kms``, ``months`` (1..12), ``minutes`` (since midnight) and ``dates``
-    (``date.toordinal()``) are read-only numpy arrays; ``species`` is a tuple
-    of str.  ``records`` is built from the columns on first access and
-    cached.  A Dataset made from records builds its columns from them, and
-    two datasets are equal when their records and periods are.
+    The columns hold one entry per record, in input order: ``line_codes``
+    indexes ``line_names`` (the distinct lines, sorted); ``kms``, ``months``
+    (1..12), ``minutes`` (since midnight) and ``dates`` (``date.toordinal()``)
+    are read-only numpy arrays; ``species`` is a tuple of str.  Records exist
+    only as explicit conversions: ``from_records`` builds the columns from
+    them, and ``records`` builds them from the columns on each access.  Two
+    datasets are equal when their periods and records are.
     """
 
-    records: tuple[AccidentRecord, ...]
     period_start: dt.date
     period_end: dt.date
-    line_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    line_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    kms: np.ndarray = field(init=False, repr=False, compare=False)
-    months: np.ndarray = field(init=False, repr=False, compare=False)
-    minutes: np.ndarray = field(init=False, repr=False, compare=False)
-    dates: np.ndarray = field(init=False, repr=False, compare=False)
-    species: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    line_names: tuple[str, ...]
+    line_codes: np.ndarray
+    kms: np.ndarray
+    months: np.ndarray
+    minutes: np.ndarray
+    dates: np.ndarray
+    species: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.period_end < self.period_start:
+        start, end = self.period_start, self.period_end
+        if end < start:
             raise ValueError("period_end precedes period_start")
-        for rec in self.records:
-            if not self.period_start <= rec.date <= self.period_end:
-                raise ValueError(
-                    f"record dated {rec.date} falls outside period "
-                    f"{self.period_start}..{self.period_end}"
-                )
+        outside = np.flatnonzero((self.dates < start.toordinal()) | (self.dates > end.toordinal()))
+        if outside.size:
+            date = dt.date.fromordinal(int(self.dates[outside[0]]))
+            raise ValueError(f"record dated {date} falls outside period {start}..{end}")
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[AccidentRecord], period_start: dt.date, period_end: dt.date
+    ) -> Dataset:
+        """The Dataset whose columns hold ``records``, in order.
+
+        Raises:
+            ValueError: end before start, or a record dated outside the period.
+        """
+        records = tuple(records)
         lines: dict[str, int] = {}
         days: dict[dt.date, int] = {}
         columns = _columns(
             lines,
-            [lines.setdefault(rec.line, len(lines)) for rec in self.records],
+            [lines.setdefault(rec.line, len(lines)) for rec in records],
             days,
-            [days.setdefault(rec.date, len(days)) for rec in self.records],
-            [rec.time for rec in self.records],
-            [rec.km for rec in self.records],
-            tuple(rec.species for rec in self.records),
+            [days.setdefault(rec.date, len(days)) for rec in records],
+            [rec.time for rec in records],
+            [rec.km for rec in records],
+            tuple(rec.species for rec in records),
         )
-        for name, column in columns.items():
-            object.__setattr__(self, name, column)
+        return cls(period_start, period_end, **columns)
 
-    @classmethod
-    def _from_columns(cls, period_start: dt.date, period_end: dt.date, columns: dict) -> Dataset:
-        """A Dataset without records yet, over columns whose dates lie in the period."""
-        if period_end < period_start:
-            raise ValueError("period_end precedes period_start")
-        data = object.__new__(cls)
-        object.__setattr__(data, "period_start", period_start)
-        object.__setattr__(data, "period_end", period_end)
-        for name, column in columns.items():
-            object.__setattr__(data, name, column)
-        return data
-
-    def __getattr__(self, name: str):
-        # only reached for ``records`` of a column-built Dataset not yet read
-        if name != "records":
-            raise AttributeError(name)
+    @property
+    def records(self) -> tuple[AccidentRecord, ...]:
+        """The columns as AccidentRecords, built anew on each access."""
         days = {day: dt.date.fromordinal(day) for day in set(self.dates.tolist())}
         names = self.line_names
-        records = tuple(
+        return tuple(
             AccidentRecord(days[day], minute, names[code], km, species)
             for day, minute, code, km, species in zip(
                 self.dates.tolist(),
@@ -216,8 +215,17 @@ class Dataset:
                 self.species,
             )
         )
-        object.__setattr__(self, "records", records)
-        return records
+
+    def _key(self) -> tuple:
+        return (self.period_start, self.period_end, self.records)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -235,12 +243,7 @@ class Dataset:
         Raises:
             ValueError: end before start, or a record dated outside [start, end].
         """
-        data = Dataset._from_columns(start, end, {name: getattr(self, name) for name in _COLUMNS})
-        outside = np.flatnonzero((self.dates < start.toordinal()) | (self.dates > end.toordinal()))
-        if outside.size:
-            date = dt.date.fromordinal(int(self.dates[outside[0]]))
-            raise ValueError(f"record dated {date} falls outside period {start}..{end}")
-        return data
+        return replace(self, period_start=start, period_end=end)
 
     def km_bin_counts(self, delta: float) -> dict[str, dict[int, int]]:
         """Records per line and km bin: line -> ``bin_index(km, delta)`` -> count.
@@ -260,9 +263,6 @@ class Dataset:
         for code, index, size in zip(codes[firsts].tolist(), bins[firsts].tolist(), sizes.tolist()):
             counts[self.line_names[code]][int(index)] = size
         return counts
-
-
-_COLUMNS = ("line_names", "line_codes", "kms", "months", "minutes", "dates", "species")
 
 
 def _columns(
@@ -320,6 +320,21 @@ def _read_header(reader: Iterable[list[str]], expected: tuple[str, ...], what: s
     return True
 
 
+def _rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Each remaining non-blank row, its cells stripped, with its first physical line.
+
+    A quoted newline makes a row span several lines.  A row without exactly
+    ``n_fields`` cells is a ParseError.
+    """
+    first = reader.line_num + 1
+    for row in reader:
+        if row:
+            if len(row) != n_fields:
+                raise ParseError(f"expected {n_fields} fields, got {len(row)}", first)
+            yield first, [cell.strip() for cell in row]
+        first = reader.line_num + 1
+
+
 def _parse_time_field(text: str, line_no: int) -> int:
     parts = text.strip().split(":")
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
@@ -359,7 +374,6 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
     reader = csv.reader(_open_text(stream))
     if not _read_header(reader, ACCIDENT_HEADER, "accident"):
         raise ParseError("empty accident file")
-    n_fields = len(ACCIDENT_HEADER)
     lines: dict[str, int] = {}
     day_of_text: dict[str, int] = {}  # date text -> its position in days
     days: list[dt.date] = []
@@ -370,12 +384,8 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
     minutes: list[int] = []
     kms: list[float] = []
     species: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != n_fields:
-            raise ParseError(f"expected {n_fields} fields, got {len(row)}", line_no)
-        date_text, time_text, line, km_text, species_text = [cell.strip() for cell in row]
+    for line_no, fields in _rows(reader, len(ACCIDENT_HEADER)):
+        date_text, time_text, line, km_text, species_text = fields
         day = day_of_text.get(date_text)
         if day is None:
             try:
@@ -403,7 +413,7 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
     if not kms:
         raise ParseError("no accident records in input")
     columns = _columns(lines, line_codes, days, day_codes, minutes, kms, tuple(species))
-    return Dataset._from_columns(start, end, columns)
+    return Dataset(start, end, **columns)
 
 
 def dataset_to_csv(data: Dataset) -> str:
@@ -470,12 +480,7 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
     counts: dict[tuple[str, float], float] = {}
     if not _read_header(reader, TRAFFIC_HEADER, "traffic"):
         return TrafficTable(counts={}, delta_x=delta_x)
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(TRAFFIC_HEADER):
-            raise ParseError(f"expected {len(TRAFFIC_HEADER)} fields, got {len(row)}", line_no)
-        line, km_text, count_text = (cell.strip() for cell in row)
+    for line_no, (line, km_text, count_text) in _rows(reader, len(TRAFFIC_HEADER)):
         if not line:
             raise ParseError("line identifier must be non-empty", line_no)
         km_from = _parse_float_field(km_text, "km_from", line_no)
@@ -509,12 +514,7 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
     counts: dict[tuple[str, float], float] = {}
     if not _read_header(reader, TRAFFIC_RUN_HEADER, "traffic run"):
         return TrafficTable(counts={}, delta_x=delta_x)
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(TRAFFIC_RUN_HEADER):
-            raise ParseError(f"expected {len(TRAFFIC_RUN_HEADER)} fields, got {len(row)}", line_no)
-        line, from_text, to_text, dep_text = (cell.strip() for cell in row)
+    for line_no, (line, from_text, to_text, dep_text) in _rows(reader, len(TRAFFIC_RUN_HEADER)):
         if not line:
             raise ParseError("line identifier must be non-empty", line_no)
         km_from = _parse_float_field(from_text, "km_from", line_no)
@@ -543,7 +543,6 @@ class LineGeometry:
 
     line: str
     vertices: tuple[tuple[float, float, float], ...]
-    _kms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 2:
@@ -555,7 +554,6 @@ class LineGeometry:
         for lat, lon, _ in self.vertices:
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise ValueError(f"line {self.line}: coordinate ({lat}, {lon}) out of range")
-        object.__setattr__(self, "_kms", kms)
 
     @property
     def km_min(self) -> float:
@@ -581,9 +579,8 @@ def km_to_geo(geometry: LineGeometry, km: float) -> tuple[float, float]:
             f"km {km} outside calibrated range "
             f"[{geometry.km_min}, {geometry.km_max}] of line {geometry.line}"
         )
-    kms = geometry._kms
-    idx = bisect_right(kms, km) - 1
-    if idx == len(kms) - 1:
+    idx = bisect_right(geometry.vertices, km, key=itemgetter(2)) - 1
+    if idx == len(geometry.vertices) - 1:
         lat, lon, _ = geometry.vertices[-1]
         return (lat, lon)
     lat0, lon0, k0 = geometry.vertices[idx]
@@ -713,12 +710,7 @@ def parse_speed_profiles(stream: Union[str, IO[str]]) -> dict[str, SpeedProfile]
     if not _read_header(reader, SPEED_HEADER, "speed"):
         return {}
     rows: dict[str, list[tuple[float, float, float]]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(SPEED_HEADER):
-            raise ParseError(f"expected {len(SPEED_HEADER)} fields, got {len(row)}", line_no)
-        line, from_text, to_text, vmax_text = (cell.strip() for cell in row)
+    for line_no, (line, from_text, to_text, vmax_text) in _rows(reader, len(SPEED_HEADER)):
         if not line:
             raise ParseError("line identifier must be non-empty", line_no)
         km_from = _parse_float_field(from_text, "km_from", line_no)

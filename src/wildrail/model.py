@@ -33,10 +33,6 @@ __all__ = [
 MONTHS = tuple(range(1, 13))
 MONTHS_PER_YEAR = 12
 
-# time-of-day piece boundaries that model time bins must not straddle
-_PIECE_BOUNDARIES = (4.0, 6.0, 9.0, 15.0, 18.0, 24.0)
-
-
 class InsufficientDataError(ValueError):
     """A requested probability is undefined because its conditioning count is zero."""
 
@@ -104,9 +100,10 @@ DEFAULT_SEASONS = SeasonScheme(
 class BinConfig:
     """Grid resolution: km bin width and hour-of-day bin width.
 
-    ``delta_t`` must divide 24 and every daily traffic piece boundary (4, 6,
-    9, 15, 18, 24 hours) so that no time bin straddles a piece; in practice
-    that allows 1, 0.5, 0.25, ... hour bins.
+    ``delta_t`` must divide 24 so the day splits into whole bins.  A sweep
+    further needs it to divide every piece boundary of the traffic profile in
+    use, so no time bin straddles a piece; the default profile allows 1, 0.5,
+    0.25, ... hour bins.
     """
 
     delta_x: float = 5.0
@@ -117,11 +114,8 @@ class BinConfig:
             raise ValueError(f"delta_x must be positive, got {self.delta_x!r}")
         if not (math.isfinite(self.delta_t) and self.delta_t > 0):
             raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
-        for boundary in _PIECE_BOUNDARIES:
-            if not _divides(boundary, self.delta_t):
-                raise ValueError(
-                    f"delta_t={self.delta_t} straddles the traffic piece boundary at {boundary} h"
-                )
+        if not _divides(24.0, self.delta_t):
+            raise ValueError(f"delta_t={self.delta_t} must divide 24 hours")
 
     @property
     def n_t_bins(self) -> int:

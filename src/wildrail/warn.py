@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, _bin_floor, bin_index, km_to_geo
-from .model import MONTHS, FittedModel, InsufficientDataError
+from .model import MONTHS, FittedModel, InsufficientDataError, _divides
 
 __all__ = [
     "NoTrafficError",
@@ -344,6 +344,11 @@ def _build_grid(
 ) -> WarningGrid:
     delta_t = model.bins.delta_t
     delta_x = model.bins.delta_x
+    for boundary in profile.boundaries:
+        if not _divides(boundary, delta_t):
+            raise ValueError(
+                f"delta_t={delta_t} straddles the traffic piece boundary at {boundary} h"
+            )
     if traffic.counts and traffic.delta_x != delta_x:
         raise ValueError(
             f"traffic bin width {traffic.delta_x} does not match model bin width {delta_x}"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +94,7 @@ def make_synthetic(
         line = lines[int(rng.choice(n_lines, p=weights))]
         km = float(rng.uniform(0.0, km_span))
         records.append(AccidentRecord(date=date, time=time, line=line, km=km, species=""))
-    data = Dataset(records=tuple(records), period_start=start, period_end=end)
+    data = Dataset.from_records(tuple(records), start, end)
     counts: dict[tuple[str, float], float] = {}
     n_bins = int(km_span // 5.0) + 2
     for line in lines:
@@ -102,3 +104,11 @@ def make_synthetic(
                 continue  # bin absent from the table
             counts[(line, i * 5.0)] = 0.0 if draw < 0.35 else float(rng.integers(10, 200))
     return data, TrafficTable(counts=counts, delta_x=5.0)
+
+
+@contextlib.contextmanager
+def no_records():
+    """Fail any code that builds an AccidentRecord inside the block."""
+    built = AssertionError("an AccidentRecord was built")
+    with mock.patch("wildrail.ingest.AccidentRecord", side_effect=built):
+        yield

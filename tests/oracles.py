@@ -82,7 +82,10 @@ def parse_accidents_loop(text: str, period: tuple[dt.date, dt.date]) -> list[tup
             f"accident header must be {','.join(header)!r}, got {','.join(got)!r}", line_no=1
         )
     records = []
-    for line_no, row in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for row in reader:
+        # a row's first physical line; a quoted newline makes a row span more
+        line_no, next_line = next_line, reader.line_num + 1
         if not row:
             continue
         if len(row) != len(header):

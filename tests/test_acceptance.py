@@ -318,7 +318,7 @@ def test_criterion_6_holdout_informativeness() -> None:
 
     train = _structured_draw(rng, 4000, 2020, 2022, lines, p_line, seg_w, month_w, hour_w)
     test = _structured_draw(rng, 1000, 2023, 2023, lines, p_line, seg_w, month_w, hour_w)
-    model = fit(Dataset(records=tuple(train), period_start=dt.date(2020, 1, 1), period_end=dt.date(2022, 12, 31)))
+    model = fit(Dataset.from_records(tuple(train), dt.date(2020, 1, 1), dt.date(2022, 12, 31)))
     traffic = TrafficTable(
         counts={(line, i * 5.0): 100.0 for line in lines for i in range(10)}, delta_x=5.0
     )
@@ -333,11 +333,7 @@ def test_criterion_6_holdout_informativeness() -> None:
 def evaluate_holdout_for_acceptance(grid, test_records, theta):
     from wildrail import evaluate_holdout
 
-    test = Dataset(
-        records=tuple(test_records),
-        period_start=dt.date(2023, 1, 1),
-        period_end=dt.date(2023, 12, 31),
-    )
+    test = Dataset.from_records(tuple(test_records), dt.date(2023, 1, 1), dt.date(2023, 12, 31))
     return evaluate_holdout(grid, test, theta)
 
 
@@ -370,7 +366,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
                     )
                 bin_no += 1
             speed_map[line] = SpeedProfile(line=line, intervals=tuple(intervals))
-        data = Dataset(records=tuple(records), period_start=period[0], period_end=period[1])
+        data = Dataset.from_records(tuple(records), *period)
         return data, TrafficTable(counts=counts, delta_x=5.0), speed_map
 
     independent = build(
@@ -397,7 +393,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
         )
         for _ in range(2000)
     ]
-    data = Dataset(records=tuple(records), period_start=period[0], period_end=period[1])
+    data = Dataset.from_records(tuple(records), *period)
     model = fit(data)
     traffic = TrafficTable(
         counts={(line, i * 5.0): 120.0 for line in sweep_lines for i in range(20)},

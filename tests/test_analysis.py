@@ -43,7 +43,7 @@ from oracles import (
     pearson_manual,
     spearman_manual,
 )
-from conftest import DATA_DIR, make_synthetic
+from conftest import DATA_DIR, make_synthetic, no_records
 
 PERIOD = (dt.date(2020, 1, 1), dt.date(2022, 12, 31))
 
@@ -56,7 +56,7 @@ def record(month: int = 1, hour: int = 18, line: str = "139", km: float = 12.0,
 
 
 def dataset(records) -> Dataset:
-    return Dataset(records=tuple(records), period_start=PERIOD[0], period_end=PERIOD[1])
+    return Dataset.from_records(tuple(records), *PERIOD)
 
 
 # --- hexagonal binning ---
@@ -372,7 +372,7 @@ def test_holdout_requested_theta_joins_the_curve(eval_grid, bundled_test_data) -
 
 
 def test_holdout_guards(eval_grid) -> None:
-    empty = Dataset(records=(), period_start=PERIOD[0], period_end=PERIOD[1])
+    empty = Dataset.from_records((), *PERIOD)
     with pytest.raises(ValueError):
         evaluate_holdout(eval_grid, empty, 0.001)
     strays = dataset([record()])
@@ -434,8 +434,7 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
         AccidentRecord(date=dt.date(2023, month, 1), time=time, line=line, km=km)
         for line, km, month, time in rows
     ]
-    test = Dataset(records=tuple(records), period_start=dt.date(2023, 1, 1),
-                   period_end=dt.date(2023, 12, 31))
+    test = Dataset.from_records(tuple(records), dt.date(2023, 1, 1), dt.date(2023, 12, 31))
     # theta equal to a test accident's own p_pt checks that hits are strict;
     # flagged cells carry NaN and never hit
     own = [
@@ -464,8 +463,8 @@ def test_holdout_matches_record_loop_across_block_seams(eval_grid, bundled_test_
         )
         for i, t, km in zip(range(n), rng.integers(0, 24 * 60, n), rng.uniform(0.0, 70.0, n))
     )
-    test = Dataset(records=records, period_start=bundled_test_data.period_start,
-                   period_end=bundled_test_data.period_end)
+    period = (bundled_test_data.period_start, bundled_test_data.period_end)
+    test = Dataset.from_records(records, *period)
     assert_same_report(eval_grid, test, 0.001)
 
 
@@ -475,15 +474,14 @@ def test_holdout_single_record_matches_record_loop(eval_grid) -> None:
 
 
 def test_holdout_and_profiles_read_columns_only(eval_grid, bundled_traffic, bundled_speeds) -> None:
-    # a freshly parsed log is scored and profiled without building its records
-    with open(DATA_DIR / "accidents_2023_test.csv", encoding="utf-8") as fh:
+    # a log is parsed, scored and profiled without building any records
+    with no_records(), open(DATA_DIR / "accidents_2023_test.csv", encoding="utf-8") as fh:
         test = parse_accidents(fh, (dt.date(2023, 1, 1), dt.date(2023, 12, 31)))
-    evaluate_holdout(eval_grid, test, 0.001, include_adjacent=True)
-    speed_correlation(test, bundled_traffic, bundled_speeds)
-    species_profile(test)
-    hourly_profile(test, DEFAULT_SEASONS)
-    fit(test)
-    assert "records" not in vars(test)
+        evaluate_holdout(eval_grid, test, 0.001, include_adjacent=True)
+        speed_correlation(test, bundled_traffic, bundled_speeds)
+        species_profile(test)
+        hourly_profile(test, DEFAULT_SEASONS)
+        fit(test)
 
 
 def test_eval_json_layout(eval_grid, bundled_test_data) -> None:

@@ -18,7 +18,8 @@ from wildrail import (
     sweep_all,
 )
 from wildrail.cli import DEFAULT_THRESHOLDS, main, parse_seasons_spec, parse_thresholds_spec
-from conftest import DATA_DIR
+from conftest import DATA_DIR, no_records
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 ACCIDENTS = str(DATA_DIR / "accidents_2020_2022.csv")
 TEST_ACCIDENTS = str(DATA_DIR / "accidents_2023_test.csv")
@@ -305,6 +306,22 @@ def test_warn_rejects_malformed_model_and_geometry(tmp_path: Path, fitted: Path,
     assert not (tmp_path / "warnings.csv").exists()
 
 
+def test_warn_and_eval_reject_hour_bins_that_straddle_profile_pieces(tmp_path: Path, capsys) -> None:
+    # 2 h bins divide the day, so fit takes them, but 2 h does not divide the
+    # default profile's 9 h and 15 h boundaries
+    model = tmp_path / "model2h.json"
+    assert run_fit(tmp_path, "--delta-t", "2", "--out", str(model)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for command, *extra in (("warn", "--geometry", GEOMETRY), ("eval", "--test", TEST_ACCIDENTS)):
+        code = main([command, "--model", str(model), "--traffic", TRAFFIC, *extra,
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: delta_t=2.0 straddles"), err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # --- map ---
 
 
@@ -450,6 +467,16 @@ def test_eval_adjacent_from_config_must_be_boolean(tmp_path: Path, fitted: Path,
         assert main(base + ["--config", str(config)]) == 0
         doc = json.loads((tmp_path / "eval.json").read_text())
         assert doc["include_adjacent"] is value
+
+
+def test_no_command_builds_records(tmp_path: Path, capsys) -> None:
+    # every command reads the accident columns only
+    out = str(tmp_path)
+    commands = (*GOLDEN_COMMANDS, ("profile", ["--accidents", ACCIDENTS], ()))
+    with no_records():
+        for command, args, _ in commands:
+            argv = [command, *(a.replace("{out}", out) for a in args), "--out-dir", out]
+            assert main(argv) == 0, capsys.readouterr().err
 
 
 # --- argument plumbing ---

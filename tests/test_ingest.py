@@ -39,6 +39,7 @@ from wildrail import (
     species_profile,
     speed_correlation,
 )
+from conftest import no_records
 from oracles import (
     LoopParseError,
     count_days_loop,
@@ -142,10 +143,10 @@ def test_record_validation() -> None:
 def test_dataset_validation() -> None:
     rec = AccidentRecord(date=dt.date(2019, 6, 1), time=0, line="1", km=1.0)
     with pytest.raises(ValueError):
-        Dataset(records=(rec,), period_start=PERIOD[0], period_end=PERIOD[1])
+        Dataset.from_records((rec,), *PERIOD)
     with pytest.raises(ValueError):
-        Dataset(records=(), period_start=PERIOD[1], period_end=PERIOD[0])
-    empty = Dataset(records=(), period_start=PERIOD[0], period_end=PERIOD[1])
+        Dataset.from_records((), PERIOD[1], PERIOD[0])
+    empty = Dataset.from_records((), *PERIOD)
     assert empty.n == 0
     assert empty.total_days == 1096
 
@@ -314,30 +315,39 @@ def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) 
     assert parsed.dates.tolist() == [r.date.toordinal() for r in records]
     assert parsed.species == tuple(r.species for r in records)
 
-    # results, which read the columns and leave the records unbuilt
-    model = fit(parsed, bins=BinConfig(delta_x=delta_x, delta_t=delta_t))
-    counts = fit_counts_loop(records, DEFAULT_SEASONS.groups, delta_x, delta_t)
-    assert {key: getattr(model.counts, key) for key in counts} == counts
-    assert model.counts.n == len(records)
-    assert hourly_profile(parsed, DEFAULT_SEASONS) == hourly_profile_loop(
-        records, DEFAULT_SEASONS.groups
-    )
-    species = species_profile(parsed)
-    assert list(species.items()) == list(species_profile_loop(records).items())
-    traffic, speeds = speed_inputs(counts["by_line_xbin"], delta_x)
-    pairs = speed_pairs_loop(records, traffic, speeds, delta_x)
-    try:
-        report = speed_correlation(parsed, traffic, speeds, delta_x)
-    except (UndefinedCorrelationError, ValueError):
-        # fewer than 3 pairs, or one of the variables constant
-        assert len(pairs) < 3 or any(len({p[k] for p in pairs}) == 1 for k in (2, 3))
-    else:
-        assert report.pairs == tuple(pairs)
-    assert "records" not in vars(parsed)
+    # results, which read the columns and build no records
+    with no_records():
+        model = fit(parsed, bins=BinConfig(delta_x=delta_x, delta_t=delta_t))
+        counts = fit_counts_loop(records, DEFAULT_SEASONS.groups, delta_x, delta_t)
+        assert {key: getattr(model.counts, key) for key in counts} == counts
+        assert model.counts.n == len(records)
+        assert hourly_profile(parsed, DEFAULT_SEASONS) == hourly_profile_loop(
+            records, DEFAULT_SEASONS.groups
+        )
+        species = species_profile(parsed)
+        assert list(species.items()) == list(species_profile_loop(records).items())
+        traffic, speeds = speed_inputs(counts["by_line_xbin"], delta_x)
+        pairs = speed_pairs_loop(records, traffic, speeds, delta_x)
+        try:
+            report = speed_correlation(parsed, traffic, speeds, delta_x)
+        except (UndefinedCorrelationError, ValueError):
+            # fewer than 3 pairs, or one of the variables constant
+            assert len(pairs) < 3 or any(len({p[k] for p in pairs}) == 1 for k in (2, 3))
+        else:
+            assert report.pairs == tuple(pairs)
 
-    # records, and equality with the dataset built from them
+    # records, and the dataset built back from them
     assert parsed.records == tuple(records)
-    assert parsed == Dataset(records=tuple(records), period_start=PERIOD[0], period_end=PERIOD[1])
+    assert parsed == Dataset.from_records(records, *PERIOD)
+    assert_same_columns(Dataset.from_records(parsed.records, *PERIOD), parsed)
+
+
+def assert_same_columns(built: Dataset, parsed: Dataset) -> None:
+    assert (built.period_start, built.period_end) == (parsed.period_start, parsed.period_end)
+    for name in ("line_names", "species"):
+        assert getattr(built, name) == getattr(parsed, name)
+    for name in ("line_codes", "kms", "months", "minutes", "dates"):
+        assert np.array_equal(getattr(built, name), getattr(parsed, name))
 
 
 def speed_inputs(by_line_xbin: dict, delta_x: float):
@@ -366,6 +376,9 @@ def speed_inputs(by_line_xbin: dict, delta_x: float):
         (["2020-01-05,10:00,1,1.0,", "2020-01-05,10:00,,1.0,"], 3, "line"),
         # a time error comes before an out-of-period date in the same row
         (["2019-06-01,10:61,1,1.0,"], 2, "time"),
+        # a quoted newline makes the first row span lines 2-3
+        (['2020-01-05,10:00,1,1.0,"two\nlines"', "2020-01-05,25:00,1,1.0,"], 4, "25:00"),
+        (['2020-01-05,10:00,1,1.0,"two\nlines"', "2020-01-05,25:00,1,1.0,\"a\nb\""], 4, "25:00"),
     ],
 )
 def test_parse_error_names_first_row_of_repeated_value(rows, line_no: int, fragment: str) -> None:
@@ -379,27 +392,43 @@ def test_parse_error_names_first_row_of_repeated_value(rows, line_no: int, fragm
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "parse,header,rows",
+    [
+        (lambda text: parse_traffic(text, 5.0), "line,km_from,count", ('"a\nb",0,10', "1,abc,5")),
+        (
+            lambda text: parse_traffic_runs(text, 5.0),
+            "line,km_from,km_to,departure",
+            ('"a\nb",0,5,10:00', "1,0,5,25:00"),
+        ),
+        (parse_speed_profiles, "line,km_from,km_to,vmax", ('"a\nb",0,5,80', "1,0,5,-3")),
+    ],
+    ids=("traffic", "traffic_runs", "speeds"),
+)
+def test_csv_parsers_name_first_physical_line(parse, header: str, rows) -> None:
+    # the first row spans lines 2-3, so the bad second row starts on line 4
+    with pytest.raises(ParseError) as err:
+        parse("\n".join((header, *rows)) + "\n")
+    assert err.value.line_no == 4 and str(err.value).startswith("line 4: ")
+
+
 def test_dataset_from_records_builds_columns() -> None:
     parsed = parse_accidents(GOOD_CSV, PERIOD)
-    records = tuple(parse_accidents(GOOD_CSV, PERIOD).records)
-    built = Dataset(records=records, period_start=PERIOD[0], period_end=PERIOD[1])
-    assert built.records is records
+    records = parse_accidents(GOOD_CSV, PERIOD).records
+    built = Dataset.from_records(records, *PERIOD)
+    assert built.records == records
     assert built == parsed and hash(built) == hash(parsed)
-    for name in ("line_names", "species"):
-        assert getattr(built, name) == getattr(parsed, name)
-    for name in ("line_codes", "kms", "months", "minutes", "dates"):
-        assert np.array_equal(getattr(built, name), getattr(parsed, name))
+    assert_same_columns(built, parsed)
     assert parsed.line_names == ("1", "139", "140")
     assert parsed.line_codes.tolist() == [1, 0, 2]
-    assert parsed.records is parsed.records  # built once, then cached
     with pytest.raises(ValueError):
         parsed.kms[0] = 1.0  # the columns are read-only
 
 
 def test_dataset_replace_and_equality() -> None:
     parsed = parse_accidents(GOOD_CSV, PERIOD)
-    moved = dataclasses.replace(
-        parsed, records=tuple(dataclasses.replace(r, km=r.km + 1.0) for r in parsed.records)
+    moved = Dataset.from_records(
+        (dataclasses.replace(r, km=r.km + 1.0) for r in parsed.records), *PERIOD
     )
     assert moved.kms.tolist() == [13.4, 1.0, 80.9]
     assert moved.period_start == parsed.period_start and moved != parsed
@@ -415,7 +444,7 @@ def test_dataset_with_period() -> None:
     parsed = parse_accidents(GOOD_CSV, PERIOD)
     span = parsed.with_period(dt.date(2020, 1, 15), dt.date(2022, 12, 31))
     assert span.period_start == dt.date(2020, 1, 15)
-    assert span.kms is parsed.kms and "records" not in vars(span)
+    assert span.kms is parsed.kms
     assert span.records == parsed.records
     with pytest.raises(ValueError, match="record dated 2020-01-15 falls outside"):
         parsed.with_period(dt.date(2020, 1, 16), dt.date(2022, 12, 31))

@@ -19,12 +19,15 @@ from wildrail import (
     InsufficientDataError,
     SeasonScheme,
     DEFAULT_PROFILE,
+    TrafficProfile,
     TrafficTable,
+    bayes_warn_animals,
     count_days,
     fit,
     model_from_json,
     model_to_json,
     p_per_train,
+    sweep_all,
     traffic_m,
 )
 from conftest import PERIOD, make_synthetic
@@ -66,13 +69,26 @@ def test_bin_config_defaults_and_bins() -> None:
     assert bins.x_bin(0.0) == 0.0
 
 
-def test_bin_config_rejects_widths_that_split_profile_pieces() -> None:
-    # hour bins must land on the 4/6/9/15/18 traffic-profile boundaries
+def test_bin_config_rejects_widths_that_split_profile_pieces(bundled_data, bundled_traffic) -> None:
+    # hour bins must divide the day, and a sweep's bins must also land on the
+    # piece boundaries of its traffic profile (4/6/9/15/18 h by default)
     BinConfig(delta_t=0.5)
     BinConfig(delta_t=0.25)
-    for bad in (2.0, 3.0, 1.5, 24.0, 0.7):
-        with pytest.raises(ValueError):
-            BinConfig(delta_t=bad)
+    with pytest.raises(ValueError, match="must divide 24"):
+        BinConfig(delta_t=0.7)
+    flat = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
+    for bad in (2.0, 3.0, 1.5, 24.0):
+        model = fit(bundled_data, bins=BinConfig(delta_t=bad))
+        with pytest.raises(ValueError, match="straddles the traffic piece boundary"):
+            sweep_all(model, bundled_traffic, DEFAULT_PROFILE, (0.001,))
+        with pytest.raises(ValueError, match="straddles"):
+            p_per_train(model, bundled_traffic, DEFAULT_PROFILE, 1, 0.0, "139", 12.0)
+        with pytest.raises(ValueError, match="straddles"):
+            bayes_warn_animals(
+                model, bundled_traffic, DEFAULT_PROFILE, "139", 1, 0.0, bad, (0.001,), 0.0, 20.0
+            )
+        # a profile without those boundaries takes the same width
+        assert sweep_all(model, bundled_traffic, flat, (0.001,)).t_starts == model.bins.t_starts
     with pytest.raises(ValueError):
         BinConfig(delta_x=0.0)
     with pytest.raises(ValueError):
@@ -103,9 +119,9 @@ def test_bundled_counts_match_reference_totals(bundled_data, bundled_model) -> N
 
 
 def test_estimator_guards() -> None:
-    empty = Dataset(records=(), period_start=PERIOD[0], period_end=PERIOD[1])
+    empty = Dataset.from_records((), *PERIOD)
     rec = AccidentRecord(date=dt.date(2020, 1, 5), time=0, line="1", km=0.0)
-    tiny = Dataset(records=(rec,), period_start=PERIOD[0], period_end=PERIOD[1])
+    tiny = Dataset.from_records((rec,), *PERIOD)
     with pytest.raises(ValueError):
         fit(tiny, total_days=1095).mu_at(13)
     with pytest.raises(ValueError):
@@ -150,9 +166,7 @@ def test_fit_supports_are_dense_per_line(bundled_model) -> None:
 def test_fit_is_permutation_invariant(bundled_data) -> None:
     shuffled = list(bundled_data.records)
     random.Random(7).shuffle(shuffled)
-    reshuffled = Dataset(
-        records=tuple(shuffled), period_start=PERIOD[0], period_end=PERIOD[1]
-    )
+    reshuffled = Dataset.from_records(tuple(shuffled), *PERIOD)
     a = fit(bundled_data, total_days=1095)
     b = fit(reshuffled, total_days=1095)
     assert a.mu == b.mu
@@ -210,7 +224,7 @@ def make_one_month_model():
         AccidentRecord(date=dt.date(2020, 1, 1 + i % 20), time=(18 * 60 + i) % 1440, line="7", km=float(i % 9))
         for i in range(40)
     )
-    data = Dataset(records=records, period_start=PERIOD[0], period_end=PERIOD[1])
+    data = Dataset.from_records(records, *PERIOD)
     return fit(data, total_days=1095)
 
 

@@ -288,11 +288,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     # one accident over a week of exposure against a single daily train pushes
     # the per-train ratio far above 1; the cell must stay finite and warned
     record = AccidentRecord(date=dt.date(2021, 1, 5), time=12 * 60 + 30, line="9", km=2.0)
-    data = Dataset(
-        records=(record,),
-        period_start=dt.date(2021, 1, 1),
-        period_end=dt.date(2021, 1, 7),
-    )
+    data = Dataset.from_records((record,), dt.date(2021, 1, 1), dt.date(2021, 1, 7))
     traffic = TrafficTable(counts={("9", 0.0): 1.0}, delta_x=5.0)
     grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (0.001,))
     xi = grid.x_index("9", 2.0)
@@ -518,8 +514,10 @@ def test_exporters_match_cell_loops(
     rng = np.random.default_rng(seed)
     train, traffic = make_synthetic(rng, max_records=100, max_lines=3, km_span=20.0)
     names = {str(100 + i): name for i, name in enumerate(LINE_NAMES)}
-    train = dataclasses.replace(
-        train, records=tuple(dataclasses.replace(r, line=names[r.line]) for r in train.records)
+    train = Dataset.from_records(
+        (dataclasses.replace(r, line=names[r.line]) for r in train.records),
+        train.period_start,
+        train.period_end,
     )
     # thin traffic pushes p_pt past 1, so exceeds_unity cells appear
     traffic = TrafficTable(
