@@ -126,8 +126,8 @@ def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
         HexGrid with one count per occupied cell; empty input yields an
         empty grid.
     """
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing!r}")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
     if not points:
         return HexGrid(spacing=spacing, lat0=0.0, lon0=0.0, cells={})
     lat0 = sum(lat for lat, _ in points) / len(points)

@@ -1,24 +1,34 @@
 """Command-line workflows: fit, warn, map, profile, corr, eval.
 
 Every command is deterministic for identical inputs and configuration; file
-outputs are byte-stable across reruns.  Options may also be supplied through
-a single JSON config file (``--config``); explicit flags win over the file.
+outputs are byte-stable across reruns.
+
+``OPTIONS`` declares each option once; ``COMMANDS`` lists the options each
+command reads (``wildrail COMMAND --help`` shows them), and a command takes no
+other flag.  ``--config`` names a JSON object keyed by option name with ``_``
+for ``-``.  An option comes from its flag, else the config file, else its
+default; flag text and config value pass through the same converter, so a key
+that is present must have the option's type (a path is a string, a number is
+never ``true``/``false``, ``null`` is rejected).  Keys a command does not read
+are ignored, so one config file can serve every command.
 
 Exit codes: 0 success, 1 computation error (undefined probability, no
 traffic, undefined correlation), 2 input error (missing or malformed files,
-bad flags).
+bad flags or config values), with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import calendar
+import csv
 import datetime as dt
+import io
 import json
 import math
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .analysis import (
     UndefinedCorrelationError,
@@ -62,7 +72,7 @@ from .warn import (
     warnings_to_geojson,
 )
 
-__all__ = ["main", "run", "build_parser", "DEFAULT_THRESHOLDS"]
+__all__ = ["main", "run", "build_parser", "resolve", "OPTIONS", "COMMANDS", "DEFAULT_THRESHOLDS"]
 
 DEFAULT_THRESHOLDS = (0.0005, 0.001, 0.002)
 
@@ -95,38 +105,69 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return doc
 
 
-def _get(args: argparse.Namespace, config: dict[str, Any], key: str, default: Any = None) -> Any:
-    """Effective option value: explicit flag, then config file, then default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+# --- converters: flag text or config value -> option value, or ValueError ---
 
 
-def _get_number(
-    args: argparse.Namespace, config: dict[str, Any], key: str, default: Any = None, kind=float
-) -> Any:
-    """Effective numeric option value; a config value of the wrong type is an input error."""
-    value = _get(args, config, key, default)
-    if value is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"--{key.replace('_', '-')} must be a number, got {value!r}") from None
-
-
-def _require(args: argparse.Namespace, config: dict[str, Any], key: str) -> Any:
-    value = _get(args, config, key)
-    if value is None:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
+def _path(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a path string, got {value!r}")
     return value
 
 
-def parse_seasons_spec(spec: str) -> SeasonScheme:
+def _number(value: Any) -> float:
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"must be a number, got {value!r}")
+
+
+def _positive(value: Any) -> float:
+    number = _number(value)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return number
+
+
+def _month(value: Any) -> int:
+    month = _number(value)
+    if month not in range(1, 13):
+        raise ValueError(f"must be a month 1..12, got {value!r}")
+    return int(month)
+
+
+def _hour(value: Any) -> float:
+    hour = _number(value)
+    if not 0.0 <= hour < 24.0:
+        raise ValueError(f"must be in [0, 24), got {value!r}")
+    return hour
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _days_per_year(value: Any) -> str:
+    text = str(value) if type(value) is int else value  # config 365 means "365"
+    if text not in ("calendar", "365"):
+        raise ValueError(f"must be 'calendar' or '365', got {value!r}")
+    return text
+
+
+def _date(value: Any) -> dt.date:
+    try:
+        return dt.date.fromisoformat(_path(value))
+    except ValueError:
+        raise ValueError(f"must be YYYY-MM-DD, got {value!r}") from None
+
+
+def parse_seasons_spec(spec: Any) -> SeasonScheme:
     """Parse ``label=m1,m2,...;label2=...`` into a SeasonScheme."""
+    if not isinstance(spec, str):
+        raise ValueError(f"must look like label=1,2,3;label2=..., got {spec!r}")
     groups: dict[str, tuple[int, ...]] = {}
     for part in spec.split(";"):
         part = part.strip()
@@ -151,16 +192,10 @@ def parse_seasons_spec(spec: str) -> SeasonScheme:
 def parse_thresholds_spec(spec: Any) -> tuple[float, ...]:
     """Comma-separated (or config list of) thresholds; must ascend strictly."""
     if isinstance(spec, str):
-        parts = [p for p in (s.strip() for s in spec.split(",")) if p]
-        try:
-            values = tuple(float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"thresholds must be numbers, got {spec!r}") from None
-    else:
-        try:
-            values = tuple(float(v) for v in spec)
-        except (TypeError, ValueError):
-            raise ValueError(f"thresholds must be a list of numbers, got {spec!r}") from None
+        spec = [p for p in (s.strip() for s in spec.split(",")) if p]
+    elif not isinstance(spec, list):
+        raise ValueError(f"must be a list of numbers or comma-separated text, got {spec!r}")
+    values = tuple(_number(p) for p in spec)
     if not values:
         raise ValueError("at least one threshold is required")
     for a, b in zip(values, values[1:]):
@@ -171,43 +206,51 @@ def parse_thresholds_spec(spec: Any) -> tuple[float, ...]:
     return values
 
 
-def _as_date(value: Any, name: str) -> dt.date:
-    if isinstance(value, dt.date):
-        return value
-    try:
-        return dt.date.fromisoformat(str(value))
-    except ValueError:
-        raise ValueError(f"{name} must be YYYY-MM-DD, got {value!r}") from None
+# option name (the config key; the flag swaps "_" for "-") -> (converter, default, help)
+OPTIONS: dict[str, tuple[Callable[[Any], Any], Any, str]] = {
+    "accidents": (_path, None, "accident CSV (date,time,line,km,species)"),
+    "test": (_path, None, "held-out accident CSV"),
+    "period_start": (_date, None, "observation start, YYYY-MM-DD (default: first record)"),
+    "period_end": (_date, None, "observation end, YYYY-MM-DD (default: last record)"),
+    "days_per_year": (_days_per_year, "calendar", "day counting: calendar (default) or 365"),
+    "seasons": (parse_seasons_spec, DEFAULT_SEASONS,
+                "month grouping (default 'short=11,12,1,2;long=5,6,7,8;mid=3,4,9,10')"),
+    "delta_x": (_number, 5.0, "km bin width (default 5)"),
+    "delta_t": (_number, 1.0, "hour bin width (default 1)"),
+    "smoothing": (_number, 0.0, "additive smoothing count (default 0)"),
+    "model": (_path, None, "fitted model JSON"),
+    "traffic": (_path, None, "traffic CSV (line,km_from,count)"),
+    "traffic_runs": (_path, None, "per-train run CSV (line,km_from,km_to,departure)"),
+    "speeds": (_path, None, "speed profile CSV (line,km_from,km_to,vmax)"),
+    "geometry": (_path, None, "line geometry GeoJSON"),
+    "thresholds": (parse_thresholds_spec, DEFAULT_THRESHOLDS,
+                   "comma-separated warning thresholds, ascending (default 0.0005,0.001,0.002)"),
+    "theta_map": (_positive, None, "threshold of the GeoJSON export (default: smallest)"),
+    "month": (_month, None, "restrict the GeoJSON export to one month"),
+    "hour": (_hour, None, "restrict the GeoJSON export to one hour bin"),
+    "theta": (_number, None, "threshold to report (default: smallest)"),
+    "adjacent": (_boolean, False, "count warnings in neighbouring km bins as hits"),
+    "spacing": (_number, 2.5, "hex center spacing in km (default 2.5)"),
+    "out": (_path, None, "model JSON path (default <out-dir>/model.json)"),
+    "out_dir": (_path, ".", "directory for output files (default .)"),
+}
 
 
-def _resolve_seasons(args: argparse.Namespace, config: dict[str, Any]) -> SeasonScheme:
-    spec = _get(args, config, "seasons")
-    return parse_seasons_spec(spec) if spec is not None else DEFAULT_SEASONS
+def _require(opts: argparse.Namespace, name: str) -> Any:
+    value = getattr(opts, name)
+    if value is None:
+        raise ValueError(f"missing required option --{name.replace('_', '-')}")
+    return value
 
 
-def _resolve_bins(args: argparse.Namespace, config: dict[str, Any]) -> BinConfig:
-    return BinConfig(
-        delta_x=_get_number(args, config, "delta_x", 5.0),
-        delta_t=_get_number(args, config, "delta_t", 1.0),
-    )
-
-
-def _resolve_thresholds(args: argparse.Namespace, config: dict[str, Any]) -> tuple[float, ...]:
-    spec = _get(args, config, "thresholds")
-    return parse_thresholds_spec(spec) if spec is not None else DEFAULT_THRESHOLDS
-
-
-def _load_dataset(path: str, args: argparse.Namespace, config: dict[str, Any]) -> Dataset:
-    start = _get(args, config, "period_start")
-    end = _get(args, config, "period_end")
+def _load_dataset(path: str, opts: argparse.Namespace) -> Dataset:
+    start, end = opts.period_start, opts.period_end
     if (start is None) != (end is None):
         raise ValueError("provide both --period-start and --period-end, or neither")
     text = _read_text(path)
     try:
         if start is not None:
-            return parse_accidents(
-                text, (_as_date(start, "period-start"), _as_date(end, "period-end"))
-            )
+            return parse_accidents(text, (start, end))
         data = parse_accidents(text, (dt.date.min, dt.date.max))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -216,9 +259,8 @@ def _load_dataset(path: str, args: argparse.Namespace, config: dict[str, Any]) -
     return data.with_period(first, last)
 
 
-def _load_traffic(args: argparse.Namespace, config: dict[str, Any], delta_x: float):
-    table_path = _get(args, config, "traffic")
-    runs_path = _get(args, config, "traffic_runs")
+def _load_traffic(opts: argparse.Namespace, delta_x: float):
+    table_path, runs_path = opts.traffic, opts.traffic_runs
     if (table_path is None) == (runs_path is None):
         raise ValueError("provide exactly one of --traffic or --traffic-runs")
     try:
@@ -229,22 +271,25 @@ def _load_traffic(args: argparse.Namespace, config: dict[str, Any], delta_x: flo
         raise ParseError(f"{table_path or runs_path}: {exc}") from None
 
 
-def _out_path(args: argparse.Namespace, config: dict[str, Any], filename: str) -> str:
-    out_dir = str(_get(args, config, "out_dir", "."))
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, filename)
+def _out_path(opts: argparse.Namespace, filename: str) -> str:
+    os.makedirs(opts.out_dir, exist_ok=True)
+    return os.path.join(opts.out_dir, filename)
 
 
-def cmd_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    accidents_path = _require(args, config, "accidents")
-    data = _load_dataset(accidents_path, args, config)
-    days_per_year = str(_get(args, config, "days_per_year", "calendar"))
-    total_days = count_days(data.period_start, data.period_end, days_per_year)
-    seasons = _resolve_seasons(args, config)
-    bins = _resolve_bins(args, config)
-    smoothing = _get_number(args, config, "smoothing", 0.0)
-    model = fit(data, seasons, bins, total_days=total_days, smoothing=smoothing)
-    out = _get(args, config, "out") or _out_path(args, config, "model.json")
+def _write_csv(opts: argparse.Namespace, filename: str, header: list[str], rows) -> None:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(_out_path(opts, filename), out.getvalue())
+
+
+def cmd_fit(opts: argparse.Namespace) -> int:
+    data = _load_dataset(_require(opts, "accidents"), opts)
+    total_days = count_days(data.period_start, data.period_end, opts.days_per_year)
+    bins = BinConfig(delta_x=opts.delta_x, delta_t=opts.delta_t)
+    model = fit(data, opts.seasons, bins, total_days=total_days, smoothing=opts.smoothing)
+    out = opts.out or _out_path(opts, "model.json")
     _write_text(out, model_to_json(model))
     print(f"records: {data.n}")
     print(f"period: {data.period_start}..{data.period_end} (T={total_days} days)")
@@ -279,22 +324,12 @@ def _print_warn_summary(grid) -> None:
         print(f"  line {line}: {cells}")
 
 
-def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    month = _get_number(args, config, "month", kind=int)
-    hour = _get_number(args, config, "hour")
-    if month is not None and not 1 <= month <= 12:
-        raise ValueError(f"--month must be 1..12, got {month!r}")
-    if hour is not None and not 0.0 <= hour < 24.0:
-        raise ValueError(f"--hour must be in [0, 24), got {hour!r}")
-    model = model_from_json(_read_text(_require(args, config, "model")))
-    traffic = _load_traffic(args, config, model.bins.delta_x)
-    thresholds = _resolve_thresholds(args, config)
-    theta_map = _get_number(args, config, "theta_map", thresholds[0])
-    if not (math.isfinite(theta_map) and theta_map > 0):
-        raise ValueError(f"--theta-map must be positive and finite, got {theta_map!r}")
-    geometry_path = _get(args, config, "geometry")
-    geometries = None if geometry_path is None else parse_geometries(_read_text(geometry_path))
-    grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
+def cmd_warn(opts: argparse.Namespace) -> int:
+    model = model_from_json(_read_text(_require(opts, "model")))
+    traffic = _load_traffic(opts, model.bins.delta_x)
+    theta_map = opts.thresholds[0] if opts.theta_map is None else opts.theta_map
+    geometries = None if opts.geometry is None else parse_geometries(_read_text(opts.geometry))
+    grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
     exceeds = grid.flagged_cells(FLAG_EXCEEDS_UNITY)
     if exceeds:
         print(
@@ -302,22 +337,21 @@ def cmd_warn(args: argparse.Namespace, config: dict[str, Any]) -> int:
             " check the traffic table",
             file=sys.stderr,
         )
-    csv_path = _out_path(args, config, "warnings.csv")
+    csv_path = _out_path(opts, "warnings.csv")
     _write_text(csv_path, warnings_to_csv(grid))
     print(f"warning grid written to {csv_path}")
     if geometries is not None:
-        geojson = warnings_to_geojson(grid, geometries, theta_map, month=month, hour=hour)
-        geo_path = _out_path(args, config, "warnings.geojson")
+        geojson = warnings_to_geojson(grid, geometries, theta_map, month=opts.month, hour=opts.hour)
+        geo_path = _out_path(opts, "warnings.geojson")
         _write_text(geo_path, geojson)
         print(f"warned segments written to {geo_path}")
     _print_warn_summary(grid)
     return 0
 
 
-def cmd_map(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    data = _load_dataset(_require(args, config, "accidents"), args, config)
-    geometries = parse_geometries(_read_text(_require(args, config, "geometry")))
-    spacing = _get_number(args, config, "spacing", 2.5)
+def cmd_map(opts: argparse.Namespace) -> int:
+    data = _load_dataset(_require(opts, "accidents"), opts)
+    geometries = parse_geometries(_read_text(_require(opts, "geometry")))
     points: list[tuple[float, float]] = []
     skipped = 0
     for code, km in zip(data.line_codes.tolist(), data.kms.tolist()):
@@ -326,8 +360,8 @@ def cmd_map(args: argparse.Namespace, config: dict[str, Any]) -> int:
             skipped += 1
             continue
         points.append(km_to_geo(geometry, km))
-    grid = hex_bin(points, spacing)
-    out = _out_path(args, config, "hexmap.geojson")
+    grid = hex_bin(points, opts.spacing)
+    out = _out_path(opts, "hexmap.geojson")
     _write_text(out, hex_grid_to_geojson(grid))
     print(f"geocoded {len(points)} of {data.n} accidents ({skipped} without geometry)")
     print(f"occupied hex cells: {len(grid.cells)}")
@@ -337,19 +371,14 @@ def cmd_map(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    data = _load_dataset(_require(args, config, "accidents"), args, config)
-    seasons = _resolve_seasons(args, config)
+def cmd_profile(opts: argparse.Namespace) -> int:
+    data = _load_dataset(_require(opts, "accidents"), opts)
+    seasons = opts.seasons
     species = species_profile(data)
     hourly = hourly_profile(data, seasons)
-    species_lines = ["species,count"] + [f"{name},{count}" for name, count in species.items()]
-    _write_text(_out_path(args, config, "species.csv"), "\n".join(species_lines) + "\n")
-    hourly_lines = ["season,hour,count"] + [
-        f"{label},{hour},{hourly[(label, hour)]}"
-        for label in seasons.labels
-        for hour in range(24)
-    ]
-    _write_text(_out_path(args, config, "hourly.csv"), "\n".join(hourly_lines) + "\n")
+    _write_csv(opts, "species.csv", ["species", "count"], species.items())
+    hourly_rows = [(label, h, hourly[(label, h)]) for label in seasons.labels for h in range(24)]
+    _write_csv(opts, "hourly.csv", ["season", "hour", "count"], hourly_rows)
     print(f"records: {data.n}")
     print("most frequent species:")
     for name, count in list(species.items())[:5]:
@@ -361,13 +390,12 @@ def cmd_profile(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
-def cmd_corr(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    data = _load_dataset(_require(args, config, "accidents"), args, config)
-    delta_x = _get_number(args, config, "delta_x", 5.0)
-    traffic = _load_traffic(args, config, delta_x)
-    speeds = parse_speed_profiles(_read_text(_require(args, config, "speeds")))
-    report = speed_correlation(data, traffic, speeds, delta_x)
-    out = _out_path(args, config, "correlation.json")
+def cmd_corr(opts: argparse.Namespace) -> int:
+    data = _load_dataset(_require(opts, "accidents"), opts)
+    traffic = _load_traffic(opts, opts.delta_x)
+    speeds = parse_speed_profiles(_read_text(_require(opts, "speeds")))
+    report = speed_correlation(data, traffic, speeds, opts.delta_x)
+    out = _out_path(opts, "correlation.json")
     _write_text(out, correlation_to_json(report))
     print(f"bins: {report.n}")
     print(f"pearson: {report.pearson:.4f}")
@@ -376,19 +404,14 @@ def cmd_corr(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    model = model_from_json(_read_text(_require(args, config, "model")))
-    traffic = _load_traffic(args, config, model.bins.delta_x)
-    test_path = _require(args, config, "test")
-    test = _load_dataset(test_path, args, config)
-    thresholds = _resolve_thresholds(args, config)
-    theta = _get_number(args, config, "theta", thresholds[0])
-    grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
-    include_adjacent = _get(args, config, "adjacent", False)
-    if not isinstance(include_adjacent, bool):
-        raise ValueError(f"--adjacent must be true or false, got {include_adjacent!r}")
-    report = evaluate_holdout(grid, test, theta, include_adjacent=include_adjacent)
-    out = _out_path(args, config, "eval.json")
+def cmd_eval(opts: argparse.Namespace) -> int:
+    model = model_from_json(_read_text(_require(opts, "model")))
+    traffic = _load_traffic(opts, model.bins.delta_x)
+    test = _load_dataset(_require(opts, "test"), opts)
+    theta = opts.thresholds[0] if opts.theta is None else opts.theta
+    grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
+    report = evaluate_holdout(grid, test, theta, include_adjacent=opts.adjacent)
+    out = _out_path(opts, "eval.json")
     _write_text(out, eval_report_to_json(report))
     print(f"test accidents: {report.n_test} ({report.n_unmapped} unmapped)")
     print(f"theta={report.theta!r}: hit_rate={report.hit_rate:.4f}"
@@ -400,110 +423,81 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
-def _add_common_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; explicit flags win")
-    sp.add_argument("--out-dir", dest="out_dir", help="directory for output files (default .)")
-    sp.add_argument("--delta-x", dest="delta_x", type=float, help="km bin width (default 5)")
-    sp.add_argument("--delta-t", dest="delta_t", type=float, help="hour bin width (default 1)")
-    sp.add_argument(
-        "--thresholds",
-        help="comma-separated warning thresholds, ascending (default 0.0005,0.001,0.002)",
-    )
-    sp.add_argument(
-        "--days-per-year",
-        dest="days_per_year",
-        choices=("calendar", "365"),
-        help="exposure day counting: real calendar or 365-day years (skip Feb 29)",
-    )
-    sp.add_argument(
-        "--seasons",
-        help="month grouping, e.g. 'short=11,12,1,2;long=5,6,7,8;mid=3,4,9,10'",
-    )
-    sp.add_argument("--period-start", dest="period_start", help="observation start, YYYY-MM-DD")
-    sp.add_argument("--period-end", dest="period_end", help="observation end, YYYY-MM-DD")
+_ACCIDENTS = ("accidents", "period_start", "period_end")
+_GRID = ("model", "traffic", "traffic_runs")
+
+# command -> (handler, help, the options it reads)
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[str, ...]]] = {
+    "fit": (cmd_fit, "fit probability tables from accident records", (
+        *_ACCIDENTS, "days_per_year", "seasons", "delta_x", "delta_t", "smoothing", "out",
+        "out_dir")),
+    "warn": (cmd_warn, "compute the warning grid from a model and traffic", (
+        *_GRID, "thresholds", "geometry", "theta_map", "month", "hour", "out_dir")),
+    "map": (cmd_map, "hex-bin accident locations into a hotspot map", (
+        *_ACCIDENTS, "geometry", "spacing", "out_dir")),
+    "profile": (cmd_profile, "species and hour-of-day accident profiles", (
+        *_ACCIDENTS, "seasons", "out_dir")),
+    "corr": (cmd_corr, "correlate track speed with accidents per train", (
+        *_ACCIDENTS, "delta_x", "traffic", "traffic_runs", "speeds", "out_dir")),
+    "eval": (cmd_eval, "evaluate a warning grid against held-out accidents", (
+        *_GRID, "test", "period_start", "period_end", "thresholds", "theta", "adjacent",
+        "out_dir")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (one line, exit 2)."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A subcommand per ``COMMANDS`` entry taking ``--config`` and its options, kept as text."""
+    parser = _Parser(
         prog="wildrail",
         description="Wildlife-train collision risk: fit rate tables, raise per-train warnings, analyze hotspots.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p_fit = sub.add_parser("fit", help="fit probability tables from accident records")
-    p_fit.add_argument("--accidents", help="accident CSV (date,time,line,km,species)")
-    p_fit.add_argument("--smoothing", type=float, help="additive smoothing count (default 0)")
-    p_fit.add_argument("--out", help="model JSON output path (default <out-dir>/model.json)")
-    _add_common_options(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_warn = sub.add_parser("warn", help="compute the warning grid from a model and traffic")
-    p_warn.add_argument("--model", help="fitted model JSON")
-    p_warn.add_argument("--traffic", help="traffic CSV (line,km_from,count)")
-    p_warn.add_argument(
-        "--traffic-runs", dest="traffic_runs", help="per-train run CSV (line,km_from,km_to,departure)"
-    )
-    p_warn.add_argument("--geometry", help="line geometry GeoJSON for the map export")
-    p_warn.add_argument(
-        "--theta-map", dest="theta_map", type=float,
-        help="threshold for the GeoJSON export, positive (default: smallest threshold)",
-    )
-    p_warn.add_argument("--month", type=int, help="restrict the GeoJSON export to one month")
-    p_warn.add_argument("--hour", type=float, help="restrict the GeoJSON export to one hour bin")
-    _add_common_options(p_warn)
-    p_warn.set_defaults(func=cmd_warn)
-
-    p_map = sub.add_parser("map", help="hex-bin accident locations into a hotspot map")
-    p_map.add_argument("--accidents", help="accident CSV")
-    p_map.add_argument("--geometry", help="line geometry GeoJSON")
-    p_map.add_argument("--spacing", type=float, help="hex center spacing in km (default 2.5)")
-    _add_common_options(p_map)
-    p_map.set_defaults(func=cmd_map)
-
-    p_profile = sub.add_parser("profile", help="species and hour-of-day accident profiles")
-    p_profile.add_argument("--accidents", help="accident CSV")
-    _add_common_options(p_profile)
-    p_profile.set_defaults(func=cmd_profile)
-
-    p_corr = sub.add_parser("corr", help="correlate track speed with accidents per train")
-    p_corr.add_argument("--accidents", help="accident CSV")
-    p_corr.add_argument("--traffic", help="traffic CSV")
-    p_corr.add_argument(
-        "--traffic-runs", dest="traffic_runs", help="per-train run CSV alternative to --traffic"
-    )
-    p_corr.add_argument("--speeds", help="speed profile CSV (line,km_from,km_to,vmax)")
-    _add_common_options(p_corr)
-    p_corr.set_defaults(func=cmd_corr)
-
-    p_eval = sub.add_parser("eval", help="evaluate a warning grid against held-out accidents")
-    p_eval.add_argument("--model", help="fitted model JSON")
-    p_eval.add_argument("--traffic", help="traffic CSV")
-    p_eval.add_argument(
-        "--traffic-runs", dest="traffic_runs", help="per-train run CSV alternative to --traffic"
-    )
-    p_eval.add_argument("--test", help="held-out accident CSV")
-    p_eval.add_argument("--theta", type=float, help="threshold to report (default: smallest)")
-    p_eval.add_argument(
-        "--adjacent",
-        action="store_const",
-        const=True,
-        help="count warnings in neighbouring km bins as hits",
-    )
-    _add_common_options(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
+    for command, (_, command_help, names) in COMMANDS.items():
+        sp = sub.add_parser(command, help=command_help)
+        sp.add_argument("--config", help="JSON config file keyed by option name; flags win")
+        for name in names:
+            convert, _, option_help = OPTIONS[name]
+            kwargs = {"action": "store_const", "const": True} if convert is _boolean else {}
+            sp.add_argument("--" + name.replace("_", "-"), help=option_help, **kwargs)
     return parser
+
+
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The options ``args.command`` reads, each from its flag, else the config, else its default."""
+    config = _load_config(args.config)
+    opts = argparse.Namespace()
+    for name in COMMANDS[args.command][2]:
+        convert, default, _ = OPTIONS[name]
+        flag_value = getattr(args, name)
+        if flag_value is not None:
+            value, source = flag_value, "--" + name.replace("_", "-")
+        elif name in config:
+            value, source = config[name], f"config {args.config}: {name}"
+        else:
+            setattr(opts, name, default)
+            continue
+        try:
+            setattr(opts, name, convert(value))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+    return opts
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return 2
     try:
-        config = _load_config(getattr(args, "config", None))
-        return args.func(args, config)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
+        return COMMANDS[args.command][0](resolve(args))
     except (InsufficientDataError, NoTrafficError, UndefinedCorrelationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -421,9 +421,12 @@ def dataset_to_csv(data: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(ACCIDENT_HEADER)
-    for rec in data.records:
-        hh, mm = divmod(rec.time, 60)
-        writer.writerow([rec.date.isoformat(), f"{hh:02d}:{mm:02d}", rec.line, repr(rec.km), rec.species])
+    days = {day: dt.date.fromordinal(day).isoformat() for day in set(data.dates.tolist())}
+    rows = zip(data.dates.tolist(), data.minutes.tolist(), data.line_codes.tolist(),
+               data.kms.tolist(), data.species)
+    for day, minute, code, km, species in rows:
+        hh, mm = divmod(minute, 60)
+        writer.writerow([days[day], f"{hh:02d}:{mm:02d}", data.line_names[code], repr(km), species])
     return out.getvalue()
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,15 @@ from wildrail import (
     model_from_json,
     sweep_all,
 )
-from wildrail.cli import DEFAULT_THRESHOLDS, main, parse_seasons_spec, parse_thresholds_spec
+import wildrail.cli
+from wildrail.cli import (
+    COMMANDS,
+    DEFAULT_THRESHOLDS,
+    OPTIONS,
+    main,
+    parse_seasons_spec,
+    parse_thresholds_spec,
+)
 from conftest import DATA_DIR, no_records
 from test_golden import COMMANDS as GOLDEN_COMMANDS
 
@@ -350,6 +360,17 @@ def test_map_skips_records_without_geometry(tmp_path: Path, capsys) -> None:
     assert "geocoded 285 of 877" in capsys.readouterr().out
 
 
+def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
+    base = ["map", "--accidents", ACCIDENTS, "--geometry", GEOMETRY, "--out-dir", str(tmp_path)]
+    for value in ("nan", "inf", "-inf", "0", "-1"):
+        assert_input_error(main(base + [f"--spacing={value}"]), capsys)
+    config = tmp_path / "config.json"
+    for text in ('{"spacing": NaN}', '{"spacing": Infinity}', '{"spacing": 0}'):
+        config.write_text(text)
+        assert_input_error(main(base + ["--config", str(config)]), capsys)
+    assert not (tmp_path / "hexmap.geojson").exists()
+
+
 # --- profile ---
 
 
@@ -367,6 +388,22 @@ def test_profile_writes_species_and_hourly(tmp_path: Path, capsys) -> None:
     assert "short,18,37" in hourly_rows
     out = capsys.readouterr().out
     assert "season short: 338 accidents" in out
+
+
+def test_profile_species_csv_quotes_species_names(tmp_path: Path) -> None:
+    names = ["a,b", 'say "hi"', "two\nlines", "roe deer", "a,b"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["date", "time", "line", "km", "species"])
+    for i, name in enumerate(names):
+        writer.writerow([f"2021-0{i + 1}-01", "12:00", "9", "1.0", name])
+    accidents = tmp_path / "acc.csv"
+    accidents.write_text(text.getvalue())
+    assert main(["profile", "--accidents", str(accidents), "--out-dir", str(tmp_path)]) == 0
+    with (tmp_path / "species.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["species", "count"], ["a,b", "2"], ["roe deer", "1"], ['say "hi"', "1"],
+                    ["two\nlines", "1"]]
 
 
 # --- corr ---
@@ -513,3 +550,136 @@ def test_parse_thresholds_spec() -> None:
         parse_thresholds_spec("-0.1,0.2")
     with pytest.raises(ValueError):  # a config value that is neither a string nor a list
         parse_thresholds_spec(5)
+
+
+# --- the option table ---
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_exactly_the_options_a_command_reads(command: str, capsys) -> None:
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert sorted(listed) == sorted(["--help", "--config", *map(flag, COMMANDS[command][2])])
+
+
+# one flag per command that the command has no use for
+UNREAD_FLAGS = {
+    "fit": ["--thresholds", "0.001"],
+    "warn": ["--delta-x", "5"],
+    "map": ["--delta-t", "7"],
+    "profile": ["--days-per-year", "365"],
+    "corr": ["--seasons", "a=1,2,3,4,5,6;b=7,8,9,10,11,12"],
+    "eval": ["--delta-x", "5"],
+}
+
+
+SMALL_ACCIDENTS = "date,time,line,km,species\n" + "".join(
+    f"{year}-{month:02d}-{day:02d},{hour:02d}:30,9,{km},roe deer\n"
+    for year in (2021, 2022)
+    for month in range(1, 13)
+    for day, hour, km in ((3, month + 4, (month * 1.7) % 20), (17, 23 - month, (month * 3.1) % 20))
+)
+
+
+@pytest.fixture(scope="module")
+def small_config(tmp_path_factory) -> dict[str, dict]:
+    """A base config per command on a one-line, 20 km network; every run exits 0."""
+    root = tmp_path_factory.mktemp("small")
+    train = "".join(row for row in SMALL_ACCIDENTS.splitlines(True) if not row.startswith("2022"))
+    test = "".join(row for row in SMALL_ACCIDENTS.splitlines(True) if not row.startswith("2021"))
+    files = {
+        "train.csv": train,
+        "test.csv": test,
+        "traffic.csv": "line,km_from,count\n9,0,40\n9,5,60\n9,10,20\n9,15,90\n",
+        "speeds.csv": "line,km_from,km_to,vmax\n9,0,5,80\n9,5,10,100\n9,10,15,140\n9,15,20,60\n",
+        "lines.geojson": json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"line": "9", "km": [0.0, 20.0]},
+            "geometry": {"type": "LineString", "coordinates": [[19.0, 50.0], [19.2, 50.1]]},
+        }]}),
+    }
+    paths = {name: str(root / name) for name in files}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    train_period = {"period_start": "2021-01-01", "period_end": "2021-12-31"}
+    accidents = {"accidents": paths["train.csv"], **train_period}
+    paths["model.json"] = str(root / "model.json")
+    assert main(["fit", "--accidents", paths["train.csv"], "--out", paths["model.json"]]) == 0
+    grid_inputs = {"model": paths["model.json"], "traffic": paths["traffic.csv"]}
+    return {
+        "fit": {**accidents, "out_dir": "out"},
+        "warn": {**grid_inputs, "geometry": paths["lines.geojson"], "out_dir": "out"},
+        "map": {**accidents, "geometry": paths["lines.geojson"], "out_dir": "out"},
+        "profile": {**accidents, "out_dir": "out"},
+        "corr": {**accidents, "traffic": paths["traffic.csv"], "speeds": paths["speeds.csv"],
+                 "out_dir": "out"},
+        "eval": {**grid_inputs, "test": paths["test.csv"], "period_start": "2022-01-01",
+                 "period_end": "2022-12-31", "out_dir": "out"},
+    }
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_flags_a_command_does_not_read_are_rejected(
+    command: str, small_config, tmp_path: Path, monkeypatch, capsys
+) -> None:
+    assert UNREAD_FLAGS[command][0] not in map(flag, COMMANDS[command][2])
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_config[command]))
+    assert_input_error(main([command, "--config", str(config), *UNREAD_FLAGS[command]]), capsys)
+    assert not (tmp_path / "out").exists()
+    assert main([command, "--config", str(config)]) == 0
+
+
+# one value of every JSON type
+JSON_VALUES = (None, True, 3, 0.5, "x", [1], {"x": 1})
+
+
+@pytest.mark.parametrize(
+    "command,name", [(command, name) for command in COMMANDS for name in COMMANDS[command][2]]
+)
+def test_every_config_value_is_used_or_rejected_in_one_line(
+    command: str, name: str, small_config, tmp_path: Path, monkeypatch, capsys
+) -> None:
+    def guarded_open(file, *args, **kwargs):
+        assert isinstance(file, str), f"open({file!r})"  # never a file descriptor
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(wildrail.cli, "open", guarded_open, raising=False)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_config[command]))
+    assert main([command, "--config", str(config)]) == 0, capsys.readouterr().err
+    for value in JSON_VALUES:
+        for path in sorted(work.rglob("*"), reverse=True):
+            path.unlink() if path.is_file() else path.rmdir()
+        capsys.readouterr()
+        config.write_text(json.dumps({**small_config[command], name: value}))
+        code = main([command, "--config", str(config)])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2), (value, err)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error:"), (value, err)
+            assert not any(work.iterdir()), value
+    # a present null is never taken for "use the default"
+    config.write_text(json.dumps({**small_config[command], name: None}))
+    assert_input_error(main([command, "--config", str(config)]), capsys)
+
+
+def test_config_keys_a_command_does_not_read_are_ignored(
+    small_config, tmp_path: Path, monkeypatch
+) -> None:
+    # one config file can serve every command
+    monkeypatch.chdir(tmp_path)
+    for command, base in small_config.items():
+        unread = {name: {"x": [None]} for name in OPTIONS if name not in COMMANDS[command][2]}
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({**unread, **base}))
+        assert main([command, "--config", str(config)]) == 0, command

@@ -169,7 +169,9 @@ def test_parse_accidents_accepts_plain_string() -> None:
 
 def test_parse_accidents_round_trip() -> None:
     data = parse_accidents(io.StringIO(GOOD_CSV), PERIOD)
-    again = parse_accidents(io.StringIO(dataset_to_csv(data)), PERIOD)
+    with no_records():  # written from the columns
+        text = dataset_to_csv(data)
+    again = parse_accidents(io.StringIO(text), PERIOD)
     assert again.records == data.records
 
 
@@ -276,6 +278,10 @@ def accident_csv(draw, delta: float) -> str:
             row.append("extra")  # wrong field count
         else:
             row[column] = draw(st.sampled_from(BAD_TEXTS[column]))
+    # a leading row that spans two physical lines, so every later row's
+    # line number differs from its row count
+    if draw(st.booleans()):
+        rows.insert(0, ["2021-03-04", "05:06", "1", "1.0", "two\nlines"])
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     out = io.StringIO()
     writer = csv.writer(out, quoting=quoting, lineterminator="\n")
