@@ -13,13 +13,13 @@ from pathlib import Path
 
 from wildrail import (
     DEFAULT_PROFILE,
+    alpha,
     count_days,
     fit,
     model_to_json,
     parse_accidents,
     parse_traffic,
     p_per_train,
-    traffic_m,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -65,13 +65,14 @@ mu = model.mu_at(1)
 p_t = model.p_time_at(1, 18.0)
 p_l = model.p_line_at("139")
 p_x = model.p_segment_at("139", 12.0)
-m = traffic_m(traffic, DEFAULT_PROFILE, "139", 12.0, 18.0, 1.0)
+# expected trains in the window: daily count n times the hourly share alpha times dt
+m = (traffic.count("139", 12.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
 print("\nworked cell (line 139, km bin [10, 15), January, 18-19 h):")
 print(f"  mu(Jan)            = {mu:.4f} accidents / month")
 print(f"  p(18-19h | short)  = {p_t:.4f}")
 print(f"  p(line 139)        = {p_l:.4f}")
 print(f"  p([10,15) | 139)   = {p_x:.4f}")
-print(f"  expected trains m  = {m:.3f}")
+print(f"  m = n * alpha * dt = {m:.3f} expected trains")
 p = p_per_train(model, traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
 print(f"  p_pt = (p_t * mu) * (p_x * p_l) / m = {p:.6f}")
 print(f"  warns at theta=0.001: {p > 0.001}")

@@ -31,7 +31,6 @@ from .ingest import (
     SpeedProfile,
     TrafficTable,
     bin_index,
-    bin_start,
     count_days,
     dataset_to_csv,
     geometries_to_geojson,
@@ -65,7 +64,6 @@ from .warn import (
     bayes_warn_animals,
     p_per_train,
     sweep_all,
-    traffic_m,
     warnings_to_csv,
     warnings_to_geojson,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "SpeedProfile",
     "ParseError",
     "bin_index",
-    "bin_start",
     "count_days",
     "parse_accidents",
     "dataset_to_csv",
@@ -111,7 +108,6 @@ __all__ = [
     "NoTrafficError",
     "WarningGrid",
     "alpha",
-    "traffic_m",
     "p_per_train",
     "bayes_warn_animals",
     "sweep_all",

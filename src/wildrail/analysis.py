@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,11 +103,6 @@ class HexGrid:
                 np.copyto(best_col, col, where=closer)
                 np.copyto(best_row, row, where=closer)
         return best_col.astype(np.int64), best_row.astype(np.int64)
-
-    def assign_xy(self, x: float, y: float) -> tuple[int, int]:
-        """Nearest hex center to a projected point; ties go to the smallest (col, row)."""
-        cols, rows = self.assign(np.array([x], dtype=float), np.array([y], dtype=float))
-        return (int(cols[0]), int(rows[0]))
 
 
 def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
@@ -283,13 +278,7 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def correlation_to_json(report: CorrelationReport) -> str:
-    doc = {
-        "n": report.n,
-        "pearson": report.pearson,
-        "spearman": report.spearman,
-        "pairs": [list(pair) for pair in report.pairs],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -396,15 +385,4 @@ def _best_p(
 
 
 def eval_report_to_json(report: EvalReport) -> str:
-    doc = {
-        "theta": report.theta,
-        "hit_rate": report.hit_rate,
-        "warned_fraction": report.warned_fraction,
-        "n_test": report.n_test,
-        "n_mapped": report.n_mapped,
-        "n_unmapped": report.n_unmapped,
-        "hits": report.hits,
-        "include_adjacent": report.include_adjacent,
-        "curve": [list(pt) for pt in report.curve],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"

@@ -325,6 +325,10 @@ def _print_warn_summary(grid) -> None:
 
 
 def cmd_warn(opts: argparse.Namespace) -> int:
+    map_only = [name for name in ("theta_map", "month", "hour") if getattr(opts, name) is not None]
+    if map_only and opts.geometry is None:
+        given = ", ".join("--" + name.replace("_", "-") for name in map_only)
+        raise ValueError(f"{given}: used only by the GeoJSON export, which needs --geometry")
     model = model_from_json(_read_text(_require(opts, "model")))
     traffic = _load_traffic(opts, model.bins.delta_x)
     theta_map = opts.thresholds[0] if opts.theta_map is None else opts.theta_map

@@ -22,7 +22,6 @@ __all__ = [
     "LineGeometry",
     "SpeedProfile",
     "bin_index",
-    "bin_start",
     "count_days",
     "parse_accidents",
     "dataset_to_csv",
@@ -79,11 +78,6 @@ def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
     return idx - down + up
 
 
-def bin_start(value: float, delta: float) -> float:
-    """Start of the half-open bin containing ``value`` (see bin_index)."""
-    return bin_index(value, delta) * delta
-
-
 def count_days(start: dt.date, end: dt.date, days_per_year: str = "calendar") -> int:
     """Number of days in the inclusive span [start, end].
 
@@ -128,15 +122,6 @@ class AccidentRecord:
             raise ValueError("line identifier must be non-empty")
         if not math.isfinite(self.km) or self.km < 0:
             raise ValueError(f"km must be a finite non-negative number, got {self.km!r}")
-
-    @property
-    def month(self) -> int:
-        return self.date.month
-
-    @property
-    def hour(self) -> float:
-        """Time of day in fractional hours (e.g. 18:23 -> 18.383...)."""
-        return self.time / 60.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,11 +442,7 @@ class TrafficTable:
 
     def count(self, line: str, km: float) -> float:
         """Trains per day through the bin containing ``km`` on ``line`` (0 if unknown)."""
-        return self.counts.get((line, bin_start(km, self.delta_x)), 0.0)
-
-    @property
-    def lines(self) -> tuple[str, ...]:
-        return tuple(sorted({line for line, _ in self.counts}))
+        return self.counts.get((line, bin_index(km, self.delta_x) * self.delta_x), 0.0)
 
     def bins_for(self, line: str) -> tuple[float, ...]:
         return tuple(sorted(start for ln, start in self.counts if ln == line))
@@ -525,8 +506,7 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
         if km_from < 0 or km_to <= km_from:
             raise ParseError(f"need 0 <= km_from < km_to, got {from_text}..{to_text}", line_no)
         _parse_time_field(dep_text, line_no)
-        first = int(bin_start(km_from, delta_x) / delta_x + 0.5)
-        idx = first
+        idx = bin_index(km_from, delta_x)
         while idx * delta_x < km_to:
             # open-interval overlap: a run touching a bin only at its edge adds nothing
             if (idx + 1) * delta_x > km_from:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import Dataset, _bin_floor, bin_start
+from .ingest import Dataset, _bin_floor, bin_index
 
 __all__ = [
     "InsufficientDataError",
@@ -129,13 +129,13 @@ class BinConfig:
         """Start of the time bin containing the fractional hour ``hour``."""
         if not 0.0 <= hour < 24.0:
             raise ValueError(f"hour must be in [0, 24), got {hour!r}")
-        return bin_start(hour, self.delta_t)
+        return bin_index(hour, self.delta_t) * self.delta_t
 
     def x_bin(self, km: float) -> float:
         """Start of the km bin containing ``km``."""
         if km < 0:
             raise ValueError(f"km must be non-negative, got {km!r}")
-        return bin_start(km, self.delta_x)
+        return bin_index(km, self.delta_x) * self.delta_x
 
 
 @dataclass(frozen=True)

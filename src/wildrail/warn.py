@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_PROFILE",
     "WarningGrid",
     "alpha",
-    "traffic_m",
     "p_per_train",
     "bayes_warn_animals",
     "sweep_all",
@@ -157,18 +156,6 @@ def alpha(t: float, delta_t: float, profile: TrafficProfile = DEFAULT_PROFILE) -
     return mass / delta_t
 
 
-def traffic_m(
-    traffic: TrafficTable,
-    profile: TrafficProfile,
-    line: str,
-    x: float,
-    t: float,
-    delta_t: float,
-) -> float:
-    """Expected trains through (line, x's bin) in the window [t, t+delta_t)."""
-    return (traffic.count(line, x) * alpha(t, delta_t, profile)) * delta_t
-
-
 def p_per_train(
     model: FittedModel,
     traffic: TrafficTable,
@@ -231,8 +218,9 @@ class WarningGrid:
         Returns int64 arrays (li, xi, mi, ti): the position of each query's
         line in ``x_starts`` and its km bin, month and hour bin indices, with
         -1 where that part misses the grid (an unknown line also gives
-        xi = -1).  The rules are those of ``x_index``, ``month_index`` and
-        ``t_index``, which are one-element views of this.
+        xi = -1).  A km exactly at a line's final bin edge is clamped into
+        the final bin; anything further out misses.  ``month_index`` and
+        ``t_index`` are one-element views of this.
         """
         li = self._line_positions(lines)
         return (
@@ -265,15 +253,6 @@ class WarningGrid:
         starts = _bin_floor(hours, self.delta_t) * self.delta_t
         in_day = (hours >= 0.0) & (hours < 24.0)
         return np.where(in_day, _positions(self.t_starts, starts), -1)
-
-    def x_index(self, line: str, km: float) -> int | None:
-        """Index of the km bin containing ``km``, or None when off-grid.
-
-        A value exactly at the final bin's end edge is clamped into the final
-        bin; anything further out is off-grid.
-        """
-        li = self._line_positions((line,))
-        return _scalar_index(self._x_indices(li, np.array([km], dtype=float)))
 
     def month_index(self, month: int) -> int | None:
         return _scalar_index(_positions(self.months, np.array([month], dtype=float)))

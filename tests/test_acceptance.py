@@ -32,7 +32,6 @@ from wildrail import (
     parse_traffic,
     speed_correlation,
     sweep_all,
-    traffic_m,
 )
 from wildrail.cli import main
 from conftest import DATA_DIR, PERIOD, make_synthetic
@@ -66,7 +65,7 @@ def test_criterion_1_worked_example_reproduction() -> None:
     p_time = model.p_time_at(1, 18.0)
     p_line = model.p_line_at("139")
     p_segment = model.p_segment_at("139", 10.0)
-    m_window = traffic_m(traffic, DEFAULT_PROFILE, "139", 12.0, 18.0, 1.0)
+    m_window = (traffic.count("139", 12.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
     p_pt = p_per_train(model, traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
     grid = bayes_warn_animals(
         model, traffic, DEFAULT_PROFILE,

@@ -71,6 +71,12 @@ def test_hex_lattice_geometry() -> None:
     assert grid.center_xy(1, 0) == (2.0, 0.5 * v)  # odd columns shift half a step
 
 
+def assign_one(grid: HexGrid, x: float, y: float) -> tuple[int, int]:
+    """``HexGrid.assign`` on a one-element array."""
+    cols, rows = grid.assign(np.array([x]), np.array([y]))
+    return (int(cols[0]), int(rows[0]))
+
+
 def test_hex_projection_round_trip() -> None:
     grid = HexGrid(spacing=2.5, lat0=50.1, lon0=19.2, cells={})
     for lat, lon in [(50.1, 19.2), (50.0, 18.9), (50.3, 19.5)]:
@@ -91,7 +97,7 @@ def test_hex_projection_round_trip() -> None:
 )
 def test_hex_assignment_matches_exhaustive_search(x: float, y: float, spacing: float) -> None:
     grid = HexGrid(spacing=spacing, lat0=50.0, lon0=19.0, cells={})
-    assert grid.assign_xy(x, y) == nearest_center_exhaustive(x, y, spacing)
+    assert assign_one(grid, x, y) == nearest_center_exhaustive(x, y, spacing)
 
 
 @given(
@@ -100,7 +106,7 @@ def test_hex_assignment_matches_exhaustive_search(x: float, y: float, spacing: f
 )
 def test_hex_assignment_is_within_cover_radius(x: float, y: float) -> None:
     grid = HexGrid(spacing=2.5, lat0=50.0, lon0=19.0, cells={})
-    col, row = grid.assign_xy(x, y)
+    col, row = assign_one(grid, x, y)
     cx, cy = grid.center_xy(col, row)
     cover = grid.vertical_step / math.sqrt(3.0)  # circumradius of the hex cell
     assert math.hypot(x - cx, y - cy) <= cover * (1 + 1e-9)
@@ -128,7 +134,7 @@ def test_hex_assignment_breaks_exact_ties_toward_smallest_cell(spacing: float) -
     cols, rows = grid.assign(xs, ys)
     expected = [nearest_center_exhaustive(x, y, spacing) for x, y in ties]
     assert list(zip(cols.tolist(), rows.tolist())) == expected
-    assert [grid.assign_xy(x, y) for x, y in ties] == expected
+    assert [assign_one(grid, x, y) for x, y in ties] == expected
 
 
 def assert_same_hex_grid(points, spacing: float) -> None:
@@ -440,7 +446,7 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
     own = [
         float(grid.p_pt[rec.line][cell])
         for rec in records
-        if (cell := cell_of(grid, rec.line, rec.km, rec.month, rec.hour)) is not None
+        if (cell := cell_of(grid, rec.line, rec.km, rec.date.month, rec.time / 60.0)) is not None
     ]
     thetas = [p for p in own if not math.isnan(p)] + [0.0, 0.001]
     theta = data.draw(st.sampled_from(thetas))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -287,6 +288,20 @@ def test_warn_rejects_map_filters_that_match_nothing(tmp_path: Path, fitted: Pat
     assert not (tmp_path / "warnings.geojson").exists()
 
 
+def test_warn_rejects_map_options_without_geometry(tmp_path: Path, fitted: Path, capsys) -> None:
+    # --theta-map, --month and --hour only shape warnings.geojson
+    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)]
+    for flag_args in (["--theta-map", "0.001"], ["--month", "1"], ["--hour", "3"],
+                      ["--month", "1", "--theta-map", "0.001", "--hour", "3"]):
+        assert_input_error(main(base + flag_args), capsys)
+    for key, value in (("theta_map", 0.001), ("month", 1), ("hour", 3)):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: value}))
+        assert_input_error(main(base + ["--config", str(config)]), capsys)
+    assert not (tmp_path / "warnings.csv").exists()
+    assert main(base) == 0
+
+
 def test_warn_rejects_malformed_model_and_geometry(tmp_path: Path, fitted: Path, capsys) -> None:
     doc = json.loads(fitted.read_text())
     bad_models = {
@@ -517,6 +532,31 @@ def test_no_command_builds_records(tmp_path: Path, capsys) -> None:
 
 
 # --- argument plumbing ---
+
+
+def test_benchmark_api_resolves() -> None:
+    # perfbench/ is read as text, never imported: these are the names it calls
+    bench = DATA_DIR.parent / "perfbench"
+    worker = ast.parse((bench / "worker.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(worker)
+        if isinstance(node, ast.ImportFrom) and node.module == "wildrail"
+        for alias in node.names
+    ]
+    assert imported and all(hasattr(wildrail, name) for name in imported), imported
+    shim = ast.parse((bench / "clishim.py").read_text(encoding="utf-8"))
+    [traced] = [
+        ast.literal_eval(node.value)
+        for node in shim.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TRACED"]
+    ]
+    assert all(hasattr(wildrail.cli, name) for names in traced.values() for name in names)
+    for module in (wildrail, wildrail.ingest, wildrail.model, wildrail.warn, wildrail.analysis,
+                   wildrail.cli):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_no_command_prints_help() -> None:

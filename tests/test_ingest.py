@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildrail import (
@@ -22,7 +22,6 @@ from wildrail import (
     ParseError,
     SpeedProfile,
     bin_index,
-    bin_start,
     TrafficTable,
     UndefinedCorrelationError,
     count_days,
@@ -108,7 +107,8 @@ def test_count_days_matches_day_by_day_walk(start_ord: int, span: int, mode: str
 )
 def test_bin_index_basic(value: float, delta: float, expected: int) -> None:
     assert bin_index(value, delta) == expected
-    assert bin_start(value, delta) == expected * delta
+    if value >= 0:
+        assert BinConfig(delta_x=delta).x_bin(value) == expected * delta
 
 
 @given(
@@ -126,8 +126,8 @@ def test_bin_membership_invariant(value: float, delta: float) -> None:
 
 def test_record_validation() -> None:
     rec = AccidentRecord(date=dt.date(2020, 1, 15), time=18 * 60 + 23, line="139", km=12.4)
-    assert rec.month == 1
-    assert rec.hour == pytest.approx(18.3833333333)
+    assert rec.date.month == 1
+    assert rec.time / 60.0 == pytest.approx(18.3833333333)
     with pytest.raises(ValueError):
         AccidentRecord(date=rec.date, time=1440, line="139", km=0.0)
     with pytest.raises(ValueError):
@@ -316,7 +316,7 @@ def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) 
     assert parsed.line_names == tuple(sorted({r.line for r in records}))
     assert [parsed.line_names[c] for c in parsed.line_codes.tolist()] == [r.line for r in records]
     assert parsed.kms.tolist() == [r.km for r in records]
-    assert parsed.months.tolist() == [r.month for r in records]
+    assert parsed.months.tolist() == [r.date.month for r in records]
     assert parsed.minutes.tolist() == [r.time for r in records]
     assert parsed.dates.tolist() == [r.date.toordinal() for r in records]
     assert parsed.species == tuple(r.species for r in records)
@@ -467,7 +467,7 @@ def test_parse_traffic_sums_duplicates() -> None:
     assert table.count("139", 12.3) == 131.0
     assert table.count("1", 4.9) == 80.0
     assert table.count("1", 5.0) == 0.0
-    assert table.lines == ("1", "139")
+    assert sorted({line for line, _ in table.counts}) == ["1", "139"]
     assert table.bins_for("139") == (10.0,)
 
 
@@ -531,6 +531,34 @@ def test_parse_traffic_runs_half_open_overlap() -> None:
     assert table.count("139", 15.0) == 1.0
     assert table.count("139", 20.0) == 1.0
     assert table.count("139", 25.0) == 0.0
+
+
+def run_end(delta_x: float):
+    """A km on a bin edge, one ulp either side of one, or anywhere in [0, 200]."""
+    edge = st.integers(0, int(200 / delta_x)).map(lambda k: k * delta_x)
+    return st.one_of(
+        edge,
+        edge.map(lambda e: math.nextafter(e, -math.inf)),
+        edge.map(lambda e: math.nextafter(e, math.inf)),
+        st.floats(min_value=0.0, max_value=200.0),
+    )
+
+
+@given(delta_x=st.sampled_from([5.0, 2.5, 0.1, 0.3]), data=st.data())
+@settings(max_examples=300)  # a run starting one ulp below an edge is rare among the draws
+def test_parse_traffic_runs_matches_bin_loop(delta_x: float, data) -> None:
+    ends = data.draw(st.lists(st.tuples(run_end(delta_x), run_end(delta_x)), max_size=8))
+    runs = [(min(a, b), max(a, b)) for a, b in ends if a != b and min(a, b) >= 0]
+    text = "line,km_from,km_to,departure\n" + "".join(
+        f"139,{km_from!r},{km_to!r},06:00\n" for km_from, km_to in runs
+    )
+    # +1 on every bin b >= 0 whose open interior meets the run's extent
+    expected: dict[tuple[str, float], float] = {}
+    for km_from, km_to in runs:
+        for b in range(math.ceil(km_to / delta_x) + 1):
+            if b * delta_x < km_to and (b + 1) * delta_x > km_from:
+                expected[("139", b * delta_x)] = expected.get(("139", b * delta_x), 0.0) + 1.0
+    assert parse_traffic_runs(io.StringIO(text), delta_x).counts == expected
 
 
 def test_parse_traffic_runs_rejects_empty_span() -> None:

@@ -21,6 +21,7 @@ from wildrail import (
     DEFAULT_PROFILE,
     TrafficProfile,
     TrafficTable,
+    alpha,
     bayes_warn_animals,
     count_days,
     fit,
@@ -28,7 +29,6 @@ from wildrail import (
     model_to_json,
     p_per_train,
     sweep_all,
-    traffic_m,
 )
 from conftest import PERIOD, make_synthetic
 from oracles import expected_tables, table_counts
@@ -239,7 +239,7 @@ def test_zero_rate_month_short_circuits_missing_season() -> None:
     with pytest.raises(InsufficientDataError):
         model.p_time_at(6, 12.0)
     assert one_month_p(model, 6, 12.0, "7", 0.0) == 0.0
-    m = traffic_m(ONE_MONTH_TRAFFIC, DEFAULT_PROFILE, "7", 0.0, 18.0, 1.0)
+    m = (ONE_MONTH_TRAFFIC.count("7", 0.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
     temporal = model.p_time_at(1, 18.0) * model.mu_at(1)
     spatial = model.p_segment_at("7", 0.0) * model.p_line_at("7")
     assert one_month_p(model, 1, 18.0, "7", 0.0) == temporal * spatial / m

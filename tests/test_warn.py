@@ -33,7 +33,6 @@ from wildrail import (
     fit,
     p_per_train,
     sweep_all,
-    traffic_m,
     warnings_to_csv,
     warnings_to_geojson,
 )
@@ -115,13 +114,18 @@ def test_profile_validation() -> None:
     assert alpha(13.0, 1.0, flat) == 1.0 / 24
 
 
-def test_traffic_m_window() -> None:
+def test_traffic_m_window(bundled_model) -> None:
     table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0)
+    grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
+    _, (x12, x20), _, (t18, t16) = grid.locate(
+        ("139", "139"), np.array([12.0, 20.0]), np.array([1, 1]), np.array([18.0, 16.0])
+    )
+    assert min(x12, x20, t18, t16) >= 0
+    m_window = grid.m_window["139"]
     # hour 18 sits in the evening off-peak piece, and 16 in the peak
-    m = traffic_m(table, DEFAULT_PROFILE, "139", 12.0, 18.0, 1.0)
-    assert m == (131.0 * (0.55 / 14)) * 1.0
-    assert traffic_m(table, DEFAULT_PROFILE, "139", 12.0, 16.0, 1.0) == (131.0 * (0.4 / 6)) * 1.0
-    assert traffic_m(table, DEFAULT_PROFILE, "139", 20.0, 18.0, 1.0) == 0.0
+    assert m_window[x12, t18] == (131.0 * (0.55 / 14)) * 1.0
+    assert m_window[x12, t16] == (131.0 * (0.4 / 6)) * 1.0
+    assert m_window[x20, t18] == 0.0
 
 
 # --- scalar per-train probability ---
@@ -131,7 +135,7 @@ def test_p_per_train_composes_parts(bundled_model, bundled_traffic) -> None:
     p = p_per_train(bundled_model, bundled_traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
     temporal = bundled_model.p_time_at(1, 18.0) * bundled_model.mu_at(1)
     spatial = bundled_model.p_segment_at("139", 12.0) * bundled_model.p_line_at("139")
-    m = traffic_m(bundled_traffic, DEFAULT_PROFILE, "139", 12.0, 18.0, 1.0)
+    m = (bundled_traffic.count("139", 12.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
     assert p == temporal * spatial / m
 
 
@@ -291,9 +295,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     data = Dataset.from_records((record,), dt.date(2021, 1, 1), dt.date(2021, 1, 7))
     traffic = TrafficTable(counts={("9", 0.0): 1.0}, delta_x=5.0)
     grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (0.001,))
-    xi = grid.x_index("9", 2.0)
-    mi = grid.month_index(1)
-    ti = grid.t_index(12.5)
+    _, (xi,), (mi,), (ti,) = grid.locate(("9",), np.array([2.0]), np.array([1]), np.array([12.5]))
     p = float(grid.p_pt["9"][xi, mi, ti])
     assert p > 1.0
     assert int(grid.flags["9"][xi, mi, ti]) == 4  # exceeds_unity alone
@@ -322,13 +324,11 @@ def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, b
 
 
 def test_cell_index_lookups(bundled_grid) -> None:
-    assert bundled_grid.x_index("139", 0.0) == 0
-    assert bundled_grid.x_index("139", 12.4) == 2
-    assert bundled_grid.x_index("139", 59.9) == 11
-    assert bundled_grid.x_index("139", 60.0) == 11  # end edge clamps into the last bin
-    assert bundled_grid.x_index("139", 60.1) is None
-    assert bundled_grid.x_index("139", -0.1) is None
-    assert bundled_grid.x_index("999", 0.0) is None
+    lines = ("139",) * 6 + ("999",)
+    kms = np.array([0.0, 12.4, 59.9, 60.0, 60.1, -0.1, 0.0])
+    _, xi, _, _ = bundled_grid.locate(lines, kms, np.ones(7), np.zeros(7))
+    # 60.0 is the end edge of the last bin and clamps into it
+    assert xi.tolist() == [0, 2, 11, 11, -1, -1, -1]
     assert bundled_grid.month_index(1) == 0
     assert bundled_grid.month_index(13) is None
     assert bundled_grid.t_index(18.75) == 18
@@ -372,7 +372,6 @@ def test_locate_matches_tuple_lookups(seed: int, delta_t: float, data) -> None:
         got = (int(xi[q]), int(mi[q]), int(ti[q]))
         assert (got if min(got) >= 0 else None) == expected
         assert int(li[q]) == (grid.lines.index(line) if line in grid.lines else -1)
-        assert grid.x_index(line, k) == (None if xi[q] < 0 else int(xi[q]))
         assert grid.month_index(month) == (None if mi[q] < 0 else int(mi[q]))
         assert grid.t_index(hour_q) == (None if ti[q] < 0 else int(ti[q]))
 
