@@ -12,11 +12,11 @@ from pathlib import Path
 
 from wildrail import (
     DEFAULT_SEASONS,
-    correlation_to_json,
     hourly_profile,
     parse_accidents,
     parse_speed_profiles,
     parse_traffic,
+    report_to_json,
     species_profile,
     speed_correlation,
 )
@@ -60,5 +60,5 @@ print(
 )
 
 out = OUT / "correlation.json"
-out.write_text(correlation_to_json(report), encoding="utf-8")
+out.write_text(report_to_json(report), encoding="utf-8")
 print(f"pairs written to {out}")

@@ -13,11 +13,11 @@ from pathlib import Path
 from wildrail import (
     DEFAULT_PROFILE,
     count_days,
-    eval_report_to_json,
     evaluate_holdout,
     fit,
     parse_accidents,
     parse_traffic,
+    report_to_json,
     sweep_all,
 )
 
@@ -52,5 +52,5 @@ adjacent = evaluate_holdout(grid, test, theta=0.001, include_adjacent=True)
 print(f"\nwith adjacent bins: hit_rate {report.hit_rate:.4f} -> {adjacent.hit_rate:.4f}")
 
 out = OUT / "eval.json"
-out.write_text(eval_report_to_json(report), encoding="utf-8")
+out.write_text(report_to_json(report), encoding="utf-8")
 print(f"report written to {out}")

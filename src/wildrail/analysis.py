@@ -23,9 +23,8 @@ __all__ = [
     "species_profile",
     "hourly_profile",
     "speed_correlation",
-    "correlation_to_json",
     "evaluate_holdout",
-    "eval_report_to_json",
+    "report_to_json",
 ]
 
 KM_PER_DEGREE = math.pi * 6371.0 / 180.0
@@ -277,10 +276,6 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
 
 
-def correlation_to_json(report: CorrelationReport) -> str:
-    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Hold-out evaluation of a warning grid against later accidents.
@@ -384,5 +379,6 @@ def _best_p(
     return np.where(np.isnan(best), -np.inf, best)
 
 
-def eval_report_to_json(report: EvalReport) -> str:
+def report_to_json(report: CorrelationReport | EvalReport) -> str:
+    """A report's fields as one deterministic JSON document, keys sorted."""
     return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"

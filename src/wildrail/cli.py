@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import calendar
 import csv
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -32,12 +33,11 @@ from typing import Any, Callable
 
 from .analysis import (
     UndefinedCorrelationError,
-    correlation_to_json,
-    eval_report_to_json,
     evaluate_holdout,
     hex_bin,
     hex_grid_to_geojson,
     hourly_profile,
+    report_to_json,
     species_profile,
     speed_correlation,
 )
@@ -256,7 +256,7 @@ def _load_dataset(path: str, opts: argparse.Namespace) -> Dataset:
         raise ParseError(f"{path}: {exc}") from None
     # no explicit period: use the span of the data itself
     first, last = (dt.date.fromordinal(int(day)) for day in (data.dates.min(), data.dates.max()))
-    return data.with_period(first, last)
+    return dataclasses.replace(data, period_start=first, period_end=last)
 
 
 def _load_traffic(opts: argparse.Namespace, delta_x: float):
@@ -400,7 +400,7 @@ def cmd_corr(opts: argparse.Namespace) -> int:
     speeds = parse_speed_profiles(_read_text(_require(opts, "speeds")))
     report = speed_correlation(data, traffic, speeds, opts.delta_x)
     out = _out_path(opts, "correlation.json")
-    _write_text(out, correlation_to_json(report))
+    _write_text(out, report_to_json(report))
     print(f"bins: {report.n}")
     print(f"pearson: {report.pearson:.4f}")
     print(f"spearman: {report.spearman:.4f}")
@@ -416,7 +416,7 @@ def cmd_eval(opts: argparse.Namespace) -> int:
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
     report = evaluate_holdout(grid, test, theta, include_adjacent=opts.adjacent)
     out = _out_path(opts, "eval.json")
-    _write_text(out, eval_report_to_json(report))
+    _write_text(out, report_to_json(report))
     print(f"test accidents: {report.n_test} ({report.n_unmapped} unmapped)")
     print(f"theta={report.theta!r}: hit_rate={report.hit_rate:.4f}"
           f" warned_fraction={report.warned_fraction:.4f}")

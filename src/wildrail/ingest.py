@@ -8,7 +8,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Union
 
@@ -24,11 +24,9 @@ __all__ = [
     "bin_index",
     "count_days",
     "parse_accidents",
-    "dataset_to_csv",
     "parse_traffic",
     "parse_traffic_runs",
     "parse_geometries",
-    "geometries_to_geojson",
     "km_to_geo",
     "parse_speed_profiles",
 ]
@@ -131,7 +129,7 @@ class Dataset:
     The period is what the exposure time T is computed from, so it must be
     stated even when no accident falls on its first or last day.  Every date
     must lie inside it; ``__post_init__`` holds that rule for every way a
-    Dataset is made (``parse_accidents``, ``from_records``, ``with_period``,
+    Dataset is made (``parse_accidents``, ``from_records``,
     ``dataclasses.replace``).
 
     The columns hold one entry per record, in input order: ``line_codes``
@@ -221,14 +219,6 @@ class Dataset:
     def total_days(self) -> int:
         """Calendar days in the observation period, inclusive."""
         return count_days(self.period_start, self.period_end)
-
-    def with_period(self, start: dt.date, end: dt.date) -> Dataset:
-        """The same records over another observation period.
-
-        Raises:
-            ValueError: end before start, or a record dated outside [start, end].
-        """
-        return replace(self, period_start=start, period_end=end)
 
     def km_bin_counts(self, delta: float) -> dict[str, dict[int, int]]:
         """Records per line and km bin: line -> ``bin_index(km, delta)`` -> count.
@@ -401,23 +391,17 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
     return Dataset(start, end, **columns)
 
 
-def dataset_to_csv(data: Dataset) -> str:
-    """Serialize a Dataset back to accident CSV.  Round-trips via parse_accidents."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(ACCIDENT_HEADER)
-    days = {day: dt.date.fromordinal(day).isoformat() for day in set(data.dates.tolist())}
-    rows = zip(data.dates.tolist(), data.minutes.tolist(), data.line_codes.tolist(),
-               data.kms.tolist(), data.species)
-    for day, minute, code, km, species in rows:
-        hh, mm = divmod(minute, 60)
-        writer.writerow([days[day], f"{hh:02d}:{mm:02d}", data.line_names[code], repr(km), species])
-    return out.getvalue()
-
-
 def _check_bin_width(delta_x: float) -> None:
     if not (math.isfinite(delta_x) and delta_x > 0):
         raise ValueError(f"delta_x must be positive and finite, got {delta_x!r}")
+
+
+def _grid_index(start: float, delta: float) -> int | None:
+    """k when ``start`` is the bin start k*delta, up to a 1e-9 bin tolerance; else None."""
+    ratio = start / delta
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+        return None
+    return round(ratio)
 
 
 @dataclass(frozen=True)
@@ -434,8 +418,7 @@ class TrafficTable:
     def __post_init__(self) -> None:
         _check_bin_width(self.delta_x)
         for (line, start), value in self.counts.items():
-            ratio = start / self.delta_x
-            if abs(ratio - round(ratio)) > 1e-9:
+            if _grid_index(start, self.delta_x) is None:
                 raise ValueError(f"bin start {start} on line {line} is not a multiple of {self.delta_x}")
             if value < 0:
                 raise ValueError(f"negative count {value} on line {line} at km {start}")
@@ -470,13 +453,13 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
         km_from = _parse_float_field(km_text, "km_from", line_no)
         if km_from < 0:
             raise ParseError(f"km_from must be non-negative, got {km_text!r}", line_no)
-        ratio = km_from / delta_x
-        if abs(ratio - round(ratio)) > 1e-9:
+        index = _grid_index(km_from, delta_x)
+        if index is None:
             raise ParseError(f"km_from {km_text} is not aligned to the {delta_x} km grid", line_no)
         count = _parse_float_field(count_text, "count", line_no)
         if count < 0:
             raise ParseError(f"count must be non-negative, got {count_text!r}", line_no)
-        key = (line, round(ratio) * delta_x)
+        key = (line, index * delta_x)
         counts[key] = counts.get(key, 0.0) + count
     return TrafficTable(counts=counts, delta_x=delta_x)
 
@@ -508,10 +491,8 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
         _parse_time_field(dep_text, line_no)
         idx = bin_index(km_from, delta_x)
         while idx * delta_x < km_to:
-            # open-interval overlap: a run touching a bin only at its edge adds nothing
-            if (idx + 1) * delta_x > km_from:
-                key = (line, idx * delta_x)
-                counts[key] = counts.get(key, 0.0) + 1.0
+            key = (line, idx * delta_x)
+            counts[key] = counts.get(key, 0.0) + 1.0
             idx += 1
     return TrafficTable(counts=counts, delta_x=delta_x)
 
@@ -630,8 +611,8 @@ def parse_geometries(stream: Union[str, IO[str]]) -> dict[str, LineGeometry]:
         line = props.get("line")
         kms = props.get("km")
         coords = geom.get("coordinates") or []
-        if not line:
-            raise ParseError(f"feature {i}: missing 'line' property")
+        if not isinstance(line, str) or not line:
+            raise ParseError(f"feature {i}: 'line' must be a non-empty string, got {line!r}")
         if not isinstance(coords, list):
             raise ParseError(f"feature {i}: coordinates must be an array")
         if not isinstance(kms, list) or len(kms) != len(coords):
@@ -639,26 +620,8 @@ def parse_geometries(stream: Union[str, IO[str]]) -> dict[str, LineGeometry]:
         if line in result:
             raise ParseError(f"feature {i}: duplicate geometry for line {line}")
         vertices = tuple(_vertex(coord, km, i) for coord, km in zip(coords, kms))
-        result[str(line)] = LineGeometry(line=str(line), vertices=vertices)
+        result[line] = LineGeometry(line=line, vertices=vertices)
     return result
-
-
-def geometries_to_geojson(geometries: dict[str, LineGeometry]) -> str:
-    """Serialize line geometries to the GeoJSON form parse_geometries reads."""
-    features = []
-    for line in sorted(geometries):
-        geom = geometries[line]
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {"line": geom.line, "km": [v[2] for v in geom.vertices]},
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[v[1], v[0]] for v in geom.vertices],
-                },
-            }
-        )
-    return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
 
 
 @dataclass(frozen=True)

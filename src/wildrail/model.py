@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import Dataset, _bin_floor, bin_index
+from .ingest import Dataset, _bin_floor, _grid_index, bin_index
 
 __all__ = [
     "InsufficientDataError",
@@ -416,3 +416,17 @@ def _check_counts(counts: dict, seasons: SeasonScheme, bins: BinConfig) -> None:
     for line, table in by_line_xbin.items():
         if by_line[line] <= 0 or sum(table.values()) != by_line[line] or min(table.values()) < 0:
             raise ValueError(f"km-bin counts of line {line!r} disagree with its count")
+        # fit writes bins lo..hi, each i * delta_x, with records in bins lo and hi
+        starts = sorted(table)
+        lo = _grid_index(starts[0], bins.delta_x)
+        if (
+            lo is None
+            or lo < 0
+            or starts != [(lo + k) * bins.delta_x for k in range(len(starts))]
+            or table[starts[0]] == 0
+            or table[starts[-1]] == 0
+        ):
+            raise ValueError(
+                f"km-bin counts of line {line!r} must be one run of {bins.delta_x} km bins"
+                " with records in both end bins"
+            )

@@ -28,6 +28,9 @@ from .ingest import LineGeometry, TrafficTable, _bin_floor, bin_index, km_to_geo
 from .model import MONTHS, FittedModel, InsufficientDataError, _divides
 
 __all__ = [
+    "FLAG_NO_TRAFFIC",
+    "FLAG_INSUFFICIENT_DATA",
+    "FLAG_EXCEEDS_UNITY",
     "NoTrafficError",
     "TrafficProfile",
     "DEFAULT_PROFILE",
@@ -178,7 +181,7 @@ def p_per_train(
     """
     bins = model.bins
     grid = _build_grid(
-        model, traffic, profile, (), (line,), (tau,), (bins.t_bin(t),), {line: (bins.x_bin(x),)}
+        model, traffic, profile, (), (tau,), (bins.t_bin(t),), {line: (bins.x_bin(x),)}
     )
     bits = int(grid.flags[line][0, 0, 0])
     if bits & _NO_TRAFFIC_BIT:
@@ -193,7 +196,8 @@ def p_per_train(
 class WarningGrid:
     """Warning state over (line, km bin, month, hour bin) cells.
 
-    Per line, ``p_pt`` is a (n_x, n_months, n_t) float array with NaN in
+    ``x_starts`` maps each line, in grid order, to its km bin starts.  Per
+    line, ``p_pt`` is a (n_x, n_months, n_t) float array with NaN in
     flagged cells, ``m_window`` a (n_x, n_t) array, and ``flags`` a bitmask
     array parallel to ``p_pt``.  ``warned`` state is derived on demand:
     a cell is warned at theta exactly when p_pt > theta.
@@ -202,13 +206,16 @@ class WarningGrid:
     delta_x: float
     delta_t: float
     thresholds: tuple[float, ...]
-    lines: tuple[str, ...]
     months: tuple[int, ...]
     t_starts: tuple[float, ...]
     x_starts: dict[str, tuple[float, ...]]
     p_pt: dict[str, np.ndarray]
     m_window: dict[str, np.ndarray]
     flags: dict[str, np.ndarray]
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        return tuple(self.x_starts)
 
     def locate(
         self, lines: Sequence[str], km: np.ndarray, months: np.ndarray, hours: np.ndarray
@@ -316,7 +323,6 @@ def _build_grid(
     traffic: TrafficTable,
     profile: TrafficProfile,
     thresholds: tuple[float, ...],
-    lines: tuple[str, ...],
     months: tuple[int, ...],
     t_starts: tuple[float, ...],
     x_starts: dict[str, tuple[float, ...]],
@@ -352,8 +358,7 @@ def _build_grid(
     p_pt: dict[str, np.ndarray] = {}
     m_window: dict[str, np.ndarray] = {}
     flags: dict[str, np.ndarray] = {}
-    for line in lines:
-        starts = x_starts[line]
+    for line, starts in x_starts.items():
         p_line = model.p_line_at(line)
         segment_table = model.p_segment.get(line, {})
         if p_line == 0.0:
@@ -381,7 +386,6 @@ def _build_grid(
         delta_x=delta_x,
         delta_t=delta_t,
         thresholds=thresholds,
-        lines=lines,
         months=months,
         t_starts=t_starts,
         x_starts=x_starts,
@@ -433,7 +437,6 @@ def bayes_warn_animals(
         traffic,
         profile,
         checked,
-        lines=(line,),
         months=(tau,),
         t_starts=(model.bins.t_bin(t),),
         x_starts={line: starts},
@@ -467,7 +470,6 @@ def sweep_all(
         traffic,
         profile,
         checked,
-        lines=model.lines,
         months=MONTHS,
         t_starts=model.bins.t_starts,
         x_starts=x_starts,

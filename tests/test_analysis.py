@@ -21,14 +21,13 @@ from wildrail import (
     SpeedProfile,
     TrafficTable,
     UndefinedCorrelationError,
-    correlation_to_json,
-    eval_report_to_json,
     evaluate_holdout,
     fit,
     hex_bin,
     hex_grid_to_geojson,
     hourly_profile,
     parse_accidents,
+    report_to_json,
     species_profile,
     speed_correlation,
     sweep_all,
@@ -319,7 +318,7 @@ def test_speed_correlation_guards() -> None:
 def test_correlation_json_layout() -> None:
     data, traffic, speeds = linear_setup()
     report = speed_correlation(data, traffic, speeds, delta_x=5.0)
-    doc = json.loads(correlation_to_json(report))
+    doc = json.loads(report_to_json(report))
     assert set(doc) == {"n", "pearson", "spearman", "pairs"}
     assert doc["n"] == 6
     assert doc["pairs"][0] == ["7", 0.0, 60.0, 0.1]
@@ -492,7 +491,7 @@ def test_holdout_and_profiles_read_columns_only(eval_grid, bundled_traffic, bund
 
 def test_eval_json_layout(eval_grid, bundled_test_data) -> None:
     report = evaluate_holdout(eval_grid, bundled_test_data, 0.001)
-    doc = json.loads(eval_report_to_json(report))
+    doc = json.loads(report_to_json(report))
     assert set(doc) == {
         "theta", "hit_rate", "warned_fraction", "n_test", "n_mapped",
         "n_unmapped", "hits", "include_adjacent", "curve",

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import copy
 import csv
 import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildrail import (
     DEFAULT_PROFILE,
@@ -37,6 +42,7 @@ TEST_ACCIDENTS = str(DATA_DIR / "accidents_2023_test.csv")
 TRAFFIC = str(DATA_DIR / "traffic.csv")
 SPEEDS = str(DATA_DIR / "speeds.csv")
 GEOMETRY = str(DATA_DIR / "lines.geojson")
+MODEL = str(DATA_DIR.parent / "demos" / "output" / "model.json")
 
 FLAGS = (FLAG_NO_TRAFFIC, FLAG_INSUFFICIENT_DATA, FLAG_EXCEEDS_UNITY)
 
@@ -386,6 +392,19 @@ def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
     assert not (tmp_path / "hexmap.geojson").exists()
 
 
+def test_map_rejects_line_names_that_are_not_strings(tmp_path: Path, capsys) -> None:
+    geometry = tmp_path / "lines.geojson"
+    doc = json.loads(Path(GEOMETRY).read_text())
+    out = tmp_path / "out"
+    for line in ([1], {"a": 1}, 5, True):
+        doc["features"][0]["properties"]["line"] = line
+        geometry.write_text(json.dumps(doc))
+        code = main(["map", "--accidents", ACCIDENTS, "--geometry", str(geometry),
+                     "--out-dir", str(out)])
+        assert_input_error(code, capsys)
+    assert not out.exists()
+
+
 # --- profile ---
 
 
@@ -557,6 +576,61 @@ def test_benchmark_api_resolves() -> None:
                    wildrail.cli):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def json_paths(node, path: tuple = ()):
+    """The path to every value of a JSON document, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, path + (key,))
+
+
+def replaced(doc, path: tuple, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# the committed files a hostile value goes into, and the commands that read each
+HOSTILE_FILES = {"model": (MODEL, ("warn", "eval")), "geometry": (GEOMETRY, ("warn", "map"))}
+# small values only, so no example can ask for a huge grid
+HOSTILE_VALUES = (None, True, "x", [], {}, -1, 0, 1.5)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(data=st.data())
+def test_hostile_file_contents_fail_in_one_line(data) -> None:
+    option = data.draw(st.sampled_from(sorted(HOSTILE_FILES)))
+    source, commands = HOSTILE_FILES[option]
+    doc = json.loads(Path(source).read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    value = data.draw(st.sampled_from(HOSTILE_VALUES))
+    command = data.draw(st.sampled_from(commands))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"model": MODEL, "geometry": GEOMETRY, option: str(Path(tmp) / "hostile.json")}
+        Path(files[option]).write_text(json.dumps(replaced(doc, path, value)))
+        inputs = {
+            "warn": ["--model", files["model"], "--traffic", TRAFFIC,
+                     "--geometry", files["geometry"]],
+            "eval": ["--model", files["model"], "--traffic", TRAFFIC, "--test", TEST_ACCIDENTS],
+            "map": ["--accidents", ACCIDENTS, "--geometry", files["geometry"]],
+        }[command]
+        out_dir = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, *inputs, "--out-dir", str(out_dir)])
+        if code != 0:
+            err = stderr.getvalue().splitlines()
+            assert code in (1, 2), (path, value, code)
+            assert len(err) == 1 and err[0].startswith("error:"), (path, value, err)
+            assert not out_dir.exists(), (path, value)
 
 
 def test_no_command_prints_help() -> None:

@@ -7,6 +7,9 @@ import dataclasses
 import datetime as dt
 import io
 import math
+import runpy
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +28,7 @@ from wildrail import (
     TrafficTable,
     UndefinedCorrelationError,
     count_days,
-    dataset_to_csv,
     fit,
-    geometries_to_geojson,
     hourly_profile,
     km_to_geo,
     parse_accidents,
@@ -38,7 +39,7 @@ from wildrail import (
     species_profile,
     speed_correlation,
 )
-from conftest import no_records
+from conftest import DATA_DIR, no_records
 from oracles import (
     LoopParseError,
     count_days_loop,
@@ -165,14 +166,6 @@ def test_parse_accidents_good() -> None:
 
 def test_parse_accidents_accepts_plain_string() -> None:
     assert parse_accidents(GOOD_CSV, PERIOD).n == 3
-
-
-def test_parse_accidents_round_trip() -> None:
-    data = parse_accidents(io.StringIO(GOOD_CSV), PERIOD)
-    with no_records():  # written from the columns
-        text = dataset_to_csv(data)
-    again = parse_accidents(io.StringIO(text), PERIOD)
-    assert again.records == data.records
 
 
 @pytest.mark.parametrize(
@@ -447,15 +440,18 @@ def test_dataset_replace_and_equality() -> None:
 
 
 def test_dataset_with_period() -> None:
+    def with_period(data: Dataset, start: dt.date, end: dt.date) -> Dataset:
+        return dataclasses.replace(data, period_start=start, period_end=end)
+
     parsed = parse_accidents(GOOD_CSV, PERIOD)
-    span = parsed.with_period(dt.date(2020, 1, 15), dt.date(2022, 12, 31))
+    span = with_period(parsed, dt.date(2020, 1, 15), dt.date(2022, 12, 31))
     assert span.period_start == dt.date(2020, 1, 15)
     assert span.kms is parsed.kms
     assert span.records == parsed.records
     with pytest.raises(ValueError, match="record dated 2020-01-15 falls outside"):
-        parsed.with_period(dt.date(2020, 1, 16), dt.date(2022, 12, 31))
+        with_period(parsed, dt.date(2020, 1, 16), dt.date(2022, 12, 31))
     with pytest.raises(ValueError, match="precedes"):
-        parsed.with_period(dt.date(2022, 1, 1), dt.date(2021, 1, 1))
+        with_period(parsed, dt.date(2022, 1, 1), dt.date(2021, 1, 1))
 
 
 # --- traffic CSV ---
@@ -624,10 +620,15 @@ def test_km_to_geo_longitude_monotone(a: float, b: float) -> None:
 
 
 def test_parse_geometries_round_trip() -> None:
-    geos = {"139": make_geometry()}
-    parsed = parse_geometries(io.StringIO(geometries_to_geojson(geos)))
-    assert parsed.keys() == geos.keys()
-    assert parsed["139"].vertices == geos["139"].vertices
+    text = (
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+        '"properties": {"line": "139", "km": [0.0, 10.0, 30.0]}, '
+        '"geometry": {"type": "LineString", '
+        '"coordinates": [[19.0, 50.0], [19.2, 50.1], [19.5, 50.1]]}}]}'
+    )
+    parsed = parse_geometries(io.StringIO(text))
+    assert parsed.keys() == {"139"}
+    assert parsed["139"].vertices == make_geometry().vertices
 
 
 def test_parse_geometries_rejects_bad_documents() -> None:
@@ -651,6 +652,9 @@ def test_parse_geometries_rejects_bad_documents() -> None:
         parse_geometries(io.StringIO(point))
     with pytest.raises(ParseError):  # a feature that is not an object
         parse_geometries(io.StringIO('{"type": "FeatureCollection", "features": [5]}'))
+    for line in ('""', "null", "[1]", '{"a": 1}', "5", "true"):
+        with pytest.raises(ParseError, match="feature 0: 'line' must be a non-empty string"):
+            parse_geometries(io.StringIO(doc.replace('"1"', line).replace("[0.0]", "[0.0, 5.0]")))
 
 
 def geometry_doc(coords: str, kms: str = "[0.0, 5.0]") -> io.StringIO:
@@ -725,3 +729,17 @@ def test_parse_speed_profiles() -> None:
     assert speeds["139"].speed_at(12.0) == 70.0
     with pytest.raises(ParseError):
         parse_speed_profiles(io.StringIO("line,km_from,km_to,vmax\n139,5.0,5.0,100\n"))
+
+
+# --- bundled fixtures ---
+
+
+def test_generate_fixtures_reproduces_data(tmp_path: Path) -> None:
+    # the script writes next to itself, so run a copy
+    script = shutil.copy(DATA_DIR / "generate_fixtures.py", tmp_path)
+    runpy.run_path(script, run_name="__main__")
+    written = sorted(path.name for path in tmp_path.iterdir() if path.suffix != ".py")
+    bundled = sorted(path.name for path in DATA_DIR.iterdir() if path.suffix != ".py")
+    assert written == bundled and len(written) == 5
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name

@@ -285,6 +285,17 @@ def tamper(model, edit) -> str:
     return json.dumps(doc)
 
 
+def km_bins_edit(line: str, edit):
+    """Edit one line's km-bin counts and re-derive its p_segment, so only the bins are off."""
+
+    def apply(doc) -> None:
+        table = doc["counts"]["by_line_xbin"][line]
+        edit(table)
+        doc["p_segment"][line] = {xs: c / doc["counts"]["by_line"][line] for xs, c in table.items()}
+
+    return apply
+
+
 def test_model_from_json_rejects_malformed_input(bundled_model) -> None:
     with pytest.raises(ValueError):
         model_from_json("not json")
@@ -311,7 +322,17 @@ def test_model_from_json_rejects_malformed_input(bundled_model) -> None:
         lambda d: d["counts"].update(n="877"),
         lambda d: d["counts"]["by_season_tbin"]["short"].pop("18.0"),
         lambda d: d["counts"]["by_line_xbin"].pop("139"),
+        # km bins fit cannot write: a bin off the grid, a gap, an empty end
+        # bin at either end, bins below km 0
+        km_bins_edit("139", lambda t: t.__setitem__("11.0", t.pop("10.0"))),
+        km_bins_edit("139", lambda t: t.__setitem__("20.0", t["20.0"] + t.pop("25.0"))),
+        km_bins_edit("139", lambda t: t.update({"60.0": 0})),
+        km_bins_edit("139", lambda t: t.update({"5.0": t["5.0"] + t["0.0"], "0.0": 0})),
+        km_bins_edit("139", lambda t: [
+            t.__setitem__(repr(float(xs) - 5.0), t.pop(xs)) for xs in sorted(t, key=float)
+        ]),
     )
     for edit in edits:
         with pytest.raises(ValueError):
             model_from_json(tamper(bundled_model, edit))
+    assert model_from_json(tamper(bundled_model, km_bins_edit("139", lambda t: None)))
