@@ -59,7 +59,8 @@ for value, line, xi, mi, ti in sorted(flat, reverse=True):
     )
 
 csv_path = OUT / "warnings.csv"
-csv_path.write_text(warnings_to_csv(grid), encoding="utf-8")
+with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    warnings_to_csv(grid, fh)
 print(f"\nfull grid written to {csv_path}")
 
 # GeoJSON keeps only warned bins that fall on a known geometry

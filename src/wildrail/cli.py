@@ -24,12 +24,11 @@ import calendar
 import csv
 import dataclasses
 import datetime as dt
-import io
 import json
 import math
 import os
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 from .analysis import (
     UndefinedCorrelationError,
@@ -85,11 +84,16 @@ def _read_text(path: str) -> str:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_out(path: str) -> TextIO:
+    """``path`` opened for writing UTF-8 text, its parent directories created."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_out(path) as fh:
         fh.write(text)
 
 
@@ -272,16 +276,14 @@ def _load_traffic(opts: argparse.Namespace, delta_x: float):
 
 
 def _out_path(opts: argparse.Namespace, filename: str) -> str:
-    os.makedirs(opts.out_dir, exist_ok=True)
     return os.path.join(opts.out_dir, filename)
 
 
 def _write_csv(opts: argparse.Namespace, filename: str, header: list[str], rows) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(_out_path(opts, filename), out.getvalue())
+    with _open_out(_out_path(opts, filename)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_fit(opts: argparse.Namespace) -> int:
@@ -342,7 +344,8 @@ def cmd_warn(opts: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     csv_path = _out_path(opts, "warnings.csv")
-    _write_text(csv_path, warnings_to_csv(grid))
+    with _open_out(csv_path) as fh:
+        warnings_to_csv(grid, fh)
     print(f"warning grid written to {csv_path}")
     if geometries is not None:
         geojson = warnings_to_geojson(grid, geometries, theta_map, month=opts.month, hour=opts.hour)

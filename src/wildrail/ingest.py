@@ -70,7 +70,8 @@ def bin_index(value: float, delta: float) -> int:
 
 def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
     """``bin_index`` over an array, kept as floats so a huge value cannot overflow."""
-    idx = np.floor(values / delta)
+    with np.errstate(over="ignore"):
+        idx = np.floor(values / delta)
     down = idx * delta > values
     up = ~down & ((idx + 1) * delta <= values)
     return idx - down + up
@@ -223,11 +224,16 @@ class Dataset:
     def km_bin_counts(self, delta: float) -> dict[str, dict[int, int]]:
         """Records per line and km bin: line -> ``bin_index(km, delta)`` -> count.
 
-        Only occupied bins are listed; lines and bins ascend.
+        Only occupied bins are listed; lines and bins ascend.  A km without a
+        finite bin index (``delta`` too small) raises ValueError.
         """
         if not self.n:
             return {}
         bins = _bin_floor(self.kms, delta)
+        unindexed = ~np.isfinite(bins)
+        if unindexed.any():
+            km = float(self.kms[unindexed][0])
+            raise ValueError(f"km {km!r} has no finite bin index at bin width {delta!r}")
         order = np.lexsort((bins, self.line_codes))
         codes, bins = self.line_codes[order], bins[order]
         firsts = np.flatnonzero(
@@ -426,9 +432,6 @@ class TrafficTable:
     def count(self, line: str, km: float) -> float:
         """Trains per day through the bin containing ``km`` on ``line`` (0 if unknown)."""
         return self.counts.get((line, bin_index(km, self.delta_x) * self.delta_x), 0.0)
-
-    def bins_for(self, line: str) -> tuple[float, ...]:
-        return tuple(sorted(start for ln, start in self.counts if ln == line))
 
 
 def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:

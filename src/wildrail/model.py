@@ -37,11 +37,6 @@ class InsufficientDataError(ValueError):
     """A requested probability is undefined because its conditioning count is zero."""
 
 
-def _divides(whole: float, part: float) -> bool:
-    ratio = whole / part
-    return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
-
-
 @dataclass(frozen=True)
 class SeasonScheme:
     """Partition of the twelve months into labeled daylight seasons.
@@ -62,7 +57,7 @@ class SeasonScheme:
             if not months:
                 raise ValueError(f"season {label!r} has no months")
             for m in months:
-                if m not in MONTHS:
+                if type(m) is not int or m not in MONTHS:
                     raise ValueError(f"season {label!r} lists invalid month {m!r}")
                 if m in by_month:
                     raise ValueError(f"month {m} appears in both {by_month[m]!r} and {label!r}")
@@ -114,7 +109,7 @@ class BinConfig:
             raise ValueError(f"delta_x must be positive, got {self.delta_x!r}")
         if not (math.isfinite(self.delta_t) and self.delta_t > 0):
             raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
-        if not _divides(24.0, self.delta_t):
+        if (_grid_index(24.0, self.delta_t) or 0) < 1:
             raise ValueError(f"delta_t={self.delta_t} must divide 24 hours")
 
     @property

@@ -15,17 +15,16 @@ get an "exceeds unity" flag so data problems stay visible.
 from __future__ import annotations
 
 import csv
-import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .ingest import LineGeometry, TrafficTable, _bin_floor, bin_index, km_to_geo
-from .model import MONTHS, FittedModel, InsufficientDataError, _divides
+from .ingest import LineGeometry, TrafficTable, _bin_floor, _grid_index, bin_index, km_to_geo
+from .model import MONTHS, FittedModel, InsufficientDataError
 
 __all__ = [
     "FLAG_NO_TRAFFIC",
@@ -55,12 +54,6 @@ _FLAG_NAMES = (
     (_NO_TRAFFIC_BIT, FLAG_NO_TRAFFIC),
     (_INSUFFICIENT_BIT, FLAG_INSUFFICIENT_DATA),
     (_EXCEEDS_BIT, FLAG_EXCEEDS_UNITY),
-)
-
-# the CSV flags field for each bitmask value 0..7: names joined in _FLAG_NAMES order
-_FLAG_TEXT = np.array(
-    [";".join(name for bit, name in _FLAG_NAMES if bits & bit) for bits in range(8)],
-    dtype=object,
 )
 
 
@@ -330,7 +323,7 @@ def _build_grid(
     delta_t = model.bins.delta_t
     delta_x = model.bins.delta_x
     for boundary in profile.boundaries:
-        if not _divides(boundary, delta_t):
+        if (_grid_index(boundary, delta_t) or 0) < 1:
             raise ValueError(
                 f"delta_t={delta_t} straddles the traffic piece boundary at {boundary} h"
             )
@@ -458,13 +451,16 @@ def sweep_all(
     """
     checked = _check_thresholds(thresholds)
     delta_x = model.bins.delta_x
-    x_starts: dict[str, tuple[float, ...]] = {}
-    for line in model.lines:
-        indices = [round(xs / delta_x) for xs in model.x_bins_for(line)]
-        if traffic.delta_x == delta_x:
-            indices.extend(round(xs / delta_x) for xs in traffic.bins_for(line))
-        lo, hi = min(indices), max(indices)
-        x_starts[line] = tuple(i * delta_x for i in range(lo, hi + 1))
+    # per model line: the model's bin indices, then the traffic table's, read in one pass
+    indices = {line: [round(xs / delta_x) for xs in model.x_bins_for(line)] for line in model.lines}
+    if traffic.delta_x == delta_x:
+        for line, xs in traffic.counts:
+            if line in indices:
+                indices[line].append(round(xs / delta_x))
+    x_starts = {
+        line: tuple(i * delta_x for i in range(min(found), max(found) + 1))
+        for line, found in indices.items()
+    }
     return _build_grid(
         model,
         traffic,
@@ -476,65 +472,47 @@ def sweep_all(
     )
 
 
-def warnings_to_csv(grid: WarningGrid) -> str:
-    """Serialize a WarningGrid to CSV, one row per cell, deterministic order.
+def warnings_to_csv(grid: WarningGrid, out: TextIO) -> None:
+    """Write a WarningGrid to the text stream ``out`` as CSV, one row per cell.
 
     Columns: line, x_from, x_to, month, hour_from, hour_to, m_window, p_pt,
     flags (semicolon-joined), then one warned@<theta> 0/1 column per
     threshold.  Cells without a defined p_pt leave that field empty.  Rows
-    run over (line, x, month, t); columns are built one line at a time.
+    run over (line, x, month, t) and go out one line at a time.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = [
-        "line",
-        "x_from",
-        "x_to",
-        "month",
-        "hour_from",
-        "hour_to",
-        "m_window",
-        "p_pt",
-        "flags",
-    ] + [f"warned@{theta!r}" for theta in grid.thresholds]
-    writer.writerow(header)
-    months = np.array(grid.months, dtype=object)[None, :, None]
-    hour_from = _reprs(grid.t_starts)[None, None, :]
-    hour_to = _reprs([t + grid.delta_t for t in grid.t_starts])[None, None, :]
+    # writerow returns what its file's write returns; with write=str, the row text
+    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    header = "line x_from x_to month hour_from hour_to m_window p_pt flags".split()
+    out.write(row(header + [f"warned@{theta!r}" for theta in grid.thresholds]))
+    # the ",flags,warned@..." row end per (flag bitmask, thresholds strictly below p_pt)
+    k = len(grid.thresholds)
+    flag_texts = [";".join(name for bit, name in _FLAG_NAMES if bits & bit) for bits in range(8)]
+    tails = np.array(
+        [[f",{text}" + ",1" * below + ",0" * (k - below) + "\n" for below in range(k + 1)]
+         for text in flag_texts],
+        dtype=object,
+    )
+    hours = [f"{t!r},{t + grid.delta_t!r}" for t in grid.t_starts]
     for line in grid.lines:
         p = grid.p_pt[line]
-        starts = grid.x_starts[line]
-
-        def column(values: np.ndarray) -> list:
-            # values over some of the (x, month, t) axes, repeated over the rest, in row order
-            return np.broadcast_to(values, p.shape).ravel().tolist()
-
-        window = grid.m_window[line]
-        m_window = _reprs(window.ravel().tolist()).reshape(window.shape)[:, None, :]
-        warned = [
-            grid.warned_mask(line, theta).ravel().astype(np.uint8).tolist()
-            for theta in grid.thresholds
-        ]
-        writer.writerows(
-            zip(
-                itertools.repeat(line),
-                column(_reprs(starts)[:, None, None]),
-                column(_reprs([x + grid.delta_x for x in starts])[:, None, None]),
-                column(months),
-                column(hour_from),
-                column(hour_to),
-                column(m_window),
-                ["" if math.isnan(v) else repr(v) for v in p.ravel().tolist()],
-                _FLAG_TEXT[grid.flags[line].ravel()].tolist(),
-                *warned,
-            )
-        )
-    return out.getvalue()
-
-
-def _reprs(values) -> np.ndarray:
-    """``repr`` of each value, as a 1-D object array of str."""
-    return np.array([repr(v) for v in values], dtype=object)
+        below = np.where(np.isnan(p), 0, np.searchsorted(grid.thresholds, p, side="left"))
+        name = row([line, ""])[:-1]  # "<line>,", quoted as in a row
+        rows: list[str] = []
+        for x, p_x, tail_x, m_x in zip(
+            grid.x_starts[line],
+            p.tolist(),
+            tails[grid.flags[line], below].tolist(),
+            grid.m_window[line].tolist(),
+        ):
+            head = f"{name}{x!r},{x + grid.delta_x!r},"
+            mids = [f"{hour},{m!r}," for hour, m in zip(hours, m_x)]
+            for month, p_xm, tail_xm in zip(grid.months, p_x, tail_x):
+                lead = f"{head}{month},"
+                rows.extend(
+                    f"{lead}{mid}{'' if math.isnan(v) else repr(v)}{tail}"
+                    for mid, v, tail in zip(mids, p_xm, tail_xm)
+                )
+        out.writelines(rows)
 
 
 def _segment_coordinates(geometry: LineGeometry, km_a: float, km_b: float) -> list[list[float]]:

@@ -117,6 +117,13 @@ def test_fit_input_errors(tmp_path: Path, capsys) -> None:
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--delta-t", "--delta-x"])
+def test_fit_rejects_bin_widths_too_small_to_index(flag: str, tmp_path: Path, capsys) -> None:
+    # 24 h or a km post over 1e-320 is not a finite bin count
+    assert_input_error(run_fit(tmp_path, flag, "1e-320"), capsys)
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_fit_rejects_malformed_rows_with_location(tmp_path: Path, capsys) -> None:
     bad = tmp_path / "bad.csv"
     bad.write_text("date,time,line,km,species\n2020-01-01,25:00,139,1.0,\n")

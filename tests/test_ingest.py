@@ -464,7 +464,7 @@ def test_parse_traffic_sums_duplicates() -> None:
     assert table.count("1", 4.9) == 80.0
     assert table.count("1", 5.0) == 0.0
     assert sorted({line for line, _ in table.counts}) == ["1", "139"]
-    assert table.bins_for("139") == (10.0,)
+    assert table.counts == {("139", 10.0): 131.0, ("1", 0.0): 80.0}
 
 
 def test_parse_traffic_rejects_bad_rows() -> None:

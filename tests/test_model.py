@@ -52,6 +52,10 @@ def test_season_scheme_requires_partition() -> None:
         SeasonScheme(groups={"a": tuple(range(1, 13)), "b": (1,)})
     with pytest.raises(ValueError):
         SeasonScheme(groups={"a": (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)})
+    # months are ints: true and 1.0 are not month 1
+    for one in (True, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="invalid month"):
+            SeasonScheme(groups={"a": (one, 2, 3, 4, 5, 6), "b": (7, 8, 9, 10, 11, 12)})
     two = SeasonScheme(groups={"cold": (11, 12, 1, 2, 3, 4), "warm": (5, 6, 7, 8, 9, 10)})
     assert two.season_of(4) == "cold"
 
@@ -310,6 +314,8 @@ def test_model_from_json_rejects_malformed_input(bundled_model) -> None:
     # disagrees with them, or counts no dataset could give, are rejected
     edits = (
         lambda d: d.update(seasons=[1, 2]),
+        lambda d: d["seasons"].update(short=[11, 12, True, 2]),
+        lambda d: d["seasons"].update(short=[11, 12, 1.0, 2]),
         lambda d: d["p_line"].update({"139": float("nan")}),
         lambda d: d["p_line"].update({"139": -0.25}),
         lambda d: d["mu"].update({"1": d["mu"]["1"] * 2}),

@@ -8,6 +8,7 @@ import datetime as dt
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,12 @@ from oracles import (
 )
 
 THRESHOLDS = (0.0005, 0.001, 0.002)
+
+
+def csv_text(grid) -> str:
+    out = io.StringIO()
+    warnings_to_csv(grid, out)
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +175,8 @@ def test_sweep_covers_model_and_traffic_bins(bundled_grid, bundled_model, bundle
     for line in bundled_grid.lines:
         starts = bundled_grid.x_starts[line]
         assert starts == tuple(starts[0] + 5.0 * i for i in range(len(starts)))
-        covered = set(bundled_model.x_bins_for(line)) | set(bundled_traffic.bins_for(line))
+        traffic_bins = {x for ln, x in bundled_traffic.counts if ln == line}
+        covered = set(bundled_model.x_bins_for(line)) | traffic_bins
         assert covered <= set(starts)
         assert bundled_grid.p_pt[line].shape == (len(starts), 12, 24)
         assert bundled_grid.m_window[line].shape == (len(starts), 24)
@@ -300,7 +308,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     assert p > 1.0
     assert int(grid.flags["9"][xi, mi, ti]) == 4  # exceeds_unity alone
     assert grid.warned_mask("9", 0.001)[xi, mi, ti]
-    row = list(csv.reader(io.StringIO(warnings_to_csv(grid))))[1 + (mi * 24) + ti]
+    row = list(csv.reader(io.StringIO(csv_text(grid))))[1 + (mi * 24) + ti]
     assert row[:5] == ["9", "0.0", "5.0", "1", "12.0"]
     assert row[7:] == [repr(p), FLAG_EXCEEDS_UNITY, "1"]
 
@@ -384,7 +392,7 @@ def test_locate_puts_non_finite_values_off_grid(bundled_grid) -> None:
 
 
 def test_cell_materialization_is_consistent(bundled_grid) -> None:
-    rows = list(csv.reader(io.StringIO(warnings_to_csv(bundled_grid))))
+    rows = list(csv.reader(io.StringIO(csv_text(bundled_grid))))
     assert len(rows) == bundled_grid.n_cells() + 1
     # rows run over (line, x, month, t); line "139" follows line "1"
     n_m, n_t = len(bundled_grid.months), len(bundled_grid.t_starts)
@@ -411,7 +419,7 @@ def test_traffic_positive_and_warned_counts(bundled_grid) -> None:
 
 
 def test_warning_csv_layout(bundled_grid) -> None:
-    text = warnings_to_csv(bundled_grid)
+    text = csv_text(bundled_grid)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == [
         "line", "x_from", "x_to", "month", "hour_from", "hour_to",
@@ -428,13 +436,44 @@ def test_warning_csv_layout(bundled_grid) -> None:
 def test_warning_csv_marks_flagged_cells(bundled_model) -> None:
     table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0)
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
-    rows = list(csv.reader(io.StringIO(warnings_to_csv(grid))))
+    rows = list(csv.reader(io.StringIO(csv_text(grid))))
     flagged = [r for r in rows[1:] if r[8]]
     assert flagged
     for row in flagged:
         assert row[7] == ""  # no probability where flagged undefined
         assert FLAG_NO_TRAFFIC in row[8].split(";")
         assert row[9:] == ["0", "0", "0"]
+
+
+class CharCount:
+    """A text sink that keeps only the number of characters written to it."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+    def writelines(self, lines) -> None:
+        for text in lines:
+            self.write(text)
+
+
+def test_warning_csv_streams_line_by_line() -> None:
+    # 33 lines of at most eight km bins: a writer holding one line's rows at a
+    # time stays far below the text it writes, one that builds it all first does not
+    train, traffic = make_synthetic(np.random.default_rng(2), max_records=2000, max_lines=40)
+    grid = sweep_all(fit(train), traffic, DEFAULT_PROFILE, THRESHOLDS)
+    assert len(grid.lines) >= 20
+    sink = CharCount()
+    tracemalloc.start()
+    try:
+        warnings_to_csv(grid, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(csv_text(grid))
+    assert peak < sink.chars / 4
 
 
 # --- GeoJSON export ---
@@ -535,7 +574,7 @@ def test_exporters_match_cell_loops(
     choices = st.sampled_from(own + [0.0005, 0.001, 1.0])
     thresholds = data.draw(st.lists(choices, min_size=1, max_size=3))
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
-    assert warnings_to_csv(grid) == warnings_to_csv_loop(grid)
+    assert csv_text(grid) == warnings_to_csv_loop(grid)
 
     # each line's geometry covers part of its km range; one line may have none
     without = data.draw(st.sampled_from([None, *grid.lines]))
