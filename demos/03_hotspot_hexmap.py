@@ -31,12 +31,12 @@ with open(DATA / "lines.geojson", encoding="utf-8") as fh:
 # linear referencing: a km post interpolates along the line's polyline
 points = []
 skipped = 0
-for rec in data.records:
-    geometry = geometries.get(rec.line)
-    if geometry is None or not geometry.km_min <= rec.km <= geometry.km_max:
+for code, km in zip(data.line_codes.tolist(), data.kms.tolist()):
+    geometry = geometries.get(data.line_names[code])
+    if geometry is None or not geometry.km_min <= km <= geometry.km_max:
         skipped += 1
         continue
-    points.append(km_to_geo(geometry, rec.km))
+    points.append(km_to_geo(geometry, km))
 print(f"geocoded {len(points)} of {data.n} accidents ({skipped} without geometry)")
 
 # 2.5 km flat-top hexagons; counts never change when points are reordered

@@ -101,11 +101,12 @@ def count_days(start: dt.date, end: dt.date, days_per_year: str = "calendar") ->
 
 @dataclass(frozen=True)
 class AccidentRecord:
-    """One wildlife-train collision report.
+    """One wildlife-train collision report, as a Dataset's ``records`` view yields it.
 
     ``time`` is minutes since midnight in [0, 1440); ``km`` is the position
     along the line in kilometres (any non-negative real); ``species`` is
-    free-form and may be empty.
+    free-form and may be empty.  ``parse_accidents`` checks these rules on
+    the input rows; no function takes records as input.
     """
 
     date: dt.date
@@ -114,14 +115,6 @@ class AccidentRecord:
     km: float
     species: str = ""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.time, int) or not 0 <= self.time < MINUTES_PER_DAY:
-            raise ValueError(f"time must be an int in [0, {MINUTES_PER_DAY}), got {self.time!r}")
-        if not self.line:
-            raise ValueError("line identifier must be non-empty")
-        if not math.isfinite(self.km) or self.km < 0:
-            raise ValueError(f"km must be a finite non-negative number, got {self.km!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -129,17 +122,15 @@ class Dataset:
 
     The period is what the exposure time T is computed from, so it must be
     stated even when no accident falls on its first or last day.  Every date
-    must lie inside it; ``__post_init__`` holds that rule for every way a
-    Dataset is made (``parse_accidents``, ``from_records``,
-    ``dataclasses.replace``).
+    must lie inside it; ``__post_init__`` holds that rule for the datasets
+    ``parse_accidents`` makes and for ``dataclasses.replace`` of one.
 
     The columns hold one entry per record, in input order: ``line_codes``
     indexes ``line_names`` (the distinct lines, sorted); ``kms``, ``months``
     (1..12), ``minutes`` (since midnight) and ``dates`` (``date.toordinal()``)
-    are read-only numpy arrays; ``species`` is a tuple of str.  Records exist
-    only as explicit conversions: ``from_records`` builds the columns from
-    them, and ``records`` builds them from the columns on each access.  Two
-    datasets are equal when their periods and records are.
+    are read-only numpy arrays; ``species`` is a tuple of str.  ``records``
+    is a read-only view of the columns as AccidentRecords, built anew on each
+    access.  Datasets compare and hash by identity.
     """
 
     period_start: dt.date
@@ -161,29 +152,6 @@ class Dataset:
             date = dt.date.fromordinal(int(self.dates[outside[0]]))
             raise ValueError(f"record dated {date} falls outside period {start}..{end}")
 
-    @classmethod
-    def from_records(
-        cls, records: Iterable[AccidentRecord], period_start: dt.date, period_end: dt.date
-    ) -> Dataset:
-        """The Dataset whose columns hold ``records``, in order.
-
-        Raises:
-            ValueError: end before start, or a record dated outside the period.
-        """
-        records = tuple(records)
-        lines: dict[str, int] = {}
-        days: dict[dt.date, int] = {}
-        columns = _columns(
-            lines,
-            [lines.setdefault(rec.line, len(lines)) for rec in records],
-            days,
-            [days.setdefault(rec.date, len(days)) for rec in records],
-            [rec.time for rec in records],
-            [rec.km for rec in records],
-            tuple(rec.species for rec in records),
-        )
-        return cls(period_start, period_end, **columns)
-
     @property
     def records(self) -> tuple[AccidentRecord, ...]:
         """The columns as AccidentRecords, built anew on each access."""
@@ -199,17 +167,6 @@ class Dataset:
                 self.species,
             )
         )
-
-    def _key(self) -> tuple:
-        return (self.period_start, self.period_end, self.records)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -244,40 +201,6 @@ class Dataset:
         for code, index, size in zip(codes[firsts].tolist(), bins[firsts].tolist(), sizes.tolist()):
             counts[self.line_names[code]][int(index)] = size
         return counts
-
-
-def _columns(
-    lines: Iterable[str],
-    line_codes: list[int],
-    days: Iterable[dt.date],
-    day_codes: list[int],
-    minutes: list[int],
-    kms: list[float],
-    species: tuple[str, ...],
-) -> dict:
-    """The Dataset columns, by name.
-
-    ``lines`` and ``days`` list the distinct values in the order that
-    ``line_codes`` and ``day_codes`` number them.
-    """
-    lines = list(lines)
-    position = {name: i for i, name in enumerate(sorted(lines))}
-    renumber = np.array([position[name] for name in lines], dtype=np.int64)
-    days = list(days)
-    day_codes_arr = np.array(day_codes, dtype=np.int64)
-    columns = {
-        "line_names": tuple(position),
-        "line_codes": renumber[np.array(line_codes, dtype=np.int64)],
-        "kms": np.array(kms, dtype=float),
-        "months": np.array([day.month for day in days], dtype=np.int64)[day_codes_arr],
-        "minutes": np.array(minutes, dtype=np.int64),
-        "dates": np.array([day.toordinal() for day in days], dtype=np.int64)[day_codes_arr],
-        "species": species,
-    }
-    for column in columns.values():
-        if isinstance(column, np.ndarray):
-            column.setflags(write=False)
-    return columns
 
 
 def _open_text(stream: Union[str, IO[str]]) -> IO[str]:
@@ -393,8 +316,19 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
         species.append(species_text)
     if not kms:
         raise ParseError("no accident records in input")
-    columns = _columns(lines, line_codes, days, day_codes, minutes, kms, tuple(species))
-    return Dataset(start, end, **columns)
+    position = {name: i for i, name in enumerate(sorted(lines))}
+    renumber = np.array([position[name] for name in lines], dtype=np.int64)
+    day_index = np.array(day_codes, dtype=np.int64)
+    columns = (
+        renumber[np.array(line_codes, dtype=np.int64)],
+        np.array(kms, dtype=float),
+        np.array([day.month for day in days], dtype=np.int64)[day_index],
+        np.array(minutes, dtype=np.int64),
+        np.array([day.toordinal() for day in days], dtype=np.int64)[day_index],
+    )
+    for column in columns:
+        column.setflags(write=False)
+    return Dataset(start, end, tuple(position), *columns, tuple(species))
 
 
 def _check_bin_width(delta_x: float) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import Dataset, _bin_floor, _grid_index, bin_index
+from .ingest import MINUTES_PER_DAY, Dataset, _bin_floor, _grid_index, bin_index
 
 __all__ = [
     "InsufficientDataError",
@@ -95,7 +95,8 @@ DEFAULT_SEASONS = SeasonScheme(
 class BinConfig:
     """Grid resolution: km bin width and hour-of-day bin width.
 
-    ``delta_t`` must divide 24 so the day splits into whole bins.  A sweep
+    ``delta_t`` must divide 24 so the day splits into whole bins, and be at
+    least one minute, the accident log's time resolution.  A sweep
     further needs it to divide every piece boundary of the traffic profile in
     use, so no time bin straddles a piece; the default profile allows 1, 0.5,
     0.25, ... hour bins.
@@ -109,8 +110,8 @@ class BinConfig:
             raise ValueError(f"delta_x must be positive, got {self.delta_x!r}")
         if not (math.isfinite(self.delta_t) and self.delta_t > 0):
             raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
-        if (_grid_index(24.0, self.delta_t) or 0) < 1:
-            raise ValueError(f"delta_t={self.delta_t} must divide 24 hours")
+        if not 1 <= (_grid_index(24.0, self.delta_t) or 0) <= MINUTES_PER_DAY:
+            raise ValueError(f"delta_t={self.delta_t} must divide 24 hours into bins of at least a minute")
 
     @property
     def n_t_bins(self) -> int:

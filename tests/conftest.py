@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import datetime as dt
+import io
 from pathlib import Path
 from unittest import mock
 
@@ -68,6 +70,27 @@ def bundled_model(bundled_data: Dataset) -> FittedModel:
     return fit(bundled_data, total_days=count_days(*PERIOD, "365"))
 
 
+def dataset_of(records, start: dt.date, end: dt.date) -> Dataset:
+    """``parse_accidents`` of ``records`` written as accident CSV, over [start, end].
+
+    Fails when the parsed records differ from ``records``.  No records give
+    an empty Dataset, which ``parse_accidents`` refuses to make.
+    """
+    records = tuple(records)
+    if not records:
+        no_ints = np.zeros(0, dtype=np.int64)
+        return Dataset(start, end, (), no_ints, np.zeros(0), no_ints, no_ints, no_ints, ())
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("date", "time", "line", "km", "species"))
+    for r in records:
+        time = f"{r.time // 60:02d}:{r.time % 60:02d}"
+        writer.writerow((r.date.isoformat(), time, r.line, repr(float(r.km)), r.species))
+    data = parse_accidents(out.getvalue(), (start, end))
+    assert data.records == records
+    return data
+
+
 def make_synthetic(
     rng: np.random.Generator,
     max_records: int = 1000,
@@ -94,7 +117,7 @@ def make_synthetic(
         line = lines[int(rng.choice(n_lines, p=weights))]
         km = float(rng.uniform(0.0, km_span))
         records.append(AccidentRecord(date=date, time=time, line=line, km=km, species=""))
-    data = Dataset.from_records(tuple(records), start, end)
+    data = dataset_of(records, start, end)
     counts: dict[tuple[str, float], float] = {}
     n_bins = int(km_span // 5.0) + 2
     for line in lines:

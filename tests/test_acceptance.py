@@ -20,7 +20,6 @@ from wildrail import (
     DEFAULT_PROFILE,
     DEFAULT_SEASONS,
     AccidentRecord,
-    Dataset,
     SpeedProfile,
     TrafficTable,
     alpha,
@@ -34,7 +33,7 @@ from wildrail import (
     sweep_all,
 )
 from wildrail.cli import main
-from conftest import DATA_DIR, PERIOD, make_synthetic
+from conftest import DATA_DIR, PERIOD, dataset_of, make_synthetic
 from oracles import alpha_fraction, cell_expectation, expected_tables, table_counts
 
 MONTH_SEASON = {m: DEFAULT_SEASONS.season_of(m) for m in range(1, 13)}
@@ -317,7 +316,7 @@ def test_criterion_6_holdout_informativeness() -> None:
 
     train = _structured_draw(rng, 4000, 2020, 2022, lines, p_line, seg_w, month_w, hour_w)
     test = _structured_draw(rng, 1000, 2023, 2023, lines, p_line, seg_w, month_w, hour_w)
-    model = fit(Dataset.from_records(tuple(train), dt.date(2020, 1, 1), dt.date(2022, 12, 31)))
+    model = fit(dataset_of(train, dt.date(2020, 1, 1), dt.date(2022, 12, 31)))
     traffic = TrafficTable(
         counts={(line, i * 5.0): 100.0 for line in lines for i in range(10)}, delta_x=5.0
     )
@@ -332,7 +331,7 @@ def test_criterion_6_holdout_informativeness() -> None:
 def evaluate_holdout_for_acceptance(grid, test_records, theta):
     from wildrail import evaluate_holdout
 
-    test = Dataset.from_records(tuple(test_records), dt.date(2023, 1, 1), dt.date(2023, 12, 31))
+    test = dataset_of(test_records, dt.date(2023, 1, 1), dt.date(2023, 12, 31))
     return evaluate_holdout(grid, test, theta)
 
 
@@ -365,7 +364,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
                     )
                 bin_no += 1
             speed_map[line] = SpeedProfile(line=line, intervals=tuple(intervals))
-        data = Dataset.from_records(tuple(records), *period)
+        data = dataset_of(records, *period)
         return data, TrafficTable(counts=counts, delta_x=5.0), speed_map
 
     independent = build(
@@ -392,7 +391,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
         )
         for _ in range(2000)
     ]
-    data = Dataset.from_records(tuple(records), *period)
+    data = dataset_of(records, *period)
     model = fit(data)
     traffic = TrafficTable(
         counts={(line, i * 5.0): 120.0 for line in sweep_lines for i in range(20)},

@@ -42,7 +42,7 @@ from oracles import (
     pearson_manual,
     spearman_manual,
 )
-from conftest import DATA_DIR, make_synthetic, no_records
+from conftest import DATA_DIR, dataset_of, make_synthetic, no_records
 
 PERIOD = (dt.date(2020, 1, 1), dt.date(2022, 12, 31))
 
@@ -55,7 +55,7 @@ def record(month: int = 1, hour: int = 18, line: str = "139", km: float = 12.0,
 
 
 def dataset(records) -> Dataset:
-    return Dataset.from_records(tuple(records), *PERIOD)
+    return dataset_of(records, *PERIOD)
 
 
 # --- hexagonal binning ---
@@ -208,11 +208,10 @@ def test_hex_geojson_rings() -> None:
 
 
 def test_species_profile_orders_and_groups() -> None:
-    data = dataset(
-        [record(species="roe deer"), record(species="roe deer"), record(species="wild boar"),
-         record(species=" "), record(species=""), record(species="boar", day=6)]
-    )
-    profile = species_profile(data)
+    # a species field of spaces is blank once parsed, and counts as unknown
+    fields = ("roe deer", "roe deer", "wild boar", " ", "", "boar")
+    text = "date,time,line,km,species\n" + "".join(f"2020-01-05,18:00,139,12.0,{s}\n" for s in fields)
+    profile = species_profile(parse_accidents(text, PERIOD))
     assert list(profile.items())[0] == ("roe deer", 2)
     assert profile["unknown"] == 2
     assert list(profile) == ["roe deer", "unknown", "boar", "wild boar"]
@@ -377,7 +376,7 @@ def test_holdout_requested_theta_joins_the_curve(eval_grid, bundled_test_data) -
 
 
 def test_holdout_guards(eval_grid) -> None:
-    empty = Dataset.from_records((), *PERIOD)
+    empty = dataset_of((), *PERIOD)
     with pytest.raises(ValueError):
         evaluate_holdout(eval_grid, empty, 0.001)
     strays = dataset([record()])
@@ -439,7 +438,7 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
         AccidentRecord(date=dt.date(2023, month, 1), time=time, line=line, km=km)
         for line, km, month, time in rows
     ]
-    test = Dataset.from_records(tuple(records), dt.date(2023, 1, 1), dt.date(2023, 12, 31))
+    test = dataset_of(records, dt.date(2023, 1, 1), dt.date(2023, 12, 31))
     # theta equal to a test accident's own p_pt checks that hits are strict;
     # flagged cells carry NaN and never hit
     own = [
@@ -469,7 +468,7 @@ def test_holdout_matches_record_loop_across_block_seams(eval_grid, bundled_test_
         for i, t, km in zip(range(n), rng.integers(0, 24 * 60, n), rng.uniform(0.0, 70.0, n))
     )
     period = (bundled_test_data.period_start, bundled_test_data.period_end)
-    test = Dataset.from_records(records, *period)
+    test = dataset_of(records, *period)
     assert_same_report(eval_grid, test, 0.001)
 
 

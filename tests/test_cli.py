@@ -6,9 +6,11 @@ import ast
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -117,10 +119,21 @@ def test_fit_input_errors(tmp_path: Path, capsys) -> None:
     assert "error:" in err
 
 
-@pytest.mark.parametrize("flag", ["--delta-t", "--delta-x"])
-def test_fit_rejects_bin_widths_too_small_to_index(flag: str, tmp_path: Path, capsys) -> None:
-    # 24 h or a km post over 1e-320 is not a finite bin count
-    assert_input_error(run_fit(tmp_path, flag, "1e-320"), capsys)
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        # 24 h or a km post over 1e-320 is not a finite bin count
+        pytest.param("--delta-t", "1e-320", id="--delta-t"),
+        pytest.param("--delta-x", "1e-320", id="--delta-x"),
+        # 24 h over 1e-300 is a whole number, of bins far shorter than a minute
+        pytest.param("--delta-t", "1e-300", id="--delta-t-1e-300"),
+    ],
+)
+def test_fit_rejects_bin_widths_too_small_to_index(flag: str, value: str, tmp_path: Path, capsys) -> None:
+    assert_input_error(run_fit(tmp_path, flag, value), capsys)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
+    assert_input_error(run_fit(tmp_path, "--config", str(config)), capsys)
     assert not (tmp_path / "model.json").exists()
 
 
@@ -561,7 +574,7 @@ def test_no_command_builds_records(tmp_path: Path, capsys) -> None:
 
 
 def test_benchmark_api_resolves() -> None:
-    # perfbench/ is read as text, never imported: these are the names it calls
+    # perfbench/ read as text: these are the names it calls
     bench = DATA_DIR.parent / "perfbench"
     worker = ast.parse((bench / "worker.py").read_text(encoding="utf-8"))
     imported = [
@@ -583,6 +596,18 @@ def test_benchmark_api_resolves() -> None:
                    wildrail.cli):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_benchmark_pass_runs_on_a_tiny_network(tmp_path: Path, monkeypatch) -> None:
+    # one holdout-analytics pass of the benchmark worker, on 4 lines of 40 km
+    monkeypatch.syspath_prepend(str(DATA_DIR.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
+    synth = importlib.import_module("synth")
+    worker = importlib.import_module("worker")
+    workload = worker.HoldoutAnalytics(synth.generate(str(tmp_path), 3, 4, 40.0, 600, 300))
+    checks = worker.Checks()
+    workload.check(workload.run_pass(worker.direct), checks)
+    assert checks.failed == 0 and checks.messages == [], checks.messages
 
 
 def json_paths(node, path: tuple = ()):

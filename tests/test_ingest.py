@@ -39,7 +39,7 @@ from wildrail import (
     species_profile,
     speed_correlation,
 )
-from conftest import DATA_DIR, no_records
+from conftest import DATA_DIR, dataset_of, no_records
 from oracles import (
     LoopParseError,
     count_days_loop,
@@ -125,29 +125,13 @@ def test_bin_membership_invariant(value: float, delta: float) -> None:
 # --- records and datasets ---
 
 
-def test_record_validation() -> None:
-    rec = AccidentRecord(date=dt.date(2020, 1, 15), time=18 * 60 + 23, line="139", km=12.4)
-    assert rec.date.month == 1
-    assert rec.time / 60.0 == pytest.approx(18.3833333333)
-    with pytest.raises(ValueError):
-        AccidentRecord(date=rec.date, time=1440, line="139", km=0.0)
-    with pytest.raises(ValueError):
-        AccidentRecord(date=rec.date, time=-1, line="139", km=0.0)
-    with pytest.raises(ValueError):
-        AccidentRecord(date=rec.date, time=0, line="", km=0.0)
-    with pytest.raises(ValueError):
-        AccidentRecord(date=rec.date, time=0, line="139", km=-2.0)
-    with pytest.raises(ValueError):
-        AccidentRecord(date=rec.date, time=0, line="139", km=math.inf)
-
-
 def test_dataset_validation() -> None:
     rec = AccidentRecord(date=dt.date(2019, 6, 1), time=0, line="1", km=1.0)
     with pytest.raises(ValueError):
-        Dataset.from_records((rec,), *PERIOD)
+        dataset_of((rec,), *PERIOD)
     with pytest.raises(ValueError):
-        Dataset.from_records((), PERIOD[1], PERIOD[0])
-    empty = Dataset.from_records((), *PERIOD)
+        dataset_of((), PERIOD[1], PERIOD[0])
+    empty = dataset_of((), *PERIOD)
     assert empty.n == 0
     assert empty.total_days == 1096
 
@@ -162,6 +146,11 @@ def test_parse_accidents_good() -> None:
     assert data.records[0].time == 18 * 60 + 23
     assert data.records[1].species == ""
     assert data.records[2].km == 79.9
+    assert data.records == data.records and data.records is not data.records  # built on each access
+    assert data.line_names == ("1", "139", "140")
+    assert data.line_codes.tolist() == [1, 0, 2]
+    with pytest.raises(ValueError):
+        data.kms[0] = 1.0  # the columns are read-only
 
 
 def test_parse_accidents_accepts_plain_string() -> None:
@@ -335,10 +324,9 @@ def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) 
         else:
             assert report.pairs == tuple(pairs)
 
-    # records, and the dataset built back from them
+    # records, and the dataset parsed back from them
     assert parsed.records == tuple(records)
-    assert parsed == Dataset.from_records(records, *PERIOD)
-    assert_same_columns(Dataset.from_records(parsed.records, *PERIOD), parsed)
+    assert_same_columns(dataset_of(records, *PERIOD), parsed)
 
 
 def assert_same_columns(built: Dataset, parsed: Dataset) -> None:
@@ -411,32 +399,20 @@ def test_csv_parsers_name_first_physical_line(parse, header: str, rows) -> None:
     assert err.value.line_no == 4 and str(err.value).startswith("line 4: ")
 
 
-def test_dataset_from_records_builds_columns() -> None:
-    parsed = parse_accidents(GOOD_CSV, PERIOD)
-    records = parse_accidents(GOOD_CSV, PERIOD).records
-    built = Dataset.from_records(records, *PERIOD)
-    assert built.records == records
-    assert built == parsed and hash(built) == hash(parsed)
-    assert_same_columns(built, parsed)
-    assert parsed.line_names == ("1", "139", "140")
-    assert parsed.line_codes.tolist() == [1, 0, 2]
-    with pytest.raises(ValueError):
-        parsed.kms[0] = 1.0  # the columns are read-only
-
-
 def test_dataset_replace_and_equality() -> None:
     parsed = parse_accidents(GOOD_CSV, PERIOD)
-    moved = Dataset.from_records(
-        (dataclasses.replace(r, km=r.km + 1.0) for r in parsed.records), *PERIOD
-    )
+    moved = dataset_of((dataclasses.replace(r, km=r.km + 1.0) for r in parsed.records), *PERIOD)
     assert moved.kms.tolist() == [13.4, 1.0, 80.9]
-    assert moved.period_start == parsed.period_start and moved != parsed
+    assert moved.period_start == parsed.period_start
     longer = dataclasses.replace(parsed, period_end=dt.date(2023, 6, 30))
-    assert longer.records == parsed.records and longer != parsed
+    assert longer.records == parsed.records and longer.kms is parsed.kms
     assert longer.total_days == parsed.total_days + 181
     with pytest.raises(ValueError, match="outside period"):
         dataclasses.replace(parsed, period_end=dt.date(2022, 12, 30))
-    assert parsed != parse_accidents(GOOD_CSV.replace("roe deer", "fox"), PERIOD)
+    # datasets compare and hash by identity, as plain objects do
+    again = parse_accidents(GOOD_CSV, PERIOD)
+    assert_same_columns(again, parsed)
+    assert parsed == parsed and again != parsed and len({parsed, again}) == 2
 
 
 def test_dataset_with_period() -> None:

@@ -15,7 +15,6 @@ from wildrail import (
     DEFAULT_SEASONS,
     AccidentRecord,
     BinConfig,
-    Dataset,
     InsufficientDataError,
     SeasonScheme,
     DEFAULT_PROFILE,
@@ -30,7 +29,7 @@ from wildrail import (
     p_per_train,
     sweep_all,
 )
-from conftest import PERIOD, make_synthetic
+from conftest import PERIOD, dataset_of, make_synthetic
 from oracles import expected_tables, table_counts
 
 
@@ -80,6 +79,11 @@ def test_bin_config_rejects_widths_that_split_profile_pieces(bundled_data, bundl
     BinConfig(delta_t=0.25)
     with pytest.raises(ValueError, match="must divide 24"):
         BinConfig(delta_t=0.7)
+    # and be at least a minute, the accident log's time resolution
+    assert BinConfig(delta_t=1 / 60).n_t_bins == 24 * 60
+    for fine in (1 / 120, 1e-300):
+        with pytest.raises(ValueError, match="at least a minute"):
+            BinConfig(delta_t=fine)
     flat = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
     for bad in (2.0, 3.0, 1.5, 24.0):
         model = fit(bundled_data, bins=BinConfig(delta_t=bad))
@@ -123,9 +127,9 @@ def test_bundled_counts_match_reference_totals(bundled_data, bundled_model) -> N
 
 
 def test_estimator_guards() -> None:
-    empty = Dataset.from_records((), *PERIOD)
+    empty = dataset_of((), *PERIOD)
     rec = AccidentRecord(date=dt.date(2020, 1, 5), time=0, line="1", km=0.0)
-    tiny = Dataset.from_records((rec,), *PERIOD)
+    tiny = dataset_of((rec,), *PERIOD)
     with pytest.raises(ValueError):
         fit(tiny, total_days=1095).mu_at(13)
     with pytest.raises(ValueError):
@@ -170,7 +174,7 @@ def test_fit_supports_are_dense_per_line(bundled_model) -> None:
 def test_fit_is_permutation_invariant(bundled_data) -> None:
     shuffled = list(bundled_data.records)
     random.Random(7).shuffle(shuffled)
-    reshuffled = Dataset.from_records(tuple(shuffled), *PERIOD)
+    reshuffled = dataset_of(shuffled, *PERIOD)
     a = fit(bundled_data, total_days=1095)
     b = fit(reshuffled, total_days=1095)
     assert a.mu == b.mu
@@ -228,7 +232,7 @@ def make_one_month_model():
         AccidentRecord(date=dt.date(2020, 1, 1 + i % 20), time=(18 * 60 + i) % 1440, line="7", km=float(i % 9))
         for i in range(40)
     )
-    data = Dataset.from_records(records, *PERIOD)
+    data = dataset_of(records, *PERIOD)
     return fit(data, total_days=1095)
 
 

@@ -23,7 +23,6 @@ from wildrail import (
     FLAG_NO_TRAFFIC,
     AccidentRecord,
     BinConfig,
-    Dataset,
     InsufficientDataError,
     LineGeometry,
     NoTrafficError,
@@ -37,7 +36,7 @@ from wildrail import (
     warnings_to_csv,
     warnings_to_geojson,
 )
-from conftest import make_synthetic
+from conftest import dataset_of, make_synthetic
 from oracles import (
     alpha_fraction,
     cell_of,
@@ -300,7 +299,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     # one accident over a week of exposure against a single daily train pushes
     # the per-train ratio far above 1; the cell must stay finite and warned
     record = AccidentRecord(date=dt.date(2021, 1, 5), time=12 * 60 + 30, line="9", km=2.0)
-    data = Dataset.from_records((record,), dt.date(2021, 1, 1), dt.date(2021, 1, 7))
+    data = dataset_of((record,), dt.date(2021, 1, 1), dt.date(2021, 1, 7))
     traffic = TrafficTable(counts={("9", 0.0): 1.0}, delta_x=5.0)
     grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (0.001,))
     _, (xi,), (mi,), (ti,) = grid.locate(("9",), np.array([2.0]), np.array([1]), np.array([12.5]))
@@ -539,6 +538,23 @@ def test_warning_geojson_skips_uncovered_lines(bundled_grid, bundled_geometries)
 LINE_NAMES = ("a,b", '"q"', "plain")
 
 
+def assert_same_rows(got: list[str], want: list[str], what: str) -> None:
+    """Fail at the first differing row, naming it and showing both rows.
+
+    pytest would diff the joined texts, about 100 KB each, which took over a
+    minute per failure; a row takes no time.
+    """
+    for number, (row, expected) in enumerate(zip(got, want), 1):
+        if row != expected:
+            pytest.fail(f"{what} {number} differs:\n got  {row!r}\n want {expected!r}")
+    if len(got) != len(want):
+        pytest.fail(f"{what}s: {len(got)}, expected {len(want)}")
+
+
+def feature_rows(geojson: str) -> list[str]:
+    return [json.dumps(feature, sort_keys=True) for feature in json.loads(geojson)["features"]]
+
+
 @given(
     seed=st.integers(0, 5_000),
     delta_t=st.sampled_from([1.0, 0.5, 0.25]),
@@ -552,7 +568,7 @@ def test_exporters_match_cell_loops(
     rng = np.random.default_rng(seed)
     train, traffic = make_synthetic(rng, max_records=100, max_lines=3, km_span=20.0)
     names = {str(100 + i): name for i, name in enumerate(LINE_NAMES)}
-    train = Dataset.from_records(
+    train = dataset_of(
         (dataclasses.replace(r, line=names[r.line]) for r in train.records),
         train.period_start,
         train.period_end,
@@ -574,7 +590,11 @@ def test_exporters_match_cell_loops(
     choices = st.sampled_from(own + [0.0005, 0.001, 1.0])
     thresholds = data.draw(st.lists(choices, min_size=1, max_size=3))
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
-    assert csv_text(grid) == warnings_to_csv_loop(grid)
+    assert_same_rows(
+        csv_text(grid).splitlines(keepends=True),
+        warnings_to_csv_loop(grid).splitlines(keepends=True),
+        "CSV row",
+    )
 
     # each line's geometry covers part of its km range; one line may have none
     without = data.draw(st.sampled_from([None, *grid.lines]))
@@ -599,7 +619,10 @@ def test_exporters_match_cell_loops(
     month = data.draw(st.sampled_from([None, warned_month, 13]))
     hour = data.draw(st.sampled_from([None, warned_hour, warned_hour + 0.5 * delta_t, 24.0, -1.0]))
     got = warnings_to_geojson(grid, geometries, theta, month=month, hour=hour)
-    assert got == warnings_to_geojson_loop(grid, geometries, theta, month=month, hour=hour)
+    want = warnings_to_geojson_loop(grid, geometries, theta, month=month, hour=hour)
+    assert_same_rows(feature_rows(got), feature_rows(want), "GeoJSON feature")
+    if got != want:
+        pytest.fail("the GeoJSON texts differ outside their features")
 
 
 # --- randomized consistency between scalar and grid paths ---
