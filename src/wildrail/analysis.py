@@ -6,6 +6,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -124,51 +125,68 @@ def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
         raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
     if not points:
         return HexGrid(spacing=spacing, lat0=0.0, lon0=0.0, cells={})
-    lat0 = sum(lat for lat, _ in points) / len(points)
-    lon0 = sum(lon for _, lon in points) / len(points)
+    lat0 = sum(map(itemgetter(0), points)) / len(points)
+    lon0 = sum(map(itemgetter(1), points)) / len(points)
     grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells={})
-    cells: dict[tuple[int, int], int] = {}
+    cols, rows = [], []
     for start in range(0, len(points), _BLOCK):
         block = np.array(points[start : start + _BLOCK], dtype=float)
-        cols, rows = grid.assign(*grid.project(block[:, 0], block[:, 1]))
-        for key in zip(cols.tolist(), rows.tolist()):
-            cells[key] = cells.get(key, 0) + 1
+        col, row = grid.assign(*grid.project(block[:, 0], block[:, 1]))
+        cols.append(col)
+        rows.append(row)
+    cols, rows = np.concatenate(cols), np.concatenate(rows)
+    # group equal cells; the sort is stable, so each group starts at its first point
+    order = np.lexsort((rows, cols))
+    cols, rows = cols[order], rows[order]
+    new_cell = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], new_cell)))
+    counts = np.diff(starts, append=order.size)
+    by_first = np.argsort(order[starts])
+    firsts = starts[by_first]
+    cells = dict(zip(zip(cols[firsts].tolist(), rows[firsts].tolist()), counts[by_first].tolist()))
     return HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
 
 
 def hex_grid_to_geojson(grid: HexGrid) -> str:
-    """Occupied hex cells as GeoJSON polygons with a ``count`` property."""
+    """Occupied hex cells as GeoJSON polygons with a ``count`` property.
+
+    The text is the FeatureCollection as ``json.dumps(..., sort_keys=True)``
+    writes it, one feature per cell in sorted (col, row) order.
+    """
     # circumradius of a hexagon whose flat-to-flat width equals the
     # center-to-center distance between neighbors
     radius = grid.vertical_step / math.sqrt(3.0)
+    corners = [
+        (radius * math.cos(angle), radius * math.sin(angle))
+        for angle in (math.radians(60.0 * i) for i in range(6))
+    ]
+    lat0, lon0 = grid.lat0, grid.lon0
+    lon_scale = KM_PER_DEGREE * math.cos(math.radians(lat0))  # as in HexGrid.unproject
     features = []
-    for col, row in sorted(grid.cells):
+    for (col, row), count in sorted(grid.cells.items()):
         cx, cy = grid.center_xy(col, row)
-        ring = []
-        for i in range(6):
-            angle = math.radians(60.0 * i)
-            lat, lon = grid.unproject(cx + radius * math.cos(angle), cy + radius * math.sin(angle))
-            ring.append([lon, lat])
+        ring = [
+            f"[{lon0 + (cx + dx) / lon_scale!r}, {lat0 + (cy + dy) / KM_PER_DEGREE!r}]"
+            for dx, dy in corners
+        ]
         ring.append(ring[0])
         features.append(
-            {
-                "type": "Feature",
-                "properties": {"col": col, "row": row, "count": grid.cells[(col, row)]},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }
+            f'{{"geometry": {{"coordinates": [[{", ".join(ring)}]], "type": "Polygon"}}, '
+            f'"properties": {{"col": {col}, "count": {count}, "row": {row}}}, '
+            '"type": "Feature"}'
         )
-    return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
+    return f'{{"features": [{", ".join(features)}], "type": "FeatureCollection"}}'
 
 
 def species_profile(data: Dataset) -> dict[str, int]:
     """Accident counts per species, most frequent first (ties alphabetical).
 
-    Records with an empty species field are grouped under "unknown".
+    ``parse_accidents`` strips every field, so a blank species field is
+    empty; such records are grouped under "unknown".
     """
-    counts: dict[str, int] = {}
-    for species, count in Counter(data.species).items():
-        label = species.strip() or UNKNOWN_SPECIES
-        counts[label] = counts.get(label, 0) + count
+    counts = Counter(data.species)
+    if "" in counts:
+        counts[UNKNOWN_SPECIES] += counts.pop("")
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
@@ -325,16 +343,17 @@ def evaluate_holdout(
         raise ValueError(f"theta must be finite, got {theta!r}")
     if theta < 0:
         raise ValueError(f"theta must be non-negative, got {theta!r}")
-    names = tuple(grid.x_starts)
-    test_lines = np.array(test.line_names, dtype=object)
+    names = grid.lines
+    # each test line's position in the grid, -1 where the grid lacks it
+    positions = grid._line_positions(test.line_names)
     hours = test.minutes / 60.0
     # per mapped accident, the largest p_pt among the cells that can make it a
     # hit, -inf when all of them are flagged
     best: list[np.ndarray] = []
     for start in range(0, test.n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        li, xi, mi, ti = grid.locate(
-            test_lines[test.line_codes[block]], test.kms[block], test.months[block], hours[block]
+        li, xi, mi, ti = grid._locate(
+            positions[test.line_codes[block]], test.kms[block], test.months[block], hours[block]
         )
         mapped = np.flatnonzero((xi >= 0) & (mi >= 0) & (ti >= 0))
         mapped = mapped[np.argsort(li[mapped], kind="stable")]

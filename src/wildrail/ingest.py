@@ -9,8 +9,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import IO, Iterable, Iterator, Union
+from functools import cached_property
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -99,14 +99,14 @@ def count_days(start: dt.date, end: dt.date, days_per_year: str = "calendar") ->
     return days
 
 
-@dataclass(frozen=True)
-class AccidentRecord:
+class AccidentRecord(NamedTuple):
     """One wildlife-train collision report, as a Dataset's ``records`` view yields it.
 
-    ``time`` is minutes since midnight in [0, 1440); ``km`` is the position
-    along the line in kilometres (any non-negative real); ``species`` is
-    free-form and may be empty.  ``parse_accidents`` checks these rules on
-    the input rows; no function takes records as input.
+    An immutable named tuple.  ``time`` is minutes since midnight in [0,
+    1440); ``km`` is the position along the line in kilometres (any
+    non-negative real); ``species`` is free-form and may be empty.
+    ``parse_accidents`` checks these rules on the input rows; no function
+    takes records as input.
     """
 
     date: dt.date
@@ -129,8 +129,8 @@ class Dataset:
     indexes ``line_names`` (the distinct lines, sorted); ``kms``, ``months``
     (1..12), ``minutes`` (since midnight) and ``dates`` (``date.toordinal()``)
     are read-only numpy arrays; ``species`` is a tuple of str.  ``records``
-    is a read-only view of the columns as AccidentRecords, built anew on each
-    access.  Datasets compare and hash by identity.
+    is a read-only view of the columns as AccidentRecord named tuples, built
+    anew on each access.  Datasets compare and hash by identity.
     """
 
     period_start: dt.date
@@ -154,17 +154,19 @@ class Dataset:
 
     @property
     def records(self) -> tuple[AccidentRecord, ...]:
-        """The columns as AccidentRecords, built anew on each access."""
-        days = {day: dt.date.fromordinal(day) for day in set(self.dates.tolist())}
-        names = self.line_names
+        """The columns as AccidentRecord named tuples, built anew on each access."""
+        dates = self.dates.tolist()
+        days = {day: dt.date.fromordinal(day) for day in set(dates)}
         return tuple(
-            AccidentRecord(days[day], minute, names[code], km, species)
-            for day, minute, code, km, species in zip(
-                self.dates.tolist(),
-                self.minutes.tolist(),
-                self.line_codes.tolist(),
-                self.kms.tolist(),
-                self.species,
+            map(
+                AccidentRecord._make,
+                zip(
+                    map(days.__getitem__, dates),
+                    self.minutes.tolist(),
+                    map(self.line_names.__getitem__, self.line_codes.tolist()),
+                    self.kms.tolist(),
+                    self.species,
+                ),
             )
         )
 
@@ -448,7 +450,7 @@ class LineGeometry:
     def __post_init__(self) -> None:
         if len(self.vertices) < 2:
             raise ValueError(f"line {self.line}: need at least 2 vertices")
-        kms = tuple(v[2] for v in self.vertices)
+        kms = self.kms
         for a, b in zip(kms, kms[1:]):
             if b <= a:
                 raise ValueError(f"line {self.line}: km values must strictly increase ({a} -> {b})")
@@ -456,13 +458,18 @@ class LineGeometry:
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise ValueError(f"line {self.line}: coordinate ({lat}, {lon}) out of range")
 
-    @property
-    def km_min(self) -> float:
-        return self.vertices[0][2]
+    @cached_property
+    def kms(self) -> tuple[float, ...]:
+        """The vertex kms, ascending."""
+        return tuple(v[2] for v in self.vertices)
 
-    @property
+    @cached_property
+    def km_min(self) -> float:
+        return self.kms[0]
+
+    @cached_property
     def km_max(self) -> float:
-        return self.vertices[-1][2]
+        return self.kms[-1]
 
 
 def km_to_geo(geometry: LineGeometry, km: float) -> tuple[float, float]:
@@ -480,12 +487,13 @@ def km_to_geo(geometry: LineGeometry, km: float) -> tuple[float, float]:
             f"km {km} outside calibrated range "
             f"[{geometry.km_min}, {geometry.km_max}] of line {geometry.line}"
         )
-    idx = bisect_right(geometry.vertices, km, key=itemgetter(2)) - 1
-    if idx == len(geometry.vertices) - 1:
-        lat, lon, _ = geometry.vertices[-1]
+    vertices = geometry.vertices
+    idx = bisect_right(geometry.kms, km) - 1
+    if idx == len(vertices) - 1:
+        lat, lon, _ = vertices[-1]
         return (lat, lon)
-    lat0, lon0, k0 = geometry.vertices[idx]
-    lat1, lon1, k1 = geometry.vertices[idx + 1]
+    lat0, lon0, k0 = vertices[idx]
+    lat1, lon1, k1 = vertices[idx + 1]
     if km == k0:
         return (lat0, lon0)
     t = (km - k0) / (k1 - k0)

@@ -222,7 +222,12 @@ class WarningGrid:
         the final bin; anything further out misses.  ``month_index`` and
         ``t_index`` are one-element views of this.
         """
-        li = self._line_positions(lines)
+        return self._locate(self._line_positions(lines), km, months, hours)
+
+    def _locate(
+        self, li: np.ndarray, km: np.ndarray, months: np.ndarray, hours: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``locate`` with each query's line given as its position ``li`` (-1 unknown)."""
         return (
             li,
             self._x_indices(li, np.asarray(km, dtype=float)),

@@ -133,5 +133,7 @@ def make_synthetic(
 def no_records():
     """Fail any code that builds an AccidentRecord inside the block."""
     built = AssertionError("an AccidentRecord was built")
-    with mock.patch("wildrail.ingest.AccidentRecord", side_effect=built):
+    record_type = mock.Mock(side_effect=built)
+    record_type._make.side_effect = built  # the records view builds through _make
+    with mock.patch("wildrail.ingest.AccidentRecord", record_type):
         yield

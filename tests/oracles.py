@@ -374,6 +374,34 @@ def hex_bin_loop(points: Sequence[tuple[float, float]], spacing: float) -> dict:
     return {"spacing": spacing, "lat0": lat0, "lon0": lon0, "cells": cells}
 
 
+def hex_grid_to_geojson_loop(grid) -> str:
+    """The hex map built as one dict per cell, then one ``json.dumps(sort_keys=True)``.
+
+    Reads only the grid's ``spacing``, ``lat0``, ``lon0`` and ``cells``.
+    """
+    v = 2.0 * grid.spacing / math.sqrt(3.0)
+    radius = v / math.sqrt(3.0)
+    features = []
+    for col, row in sorted(grid.cells):
+        cx, cy = col * grid.spacing, (row + 0.5 * (col & 1)) * v
+        ring = []
+        for i in range(6):
+            angle = math.radians(60.0 * i)
+            x, y = cx + radius * math.cos(angle), cy + radius * math.sin(angle)
+            lon = grid.lon0 + x / (KM_PER_DEGREE * math.cos(math.radians(grid.lat0)))
+            lat = grid.lat0 + y / KM_PER_DEGREE
+            ring.append([lon, lat])
+        ring.append(ring[0])
+        features.append(
+            {
+                "type": "Feature",
+                "properties": {"col": col, "row": row, "count": grid.cells[(col, row)]},
+                "geometry": {"type": "Polygon", "coordinates": [ring]},
+            }
+        )
+    return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
+
+
 # --- hold-out scoring ---
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -38,6 +39,7 @@ from oracles import (
     cell_of,
     evaluate_holdout_loop,
     hex_bin_loop,
+    hex_grid_to_geojson_loop,
     nearest_center_exhaustive,
     pearson_manual,
     spearman_manual,
@@ -169,6 +171,39 @@ def test_hex_bin_matches_point_loop_across_block_seams() -> None:
     assert_same_hex_grid(list(zip(lats.tolist(), lons.tolist())), 2.5)
 
 
+def test_hex_bin_matches_point_loop_past_32_bit_cells() -> None:
+    # at 1e-8 km spacing the cell columns and rows span more than 2**32, past
+    # what a 32-bit cell index could hold
+    rng = np.random.default_rng(12)
+    lats = 50.0 + rng.uniform(-1.0, 1.0, 150)
+    lons = 19.0 + rng.uniform(-1.5, 1.5, 150)
+    points = list(zip(lats.tolist(), lons.tolist()))
+    points = points + points[::3] + [(50.0, 19.0)] * 4  # repeated points share a cell
+    grid = hex_bin(points, 1e-8)
+    cols = [col for col, _ in grid.cells]
+    rows = [row for _, row in grid.cells]
+    assert max(cols) - min(cols) > 2**32 and max(rows) - min(rows) > 2**32
+    assert min(cols) < 0 and min(rows) < 0
+    assert_same_hex_grid(points, 1e-8)
+
+
+def test_hex_bin_counts_cells_that_a_packed_key_would_merge() -> None:
+    # cells whose (col, row) pairs collide when packed into one int64 as
+    # col * 2**32 + row, row * 2**32 + col or with 32-bit halves
+    cells = [
+        (0, 0), (1, -(2**32)), (-(2**32), 1), (0, 2**32), (2**32, 0),
+        (2**31, 7), (-(2**31), 7), (3, 2**40), (3, -(2**40)), (0, 0), (2**32, 0),
+    ]
+    cols = np.array([col for col, _ in cells], dtype=np.int64)
+    rows = np.array([row for _, row in cells], dtype=np.int64)
+    with mock.patch.object(HexGrid, "assign", lambda grid, x, y: (cols, rows)):
+        grid = hex_bin([(50.0, 19.0)] * len(cells), 2.5)
+    expected: dict[tuple[int, int], int] = {}
+    for cell in cells:
+        expected[cell] = expected.get(cell, 0) + 1
+    assert list(grid.cells.items()) == list(expected.items())
+
+
 def test_hex_bin_empty_and_single_point() -> None:
     assert_same_hex_grid([], 2.5)
     assert_same_hex_grid([(50.2, 19.7)], 2.5)
@@ -202,6 +237,32 @@ def test_hex_geojson_rings() -> None:
         for lon, lat in ring[:-1]:
             x, y = grid.project(lat, lon)
             assert math.hypot(x - cx, y - cy) == pytest.approx(radius, rel=1e-9)
+
+
+@settings(max_examples=40)
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.integers(-60, 60), st.integers(-60, 60)), st.integers(1, 10**6), max_size=25
+    ),
+    lat0=st.one_of(
+        st.floats(min_value=79.0, max_value=80.5),
+        st.floats(min_value=-80.5, max_value=-79.0),
+        st.floats(min_value=-60.0, max_value=60.0),
+    ),
+    lon0=st.floats(min_value=-180.0, max_value=180.0),
+    spacing=st.sampled_from([0.01, 0.5, 2.5, 7.3, 100.0]),
+)
+def test_hex_geojson_matches_dict_writer(cells, lat0: float, lon0: float, spacing: float) -> None:
+    # negative and odd columns always present: odd ones sit half a step lower
+    cells = {(-3, -2): 5, (-2, 7): 1, (1, 0): 2, **cells}
+    grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
+    assert hex_grid_to_geojson(grid) == hex_grid_to_geojson_loop(grid)
+
+
+def test_hex_geojson_of_empty_grid() -> None:
+    grid = hex_bin([], 2.5)
+    assert hex_grid_to_geojson(grid) == hex_grid_to_geojson_loop(grid)
+    assert json.loads(hex_grid_to_geojson(grid)) == {"type": "FeatureCollection", "features": []}
 
 
 # --- species and hourly profiles ---
@@ -475,6 +536,28 @@ def test_holdout_matches_record_loop_across_block_seams(eval_grid, bundled_test_
 def test_holdout_single_record_matches_record_loop(eval_grid) -> None:
     for rec in (record(), record(line="999"), record(km=60.0), record(km=0.0, hour=0)):
         assert_same_report(eval_grid, dataset([rec]), 0.0005)
+
+
+def test_holdout_maps_lines_by_name_not_position(eval_grid) -> None:
+    # the grid lists its lines in reverse; the test set adds lines the grid
+    # lacks, so its sorted line_names interleave known and unknown names
+    reordered = dataclasses.replace(eval_grid, x_starts=dict(reversed(eval_grid.x_starts.items())))
+    assert reordered.lines == ("140", "139", "1")
+    lines = ("0", "1", "10", "139", "1390", "140", "999")
+    records = [
+        record(line=line, km=km, hour=hour, month=month)
+        for line in lines
+        for km, hour, month in ((0.0, 0, 1), (12.0, 18, 6), (37.5, 7, 11), (60.0, 23, 12))
+    ]
+    test = dataset(records)
+    assert test.line_names == tuple(sorted(lines))
+    for grid in (eval_grid, reordered):
+        for theta in (0.0, 0.0005, 0.001):
+            assert_same_report(grid, test, theta)
+    plain = evaluate_holdout(reordered, test, 0.0005)
+    assert plain == evaluate_holdout(eval_grid, test, 0.0005)
+    # all four records of each unknown line, and km 60 past the end of line 1
+    assert plain.n_unmapped == 4 * 4 + 1
 
 
 def test_holdout_and_profiles_read_columns_only(eval_grid, bundled_traffic, bundled_speeds) -> None:

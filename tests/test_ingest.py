@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import datetime as dt
 import io
+import itertools
 import math
 import runpy
 import shutil
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from wildrail import (
@@ -46,6 +47,7 @@ from oracles import (
     fit_counts_loop,
     floor_bin,
     hourly_profile_loop,
+    km_to_geo_loop,
     parse_accidents_loop,
     species_profile_loop,
     speed_pairs_loop,
@@ -276,6 +278,8 @@ def accident_csv(draw, delta: float) -> str:
     return out.getvalue()
 
 
+# a failing example is reported as drawn: shrinking these CSV texts took minutes
+@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(
     delta_x=st.sampled_from([5.0, 2.5, 0.1]),
     delta_t=st.sampled_from([1.0, 0.5, 0.25]),
@@ -401,7 +405,7 @@ def test_csv_parsers_name_first_physical_line(parse, header: str, rows) -> None:
 
 def test_dataset_replace_and_equality() -> None:
     parsed = parse_accidents(GOOD_CSV, PERIOD)
-    moved = dataset_of((dataclasses.replace(r, km=r.km + 1.0) for r in parsed.records), *PERIOD)
+    moved = dataset_of((r._replace(km=r.km + 1.0) for r in parsed.records), *PERIOD)
     assert moved.kms.tolist() == [13.4, 1.0, 80.9]
     assert moved.period_start == parsed.period_start
     longer = dataclasses.replace(parsed, period_end=dt.date(2023, 6, 30))
@@ -593,6 +597,42 @@ def test_km_to_geo_longitude_monotone(a: float, b: float) -> None:
     if a > b:
         a, b = b, a
     assert km_to_geo(geo, a)[1] <= km_to_geo(geo, b)[1]
+
+
+def edge_kms(geometry: LineGeometry) -> list[float]:
+    """Every vertex km, and one ulp either side of it inside [km_min, km_max]."""
+    kms = [v[2] for v in geometry.vertices]
+    below = [math.nextafter(k, -math.inf) for k in kms[1:]]
+    above = [math.nextafter(k, math.inf) for k in kms[:-1]]
+    return kms + below + above
+
+
+def assert_km_to_geo_matches_loop(geometry: LineGeometry) -> None:
+    assert geometry.kms == tuple(v[2] for v in geometry.vertices)
+    assert (geometry.km_min, geometry.km_max) == (geometry.kms[0], geometry.kms[-1])
+    for km in edge_kms(geometry):
+        assert km_to_geo(geometry, km) == km_to_geo_loop(geometry, km), km
+    for km in (math.nextafter(geometry.km_min, -math.inf), math.nextafter(geometry.km_max, math.inf)):
+        with pytest.raises(ValueError, match="outside calibrated range"):
+            km_to_geo(geometry, km)
+
+
+def test_km_to_geo_matches_loop_at_vertices(bundled_geometries) -> None:
+    for geometry in (make_geometry(), *bundled_geometries.values()):
+        assert_km_to_geo_matches_loop(geometry)
+
+
+@given(
+    steps=st.lists(st.floats(min_value=1e-6, max_value=50.0), min_size=1, max_size=8),
+    start=st.floats(min_value=0.0, max_value=500.0),
+    data=st.data(),
+)
+def test_km_to_geo_matches_loop_on_random_polylines(steps, start: float, data) -> None:
+    kms = list(itertools.accumulate([start, *steps]))  # steps far above an ulp: strictly increasing
+    coord = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+    coords = data.draw(st.lists(coord, min_size=len(kms), max_size=len(kms)))
+    vertices = tuple((lat, lon, km) for (lat, lon), km in zip(coords, kms))
+    assert_km_to_geo_matches_loop(LineGeometry(line="g", vertices=vertices))
 
 
 def test_parse_geometries_round_trip() -> None:

@@ -569,7 +569,7 @@ def test_exporters_match_cell_loops(
     train, traffic = make_synthetic(rng, max_records=100, max_lines=3, km_span=20.0)
     names = {str(100 + i): name for i, name in enumerate(LINE_NAMES)}
     train = dataset_of(
-        (dataclasses.replace(r, line=names[r.line]) for r in train.records),
+        (r._replace(line=names[r.line]) for r in train.records),
         train.period_start,
         train.period_end,
     )
