@@ -68,11 +68,19 @@ def parse_accidents_loop(text: str, period: tuple[dt.date, dt.date]) -> list[tup
 
     Returns one (date, time, line, km, species) tuple per record, the fields
     of the package's AccidentRecord, and raises LoopParseError where the
-    package raises ParseError.
+    package raises ParseError.  Text the csv module rejects is an error at the
+    physical line where the csv module stopped.
     """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return _accident_loop(reader, period)
+    except csv.Error as exc:
+        raise LoopParseError(str(exc), reader.line_num) from None
+
+
+def _accident_loop(reader, period: tuple[dt.date, dt.date]) -> list[tuple]:
     header = ("date", "time", "line", "km", "species")
     start, end = period
-    reader = csv.reader(io.StringIO(text))
     try:
         got = tuple(cell.strip() for cell in next(reader))
     except StopIteration:

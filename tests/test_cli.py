@@ -146,6 +146,29 @@ def test_fit_rejects_malformed_rows_with_location(tmp_path: Path, capsys) -> Non
     assert str(bad) in err
 
 
+@pytest.mark.parametrize(
+    "option, row",
+    [
+        ("--accidents", "2020-01-01,10:00,139,1.0,{long}"),
+        ("--traffic", "139,0,10{long}"),
+    ],
+)
+def test_csv_module_errors_are_input_errors(option: str, row: str, tmp_path: Path, capsys) -> None:
+    # a field over csv.field_size_limit() on the third line
+    header = {"--accidents": "date,time,line,km,species", "--traffic": "line,km_from,count"}[option]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n{row.format(long='')}\n{row.format(long='x' * 200_000)}\n")
+    if option == "--accidents":
+        argv = ["profile", "--accidents", str(bad), *PERIOD_FLAGS]
+    else:
+        argv = ["eval", "--model", MODEL, "--traffic", str(bad), "--test", TEST_ACCIDENTS]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    limit = csv.field_size_limit()
+    assert err == [f"error: {bad}: line 3: field larger than field limit ({limit})"]
+    assert not (tmp_path / "out").exists()
+
+
 # --- warn ---
 
 

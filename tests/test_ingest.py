@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from wildrail import (
@@ -40,6 +40,8 @@ from wildrail import (
     species_profile,
     speed_correlation,
 )
+import wildrail.ingest
+from wildrail.ingest import _accident_columns
 from conftest import DATA_DIR, dataset_of, no_records
 from oracles import (
     LoopParseError,
@@ -197,13 +199,99 @@ def test_parse_accidents_header_and_empty() -> None:
         parse_accidents(io.StringIO("date,time,line,km,species\n"), PERIOD)
 
 
+HEADER = "date,time,line,km,species"
+ROW = "2020-01-15,18:23,139,12.4,roe deer"
+
+
+# (text, whether it is split into columns without the csv row loop)
+ROUTE_CASES = {
+    "crlf": (f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n", False),
+    "lone_cr_line_end": (f"{HEADER}\n{ROW}\r{ROW}\n", False),
+    "lone_cr_in_field": (f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\rdeer\n", False),
+    "nul": (f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\0deer\n", False),
+    "quoted": (f'{HEADER}\n"2020-01-15","18:23","139","12.4","roe deer"\n', False),
+    "field_over_limit": (f"{HEADER}\n{ROW}\n{ROW},{'x' * 200_000}\n", False),
+    "padded_cells": (" date , time,line ,km,species \n 2020-01-15 ,\t18:23 , 139 ,12.4, fox \n", True),
+    "whitespace_line": (f"{HEADER}\n{ROW}\n   \n{ROW}\n", False),
+    "tab_line": (f"{HEADER}\n{ROW}\n\t\n", False),
+    "blank_lines": (f"{HEADER}\n\n{ROW}\n\n\n{ROW}\n\n", True),
+    # characters str.splitlines breaks on, inside one field
+    "splitlines_breaks": (f"{HEADER}\n2020-01-15,18:23,139,12.4,a\x0bb\x1cc\u2028d\x85e\n", True),
+    "blank_first_line": (f"\n{HEADER}\n{ROW}\n", False),
+    "header_only": (f"{HEADER}\n", False),
+    "header_only_no_newline": (HEADER, False),
+    "empty": ("", False),
+    "no_final_newline": (f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox", True),
+    "bad_header": (f"date,time,line,km\n{ROW}\n", False),
+    "bad_row_after_valid_rows": (f"{HEADER}\n{ROW}\n\n{ROW}\n2020-01-15,24:00,139,12.4,\n", False),
+    "out_of_period_after_valid_rows": (f"{HEADER}\n{ROW}\n{ROW}\n2023-01-01,10:00,1,1.0,\n", False),
+    # one row short of a field and the next one over: the cell total is right
+    "field_counts_that_balance": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n{ROW},x\n", False),
+    "negative_km": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,-0.5,\n", False),
+    "empty_line_id": (f"{HEADER}\n{ROW}\n2020-01-15,18:23, ,12.4,\n", False),
+}
+
+
+@pytest.mark.parametrize("text,columnar", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
+def test_parse_accidents_routes_match_oracle(text: str, columnar: bool) -> None:
+    assert (_accident_columns(text, PERIOD) is not None) == columnar
+    try:
+        expected = parse_accidents_loop(text, PERIOD)
+    except LoopParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_accidents(text, PERIOD)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        return
+    parsed = parse_accidents(text, PERIOD)
+    assert parsed.records == tuple(AccidentRecord(*row) for row in expected)
+    assert_same_columns(parse_accidents(io.StringIO(text), PERIOD), parsed)
+
+
+@pytest.mark.parametrize("block", [1, 40, 1000])
+def test_columnar_blocks_join_seamlessly(block: int, monkeypatch) -> None:
+    # blank lines here and there, so some blocks start or end on one
+    text = (DATA_DIR / "accidents_2020_2022.csv").read_text(encoding="utf-8")
+    text = text.replace("\n2021-03", "\n\n2021-03").replace("\n2022-", "\n\n\n2022-")
+    monkeypatch.setattr(wildrail.ingest, "_BLOCK", block)
+    assert _accident_columns(text, PERIOD) is not None
+    expected = tuple(AccidentRecord(*row) for row in parse_accidents_loop(text, PERIOD))
+    assert parse_accidents(text, PERIOD).records == expected
+
+
+def test_parsed_species_share_one_str_per_distinct_text() -> None:
+    names = ("fox", " fox", "fox ", "", "boar", " ") * 3
+    text = f"{HEADER}\n" + "".join(f"2020-01-15,18:23,139,12.4,{name}\n" for name in names)
+    quoted = text.replace(",fox", ',"fox"')
+    for source in (text, quoted):
+        data = parse_accidents(source, PERIOD)
+        assert set(data.species) == {"fox", "", "boar"}
+        assert len({id(s) for s in data.species}) == len(set(data.species))
+    with open(DATA_DIR / "accidents_2020_2022.csv", encoding="utf-8") as fh:
+        data = parse_accidents(fh, PERIOD)
+    assert len({id(s) for s in data.species}) == len(set(data.species))
+
+
+def test_quoted_crlf_copy_parses_to_the_same_columns() -> None:
+    text = (DATA_DIR / "accidents_2020_2022.csv").read_text(encoding="utf-8")
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(
+        csv.reader(io.StringIO(text))
+    )
+    copy = out.getvalue()
+    assert _accident_columns(copy, PERIOD) is None and _accident_columns(text, PERIOD) is not None
+    assert_same_columns(parse_accidents(copy, PERIOD), parse_accidents(text, PERIOD))
+
+
 # --- columnar parsing against the row loop ---
 
 # valid field texts, repeated across rows so the per-text memos are reused
 DATE_TEXTS = ("2020-01-01", "2022-12-31", "2021-02-28", "2020-02-29", " 2021-07-02 ", "20210703")
 TIME_TEXTS = ("00:00", "23:59", "18:23", "7:05", "06:0", " 12:30 ", "\uff11\uff12:00")
-LINE_TEXTS = ("1", "139", "a,b", '"q"', " 7 ")
+LINE_TEXTS = ("1", "139", " 7 ", "a,b", '"q"')
 SPECIES_TEXTS = ("", "roe deer", " fox ", "a,b", 'say "hi"', "two\nlines")
+# the texts csv.writer leaves unquoted, so a text of them splits into columns
+PLAIN_LINE_TEXTS = LINE_TEXTS[:3]
+PLAIN_SPECIES_TEXTS = SPECIES_TEXTS[:3]
 # malformed or out-of-period texts per field
 BAD_TEXTS = (
     ("2020-13-01", "2020-02-30", "x", "", "2019-12-31", "2023-01-01"),
@@ -233,6 +321,9 @@ def km_texts(delta: float) -> st.SearchStrategy[str]:
 
 @st.composite
 def accident_csv(draw, delta: float) -> str:
+    # half the texts need no quotes, so they are split into columns without
+    # the csv row loop; the others go through it
+    plain = draw(st.booleans())
     rows = draw(
         st.lists(
             st.lists(
@@ -240,9 +331,9 @@ def accident_csv(draw, delta: float) -> str:
                     st.tuples(
                         st.sampled_from(DATE_TEXTS),
                         st.sampled_from(TIME_TEXTS),
-                        st.sampled_from(LINE_TEXTS),
+                        st.sampled_from(PLAIN_LINE_TEXTS if plain else LINE_TEXTS),
                         km_texts(delta),
-                        st.sampled_from(SPECIES_TEXTS),
+                        st.sampled_from(PLAIN_SPECIES_TEXTS if plain else SPECIES_TEXTS),
                     ).map(list),
                     st.just([]),  # a blank line
                 ),
@@ -264,9 +355,11 @@ def accident_csv(draw, delta: float) -> str:
             row[column] = draw(st.sampled_from(BAD_TEXTS[column]))
     # a leading row that spans two physical lines, so every later row's
     # line number differs from its row count
-    if draw(st.booleans()):
+    if not plain and draw(st.booleans()):
         rows.insert(0, ["2021-03-04", "05:06", "1", "1.0", "two\nlines"])
-    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    quoting = csv.QUOTE_MINIMAL
+    if not plain:
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     out = io.StringIO()
     writer = csv.writer(out, quoting=quoting, lineterminator="\n")
     writer.writerow(["date", "time", "line", "km", "species"])
@@ -287,6 +380,7 @@ def accident_csv(draw, delta: float) -> str:
 )
 def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) -> None:
     text = data.draw(accident_csv(delta_x))
+    event("quoted" if '"' in text else "quote-free")
     try:
         expected = parse_accidents_loop(text, PERIOD)
     except LoopParseError as exc:
@@ -331,6 +425,19 @@ def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) 
     # records, and the dataset parsed back from them
     assert parsed.records == tuple(records)
     assert_same_columns(dataset_of(records, *PERIOD), parsed)
+
+
+def test_accident_csv_draws_quote_free_and_quoted_texts() -> None:
+    drawn = []
+
+    @settings(max_examples=60, derandomize=True, database=None)
+    @given(accident_csv(5.0))
+    def draw(text: str) -> None:
+        drawn.append(text)
+
+    draw()
+    rows = [text for text in drawn if text.count("\n") > 2]
+    assert any('"' not in text for text in rows) and any('"' in text for text in rows)
 
 
 def assert_same_columns(built: Dataset, parsed: Dataset) -> None:
