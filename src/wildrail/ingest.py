@@ -10,8 +10,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import IO, Callable, Iterator, NamedTuple, Union
+from typing import IO, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -249,7 +248,7 @@ def _rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(str(exc), reader.line_num) from None
 
 
-def _parse_time_field(text: str, line_no: int | None) -> int:
+def _parse_time_field(text: str, line_no: int) -> int:
     parts = text.strip().split(":")
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ParseError(f"time must be HH:MM, got {text!r}", line_no)
@@ -259,7 +258,7 @@ def _parse_time_field(text: str, line_no: int | None) -> int:
     return hh * 60 + mm
 
 
-def _parse_float_field(text: str, name: str, line_no: int | None) -> float:
+def _parse_float_field(text: str, name: str, line_no: int) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -269,119 +268,38 @@ def _parse_float_field(text: str, name: str, line_no: int | None) -> float:
     return value
 
 
-class _Columns(NamedTuple):
-    """Parsed accident rows before they become a Dataset.
+def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]) -> Dataset:
+    """Parse accident CSV (``date,time,line,km,species``) into a Dataset.
 
-    ``line_codes`` index ``lines`` (name -> code, in first-seen order) and
-    ``day_codes`` index ``days`` (the distinct dates, in first-seen order).
+    Parsing is strict: any malformed row aborts with a ParseError naming the
+    offending physical line, as does a record dated outside ``period``.  An
+    input with no data rows is an error.  The rows go straight into the
+    Dataset columns; each distinct date and time text is parsed once, and
+    equal species values share one str object.  A stream is read line by
+    line, as its own newline setting splits it.
+
+    Args:
+        stream: CSV text or an open text stream.
+        period: inclusive (start, end) observation dates.
+
+    Raises:
+        ParseError: malformed header, row, field, or out-of-period record.
     """
-
-    lines: dict[str, int]
-    days: list[dt.date]
-    line_codes: list[int]
-    day_codes: list[int]
-    minutes: list[int]
-    kms: list[float]
-    species: list[str]
-
-
-# characters of accident text split into cells at a time, so the short-lived
-# lists of line and cell strings stay a few MB however long the log is
-_BLOCK = 1 << 20
-
-
-def _each(texts: list[str], table: dict, parse: Callable[[str], object]) -> Iterator:
-    """``parse(text)`` for each text; ``parse`` runs once per distinct text in ``table``."""
-    for text in set(texts).difference(table):
-        table[text] = parse(text)
-    return map(table.__getitem__, texts)
-
-
-def _accident_columns(text: str, period: tuple[dt.date, dt.date]) -> _Columns | None:
-    """The rows of an accident CSV text without a csv.reader, or None.
-
-    The text is split on "\\n" and then on ",", so this is only done where
-    that is what csv.reader would do: no quote, CR or NUL anywhere, and no
-    line longer than ``csv.field_size_limit()``.  Each distinct date, time,
-    line, km and species text is parsed once.  None means the text must go
-    through the row loop: it is not such a text, it has no data row, or some
-    row breaks a rule the row loop checks, which then names that row.
-    """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    limit = csv.field_size_limit()
-    header_end = text.find("\n")
-    if not 0 <= header_end <= limit:
-        return None
-    if tuple(map(str.strip, text[:header_end].split(","))) != ACCIDENT_HEADER:
-        return None
     start, end = period
-    columns = _Columns({}, [], [], [], [], [], [])
-    shared_species: dict[str, str] = {}
-
-    def day_code(date_text: str) -> int:
-        date = dt.date.fromisoformat(date_text.strip())
-        if not start <= date <= end:
-            raise ValueError("outside period")
-        columns.days.append(date)
-        return len(columns.days) - 1
-
-    def km(km_text: str) -> float:
-        value = _parse_float_field(km_text.strip(), "km", None)
-        if value < 0:
-            raise ValueError("negative km")
-        return value
-
-    def line_code(line_text: str) -> int:
-        line = line_text.strip()
-        if not line:
-            raise ValueError("empty line")
-        return columns.lines.setdefault(line, len(columns.lines))
-
-    def species(species_text: str) -> str:
-        stripped = species_text.strip()
-        return shared_species.setdefault(stripped, stripped)
-
-    fields = (
-        (columns.day_codes, {}, day_code),
-        (columns.minutes, {}, lambda time_text: _parse_time_field(time_text, None)),
-        (columns.line_codes, {}, line_code),
-        (columns.kms, {}, km),
-        (columns.species, {}, species),
-    )
-    n_fields = len(ACCIDENT_HEADER)
-    block_start = header_end + 1
-    while block_start < len(text):
-        block_end = text.find("\n", block_start + _BLOCK)
-        if block_end < 0:
-            block_end = len(text)
-        rows = list(filter(None, text[block_start:block_end].split("\n")))
-        block_start = block_end + 1
-        if not rows:
-            continue
-        if max(map(len, rows)) > limit or set(map(str.count, rows, repeat(","))) != {n_fields - 1}:
-            return None
-        cells = ",".join(rows).split(",")
-        try:
-            for i, (column, table, parse) in enumerate(fields):
-                column.extend(_each(cells[i::n_fields], table, parse))
-        except ValueError:
-            return None
-    return columns if columns.kms else None
-
-
-def _accident_rows(text: str, period: tuple[dt.date, dt.date]) -> _Columns:
-    """The rows of an accident CSV text read by csv.reader, checked row by row."""
-    start, end = period
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_open_text(stream))
     if not _read_header(reader, ACCIDENT_HEADER, "accident"):
         raise ParseError("empty accident file")
-    columns = _Columns({}, [], [], [], [], [], [])
-    lines, days = columns.lines, columns.days
+    lines: dict[str, int] = {}
     day_of_text: dict[str, int] = {}  # date text -> its position in days
+    days: list[dt.date] = []
     in_period: list[bool] = []
     minute_of_text: dict[str, int] = {}
     shared_species: dict[str, str] = {}
+    line_codes: list[int] = []
+    day_codes: list[int] = []
+    minutes: list[int] = []
+    kms: list[float] = []
+    species: list[str] = []
     for line_no, fields in _rows(reader, len(ACCIDENT_HEADER)):
         date_text, time_text, line, km_text, species_text = fields
         day = day_of_text.get(date_text)
@@ -403,54 +321,26 @@ def _accident_rows(text: str, period: tuple[dt.date, dt.date]) -> _Columns:
             raise ParseError("line identifier must be non-empty", line_no)
         if not in_period[day]:
             raise ParseError(f"record dated {days[day]} outside period {start}..{end}", line_no)
-        columns.line_codes.append(lines.setdefault(line, len(lines)))
-        columns.day_codes.append(day)
-        columns.minutes.append(minute)
-        columns.kms.append(km)
-        columns.species.append(shared_species.setdefault(species_text, species_text))
-    if not columns.kms:
+        line_codes.append(lines.setdefault(line, len(lines)))
+        day_codes.append(day)
+        minutes.append(minute)
+        kms.append(km)
+        species.append(shared_species.setdefault(species_text, species_text))
+    if not kms:
         raise ParseError("no accident records in input")
-    return columns
-
-
-def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]) -> Dataset:
-    """Parse accident CSV (``date,time,line,km,species``) into a Dataset.
-
-    Parsing is strict: any malformed row aborts with a ParseError naming the
-    offending physical line, as does a record dated outside ``period``.  An
-    input with no data rows is an error.
-
-    A stream is read whole and its text parsed as a str would be.  Text
-    without quotes, CR or NUL is split into columns directly, and each
-    distinct date, time, line, km and species text is parsed once.  Quoted,
-    CR or NUL text, and any text that fails a check, goes through a
-    csv.reader row loop, which gives every error.  Equal species values
-    share one str object.
-
-    Args:
-        stream: CSV text or an open text stream.
-        period: inclusive (start, end) observation dates.
-
-    Raises:
-        ParseError: malformed header, row, field, or out-of-period record.
-    """
-    text = stream if isinstance(stream, str) else stream.read()
-    columns = _accident_columns(text, period)
-    if columns is None:
-        columns = _accident_rows(text, period)
-    position = {name: i for i, name in enumerate(sorted(columns.lines))}
-    renumber = np.array([position[name] for name in columns.lines], dtype=np.int64)
-    day_index = np.array(columns.day_codes, dtype=np.int64)
-    arrays = (
-        renumber[np.array(columns.line_codes, dtype=np.int64)],
-        np.array(columns.kms, dtype=float),
-        np.array([day.month for day in columns.days], dtype=np.int64)[day_index],
-        np.array(columns.minutes, dtype=np.int64),
-        np.array([day.toordinal() for day in columns.days], dtype=np.int64)[day_index],
+    position = {name: i for i, name in enumerate(sorted(lines))}
+    renumber = np.array([position[name] for name in lines], dtype=np.int64)
+    day_index = np.array(day_codes, dtype=np.int64)
+    columns = (
+        renumber[np.array(line_codes, dtype=np.int64)],
+        np.array(kms, dtype=float),
+        np.array([day.month for day in days], dtype=np.int64)[day_index],
+        np.array(minutes, dtype=np.int64),
+        np.array([day.toordinal() for day in days], dtype=np.int64)[day_index],
     )
-    for array in arrays:
-        array.setflags(write=False)
-    return Dataset(*period, tuple(position), *arrays, tuple(columns.species))
+    for column in columns:
+        column.setflags(write=False)
+    return Dataset(start, end, tuple(position), *columns, tuple(species))
 
 
 def _check_bin_width(delta_x: float) -> None:

@@ -40,8 +40,6 @@ from wildrail import (
     species_profile,
     speed_correlation,
 )
-import wildrail.ingest
-from wildrail.ingest import _accident_columns
 from conftest import DATA_DIR, dataset_of, no_records
 from oracles import (
     LoopParseError,
@@ -203,38 +201,37 @@ HEADER = "date,time,line,km,species"
 ROW = "2020-01-15,18:23,139,12.4,roe deer"
 
 
-# (text, whether it is split into columns without the csv row loop)
-ROUTE_CASES = {
-    "crlf": (f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n", False),
-    "lone_cr_line_end": (f"{HEADER}\n{ROW}\r{ROW}\n", False),
-    "lone_cr_in_field": (f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\rdeer\n", False),
-    "nul": (f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\0deer\n", False),
-    "quoted": (f'{HEADER}\n"2020-01-15","18:23","139","12.4","roe deer"\n', False),
-    "field_over_limit": (f"{HEADER}\n{ROW}\n{ROW},{'x' * 200_000}\n", False),
-    "padded_cells": (" date , time,line ,km,species \n 2020-01-15 ,\t18:23 , 139 ,12.4, fox \n", True),
-    "whitespace_line": (f"{HEADER}\n{ROW}\n   \n{ROW}\n", False),
-    "tab_line": (f"{HEADER}\n{ROW}\n\t\n", False),
-    "blank_lines": (f"{HEADER}\n\n{ROW}\n\n\n{ROW}\n\n", True),
+# edge texts, each checked against the row-loop oracle on the running Python
+EDGE_CASES = {
+    "crlf": f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n",
+    "lone_cr_line_end": f"{HEADER}\n{ROW}\r{ROW}\n",
+    "lone_cr_in_field": f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\rdeer\n",
+    "nul": f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\0deer\n",
+    "quoted": f'{HEADER}\n"2020-01-15","18:23","139","12.4","roe deer"\n',
+    "field_over_limit": f"{HEADER}\n{ROW}\n{ROW},{'x' * 200_000}\n",
+    "padded_cells": " date , time,line ,km,species \n 2020-01-15 ,\t18:23 , 139 ,12.4, fox \n",
+    "whitespace_line": f"{HEADER}\n{ROW}\n   \n{ROW}\n",
+    "tab_line": f"{HEADER}\n{ROW}\n\t\n",
+    "blank_lines": f"{HEADER}\n\n{ROW}\n\n\n{ROW}\n\n",
     # characters str.splitlines breaks on, inside one field
-    "splitlines_breaks": (f"{HEADER}\n2020-01-15,18:23,139,12.4,a\x0bb\x1cc\u2028d\x85e\n", True),
-    "blank_first_line": (f"\n{HEADER}\n{ROW}\n", False),
-    "header_only": (f"{HEADER}\n", False),
-    "header_only_no_newline": (HEADER, False),
-    "empty": ("", False),
-    "no_final_newline": (f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox", True),
-    "bad_header": (f"date,time,line,km\n{ROW}\n", False),
-    "bad_row_after_valid_rows": (f"{HEADER}\n{ROW}\n\n{ROW}\n2020-01-15,24:00,139,12.4,\n", False),
-    "out_of_period_after_valid_rows": (f"{HEADER}\n{ROW}\n{ROW}\n2023-01-01,10:00,1,1.0,\n", False),
+    "splitlines_breaks": f"{HEADER}\n2020-01-15,18:23,139,12.4,a\x0bb\x1cc\u2028d\x85e\n",
+    "blank_first_line": f"\n{HEADER}\n{ROW}\n",
+    "header_only": f"{HEADER}\n",
+    "header_only_no_newline": HEADER,
+    "empty": "",
+    "no_final_newline": f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox",
+    "bad_header": f"date,time,line,km\n{ROW}\n",
+    "bad_row_after_valid_rows": f"{HEADER}\n{ROW}\n\n{ROW}\n2020-01-15,24:00,139,12.4,\n",
+    "out_of_period_after_valid_rows": f"{HEADER}\n{ROW}\n{ROW}\n2023-01-01,10:00,1,1.0,\n",
     # one row short of a field and the next one over: the cell total is right
-    "field_counts_that_balance": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n{ROW},x\n", False),
-    "negative_km": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,-0.5,\n", False),
-    "empty_line_id": (f"{HEADER}\n{ROW}\n2020-01-15,18:23, ,12.4,\n", False),
+    "field_counts_that_balance": f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n{ROW},x\n",
+    "negative_km": f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,-0.5,\n",
+    "empty_line_id": f"{HEADER}\n{ROW}\n2020-01-15,18:23, ,12.4,\n",
 }
 
 
-@pytest.mark.parametrize("text,columnar", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
-def test_parse_accidents_routes_match_oracle(text: str, columnar: bool) -> None:
-    assert (_accident_columns(text, PERIOD) is not None) == columnar
+@pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_parse_accidents_edge_texts_match_oracle(text: str) -> None:
     try:
         expected = parse_accidents_loop(text, PERIOD)
     except LoopParseError as exc:
@@ -247,15 +244,14 @@ def test_parse_accidents_routes_match_oracle(text: str, columnar: bool) -> None:
     assert_same_columns(parse_accidents(io.StringIO(text), PERIOD), parsed)
 
 
-@pytest.mark.parametrize("block", [1, 40, 1000])
-def test_columnar_blocks_join_seamlessly(block: int, monkeypatch) -> None:
-    # blank lines here and there, so some blocks start or end on one
-    text = (DATA_DIR / "accidents_2020_2022.csv").read_text(encoding="utf-8")
-    text = text.replace("\n2021-03", "\n\n2021-03").replace("\n2022-", "\n\n\n2022-")
-    monkeypatch.setattr(wildrail.ingest, "_BLOCK", block)
-    assert _accident_columns(text, PERIOD) is not None
-    expected = tuple(AccidentRecord(*row) for row in parse_accidents_loop(text, PERIOD))
-    assert parse_accidents(text, PERIOD).records == expected
+def test_stream_is_split_by_its_own_newline_setting() -> None:
+    # a file opened with newline="" hands csv.reader lines that end in a lone
+    # "\r", and the csv module ends the row there
+    lf = f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox\n"
+    cr = lf.replace("\n", "\r")
+    assert_same_columns(parse_accidents(io.StringIO(cr, newline=""), PERIOD), parse_accidents(lf, PERIOD))
+    with pytest.raises(ParseError):
+        parse_accidents(cr, PERIOD)
 
 
 def test_parsed_species_share_one_str_per_distinct_text() -> None:
@@ -278,7 +274,7 @@ def test_quoted_crlf_copy_parses_to_the_same_columns() -> None:
         csv.reader(io.StringIO(text))
     )
     copy = out.getvalue()
-    assert _accident_columns(copy, PERIOD) is None and _accident_columns(text, PERIOD) is not None
+    assert copy.startswith('"date","time","line","km","species"\r\n"')
     assert_same_columns(parse_accidents(copy, PERIOD), parse_accidents(text, PERIOD))
 
 
@@ -289,7 +285,7 @@ DATE_TEXTS = ("2020-01-01", "2022-12-31", "2021-02-28", "2020-02-29", " 2021-07-
 TIME_TEXTS = ("00:00", "23:59", "18:23", "7:05", "06:0", " 12:30 ", "\uff11\uff12:00")
 LINE_TEXTS = ("1", "139", " 7 ", "a,b", '"q"')
 SPECIES_TEXTS = ("", "roe deer", " fox ", "a,b", 'say "hi"', "two\nlines")
-# the texts csv.writer leaves unquoted, so a text of them splits into columns
+# the texts csv.writer leaves unquoted
 PLAIN_LINE_TEXTS = LINE_TEXTS[:3]
 PLAIN_SPECIES_TEXTS = SPECIES_TEXTS[:3]
 # malformed or out-of-period texts per field
@@ -321,8 +317,8 @@ def km_texts(delta: float) -> st.SearchStrategy[str]:
 
 @st.composite
 def accident_csv(draw, delta: float) -> str:
-    # half the texts need no quotes, so they are split into columns without
-    # the csv row loop; the others go through it
+    # half the texts need no quotes, as most logs do; the others quote some
+    # or all cells
     plain = draw(st.booleans())
     rows = draw(
         st.lists(
