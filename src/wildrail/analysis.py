@@ -344,16 +344,15 @@ def evaluate_holdout(
     if theta < 0:
         raise ValueError(f"theta must be non-negative, got {theta!r}")
     names = grid.lines
-    # each test line's position in the grid, -1 where the grid lacks it
-    positions = grid._line_positions(test.line_names)
     hours = test.minutes / 60.0
     # per mapped accident, the largest p_pt among the cells that can make it a
     # hit, -inf when all of them are flagged
     best: list[np.ndarray] = []
     for start in range(0, test.n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        li, xi, mi, ti = grid._locate(
-            positions[test.line_codes[block]], test.kms[block], test.months[block], hours[block]
+        li, xi, mi, ti = grid.locate(
+            test.line_names, test.line_codes[block], test.kms[block], test.months[block],
+            hours[block],
         )
         mapped = np.flatnonzero((xi >= 0) & (mi >= 0) & (ti >= 0))
         mapped = mapped[np.argsort(li[mapped], kind="stable")]

@@ -14,7 +14,8 @@ are ignored, so one config file can serve every command.
 
 Exit codes: 0 success, 1 computation error (undefined probability, no
 traffic, undefined correlation), 2 input error (missing or malformed files,
-bad flags or config values), with one ``error:`` line on stderr.
+bad flags or config values), with one ``error:`` line on stderr.  An error
+in an input file names the file first: ``error: <path>: ...``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .analysis import (
 )
 from .ingest import (
     Dataset,
-    ParseError,
     count_days,
     km_to_geo,
     parse_accidents,
@@ -76,12 +76,23 @@ __all__ = ["main", "run", "build_parser", "resolve", "OPTIONS", "COMMANDS", "DEF
 DEFAULT_THRESHOLDS = (0.0005, 0.001, 0.002)
 
 
-def _read_text(path: str) -> str:
+def _parse(path: str, parse: Callable[..., Any], *args: Any) -> Any:
+    """``parse(text, *args)`` on the UTF-8 text of ``path``; its errors name the file once.
+
+    An error keeps its class, so its exit code, and gains a ``<path>: `` prefix.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:  # its message ignores args
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        return parse(text, *args)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _open_out(path: str) -> TextIO:
@@ -97,15 +108,13 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
+def _config_doc(text: str) -> dict[str, Any]:
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path}: invalid JSON: {exc}") from None
+        raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"config {path}: top level must be an object")
+        raise ValueError("config top level must be an object")
     return doc
 
 
@@ -219,8 +228,8 @@ OPTIONS: dict[str, tuple[Callable[[Any], Any], Any, str]] = {
     "days_per_year": (_days_per_year, "calendar", "day counting: calendar (default) or 365"),
     "seasons": (parse_seasons_spec, DEFAULT_SEASONS,
                 "month grouping (default 'short=11,12,1,2;long=5,6,7,8;mid=3,4,9,10')"),
-    "delta_x": (_number, 5.0, "km bin width (default 5)"),
-    "delta_t": (_number, 1.0, "hour bin width (default 1)"),
+    "delta_x": (_positive, 5.0, "km bin width (default 5)"),
+    "delta_t": (_positive, 1.0, "hour bin width (default 1)"),
     "smoothing": (_number, 0.0, "additive smoothing count (default 0)"),
     "model": (_path, None, "fitted model JSON"),
     "traffic": (_path, None, "traffic CSV (line,km_from,count)"),
@@ -251,13 +260,9 @@ def _load_dataset(path: str, opts: argparse.Namespace) -> Dataset:
     start, end = opts.period_start, opts.period_end
     if (start is None) != (end is None):
         raise ValueError("provide both --period-start and --period-end, or neither")
-    text = _read_text(path)
-    try:
-        if start is not None:
-            return parse_accidents(text, (start, end))
-        data = parse_accidents(text, (dt.date.min, dt.date.max))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    if start is not None:
+        return _parse(path, parse_accidents, (start, end))
+    data = _parse(path, parse_accidents, (dt.date.min, dt.date.max))
     # no explicit period: use the span of the data itself
     first, last = (dt.date.fromordinal(int(day)) for day in (data.dates.min(), data.dates.max()))
     return dataclasses.replace(data, period_start=first, period_end=last)
@@ -267,12 +272,9 @@ def _load_traffic(opts: argparse.Namespace, delta_x: float):
     table_path, runs_path = opts.traffic, opts.traffic_runs
     if (table_path is None) == (runs_path is None):
         raise ValueError("provide exactly one of --traffic or --traffic-runs")
-    try:
-        if table_path is not None:
-            return parse_traffic(_read_text(table_path), delta_x)
-        return parse_traffic_runs(_read_text(runs_path), delta_x)
-    except ParseError as exc:
-        raise ParseError(f"{table_path or runs_path}: {exc}") from None
+    if table_path is not None:
+        return _parse(table_path, parse_traffic, delta_x)
+    return _parse(runs_path, parse_traffic_runs, delta_x)
 
 
 def _out_path(opts: argparse.Namespace, filename: str) -> str:
@@ -331,10 +333,10 @@ def cmd_warn(opts: argparse.Namespace) -> int:
     if map_only and opts.geometry is None:
         given = ", ".join("--" + name.replace("_", "-") for name in map_only)
         raise ValueError(f"{given}: used only by the GeoJSON export, which needs --geometry")
-    model = model_from_json(_read_text(_require(opts, "model")))
+    model = _parse(_require(opts, "model"), model_from_json)
     traffic = _load_traffic(opts, model.bins.delta_x)
     theta_map = opts.thresholds[0] if opts.theta_map is None else opts.theta_map
-    geometries = None if opts.geometry is None else parse_geometries(_read_text(opts.geometry))
+    geometries = None if opts.geometry is None else _parse(opts.geometry, parse_geometries)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
     exceeds = grid.flagged_cells(FLAG_EXCEEDS_UNITY)
     if exceeds:
@@ -358,7 +360,7 @@ def cmd_warn(opts: argparse.Namespace) -> int:
 
 def cmd_map(opts: argparse.Namespace) -> int:
     data = _load_dataset(_require(opts, "accidents"), opts)
-    geometries = parse_geometries(_read_text(_require(opts, "geometry")))
+    geometries = _parse(_require(opts, "geometry"), parse_geometries)
     points: list[tuple[float, float]] = []
     skipped = 0
     for code, km in zip(data.line_codes.tolist(), data.kms.tolist()):
@@ -400,7 +402,7 @@ def cmd_profile(opts: argparse.Namespace) -> int:
 def cmd_corr(opts: argparse.Namespace) -> int:
     data = _load_dataset(_require(opts, "accidents"), opts)
     traffic = _load_traffic(opts, opts.delta_x)
-    speeds = parse_speed_profiles(_read_text(_require(opts, "speeds")))
+    speeds = _parse(_require(opts, "speeds"), parse_speed_profiles)
     report = speed_correlation(data, traffic, speeds, opts.delta_x)
     out = _out_path(opts, "correlation.json")
     _write_text(out, report_to_json(report))
@@ -412,7 +414,7 @@ def cmd_corr(opts: argparse.Namespace) -> int:
 
 
 def cmd_eval(opts: argparse.Namespace) -> int:
-    model = model_from_json(_read_text(_require(opts, "model")))
+    model = _parse(_require(opts, "model"), model_from_json)
     traffic = _load_traffic(opts, model.bins.delta_x)
     test = _load_dataset(_require(opts, "test"), opts)
     theta = opts.thresholds[0] if opts.theta is None else opts.theta
@@ -478,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The options ``args.command`` reads, each from its flag, else the config, else its default."""
-    config = _load_config(args.config)
+    config = {} if args.config is None else _parse(args.config, _config_doc)
     opts = argparse.Namespace()
     for name in COMMANDS[args.command][2]:
         convert, default, _ = OPTIONS[name]
@@ -486,7 +488,7 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
         if flag_value is not None:
             value, source = flag_value, "--" + name.replace("_", "-")
         elif name in config:
-            value, source = config[name], f"config {args.config}: {name}"
+            value, source = config[name], f"{args.config}: {name}"
         else:
             setattr(opts, name, default)
             continue
@@ -508,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InsufficientDataError, NoTrafficError, UndefinedCorrelationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

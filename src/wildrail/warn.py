@@ -211,35 +211,26 @@ class WarningGrid:
         return tuple(self.x_starts)
 
     def locate(
-        self, lines: Sequence[str], km: np.ndarray, months: np.ndarray, hours: np.ndarray
+        self,
+        names: Sequence[str],
+        codes: np.ndarray,
+        km: np.ndarray,
+        months: np.ndarray,
+        hours: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Array form of the cell lookup, one query per element.
+        """The grid cell of each query, as int64 arrays (li, xi, mi, ti).
 
-        Returns int64 arrays (li, xi, mi, ti): the position of each query's
-        line in ``x_starts`` and its km bin, month and hour bin indices, with
-        -1 where that part misses the grid (an unknown line also gives
-        xi = -1).  A km exactly at a line's final bin edge is clamped into
-        the final bin; anything further out misses.  ``month_index`` and
-        ``t_index`` are one-element views of this.
+        Query i is on line ``names[codes[i]]``, the form a ``Dataset`` holds
+        (``line_names``, ``line_codes``), at ``km[i]``, ``months[i]`` and
+        ``hours[i]``.  ``li`` is the line's position in ``x_starts``, ``xi``
+        its km bin, ``mi`` the month's position in ``months`` (exact match)
+        and ``ti`` the hour bin whose start ``t_starts`` holds, for
+        0 <= hour < 24.  Each part is -1 where it misses the grid, and an
+        unknown line also gives xi = -1.  A km exactly at a line's final bin
+        edge is clamped into the final bin; anything further out misses.
         """
-        return self._locate(self._line_positions(lines), km, months, hours)
-
-    def _locate(
-        self, li: np.ndarray, km: np.ndarray, months: np.ndarray, hours: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``locate`` with each query's line given as its position ``li`` (-1 unknown)."""
-        return (
-            li,
-            self._x_indices(li, np.asarray(km, dtype=float)),
-            _positions(self.months, np.asarray(months, dtype=float)),
-            self._t_indices(np.asarray(hours, dtype=float)),
-        )
-
-    def _line_positions(self, lines: Sequence[str]) -> np.ndarray:
-        names = {line: i for i, line in enumerate(self.x_starts)}
-        return np.array([names.get(line, -1) for line in lines], dtype=np.int64)
-
-    def _x_indices(self, li: np.ndarray, km: np.ndarray) -> np.ndarray:
+        at = {line: i for i, line in enumerate(self.x_starts)}
+        li = np.array([at.get(name, -1) for name in names], dtype=np.int64)[codes]
         # one (first bin, bin count) row per line, plus an empty row that li = -1 picks
         firsts = np.array(
             [round(s[0] / self.delta_x) if s else 0 for s in self.x_starts.values()] + [0],
@@ -247,23 +238,18 @@ class WarningGrid:
         )
         sizes = np.array([len(s) for s in self.x_starts.values()] + [0], dtype=float)
         first, size = firsts[li], sizes[li]
+        km = np.asarray(km, dtype=float)
         # positions stay floats until checked, so a huge km cannot overflow
         pos = _bin_floor(km, self.delta_x) - first
         inside = (pos >= 0) & (pos < size)
         end_edge = (size > 0) & (pos == size) & (km == (first + size) * self.delta_x)
         pos = np.where(end_edge, size - 1, pos)
-        return np.where(inside | end_edge, pos, -1).astype(np.int64)
-
-    def _t_indices(self, hours: np.ndarray) -> np.ndarray:
-        starts = _bin_floor(hours, self.delta_t) * self.delta_t
+        xi = np.where(inside | end_edge, pos, -1).astype(np.int64)
+        hours = np.asarray(hours, dtype=float)
         in_day = (hours >= 0.0) & (hours < 24.0)
-        return np.where(in_day, _positions(self.t_starts, starts), -1)
-
-    def month_index(self, month: int) -> int | None:
-        return _scalar_index(_positions(self.months, np.array([month], dtype=float)))
-
-    def t_index(self, hour: float) -> int | None:
-        return _scalar_index(self._t_indices(np.array([hour], dtype=float)))
+        starts = _bin_floor(hours, self.delta_t) * self.delta_t
+        ti = np.where(in_day, _positions(self.t_starts, starts), -1)
+        return li, xi, _positions(self.months, np.asarray(months, dtype=float)), ti
 
     def warned_mask(self, line: str, theta: float) -> np.ndarray:
         """Boolean (n_x, n_months, n_t) array: p_pt strictly above theta (NaN never warns)."""
@@ -298,11 +284,6 @@ def _positions(values: tuple[float, ...], query: np.ndarray) -> np.ndarray:
     ordered = table[order]
     at = np.minimum(np.searchsorted(ordered, query), len(values) - 1)
     return np.where(ordered[at] == query, order[at], -1)
-
-
-def _scalar_index(indices: np.ndarray) -> int | None:
-    index = int(indices[0])
-    return None if index < 0 else index
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:
@@ -555,11 +536,12 @@ def warnings_to_geojson(
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     # the (month, hour bin) cells the filters keep; a filter that matches nothing keeps none
-    keep = np.zeros((len(grid.months), len(grid.t_starts)), dtype=bool)
-    mi = slice(None) if month is None else grid.month_index(month)
-    ti = slice(None) if hour is None else grid.t_index(hour)
-    if mi is not None and ti is not None:
-        keep[mi, ti] = True
+    keep = np.ones((len(grid.months), len(grid.t_starts)), dtype=bool)
+    if month is not None:
+        keep &= np.array([m == month for m in grid.months], dtype=bool)[:, None]
+    if hour is not None:
+        start = bin_index(hour, grid.delta_t) * grid.delta_t if 0.0 <= hour < 24.0 else None
+        keep &= np.array([t == start for t in grid.t_starts], dtype=bool)[None, :]
     features = []
     for line in grid.lines:
         geometry = geometries.get(line)

@@ -169,6 +169,35 @@ def test_csv_module_errors_are_input_errors(option: str, row: str, tmp_path: Pat
     assert not (tmp_path / "out").exists()
 
 
+# each input file option, and a command that reads it with its other inputs
+FILE_OPTIONS = {
+    "accidents": ["profile", *PERIOD_FLAGS],
+    "test": ["eval", "--model", MODEL, "--traffic", TRAFFIC],
+    "traffic": ["eval", "--model", MODEL, "--test", TEST_ACCIDENTS],
+    "traffic-runs": ["eval", "--model", MODEL, "--test", TEST_ACCIDENTS],
+    "speeds": ["corr", "--accidents", ACCIDENTS, *PERIOD_FLAGS, "--traffic", TRAFFIC],
+    "geometry": ["map", "--accidents", ACCIDENTS, *PERIOD_FLAGS],
+    "model": ["warn", "--traffic", TRAFFIC],
+    "config": ["fit", "--accidents", ACCIDENTS, *PERIOD_FLAGS],
+}
+# a file every reader rejects: a CSV row, not JSON, against no header a reader expects
+MALFORMED = {"text": b"line,km_from,km_to\n1,0,x\n", "bytes": b"\xff\xfe\n", "missing": None}
+
+
+@pytest.mark.parametrize("content", sorted(MALFORMED))
+@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+def test_input_file_errors_name_the_file(option: str, content: str, tmp_path: Path, capsys) -> None:
+    bad = tmp_path / "bad.input"
+    if MALFORMED[content] is not None:
+        bad.write_bytes(MALFORMED[content])
+    out = tmp_path / "out"
+    argv = [*FILE_OPTIONS[option], f"--{option}", str(bad), "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert not out.exists()
+
+
 # --- warn ---
 
 

@@ -124,7 +124,8 @@ def test_traffic_m_window(bundled_model) -> None:
     table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0)
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     _, (x12, x20), _, (t18, t16) = grid.locate(
-        ("139", "139"), np.array([12.0, 20.0]), np.array([1, 1]), np.array([18.0, 16.0])
+        ("139",), np.array([0, 0]), np.array([12.0, 20.0]), np.array([1, 1]),
+        np.array([18.0, 16.0]),
     )
     assert min(x12, x20, t18, t16) >= 0
     m_window = grid.m_window["139"]
@@ -302,7 +303,9 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     data = dataset_of((record,), dt.date(2021, 1, 1), dt.date(2021, 1, 7))
     traffic = TrafficTable(counts={("9", 0.0): 1.0}, delta_x=5.0)
     grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (0.001,))
-    _, (xi,), (mi,), (ti,) = grid.locate(("9",), np.array([2.0]), np.array([1]), np.array([12.5]))
+    _, (xi,), (mi,), (ti,) = grid.locate(
+        ("9",), np.array([0]), np.array([2.0]), np.array([1]), np.array([12.5])
+    )
     p = float(grid.p_pt["9"][xi, mi, ti])
     assert p > 1.0
     assert int(grid.flags["9"][xi, mi, ti]) == 4  # exceeds_unity alone
@@ -333,14 +336,15 @@ def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, b
 def test_cell_index_lookups(bundled_grid) -> None:
     lines = ("139",) * 6 + ("999",)
     kms = np.array([0.0, 12.4, 59.9, 60.0, 60.1, -0.1, 0.0])
-    _, xi, _, _ = bundled_grid.locate(lines, kms, np.ones(7), np.zeros(7))
+    _, xi, _, _ = bundled_grid.locate(lines, np.arange(7), kms, np.ones(7), np.zeros(7))
     # 60.0 is the end edge of the last bin and clamps into it
     assert xi.tolist() == [0, 2, 11, 11, -1, -1, -1]
-    assert bundled_grid.month_index(1) == 0
-    assert bundled_grid.month_index(13) is None
-    assert bundled_grid.t_index(18.75) == 18
-    assert bundled_grid.t_index(24.0) is None
-    assert bundled_grid.t_index(-0.1) is None
+    _, _, mi, ti = bundled_grid.locate(
+        ("139",), np.zeros(5, dtype=int), np.zeros(5), np.array([1, 13, 1, 1, 1]),
+        np.array([0.0, 0.0, 18.75, 24.0, -0.1]),
+    )
+    assert mi.tolist() == [0, -1, 0, 0, 0]
+    assert ti.tolist() == [0, 0, 18, -1, -1]
 
 
 @given(
@@ -373,19 +377,21 @@ def test_locate_matches_tuple_lookups(seed: int, delta_t: float, data) -> None:
         )
     )
     lines, kms, months, hours = zip(*queries)
-    li, xi, mi, ti = grid.locate(lines, np.array(kms), np.array(months), np.array(hours))
+    li, xi, mi, ti = grid.locate(
+        lines, np.arange(len(lines)), np.array(kms), np.array(months), np.array(hours)
+    )
     for q, line, k, month, hour_q in zip(range(len(queries)), lines, kms, months, hours):
         expected = cell_of(grid, line, k, month, hour_q)
         got = (int(xi[q]), int(mi[q]), int(ti[q]))
         assert (got if min(got) >= 0 else None) == expected
         assert int(li[q]) == (grid.lines.index(line) if line in grid.lines else -1)
-        assert grid.month_index(month) == (None if mi[q] < 0 else int(mi[q]))
-        assert grid.t_index(hour_q) == (None if ti[q] < 0 else int(ti[q]))
 
 
 def test_locate_puts_non_finite_values_off_grid(bundled_grid) -> None:
     bad = [math.nan, math.inf, -math.inf]
-    li, xi, mi, ti = bundled_grid.locate(["139"] * 3, np.array(bad), np.array(bad), np.array(bad))
+    li, xi, mi, ti = bundled_grid.locate(
+        ["139"], np.zeros(3, dtype=int), np.array(bad), np.array(bad), np.array(bad)
+    )
     assert li.tolist() == [1, 1, 1]
     assert xi.tolist() == mi.tolist() == ti.tolist() == [-1, -1, -1]
 
@@ -508,6 +514,17 @@ def test_warning_geojson_month_and_hour_filters(bundled_grid, bundled_geometries
     )
     for feature in dusk["features"]:
         assert feature["properties"]["hours"] == [18.0]
+
+
+def test_warning_geojson_filters_outside_the_day_keep_nothing(
+    bundled_grid, bundled_geometries
+) -> None:
+    assert json.loads(warnings_to_geojson(bundled_grid, bundled_geometries, 0.001))["features"]
+    for hour in (math.nan, math.inf, 24.0, -1.0):
+        doc = json.loads(warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, hour=hour))
+        assert doc["features"] == [], hour
+    doc = json.loads(warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, month=13))
+    assert doc["features"] == []
 
 
 def test_warning_geojson_rejects_non_finite_theta(bundled_grid, bundled_geometries) -> None:
