@@ -360,7 +360,8 @@ def _grid_index(start: float, delta: float) -> int | None:
 class TrafficTable:
     """Daily train counts per (line, km bin).
 
-    Keys are (line, bin start); bin starts are multiples of ``delta_x``.
+    Keys are (line, bin start); a bin start is exactly ``k * delta_x`` for an
+    integer k, the value every lookup reads and ``parse_traffic`` writes.
     Unknown cells count as zero traffic.
     """
 
@@ -370,8 +371,13 @@ class TrafficTable:
     def __post_init__(self) -> None:
         _check_bin_width(self.delta_x)
         for (line, start), value in self.counts.items():
-            if _grid_index(start, self.delta_x) is None:
+            index = _grid_index(start, self.delta_x)
+            if index is None:
                 raise ValueError(f"bin start {start} on line {line} is not a multiple of {self.delta_x}")
+            if start != index * self.delta_x:
+                raise ValueError(
+                    f"bin start {start!r} on line {line} must be written as {index * self.delta_x!r}"
+                )
             if value < 0:
                 raise ValueError(f"negative count {value} on line {line} at km {start}")
 

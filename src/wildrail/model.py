@@ -33,6 +33,14 @@ __all__ = [
 MONTHS = tuple(range(1, 13))
 MONTHS_PER_YEAR = 12
 
+MAX_GRID_CELLS = 50_000_000
+"""Largest warning grid, in (line, km bin, month, hour bin) cells, that ``fit``
+and ``sweep_all`` lay out.  A grid spans each line densely from its lowest to
+its highest km bin, so one stray km or a mistyped bin width can ask for
+billions of cells; 50M is about ten times a 200-line x 400 km network at
+5 km x 1 h, and about half a gigabyte of grid arrays."""
+
+
 class InsufficientDataError(ValueError):
     """A requested probability is undefined because its conditioning count is zero."""
 
@@ -134,6 +142,20 @@ class BinConfig:
         return bin_index(km, self.delta_x) * self.delta_x
 
 
+def _check_grid_size(spans: dict[str, tuple[int, int]], bins: BinConfig) -> None:
+    """Raise ValueError if the dense km spans (line -> first, last bin index)
+    make a grid of more than MAX_GRID_CELLS cells, naming the line that tips it."""
+    cells = 0
+    for line, (lo, hi) in spans.items():
+        cells += (hi - lo + 1) * len(MONTHS) * bins.n_t_bins
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"line {line!r} spans km {lo * bins.delta_x!r}..{(hi + 1) * bins.delta_x!r},"
+                f" so the {bins.delta_x!r} km x {bins.delta_t!r} h warning grid would exceed"
+                f" {MAX_GRID_CELLS:,} cells"
+            )
+
+
 @dataclass(frozen=True)
 class ModelCounts:
     """Raw counts behind a FittedModel; every table entry is a ratio of these."""
@@ -219,7 +241,8 @@ def fit(
             the three probability tables; 0 keeps the raw ratios.
 
     Raises:
-        ValueError: empty dataset, non-positive exposure, negative smoothing.
+        ValueError: empty dataset, non-positive exposure, negative smoothing,
+            or km spans whose grid would exceed MAX_GRID_CELLS.
     """
     if bins is None:
         bins = BinConfig()
@@ -241,12 +264,13 @@ def fit(
     line_counts = np.bincount(data.line_codes, minlength=len(data.line_names))
     by_line = dict(zip(data.line_names, line_counts.tolist()))
     # dense per-line bins over the observed index range, zeros in the gaps
-    by_line_xbin: dict[str, dict[float, int]] = {}
-    for line, indices in data.km_bin_counts(bins.delta_x).items():
-        lo, hi = min(indices), max(indices)
-        by_line_xbin[line] = {
-            i * bins.delta_x: indices.get(i, 0) for i in range(lo, hi + 1)
-        }
+    bin_counts = data.km_bin_counts(bins.delta_x)
+    spans = {line: (min(indices), max(indices)) for line, indices in bin_counts.items()}
+    _check_grid_size(spans, bins)
+    by_line_xbin = {
+        line: {i * bins.delta_x: bin_counts[line].get(i, 0) for i in range(lo, hi + 1)}
+        for line, (lo, hi) in spans.items()
+    }
     counts = {
         "n": data.n,
         "total_days": float(data.total_days if total_days is None else total_days),

@@ -1,6 +1,7 @@
 """Per-train collision probabilities and threshold warnings on a space-time grid.
 
-A cell is (line, km bin, month, hour bin).  Its per-train probability is
+A cell is (line, km bin, month, hour bin), and every grid spans all 12 months
+and every hour bin of the model.  Its per-train probability is
 
     p_pt = [p(t | season(month)) * mu(month)] * [p(x | line) * p(line)] / m_window
 
@@ -19,12 +20,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Sequence, TextIO
+from typing import ClassVar, Sequence, TextIO
 
 import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, _bin_floor, _grid_index, bin_index, km_to_geo
-from .model import MONTHS, FittedModel, InsufficientDataError
+from .model import MONTHS, FittedModel, InsufficientDataError, _check_grid_size
 
 __all__ = [
     "FLAG_NO_TRAFFIC",
@@ -36,7 +37,6 @@ __all__ = [
     "WarningGrid",
     "alpha",
     "p_per_train",
-    "bayes_warn_animals",
     "sweep_all",
     "warnings_to_csv",
     "warnings_to_geojson",
@@ -164,7 +164,8 @@ def p_per_train(
     """Per-train accident probability for one cell.
 
     The value is the cell containing (tau, t, line, x) of the grid that
-    ``sweep_all`` computes: an expected event count per train, not clamped.
+    ``sweep_all`` computes, read from a grid of that one km bin: an expected
+    event count per train, not clamped.
 
     Raises:
         NoTrafficError: the window has zero expected trains.
@@ -173,33 +174,37 @@ def p_per_train(
             on a different km grid than the model.
     """
     bins = model.bins
-    grid = _build_grid(
-        model, traffic, profile, (), (tau,), (bins.t_bin(t),), {line: (bins.x_bin(x),)}
-    )
-    bits = int(grid.flags[line][0, 0, 0])
+    t_start = bins.t_bin(t)
+    grid = _build_grid(model, traffic, profile, (), {line: (bins.x_bin(x),)})
+    if tau not in MONTHS:
+        raise ValueError(f"month must be 1..12, got {tau!r}")
+    cell = (0, MONTHS.index(tau), grid.t_starts.index(t_start))
+    bits = int(grid.flags[line][cell])
     if bits & _NO_TRAFFIC_BIT:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
     if bits & _INSUFFICIENT_BIT:
         label = model.seasons.season_of(tau)
         raise InsufficientDataError(f"no accidents in season {label!r}; p(t|season) undefined")
-    return float(grid.p_pt[line][0, 0, 0])
+    return float(grid.p_pt[line][cell])
 
 
 @dataclass(frozen=True)
 class WarningGrid:
     """Warning state over (line, km bin, month, hour bin) cells.
 
-    ``x_starts`` maps each line, in grid order, to its km bin starts.  Per
-    line, ``p_pt`` is a (n_x, n_months, n_t) float array with NaN in
-    flagged cells, ``m_window`` a (n_x, n_t) array, and ``flags`` a bitmask
-    array parallel to ``p_pt``.  ``warned`` state is derived on demand:
-    a cell is warned at theta exactly when p_pt > theta.
+    Every grid spans all 12 months (the class constant ``months``, 1..12)
+    and all hour bins of its model (``t_starts``).  ``x_starts`` maps each
+    line, in grid order, to its km bin starts.  Per line, ``p_pt`` is a
+    (n_x, 12, n_t) float array with NaN in flagged cells, ``m_window`` a
+    (n_x, n_t) array, and ``flags`` a bitmask array parallel to ``p_pt``.
+    ``warned`` state is derived on demand: a cell is warned at theta exactly
+    when p_pt > theta.
     """
 
+    months: ClassVar[tuple[int, ...]] = MONTHS
     delta_x: float
     delta_t: float
     thresholds: tuple[float, ...]
-    months: tuple[int, ...]
     t_starts: tuple[float, ...]
     x_starts: dict[str, tuple[float, ...]]
     p_pt: dict[str, np.ndarray]
@@ -223,9 +228,9 @@ class WarningGrid:
         Query i is on line ``names[codes[i]]``, the form a ``Dataset`` holds
         (``line_names``, ``line_codes``), at ``km[i]``, ``months[i]`` and
         ``hours[i]``.  ``li`` is the line's position in ``x_starts``, ``xi``
-        its km bin, ``mi`` the month's position in ``months`` (exact match)
-        and ``ti`` the hour bin whose start ``t_starts`` holds, for
-        0 <= hour < 24.  Each part is -1 where it misses the grid, and an
+        its km bin, ``mi`` = month - 1 for a month exactly 1..12 and ``ti``
+        the hour bin ``bin_index(hour, delta_t)`` for 0 <= hour < 24.  Each
+        part is -1 where it misses the grid, and an
         unknown line also gives xi = -1.  A km exactly at a line's final bin
         edge is clamped into the final bin; anything further out misses.
         """
@@ -245,14 +250,19 @@ class WarningGrid:
         end_edge = (size > 0) & (pos == size) & (km == (first + size) * self.delta_x)
         pos = np.where(end_edge, size - 1, pos)
         xi = np.where(inside | end_edge, pos, -1).astype(np.int64)
+        months = np.asarray(months, dtype=float)
+        in_year = (months >= 1) & (months <= 12) & (months == np.floor(months))
+        mi = np.where(in_year, months - 1, -1).astype(np.int64)
         hours = np.asarray(hours, dtype=float)
-        in_day = (hours >= 0.0) & (hours < 24.0)
-        starts = _bin_floor(hours, self.delta_t) * self.delta_t
-        ti = np.where(in_day, _positions(self.t_starts, starts), -1)
-        return li, xi, _positions(self.months, np.asarray(months, dtype=float)), ti
+        t_bins = _bin_floor(hours, self.delta_t)
+        # n_t * delta_t can fall a rounding step short of 24 (delta_t = 24/47), so
+        # the last stretch of the day is bin n_t, which the grid does not hold
+        in_day = (hours >= 0.0) & (hours < 24.0) & (t_bins < len(self.t_starts))
+        ti = np.where(in_day, t_bins, -1).astype(np.int64)
+        return li, xi, mi, ti
 
     def warned_mask(self, line: str, theta: float) -> np.ndarray:
-        """Boolean (n_x, n_months, n_t) array: p_pt strictly above theta (NaN never warns)."""
+        """Boolean (n_x, 12, n_t) array: p_pt strictly above theta (NaN never warns)."""
         with np.errstate(invalid="ignore"):
             return self.p_pt[line] > theta
 
@@ -275,17 +285,6 @@ class WarningGrid:
         return sum(arr.size for arr in self.p_pt.values())
 
 
-def _positions(values: tuple[float, ...], query: np.ndarray) -> np.ndarray:
-    """Index of each query in ``values`` by exact equality, as ``tuple.index``; -1 where absent."""
-    if not values:
-        return np.full(query.shape, -1, dtype=np.int64)
-    table = np.asarray(values, dtype=float)
-    order = np.argsort(table, kind="stable")
-    ordered = table[order]
-    at = np.minimum(np.searchsorted(ordered, query), len(values) - 1)
-    return np.where(ordered[at] == query, order[at], -1)
-
-
 def _check_thresholds(thresholds) -> tuple[float, ...]:
     out = tuple(sorted(set(float(th) for th in thresholds)))
     if not out:
@@ -302,10 +301,10 @@ def _build_grid(
     traffic: TrafficTable,
     profile: TrafficProfile,
     thresholds: tuple[float, ...],
-    months: tuple[int, ...],
-    t_starts: tuple[float, ...],
     x_starts: dict[str, tuple[float, ...]],
 ) -> WarningGrid:
+    """The grid over ``x_starts``, all 12 months and every hour bin of the model."""
+    t_starts = model.bins.t_starts
     delta_t = model.bins.delta_t
     delta_x = model.bins.delta_x
     for boundary in profile.boundaries:
@@ -321,10 +320,9 @@ def _build_grid(
 
     # temporal part per (month, t-bin); months with an undefined season table
     # are flagged, months with mu=0 are plain zeros
-    n_m, n_t = len(months), len(t_starts)
-    temporal = np.zeros((n_m, n_t))
-    month_insufficient = np.zeros(n_m, dtype=bool)
-    for mi, tau in enumerate(months):
+    temporal = np.zeros((len(MONTHS), len(t_starts)))
+    month_insufficient = np.zeros(len(MONTHS), dtype=bool)
+    for mi, tau in enumerate(MONTHS):
         mu = model.mu_at(tau)
         if mu == 0.0:
             continue
@@ -365,60 +363,11 @@ def _build_grid(
         delta_x=delta_x,
         delta_t=delta_t,
         thresholds=thresholds,
-        months=months,
         t_starts=t_starts,
         x_starts=x_starts,
         p_pt=p_pt,
         m_window=m_window,
         flags=flags,
-    )
-
-
-def bayes_warn_animals(
-    model: FittedModel,
-    traffic: TrafficTable,
-    profile: TrafficProfile,
-    line: str,
-    tau: int,
-    t: float,
-    delta_t: float,
-    thresholds,
-    x0: float,
-    xf: float,
-) -> WarningGrid:
-    """Warning sweep along one line for one month and one time window.
-
-    Walks the km bins from the bin containing ``x0`` through the bin starting
-    at ``xf`` and computes p_pt and per-threshold warnings in each.  Cells
-    without traffic or with undefined probabilities are flagged, not warned.
-    The quantities that do not depend on km (temporal part, line probability)
-    are computed once for the whole sweep.
-
-    Args:
-        delta_t: window width in hours; must equal the model's time bin so
-            the conditional hour distribution applies to the window.
-    """
-    if xf < x0:
-        raise ValueError(f"need x0 <= xf, got {x0}..{xf}")
-    if delta_t != model.bins.delta_t:
-        raise ValueError(
-            f"delta_t={delta_t} does not match the model's time bin {model.bins.delta_t}"
-        )
-    if tau not in MONTHS:
-        raise ValueError(f"month must be 1..12, got {tau!r}")
-    checked = _check_thresholds(thresholds)
-    delta_x = model.bins.delta_x
-    first = bin_index(x0, delta_x)
-    last = bin_index(xf, delta_x)
-    starts = tuple(i * delta_x for i in range(first, last + 1))
-    return _build_grid(
-        model,
-        traffic,
-        profile,
-        checked,
-        months=(tau,),
-        t_starts=(model.bins.t_bin(t),),
-        x_starts={line: starts},
     )
 
 
@@ -431,9 +380,10 @@ def sweep_all(
     """Full warning grid: every model line, all 12 months, all time bins.
 
     Per line the km range is the dense span of the model's observed bins
-    united with the traffic table's bins.  Cell evaluation is vectorized and
-    order-independent; the result is identical to evaluating cells one at a
-    time.
+    united with the traffic table's bins; a ValueError names the line whose
+    span takes the grid past ``model.MAX_GRID_CELLS``.  Cell evaluation is
+    vectorized and order-independent; the result is identical to evaluating
+    cells one at a time.
     """
     checked = _check_thresholds(thresholds)
     delta_x = model.bins.delta_x
@@ -443,19 +393,12 @@ def sweep_all(
         for line, xs in traffic.counts:
             if line in indices:
                 indices[line].append(round(xs / delta_x))
+    spans = {line: (min(found), max(found)) for line, found in indices.items()}
+    _check_grid_size(spans, model.bins)
     x_starts = {
-        line: tuple(i * delta_x for i in range(min(found), max(found) + 1))
-        for line, found in indices.items()
+        line: tuple(i * delta_x for i in range(lo, hi + 1)) for line, (lo, hi) in spans.items()
     }
-    return _build_grid(
-        model,
-        traffic,
-        profile,
-        checked,
-        months=MONTHS,
-        t_starts=model.bins.t_starts,
-        x_starts=x_starts,
-    )
+    return _build_grid(model, traffic, profile, checked, x_starts)
 
 
 def warnings_to_csv(grid: WarningGrid, out: TextIO) -> None:

@@ -23,7 +23,6 @@ from wildrail import (
     SpeedProfile,
     TrafficTable,
     alpha,
-    bayes_warn_animals,
     count_days,
     fit,
     p_per_train,
@@ -66,9 +65,9 @@ def test_criterion_1_worked_example_reproduction() -> None:
     p_segment = model.p_segment_at("139", 10.0)
     m_window = (traffic.count("139", 12.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
     p_pt = p_per_train(model, traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
-    grid = bayes_warn_animals(
-        model, traffic, DEFAULT_PROFILE,
-        line="139", tau=1, t=18.0, delta_t=1.0, thresholds=(0.001,), x0=10.0, xf=10.0,
+    grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.001,))
+    _, (xi,), (mi,), (ti,) = grid.locate(
+        ("139",), np.array([0]), np.array([10.0]), np.array([1]), np.array([18.0])
     )
     elapsed = time.perf_counter() - started
 
@@ -96,7 +95,7 @@ def test_criterion_1_worked_example_reproduction() -> None:
     quoted = 0.11 * 0.89 * 0.33 * 0.175 / 5.15
     assert 0.00108 <= quoted <= 0.00112
     assert p_pt > 0.001
-    assert grid.warned_mask("139", 0.001)[0, 0, 0]
+    assert grid.warned_mask("139", 0.001)[xi, mi, ti]
     assert elapsed < 0.1
 
 

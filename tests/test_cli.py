@@ -28,6 +28,7 @@ from wildrail import (
     sweep_all,
 )
 import wildrail.cli
+import wildrail.model
 from wildrail.cli import (
     COMMANDS,
     DEFAULT_THRESHOLDS,
@@ -134,6 +135,20 @@ def test_fit_rejects_bin_widths_too_small_to_index(flag: str, value: str, tmp_pa
     config = tmp_path / "config.json"
     config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
     assert_input_error(run_fit(tmp_path, "--config", str(config)), capsys)
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_fit_refuses_a_bin_width_whose_grid_is_too_large(tmp_path: Path, capsys, monkeypatch) -> None:
+    # with no cells allowed, fit stops before writing; checked first, so a
+    # missing check fails here and never lays out the bins below
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 0)
+    assert_input_error(run_fit(tmp_path), capsys)
+    monkeypatch.undo()
+    # 1e-9 km bins would span each bundled line with some 1e10 bins
+    assert run_fit(tmp_path, "--delta-x", "1e-9") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line '1' spans km "), err
+    assert err[0].endswith("warning grid would exceed 50,000,000 cells")
     assert not (tmp_path / "model.json").exists()
 
 
@@ -293,6 +308,32 @@ def test_warn_rejects_traffic_on_a_different_grid(tmp_path: Path, fitted: Path, 
     )
     assert code == 2
     assert "aligned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["warn", "eval"])
+def test_far_off_traffic_row_is_refused_before_the_sweep(
+    command: str, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    test = ["--test", TEST_ACCIDENTS] if command == "eval" else []
+    out = tmp_path / "out"
+    # one cell short of the bundled grid; checked first, so a missing check
+    # fails here and never lays out the grid below
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 10_655)
+    assert_input_error(
+        main([command, "--model", MODEL, "--traffic", TRAFFIC, *test, "--out-dir", str(out)]), capsys
+    )
+    monkeypatch.undo()
+    # one row at km 5,000,000 would stretch line 139 over a million 5 km bins
+    traffic = tmp_path / "traffic.csv"
+    traffic.write_text(Path(TRAFFIC).read_text() + "139,5000000.0,1\n")
+    code = main([command, "--model", MODEL, "--traffic", str(traffic), *test, "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: line '139' spans km 0.0..5000005.0, so the 5.0 km x 1.0 h warning grid"
+        " would exceed 50,000,000 cells"
+    ]
+    assert not out.exists()
 
 
 def test_warn_rejects_bad_thresholds(tmp_path: Path, fitted: Path, capsys) -> None:

@@ -595,6 +595,19 @@ def test_traffic_table_validation() -> None:
         TrafficTable(counts={}, delta_x=0.0)
 
 
+def test_traffic_table_rejects_starts_no_lookup_reads() -> None:
+    # 10.000000000000002 is within 1e-9 of bin 2, but a lookup reads the key 2 * 5.0
+    with pytest.raises(ValueError, match=r"line 139 must be written as 10\.0"):
+        TrafficTable(counts={("139", 10.000000000000002): 131.0}, delta_x=5.0)
+    # 0.3 is bin 3 of 0.1 km, whose start a lookup computes as 3 * 0.1
+    with pytest.raises(ValueError, match=r"must be written as 0\.30000000000000004"):
+        TrafficTable(counts={("1", 0.3): 1.0}, delta_x=0.1)
+    # parse_traffic writes the start a lookup reads
+    text = "line,km_from,count\n139,10.000000000000002,131\n"
+    assert parse_traffic(io.StringIO(text), 5.0).count("139", 12.0) == 131.0
+    assert parse_traffic(io.StringIO("line,km_from,count\n1,0.3,1\n"), 0.1).count("1", 0.35) == 1.0
+
+
 def test_parse_traffic_runs_half_open_overlap() -> None:
     text = (
         "line,km_from,km_to,departure\n"

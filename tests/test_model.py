@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wildrail.model
 from wildrail import (
     DEFAULT_SEASONS,
     AccidentRecord,
@@ -21,7 +22,6 @@ from wildrail import (
     TrafficProfile,
     TrafficTable,
     alpha,
-    bayes_warn_animals,
     count_days,
     fit,
     model_from_json,
@@ -91,16 +91,29 @@ def test_bin_config_rejects_widths_that_split_profile_pieces(bundled_data, bundl
             sweep_all(model, bundled_traffic, DEFAULT_PROFILE, (0.001,))
         with pytest.raises(ValueError, match="straddles"):
             p_per_train(model, bundled_traffic, DEFAULT_PROFILE, 1, 0.0, "139", 12.0)
-        with pytest.raises(ValueError, match="straddles"):
-            bayes_warn_animals(
-                model, bundled_traffic, DEFAULT_PROFILE, "139", 1, 0.0, bad, (0.001,), 0.0, 20.0
-            )
         # a profile without those boundaries takes the same width
         assert sweep_all(model, bundled_traffic, flat, (0.001,)).t_starts == model.bins.t_starts
     with pytest.raises(ValueError):
         BinConfig(delta_x=0.0)
     with pytest.raises(ValueError):
         BinConfig(delta_t=-1.0)
+
+
+def test_fit_refuses_a_grid_past_the_cell_limit(bundled_data, monkeypatch) -> None:
+    # the bundled model fits a limit of exactly its grid's size, and the line
+    # that takes it one cell past is named; checked first, so a missing check
+    # fails here and never lays out the bins below
+    model = fit(bundled_data)
+    cells = sum(len(model.x_bins_for(line)) for line in model.lines) * 12 * 24
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", cells)
+    assert fit(bundled_data) == model
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"line {model.lines[-1]!r} spans km"):
+        fit(bundled_data)
+    monkeypatch.undo()
+    # a mistyped 1e-9 km bin spreads line 1's 0..44.9 km over 4.5e10 bins
+    with pytest.raises(ValueError, match=r"line '1' spans km .*, .* 50,000,000 cells"):
+        fit(bundled_data, bins=BinConfig(delta_x=1e-9))
 
 
 def test_bin_config_rejects_out_of_range_lookups() -> None:

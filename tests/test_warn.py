@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wildrail.model
 from wildrail import (
     DEFAULT_PROFILE,
     FLAG_EXCEEDS_UNITY,
@@ -29,7 +30,6 @@ from wildrail import (
     TrafficProfile,
     TrafficTable,
     alpha,
-    bayes_warn_animals,
     fit,
     p_per_train,
     sweep_all,
@@ -165,6 +165,29 @@ def test_p_per_train_reports_no_traffic_before_insufficient_data(bundled_model, 
         p_per_train(broken, empty, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
 
 
+def test_p_per_train_rejects_cells_off_the_grid(bundled_model, bundled_traffic) -> None:
+    def p(tau, t=18.0, x=12.0, traffic=bundled_traffic):
+        return p_per_train(bundled_model, traffic, DEFAULT_PROFILE, tau, t, "139", x)
+
+    for tau in (0, 13, 1.5):
+        with pytest.raises(ValueError, match="month must be 1..12"):
+            p(tau)
+    for t in (24.0, -0.5):
+        with pytest.raises(ValueError, match="hour must be in"):
+            p(1, t=t)
+    with pytest.raises(ValueError, match="km must be non-negative"):
+        p(1, x=-1.0)
+    # the hour is checked first, then the km, then the month, and a cell
+    # without traffic is reported only for a month of the year
+    with pytest.raises(ValueError, match="hour must be in"):
+        p(13, t=24.0, x=-1.0)
+    with pytest.raises(ValueError, match="km must be non-negative"):
+        p(13, x=-1.0)
+    with pytest.raises(ValueError, match="month must be 1..12"):
+        p(13, traffic=TrafficTable(counts={}, delta_x=5.0))
+    assert p(1.0) == p(1)
+
+
 # --- grid construction ---
 
 
@@ -219,44 +242,28 @@ def test_thresholds_are_sorted_and_deduplicated(bundled_model, bundled_traffic) 
             sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, (0.001, bad))
 
 
+def test_sweep_refuses_a_grid_past_the_cell_limit(
+    bundled_model, bundled_traffic, monkeypatch
+) -> None:
+    # the bundled grid fits a limit of exactly its own size, and the line that
+    # takes it one cell past that limit is named; checked first, so a missing
+    # check fails here and never lays out the grid below
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 10_656)
+    assert sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, THRESHOLDS).n_cells() == 10_656
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 10_655)
+    with pytest.raises(ValueError, match="line '140' spans km"):
+        sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, THRESHOLDS)
+    monkeypatch.undo()
+    # one traffic row at km 5,000,000 would stretch line 139 over a million 5 km bins
+    far = TrafficTable(counts={**bundled_traffic.counts, ("139", 5_000_000.0): 1.0}, delta_x=5.0)
+    with pytest.raises(ValueError, match=r"line '139' spans km 0\.0\.\.5000005\.0, .* 50,000,000 cells"):
+        sweep_all(bundled_model, far, DEFAULT_PROFILE, THRESHOLDS)
+
+
 def test_mismatched_traffic_bin_width_is_rejected(bundled_model) -> None:
     table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=2.5)
     with pytest.raises(ValueError):
         sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
-
-
-def test_single_window_sweep_is_a_slice_of_the_full_grid(
-    bundled_grid, bundled_model, bundled_traffic
-) -> None:
-    grid = bayes_warn_animals(
-        bundled_model, bundled_traffic, DEFAULT_PROFILE,
-        line="139", tau=1, t=18.0, delta_t=1.0, thresholds=THRESHOLDS, x0=0.0, xf=55.0,
-    )
-    assert grid.lines == ("139",)
-    assert grid.months == (1,)
-    assert grid.t_starts == (18.0,)
-    assert grid.x_starts["139"] == bundled_grid.x_starts["139"]
-    full = bundled_grid.p_pt["139"][:, 0, 18]
-    np.testing.assert_array_equal(grid.p_pt["139"][:, 0, 0], full)
-    np.testing.assert_array_equal(
-        grid.flags["139"][:, 0, 0], bundled_grid.flags["139"][:, 0, 18]
-    )
-
-
-def test_single_window_sweep_validates_arguments(bundled_model, bundled_traffic) -> None:
-    good = dict(
-        line="139", tau=1, t=18.0, delta_t=1.0, thresholds=THRESHOLDS, x0=0.0, xf=10.0
-    )
-    with pytest.raises(ValueError):
-        bayes_warn_animals(bundled_model, bundled_traffic, DEFAULT_PROFILE, **{**good, "xf": -1.0})
-    with pytest.raises(ValueError):
-        bayes_warn_animals(bundled_model, bundled_traffic, DEFAULT_PROFILE, **{**good, "delta_t": 0.5})
-    with pytest.raises(ValueError):
-        bayes_warn_animals(bundled_model, bundled_traffic, DEFAULT_PROFILE, **{**good, "tau": 0})
-    with pytest.raises(ValueError, match="finite"):
-        bayes_warn_animals(
-            bundled_model, bundled_traffic, DEFAULT_PROFILE, **{**good, "thresholds": (math.nan,)}
-        )
 
 
 # --- warned state ---
@@ -371,7 +378,12 @@ def test_locate_matches_tuple_lookups(seed: int, delta_t: float, data) -> None:
     )
     queries = data.draw(
         st.lists(
-            st.tuples(st.sampled_from(grid.lines + ("999",)), km, st.integers(-1, 14), hour),
+            st.tuples(
+                st.sampled_from(grid.lines + ("999",)),
+                km,
+                st.one_of(st.integers(-1, 14), st.sampled_from([0.5, 1.5, 12.0])),
+                hour,
+            ),
             min_size=1,
             max_size=40,
         )
@@ -385,6 +397,22 @@ def test_locate_matches_tuple_lookups(seed: int, delta_t: float, data) -> None:
         got = (int(xi[q]), int(mi[q]), int(ti[q]))
         assert (got if min(got) >= 0 else None) == expected
         assert int(li[q]) == (grid.lines.index(line) if line in grid.lines else -1)
+
+
+def test_locate_misses_hours_past_the_last_whole_bin(bundled_data, bundled_traffic) -> None:
+    # 47 bins of 24/47 h end a rounding step short of 24 h; that stretch has no bin
+    bins = BinConfig(delta_t=24 / 47)
+    end = bins.n_t_bins * bins.delta_t
+    assert end < 24.0
+    flat = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
+    model = fit(bundled_data, bins=bins)
+    grid = sweep_all(model, bundled_traffic, flat, (0.001,))
+    hours = [bins.t_starts[-1], math.nextafter(end, 0.0), end, math.nextafter(24.0, 0.0)]
+    _, _, _, ti = grid.locate(("139",), np.zeros(4, dtype=int), np.full(4, 12.0), np.ones(4), np.array(hours))
+    assert ti.tolist() == [46, 46, -1, -1]
+    assert [cell_of(grid, "139", 12.0, 1, h) is None for h in hours] == [False, False, True, True]
+    with pytest.raises(ValueError):
+        p_per_train(model, bundled_traffic, flat, 1, end, "139", 12.0)
 
 
 def test_locate_puts_non_finite_values_off_grid(bundled_grid) -> None:
