@@ -10,7 +10,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .ingest import Dataset, SpeedProfile, TrafficTable
+from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable
 from .model import SeasonScheme
 from .warn import WarningGrid
 
@@ -31,9 +31,6 @@ __all__ = [
 KM_PER_DEGREE = math.pi * 6371.0 / 180.0
 
 UNKNOWN_SPECIES = "unknown"
-
-# records or points handled per array block, so temporaries stay a few MB
-_BLOCK = 1 << 15
 
 
 class UndefinedCorrelationError(ValueError):

@@ -38,6 +38,10 @@ SPEED_HEADER = ("line", "km_from", "km_to", "vmax")
 
 MINUTES_PER_DAY = 24 * 60
 
+# rows or points handled per array block, here and in analysis, so the
+# short-lived arrays stay a few MB however long the input is
+_BLOCK = 1 << 15
+
 
 class ParseError(ValueError):
     """Raised when an input stream violates its schema.
@@ -268,25 +272,15 @@ def _parse_float_field(text: str, name: str, line_no: int) -> float:
     return value
 
 
-def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]) -> Dataset:
-    """Parse accident CSV (``date,time,line,km,species``) into a Dataset.
+def _accident_rows(reader, period: tuple[dt.date, dt.date]) -> tuple:
+    """The accident columns from a csv.reader, checked row by row.
 
-    Parsing is strict: any malformed row aborts with a ParseError naming the
-    offending physical line, as does a record dated outside ``period``.  An
-    input with no data rows is an error.  The rows go straight into the
-    Dataset columns; each distinct date and time text is parsed once, and
-    equal species values share one str object.  A stream is read line by
-    line, as its own newline setting splits it.
-
-    Args:
-        stream: CSV text or an open text stream.
-        period: inclusive (start, end) observation dates.
-
-    Raises:
-        ParseError: malformed header, row, field, or out-of-period record.
+    Returns ``(lines, line_codes, kms, months, minutes, dates, species)``,
+    where ``line_codes`` index the names of ``lines`` in insertion order, as
+    ``_accident_arrays`` does.  This row loop raises every ParseError of
+    ``parse_accidents``.
     """
     start, end = period
-    reader = csv.reader(_open_text(stream))
     if not _read_header(reader, ACCIDENT_HEADER, "accident"):
         raise ParseError("empty accident file")
     lines: dict[str, int] = {}
@@ -328,19 +322,218 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
         species.append(shared_species.setdefault(species_text, species_text))
     if not kms:
         raise ParseError("no accident records in input")
-    position = {name: i for i, name in enumerate(sorted(lines))}
-    renumber = np.array([position[name] for name in lines], dtype=np.int64)
     day_index = np.array(day_codes, dtype=np.int64)
-    columns = (
-        renumber[np.array(line_codes, dtype=np.int64)],
+    return (
+        lines,
+        np.array(line_codes, dtype=np.int64),
         np.array(kms, dtype=float),
         np.array([day.month for day in days], dtype=np.int64)[day_index],
         np.array(minutes, dtype=np.int64),
         np.array([day.toordinal() for day in days], dtype=np.int64)[day_index],
+        species,
     )
-    for column in columns:
+
+
+_NEWLINE, _COMMA = ord("\n"), ord(",")
+# 10.0**k as exact doubles, for the km texts with k digits after the point
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+
+def _number(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray, form: bytes) -> np.ndarray | None:
+    """The digits of fields spelled like ``form``, whose "0"s stand for digits, read
+    as one integer (``YYYYMMDD`` for ``b"0000-00-00"``); None if a field differs."""
+    if (ends - begins != len(form)).any():
+        return None
+    number = np.zeros(len(begins), dtype=np.int64)
+    for offset, char in enumerate(form):
+        column = buf[begins + offset]
+        if char == ord("0"):
+            column = column - np.uint8(ord("0"))  # wraps below "0", so a non-digit is over 9
+            if (column > 9).any():
+                return None
+            number = number * 10 + column
+        elif (column != char).any():
+            return None
+    return number
+
+
+def _kms(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """``float(text)`` of km texts ``[-]digits[.digits]`` with at most 15 digits; else None.
+
+    The digits make an integer mantissa and ``k`` of them follow the point.
+    Both the mantissa and 10**k are exact doubles, so the one rounding of
+    ``mantissa / 10.0**k`` gives the double nearest the text, as ``float``
+    does.  A negative km other than -0.0 is None: the row loop rejects it.
+    """
+    sizes = ends - begins
+    if sizes.min() < 1 or sizes.max() > 17:  # "-", 15 digits and "."
+        return None
+    negative = buf[begins] == ord("-")
+    mantissa = np.zeros(len(sizes), dtype=np.int64)
+    n_digits = np.zeros(len(sizes), dtype=np.int64)
+    point = np.full(len(sizes), -1)  # where the "." is
+    for offset in range(sizes.max()):
+        inside = offset < sizes
+        column = buf.take(begins + offset, mode="clip")
+        value = column - np.uint8(ord("0"))  # wraps below "0", so a non-digit is over 9
+        digit = inside & (value <= 9)
+        dot = inside & (column == ord("."))
+        other = inside & ~digit & ~dot
+        if offset == 0:
+            other &= ~negative
+        if other.any() or (dot & (point >= 0)).any():
+            return None
+        mantissa = np.where(digit, mantissa * 10 + value, mantissa)
+        n_digits += digit
+        point[dot] = offset
+    has_point = point >= 0
+    if (
+        (n_digits < 1).any()
+        or (n_digits > 15).any()
+        or (has_point & ((point <= negative) | (point >= sizes - 1))).any()
+        or (negative & (mantissa != 0)).any()
+    ):
+        return None
+    kms = mantissa / _POW10[np.where(has_point, sizes - 1 - point, 0)]
+    return np.where(negative, -kms, kms)
+
+
+def _cut(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of each byte range ``[begins, ends)`` of ``buf``, with one decode for all."""
+    sizes = ends - begins + 1  # and a separator
+    stops = np.cumsum(sizes)
+    chars = buf.take(np.arange(stops[-1]) + np.repeat(begins - (stops - sizes), sizes), mode="clip")
+    chars[stops - 1] = _NEWLINE
+    return chars.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+
+
+def _accident_arrays(text: str, period: tuple[dt.date, dt.date]) -> tuple | None:
+    """The accident columns of ``text`` parsed as byte arrays, or None.
+
+    Only text with no quote, CR or NUL is taken: csv.reader would split each
+    of its lines on every comma.  Rows are parsed in blocks of ``_BLOCK``
+    with digit arithmetic: a date must read ``YYYY-MM-DD``, a time ``HH:MM``
+    and a km ``[-]digits[.digits]`` (see ``_kms``); a line name must be
+    non-empty and, like a species, equal its own ``.strip()``.  Each
+    distinct date is checked once.  None means the row loop must parse the
+    text: it breaks one of these forms or a row-loop rule (and the row loop
+    names the row), has no data row, or has a field over
+    ``csv.field_size_limit()``.
+    """
+    header_end = text.find("\n")
+    if header_end < 0 or '"' in text or "\r" in text or "\0" in text:
+        return None
+    limit = csv.field_size_limit()
+    header = text[:header_end]
+    if len(header) > limit or tuple(map(str.strip, header.split(","))) != ACCIDENT_HEADER:
+        return None
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == _NEWLINE)
+    starts, ends = newlines + 1, np.append(newlines[1:], len(buf))
+    filled = ends > starts  # csv.reader skips blank lines
+    starts, ends = starts[filled], ends[filled]
+    n = len(starts)
+    if not n:
+        return None
+    start, end = period
+    lines: dict[str, int] = {}
+    days: dict[int, tuple[int, int]] = {}  # YYYYMMDD -> (ordinal, month)
+    shared_species: dict[str, str] = {}
+    species: list[str] = []
+    codes, months, minutes, dates = (np.empty(n, dtype=np.int64) for _ in range(4))
+    kms = np.empty(n)
+    for first in range(0, n, _BLOCK):
+        rows = slice(first, first + _BLOCK)
+        row_starts, row_ends = starts[rows], ends[rows]
+        commas = np.flatnonzero(buf[row_starts[0] : row_ends[-1]] == _COMMA) + row_starts[0]
+        if len(commas) != 4 * len(row_starts):
+            return None
+        commas = commas.reshape(-1, 4)
+        # each row's four commas lie inside it, so it holds exactly four
+        if (commas[:, 0] < row_starts).any() or (commas[:, 3] >= row_ends).any():
+            return None
+        begins = np.column_stack((row_starts, commas + 1))
+        stops = np.column_stack((commas, row_ends))
+        if (stops - begins).max() > limit:
+            return None
+        ymd = _number(buf, begins[:, 0], stops[:, 0], b"0000-00-00")
+        hhmm = _number(buf, begins[:, 1], stops[:, 1], b"00:00")
+        block_kms = _kms(buf, begins[:, 3], stops[:, 3])
+        if ymd is None or hhmm is None or block_kms is None:
+            return None
+        hours, mins = np.divmod(hhmm, 100)
+        if (hours > 23).any() or (mins > 59).any():
+            return None
+        keys, day_index = np.unique(ymd, return_inverse=True)
+        for key in keys.tolist():
+            if key not in days:
+                try:
+                    date = dt.date(key // 10000, key // 100 % 100, key % 100)
+                except ValueError:
+                    return None
+                if not start <= date <= end:
+                    return None
+                days[key] = (date.toordinal(), date.month)
+        day_ordinals, day_months = np.array([days[key] for key in keys.tolist()], dtype=np.int64).T
+        names = _cut(buf, begins[:, 2], stops[:, 2])
+        for name in set(names).difference(lines):
+            if not name or name != name.strip():
+                return None
+            lines[name] = len(lines)
+        texts = _cut(buf, begins[:, 4], stops[:, 4])
+        for value in set(texts).difference(shared_species):
+            if value != value.strip():
+                return None
+            shared_species[value] = value
+        species.extend(map(shared_species.__getitem__, texts))
+        codes[rows] = np.fromiter(map(lines.__getitem__, names), dtype=np.int64, count=len(names))
+        kms[rows] = block_kms
+        months[rows] = day_months[day_index]
+        minutes[rows] = hours * 60 + mins
+        dates[rows] = day_ordinals[day_index]
+    return lines, codes, kms, months, minutes, dates, species
+
+
+def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]) -> Dataset:
+    """Parse accident CSV (``date,time,line,km,species``) into a Dataset.
+
+    Parsing is strict: any malformed row aborts with a ParseError naming the
+    offending physical line, as does a record dated outside ``period``.  An
+    input with no data rows is an error.  Equal species values share one str
+    object.
+
+    Text with no quote, CR or NUL whose every row is plain (``YYYY-MM-DD``
+    dates, ``HH:MM`` times, ``[-]digits[.digits]`` km of at most 15 digits,
+    and line and species fields without padding) is parsed as byte arrays,
+    block by block.  Everything else, and every error, goes through a
+    csv.reader row loop over the whole input, which parses each distinct
+    date and time text once.  A stream is read with ``readlines()``, so its
+    own newline setting splits it: a file opened with ``newline=""`` may end
+    its lines in a lone CR.
+
+    Args:
+        stream: CSV text or an open text stream.
+        period: inclusive (start, end) observation dates.
+
+    Raises:
+        ParseError: malformed header, row, field, or out-of-period record.
+    """
+    if isinstance(stream, str):
+        text, lines = stream, None
+    else:
+        lines = stream.readlines()
+        text = "".join(lines)
+        if "\r" not in text:
+            lines = None  # split on "\n" alone, as the text would be
+    columns = _accident_arrays(text, period)
+    if columns is None:
+        columns = _accident_rows(csv.reader(io.StringIO(text) if lines is None else lines), period)
+    names, codes, *arrays, species = columns
+    position = {name: i for i, name in enumerate(sorted(names))}
+    arrays.insert(0, np.array([position[name] for name in names], dtype=np.int64)[codes])
+    for column in arrays:
         column.setflags(write=False)
-    return Dataset(start, end, tuple(position), *columns, tuple(species))
+    return Dataset(period[0], period[1], tuple(position), *arrays, tuple(species))
 
 
 def _check_bin_width(delta_x: float) -> None:

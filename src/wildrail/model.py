@@ -130,10 +130,17 @@ class BinConfig:
         return tuple(i * self.delta_t for i in range(self.n_t_bins))
 
     def t_bin(self, hour: float) -> float:
-        """Start of the time bin containing the fractional hour ``hour``."""
+        """Start of the time bin containing the fractional hour ``hour``.
+
+        n_t_bins * delta_t can fall a rounding step short of 24 (delta_t =
+        24/47), so an hour past the last bin is a ValueError too.
+        """
         if not 0.0 <= hour < 24.0:
             raise ValueError(f"hour must be in [0, 24), got {hour!r}")
-        return bin_index(hour, self.delta_t) * self.delta_t
+        index = bin_index(hour, self.delta_t)
+        if index >= self.n_t_bins:
+            raise ValueError(f"hour {hour!r} is past the last {self.delta_t!r} h bin")
+        return index * self.delta_t
 
     def x_bin(self, km: float) -> float:
         """Start of the km bin containing ``km``."""

@@ -11,12 +11,14 @@ import math
 import runpy
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
+from wildrail import ingest
 from wildrail import (
     DEFAULT_SEASONS,
     AccidentRecord,
@@ -368,7 +370,10 @@ def accident_csv(draw, delta: float) -> str:
 
 
 # a failing example is reported as drawn: shrinking these CSV texts took minutes
-@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
+report_as_drawn = settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
+
+
+@report_as_drawn
 @given(
     delta_x=st.sampled_from([5.0, 2.5, 0.1]),
     delta_t=st.sampled_from([1.0, 0.5, 0.25]),
@@ -377,6 +382,7 @@ def accident_csv(draw, delta: float) -> str:
 def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) -> None:
     text = data.draw(accident_csv(delta_x))
     event("quoted" if '"' in text else "quote-free")
+    event("array route" if ingest._accident_arrays(text, PERIOD) is not None else "row loop")
     try:
         expected = parse_accidents_loop(text, PERIOD)
     except LoopParseError as exc:
@@ -386,16 +392,7 @@ def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) 
         return
     parsed = parse_accidents(text, PERIOD)
     records = [AccidentRecord(*row) for row in expected]
-
-    # columns
-    assert parsed.n == len(records)
-    assert parsed.line_names == tuple(sorted({r.line for r in records}))
-    assert [parsed.line_names[c] for c in parsed.line_codes.tolist()] == [r.line for r in records]
-    assert parsed.kms.tolist() == [r.km for r in records]
-    assert parsed.months.tolist() == [r.date.month for r in records]
-    assert parsed.minutes.tolist() == [r.time for r in records]
-    assert parsed.dates.tolist() == [r.date.toordinal() for r in records]
-    assert parsed.species == tuple(r.species for r in records)
+    assert_columns_hold(parsed, records)
 
     # results, which read the columns and build no records
     with no_records():
@@ -441,7 +438,171 @@ def assert_same_columns(built: Dataset, parsed: Dataset) -> None:
     for name in ("line_names", "species"):
         assert getattr(built, name) == getattr(parsed, name)
     for name in ("line_codes", "kms", "months", "minutes", "dates"):
-        assert np.array_equal(getattr(built, name), getattr(parsed, name))
+        # bit for bit: -0.0 == 0.0 would hide a lost sign
+        built_column, parsed_column = getattr(built, name), getattr(parsed, name)
+        assert built_column.dtype == parsed_column.dtype
+        assert built_column.tobytes() == parsed_column.tobytes()
+
+
+def assert_columns_hold(parsed: Dataset, records: list[AccidentRecord]) -> None:
+    """``parsed`` holds ``records`` in its columns, kms bit for bit."""
+    assert parsed.n == len(records)
+    assert parsed.line_names == tuple(sorted({r.line for r in records}))
+    assert [parsed.line_names[c] for c in parsed.line_codes.tolist()] == [r.line for r in records]
+    assert parsed.kms.tobytes() == np.array([r.km for r in records], dtype=float).tobytes()
+    assert parsed.months.tolist() == [r.date.month for r in records]
+    assert parsed.minutes.tolist() == [r.time for r in records]
+    assert parsed.dates.tolist() == [r.date.toordinal() for r in records]
+    assert parsed.species == tuple(r.species for r in records)
+    assert len({id(s) for s in parsed.species}) == len(set(parsed.species))
+
+
+def row_loop_unused():
+    """A context in which the csv.reader row loop of ``parse_accidents`` fails the test."""
+    return mock.patch.object(ingest, "_accident_rows", side_effect=AssertionError("the row loop ran"))
+
+
+def assert_parses_like_row_loop(text: str, array_route: bool) -> None:
+    """``parse_accidents(text)`` gives the row-loop oracle's records or its exact
+    error, and takes the array route exactly when ``array_route``."""
+    assert (ingest._accident_arrays(text, PERIOD) is not None) == array_route
+    try:
+        expected = parse_accidents_loop(text, PERIOD)
+    except LoopParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_accidents(text, PERIOD)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        return
+    if array_route:
+        with row_loop_unused():
+            parsed = parse_accidents(text, PERIOD)
+    else:
+        parsed = parse_accidents(text, PERIOD)
+    assert_columns_hold(parsed, [AccidentRecord(*row) for row in expected])
+
+
+# --- the array route ---
+
+# characters a plain field may hold: csv.reader splits such a line on every comma
+PLAIN_CHARS = st.characters(blacklist_characters=',"\r\n\0')
+
+
+def plain_texts(min_size: int) -> st.SearchStrategy[str]:
+    return st.text(PLAIN_CHARS, min_size=min_size, max_size=5).filter(lambda s: s == s.strip())
+
+
+PLAIN_KM_TEXTS = st.one_of(
+    st.from_regex(r"[0-9]{1,8}(\.[0-9]{1,7})?", fullmatch=True),  # up to 15 digits
+    st.tuples(st.floats(0.0, 1000.0), st.integers(0, 6)).map(lambda vk: f"{vk[0]:.{vk[1]}f}"),
+    st.from_regex(r"-0{1,3}(\.0{1,3})?", fullmatch=True),
+)
+
+
+@st.composite
+def plain_accident_csv(draw) -> str:
+    """A log whose every text takes the array route: no quote, CR or NUL,
+    ``YYYY-MM-DD`` dates, ``HH:MM`` times, ``[-]digits[.digits]`` km, and
+    line and species fields equal to their own strip."""
+    lines = draw(st.lists(plain_texts(1), min_size=1, max_size=4, unique=True))
+    species = draw(st.lists(plain_texts(0), min_size=1, max_size=4, unique=True))
+    row = st.tuples(
+        st.dates(*PERIOD).map(dt.date.isoformat),
+        st.tuples(st.integers(0, 23), st.integers(0, 59)).map(lambda hm: "%02d:%02d" % hm),
+        st.sampled_from(lines),
+        PLAIN_KM_TEXTS,
+        st.sampled_from(species),
+    ).map(",".join)
+    rows = draw(st.lists(st.one_of(row, row, st.just("")), min_size=1, max_size=30))
+    rows.append(draw(row))
+    draw(st.randoms()).shuffle(rows)
+    header = draw(st.sampled_from([HEADER, " date , time,line ,km,species "]))
+    return "\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))
+
+
+@report_as_drawn
+@given(text=plain_accident_csv(), block=st.sampled_from([1, 3, ingest._BLOCK]))
+def test_plain_logs_take_the_array_route(text: str, block: int) -> None:
+    with mock.patch.object(ingest, "_BLOCK", block):
+        assert_parses_like_row_loop(text, array_route=True)
+
+
+def km_row(km: str) -> str:
+    return f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,{km},fox\n"
+
+
+def species_row(species: str) -> str:
+    return f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.5,{species}\n"
+
+
+# text -> whether it takes the array route; both routes must match the row loop
+ROUTE_CASES = {
+    "km_15_digits": (km_row("12345678901234.5"), True),
+    "km_15_digit_fraction": (km_row("0.00000000000001"), True),
+    "km_16_digits": (km_row("123456789012345.6"), False),
+    "km_16_digit_fraction": (km_row("0.000000000000001"), False),
+    "km_plus_sign": (km_row("+1.5"), False),
+    "km_leading_point": (km_row(".5"), False),
+    "km_trailing_point": (km_row("5."), False),
+    "km_leading_zeros": (km_row("007.50"), True),
+    "km_negative_zero": (km_row("-0.0"), True),
+    "km_negative_zero_integer": (km_row("-00"), True),
+    "km_negative": (km_row("-0.5"), False),
+    "km_exponent": (km_row("1e1"), False),
+    "km_two_points": (km_row("1.2.3"), False),
+    "km_bare_minus": (km_row("-"), False),
+    "non_ascii_species": (species_row("Rehwild \u00e9lan \u72d0 \U0001f98c"), True),
+    "lone_surrogate_species": (species_row("roe\udc80deer"), True),
+    "nbsp_padded_species": (species_row("\u00a0fox"), False),
+    "nbsp_inside_species": (species_row("red\u00a0fox"), True),
+    "species_at_field_limit": (species_row("x" * csv.field_size_limit()), True),
+    "species_over_field_limit": (species_row("x" * (csv.field_size_limit() + 1)), False),
+    "header_over_field_limit": (f"{HEADER}{' ' * csv.field_size_limit()}\n{ROW}\n", False),
+    "no_final_newline": (f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox", True),
+    "blank_lines": (f"{HEADER}\n\n{ROW}\n\n\n{ROW}\n\n", True),
+    "crlf": (f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n", False),
+    "padded_date": (f"{HEADER}\n 2020-01-15,18:23,139,12.4,fox\n", False),
+    "short_time": (f"{HEADER}\n2020-01-15,8:23,139,12.4,fox\n", False),
+    "date_with_slashes": (f"{HEADER}\n2020/01/15,18:23,139,12.4,fox\n", False),
+    "time_with_point": (f"{HEADER}\n2020-01-15,18.23,139,12.4,fox\n", False),
+    "empty_line_id": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,,12.4,\n", False),
+    "three_commas": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n", False),
+    "leap_day_of_a_common_year": (f"{HEADER}\n{ROW}\n2021-02-29,18:23,139,12.4,\n", False),
+}
+
+
+@pytest.mark.parametrize("text,array_route", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
+def test_route_cases_match_the_row_loop(text: str, array_route: bool) -> None:
+    assert_parses_like_row_loop(text, array_route)
+
+
+@pytest.mark.parametrize(
+    "last_row,array_route",
+    [
+        ("2021-03-04,05:06,7,1.5,lynx", True),
+        ("2021-03-04,24:00,7,1.5,lynx", False),
+        ("2023-03-04,05:06,7,1.5,lynx", False),
+        ("2021-03-04,05:06,7,-1.5,lynx", False),
+        ("2021-03-04,05:06, ,1.5,lynx", False),
+        ("2021-03-04,05:06,7,1234567890123456,lynx", False),
+    ],
+)
+def test_a_last_block_of_one_row_matches_the_row_loop(last_row: str, array_route: bool) -> None:
+    # a first block of _BLOCK rows with a blank line among them, then a block
+    # of one row with a new line, a new date and a new species, good or bad
+    rows = [ROW] * (ingest._BLOCK - 1) + ["", "2020-06-07,08:09,139,3.5,roe deer", last_row]
+    text = "\n".join([HEADER, *rows]) + "\n"
+    assert_parses_like_row_loop(text, array_route)
+
+
+def test_a_stream_without_cr_takes_the_array_route() -> None:
+    text = (DATA_DIR / "accidents_2020_2022.csv").read_text(encoding="utf-8")
+    with row_loop_unused():
+        from_text = parse_accidents(text, PERIOD)
+        with open(DATA_DIR / "accidents_2020_2022.csv", encoding="utf-8") as fh:
+            assert_same_columns(parse_accidents(fh, PERIOD), from_text)
+    # a file opened with newline="" keeps CRLF line ends, which the row loop reads
+    crlf = io.StringIO(text.replace("\n", "\r\n"), newline="")
+    assert_same_columns(parse_accidents(crlf, PERIOD), from_text)
 
 
 def speed_inputs(by_line_xbin: dict, delta_x: float):

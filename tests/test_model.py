@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import random
 
 import numpy as np
@@ -124,6 +125,26 @@ def test_bin_config_rejects_out_of_range_lookups() -> None:
         bins.t_bin(-0.5)
     with pytest.raises(ValueError):
         bins.x_bin(-1.0)
+
+
+def test_hours_past_the_last_bin_are_rejected(bundled_data, bundled_traffic) -> None:
+    # 47 bins of 24/47 h end a rounding step short of 24 h, so the grid holds
+    # no bin for the last stretch of the day
+    bins = BinConfig(delta_t=24 / 47)
+    end = bins.n_t_bins * bins.delta_t
+    assert end < 24.0
+    assert bins.t_bin(math.nextafter(end, 0.0)) == bins.t_starts[-1]
+    flat = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
+    model = fit(bundled_data, bins=bins)
+    for hour in (end, math.nextafter(24.0, 0.0)):
+        for lookup in (
+            bins.t_bin,
+            lambda t: model.p_time_at(1, t),
+            lambda t: p_per_train(model, bundled_traffic, flat, 1, t, "139", 12.0),
+        ):
+            with pytest.raises(ValueError, match=r"past the last 0\.51\d* h bin") as err:
+                lookup(hour)
+            assert type(err.value) is ValueError
 
 
 # --- fitted tables on the bundled example data ---
