@@ -339,7 +339,9 @@ _NEWLINE, _COMMA = ord("\n"), ord(",")
 _POW10 = np.array([float(10**k) for k in range(16)])
 
 
-def _number(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray, form: bytes) -> np.ndarray | None:
+def _number(
+    buf: np.ndarray, begins: np.ndarray, ends: np.ndarray, form: bytes
+) -> np.ndarray | None:
     """The digits of fields spelled like ``form``, whose "0"s stand for digits, read
     as one integer (``YYYYMMDD`` for ``b"0000-00-00"``); None if a field differs."""
     if (ends - begins != len(form)).any():
@@ -370,7 +372,6 @@ def _kms(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> np.ndarray | 
         return None
     negative = buf[begins] == ord("-")
     mantissa = np.zeros(len(sizes), dtype=np.int64)
-    n_digits = np.zeros(len(sizes), dtype=np.int64)
     point = np.full(len(sizes), -1)  # where the "." is
     for offset in range(sizes.max()):
         inside = offset < sizes
@@ -384,9 +385,9 @@ def _kms(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> np.ndarray | 
         if other.any() or (dot & (point >= 0)).any():
             return None
         mantissa = np.where(digit, mantissa * 10 + value, mantissa)
-        n_digits += digit
         point[dot] = offset
     has_point = point >= 0
+    n_digits = sizes - negative - has_point  # every other character is a digit
     if (
         (n_digits < 1).any()
         or (n_digits > 15).any()

@@ -203,47 +203,80 @@ HEADER = "date,time,line,km,species"
 ROW = "2020-01-15,18:23,139,12.4,roe deer"
 
 
-# edge texts, each checked against the row-loop oracle on the running Python
+def km_row(km: str) -> str:
+    return f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,{km},fox\n"
+
+
+def species_row(species: str) -> str:
+    return f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.5,{species}\n"
+
+
+# edge texts, each checked against the row-loop oracle on the running Python,
+# with whether the array route takes them
 EDGE_CASES = {
-    "crlf": f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n",
-    "lone_cr_line_end": f"{HEADER}\n{ROW}\r{ROW}\n",
-    "lone_cr_in_field": f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\rdeer\n",
-    "nul": f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\0deer\n",
-    "quoted": f'{HEADER}\n"2020-01-15","18:23","139","12.4","roe deer"\n',
-    "field_over_limit": f"{HEADER}\n{ROW}\n{ROW},{'x' * 200_000}\n",
-    "padded_cells": " date , time,line ,km,species \n 2020-01-15 ,\t18:23 , 139 ,12.4, fox \n",
-    "whitespace_line": f"{HEADER}\n{ROW}\n   \n{ROW}\n",
-    "tab_line": f"{HEADER}\n{ROW}\n\t\n",
-    "blank_lines": f"{HEADER}\n\n{ROW}\n\n\n{ROW}\n\n",
+    "crlf": (f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n", False),
+    "lone_cr_line_end": (f"{HEADER}\n{ROW}\r{ROW}\n", False),
+    "lone_cr_in_field": (f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\rdeer\n", False),
+    "nul": (f"{HEADER}\n2020-01-15,18:23,139,12.4,roe\0deer\n", False),
+    "quoted": (f'{HEADER}\n"2020-01-15","18:23","139","12.4","roe deer"\n', False),
+    "field_over_limit": (f"{HEADER}\n{ROW}\n{ROW},{'x' * 200_000}\n", False),
+    "padded_cells": (
+        " date , time,line ,km,species \n 2020-01-15 ,\t18:23 , 139 ,12.4, fox \n",
+        False,
+    ),
+    "whitespace_line": (f"{HEADER}\n{ROW}\n   \n{ROW}\n", False),
+    "tab_line": (f"{HEADER}\n{ROW}\n\t\n", False),
+    "blank_lines": (f"{HEADER}\n\n{ROW}\n\n\n{ROW}\n\n", True),
     # characters str.splitlines breaks on, inside one field
-    "splitlines_breaks": f"{HEADER}\n2020-01-15,18:23,139,12.4,a\x0bb\x1cc\u2028d\x85e\n",
-    "blank_first_line": f"\n{HEADER}\n{ROW}\n",
-    "header_only": f"{HEADER}\n",
-    "header_only_no_newline": HEADER,
-    "empty": "",
-    "no_final_newline": f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox",
-    "bad_header": f"date,time,line,km\n{ROW}\n",
-    "bad_row_after_valid_rows": f"{HEADER}\n{ROW}\n\n{ROW}\n2020-01-15,24:00,139,12.4,\n",
-    "out_of_period_after_valid_rows": f"{HEADER}\n{ROW}\n{ROW}\n2023-01-01,10:00,1,1.0,\n",
+    "splitlines_breaks": (f"{HEADER}\n2020-01-15,18:23,139,12.4,a\x0bb\x1cc\u2028d\x85e\n", True),
+    "blank_first_line": (f"\n{HEADER}\n{ROW}\n", False),
+    "header_only": (f"{HEADER}\n", False),
+    "header_only_no_newline": (HEADER, False),
+    "empty": ("", False),
+    "no_final_newline": (f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox", True),
+    "bad_header": (f"date,time,line,km\n{ROW}\n", False),
+    "bad_row_after_valid_rows": (f"{HEADER}\n{ROW}\n\n{ROW}\n2020-01-15,24:00,139,12.4,\n", False),
+    "out_of_period_after_valid_rows": (f"{HEADER}\n{ROW}\n{ROW}\n2023-01-01,10:00,1,1.0,\n", False),
     # one row short of a field and the next one over: the cell total is right
-    "field_counts_that_balance": f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n{ROW},x\n",
-    "negative_km": f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,-0.5,\n",
-    "empty_line_id": f"{HEADER}\n{ROW}\n2020-01-15,18:23, ,12.4,\n",
+    "field_counts_that_balance": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n{ROW},x\n", False),
+    "three_commas": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n", False),
+    "negative_km": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,-0.5,\n", False),
+    "empty_line_id": (f"{HEADER}\n{ROW}\n2020-01-15,18:23, ,12.4,\n", False),
+    "no_line_id": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,,12.4,\n", False),
+    # km texts: the array route reads [-]digits[.digits] of at most 15 digits
+    "km_15_digits": (km_row("12345678901234.5"), True),
+    "km_15_digit_fraction": (km_row("0.00000000000001"), True),
+    "km_16_digits": (km_row("123456789012345.6"), False),
+    "km_16_digit_fraction": (km_row("0.000000000000001"), False),
+    "km_plus_sign": (km_row("+1.5"), False),
+    "km_leading_point": (km_row(".5"), False),
+    "km_trailing_point": (km_row("5."), False),
+    "km_leading_zeros": (km_row("007.50"), True),
+    "km_negative_zero": (km_row("-0.0"), True),
+    "km_negative_zero_integer": (km_row("-00"), True),
+    "km_exponent": (km_row("1e1"), False),
+    "km_two_points": (km_row("1.2.3"), False),
+    "km_bare_minus": (km_row("-"), False),
+    "non_ascii_species": (species_row("Rehwild \u00e9lan \u72d0 \U0001f98c"), True),
+    "lone_surrogate_species": (species_row("roe\udc80deer"), True),
+    "nbsp_padded_species": (species_row("\u00a0fox"), False),
+    "nbsp_inside_species": (species_row("red\u00a0fox"), True),
+    "species_at_field_limit": (species_row("x" * csv.field_size_limit()), True),
+    "species_over_field_limit": (species_row("x" * (csv.field_size_limit() + 1)), False),
+    "header_over_field_limit": (f"{HEADER}{' ' * csv.field_size_limit()}\n{ROW}\n", False),
+    "padded_date": (f"{HEADER}\n 2020-01-15,18:23,139,12.4,fox\n", False),
+    "date_with_slashes": (f"{HEADER}\n2020/01/15,18:23,139,12.4,fox\n", False),
+    "leap_day_of_a_common_year": (f"{HEADER}\n{ROW}\n2021-02-29,18:23,139,12.4,\n", False),
+    "short_time": (f"{HEADER}\n2020-01-15,8:23,139,12.4,fox\n", False),
+    "time_with_point": (f"{HEADER}\n2020-01-15,18.23,139,12.4,fox\n", False),
 }
 
 
-@pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
-def test_parse_accidents_edge_texts_match_oracle(text: str) -> None:
-    try:
-        expected = parse_accidents_loop(text, PERIOD)
-    except LoopParseError as exc:
-        with pytest.raises(ParseError) as err:
-            parse_accidents(text, PERIOD)
-        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
-        return
-    parsed = parse_accidents(text, PERIOD)
-    assert parsed.records == tuple(AccidentRecord(*row) for row in expected)
-    assert_same_columns(parse_accidents(io.StringIO(text), PERIOD), parsed)
+@pytest.mark.parametrize("text,array_route", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_parse_accidents_edge_texts_match_oracle(text: str, array_route: bool) -> None:
+    parsed = assert_parses_like_row_loop(text, array_route)
+    if parsed is not None:
+        assert_same_columns(parse_accidents(io.StringIO(text), PERIOD), parsed)
 
 
 def test_stream_is_split_by_its_own_newline_setting() -> None:
@@ -459,12 +492,13 @@ def assert_columns_hold(parsed: Dataset, records: list[AccidentRecord]) -> None:
 
 def row_loop_unused():
     """A context in which the csv.reader row loop of ``parse_accidents`` fails the test."""
-    return mock.patch.object(ingest, "_accident_rows", side_effect=AssertionError("the row loop ran"))
+    ran = AssertionError("the row loop ran")
+    return mock.patch.object(ingest, "_accident_rows", side_effect=ran)
 
 
-def assert_parses_like_row_loop(text: str, array_route: bool) -> None:
-    """``parse_accidents(text)`` gives the row-loop oracle's records or its exact
-    error, and takes the array route exactly when ``array_route``."""
+def assert_parses_like_row_loop(text: str, array_route: bool) -> Dataset | None:
+    """``parse_accidents(text)`` gives the row-loop oracle's records, returned, or
+    its exact error, and takes the array route exactly when ``array_route``."""
     assert (ingest._accident_arrays(text, PERIOD) is not None) == array_route
     try:
         expected = parse_accidents_loop(text, PERIOD)
@@ -472,13 +506,14 @@ def assert_parses_like_row_loop(text: str, array_route: bool) -> None:
         with pytest.raises(ParseError) as err:
             parse_accidents(text, PERIOD)
         assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
-        return
+        return None
     if array_route:
         with row_loop_unused():
             parsed = parse_accidents(text, PERIOD)
     else:
         parsed = parse_accidents(text, PERIOD)
     assert_columns_hold(parsed, [AccidentRecord(*row) for row in expected])
+    return parsed
 
 
 # --- the array route ---
@@ -524,55 +559,6 @@ def plain_accident_csv(draw) -> str:
 def test_plain_logs_take_the_array_route(text: str, block: int) -> None:
     with mock.patch.object(ingest, "_BLOCK", block):
         assert_parses_like_row_loop(text, array_route=True)
-
-
-def km_row(km: str) -> str:
-    return f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,{km},fox\n"
-
-
-def species_row(species: str) -> str:
-    return f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.5,{species}\n"
-
-
-# text -> whether it takes the array route; both routes must match the row loop
-ROUTE_CASES = {
-    "km_15_digits": (km_row("12345678901234.5"), True),
-    "km_15_digit_fraction": (km_row("0.00000000000001"), True),
-    "km_16_digits": (km_row("123456789012345.6"), False),
-    "km_16_digit_fraction": (km_row("0.000000000000001"), False),
-    "km_plus_sign": (km_row("+1.5"), False),
-    "km_leading_point": (km_row(".5"), False),
-    "km_trailing_point": (km_row("5."), False),
-    "km_leading_zeros": (km_row("007.50"), True),
-    "km_negative_zero": (km_row("-0.0"), True),
-    "km_negative_zero_integer": (km_row("-00"), True),
-    "km_negative": (km_row("-0.5"), False),
-    "km_exponent": (km_row("1e1"), False),
-    "km_two_points": (km_row("1.2.3"), False),
-    "km_bare_minus": (km_row("-"), False),
-    "non_ascii_species": (species_row("Rehwild \u00e9lan \u72d0 \U0001f98c"), True),
-    "lone_surrogate_species": (species_row("roe\udc80deer"), True),
-    "nbsp_padded_species": (species_row("\u00a0fox"), False),
-    "nbsp_inside_species": (species_row("red\u00a0fox"), True),
-    "species_at_field_limit": (species_row("x" * csv.field_size_limit()), True),
-    "species_over_field_limit": (species_row("x" * (csv.field_size_limit() + 1)), False),
-    "header_over_field_limit": (f"{HEADER}{' ' * csv.field_size_limit()}\n{ROW}\n", False),
-    "no_final_newline": (f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox", True),
-    "blank_lines": (f"{HEADER}\n\n{ROW}\n\n\n{ROW}\n\n", True),
-    "crlf": (f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n", False),
-    "padded_date": (f"{HEADER}\n 2020-01-15,18:23,139,12.4,fox\n", False),
-    "short_time": (f"{HEADER}\n2020-01-15,8:23,139,12.4,fox\n", False),
-    "date_with_slashes": (f"{HEADER}\n2020/01/15,18:23,139,12.4,fox\n", False),
-    "time_with_point": (f"{HEADER}\n2020-01-15,18.23,139,12.4,fox\n", False),
-    "empty_line_id": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,,12.4,\n", False),
-    "three_commas": (f"{HEADER}\n{ROW}\n2020-01-15,18:23,139,12.4\n", False),
-    "leap_day_of_a_common_year": (f"{HEADER}\n{ROW}\n2021-02-29,18:23,139,12.4,\n", False),
-}
-
-
-@pytest.mark.parametrize("text,array_route", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
-def test_route_cases_match_the_row_loop(text: str, array_route: bool) -> None:
-    assert_parses_like_row_loop(text, array_route)
 
 
 @pytest.mark.parametrize(
