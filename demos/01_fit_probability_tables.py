@@ -47,7 +47,8 @@ for tau in range(1, 13):
 # table 2: hour-of-day distribution, conditioned on the daylight season
 print("\np(hour | season), evening hours only:")
 for label in model.seasons.labels:
-    row = "  ".join(f"{h:02d}h={model.p_time[label][float(h)]:.3f}" for h in (16, 17, 18, 19))
+    # p_time[label][i] is hour bin i; at 1 h bins that is the hour itself
+    row = "  ".join(f"{h:02d}h={model.p_time[label][h]:.3f}" for h in (16, 17, 18, 19))
     print(f"  {label:5s} {row}")
 
 # tables 3 and 4: where accidents happen
@@ -55,8 +56,11 @@ print("\nline shares p(l):")
 for line in model.lines:
     print(f"  line {line}: {model.p_line_at(line):.4f}")
 print("\nkm-bin shares on line 139 (first five bins):")
-for xs in model.x_bins_for("139")[:5]:
-    print(f"  [{xs:.0f}, {xs + 5:.0f}) km: {model.p_segment['139'][xs]:.4f}")
+# p_segment[line] runs from the line's first occupied km bin, x_first[line], on;
+# km bin k starts at k * delta_x
+for k, share in enumerate(model.p_segment["139"][:5], model.counts.x_first["139"]):
+    xs = k * model.bins.delta_x
+    print(f"  [{xs:.0f}, {xs + 5:.0f}) km: {share:.4f}")
 
 # compose one cell by hand: line 139, km 12, January, 18:00-19:00
 with open(DATA / "traffic.csv", encoding="utf-8") as fh:

@@ -52,7 +52,7 @@ for line in grid.lines:
         flat.append((float(p[xi, mi, ti]), line, int(xi), int(mi), int(ti)))
 print("\ntop cells per line:")
 for value, line, xi, mi, ti in sorted(flat, reverse=True):
-    x_from, t_from = grid.x_starts[line][xi], grid.t_starts[ti]
+    x_from, t_from = (grid.x_first[line] + xi) * grid.delta_x, ti * grid.delta_t
     print(
         f"  line {line} km [{x_from:.0f},{x_from + grid.delta_x:.0f}) "
         f"month {grid.months[mi]:2d} {t_from:.0f}-{t_from + grid.delta_t:.0f} h: p_pt={value:.6f}"

@@ -228,23 +228,18 @@ def speed_correlation(
         raise ValueError(
             f"delta_x={delta_x} does not match the traffic table bin width {traffic.delta_x}"
         )
-    acc_counts = {
-        (line, i * delta_x): count
-        for line, per_bin in data.km_bin_counts(delta_x).items()
-        for i, count in per_bin.items()
-    }
+    acc_counts = data.km_bin_counts(delta_x)
     pairs: list[tuple[str, float, float, float]] = []
-    for line, x_from in sorted(traffic.counts):
-        m = traffic.counts[(line, x_from)]
-        if m <= 0:
-            continue
+    for line, k in sorted(traffic.counts):
+        m = traffic.counts[(line, k)]
         profile = speeds.get(line)
-        if profile is None:
+        if m <= 0 or profile is None:
             continue
+        x_from = k * delta_x
         speed = profile.speed_at(x_from + delta_x / 2.0)
         if speed is None:
             continue
-        pairs.append((line, x_from, speed, acc_counts.get((line, x_from), 0) / m))
+        pairs.append((line, x_from, speed, acc_counts.get(line, {}).get(k, 0) / m))
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 usable bins for a correlation, got {len(pairs)}")
     speed_arr = np.array([p[2] for p in pairs])
@@ -325,10 +320,10 @@ def evaluate_holdout(
     Each test accident maps to its grid cell as ``WarningGrid.locate`` does:
     by line, km bin (the corrected floor of ``bin_index``; a km exactly at a
     line's final bin edge clamps into the final bin), month, and hour bin
-    (0 <= hour < 24 and the bin start one of the grid's).  Accidents that
-    miss the grid are counted as unmapped and excluded from the hit rate.
-    A mapped accident is a hit at theta when its cell's p_pt is strictly
-    above theta; flagged (NaN) cells never hit.  ``include_adjacent``
+    (0 <= hour < 24 and a bin index below the grid's ``n_t``).  Accidents
+    that miss the grid are counted as unmapped and excluded from the hit
+    rate.  A mapped accident is a hit at theta when its cell's p_pt is
+    strictly above theta; flagged (NaN) cells never hit.  ``include_adjacent``
     also accepts the neighbouring km bins on the same line (off by default).
 
     Raises:

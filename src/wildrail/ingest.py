@@ -554,30 +554,25 @@ def _grid_index(start: float, delta: float) -> int | None:
 class TrafficTable:
     """Daily train counts per (line, km bin).
 
-    Keys are (line, bin start); a bin start is exactly ``k * delta_x`` for an
-    integer k, the value every lookup reads and ``parse_traffic`` writes.
-    Unknown cells count as zero traffic.
+    Keys are (line, k) for the bin [k * delta_x, (k + 1) * delta_x); k must
+    be a non-negative int, so a float start such as 10.0 is rejected rather
+    than read as bin 10.  Unknown cells count as zero traffic.
     """
 
-    counts: dict[tuple[str, float], float]
+    counts: dict[tuple[str, int], float]
     delta_x: float
 
     def __post_init__(self) -> None:
         _check_bin_width(self.delta_x)
-        for (line, start), value in self.counts.items():
-            index = _grid_index(start, self.delta_x)
-            if index is None:
-                raise ValueError(f"bin start {start} on line {line} is not a multiple of {self.delta_x}")
-            if start != index * self.delta_x:
-                raise ValueError(
-                    f"bin start {start!r} on line {line} must be written as {index * self.delta_x!r}"
-                )
+        for (line, k), value in self.counts.items():
+            if type(k) is not int or k < 0:
+                raise ValueError(f"km bin {k!r} on line {line} must be a non-negative int index")
             if value < 0:
-                raise ValueError(f"negative count {value} on line {line} at km {start}")
+                raise ValueError(f"negative count {value} on line {line} in km bin {k}")
 
     def count(self, line: str, km: float) -> float:
         """Trains per day through the bin containing ``km`` on ``line`` (0 if unknown)."""
-        return self.counts.get((line, bin_index(km, self.delta_x) * self.delta_x), 0.0)
+        return self.counts.get((line, bin_index(km, self.delta_x)), 0.0)
 
 
 def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
@@ -593,7 +588,7 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
     """
     _check_bin_width(delta_x)
     reader = csv.reader(_open_text(stream))
-    counts: dict[tuple[str, float], float] = {}
+    counts: dict[tuple[str, int], float] = {}
     if not _read_header(reader, TRAFFIC_HEADER, "traffic"):
         return TrafficTable(counts={}, delta_x=delta_x)
     for line_no, (line, km_text, count_text) in _rows(reader, len(TRAFFIC_HEADER)):
@@ -608,8 +603,7 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
         count = _parse_float_field(count_text, "count", line_no)
         if count < 0:
             raise ParseError(f"count must be non-negative, got {count_text!r}", line_no)
-        key = (line, index * delta_x)
-        counts[key] = counts.get(key, 0.0) + count
+        counts[(line, index)] = counts.get((line, index), 0.0) + count
     return TrafficTable(counts=counts, delta_x=delta_x)
 
 
@@ -619,15 +613,21 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
     Input CSV is ``line,km_from,km_to,departure`` with one row per train run
     on a representative day.  A run adds one train to every delta_x bin its
     [km_from, km_to) extent overlaps; the departure time is validated but not
-    retained (time-of-day shaping is owned by the traffic profile).
+    retained (time-of-day shaping is owned by the traffic profile).  Runs whose
+    per-line bin spans sum past ``model.MAX_GRID_CELLS // 12``, more km bins
+    than any warning grid holds, are refused before their bins are counted.
 
     Raises:
         ValueError: delta_x not positive and finite.
-        ParseError: malformed header, row or field.
+        ParseError: malformed header, row or field, or runs past that bound.
     """
+    from . import model  # the grid bound lives there, and model imports this module
+
     _check_bin_width(delta_x)
     reader = csv.reader(_open_text(stream))
-    counts: dict[tuple[str, float], float] = {}
+    counts: dict[tuple[str, int], float] = {}
+    spans: dict[str, tuple[int, int]] = {}  # per line, its first and last run bin
+    bins = 0  # the spans' summed bin counts
     if not _read_header(reader, TRAFFIC_RUN_HEADER, "traffic run"):
         return TrafficTable(counts={}, delta_x=delta_x)
     for line_no, (line, from_text, to_text, dep_text) in _rows(reader, len(TRAFFIC_RUN_HEADER)):
@@ -638,11 +638,23 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
         if km_from < 0 or km_to <= km_from:
             raise ParseError(f"need 0 <= km_from < km_to, got {from_text}..{to_text}", line_no)
         _parse_time_field(dep_text, line_no)
-        idx = bin_index(km_from, delta_x)
-        while idx * delta_x < km_to:
-            key = (line, idx * delta_x)
-            counts[key] = counts.get(key, 0.0) + 1.0
-            idx += 1
+        if not math.isfinite(km_to / delta_x):
+            raise ParseError(f"km_to {to_text} has no finite bin index at bin width {delta_x!r}", line_no)
+        # the run's bins first..last; a km_to on a bin's start edge leaves that bin out
+        first, last = bin_index(km_from, delta_x), bin_index(km_to, delta_x)
+        if last * delta_x == km_to:
+            last -= 1
+        lo, hi = spans.get(line, (first, first - 1))  # a new line holds no bins yet
+        spans[line] = (min(lo, first), max(hi, last))
+        bins += spans[line][1] - spans[line][0] - (hi - lo)
+        if bins > model.MAX_GRID_CELLS // 12:
+            raise ParseError(
+                f"runs span {bins:,} km bins of {delta_x!r} km, more than the"
+                f" {model.MAX_GRID_CELLS // 12:,} that a {model.MAX_GRID_CELLS:,}-cell grid holds",
+                line_no,
+            )
+        for idx in range(first, last + 1):
+            counts[(line, idx)] = counts.get((line, idx), 0.0) + 1.0
     return TrafficTable(counts=counts, delta_x=delta_x)
 
 

@@ -123,14 +123,10 @@ class BinConfig:
 
     @property
     def n_t_bins(self) -> int:
-        return round(24.0 / self.delta_t)
+        return _grid_index(24.0, self.delta_t)
 
-    @property
-    def t_starts(self) -> tuple[float, ...]:
-        return tuple(i * self.delta_t for i in range(self.n_t_bins))
-
-    def t_bin(self, hour: float) -> float:
-        """Start of the time bin containing the fractional hour ``hour``.
+    def t_bin(self, hour: float) -> int:
+        """Index, below ``n_t_bins``, of the time bin containing the fractional hour ``hour``.
 
         n_t_bins * delta_t can fall a rounding step short of 24 (delta_t =
         24/47), so an hour past the last bin is a ValueError too.
@@ -140,13 +136,13 @@ class BinConfig:
         index = bin_index(hour, self.delta_t)
         if index >= self.n_t_bins:
             raise ValueError(f"hour {hour!r} is past the last {self.delta_t!r} h bin")
-        return index * self.delta_t
+        return index
 
-    def x_bin(self, km: float) -> float:
-        """Start of the km bin containing ``km``."""
+    def x_bin(self, km: float) -> int:
+        """Index of the km bin containing ``km``."""
         if km < 0:
             raise ValueError(f"km must be non-negative, got {km!r}")
-        return bin_index(km, self.delta_x) * self.delta_x
+        return bin_index(km, self.delta_x)
 
 
 def _check_grid_size(spans: dict[str, tuple[int, int]], bins: BinConfig) -> None:
@@ -165,15 +161,21 @@ def _check_grid_size(spans: dict[str, tuple[int, int]], bins: BinConfig) -> None
 
 @dataclass(frozen=True)
 class ModelCounts:
-    """Raw counts behind a FittedModel; every table entry is a ratio of these."""
+    """Raw counts behind a FittedModel; every table entry is a ratio of these.
+
+    ``by_season_tbin[label][i]`` counts hour bin i, for every bin of the day;
+    ``by_line_xbin[line][k]`` counts km bin ``x_first[line] + k``, densely
+    from the line's first to its last occupied bin.
+    """
 
     n: int
     total_days: float
     by_month: dict[int, int]
     by_season: dict[str, int]
-    by_season_tbin: dict[str, dict[float, int]]
+    by_season_tbin: dict[str, tuple[int, ...]]
     by_line: dict[str, int]
-    by_line_xbin: dict[str, dict[float, int]]
+    x_first: dict[str, int]
+    by_line_xbin: dict[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -181,17 +183,17 @@ class FittedModel:
     """Immutable probability tables fitted from a Dataset.
 
     ``mu`` maps month -> accidents per average month; ``p_time`` maps season
-    label -> time-bin start -> probability (a season with zero accidents and
-    zero smoothing is absent, and lookups for it raise
+    label -> one probability per hour bin index (a season with zero
+    accidents and zero smoothing is absent, and lookups for it raise
     InsufficientDataError); ``p_line`` maps line -> probability; ``p_segment``
-    maps line -> km-bin start -> probability over the line's observed bin
-    range.  Treat all tables as read-only.
+    maps line -> probabilities of its km bins from ``counts.x_first[line]``
+    on, over the line's observed bin range.  Treat all tables as read-only.
     """
 
     mu: dict[int, float]
-    p_time: dict[str, dict[float, float]]
+    p_time: dict[str, tuple[float, ...]]
     p_line: dict[str, float]
-    p_segment: dict[str, dict[float, float]]
+    p_segment: dict[str, tuple[float, ...]]
     seasons: SeasonScheme
     bins: BinConfig
     counts: ModelCounts
@@ -200,9 +202,6 @@ class FittedModel:
     @property
     def lines(self) -> tuple[str, ...]:
         return tuple(sorted(self.p_line))
-
-    def x_bins_for(self, line: str) -> tuple[float, ...]:
-        return tuple(sorted(self.p_segment.get(line, {})))
 
     def mu_at(self, tau: int) -> float:
         if tau not in MONTHS:
@@ -225,7 +224,8 @@ class FittedModel:
         table = self.p_segment.get(line)
         if table is None:
             raise InsufficientDataError(f"no accidents on line {line!r}; p(x|line) undefined")
-        return table.get(self.bins.x_bin(x), 0.0)
+        k = self.bins.x_bin(x) - self.counts.x_first[line]
+        return table[k] if 0 <= k < len(table) else 0.0
 
 
 def fit(
@@ -265,9 +265,7 @@ def fit(
     tbin_counts = np.bincount(
         seasons.label_indices(data.months) * n_t + t_bins, minlength=len(labels) * n_t
     ).reshape(len(labels), n_t)
-    by_season_tbin = {
-        label: dict(zip(bins.t_starts, row)) for label, row in zip(labels, tbin_counts.tolist())
-    }
+    by_season_tbin = dict(zip(labels, map(tuple, tbin_counts.tolist())))
     line_counts = np.bincount(data.line_codes, minlength=len(data.line_names))
     by_line = dict(zip(data.line_names, line_counts.tolist()))
     # dense per-line bins over the observed index range, zeros in the gaps
@@ -275,7 +273,7 @@ def fit(
     spans = {line: (min(indices), max(indices)) for line, indices in bin_counts.items()}
     _check_grid_size(spans, bins)
     by_line_xbin = {
-        line: {i * bins.delta_x: bin_counts[line].get(i, 0) for i in range(lo, hi + 1)}
+        line: tuple(bin_counts[line].get(i, 0) for i in range(lo, hi + 1))
         for line, (lo, hi) in spans.items()
     }
     counts = {
@@ -284,6 +282,7 @@ def fit(
         "by_month": by_month,
         "by_season_tbin": by_season_tbin,
         "by_line": by_line,
+        "x_first": {line: lo for line, (lo, _) in spans.items()},
         "by_line_xbin": by_line_xbin,
     }
     return _model_from_counts(counts, seasons, bins, smoothing)
@@ -308,18 +307,18 @@ def _model_from_counts(
     }
     month_denom = T / MONTHS_PER_YEAR
     mu = {m: by_month[m] / month_denom for m in MONTHS}
-    p_time: dict[str, dict[float, float]] = {}
+    p_time: dict[str, tuple[float, ...]] = {}
     for label, table in counts["by_season_tbin"].items():
         denom = by_season[label] + smoothing * len(table)
         if denom > 0:
-            p_time[label] = {ts: (cnt + smoothing) / denom for ts, cnt in table.items()}
+            p_time[label] = tuple((cnt + smoothing) / denom for cnt in table)
     by_line = counts["by_line"]
     line_denom = counts["n"] + smoothing * len(by_line)
     p_line = {line: (cnt + smoothing) / line_denom for line, cnt in by_line.items()}
-    p_segment: dict[str, dict[float, float]] = {}
+    p_segment: dict[str, tuple[float, ...]] = {}
     for line, table in counts["by_line_xbin"].items():
         denom = by_line[line] + smoothing * len(table)
-        p_segment[line] = {xs: (cnt + smoothing) / denom for xs, cnt in table.items()}
+        p_segment[line] = tuple((cnt + smoothing) / denom for cnt in table)
     return FittedModel(
         mu=mu,
         p_time=p_time,
@@ -335,22 +334,24 @@ def _model_from_counts(
 _FORMAT_TAG = "wildrail.model/1"
 
 
+def _by_start(table: tuple, first: int, delta: float) -> dict[str, float]:
+    """A per-bin table keyed by the repr of each bin start, as model JSON holds it."""
+    return {repr((first + k) * delta): value for k, value in enumerate(table)}
+
+
 def model_to_json(model: FittedModel) -> str:
-    """Serialize a FittedModel to a single deterministic JSON document."""
+    """Serialize a FittedModel to a single deterministic JSON document, keyed by bin start."""
+    dx, dt, x_first = model.bins.delta_x, model.bins.delta_t, model.counts.x_first
     doc = {
         "format": _FORMAT_TAG,
         "bins": {"delta_x": model.bins.delta_x, "delta_t": model.bins.delta_t},
         "seasons": {label: list(months) for label, months in model.seasons.groups.items()},
         "smoothing": model.smoothing,
         "mu": {str(m): v for m, v in model.mu.items()},
-        "p_time": {
-            label: {repr(ts): p for ts, p in table.items()}
-            for label, table in model.p_time.items()
-        },
+        "p_time": {label: _by_start(table, 0, dt) for label, table in model.p_time.items()},
         "p_line": dict(model.p_line),
         "p_segment": {
-            line: {repr(xs): p for xs, p in table.items()}
-            for line, table in model.p_segment.items()
+            line: _by_start(table, x_first[line], dx) for line, table in model.p_segment.items()
         },
         "counts": {
             "n": model.counts.n,
@@ -358,12 +359,12 @@ def model_to_json(model: FittedModel) -> str:
             "by_month": {str(m): c for m, c in model.counts.by_month.items()},
             "by_season": dict(model.counts.by_season),
             "by_season_tbin": {
-                label: {repr(ts): c for ts, c in table.items()}
+                label: _by_start(table, 0, dt)
                 for label, table in model.counts.by_season_tbin.items()
             },
             "by_line": dict(model.counts.by_line),
             "by_line_xbin": {
-                line: {repr(xs): c for xs, c in table.items()}
+                line: _by_start(table, x_first[line], dx)
                 for line, table in model.counts.by_line_xbin.items()
             },
         },
@@ -396,22 +397,7 @@ def model_from_json(text: str) -> FittedModel:
         )
         bins = BinConfig(delta_x=doc["bins"]["delta_x"], delta_t=doc["bins"]["delta_t"])
         smoothing = float(doc["smoothing"])
-        raw = doc["counts"]
-        counts = {
-            "n": int(raw["n"]),
-            "total_days": float(raw["total_days"]),
-            "by_month": {int(m): int(c) for m, c in raw["by_month"].items()},
-            "by_season_tbin": {
-                label: {float(ts): int(c) for ts, c in table.items()}
-                for label, table in raw["by_season_tbin"].items()
-            },
-            "by_line": {line: int(c) for line, c in raw["by_line"].items()},
-            "by_line_xbin": {
-                line: {float(xs): int(c) for xs, c in table.items()}
-                for line, table in raw["by_line_xbin"].items()
-            },
-        }
-        _check_counts(counts, seasons, bins)
+        counts = _read_counts(doc["counts"], seasons, bins)
         model = _model_from_counts(counts, seasons, bins, smoothing)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc!r}") from None
@@ -422,38 +408,49 @@ def model_from_json(text: str) -> FittedModel:
     return model
 
 
-def _check_counts(counts: dict, seasons: SeasonScheme, bins: BinConfig) -> None:
-    """Reject counts that no dataset could produce; fit's own always pass."""
-    by_month, by_line, by_line_xbin = counts["by_month"], counts["by_line"], counts["by_line_xbin"]
-    n = counts["n"]
+def _bin_run(table: dict, delta: float) -> tuple[int, tuple[int, ...]]:
+    """The first bin index and the counts of a document table keyed by bin start;
+    (-1, ()) unless the keys are one gap-free run of bins."""
+    indexed = {_grid_index(float(start), delta): int(count) for start, count in table.items()}
+    if not indexed or None in indexed or max(indexed) - min(indexed) + 1 != len(indexed):
+        return -1, ()
+    first = min(indexed)
+    return first, tuple(indexed[i] for i in range(first, first + len(indexed)))
+
+
+def _read_counts(raw: dict, seasons: SeasonScheme, bins: BinConfig) -> dict:
+    """The ModelCounts fields but ``by_season`` of a model document's counts.
+
+    Rejects counts that no dataset could produce; fit's own always pass.
+    """
+    n = int(raw["n"])
+    by_month = {int(m): int(c) for m, c in raw["by_month"].items()}
+    by_line = {line: int(c) for line, c in raw["by_line"].items()}
     if set(by_month) != set(MONTHS) or min(by_month.values()) < 0:
         raise ValueError("monthly counts must cover months 1..12 and be non-negative")
     if sum(by_month.values()) != n or sum(by_line.values()) != n or n <= 0:
         raise ValueError(f"monthly and per-line counts must both sum to n={n} > 0")
+    counts = {"n": n, "total_days": float(raw["total_days"]), "by_month": by_month, "by_line": by_line}
+    tbins = counts["by_season_tbin"] = {}
     for label, months in seasons.groups.items():
-        table = counts["by_season_tbin"][label]
-        if (
-            tuple(sorted(table)) != bins.t_starts
-            or min(table.values()) < 0
-            or sum(table.values()) != sum(by_month[m] for m in months)
-        ):
+        first, run = _bin_run(raw["by_season_tbin"][label], bins.delta_t)
+        in_season = sum(by_month[m] for m in months)
+        if first != 0 or len(run) != bins.n_t_bins or min(run) < 0 or sum(run) != in_season:
             raise ValueError(f"hour-bin counts of season {label!r} disagree with its months")
-    if set(by_line_xbin) != set(by_line):
+        tbins[label] = run
+    if set(raw["by_line_xbin"]) != set(by_line):
         raise ValueError("km-bin counts must cover exactly the counted lines")
-    for line, table in by_line_xbin.items():
-        if by_line[line] <= 0 or sum(table.values()) != by_line[line] or min(table.values()) < 0:
-            raise ValueError(f"km-bin counts of line {line!r} disagree with its count")
-        # fit writes bins lo..hi, each i * delta_x, with records in bins lo and hi
-        starts = sorted(table)
-        lo = _grid_index(starts[0], bins.delta_x)
-        if (
-            lo is None
-            or lo < 0
-            or starts != [(lo + k) * bins.delta_x for k in range(len(starts))]
-            or table[starts[0]] == 0
-            or table[starts[-1]] == 0
-        ):
+    x_first = counts["x_first"] = {}
+    xbins = counts["by_line_xbin"] = {}
+    for line, table in raw["by_line_xbin"].items():
+        # fit writes one run of bins from an index >= 0, with records in both end bins
+        first, run = _bin_run(table, bins.delta_x)
+        if first < 0 or run[0] == 0 or run[-1] == 0:
             raise ValueError(
                 f"km-bin counts of line {line!r} must be one run of {bins.delta_x} km bins"
                 " with records in both end bins"
             )
+        if by_line[line] <= 0 or sum(run) != by_line[line] or min(run) < 0:
+            raise ValueError(f"km-bin counts of line {line!r} disagree with its count")
+        x_first[line], xbins[line] = first, run
+    return counts

@@ -173,12 +173,11 @@ def p_per_train(
         ValueError: a month, hour or km outside the grid, or traffic binned
             on a different km grid than the model.
     """
-    bins = model.bins
-    t_start = bins.t_bin(t)
-    grid = _build_grid(model, traffic, profile, (), {line: (bins.x_bin(x),)})
+    ti, k = model.bins.t_bin(t), model.bins.x_bin(x)
+    grid = _build_grid(model, traffic, profile, (), {line: (k, k)})
     if tau not in MONTHS:
         raise ValueError(f"month must be 1..12, got {tau!r}")
-    cell = (0, MONTHS.index(tau), grid.t_starts.index(t_start))
+    cell = (0, MONTHS.index(tau), ti)
     bits = int(grid.flags[line][cell])
     if bits & _NO_TRAFFIC_BIT:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
@@ -193,8 +192,10 @@ class WarningGrid:
     """Warning state over (line, km bin, month, hour bin) cells.
 
     Every grid spans all 12 months (the class constant ``months``, 1..12)
-    and all hour bins of its model (``t_starts``).  ``x_starts`` maps each
-    line, in grid order, to its km bin starts.  Per line, ``p_pt`` is a
+    and all ``n_t`` hour bins of its model; hour bin ti starts at
+    ``ti * delta_t``.  ``x_first`` maps each line, in grid order, to the
+    index of its first km bin, so km bin xi of a line starts at
+    ``(x_first[line] + xi) * delta_x``.  Per line, ``p_pt`` is a
     (n_x, 12, n_t) float array with NaN in flagged cells, ``m_window`` a
     (n_x, n_t) array, and ``flags`` a bitmask array parallel to ``p_pt``.
     ``warned`` state is derived on demand: a cell is warned at theta exactly
@@ -205,15 +206,15 @@ class WarningGrid:
     delta_x: float
     delta_t: float
     thresholds: tuple[float, ...]
-    t_starts: tuple[float, ...]
-    x_starts: dict[str, tuple[float, ...]]
+    n_t: int
+    x_first: dict[str, int]
     p_pt: dict[str, np.ndarray]
     m_window: dict[str, np.ndarray]
     flags: dict[str, np.ndarray]
 
     @property
     def lines(self) -> tuple[str, ...]:
-        return tuple(self.x_starts)
+        return tuple(self.x_first)
 
     def locate(
         self,
@@ -227,21 +228,19 @@ class WarningGrid:
 
         Query i is on line ``names[codes[i]]``, the form a ``Dataset`` holds
         (``line_names``, ``line_codes``), at ``km[i]``, ``months[i]`` and
-        ``hours[i]``.  ``li`` is the line's position in ``x_starts``, ``xi``
-        its km bin, ``mi`` = month - 1 for a month exactly 1..12 and ``ti``
-        the hour bin ``bin_index(hour, delta_t)`` for 0 <= hour < 24.  Each
-        part is -1 where it misses the grid, and an
-        unknown line also gives xi = -1.  A km exactly at a line's final bin
-        edge is clamped into the final bin; anything further out misses.
+        ``hours[i]``.  ``li`` is the line's position in ``lines``, ``xi``
+        its km bin counted from ``x_first[line]``, ``mi`` = month - 1 for a
+        month exactly 1..12 and ``ti`` the hour bin ``bin_index(hour,
+        delta_t)`` for 0 <= hour < 24 and ti < n_t.  Each part is -1 where it
+        misses the grid, and an unknown line also gives xi = -1.  A km
+        exactly at a line's final bin edge is clamped into the final bin;
+        anything further out misses.
         """
-        at = {line: i for i, line in enumerate(self.x_starts)}
+        at = {line: i for i, line in enumerate(self.x_first)}
         li = np.array([at.get(name, -1) for name in names], dtype=np.int64)[codes]
         # one (first bin, bin count) row per line, plus an empty row that li = -1 picks
-        firsts = np.array(
-            [round(s[0] / self.delta_x) if s else 0 for s in self.x_starts.values()] + [0],
-            dtype=float,
-        )
-        sizes = np.array([len(s) for s in self.x_starts.values()] + [0], dtype=float)
+        firsts = np.array([*self.x_first.values(), 0], dtype=float)
+        sizes = np.array([self.p_pt[line].shape[0] for line in self.x_first] + [0], dtype=float)
         first, size = firsts[li], sizes[li]
         km = np.asarray(km, dtype=float)
         # positions stay floats until checked, so a huge km cannot overflow
@@ -257,7 +256,7 @@ class WarningGrid:
         t_bins = _bin_floor(hours, self.delta_t)
         # n_t * delta_t can fall a rounding step short of 24 (delta_t = 24/47), so
         # the last stretch of the day is bin n_t, which the grid does not hold
-        in_day = (hours >= 0.0) & (hours < 24.0) & (t_bins < len(self.t_starts))
+        in_day = (hours >= 0.0) & (hours < 24.0) & (t_bins < self.n_t)
         ti = np.where(in_day, t_bins, -1).astype(np.int64)
         return li, xi, mi, ti
 
@@ -301,10 +300,11 @@ def _build_grid(
     traffic: TrafficTable,
     profile: TrafficProfile,
     thresholds: tuple[float, ...],
-    x_starts: dict[str, tuple[float, ...]],
+    spans: dict[str, tuple[int, int]],
 ) -> WarningGrid:
-    """The grid over ``x_starts``, all 12 months and every hour bin of the model."""
-    t_starts = model.bins.t_starts
+    """The grid over the km bins ``spans`` gives (line -> first, last bin index),
+    all 12 months and every hour bin of the model."""
+    n_t = model.bins.n_t_bins
     delta_t = model.bins.delta_t
     delta_x = model.bins.delta_x
     for boundary in profile.boundaries:
@@ -316,11 +316,11 @@ def _build_grid(
         raise ValueError(
             f"traffic bin width {traffic.delta_x} does not match model bin width {delta_x}"
         )
-    alpha_vec = np.array([alpha(t, delta_t, profile) for t in t_starts])
+    alpha_vec = np.array([alpha(i * delta_t, delta_t, profile) for i in range(n_t)])
 
     # temporal part per (month, t-bin); months with an undefined season table
     # are flagged, months with mu=0 are plain zeros
-    temporal = np.zeros((len(MONTHS), len(t_starts)))
+    temporal = np.zeros((len(MONTHS), n_t))
     month_insufficient = np.zeros(len(MONTHS), dtype=bool)
     for mi, tau in enumerate(MONTHS):
         mu = model.mu_at(tau)
@@ -330,19 +330,16 @@ def _build_grid(
         if table is None:
             month_insufficient[mi] = True
             continue
-        temporal[mi, :] = np.array([table[ts] for ts in t_starts]) * mu
+        temporal[mi, :] = np.array(table) * mu
 
     p_pt: dict[str, np.ndarray] = {}
     m_window: dict[str, np.ndarray] = {}
     flags: dict[str, np.ndarray] = {}
-    for line, starts in x_starts.items():
-        p_line = model.p_line_at(line)
-        segment_table = model.p_segment.get(line, {})
-        if p_line == 0.0:
-            spatial = np.zeros(len(starts))
-        else:
-            spatial = np.array([segment_table.get(xs, 0.0) for xs in starts]) * p_line
-        m_vec = np.array([traffic.count(line, xs) for xs in starts])
+    for line, (lo, hi) in spans.items():
+        # the model's km bins of the line by index; a line it lacks has p_line = 0
+        segment = dict(enumerate(model.p_segment.get(line, ()), model.counts.x_first.get(line, 0)))
+        spatial = np.array([segment.get(k, 0.0) for k in range(lo, hi + 1)]) * model.p_line_at(line)
+        m_vec = np.array([traffic.counts.get((line, k), 0.0) for k in range(lo, hi + 1)])
         window = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
         with np.errstate(divide="ignore", invalid="ignore"):
             p = (temporal[None, :, :] * spatial[:, None, None]) / window[:, None, :]
@@ -363,8 +360,8 @@ def _build_grid(
         delta_x=delta_x,
         delta_t=delta_t,
         thresholds=thresholds,
-        t_starts=t_starts,
-        x_starts=x_starts,
+        n_t=n_t,
+        x_first={line: lo for line, (lo, _) in spans.items()},
         p_pt=p_pt,
         m_window=m_window,
         flags=flags,
@@ -386,19 +383,16 @@ def sweep_all(
     cells one at a time.
     """
     checked = _check_thresholds(thresholds)
-    delta_x = model.bins.delta_x
-    # per model line: the model's bin indices, then the traffic table's, read in one pass
-    indices = {line: [round(xs / delta_x) for xs in model.x_bins_for(line)] for line in model.lines}
-    if traffic.delta_x == delta_x:
-        for line, xs in traffic.counts:
+    # per model line: its first and last model bin, then the traffic table's bins
+    first = model.counts.x_first
+    indices = {ln: [first[ln], first[ln] + len(model.p_segment[ln]) - 1] for ln in model.lines}
+    if traffic.delta_x == model.bins.delta_x:
+        for line, k in traffic.counts:
             if line in indices:
-                indices[line].append(round(xs / delta_x))
+                indices[line].append(k)
     spans = {line: (min(found), max(found)) for line, found in indices.items()}
     _check_grid_size(spans, model.bins)
-    x_starts = {
-        line: tuple(i * delta_x for i in range(lo, hi + 1)) for line, (lo, hi) in spans.items()
-    }
-    return _build_grid(model, traffic, profile, checked, x_starts)
+    return _build_grid(model, traffic, profile, checked, spans)
 
 
 def warnings_to_csv(grid: WarningGrid, out: TextIO) -> None:
@@ -421,18 +415,17 @@ def warnings_to_csv(grid: WarningGrid, out: TextIO) -> None:
          for text in flag_texts],
         dtype=object,
     )
-    hours = [f"{t!r},{t + grid.delta_t!r}" for t in grid.t_starts]
+    hours = [f"{t!r},{t + grid.delta_t!r}" for t in (np.arange(grid.n_t) * grid.delta_t).tolist()]
     for line in grid.lines:
         p = grid.p_pt[line]
         below = np.where(np.isnan(p), 0, np.searchsorted(grid.thresholds, p, side="left"))
         name = row([line, ""])[:-1]  # "<line>,", quoted as in a row
         rows: list[str] = []
-        for x, p_x, tail_x, m_x in zip(
-            grid.x_starts[line],
-            p.tolist(),
-            tails[grid.flags[line], below].tolist(),
-            grid.m_window[line].tolist(),
+        for k, (p_x, tail_x, m_x) in enumerate(
+            zip(p.tolist(), tails[grid.flags[line], below].tolist(), grid.m_window[line].tolist()),
+            grid.x_first[line],
         ):
+            x = k * grid.delta_x
             head = f"{name}{x!r},{x + grid.delta_x!r},"
             mids = [f"{hour},{m!r}," for hour, m in zip(hours, m_x)]
             for month, p_xm, tail_xm in zip(grid.months, p_x, tail_x):
@@ -479,12 +472,12 @@ def warnings_to_geojson(
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     # the (month, hour bin) cells the filters keep; a filter that matches nothing keeps none
-    keep = np.ones((len(grid.months), len(grid.t_starts)), dtype=bool)
+    keep = np.ones((len(grid.months), grid.n_t), dtype=bool)
     if month is not None:
         keep &= np.array([m == month for m in grid.months], dtype=bool)[:, None]
     if hour is not None:
-        start = bin_index(hour, grid.delta_t) * grid.delta_t if 0.0 <= hour < 24.0 else None
-        keep &= np.array([t == start for t in grid.t_starts], dtype=bool)[None, :]
+        ti = bin_index(hour, grid.delta_t) if 0.0 <= hour < 24.0 else -1
+        keep &= (np.arange(grid.n_t) == ti)[None, :]
     features = []
     for line in grid.lines:
         geometry = geometries.get(line)
@@ -492,9 +485,8 @@ def warnings_to_geojson(
             continue
         mask = grid.warned_mask(line, theta) & keep
         p_arr = grid.p_pt[line]
-        starts = grid.x_starts[line]
         for xi in np.flatnonzero(mask.any(axis=(1, 2))).tolist():
-            x_from = starts[xi]
+            x_from = (grid.x_first[line] + xi) * grid.delta_x
             x_to = x_from + grid.delta_x
             seg_a = max(x_from, geometry.km_min)
             seg_b = min(x_to, geometry.km_max)
@@ -510,7 +502,7 @@ def warnings_to_geojson(
                         "x_to": x_to,
                         "theta": theta,
                         "months": [grid.months[mi] for mi in np.flatnonzero(cells.any(axis=1))],
-                        "hours": [grid.t_starts[ti] for ti in np.flatnonzero(cells.any(axis=0))],
+                        "hours": (np.flatnonzero(cells.any(axis=0)) * grid.delta_t).tolist(),
                         "p_pt_max": float(p_arr[xi][cells].max()),
                     },
                     "geometry": {

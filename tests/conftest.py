@@ -118,14 +118,14 @@ def make_synthetic(
         km = float(rng.uniform(0.0, km_span))
         records.append(AccidentRecord(date=date, time=time, line=line, km=km, species=""))
     data = dataset_of(records, start, end)
-    counts: dict[tuple[str, float], float] = {}
+    counts: dict[tuple[str, int], float] = {}
     n_bins = int(km_span // 5.0) + 2
     for line in lines:
         for i in range(n_bins):
             draw = rng.uniform()
             if draw < 0.2:
                 continue  # bin absent from the table
-            counts[(line, i * 5.0)] = 0.0 if draw < 0.35 else float(rng.integers(10, 200))
+            counts[(line, i)] = 0.0 if draw < 0.35 else float(rng.integers(10, 200))
     return data, TrafficTable(counts=counts, delta_x=5.0)
 
 

@@ -174,33 +174,34 @@ def table_counts(
 def fit_counts_loop(
     records: Iterable, season_groups: dict[str, tuple[int, ...]], delta_x: float, delta_t: float
 ) -> dict:
-    """The counts behind a fitted model, one record at a time, keyed as the package keys them.
+    """The counts behind a fitted model, one record at a time, in the package's shapes.
 
-    Hour bins start at ``i * delta_t`` and km bins at ``i * delta_x`` for the
-    corrected-floor index ``i``; each line's km bins are dense over its
-    observed range.
+    A record falls in hour bin ``i`` and km bin ``k`` for the corrected-floor
+    indices.  ``by_season_tbin`` holds one count per hour bin; each line's km
+    bins are dense over its observed range, from ``x_first[line]`` on.
     """
     month_season = {m: lab for lab, months in season_groups.items() for m in months}
-    t_starts = [i * delta_t for i in range(round(24.0 / delta_t))]
     by_month = {m: 0 for m in range(1, 13)}
-    by_season_tbin = {lab: {ts: 0 for ts in t_starts} for lab in season_groups}
+    by_season_tbin = {lab: [0] * round(24.0 / delta_t) for lab in season_groups}
     by_line: dict[str, int] = {}
     indices: dict[str, dict[int, int]] = {}
     for r in records:
         by_month[r.date.month] += 1
-        by_season_tbin[month_season[r.date.month]][_bin_index(r.time / 60.0, delta_t) * delta_t] += 1
+        by_season_tbin[month_season[r.date.month]][_bin_index(r.time / 60.0, delta_t)] += 1
         by_line[r.line] = by_line.get(r.line, 0) + 1
         per_line = indices.setdefault(r.line, {})
         idx = _bin_index(r.km, delta_x)
         per_line[idx] = per_line.get(idx, 0) + 1
-    by_line_xbin = {}
+    x_first, by_line_xbin = {}, {}
     for line in sorted(indices):
         lo, hi = min(indices[line]), max(indices[line])
-        by_line_xbin[line] = {i * delta_x: indices[line].get(i, 0) for i in range(lo, hi + 1)}
+        x_first[line] = lo
+        by_line_xbin[line] = tuple(indices[line].get(i, 0) for i in range(lo, hi + 1))
     return {
         "by_month": by_month,
-        "by_season_tbin": by_season_tbin,
+        "by_season_tbin": {lab: tuple(table) for lab, table in by_season_tbin.items()},
         "by_line": {line: by_line[line] for line in sorted(by_line)},
+        "x_first": x_first,
         "by_line_xbin": by_line_xbin,
     }
 
@@ -414,23 +415,22 @@ def hex_grid_to_geojson_loop(grid) -> str:
 
 
 def cell_of(grid, line: str, km: float, month: int, hour: float) -> tuple[int, int, int] | None:
-    """(xi, mi, ti) of one accident in a WarningGrid, by tuple lookups; None off-grid."""
-    starts = grid.x_starts.get(line)
-    if not starts:
+    """(xi, mi, ti) of one accident in a WarningGrid, by per-value index arithmetic; None off-grid."""
+    if line not in grid.x_first:
         return None
-    first = round(starts[0] / grid.delta_x)
+    first, n_x = grid.x_first[line], grid.p_pt[line].shape[0]
     xi = _bin_index(km, grid.delta_x) - first
-    if not 0 <= xi < len(starts):
-        if xi == len(starts) and km == (first + len(starts)) * grid.delta_x:
-            xi = len(starts) - 1  # the final bin's end edge clamps into it
+    if not 0 <= xi < n_x:
+        if xi == n_x and km == (first + n_x) * grid.delta_x:
+            xi = n_x - 1  # the final bin's end edge clamps into it
         else:
             return None
     if month not in grid.months or not 0.0 <= hour < 24.0:
         return None
-    t_start = _bin_index(hour, grid.delta_t) * grid.delta_t
-    if t_start not in grid.t_starts:
+    ti = _bin_index(hour, grid.delta_t)
+    if ti >= grid.n_t:
         return None
-    return (xi, grid.months.index(month), grid.t_starts.index(t_start))
+    return (xi, grid.months.index(month), ti)
 
 
 def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = False) -> dict:
@@ -488,8 +488,8 @@ def cell_record(grid, line: str, xi: int, mi: int, ti: int) -> dict:
     p = float(grid.p_pt[line][xi, mi, ti])
     bits = int(grid.flags[line][xi, mi, ti])
     p_out = None if math.isnan(p) else p
-    x_from = grid.x_starts[line][xi]
-    t_from = grid.t_starts[ti]
+    x_from = (grid.x_first[line] + xi) * grid.delta_x
+    t_from = ti * grid.delta_t
     return {
         "line": line,
         "x_from": x_from,
@@ -513,9 +513,9 @@ def warnings_to_csv_loop(grid) -> str:
         + [f"warned@{theta!r}" for theta in grid.thresholds]
     )
     for line in grid.lines:
-        for xi in range(len(grid.x_starts[line])):
+        for xi in range(grid.p_pt[line].shape[0]):
             for mi in range(len(grid.months)):
-                for ti in range(len(grid.t_starts)):
+                for ti in range(grid.n_t):
                     cell = cell_record(grid, line, xi, mi, ti)
                     writer.writerow(
                         [
@@ -555,10 +555,11 @@ def warnings_to_geojson_loop(grid, geometries, theta: float, month=None, hour=No
         geometry = geometries.get(line)
         if geometry is None:
             continue
-        for xi, x_from in enumerate(grid.x_starts[line]):
+        for xi in range(grid.p_pt[line].shape[0]):
+            x_from = (grid.x_first[line] + xi) * grid.delta_x
             hits = []
             for mi in range(len(grid.months)):
-                for ti in range(len(grid.t_starts)):
+                for ti in range(grid.n_t):
                     cell = cell_record(grid, line, xi, mi, ti)
                     if cell["p_pt"] is None or not cell["p_pt"] > theta:
                         continue
@@ -621,18 +622,20 @@ def hourly_profile_loop(records: Iterable, season_groups: dict[str, tuple[int, .
 def speed_pairs_loop(records: Iterable, traffic, speeds: dict, delta_x: float) -> list[tuple]:
     """(line, x_from, speed, accidents per train) per usable traffic bin, counted record by record.
 
-    ``speeds`` maps a line to an object with ``speed_at(km)``.
+    Traffic is keyed by (line, km bin index); ``speeds`` maps a line to an
+    object with ``speed_at(km)``.
     """
-    acc_counts: dict[tuple[str, float], int] = {}
+    acc_counts: dict[tuple[str, int], int] = {}
     for r in records:
-        key = (r.line, _bin_index(r.km, delta_x) * delta_x)
+        key = (r.line, _bin_index(r.km, delta_x))
         acc_counts[key] = acc_counts.get(key, 0) + 1
     pairs = []
-    for line, x_from in sorted(traffic.counts):
-        m = traffic.counts[(line, x_from)]
+    for line, k in sorted(traffic.counts):
+        m = traffic.counts[(line, k)]
+        x_from = k * delta_x
         speed = speeds[line].speed_at(x_from + delta_x / 2.0) if line in speeds else None
         if m > 0 and speed is not None:
-            pairs.append((line, x_from, speed, acc_counts.get((line, x_from), 0) / m))
+            pairs.append((line, x_from, speed, acc_counts.get((line, k), 0) / m))
     return pairs
 
 

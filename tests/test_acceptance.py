@@ -133,15 +133,13 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
             )
     flat_index = 0
     for line in grid.lines:
-        starts = grid.x_starts[line]
+        # km bin indices of the grid's bins on the line
+        bins = range(grid.x_first[line], grid.x_first[line] + grid.p_pt[line].shape[0])
         p_line = tables["p_line"].get(line, Fraction(0))
         seg = tables["p_segment"].get(line, {})
-        spatial = [
-            0.0 if p_line == 0 else float(seg.get(round(xs / 5.0), Fraction(0)) * p_line)
-            for xs in starts
-        ]
-        for xi, xs in enumerate(starts):
-            count = traffic.counts.get((line, xs), 0.0)
+        spatial = [0.0 if p_line == 0 else float(seg.get(k, Fraction(0)) * p_line) for k in bins]
+        for xi, k in enumerate(bins):
+            count = traffic.counts.get((line, k), 0.0)
             for mi, tau in enumerate(grid.months):
                 rows = temporal[tau]
                 for ti in range(24):
@@ -162,7 +160,7 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
                     if flat_index % 17 == 0:
                         exact_p, exact_flags = cell_expectation(
                             tables, MONTH_SEASON, count, alpha_fracs[ti], Fraction(1),
-                            tau, ti, line, round(xs / 5.0),
+                            tau, ti, line, k,
                         )
                         if exact_p is None:
                             assert math.isnan(got)
@@ -183,15 +181,15 @@ def _table_check(model, tables) -> None:
     assert set(model.p_time) == set(tables["p_time"])
     for label, table in tables["p_time"].items():
         for ti, exact in table.items():
-            assert rel_err(model.p_time[label][float(ti)], exact) <= 1e-12
+            assert rel_err(model.p_time[label][ti], exact) <= 1e-12
     assert set(model.p_line) == set(tables["p_line"])
     for line, exact in tables["p_line"].items():
         assert rel_err(model.p_line[line], exact) <= 1e-12
     for line, table in tables["p_segment"].items():
-        got = model.p_segment[line]
-        assert set(got) == {i * 5.0 for i in table}
+        got, first = model.p_segment[line], model.counts.x_first[line]
+        assert range(first, first + len(got)) == range(min(table), max(table) + 1)
         for i, exact in table.items():
-            assert rel_err(got[i * 5.0], exact) <= 1e-12
+            assert rel_err(got[i - first], exact) <= 1e-12
 
 
 def test_criterion_3_oracle_equivalence() -> None:
@@ -231,10 +229,10 @@ def test_criterion_4_normalization_suite() -> None:
         total_days = count_days(data.period_start, data.period_end, mode)
         model = fit(data, total_days=total_days)
         for label, table in model.p_time.items():
-            assert abs(sum(table.values()) - 1.0) <= 1e-9
+            assert abs(sum(table) - 1.0) <= 1e-9
         assert abs(sum(model.p_line.values()) - 1.0) <= 1e-9
         for line, table in model.p_segment.items():
-            assert abs(sum(table.values()) - 1.0) <= 1e-9
+            assert abs(sum(table) - 1.0) <= 1e-9
         recovered = sum(model.mu.values()) * (total_days / 12.0)
         assert abs(recovered - data.n) <= 1e-9 * data.n
 
@@ -317,7 +315,7 @@ def test_criterion_6_holdout_informativeness() -> None:
     test = _structured_draw(rng, 1000, 2023, 2023, lines, p_line, seg_w, month_w, hour_w)
     model = fit(dataset_of(train, dt.date(2020, 1, 1), dt.date(2022, 12, 31)))
     traffic = TrafficTable(
-        counts={(line, i * 5.0): 100.0 for line in lines for i in range(10)}, delta_x=5.0
+        counts={(line, i): 100.0 for line in lines for i in range(10)}, delta_x=5.0
     )
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (1e-6,))
     values = np.concatenate([grid.p_pt[line].ravel() for line in grid.lines])
@@ -351,7 +349,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
             for i in range(25):
                 speed = speeds_fn(bin_no, rng)
                 intervals.append((i * 5.0, (i + 1) * 5.0, speed))
-                counts[(line, i * 5.0)] = m_per_bin
+                counts[(line, i)] = m_per_bin
                 for k in range(counts_fn(bin_no, rng)):
                     records.append(
                         AccidentRecord(
@@ -393,7 +391,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
     data = dataset_of(records, *period)
     model = fit(data)
     traffic = TrafficTable(
-        counts={(line, i * 5.0): 120.0 for line in sweep_lines for i in range(20)},
+        counts={(line, i): 120.0 for line in sweep_lines for i in range(20)},
         delta_x=5.0,
     )
     started = time.perf_counter()

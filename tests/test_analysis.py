@@ -294,7 +294,7 @@ def test_hourly_profile_is_dense(bundled_data) -> None:
 def linear_setup(n_bins: int = 6):
     # acc-per-train rises exactly linearly with speed
     traffic = TrafficTable(
-        counts={("7", i * 5.0): 50.0 for i in range(n_bins)}, delta_x=5.0
+        counts={("7", i): 50.0 for i in range(n_bins)}, delta_x=5.0
     )
     speeds = {
         "7": SpeedProfile(
@@ -478,7 +478,13 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.0005, 0.001, 0.002))
     # km choices: every bin start, each line's final edge and a step past it,
     # so adjacent bins at both ends of a line and the end-edge clamp are hit
-    edges = sorted({x for starts in grid.x_starts.values() for x in starts + (starts[-1] + 5.0,)})
+    edges = sorted(
+        {
+            k * 5.0
+            for line, first in grid.x_first.items()
+            for k in range(first, first + grid.p_pt[line].shape[0] + 1)
+        }
+    )
     km = st.one_of(
         st.sampled_from(edges + [edges[-1] + 5.0, edges[-1] + 0.1]),
         st.floats(min_value=0.0, max_value=edges[-1] + 10.0),
@@ -541,7 +547,7 @@ def test_holdout_single_record_matches_record_loop(eval_grid) -> None:
 def test_holdout_maps_lines_by_name_not_position(eval_grid) -> None:
     # the grid lists its lines in reverse; the test set adds lines the grid
     # lacks, so its sorted line_names interleave known and unknown names
-    reordered = dataclasses.replace(eval_grid, x_starts=dict(reversed(eval_grid.x_starts.items())))
+    reordered = dataclasses.replace(eval_grid, x_first=dict(reversed(eval_grid.x_first.items())))
     assert reordered.lines == ("140", "139", "1")
     lines = ("0", "1", "10", "139", "1390", "140", "999")
     records = [

@@ -384,7 +384,7 @@ def test_warn_counts_cells_per_flag(tmp_path: Path, fitted: Path, capsys) -> Non
                  "--out-dir", str(tmp_path)]) == 0
     grid = sweep_all(
         model_from_json(fitted.read_text()),
-        TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0),
+        TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0),
         DEFAULT_PROFILE,
         DEFAULT_THRESHOLDS,
     )

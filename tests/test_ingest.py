@@ -18,6 +18,7 @@ import pytest
 from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
+import wildrail.model
 from wildrail import ingest
 from wildrail import (
     DEFAULT_SEASONS,
@@ -113,7 +114,7 @@ def test_count_days_matches_day_by_day_walk(start_ord: int, span: int, mode: str
 def test_bin_index_basic(value: float, delta: float, expected: int) -> None:
     assert bin_index(value, delta) == expected
     if value >= 0:
-        assert BinConfig(delta_x=delta).x_bin(value) == expected * delta
+        assert BinConfig(delta_x=delta).x_bin(value) == expected
 
 
 @given(
@@ -438,7 +439,7 @@ def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) 
         )
         species = species_profile(parsed)
         assert list(species.items()) == list(species_profile_loop(records).items())
-        traffic, speeds = speed_inputs(counts["by_line_xbin"], delta_x)
+        traffic, speeds = speed_inputs(counts["x_first"], counts["by_line_xbin"], delta_x)
         pairs = speed_pairs_loop(records, traffic, speeds, delta_x)
         try:
             report = speed_correlation(parsed, traffic, speeds, delta_x)
@@ -591,14 +592,14 @@ def test_a_stream_without_cr_takes_the_array_route() -> None:
     assert_same_columns(parse_accidents(crlf, PERIOD), from_text)
 
 
-def speed_inputs(by_line_xbin: dict, delta_x: float):
+def speed_inputs(x_first: dict, by_line_xbin: dict, delta_x: float):
     """Traffic over each line's accident bins and one past them, some bins without
     trains, and a speed step per bin."""
     counts, speeds = {}, {}
     for line, table in by_line_xbin.items():
-        indices = [round(x / delta_x) for x in table] + [round(max(table) / delta_x) + 1]
+        indices = range(x_first[line], x_first[line] + len(table) + 1)
         for i in indices:
-            counts[(line, i * delta_x)] = 0.0 if i % 5 == 4 else 10.0 + i % 7
+            counts[(line, i)] = 0.0 if i % 5 == 4 else 10.0 + i % 7
         speeds[line] = SpeedProfile(
             line=line,
             intervals=tuple((i * delta_x, (i + 1) * delta_x, 50.0 + 10 * (i % 3)) for i in indices),
@@ -694,7 +695,7 @@ def test_parse_traffic_sums_duplicates() -> None:
     assert table.count("1", 4.9) == 80.0
     assert table.count("1", 5.0) == 0.0
     assert sorted({line for line, _ in table.counts}) == ["1", "139"]
-    assert table.counts == {("139", 10.0): 131.0, ("1", 0.0): 80.0}
+    assert table.counts == {("139", 2): 131.0, ("1", 0): 80.0}
 
 
 def test_parse_traffic_rejects_bad_rows() -> None:
@@ -734,25 +735,25 @@ def test_parse_traffic_empty_inputs() -> None:
 def test_traffic_table_validation() -> None:
     from wildrail import TrafficTable
 
-    with pytest.raises(ValueError):
-        TrafficTable(counts={("1", 3.0): 5.0}, delta_x=5.0)
-    with pytest.raises(ValueError):
-        TrafficTable(counts={("1", 5.0): -1.0}, delta_x=5.0)
+    with pytest.raises(ValueError, match="negative count"):
+        TrafficTable(counts={("1", 1): -1.0}, delta_x=5.0)
     with pytest.raises(ValueError):
         TrafficTable(counts={}, delta_x=0.0)
 
 
 def test_traffic_table_rejects_starts_no_lookup_reads() -> None:
-    # 10.000000000000002 is within 1e-9 of bin 2, but a lookup reads the key 2 * 5.0
-    with pytest.raises(ValueError, match=r"line 139 must be written as 10\.0"):
-        TrafficTable(counts={("139", 10.000000000000002): 131.0}, delta_x=5.0)
-    # 0.3 is bin 3 of 0.1 km, whose start a lookup computes as 3 * 0.1
-    with pytest.raises(ValueError, match=r"must be written as 0\.30000000000000004"):
-        TrafficTable(counts={("1", 0.3): 1.0}, delta_x=0.1)
-    # parse_traffic writes the start a lookup reads
+    # lookups read (line, bin index) keys; a km start such as 10.0 would equal
+    # the key of bin 10 (km 50), so any key but a non-negative int is refused
+    for k in (10.0, 10.000000000000002, 3.0, 0.3, True, np.int64(2), -1, "2"):
+        with pytest.raises(ValueError, match="must be a non-negative int index"):
+            TrafficTable(counts={("139", k): 131.0}, delta_x=5.0)
+    # parse_traffic writes the bin index a lookup reads, for starts within 1e-9 of a bin
     text = "line,km_from,count\n139,10.000000000000002,131\n"
+    assert parse_traffic(io.StringIO(text), 5.0).counts == {("139", 2): 131.0}
     assert parse_traffic(io.StringIO(text), 5.0).count("139", 12.0) == 131.0
-    assert parse_traffic(io.StringIO("line,km_from,count\n1,0.3,1\n"), 0.1).count("1", 0.35) == 1.0
+    table = parse_traffic(io.StringIO("line,km_from,count\n1,0.3,1\n"), 0.1)
+    assert table.counts == {("1", 3): 1.0}
+    assert table.count("1", 0.35) == 1.0
 
 
 def test_parse_traffic_runs_half_open_overlap() -> None:
@@ -792,17 +793,39 @@ def test_parse_traffic_runs_matches_bin_loop(delta_x: float, data) -> None:
         f"139,{km_from!r},{km_to!r},06:00\n" for km_from, km_to in runs
     )
     # +1 on every bin b >= 0 whose open interior meets the run's extent
-    expected: dict[tuple[str, float], float] = {}
+    expected: dict[tuple[str, int], float] = {}
     for km_from, km_to in runs:
         for b in range(math.ceil(km_to / delta_x) + 1):
             if b * delta_x < km_to and (b + 1) * delta_x > km_from:
-                expected[("139", b * delta_x)] = expected.get(("139", b * delta_x), 0.0) + 1.0
+                expected[("139", b)] = expected.get(("139", b), 0.0) + 1.0
     assert parse_traffic_runs(io.StringIO(text), delta_x).counts == expected
 
 
 def test_parse_traffic_runs_rejects_empty_span() -> None:
     with pytest.raises(ParseError):
         parse_traffic_runs(io.StringIO("line,km_from,km_to,departure\n139,10.0,10.0,05:00\n"), 5.0)
+
+
+def test_parse_traffic_runs_refuses_spans_no_grid_holds(monkeypatch) -> None:
+    # with room for 10 km bins (120 cells), the lines' summed spans may reach
+    # 10 bins but not 11; checked first, so a missing check fails here and
+    # never counts the far runs below
+    header = "line,km_from,km_to,departure\n"
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 120)
+    fits = header + "1,0,30,06:00\n2,0,10,06:00\n2,15,20,06:00\n1,10,15,07:00\n"
+    assert len(parse_traffic_runs(io.StringIO(fits), 5.0).counts) == 9
+    for extra in ("2,20,20.5,08:00", "3,0,1,08:00", "1,30,35,08:00"):
+        with pytest.raises(ParseError, match=r"line 6: runs span 11 km bins of 5\.0 km, more than the 10 "):
+            parse_traffic_runs(io.StringIO(fits + extra + "\n"), 5.0)
+    monkeypatch.undo()
+    # 2e8 bins of 5 km, 6e7 bins of 1e-6 km, and a bin index past any float
+    for row, delta_x, match in (
+        ("139,0,1e9,08:00", 5.0, r"runs span 200,000,000 km bins"),
+        ("139,0,60,08:00", 1e-6, r"runs span 60,000,00\d km bins"),
+        ("139,1e10,2e10,08:00", 1e-300, r"km_to 2e10 has no finite bin index"),
+    ):
+        with pytest.raises(ParseError, match=f"line 2: {match}"):
+            parse_traffic_runs(io.StringIO(header + row + "\n"), delta_x)
 
 
 # --- geometry ---

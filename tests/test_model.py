@@ -67,10 +67,10 @@ def test_bin_config_defaults_and_bins() -> None:
     bins = BinConfig()
     assert bins.delta_x == 5.0 and bins.delta_t == 1.0
     assert bins.n_t_bins == 24
-    assert bins.t_starts[:3] == (0.0, 1.0, 2.0)
-    assert bins.t_bin(18.99) == 18.0
-    assert bins.x_bin(12.4) == 10.0
-    assert bins.x_bin(0.0) == 0.0
+    # lookups return bin indices as ints
+    assert type(bins.t_bin(18.99)) is int and bins.t_bin(18.99) == 18
+    assert type(bins.x_bin(12.4)) is int and bins.x_bin(12.4) == 2
+    assert bins.x_bin(0.0) == 0
 
 
 def test_bin_config_rejects_widths_that_split_profile_pieces(bundled_data, bundled_traffic) -> None:
@@ -93,7 +93,7 @@ def test_bin_config_rejects_widths_that_split_profile_pieces(bundled_data, bundl
         with pytest.raises(ValueError, match="straddles"):
             p_per_train(model, bundled_traffic, DEFAULT_PROFILE, 1, 0.0, "139", 12.0)
         # a profile without those boundaries takes the same width
-        assert sweep_all(model, bundled_traffic, flat, (0.001,)).t_starts == model.bins.t_starts
+        assert sweep_all(model, bundled_traffic, flat, (0.001,)).n_t == model.bins.n_t_bins
     with pytest.raises(ValueError):
         BinConfig(delta_x=0.0)
     with pytest.raises(ValueError):
@@ -105,7 +105,7 @@ def test_fit_refuses_a_grid_past_the_cell_limit(bundled_data, monkeypatch) -> No
     # that takes it one cell past is named; checked first, so a missing check
     # fails here and never lays out the bins below
     model = fit(bundled_data)
-    cells = sum(len(model.x_bins_for(line)) for line in model.lines) * 12 * 24
+    cells = sum(len(model.p_segment[line]) for line in model.lines) * 12 * 24
     monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", cells)
     assert fit(bundled_data) == model
     monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", cells - 1)
@@ -133,7 +133,7 @@ def test_hours_past_the_last_bin_are_rejected(bundled_data, bundled_traffic) -> 
     bins = BinConfig(delta_t=24 / 47)
     end = bins.n_t_bins * bins.delta_t
     assert end < 24.0
-    assert bins.t_bin(math.nextafter(end, 0.0)) == bins.t_starts[-1]
+    assert bins.t_bin(math.nextafter(end, 0.0)) == bins.n_t_bins - 1
     flat = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
     model = fit(bundled_data, bins=bins)
     for hour in (end, math.nextafter(24.0, 0.0)):
@@ -184,25 +184,27 @@ def test_fit_tables_match_counting_oracle(bundled_data, bundled_model) -> None:
     for tau in range(1, 13):
         assert bundled_model.mu_at(tau) == float(tables["mu"][tau])
     for label, per_bin in tables["p_time"].items():
-        assert set(bundled_model.p_time[label]) == {float(ti) for ti in per_bin}
+        assert len(bundled_model.p_time[label]) == len(per_bin)
         for ti, value in per_bin.items():
-            assert bundled_model.p_time[label][float(ti)] == float(value)
+            assert bundled_model.p_time[label][ti] == float(value)
     assert set(bundled_model.p_line) == set(tables["p_line"])
     for line, p in tables["p_line"].items():
         assert bundled_model.p_line_at(line) == float(p)
     for line, per_bin in tables["p_segment"].items():
-        got = bundled_model.p_segment[line]
-        assert set(got) == {i * 5.0 for i in per_bin}
+        first, got = bundled_model.counts.x_first[line], bundled_model.p_segment[line]
+        assert range(first, first + len(got)) == range(min(per_bin), max(per_bin) + 1)
         for i, value in per_bin.items():
             assert bundled_model.p_segment_at(line, i * 5.0) == float(value)
 
 
 def test_fit_supports_are_dense_per_line(bundled_model) -> None:
+    # each line's km bins run from its first to its last occupied bin
     for line in bundled_model.lines:
-        xs = bundled_model.x_bins_for(line)
-        assert xs == tuple(xs[0] + 5.0 * i for i in range(len(xs)))
+        table = bundled_model.counts.by_line_xbin[line]
+        assert len(bundled_model.p_segment[line]) == len(table)
+        assert table[0] > 0 and table[-1] > 0
     for label in bundled_model.seasons.labels:
-        assert set(bundled_model.p_time[label]) == set(bundled_model.bins.t_starts)
+        assert len(bundled_model.p_time[label]) == bundled_model.bins.n_t_bins
 
 
 def test_fit_is_permutation_invariant(bundled_data) -> None:
@@ -226,10 +228,10 @@ def test_fitted_tables_normalize(seed: int) -> None:
     data, _ = make_synthetic(np.random.default_rng(seed), max_records=300)
     model = fit(data)
     for label, table in model.p_time.items():
-        assert abs(sum(table.values()) - 1.0) <= 1e-9
+        assert abs(sum(table) - 1.0) <= 1e-9
     assert abs(sum(model.p_line.values()) - 1.0) <= 1e-9
     for line, table in model.p_segment.items():
-        assert abs(sum(table.values()) - 1.0) <= 1e-9
+        assert abs(sum(table) - 1.0) <= 1e-9
     # monthly rates times the exposure must add back up to the record count
     total = sum(model.mu.values()) * (model.counts.total_days / 12.0)
     assert abs(total - data.n) <= 1e-9 * data.n
@@ -242,22 +244,22 @@ def test_smoothing_keeps_normalization_and_shrinks_extremes(seed: int, smoothing
     raw = fit(data)
     smooth = fit(data, smoothing=smoothing)
     for label, table in smooth.p_time.items():
-        assert abs(sum(table.values()) - 1.0) <= 1e-9
+        assert abs(sum(table) - 1.0) <= 1e-9
         uniform = 1.0 / len(table)
-        for ts, value in table.items():
-            lo = min(raw.p_time[label][ts], uniform) - 1e-12
-            hi = max(raw.p_time[label][ts], uniform) + 1e-12
+        for ti, value in enumerate(table):
+            lo = min(raw.p_time[label][ti], uniform) - 1e-12
+            hi = max(raw.p_time[label][ti], uniform) + 1e-12
             assert lo <= value <= hi
     assert abs(sum(smooth.p_line.values()) - 1.0) <= 1e-9
     for line, table in smooth.p_segment.items():
-        assert abs(sum(table.values()) - 1.0) <= 1e-9
+        assert abs(sum(table) - 1.0) <= 1e-9
 
 
 # --- per-train probability at the edges of the tables ---
 
 # trains on the one-month model's line and on a line without accidents
 ONE_MONTH_TRAFFIC = TrafficTable(
-    counts={("7", 0.0): 120.0, ("7", 5.0): 120.0, ("999", 0.0): 80.0}, delta_x=5.0
+    counts={("7", 0): 120.0, ("7", 1): 120.0, ("999", 0): 80.0}, delta_x=5.0
 )
 
 

@@ -121,7 +121,7 @@ def test_profile_validation() -> None:
 
 
 def test_traffic_m_window(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0)
+    table = TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0)
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     _, (x12, x20), _, (t18, t16) = grid.locate(
         ("139",), np.array([0, 0]), np.array([12.0, 20.0]), np.array([1, 1]),
@@ -194,25 +194,26 @@ def test_p_per_train_rejects_cells_off_the_grid(bundled_model, bundled_traffic) 
 def test_sweep_covers_model_and_traffic_bins(bundled_grid, bundled_model, bundled_traffic) -> None:
     assert bundled_grid.lines == bundled_model.lines == ("1", "139", "140")
     assert bundled_grid.months == tuple(range(1, 13))
-    assert bundled_grid.t_starts == tuple(float(h) for h in range(24))
+    assert bundled_grid.n_t == 24
     for line in bundled_grid.lines:
-        starts = bundled_grid.x_starts[line]
-        assert starts == tuple(starts[0] + 5.0 * i for i in range(len(starts)))
-        traffic_bins = {x for ln, x in bundled_traffic.counts if ln == line}
-        covered = set(bundled_model.x_bins_for(line)) | traffic_bins
-        assert covered <= set(starts)
-        assert bundled_grid.p_pt[line].shape == (len(starts), 12, 24)
-        assert bundled_grid.m_window[line].shape == (len(starts), 24)
+        first, n_x = bundled_grid.x_first[line], bundled_grid.p_pt[line].shape[0]
+        traffic_bins = {k for ln, k in bundled_traffic.counts if ln == line}
+        model_first = bundled_model.counts.x_first[line]
+        model_bins = set(range(model_first, model_first + len(bundled_model.p_segment[line])))
+        covered = model_bins | traffic_bins
+        assert covered <= set(range(first, first + n_x))
+        assert bundled_grid.p_pt[line].shape == (n_x, 12, 24)
+        assert bundled_grid.m_window[line].shape == (n_x, 24)
     assert bundled_grid.n_cells() == sum(
-        len(bundled_grid.x_starts[line]) * 12 * 24 for line in bundled_grid.lines
+        bundled_grid.p_pt[line].shape[0] * 12 * 24 for line in bundled_grid.lines
     )
 
 
 def test_grid_cells_match_scalar_recomputation(bundled_grid, bundled_model, bundled_traffic) -> None:
     # bit-for-bit: the vectorized sweep must equal one-at-a-time evaluation
     for line in bundled_grid.lines:
-        starts = bundled_grid.x_starts[line]
-        for xi in range(0, len(starts), 3):
+        first = bundled_grid.x_first[line]
+        for xi in range(0, bundled_grid.p_pt[line].shape[0], 3):
             for mi in range(0, 12, 5):
                 for ti in range(0, 24, 7):
                     got = float(bundled_grid.p_pt[line][xi, mi, ti])
@@ -223,7 +224,7 @@ def test_grid_cells_match_scalar_recomputation(bundled_grid, bundled_model, bund
                         mi + 1,
                         float(ti),
                         line,
-                        starts[xi],
+                        (first + xi) * 5.0,
                     )
                     assert got == want
 
@@ -255,13 +256,13 @@ def test_sweep_refuses_a_grid_past_the_cell_limit(
         sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, THRESHOLDS)
     monkeypatch.undo()
     # one traffic row at km 5,000,000 would stretch line 139 over a million 5 km bins
-    far = TrafficTable(counts={**bundled_traffic.counts, ("139", 5_000_000.0): 1.0}, delta_x=5.0)
+    far = TrafficTable(counts={**bundled_traffic.counts, ("139", 1_000_000): 1.0}, delta_x=5.0)
     with pytest.raises(ValueError, match=r"line '139' spans km 0\.0\.\.5000005\.0, .* 50,000,000 cells"):
         sweep_all(bundled_model, far, DEFAULT_PROFILE, THRESHOLDS)
 
 
 def test_mismatched_traffic_bin_width_is_rejected(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=2.5)
+    table = TrafficTable(counts={("139", 4): 131.0}, delta_x=2.5)
     with pytest.raises(ValueError):
         sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
 
@@ -279,7 +280,7 @@ def test_warning_threshold_is_strict(bundled_grid) -> None:
 
 
 def test_warned_mask_ignores_nan(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0)
+    table = TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0)
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     for line in grid.lines:
         mask = grid.warned_mask(line, 1e-12)
@@ -308,7 +309,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     # the per-train ratio far above 1; the cell must stay finite and warned
     record = AccidentRecord(date=dt.date(2021, 1, 5), time=12 * 60 + 30, line="9", km=2.0)
     data = dataset_of((record,), dt.date(2021, 1, 1), dt.date(2021, 1, 7))
-    traffic = TrafficTable(counts={("9", 0.0): 1.0}, delta_x=5.0)
+    traffic = TrafficTable(counts={("9", 0): 1.0}, delta_x=5.0)
     grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (0.001,))
     _, (xi,), (mi,), (ti,) = grid.locate(
         ("9",), np.array([0]), np.array([2.0]), np.array([1]), np.array([12.5])
@@ -364,7 +365,11 @@ def test_locate_matches_tuple_lookups(seed: int, delta_t: float, data) -> None:
     train, traffic = make_synthetic(np.random.default_rng(seed), max_records=100)
     model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.001,))
-    edges = [x for starts in grid.x_starts.values() for x in starts + (starts[-1] + 5.0,)]
+    edges = [
+        k * 5.0
+        for line, first in grid.x_first.items()
+        for k in range(first, first + grid.p_pt[line].shape[0] + 1)
+    ]
     # bin edges and their floating-point neighbours, negatives and far-off values
     km = st.one_of(
         st.sampled_from(edges).flatmap(
@@ -407,7 +412,7 @@ def test_locate_misses_hours_past_the_last_whole_bin(bundled_data, bundled_traff
     flat = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
     model = fit(bundled_data, bins=bins)
     grid = sweep_all(model, bundled_traffic, flat, (0.001,))
-    hours = [bins.t_starts[-1], math.nextafter(end, 0.0), end, math.nextafter(24.0, 0.0)]
+    hours = [46 * bins.delta_t, math.nextafter(end, 0.0), end, math.nextafter(24.0, 0.0)]
     _, _, _, ti = grid.locate(("139",), np.zeros(4, dtype=int), np.full(4, 12.0), np.ones(4), np.array(hours))
     assert ti.tolist() == [46, 46, -1, -1]
     assert [cell_of(grid, "139", 12.0, 1, h) is None for h in hours] == [False, False, True, True]
@@ -428,7 +433,7 @@ def test_cell_materialization_is_consistent(bundled_grid) -> None:
     rows = list(csv.reader(io.StringIO(csv_text(bundled_grid))))
     assert len(rows) == bundled_grid.n_cells() + 1
     # rows run over (line, x, month, t); line "139" follows line "1"
-    n_m, n_t = len(bundled_grid.months), len(bundled_grid.t_starts)
+    n_m, n_t = len(bundled_grid.months), bundled_grid.n_t
     xi, mi, ti = 2, 0, 18
     row = rows[1 + bundled_grid.p_pt["1"].size + (xi * n_m + mi) * n_t + ti]
     assert row[0] == "139"
@@ -467,7 +472,7 @@ def test_warning_csv_layout(bundled_grid) -> None:
 
 
 def test_warning_csv_marks_flagged_cells(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 10.0): 131.0}, delta_x=5.0)
+    table = TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0)
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     rows = list(csv.reader(io.StringIO(csv_text(grid))))
     flagged = [r for r in rows[1:] if r[8]]
@@ -655,7 +660,7 @@ def test_exporters_match_cell_loops(
     # filters that keep a warned cell, and ones that match nothing (month 13, hours 24 and -1)
     warned = sorted(
         {
-            (grid.months[mi], grid.t_starts[ti])
+            (grid.months[mi], ti * grid.delta_t)
             for line in grid.lines
             for mi, ti in zip(*np.nonzero(grid.warned_mask(line, theta).any(axis=0)))
         }
@@ -680,14 +685,12 @@ def test_grid_matches_scalar_path_on_synthetic_data(seed: int) -> None:
     model = fit(data)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.001,))
     line = grid.lines[seed % len(grid.lines)]
-    starts = grid.x_starts[line]
-    xi = seed % len(starts)
+    xi = seed % grid.p_pt[line].shape[0]
+    km = (grid.x_first[line] + xi) * 5.0
     mi, ti = seed % 12, seed % 24
     value = float(grid.p_pt[line][xi, mi, ti])
     if math.isnan(value):
         with pytest.raises(NoTrafficError):
-            p_per_train(model, traffic, DEFAULT_PROFILE, mi + 1, float(ti), line, starts[xi])
+            p_per_train(model, traffic, DEFAULT_PROFILE, mi + 1, float(ti), line, km)
     else:
-        assert value == p_per_train(
-            model, traffic, DEFAULT_PROFILE, mi + 1, float(ti), line, starts[xi]
-        )
+        assert value == p_per_train(model, traffic, DEFAULT_PROFILE, mi + 1, float(ti), line, km)
