@@ -639,7 +639,7 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
             raise ParseError(f"need 0 <= km_from < km_to, got {from_text}..{to_text}", line_no)
         _parse_time_field(dep_text, line_no)
         if not math.isfinite(km_to / delta_x):
-            raise ParseError(f"km_to {to_text} has no finite bin index at bin width {delta_x!r}", line_no)
+            raise ParseError(f"km_to {to_text} has no finite {delta_x!r} km bin index", line_no)
         # the run's bins first..last; a km_to on a bin's start edge leaves that bin out
         first, last = bin_index(km_from, delta_x), bin_index(km_to, delta_x)
         if last * delta_x == km_to:

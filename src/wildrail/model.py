@@ -430,7 +430,7 @@ def _read_counts(raw: dict, seasons: SeasonScheme, bins: BinConfig) -> dict:
         raise ValueError("monthly counts must cover months 1..12 and be non-negative")
     if sum(by_month.values()) != n or sum(by_line.values()) != n or n <= 0:
         raise ValueError(f"monthly and per-line counts must both sum to n={n} > 0")
-    counts = {"n": n, "total_days": float(raw["total_days"]), "by_month": by_month, "by_line": by_line}
+    counts = dict(n=n, total_days=float(raw["total_days"]), by_month=by_month, by_line=by_line)
     tbins = counts["by_season_tbin"] = {}
     for label, months in seasons.groups.items():
         first, run = _bin_run(raw["by_season_tbin"][label], bins.delta_t)

@@ -822,7 +822,7 @@ def test_parse_traffic_runs_refuses_spans_no_grid_holds(monkeypatch) -> None:
     for row, delta_x, match in (
         ("139,0,1e9,08:00", 5.0, r"runs span 200,000,000 km bins"),
         ("139,0,60,08:00", 1e-6, r"runs span 60,000,00\d km bins"),
-        ("139,1e10,2e10,08:00", 1e-300, r"km_to 2e10 has no finite bin index"),
+        ("139,1e10,2e10,08:00", 1e-300, r"km_to 2e10 has no finite 1e-300 km bin index"),
     ):
         with pytest.raises(ParseError, match=f"line 2: {match}"):
             parse_traffic_runs(io.StringIO(header + row + "\n"), delta_x)
