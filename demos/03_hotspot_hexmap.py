@@ -11,9 +11,9 @@ import datetime as dt
 from pathlib import Path
 
 from wildrail import (
+    geocode,
     hex_bin,
     hex_grid_to_geojson,
-    km_to_geo,
     parse_accidents,
     parse_geometries,
 )
@@ -28,16 +28,11 @@ with open(DATA / "accidents_2020_2022.csv", encoding="utf-8") as fh:
 with open(DATA / "lines.geojson", encoding="utf-8") as fh:
     geometries = parse_geometries(fh)
 
-# linear referencing: a km post interpolates along the line's polyline
-points = []
-skipped = 0
-for code, km in zip(data.line_codes.tolist(), data.kms.tolist()):
-    geometry = geometries.get(data.line_names[code])
-    if geometry is None or not geometry.km_min <= km <= geometry.km_max:
-        skipped += 1
-        continue
-    points.append(km_to_geo(geometry, km))
-print(f"geocoded {len(points)} of {data.n} accidents ({skipped} without geometry)")
+# linear referencing: a km post interpolates along the line's polyline; a
+# record on a line without geometry, or off its calibrated km range, is skipped
+points = geocode(data, geometries)
+skipped = data.n - len(points)
+print(f"geocoded {len(points)} of {data.n} accidents ({skipped} not on a line geometry)")
 
 # 2.5 km flat-top hexagons; counts never change when points are reordered
 grid = hex_bin(points, spacing=2.5)

@@ -44,7 +44,8 @@ from .analysis import (
 from .ingest import (
     Dataset,
     count_days,
-    km_to_geo,
+    geocode,
+    km_to_geo,  # not called here: perfbench/clishim.py traces it as cli.km_to_geo
     parse_accidents,
     parse_geometries,
     parse_speed_profiles,
@@ -361,18 +362,12 @@ def cmd_warn(opts: argparse.Namespace) -> int:
 def cmd_map(opts: argparse.Namespace) -> int:
     data = _load_dataset(_require(opts, "accidents"), opts)
     geometries = _parse(_require(opts, "geometry"), parse_geometries)
-    points: list[tuple[float, float]] = []
-    skipped = 0
-    for code, km in zip(data.line_codes.tolist(), data.kms.tolist()):
-        geometry = geometries.get(data.line_names[code])
-        if geometry is None or not geometry.km_min <= km <= geometry.km_max:
-            skipped += 1
-            continue
-        points.append(km_to_geo(geometry, km))
+    points = geocode(data, geometries)
     grid = hex_bin(points, opts.spacing)
     out = _out_path(opts, "hexmap.geojson")
     _write_text(out, hex_grid_to_geojson(grid))
-    print(f"geocoded {len(points)} of {data.n} accidents ({skipped} without geometry)")
+    skipped = data.n - len(points)
+    print(f"geocoded {len(points)} of {data.n} accidents ({skipped} not on a line geometry)")
     print(f"occupied hex cells: {len(grid.cells)}")
     if grid.cells:
         print(f"densest cell count: {max(grid.cells.values())}")

@@ -28,6 +28,7 @@ __all__ = [
     "parse_traffic_runs",
     "parse_geometries",
     "km_to_geo",
+    "geocode",
     "parse_speed_profiles",
 ]
 
@@ -699,7 +700,7 @@ def km_to_geo(geometry: LineGeometry, km: float) -> tuple[float, float]:
 
     Positions between calibration vertices interpolate both coordinates
     linearly in km, which keeps the mapping continuous and monotone along
-    each polyline segment.
+    each polyline segment.  ``geocode`` places a whole Dataset.
 
     Raises:
         ValueError: km outside the calibrated [km_min, km_max] range.
@@ -720,6 +721,23 @@ def km_to_geo(geometry: LineGeometry, km: float) -> tuple[float, float]:
         return (lat0, lon0)
     t = (km - k0) / (k1 - k0)
     return (lat0 + t * (lat1 - lat0), lon0 + t * (lon1 - lon0))
+
+
+def geocode(data: Dataset, geometries: dict[str, LineGeometry]) -> list[tuple[float, float]]:
+    """(lat, lon) of every accident that can be placed on the map, in record order.
+
+    A record is placed when its line has a geometry and its km lies in that
+    geometry's calibrated [km_min, km_max]; every other record is skipped, so
+    ``data.n - len(points)`` counts the skipped ones.  Each point is
+    ``km_to_geo`` of the record's km.  ``hex_bin`` takes the list as it is.
+    """
+    by_code = [geometries.get(name) for name in data.line_names]
+    points = []
+    for code, km in zip(data.line_codes.tolist(), data.kms.tolist()):
+        geometry = by_code[code]
+        if geometry is not None and geometry.km_min <= km <= geometry.km_max:
+            points.append(km_to_geo(geometry, km))
+    return points
 
 
 def _json_number(value: object) -> float | None:

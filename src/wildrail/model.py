@@ -327,7 +327,7 @@ def _model_from_counts(
         seasons=seasons,
         bins=bins,
         counts=ModelCounts(by_season=by_season, **counts),
-        smoothing=smoothing,
+        smoothing=float(smoothing),
     )
 
 
@@ -377,9 +377,10 @@ def model_from_json(text: str) -> FittedModel:
 
     Only the bins, seasons, smoothing and counts are read; every table is
     derived from the counts as ``fit`` derives it.  The document must be
-    exactly what ``model_to_json`` writes for the rebuilt model, so a table
-    that disagrees with its counts (tampered, NaN, negative) or a stray key
-    is rejected.
+    exactly what ``model_to_json`` writes for the rebuilt model, down to the
+    JSON type of each value, so a table that disagrees with its counts
+    (tampered, NaN, negative), a count written as ``false`` or ``877.0``, or
+    a stray key is rejected.
 
     Raises:
         ValueError: malformed JSON, wrong document format, counts no dataset
@@ -402,7 +403,9 @@ def model_from_json(text: str) -> FittedModel:
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc!r}") from None
     canonical = json.loads(model_to_json(model))
-    differing = sorted(k for k in doc.keys() | canonical.keys() if doc.get(k) != canonical.get(k))
+    # values compared as JSON text, where false differs from 0 and 877.0 from 877
+    got, want = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()} for d in (doc, canonical))
+    differing = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
     if differing:
         raise ValueError(f"model document disagrees with its counts in {differing}")
     return model

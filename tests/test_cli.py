@@ -494,6 +494,50 @@ def test_map_skips_records_without_geometry(tmp_path: Path, capsys) -> None:
     assert "geocoded 285 of 877" in capsys.readouterr().out
 
 
+def test_map_places_nothing_when_no_logged_line_has_geometry(tmp_path: Path, capsys) -> None:
+    other = tmp_path / "other.geojson"
+    doc = json.loads(Path(GEOMETRY).read_text())
+    doc["features"] = doc["features"][:1]
+    doc["features"][0]["properties"]["line"] = "999"
+    other.write_text(json.dumps(doc))
+    code = main(
+        ["map", "--accidents", ACCIDENTS, "--geometry", str(other),
+         "--out-dir", str(tmp_path), *PERIOD_FLAGS]
+    )
+    assert code == 0
+    assert "geocoded 0 of 877 accidents (877 not on a line geometry)" in capsys.readouterr().out
+    hexmap = json.loads((tmp_path / "hexmap.geojson").read_text())
+    assert hexmap == {"features": [], "type": "FeatureCollection"}
+
+
+def test_map_skips_km_off_the_calibrated_range(tmp_path: Path, capsys, bundled_data) -> None:
+    # line 140 without its first and last vertices: calibrated on [20, 65] km only
+    short = tmp_path / "short.geojson"
+    doc = json.loads(Path(GEOMETRY).read_text())
+    (feature,) = [f for f in doc["features"] if f["properties"]["line"] == "140"]
+    feature["geometry"]["coordinates"] = feature["geometry"]["coordinates"][1:-1]
+    feature["properties"]["km"] = feature["properties"]["km"][1:-1]
+    short.write_text(json.dumps(doc))
+    code = main(
+        ["map", "--accidents", ACCIDENTS, "--geometry", str(short),
+         "--out-dir", str(tmp_path), *PERIOD_FLAGS]
+    )
+    assert code == 0
+    ranges = {
+        f["properties"]["line"]: (f["properties"]["km"][0], f["properties"]["km"][-1])
+        for f in doc["features"]
+    }
+    placed = [r for r in bundled_data.records if r.line in ranges]
+    placed = [r for r in placed if ranges[r.line][0] <= r.km <= ranges[r.line][1]]
+    assert any(r.line == "140" and r.km > 65.0 for r in bundled_data.records)
+    assert any(r.line == "140" and r.km < 20.0 for r in bundled_data.records)
+    skipped = 877 - len(placed)
+    expected = f"geocoded {len(placed)} of 877 accidents ({skipped} not on a line geometry)"
+    assert expected in capsys.readouterr().out
+    hexmap = json.loads((tmp_path / "hexmap.geojson").read_text())
+    assert sum(f["properties"]["count"] for f in hexmap["features"]) == len(placed)
+
+
 def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
     base = ["map", "--accidents", ACCIDENTS, "--geometry", GEOMETRY, "--out-dir", str(tmp_path)]
     for value in ("nan", "inf", "-inf", "0", "-1"):

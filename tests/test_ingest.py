@@ -33,6 +33,7 @@ from wildrail import (
     UndefinedCorrelationError,
     count_days,
     fit,
+    geocode,
     hourly_profile,
     km_to_geo,
     parse_accidents,
@@ -908,17 +909,53 @@ def test_km_to_geo_matches_loop_at_vertices(bundled_geometries) -> None:
         assert_km_to_geo_matches_loop(geometry)
 
 
+def off_range_kms(geometry: LineGeometry) -> list[float]:
+    """Non-negative kms just and well outside [km_min, km_max]."""
+    below = [math.nextafter(geometry.km_min, -math.inf), geometry.km_min / 2]
+    above = [math.nextafter(geometry.km_max, math.inf), geometry.km_max + 1.0]
+    return [km for km in below if 0 <= km < geometry.km_min] + above
+
+
+@report_as_drawn
 @given(
-    steps=st.lists(st.floats(min_value=1e-6, max_value=50.0), min_size=1, max_size=8),
-    start=st.floats(min_value=0.0, max_value=500.0),
+    polylines=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=500.0),
+            st.lists(st.floats(min_value=1e-6, max_value=50.0), min_size=1, max_size=8),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
     data=st.data(),
 )
-def test_km_to_geo_matches_loop_on_random_polylines(steps, start: float, data) -> None:
-    kms = list(itertools.accumulate([start, *steps]))  # steps far above an ulp: strictly increasing
+def test_km_to_geo_matches_loop_on_random_polylines(polylines, data) -> None:
     coord = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
-    coords = data.draw(st.lists(coord, min_size=len(kms), max_size=len(kms)))
-    vertices = tuple((lat, lon, km) for (lat, lon), km in zip(coords, kms))
-    assert_km_to_geo_matches_loop(LineGeometry(line="g", vertices=vertices))
+    geometries = {}
+    candidates = [("none", 0.0), ("none", 12.5)]  # a line without geometry
+    for i, (start, steps) in enumerate(polylines):
+        # steps far above an ulp: strictly increasing
+        kms = list(itertools.accumulate([start, *steps]))
+        coords = data.draw(st.lists(coord, min_size=len(kms), max_size=len(kms)))
+        vertices = tuple((lat, lon, km) for (lat, lon), km in zip(coords, kms))
+        geometry = geometries[f"g{i}"] = LineGeometry(line=f"g{i}", vertices=vertices)
+        assert_km_to_geo_matches_loop(geometry)
+        inside = data.draw(st.floats(geometry.km_min, geometry.km_max))
+        for km in (*edge_kms(geometry), inside, *off_range_kms(geometry)):
+            candidates.append((geometry.line, km))
+    # geocode places a log over these lines: kms below, at, inside and above
+    # each range, in the order drawn
+    picks = data.draw(st.lists(st.sampled_from(candidates), max_size=20))
+    records = tuple(AccidentRecord(PERIOD[0], 0, line, km) for line, km in picks)
+    log = dataset_of(records, *PERIOD)
+    expected = [
+        km_to_geo_loop(geometries[r.line], r.km)
+        for r in records
+        if r.line in geometries
+        and geometries[r.line].vertices[0][2] <= r.km <= geometries[r.line].vertices[-1][2]
+    ]
+    with no_records():
+        assert geocode(log, geometries) == expected
+        assert geocode(log, {}) == []
 
 
 def test_parse_geometries_round_trip() -> None:

@@ -6,6 +6,7 @@ import datetime as dt
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from wildrail import (
     p_per_train,
     sweep_all,
 )
-from conftest import PERIOD, dataset_of, make_synthetic
+from wildrail.cli import main
+from conftest import DATA_DIR, PERIOD, dataset_of, make_synthetic
 from oracles import expected_tables, table_counts
 
 
@@ -361,6 +363,7 @@ def test_model_from_json_rejects_malformed_input(bundled_model) -> None:
         lambda d: d["mu"].update({"1": d["mu"]["1"] * 2}),
         lambda d: d["p_segment"]["139"].pop("10.0"),
         lambda d: d.update(notes="stray key"),
+        lambda d: d.update(notes=None),
         lambda d: d["counts"]["by_line"].update({"139": d["counts"]["by_line"]["139"] + 1}),
         lambda d: d["counts"]["by_month"].update({"1": -81}),
         lambda d: d["counts"]["by_month"].update({"1": float("inf")}),
@@ -382,3 +385,44 @@ def test_model_from_json_rejects_malformed_input(bundled_model) -> None:
         with pytest.raises(ValueError):
             model_from_json(tamper(bundled_model, edit))
     assert model_from_json(tamper(bundled_model, km_bins_edit("139", lambda t: None)))
+
+
+COMMITTED_MODEL = DATA_DIR.parent / "demos" / "output" / "model.json"
+
+
+def retyped_models() -> list[str]:
+    """The committed model.json with one count of the same value but another JSON type."""
+    text = COMMITTED_MODEL.read_text(encoding="utf-8")
+    edits = [('"0.0": 0,', '"0.0": false,'), ('"n": 877,', '"n": 877.0,')]
+    for old, new in edits:
+        assert old in text
+    return [text.replace(old, new, 1) for old, new in edits]
+
+
+def test_model_from_json_rejects_counts_of_another_type() -> None:
+    # int() reads false as 0 and 877.0 as 877, but fit never writes either
+    for text in retyped_models():
+        json.loads(text)
+        with pytest.raises(ValueError, match="disagrees with its counts"):
+            model_from_json(text)
+
+
+def test_warn_rejects_counts_of_another_type(tmp_path: Path, capsys) -> None:
+    for text in retyped_models():
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["warn", "--model", str(model), "--traffic",
+                     str(DATA_DIR / "traffic.csv"), "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {model}: "), err
+        assert not out.exists()
+
+
+def test_model_json_round_trips_an_integer_smoothing(bundled_data) -> None:
+    model = fit(bundled_data, smoothing=1)
+    assert model.smoothing == 1.0 and isinstance(model.smoothing, float)
+    text = model_to_json(model)
+    assert '"smoothing": 1.0' in text
+    assert model_to_json(model_from_json(text)) == text
