@@ -112,7 +112,9 @@ def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
 
     Args:
         points: geographic points as (lat, lon) pairs.
-        spacing: horizontal center-to-center distance in km.
+        spacing: horizontal center-to-center distance in km, from about 3e-154
+            to 4.5e153 km so squared distances neither underflow nor overflow,
+            and coarse enough that no point's column or row index reaches 2**52.
 
     Returns:
         HexGrid with one count per occupied cell; empty input yields an
@@ -120,6 +122,9 @@ def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+    # a point is half a spacing or more from a tied centre, under 3 from any candidate
+    if spacing * spacing / 4 < np.finfo(float).tiny or not math.isfinite(9 * spacing * spacing):
+        raise ValueError(f"spacing {spacing!r} km is too {'fine' if spacing < 1 else 'coarse'}")
     if not points:
         return HexGrid(spacing=spacing, lat0=0.0, lon0=0.0, cells={})
     lat0 = sum(map(itemgetter(0), points)) / len(points)
@@ -128,7 +133,10 @@ def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
     cols, rows = [], []
     for start in range(0, len(points), _BLOCK):
         block = np.array(points[start : start + _BLOCK], dtype=float)
-        col, row = grid.assign(*grid.project(block[:, 0], block[:, 1]))
+        x, y = grid.project(block[:, 0], block[:, 1])
+        if np.abs(x).max() >= 2**52 * spacing or np.abs(y).max() >= 2**52 * grid.vertical_step:
+            raise ValueError(f"spacing {spacing!r} km is too fine: hex indices are inexact")
+        col, row = grid.assign(x, y)
         cols.append(col)
         rows.append(row)
     cols, rows = np.concatenate(cols), np.concatenate(rows)

@@ -12,10 +12,10 @@ that is present must have the option's type (a path is a string, a number is
 never ``true``/``false``, ``null`` is rejected).  Keys a command does not read
 are ignored, so one config file can serve every command.
 
-Exit codes: 0 success, 1 computation error (undefined probability, no
-traffic, undefined correlation), 2 input error (missing or malformed files,
-bad flags or config values), with one ``error:`` line on stderr.  An error
-in an input file names the file first: ``error: <path>: ...``.
+Exit codes: 0 success, 1 undefined correlation, 2 input error (missing or
+malformed files, bad flags or config values), with one ``error:`` line on
+stderr.  An error in an input file names the file first: ``error: <path>:
+...``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .ingest import (
 from .model import (
     DEFAULT_SEASONS,
     BinConfig,
-    InsufficientDataError,
     SeasonScheme,
     fit,
     model_from_json,
@@ -66,7 +65,6 @@ from .warn import (
     FLAG_EXCEEDS_UNITY,
     FLAG_INSUFFICIENT_DATA,
     FLAG_NO_TRAFFIC,
-    NoTrafficError,
     sweep_all,
     warnings_to_csv,
     warnings_to_geojson,
@@ -244,7 +242,7 @@ OPTIONS: dict[str, tuple[Callable[[Any], Any], Any, str]] = {
     "hour": (_hour, None, "restrict the GeoJSON export to one hour bin"),
     "theta": (_number, None, "threshold to report (default: smallest)"),
     "adjacent": (_boolean, False, "count warnings in neighbouring km bins as hits"),
-    "spacing": (_number, 2.5, "hex center spacing in km (default 2.5)"),
+    "spacing": (_positive, 2.5, "hex center spacing in km (default 2.5)"),
     "out": (_path, None, "model JSON path (default <out-dir>/model.json)"),
     "out_dir": (_path, ".", "directory for output files (default .)"),
 }
@@ -262,6 +260,8 @@ def _load_dataset(path: str, opts: argparse.Namespace) -> Dataset:
     if (start is None) != (end is None):
         raise ValueError("provide both --period-start and --period-end, or neither")
     if start is not None:
+        if end < start:
+            raise ValueError(f"--period-end {end} precedes --period-start {start}")
         return _parse(path, parse_accidents, (start, end))
     data = _parse(path, parse_accidents, (dt.date.min, dt.date.max))
     # no explicit period: use the span of the data itself
@@ -502,12 +502,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return 2
         return COMMANDS[args.command][0](resolve(args))
-    except (InsufficientDataError, NoTrafficError, UndefinedCorrelationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UndefinedCorrelationError) else 2
 
 
 def run() -> None:

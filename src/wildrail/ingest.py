@@ -58,28 +58,23 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def bin_index(value: float, delta: float) -> int:
-    """Index k of the half-open bin [k*delta, (k+1)*delta) containing ``value``.
-
-    Bins are anchored at 0.  The floor is corrected so that the result is
-    always consistent with interval membership (start <= value < start+delta)
-    even when value/delta rounds across an integer.
-    """
-    idx = math.floor(value / delta)
-    if idx * delta > value:
-        idx -= 1
-    elif (idx + 1) * delta <= value:
-        idx += 1
-    return idx
-
-
 def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
-    """``bin_index`` over an array, kept as floats so a huge value cannot overflow."""
+    """Index k of the half-open bin [k*delta, (k+1)*delta) holding each value, as floats.
+
+    Bins are anchored at 0.  The floor is corrected so that start <= value <
+    start+delta holds even when value/delta rounds across an integer, and a
+    float index cannot overflow however large the value.
+    """
     with np.errstate(over="ignore"):
         idx = np.floor(values / delta)
     down = idx * delta > values
     up = ~down & ((idx + 1) * delta <= values)
     return idx - down + up
+
+
+def bin_index(value: float, delta: float) -> int:
+    """Index k of the bin [k*delta, (k+1)*delta) holding ``value``, as ``_bin_floor`` finds it."""
+    return int(_bin_floor(value, delta))
 
 
 def count_days(start: dt.date, end: dt.date, days_per_year: str = "calendar") -> int:
@@ -210,12 +205,6 @@ class Dataset:
         return counts
 
 
-def _open_text(stream: Union[str, IO[str]]) -> IO[str]:
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    return stream
-
-
 def _read_header(reader, expected: tuple[str, ...], what: str) -> bool:
     """Consume and check the header row.  Returns False when the stream is empty."""
     try:
@@ -251,6 +240,20 @@ def _rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
             first = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from None
+
+
+def _table_rows(stream, header: tuple[str, ...], what: str) -> Iterator[tuple[int, str, list]]:
+    """``(line_no, line, other cells)`` of each ``_rows`` row of CSV text or a text stream.
+
+    The header must read ``header`` (``what`` names the table) and each line
+    identifier must be non-empty, or a ParseError says so.  An empty stream yields no rows.
+    """
+    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+    if _read_header(reader, header, what):
+        for line_no, (line, *cells) in _rows(reader, len(header)):
+            if not line:
+                raise ParseError("line identifier must be non-empty", line_no)
+            yield line_no, line, cells
 
 
 def _parse_time_field(text: str, line_no: int) -> int:
@@ -518,8 +521,11 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
         period: inclusive (start, end) observation dates.
 
     Raises:
+        ValueError: ``period`` ends before it starts.
         ParseError: malformed header, row, field, or out-of-period record.
     """
+    if period[1] < period[0]:
+        raise ValueError(f"period end {period[1]} precedes start {period[0]}")
     if isinstance(stream, str):
         text, lines = stream, None
     else:
@@ -588,13 +594,8 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
         ParseError: malformed header, row or field.
     """
     _check_bin_width(delta_x)
-    reader = csv.reader(_open_text(stream))
     counts: dict[tuple[str, int], float] = {}
-    if not _read_header(reader, TRAFFIC_HEADER, "traffic"):
-        return TrafficTable(counts={}, delta_x=delta_x)
-    for line_no, (line, km_text, count_text) in _rows(reader, len(TRAFFIC_HEADER)):
-        if not line:
-            raise ParseError("line identifier must be non-empty", line_no)
+    for line_no, line, (km_text, count_text) in _table_rows(stream, TRAFFIC_HEADER, "traffic"):
         km_from = _parse_float_field(km_text, "km_from", line_no)
         if km_from < 0:
             raise ParseError(f"km_from must be non-negative, got {km_text!r}", line_no)
@@ -625,15 +626,11 @@ def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTa
     from . import model  # the grid bound lives there, and model imports this module
 
     _check_bin_width(delta_x)
-    reader = csv.reader(_open_text(stream))
     counts: dict[tuple[str, int], float] = {}
     spans: dict[str, tuple[int, int]] = {}  # per line, its first and last run bin
     bins = 0  # the spans' summed bin counts
-    if not _read_header(reader, TRAFFIC_RUN_HEADER, "traffic run"):
-        return TrafficTable(counts={}, delta_x=delta_x)
-    for line_no, (line, from_text, to_text, dep_text) in _rows(reader, len(TRAFFIC_RUN_HEADER)):
-        if not line:
-            raise ParseError("line identifier must be non-empty", line_no)
+    runs = _table_rows(stream, TRAFFIC_RUN_HEADER, "traffic run")
+    for line_no, line, (from_text, to_text, dep_text) in runs:
         km_from = _parse_float_field(from_text, "km_from", line_no)
         km_to = _parse_float_field(to_text, "km_to", line_no)
         if km_from < 0 or km_to <= km_from:
@@ -671,15 +668,16 @@ class LineGeometry:
     vertices: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
+        where = f"line {self.line!r}"  # quoted, so it cannot pass for a row number
         if len(self.vertices) < 2:
-            raise ValueError(f"line {self.line}: need at least 2 vertices")
+            raise ValueError(f"{where}: need at least 2 vertices")
         kms = self.kms
         for a, b in zip(kms, kms[1:]):
             if b <= a:
-                raise ValueError(f"line {self.line}: km values must strictly increase ({a} -> {b})")
+                raise ValueError(f"{where}: km values must strictly increase ({a} -> {b})")
         for lat, lon, _ in self.vertices:
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                raise ValueError(f"line {self.line}: coordinate ({lat}, {lon}) out of range")
+                raise ValueError(f"{where}: coordinate ({lat}, {lon}) out of range")
 
     @cached_property
     def kms(self) -> tuple[float, ...]:
@@ -820,11 +818,11 @@ class SpeedProfile:
         prev_end = -math.inf
         for km_from, km_to, vmax in self.intervals:
             if km_to <= km_from:
-                raise ValueError(f"line {self.line}: empty interval {km_from}..{km_to}")
+                raise ValueError(f"line {self.line!r}: empty interval {km_from}..{km_to}")
             if km_from < prev_end:
-                raise ValueError(f"line {self.line}: overlapping interval at km {km_from}")
+                raise ValueError(f"line {self.line!r}: overlapping interval at km {km_from}")
             if vmax <= 0:
-                raise ValueError(f"line {self.line}: vmax must be positive, got {vmax}")
+                raise ValueError(f"line {self.line!r}: vmax must be positive, got {vmax}")
             prev_end = km_to
 
     def speed_at(self, km: float) -> float | None:
@@ -837,13 +835,9 @@ class SpeedProfile:
 
 def parse_speed_profiles(stream: Union[str, IO[str]]) -> dict[str, SpeedProfile]:
     """Parse speed CSV (``line,km_from,km_to,vmax``) into per-line SpeedProfiles."""
-    reader = csv.reader(_open_text(stream))
-    if not _read_header(reader, SPEED_HEADER, "speed"):
-        return {}
     rows: dict[str, list[tuple[float, float, float]]] = {}
-    for line_no, (line, from_text, to_text, vmax_text) in _rows(reader, len(SPEED_HEADER)):
-        if not line:
-            raise ParseError("line identifier must be non-empty", line_no)
+    steps = _table_rows(stream, SPEED_HEADER, "speed")
+    for line_no, line, (from_text, to_text, vmax_text) in steps:
         km_from = _parse_float_field(from_text, "km_from", line_no)
         km_to = _parse_float_field(to_text, "km_to", line_no)
         vmax = _parse_float_field(vmax_text, "vmax", line_no)

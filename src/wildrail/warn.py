@@ -341,7 +341,7 @@ def _build_grid(
         spatial = np.array([segment.get(k, 0.0) for k in range(lo, hi + 1)]) * model.p_line_at(line)
         m_vec = np.array([traffic.counts.get((line, k), 0.0) for k in range(lo, hi + 1)])
         window = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             p = (temporal[None, :, :] * spatial[:, None, None]) / window[:, None, :]
         cell_flags = np.zeros(p.shape, dtype=np.uint8)
         no_traffic = np.broadcast_to((window == 0.0)[:, None, :], p.shape)

@@ -223,6 +223,19 @@ def test_hex_bin_counts_points() -> None:
         hex_bin([center], spacing=0.0)
 
 
+def test_hex_bin_rejects_spacings_the_lattice_cannot_index() -> None:
+    points = [(50.0, 19.0), (50.5, 19.5)]  # about 45 km from their centroid
+    for spacing, fragment in (
+        (1e300, "too coarse$"),  # squared distances overflow
+        (1e-300, "too fine$"),  # squared distances underflow
+        (1e-15, "too fine: hex indices are inexact"),  # indices near 4e16
+    ):
+        with pytest.raises(ValueError, match=fragment):
+            hex_bin(points, spacing)
+    assert_same_hex_grid(points, 4.4e153)
+    assert_same_hex_grid(points[:1], 3e-154)
+
+
 def test_hex_geojson_rings() -> None:
     grid = hex_bin([(50.0, 19.0), (50.001, 19.001), (50.3, 19.4)], spacing=2.5)
     doc = json.loads(hex_grid_to_geojson(grid))

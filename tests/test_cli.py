@@ -120,6 +120,18 @@ def test_fit_input_errors(tmp_path: Path, capsys) -> None:
     assert "error:" in err
 
 
+def test_reversed_period_names_both_flags_before_reading_the_file(tmp_path: Path, capsys) -> None:
+    flags = ["--period-start", "2022-01-01", "--period-end", "2020-01-01"]
+    flags += ["--out-dir", str(tmp_path)]
+    missing = str(tmp_path / "missing.csv")
+    for command, accidents in ("fit", ACCIDENTS), ("fit", missing), ("profile", ACCIDENTS):
+        assert main([command, "--accidents", accidents, *flags]) == 2
+        assert capsys.readouterr().err == (
+            "error: --period-end 2020-01-01 precedes --period-start 2022-01-01\n"
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -540,7 +552,7 @@ def test_map_skips_km_off_the_calibrated_range(tmp_path: Path, capsys, bundled_d
 
 def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
     base = ["map", "--accidents", ACCIDENTS, "--geometry", GEOMETRY, "--out-dir", str(tmp_path)]
-    for value in ("nan", "inf", "-inf", "0", "-1"):
+    for value in ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"):
         assert_input_error(main(base + [f"--spacing={value}"]), capsys)
     config = tmp_path / "config.json"
     for text in ('{"spacing": NaN}', '{"spacing": Infinity}', '{"spacing": 0}'):

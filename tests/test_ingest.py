@@ -185,6 +185,13 @@ def test_parse_accidents_rejects_bad_rows(row: str, fragment: str) -> None:
     assert fragment in str(err.value)
 
 
+def test_parse_accidents_checks_the_period_order_before_any_row() -> None:
+    reversed_period = (PERIOD[1], PERIOD[0])
+    for text in (GOOD_CSV, "", "not,a,header\n"):
+        with pytest.raises(ValueError, match="period end 2020-01-01 precedes start 2022-12-31"):
+            parse_accidents(text, reversed_period)
+
+
 def test_parse_accidents_error_names_physical_line() -> None:
     text = GOOD_CSV + "2020-01-01,99:00,139,1.0,\n"
     with pytest.raises(ParseError) as err:
@@ -655,6 +662,39 @@ def test_csv_parsers_name_first_physical_line(parse, header: str, rows) -> None:
     assert err.value.line_no == 4 and str(err.value).startswith("line 4: ")
 
 
+# each table parser, its header, and a row whose {value} is the named field
+TABLE_PARSERS = {
+    "traffic": (
+        lambda text: parse_traffic(text, 5.0), "line,km_from,count", "{line},0,{value}", "count"
+    ),
+    "traffic_runs": (
+        lambda text: parse_traffic_runs(text, 5.0),
+        "line,km_from,km_to,departure",
+        "{line},0,{value},10:00",
+        "km_to",
+    ),
+    "speeds": (parse_speed_profiles, "line,km_from,km_to,vmax", "{line},0,5,{value}", "vmax"),
+}
+
+
+@pytest.mark.parametrize("as_input", [str, io.StringIO], ids=("str", "stream"))
+@pytest.mark.parametrize("parse,header,row,field", TABLE_PARSERS.values(), ids=TABLE_PARSERS.keys())
+def test_table_parsers_read_empty_input_and_reject_bad_cells(
+    as_input, parse, header: str, row: str, field: str
+) -> None:
+    for text in ("", header + "\n"):
+        parsed = parse(as_input(text))
+        assert (parsed.counts if isinstance(parsed, TrafficTable) else parsed) == {}
+    for line, value, message in (
+        ("139", "inf", f"line 2: {field} must be finite, got 'inf'"),
+        ("", "6", "line 2: line identifier must be non-empty"),
+        ("", "nan", "line 2: line identifier must be non-empty"),  # checked before the cells
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(as_input(f"{header}\n{row.format(line=line, value=value)}\n"))
+        assert str(err.value) == message and err.value.line_no == 2
+
+
 def test_dataset_replace_and_equality() -> None:
     parsed = parse_accidents(GOOD_CSV, PERIOD)
     moved = dataset_of((r._replace(km=r.km + 1.0) for r in parsed.records), *PERIOD)
@@ -842,7 +882,7 @@ def make_geometry() -> LineGeometry:
 def test_geometry_validation() -> None:
     geo = make_geometry()
     assert geo.km_min == 0.0 and geo.km_max == 30.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 'x': need at least 2 vertices$"):
         LineGeometry(line="x", vertices=((50.0, 19.0, 0.0),))
     with pytest.raises(ValueError):
         LineGeometry(line="x", vertices=((50.0, 19.0, 5.0), (50.1, 19.1, 5.0)))
@@ -1066,8 +1106,12 @@ def test_parse_speed_profiles() -> None:
     speeds = parse_speed_profiles(io.StringIO(text))
     assert set(speeds) == {"1", "139"}
     assert speeds["139"].speed_at(12.0) == 70.0
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^line '139': empty interval 5\.0\.\.5\.0$"):
         parse_speed_profiles(io.StringIO("line,km_from,km_to,vmax\n139,5.0,5.0,100\n"))
+    # the line is quoted, so it cannot pass for a row number of the file
+    overlap = "line,km_from,km_to,vmax\n139,0.0,10.0,100\n139,5.0,15.0,70\n"
+    with pytest.raises(ParseError, match=r"^line '139': overlapping interval at km 5\.0$"):
+        parse_speed_profiles(overlap)
 
 
 # --- bundled fixtures ---

@@ -323,6 +323,16 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     assert row[7:] == [repr(p), FLAG_EXCEEDS_UNITY, "1"]
 
 
+def test_an_overflowing_p_pt_is_flagged_without_a_warning(bundled_model) -> None:
+    # 1e-320 trains a day is finite and non-negative, but dividing by it
+    # overflows; the suite turns numpy's RuntimeWarning into an error
+    traffic = TrafficTable(counts={("139", 2): 1e-320}, delta_x=5.0)
+    grid = sweep_all(bundled_model, traffic, DEFAULT_PROFILE, THRESHOLDS)
+    p, flags = (table["139"][2 - grid.x_first["139"]] for table in (grid.p_pt, grid.flags))
+    assert np.isinf(p).any()
+    assert (flags[np.isinf(p)] == 4).all()  # exceeds_unity alone
+
+
 def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, bundled_grid) -> None:
     doubled = TrafficTable(
         counts={key: 2.0 * value for key, value in bundled_traffic.counts.items()},
