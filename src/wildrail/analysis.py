@@ -6,7 +6,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,6 +30,8 @@ __all__ = [
 KM_PER_DEGREE = math.pi * 6371.0 / 180.0
 
 UNKNOWN_SPECIES = "unknown"
+
+_SPACING_KM = (1e-6, 1e6)  # the hex spacings hex_bin accepts
 
 
 class UndefinedCorrelationError(ValueError):
@@ -102,7 +103,7 @@ class HexGrid:
         return best_col.astype(np.int64), best_row.astype(np.int64)
 
 
-def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
+def hex_bin(points: list[tuple[float, float]] | np.ndarray, spacing: float = 2.5) -> HexGrid:
     """Count (lat, lon) points into nearest-center hexagonal cells.
 
     The lattice is centred on (lat0, lon0), the mean of the points summed in
@@ -111,35 +112,33 @@ def hex_bin(points: list[tuple[float, float]], spacing: float = 2.5) -> HexGrid:
     cells in the order of their first point.
 
     Args:
-        points: geographic points as (lat, lon) pairs.
-        spacing: horizontal center-to-center distance in km, from about 3e-154
-            to 4.5e153 km so squared distances neither underflow nor overflow,
-            and coarse enough that no point's column or row index reaches 2**52.
+        points: geographic points, (lat, lon) pairs with |lat| <= 90 and
+            |lon| <= 180, as a sequence or an (n, 2) array.
+        spacing: horizontal center-to-center distance in km, from 1e-6 to
+            1e6 km.  With geographic points this keeps squared distances
+            finite, cell indices below about 4e10 and hexagon corners distinct.
 
     Returns:
         HexGrid with one count per occupied cell; empty input yields an
         empty grid.
     """
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
-    # a point is half a spacing or more from a tied centre, under 3 from any candidate
-    if spacing * spacing / 4 < np.finfo(float).tiny or not math.isfinite(9 * spacing * spacing):
-        raise ValueError(f"spacing {spacing!r} km is too {'fine' if spacing < 1 else 'coarse'}")
-    if not points:
+    lo, hi = _SPACING_KM
+    if not lo <= spacing <= hi:  # NaN fails too
+        raise ValueError(f"spacing must be from {lo:g} to {hi:g} km, got {spacing!r}")
+    latlon = np.asarray(points, dtype=float)
+    if not latlon.size:
         return HexGrid(spacing=spacing, lat0=0.0, lon0=0.0, cells={})
-    lat0 = sum(map(itemgetter(0), points)) / len(points)
-    lon0 = sum(map(itemgetter(1), points)) / len(points)
+    if latlon.ndim != 2 or latlon.shape[1] != 2:
+        raise ValueError(f"points must be (lat, lon) pairs, got an array of shape {latlon.shape}")
+    lat, lon = latlon.T
+    if not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
+        raise ValueError("points must be geographic: |lat| <= 90 and |lon| <= 180, none NaN")
+    lat0 = sum(lat.tolist()) / len(lat)
+    lon0 = sum(lon.tolist()) / len(lon)
     grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells={})
-    cols, rows = [], []
-    for start in range(0, len(points), _BLOCK):
-        block = np.array(points[start : start + _BLOCK], dtype=float)
-        x, y = grid.project(block[:, 0], block[:, 1])
-        if np.abs(x).max() >= 2**52 * spacing or np.abs(y).max() >= 2**52 * grid.vertical_step:
-            raise ValueError(f"spacing {spacing!r} km is too fine: hex indices are inexact")
-        col, row = grid.assign(x, y)
-        cols.append(col)
-        rows.append(row)
-    cols, rows = np.concatenate(cols), np.concatenate(rows)
+    blocks = [grid.assign(*grid.project(lat[i : i + _BLOCK], lon[i : i + _BLOCK]))
+              for i in range(0, len(lat), _BLOCK)]
+    cols, rows = (np.concatenate(parts) for parts in zip(*blocks))
     # group equal cells; the sort is stable, so each group starts at its first point
     order = np.lexsort((rows, cols))
     cols, rows = cols[order], rows[order]
@@ -161,19 +160,15 @@ def hex_grid_to_geojson(grid: HexGrid) -> str:
     # circumradius of a hexagon whose flat-to-flat width equals the
     # center-to-center distance between neighbors
     radius = grid.vertical_step / math.sqrt(3.0)
-    corners = [
-        (radius * math.cos(angle), radius * math.sin(angle))
-        for angle in (math.radians(60.0 * i) for i in range(6))
-    ]
-    lat0, lon0 = grid.lat0, grid.lon0
-    lon_scale = KM_PER_DEGREE * math.cos(math.radians(lat0))  # as in HexGrid.unproject
+    angles = [math.radians(60.0 * i) for i in range(6)]
+    dx, dy = radius * np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
+    items = sorted(grid.cells.items())
+    cols, rows = np.array([cell for cell, _ in items], dtype=np.int64).reshape(-1, 2).T
+    cx, cy = grid.center_xy(cols, rows)
+    lats, lons = grid.unproject(cx[:, None] + dx, cy[:, None] + dy)
     features = []
-    for (col, row), count in sorted(grid.cells.items()):
-        cx, cy = grid.center_xy(col, row)
-        ring = [
-            f"[{lon0 + (cx + dx) / lon_scale!r}, {lat0 + (cy + dy) / KM_PER_DEGREE!r}]"
-            for dx, dy in corners
-        ]
+    for ((col, row), count), lat6, lon6 in zip(items, lats.tolist(), lons.tolist()):
+        ring = [f"[{lon!r}, {lat!r}]" for lon, lat in zip(lon6, lat6)]
         ring.append(ring[0])
         features.append(
             f'{{"geometry": {{"coordinates": [[{", ".join(ring)}]], "type": "Polygon"}}, '

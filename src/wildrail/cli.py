@@ -242,7 +242,7 @@ OPTIONS: dict[str, tuple[Callable[[Any], Any], Any, str]] = {
     "hour": (_hour, None, "restrict the GeoJSON export to one hour bin"),
     "theta": (_number, None, "threshold to report (default: smallest)"),
     "adjacent": (_boolean, False, "count warnings in neighbouring km bins as hits"),
-    "spacing": (_positive, 2.5, "hex center spacing in km (default 2.5)"),
+    "spacing": (_positive, 2.5, "hex center spacing in km, 1e-6 to 1e6 (default 2.5)"),
     "out": (_path, None, "model JSON path (default <out-dir>/model.json)"),
     "out_dir": (_path, ".", "directory for output files (default .)"),
 }

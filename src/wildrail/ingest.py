@@ -563,7 +563,8 @@ class TrafficTable:
 
     Keys are (line, k) for the bin [k * delta_x, (k + 1) * delta_x); k must
     be a non-negative int, so a float start such as 10.0 is rejected rather
-    than read as bin 10.  Unknown cells count as zero traffic.
+    than read as bin 10.  Counts must be finite and non-negative; unknown
+    cells count as zero traffic.
     """
 
     counts: dict[tuple[str, int], float]
@@ -574,8 +575,9 @@ class TrafficTable:
         for (line, k), value in self.counts.items():
             if type(k) is not int or k < 0:
                 raise ValueError(f"km bin {k!r} on line {line} must be a non-negative int index")
-            if value < 0:
-                raise ValueError(f"negative count {value} on line {line} in km bin {k}")
+            if not 0 <= value < math.inf:
+                kind = "negative" if value < 0 else "non-finite"
+                raise ValueError(f"{kind} count {value} on line {line} in km bin {k}")
 
     def count(self, line: str, km: float) -> float:
         """Trains per day through the bin containing ``km`` on ``line`` (0 if unknown)."""
@@ -586,8 +588,8 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
     """Parse traffic CSV (``line,km_from,count``) into a TrafficTable.
 
     km_from must be non-negative and sit on the ``delta_x`` grid.  Duplicate
-    (line, bin) rows are summed.  An empty stream yields an empty table (all
-    lookups return 0).
+    (line, bin) rows are summed, and a sum that overflows is a ParseError.  An
+    empty stream yields an empty table (all lookups return 0).
 
     Raises:
         ValueError: delta_x not positive and finite.
@@ -605,7 +607,10 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
         count = _parse_float_field(count_text, "count", line_no)
         if count < 0:
             raise ParseError(f"count must be non-negative, got {count_text!r}", line_no)
-        counts[(line, index)] = counts.get((line, index), 0.0) + count
+        total = counts.get((line, index), 0.0) + count
+        if total == math.inf:
+            raise ParseError(f"counts of line {line} in km bin {index} sum to inf", line_no)
+        counts[(line, index)] = total
     return TrafficTable(counts=counts, delta_x=delta_x)
 
 

@@ -411,6 +411,34 @@ def hex_grid_to_geojson_loop(grid) -> str:
     return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
 
 
+def hex_geojson_loop(grid) -> str:
+    """The hex map text written corner by corner, each coordinate by its ``repr``.
+
+    Reads only the grid's ``spacing``, ``lat0``, ``lon0`` and ``cells``.
+    """
+    v = 2.0 * grid.spacing / math.sqrt(3.0)
+    radius = v / math.sqrt(3.0)
+    corners = [
+        (radius * math.cos(angle), radius * math.sin(angle))
+        for angle in (math.radians(60.0 * i) for i in range(6))
+    ]
+    lon_scale = KM_PER_DEGREE * math.cos(math.radians(grid.lat0))
+    features = []
+    for (col, row), count in sorted(grid.cells.items()):
+        cx, cy = col * grid.spacing, (row + 0.5 * (col & 1)) * v
+        ring = [
+            f"[{grid.lon0 + (cx + dx) / lon_scale!r}, {grid.lat0 + (cy + dy) / KM_PER_DEGREE!r}]"
+            for dx, dy in corners
+        ]
+        ring.append(ring[0])
+        features.append(
+            f'{{"geometry": {{"coordinates": [[{", ".join(ring)}]], "type": "Polygon"}}, '
+            f'"properties": {{"col": {col}, "count": {count}, "row": {row}}}, '
+            '"type": "Feature"}'
+        )
+    return f'{{"features": [{", ".join(features)}], "type": "FeatureCollection"}}'
+
+
 # --- hold-out scoring ---
 
 

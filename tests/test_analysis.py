@@ -39,6 +39,7 @@ from oracles import (
     cell_of,
     evaluate_holdout_loop,
     hex_bin_loop,
+    hex_geojson_loop,
     hex_grid_to_geojson_loop,
     nearest_center_exhaustive,
     pearson_manual,
@@ -172,19 +173,20 @@ def test_hex_bin_matches_point_loop_across_block_seams() -> None:
 
 
 def test_hex_bin_matches_point_loop_past_32_bit_cells() -> None:
-    # at 1e-8 km spacing the cell columns and rows span more than 2**32, past
-    # what a 32-bit cell index could hold
+    # at the finest spacing, 1e-6 km, points spread over 90 degrees of longitude
+    # and 50 of latitude span more than 2**32 cell columns and rows, past what a
+    # 32-bit cell index could hold
     rng = np.random.default_rng(12)
-    lats = 50.0 + rng.uniform(-1.0, 1.0, 150)
-    lons = 19.0 + rng.uniform(-1.5, 1.5, 150)
+    lats = 50.0 + rng.uniform(-25.0, 25.0, 150)
+    lons = 19.0 + rng.uniform(-45.0, 45.0, 150)
     points = list(zip(lats.tolist(), lons.tolist()))
     points = points + points[::3] + [(50.0, 19.0)] * 4  # repeated points share a cell
-    grid = hex_bin(points, 1e-8)
+    grid = hex_bin(points, 1e-6)
     cols = [col for col, _ in grid.cells]
     rows = [row for _, row in grid.cells]
     assert max(cols) - min(cols) > 2**32 and max(rows) - min(rows) > 2**32
     assert min(cols) < 0 and min(rows) < 0
-    assert_same_hex_grid(points, 1e-8)
+    assert_same_hex_grid(points, 1e-6)
 
 
 def test_hex_bin_counts_cells_that_a_packed_key_would_merge() -> None:
@@ -224,16 +226,28 @@ def test_hex_bin_counts_points() -> None:
 
 
 def test_hex_bin_rejects_spacings_the_lattice_cannot_index() -> None:
+    # two input rules: a spacing from 1e-6 to 1e6 km, and geographic points
     points = [(50.0, 19.0), (50.5, 19.5)]  # about 45 km from their centroid
-    for spacing, fragment in (
-        (1e300, "too coarse$"),  # squared distances overflow
-        (1e-300, "too fine$"),  # squared distances underflow
-        (1e-15, "too fine: hex indices are inexact"),  # indices near 4e16
-    ):
-        with pytest.raises(ValueError, match=fragment):
+    below, above = math.nextafter(1e-6, 0.0), math.nextafter(1e6, math.inf)
+    for spacing in (below, above, 1e-13, 1e-300, 1e300, 0.0, -2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^spacing must be from 1e-06 to 1e"):
             hex_bin(points, spacing)
-    assert_same_hex_grid(points, 4.4e153)
-    assert_same_hex_grid(points[:1], 3e-154)
+    assert_same_hex_grid(points, 1e-6)
+    assert_same_hex_grid(points, 1e6)
+    for bad in ((91.0, 19.0), (-90.5, 19.0), (50.0, 180.5), (math.nan, 19.0), (50.0, math.nan)):
+        with pytest.raises(ValueError, match="^points must be geographic"):
+            hex_bin([*points, bad], 2.5)
+    assert_same_hex_grid([(90.0, 180.0), (-90.0, -180.0)], 2.5)
+    for shape in ([(50.0, 19.0, 3.0)], [50.0, 19.0], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="^points must be \\(lat, lon\\) pairs"):
+            hex_bin(shape, 2.5)
+
+
+def test_hex_bin_takes_an_array_of_points() -> None:
+    rng = np.random.default_rng(13)
+    latlon = np.column_stack([50.0 + rng.normal(0.0, 0.2, 300), 19.0 + rng.normal(0.0, 0.3, 300)])
+    assert hex_bin(latlon, 2.5) == HexGrid(**hex_bin_loop(latlon.tolist(), 2.5))
+    assert hex_bin(np.empty((0, 2)), 2.5) == hex_bin([], 2.5)
 
 
 def test_hex_geojson_rings() -> None:
@@ -272,9 +286,24 @@ def test_hex_geojson_matches_dict_writer(cells, lat0: float, lon0: float, spacin
     assert hex_grid_to_geojson(grid) == hex_grid_to_geojson_loop(grid)
 
 
+@pytest.mark.parametrize("spacing", [1e-6, 2.5, 1e6])
+@pytest.mark.parametrize("lat0", [-60.3, 59.7, 60.0])
+def test_hex_geojson_matches_corner_loop(spacing: float, lat0: float) -> None:
+    # negative, odd and large indices; 4e10 is about the largest a 1e-6 km
+    # lattice reaches on Earth
+    big = 4 * 10**10
+    cells = {(-3, -2): 5, (-2, 7): 1, (1, 0): 2, (0, 0): 3, (big + 1, -big): 4,
+             (-big - 1, big - 1): 6, (2**33 + 1, 2**31 - 1): 7, (-(2**31) - 1, -(2**33) + 1): 8}
+    for lon0 in (-179.9, 0.0, 19.2, 180.0):
+        grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
+        assert hex_grid_to_geojson(grid) == hex_geojson_loop(grid)
+    grid = hex_bin([(lat0 + 0.01 * i, 19.0 - 0.02 * i) for i in range(-20, 21)], spacing)
+    assert hex_grid_to_geojson(grid) == hex_geojson_loop(grid)
+
+
 def test_hex_geojson_of_empty_grid() -> None:
     grid = hex_bin([], 2.5)
-    assert hex_grid_to_geojson(grid) == hex_grid_to_geojson_loop(grid)
+    assert hex_grid_to_geojson(grid) == hex_grid_to_geojson_loop(grid) == hex_geojson_loop(grid)
     assert json.loads(hex_grid_to_geojson(grid)) == {"type": "FeatureCollection", "features": []}
 
 

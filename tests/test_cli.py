@@ -13,9 +13,10 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from wildrail import (
@@ -561,6 +562,22 @@ def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
     assert not (tmp_path / "hexmap.geojson").exists()
 
 
+def test_map_spacing_range(tmp_path: Path, capsys) -> None:
+    # outside 1e-6..1e6 km: one error line and no map; at 1e-13 the corners
+    # of every hexagon would collapse to one point near (50, 19)
+    base = ["map", "--accidents", ACCIDENTS, "--geometry", GEOMETRY, "--out-dir", str(tmp_path)]
+    for value in ("1e-13", "9.99e-7", "1.01e6", "1e7"):
+        assert_input_error(main(base + ["--spacing", value]), capsys)
+        assert not (tmp_path / "hexmap.geojson").exists()
+    for value in ("1e-6", "1e6"):
+        assert main(base + ["--spacing", value]) == 0
+        doc = json.loads((tmp_path / "hexmap.geojson").read_text())
+        assert sum(f["properties"]["count"] for f in doc["features"]) == 877
+        for feature in doc["features"]:
+            corners = feature["geometry"]["coordinates"][0][:-1]
+            assert len({tuple(corner) for corner in corners}) == 6, (value, feature)
+
+
 def test_map_rejects_line_names_that_are_not_strings(tmp_path: Path, capsys) -> None:
     geometry = tmp_path / "lines.geojson"
     doc = json.loads(Path(GEOMETRY).read_text())
@@ -812,6 +829,84 @@ def test_hostile_file_contents_fail_in_one_line(data) -> None:
             assert code in (1, 2), (path, value, code)
             assert len(err) == 1 and err[0].startswith("error:"), (path, value, err)
             assert not out_dir.exists(), (path, value)
+
+
+LINES = ("139", "140", "1", "999")
+# per CSV input: its header and, for each field, values a valid row may hold
+CSV_FIELDS = {
+    "accidents": ("date,time,line,km,species", (
+        ("2020-01-05", "2021-07-31", "2022-12-31", "2020-02-29"),
+        ("00:00", "18:45", "23:59", "7:5"),
+        LINES,
+        ("0", "3", "12.5", "40"),
+        ("roe deer", "", '"boar, wild"'))),
+    "traffic": ("line,km_from,count", (LINES, ("0", "5", "10.0", "40"), ("0", "12", "131.5"))),
+    "traffic_runs": ("line,km_from,km_to,departure", (
+        LINES, ("0", "5", "12.5"), ("20", "40.5", "60"), ("06:00", "23:59"))),
+    "speeds": ("line,km_from,km_to,vmax", (LINES, ("0", "30"), ("30", "60"), ("80", "120.5"))),
+}
+# what a field may hold instead: malformed, out of range, or off any small grid
+HOSTILE_FIELDS = ("", " ", "x", "nan", "inf", "-inf", "-1", "0x10", '"1,2"', '"', "\u00e9",
+                  "1e308", "1e-320", "1e6", "7.5", "2019-12-31", "2020-02-30", "24:00")
+
+
+def csv_text(kind: str) -> st.SearchStrategy[str]:
+    """CSV text for one of the four CSV inputs: mostly well-formed rows, a few mangled."""
+    header, fields = CSV_FIELDS[kind]
+    valid = st.tuples(*(st.sampled_from(values) for values in fields)).map(list)
+    hostile = st.builds(
+        lambda cells, i, value: cells[:i] + [value] + cells[i + 1:],
+        valid, st.integers(0, len(fields) - 1), st.sampled_from(HOSTILE_FIELDS),
+    )
+    row = st.one_of(valid, valid, hostile).map(",".join)
+    broken_row = st.sampled_from(["", "139", ",".join(["1"] * (len(fields) + 1)), '"open'])
+    head = st.sampled_from([header] * 9 + [header.upper(), header.replace(",", ";"), ""])
+    rows = st.lists(st.one_of(row, row, row, row, broken_row), min_size=1, max_size=6)
+    return st.builds(lambda h, body: "\n".join([h, *body]) + "\n", head, rows)
+
+
+# the command forms that read generated CSV, and the inputs each reads
+GENERATED_FORMS = {
+    "fit": ["fit", "--accidents", "{accidents}"],
+    "warn --traffic": ["warn", "--model", MODEL, "--traffic", "{traffic}"],
+    "warn --traffic-runs": ["warn", "--model", MODEL, "--traffic-runs", "{traffic_runs}"],
+    "eval": ["eval", "--model", MODEL, "--traffic", "{traffic}", "--test", "{accidents}"],
+    "map": ["map", "--accidents", "{accidents}", "--geometry", GEOMETRY],
+    "corr --traffic": ["corr", "--accidents", "{accidents}", "--traffic", "{traffic}",
+                       "--speeds", "{speeds}"],
+    "corr --traffic-runs": ["corr", "--accidents", "{accidents}", "--traffic-runs",
+                            "{traffic_runs}", "--speeds", "{speeds}"],
+    "profile": ["profile", "--accidents", "{accidents}"],
+}
+
+
+# a failing example is reported as drawn, unshrunk, so a failure reads in seconds
+@settings(max_examples=300, derandomize=True, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(data=st.data())
+def test_generated_csv_inputs_keep_the_exit_code_contract(data) -> None:
+    form = data.draw(st.sampled_from(sorted(GENERATED_FORMS)))
+    period = data.draw(st.sampled_from([[], PERIOD_FLAGS]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: str(Path(tmp) / f"{kind}.csv") for kind in CSV_FIELDS}
+        argv = [arg.format(**paths) for arg in GENERATED_FORMS[form]]
+        for kind, path in paths.items():
+            if path in argv:
+                Path(path).write_text(data.draw(csv_text(kind)), encoding="utf-8")
+        if "--accidents" in argv or "--test" in argv:
+            argv += period
+        out_dir = Path(tmp) / "out"
+        stderr = io.StringIO()
+        # a grid a little larger than the bundled model's 10,656 cells
+        with mock.patch.object(wildrail.model, "MAX_GRID_CELLS", 20_000), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out-dir", str(out_dir)])
+        event(f"{form}: exit {code}")
+        assert code in (0, 1, 2), (argv, code)
+        if code != 0:
+            err = stderr.getvalue().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), (argv, err)
+            assert not out_dir.exists(), argv
 
 
 def test_no_command_prints_help() -> None:

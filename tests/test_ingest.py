@@ -739,6 +739,15 @@ def test_parse_traffic_sums_duplicates() -> None:
     assert table.counts == {("139", 2): 131.0, ("1", 0): 80.0}
 
 
+def test_parse_traffic_refuses_counts_that_sum_to_inf() -> None:
+    # each count is finite; the row whose addition overflows is named
+    text = "line,km_from,count\n139,10,1e308\n1,0,1e308\n139,10,1e308\n139,10,1\n"
+    with pytest.raises(ParseError, match="^line 4: counts of line 139 in km bin 2 sum to inf$"):
+        parse_traffic(io.StringIO(text), 5.0)
+    largest = parse_traffic(io.StringIO("line,km_from,count\n139,10,1e308\n139,10,7e307\n"), 5.0)
+    assert largest.counts == {("139", 2): 1e308 + 7e307}
+
+
 def test_parse_traffic_rejects_bad_rows() -> None:
     with pytest.raises(ParseError):
         parse_traffic(io.StringIO("line,km_from,count\n139,10.0,-3\n"), 5.0)
@@ -780,6 +789,14 @@ def test_traffic_table_validation() -> None:
         TrafficTable(counts={("1", 1): -1.0}, delta_x=5.0)
     with pytest.raises(ValueError):
         TrafficTable(counts={}, delta_x=0.0)
+
+
+def test_traffic_table_refuses_non_finite_counts() -> None:
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^non-finite count {value} on line 1 in km bin 1$"):
+            TrafficTable(counts={("1", 1): value}, delta_x=5.0)
+    with pytest.raises(ValueError, match="^negative count -inf"):
+        TrafficTable(counts={("1", 1): -math.inf}, delta_x=5.0)
 
 
 def test_traffic_table_rejects_starts_no_lookup_reads() -> None:
