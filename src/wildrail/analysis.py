@@ -139,14 +139,19 @@ def hex_bin(points: list[tuple[float, float]] | np.ndarray, spacing: float = 2.5
     blocks = [grid.assign(*grid.project(lat[i : i + _BLOCK], lon[i : i + _BLOCK]))
               for i in range(0, len(lat), _BLOCK)]
     cols, rows = (np.concatenate(parts) for parts in zip(*blocks))
-    # group equal cells; the sort is stable, so each group starts at its first point
-    order = np.lexsort((rows, cols))
-    cols, rows = cols[order], rows[order]
-    new_cell = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], new_cell)))
+    # one int64 key per cell from the ranks of its column and row: it stays
+    # below (number of points)**2, so it cannot overflow
+    _, col_ranks = np.unique(cols, return_inverse=True)
+    row_values, row_ranks = np.unique(rows, return_inverse=True)
+    keys = col_ranks * len(row_values) + row_ranks
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     counts = np.diff(starts, append=order.size)
-    by_first = np.argsort(order[starts])
-    firsts = starts[by_first]
+    # a cell's first point is the smallest point index in its group
+    firsts = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(firsts)
+    firsts = firsts[by_first]
     cells = dict(zip(zip(cols[firsts].tolist(), rows[firsts].tolist()), counts[by_first].tolist()))
     return HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
 
@@ -156,6 +161,11 @@ def hex_grid_to_geojson(grid: HexGrid) -> str:
 
     The text is the FeatureCollection as ``json.dumps(..., sort_keys=True)``
     writes it, one feature per cell in sorted (col, row) order.
+
+    Raises:
+        ValueError: a hexagon corner lies off the globe (|lat| > 90 or
+            |lon| > 180), as a coarse spacing or a lattice across the
+            antimeridian puts it; GeoJSON positions cannot hold it.
     """
     # circumradius of a hexagon whose flat-to-flat width equals the
     # center-to-center distance between neighbors
@@ -166,6 +176,13 @@ def hex_grid_to_geojson(grid: HexGrid) -> str:
     cols, rows = np.array([cell for cell, _ in items], dtype=np.int64).reshape(-1, 2).T
     cx, cy = grid.center_xy(cols, rows)
     lats, lons = grid.unproject(cx[:, None] + dx, cy[:, None] + dy)
+    off_globe = ~((np.abs(lats) <= 90.0) & (np.abs(lons) <= 180.0))  # NaN is off it too
+    if off_globe.any():
+        lat, lon = float(lats[off_globe][0]), float(lons[off_globe][0])
+        raise ValueError(
+            f"a hexagon corner at spacing {grid.spacing!r} km lies off the globe "
+            f"(lat {lat!r}, lon {lon!r}); corners need |lat| <= 90 and |lon| <= 180"
+        )
     features = []
     for ((col, row), count), lat6, lon6 in zip(items, lats.tolist(), lons.tolist()):
         ring = [f"[{lon!r}, {lat!r}]" for lon, lat in zip(lon6, lat6)]
@@ -338,58 +355,66 @@ def evaluate_holdout(
         raise ValueError(f"theta must be finite, got {theta!r}")
     if theta < 0:
         raise ValueError(f"theta must be non-negative, got {theta!r}")
-    names = grid.lines
-    hours = test.minutes / 60.0
-    # per mapped accident, the largest p_pt among the cells that can make it a
-    # hit, -inf when all of them are flagged
-    best: list[np.ndarray] = []
+    # per grid line, the flat p_pt index of each mapped accident's cell, block by block
+    cells: list[list[np.ndarray]] = [[] for _ in grid.lines]
     for start in range(0, test.n, _BLOCK):
         block = slice(start, start + _BLOCK)
         li, xi, mi, ti = grid.locate(
             test.line_names, test.line_codes[block], test.kms[block], test.months[block],
-            hours[block],
+            test.minutes[block] / 60.0,
         )
         mapped = np.flatnonzero((xi >= 0) & (mi >= 0) & (ti >= 0))
-        mapped = mapped[np.argsort(li[mapped], kind="stable")]
-        for group in np.split(mapped, np.flatnonzero(np.diff(li[mapped])) + 1):
-            if group.size:
-                p_pt = grid.p_pt[names[li[group[0]]]]
-                best.append(_best_p(p_pt, xi[group], mi[group], ti[group], include_adjacent))
-    ordered = np.sort(np.concatenate(best)) if best else np.empty(0)
-    n_mapped = int(ordered.size)
+        mapped = mapped[np.argsort(li[mapped])]
+        flat = (xi[mapped] * len(grid.months) + mi[mapped]) * grid.n_t + ti[mapped]
+        ends = np.cumsum(np.bincount(li[mapped], minlength=len(cells)))
+        for line_cells, part in zip(cells, np.split(flat, ends[:-1])):
+            if part.size:
+                line_cells.append(part)
+    thetas = sorted(set(grid.thresholds) | {float(theta)})
+    hits = [0] * len(thetas)
+    n_mapped = 0
+    with np.errstate(invalid="ignore"):
+        for line, line_cells in zip(grid.lines, cells):
+            if line_cells:
+                best = _best_p(grid.p_pt[line], np.concatenate(line_cells), include_adjacent)
+                n_mapped += best.size
+                for i, th in enumerate(thetas):
+                    hits[i] += int(np.count_nonzero(best > th))  # NaN never hits
     traffic_positive = grid.traffic_positive_cells()
-    points: dict[float, tuple[float, float, int]] = {}
-    for th in sorted(set(grid.thresholds) | {float(theta)}):
-        # strictly above th: everything right of the last value <= th
-        hits = n_mapped - int(np.searchsorted(ordered, th, side="right"))
-        hit_rate = hits / n_mapped if n_mapped else 0.0
-        warned_fraction = grid.warned_cells(th) / traffic_positive if traffic_positive else 0.0
-        points[th] = (warned_fraction, hit_rate, hits)
-    warned_fraction, hit_rate, hits_at_theta = points[float(theta)]
+    warned = grid.warned_counts(thetas)
+    curve = []
+    for th, hits_th, warned_th in zip(thetas, hits, warned):
+        hit_rate = hits_th / n_mapped if n_mapped else 0.0
+        warned_fraction = warned_th / traffic_positive if traffic_positive else 0.0
+        curve.append((th, warned_fraction, hit_rate))
+    at = thetas.index(float(theta))
     return EvalReport(
         theta=float(theta),
-        hit_rate=hit_rate,
-        warned_fraction=warned_fraction,
+        hit_rate=curve[at][2],
+        warned_fraction=curve[at][1],
         n_test=test.n,
         n_mapped=n_mapped,
         n_unmapped=test.n - n_mapped,
-        hits=hits_at_theta,
-        curve=tuple((th, wf, hr) for th, (wf, hr, _) in points.items()),
+        hits=hits[at],
+        curve=tuple(curve),
         include_adjacent=include_adjacent,
     )
 
 
-def _best_p(
-    p_pt: np.ndarray, xi: np.ndarray, mi: np.ndarray, ti: np.ndarray, include_adjacent: bool
-) -> np.ndarray:
-    """Largest p_pt over each accident's cell (and its km neighbours), NaN read as -inf."""
-    best = p_pt[xi, mi, ti]
+def _best_p(p_pt: np.ndarray, cells: np.ndarray, include_adjacent: bool) -> np.ndarray:
+    """Largest p_pt over each accident's cell (and its km neighbours), NaN when all are flagged.
+
+    ``cells`` are flat indices into ``p_pt``; the km neighbours of a cell lie
+    one km-bin stride before and after it.
+    """
+    flat = p_pt.reshape(-1)
+    best = flat[cells]
     if include_adjacent:
-        last = p_pt.shape[0] - 1
-        for near in (xi - 1, xi + 1):
-            # at either end of the line the clip reads the accident's own cell again
-            best = np.fmax(best, p_pt[np.clip(near, 0, last), mi, ti])
-    return np.where(np.isnan(best), -np.inf, best)
+        stride = flat.size // p_pt.shape[0]
+        # at either end of the line the neighbour read is the accident's own cell
+        best = np.fmax(best, flat[np.where(cells >= stride, cells - stride, cells)])
+        best = np.fmax(best, flat[np.where(cells < flat.size - stride, cells + stride, cells)])
+    return best
 
 
 def report_to_json(report: CorrelationReport | EvalReport) -> str:

@@ -193,15 +193,14 @@ class Dataset:
         if unindexed.any():
             km = float(self.kms[unindexed][0])
             raise ValueError(f"km {km!r} has no finite bin index at bin width {delta!r}")
-        order = np.lexsort((bins, self.line_codes))
-        codes, bins = self.line_codes[order], bins[order]
-        firsts = np.flatnonzero(
-            np.concatenate(([True], (codes[1:] != codes[:-1]) | (bins[1:] != bins[:-1])))
-        )
-        sizes = np.diff(firsts, append=len(order))
+        # one int64 key per record, ascending by line and then by bin; it stays
+        # below lines x distinct bins, so it cannot overflow
+        values, ranks = np.unique(bins, return_inverse=True)
+        n = len(values)
+        keys, sizes = np.unique(self.line_codes.astype(np.int64) * n + ranks, return_counts=True)
         counts: dict[str, dict[int, int]] = {name: {} for name in self.line_names}
-        for code, index, size in zip(codes[firsts].tolist(), bins[firsts].tolist(), sizes.tolist()):
-            counts[self.line_names[code]][int(index)] = size
+        for key, index, size in zip(keys.tolist(), values[keys % n].tolist(), sizes.tolist()):
+            counts[self.line_names[key // n]][int(index)] = size
         return counts
 
 

@@ -278,7 +278,16 @@ class WarningGrid:
         return sum(int(np.count_nonzero(self.flags[line] & bit)) for line in self.lines)
 
     def warned_cells(self, theta: float) -> int:
-        return sum(int(self.warned_mask(line, theta).sum()) for line in self.lines)
+        return self.warned_counts((theta,))[0]
+
+    def warned_counts(self, thetas: Sequence[float]) -> list[int]:
+        """Number of cells warned at each of ``thetas``, all counted in one loop over the lines."""
+        counts = [0] * len(thetas)
+        with np.errstate(invalid="ignore"):
+            for line in self.lines:
+                for i, theta in enumerate(thetas):
+                    counts[i] += int(np.count_nonzero(self.p_pt[line] > theta))
+        return counts
 
     def n_cells(self) -> int:
         return sum(arr.size for arr in self.p_pt.values())
@@ -341,17 +350,16 @@ def _build_grid(
         spatial = np.array([segment.get(k, 0.0) for k in range(lo, hi + 1)]) * model.p_line_at(line)
         m_vec = np.array([traffic.counts.get((line, k), 0.0) for k in range(lo, hi + 1)])
         window = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
+        p = temporal[None, :, :] * spatial[:, None, None]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            p = (temporal[None, :, :] * spatial[:, None, None]) / window[:, None, :]
-        cell_flags = np.zeros(p.shape, dtype=np.uint8)
-        no_traffic = np.broadcast_to((window == 0.0)[:, None, :], p.shape)
-        insufficient = np.broadcast_to(month_insufficient[None, :, None], p.shape)
-        p = np.where(no_traffic | insufficient, np.nan, p)
+            np.divide(p, window[:, None, :], out=p)
+        no_traffic = (window == 0.0)[:, None, :]
+        np.copyto(p, np.nan, where=no_traffic)
+        np.copyto(p, np.nan, where=month_insufficient[None, :, None])
         with np.errstate(invalid="ignore"):
-            exceeds = p > 1.0
-        cell_flags |= np.where(no_traffic, _NO_TRAFFIC_BIT, 0).astype(np.uint8)
-        cell_flags |= np.where(insufficient, _INSUFFICIENT_BIT, 0).astype(np.uint8)
-        cell_flags |= np.where(exceeds, _EXCEEDS_BIT, 0).astype(np.uint8)
+            cell_flags = (p > 1.0).view(np.uint8) * np.uint8(_EXCEEDS_BIT)
+        cell_flags |= no_traffic.view(np.uint8) * np.uint8(_NO_TRAFFIC_BIT)
+        cell_flags |= month_insufficient.view(np.uint8)[None, :, None] * np.uint8(_INSUFFICIENT_BIT)
         p_pt[line] = p
         m_window[line] = window
         flags[line] = cell_flags

@@ -6,6 +6,7 @@ import dataclasses
 import datetime as dt
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -283,21 +284,54 @@ def test_hex_geojson_matches_dict_writer(cells, lat0: float, lon0: float, spacin
     # negative and odd columns always present: odd ones sit half a step lower
     cells = {(-3, -2): 5, (-2, 7): 1, (1, 0): 2, **cells}
     grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
-    assert hex_grid_to_geojson(grid) == hex_grid_to_geojson_loop(grid)
+    assert_same_geojson(grid, hex_grid_to_geojson_loop(grid))
+
+
+def assert_same_geojson(grid: HexGrid, expected: str) -> bool:
+    """``hex_grid_to_geojson`` writes ``expected``, or refuses the grid when a
+    corner of ``expected`` lies off the globe.  True when it wrote the text."""
+    rings = [feature["geometry"]["coordinates"][0] for feature in json.loads(expected)["features"]]
+    if all(abs(lat) <= 90.0 and abs(lon) <= 180.0 for ring in rings for lon, lat in ring):
+        assert hex_grid_to_geojson(grid) == expected
+        return True
+    with pytest.raises(ValueError, match="^a hexagon corner at spacing .* lies off the globe"):
+        hex_grid_to_geojson(grid)
+    return False
 
 
 @pytest.mark.parametrize("spacing", [1e-6, 2.5, 1e6])
 @pytest.mark.parametrize("lat0", [-60.3, 59.7, 60.0])
 def test_hex_geojson_matches_corner_loop(spacing: float, lat0: float) -> None:
     # negative, odd and large indices; 4e10 is about the largest a 1e-6 km
-    # lattice reaches on Earth
+    # lattice reaches on Earth.  Each cell alone, and all together, is
+    # written as the loop writes it or refused when a corner leaves the globe
     big = 4 * 10**10
     cells = {(-3, -2): 5, (-2, 7): 1, (1, 0): 2, (0, 0): 3, (big + 1, -big): 4,
              (-big - 1, big - 1): 6, (2**33 + 1, 2**31 - 1): 7, (-(2**31) - 1, -(2**33) + 1): 8}
+    written = set()
     for lon0 in (-179.9, 0.0, 19.2, 180.0):
-        grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
-        assert hex_grid_to_geojson(grid) == hex_geojson_loop(grid)
+        for cell in [*cells, None]:
+            one = cells if cell is None else {cell: cells[cell]}
+            grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=one)
+            if assert_same_geojson(grid, hex_geojson_loop(grid)):
+                written.add(cell)
+    # the small cells are written at 1e-6 and 2.5 km, and at 1e-6 km a 2**33 index too
+    assert ({(0, 0), (1, 0)} <= written) == (spacing < 1e6)
+    assert ((2**33 + 1, 2**31 - 1) in written) == (spacing == 1e-6)
+    assert None not in written  # the 4e10 indices leave the globe at any spacing
     grid = hex_bin([(lat0 + 0.01 * i, 19.0 - 0.02 * i) for i in range(-20, 21)], spacing)
+    assert assert_same_geojson(grid, hex_geojson_loop(grid)) == (spacing < 1e6)
+
+
+def test_hex_geojson_refuses_corners_off_the_globe() -> None:
+    # a corner past lat 90, past lon 180 across the antimeridian, or NaN
+    for lat0, lon0, cells in ((89.99, 19.0, {(0, 0): 1}), (50.0, 179.99, {(0, 0): 1}),
+                              (50.0, -179.99, {(-1, 0): 1}), (math.nan, 19.0, {(0, 0): 1})):
+        grid = HexGrid(spacing=2.5, lat0=lat0, lon0=lon0, cells=cells)
+        with pytest.raises(ValueError, match="lies off the globe"):
+            hex_grid_to_geojson(grid)
+    # a hexagon near both the pole and the antimeridian is still written
+    grid = HexGrid(spacing=2.5, lat0=89.0, lon0=179.0, cells={(0, 0): 1})
     assert hex_grid_to_geojson(grid) == hex_geojson_loop(grid)
 
 
@@ -561,13 +595,16 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
         assert_same_report(grid, test, theta)
 
 
-def test_holdout_matches_record_loop_across_block_seams(eval_grid, bundled_test_data) -> None:
+def test_holdout_matches_record_loop_across_block_seams(
+    bundled_model, bundled_traffic, bundled_test_data
+) -> None:
     # the bundled hold-out set, moved along its lines and around the clock,
     # past two block seams
     rng = np.random.default_rng(5)
     base = bundled_test_data.records
-    n = 2 * analysis._BLOCK + 7
-    records = tuple(
+    block = analysis._BLOCK
+    n = 2 * block + 7
+    records = [
         AccidentRecord(
             date=base[i % len(base)].date,
             time=int(t),
@@ -575,10 +612,57 @@ def test_holdout_matches_record_loop_across_block_seams(eval_grid, bundled_test_
             km=float(km),
         )
         for i, t, km in zip(range(n), rng.integers(0, 24 * 60, n), rng.uniform(0.0, 70.0, n))
-    )
+    ]
+    # line 139 in all three blocks, at its first and last km bin, where the
+    # adjacent bins are clipped; and a line the grid lacks.  A quarter of the
+    # traffic in the last bin lifts its p_pt above the first bins', so a read
+    # wrapping from one end of the line to the other would change the hits
+    counts = dict(bundled_traffic.counts)
+    last = max(k for line, k in counts if line == "139")
+    counts[("139", last)] /= 4.0
+    traffic = TrafficTable(counts=counts, delta_x=bundled_traffic.delta_x)
+    grid = sweep_all(bundled_model, traffic, DEFAULT_PROFILE, (0.0005, 0.001, 0.002))
+    first, n_x = grid.x_first["139"], grid.p_pt["139"].shape[0]
+    assert first + n_x - 1 == last
+    ends = ((first + 0.5) * grid.delta_x, (first + n_x - 0.5) * grid.delta_x)
+    for i in [*range(0, n, 40), *range(41, n, 40), block - 1, block, n - 1]:
+        records[i] = records[i]._replace(line="139", km=ends[i % 2])
+    for i in range(3, n, 1001):
+        records[i] = records[i]._replace(line="999")
     period = (bundled_test_data.period_start, bundled_test_data.period_end)
     test = dataset_of(records, *period)
-    assert_same_report(eval_grid, test, 0.001)
+    cells = [cell_of(grid, r.line, r.km, r.date.month, r.time / 60.0) for r in records]
+    assert cells[0][0] == cells[block][0] == cells[n - 1][0] == 0
+    assert cells[block - 1][0] == cells[41][0] == n_x - 1
+    assert "999" in test.line_names and cells[3] is None
+    # theta equal to the p_pt of a test accident's own cell checks that hits are strict
+    own = next(p for r, cell in zip(records, cells) if cell is not None
+               and not math.isnan(p := float(grid.p_pt[r.line][cell])))
+    for theta in (0.001, own):
+        assert_same_report(grid, test, theta)
+
+
+@pytest.mark.parametrize("adjacent", [False, True])
+def test_holdout_peak_memory_per_test_row(eval_grid, adjacent: bool) -> None:
+    # cells are located block by block and kept per line as flat indices;
+    # keeping the four located index arrays of the whole test set would add
+    # 32 bytes a row
+    rng = np.random.default_rng(11)
+    n = 8 * analysis._BLOCK + 7
+    names = tuple(sorted(eval_grid.lines))
+    codes, kms = rng.integers(0, len(names), n), rng.uniform(0.0, 45.0, n)
+    months, minutes = rng.integers(1, 13, n), rng.integers(0, 24 * 60, n)
+    days = np.full(n, PERIOD[0].toordinal())
+    test = Dataset(*PERIOD, names, codes, kms, months, minutes, days, ("",) * n)
+    tracemalloc.start()
+    try:
+        report = evaluate_holdout(eval_grid, test, 0.001, include_adjacent=adjacent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_mapped == n
+    # 40 bytes a row, and 128 bytes a row of one block for its temporaries
+    assert peak <= 40 * n + 128 * analysis._BLOCK
 
 
 def test_holdout_single_record_matches_record_loop(eval_grid) -> None:

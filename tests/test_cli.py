@@ -564,12 +564,13 @@ def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
 
 def test_map_spacing_range(tmp_path: Path, capsys) -> None:
     # outside 1e-6..1e6 km: one error line and no map; at 1e-13 the corners
-    # of every hexagon would collapse to one point near (50, 19)
+    # of every hexagon would collapse to one point near (50, 19).  At 1e4 km
+    # and above, a hexagon of the bundled map reaches past lat 90: refused too
     base = ["map", "--accidents", ACCIDENTS, "--geometry", GEOMETRY, "--out-dir", str(tmp_path)]
-    for value in ("1e-13", "9.99e-7", "1.01e6", "1e7"):
+    for value in ("1e-13", "9.99e-7", "1e4", "1e6", "1.01e6", "1e7"):
         assert_input_error(main(base + ["--spacing", value]), capsys)
         assert not (tmp_path / "hexmap.geojson").exists()
-    for value in ("1e-6", "1e6"):
+    for value in ("1e-6", "1000"):
         assert main(base + ["--spacing", value]) == 0
         doc = json.loads((tmp_path / "hexmap.geojson").read_text())
         assert sum(f["properties"]["count"] for f in doc["features"]) == 877

@@ -128,6 +128,35 @@ def test_bin_membership_invariant(value: float, delta: float) -> None:
     assert idx == floor_bin(value, delta)
 
 
+@pytest.mark.parametrize("delta", [5.0, 0.5])
+def test_km_bin_counts_matches_record_loop_in_order(delta: float) -> None:
+    # more than two blocks of interleaved lines; -0.0 and 0.0, exact bin
+    # edges and 1e15 on one line, and a line with a single record.  Lists,
+    # not dicts, so the order of lines and of bins is compared too.  The bin
+    # widths are exact binary fractions, where bin_index is the exact floor
+    rng = np.random.default_rng(23)
+    n = 2 * ingest._BLOCK + 11
+    codes = rng.integers(0, 4, n)
+    kms = rng.uniform(0.0, 400.0, n)
+    special = rng.choice(n - 1, 8, replace=False)
+    kms[special] = [-0.0, 0.0, delta, 3 * delta, 80 * delta, 0.3, 1e15, 1e15]
+    codes[special] = 2
+    codes[-1] = 4
+    names = ("0", "1", "2", "3", "4")
+    ints = np.ones(n, dtype=np.int64)
+    data = Dataset(*PERIOD, names, codes, kms, ints, ints, ints * PERIOD[0].toordinal(), ("",) * n)
+    loop: dict[str, dict[int, int]] = {}
+    rows = sorted((code, floor_bin(km, delta)) for code, km in zip(codes.tolist(), kms.tolist()))
+    for code, k in rows:
+        bins = loop.setdefault(names[code], {})
+        bins[k] = bins.get(k, 0) + 1
+    counts = data.km_bin_counts(delta)
+    assert [(line, list(bins.items())) for line, bins in counts.items()] == [
+        (line, list(bins.items())) for line, bins in loop.items()
+    ]
+    assert counts["4"] == {floor_bin(float(kms[-1]), delta): 1}
+
+
 # --- records and datasets ---
 
 

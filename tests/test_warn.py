@@ -279,6 +279,33 @@ def test_warning_threshold_is_strict(bundled_grid) -> None:
     assert at < just_below  # the maximum itself never warns at theta == p_pt
 
 
+def test_warned_counts_match_cell_loop(bundled_grid) -> None:
+    # thresholds equal to p_pt values of the grid check that each count is strict
+    values = bundled_grid.p_pt["139"]
+    thetas = sorted(set(values[~np.isnan(values)].tolist()))[::25] + [0.0, 0.001, math.inf]
+    cells = [p for line in bundled_grid.lines for p in bundled_grid.p_pt[line].ravel().tolist()]
+    counts = bundled_grid.warned_counts(thetas)
+    assert counts == [sum(1 for p in cells if p > theta) for theta in thetas]
+    assert counts == [bundled_grid.warned_cells(theta) for theta in thetas]
+    assert len(thetas) > 10 and counts[-1] == 0
+
+
+def test_sweep_peak_memory_stays_near_its_output() -> None:
+    # the grid is built line by line; one p_pt buffer for the whole network
+    # would about double the traced peak
+    train, traffic = make_synthetic(np.random.default_rng(2), max_records=2000, max_lines=40)
+    model = fit(train)
+    tracemalloc.start()
+    try:
+        grid = sweep_all(model, traffic, DEFAULT_PROFILE, THRESHOLDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.lines) >= 20
+    tables = (grid.p_pt, grid.m_window, grid.flags)
+    assert peak <= 1.1 * sum(arr.nbytes for table in tables for arr in table.values())
+
+
 def test_warned_mask_ignores_nan(bundled_model) -> None:
     table = TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0)
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
