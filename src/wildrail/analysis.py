@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable
+from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable, _bin_floor
 from .model import SeasonScheme
 from .warn import WarningGrid
 
@@ -235,9 +235,11 @@ def speed_correlation(
 ) -> CorrelationReport:
     """Correlate track speed with accidents per train across km bins.
 
-    For every traffic bin with trains, a defined speed at the bin midpoint
-    pairs with accidents-per-train = accident count in the bin divided by its
-    daily train count.  Bins without a covering speed interval are dropped.
+    For every bin of a traffic run with trains, a defined speed at the bin
+    midpoint pairs with accidents-per-train = accident count in the bin
+    divided by its daily train count.  The speed is that of the profile step
+    [km_from, km_to) holding the midpoint; bins no step covers are dropped.
+    Pairs run by line name, then by km bin.
 
     Raises:
         ValueError: delta_x mismatching the traffic table, or fewer than 3
@@ -248,18 +250,31 @@ def speed_correlation(
         raise ValueError(
             f"delta_x={delta_x} does not match the traffic table bin width {traffic.delta_x}"
         )
-    acc_counts = data.km_bin_counts(delta_x)
+    names = sorted(traffic.counts)
+    # accidents per bin of every run, the runs laid out one after another; a record
+    # off its line's run, or on a line without one (the empty run last), is not counted
+    firsts = np.array([traffic.x_first[name] for name in names] + [0], dtype=float)
+    sizes = np.array([len(traffic.counts[name]) for name in names] + [0])
+    starts = np.cumsum(sizes) - sizes
+    run_of = {name: i for i, name in enumerate(names)}
+    li = np.array([run_of.get(name, len(names)) for name in data.line_names], dtype=np.int64)
+    li = li[data.line_codes]
+    pos = _bin_floor(data.kms, delta_x) - firsts[li]
+    inside = (pos >= 0) & (pos < sizes[li])
+    acc = np.bincount((pos + starts[li])[inside].astype(np.int64), minlength=int(sizes.sum()))
     pairs: list[tuple[str, float, float, float]] = []
-    for line, k in sorted(traffic.counts):
-        m = traffic.counts[(line, k)]
-        profile = speeds.get(line)
-        if m <= 0 or profile is None:
+    for line, first, start in zip(names, firsts.tolist(), starts.tolist()):
+        run, profile = traffic.counts[line], speeds.get(line)
+        if profile is None or not profile.intervals:
             continue
-        x_from = k * delta_x
-        speed = profile.speed_at(x_from + delta_x / 2.0)
-        if speed is None:
-            continue
-        pairs.append((line, x_from, speed, acc_counts.get(line, {}).get(k, 0) / m))
+        x_from = (first + np.arange(len(run))) * delta_x
+        mid = x_from + delta_x / 2.0
+        steps = np.array(profile.intervals)  # (km_from, km_to, vmax) rows, ascending and disjoint
+        # the one step that can hold a midpoint is the last that starts at or before it
+        i = np.searchsorted(steps[:, 0], mid, side="right") - 1
+        keep = np.flatnonzero((run > 0) & (i >= 0) & (mid < steps[i, 1]))
+        speed, risk = steps[i[keep], 2].tolist(), (acc[start + keep] / run[keep]).tolist()
+        pairs.extend(zip([line] * len(keep), x_from[keep].tolist(), speed, risk))
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 usable bins for a correlation, got {len(pairs)}")
     speed_arr = np.array([p[2] for p in pairs])

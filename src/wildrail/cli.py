@@ -50,7 +50,6 @@ from .ingest import (
     parse_geometries,
     parse_speed_profiles,
     parse_traffic,
-    parse_traffic_runs,
 )
 from .model import (
     DEFAULT_SEASONS,
@@ -231,8 +230,9 @@ OPTIONS: dict[str, tuple[Callable[[Any], Any], Any, str]] = {
     "delta_t": (_positive, 1.0, "hour bin width (default 1)"),
     "smoothing": (_number, 0.0, "additive smoothing count (default 0)"),
     "model": (_path, None, "fitted model JSON"),
-    "traffic": (_path, None, "traffic CSV (line,km_from,count)"),
-    "traffic_runs": (_path, None, "per-train run CSV (line,km_from,km_to,departure)"),
+    "traffic": (_path, None,
+                "traffic CSV, daily counts (line,km_from,count) or train runs"
+                " (line,km_from,km_to,departure)"),
     "speeds": (_path, None, "speed profile CSV (line,km_from,km_to,vmax)"),
     "geometry": (_path, None, "line geometry GeoJSON"),
     "thresholds": (parse_thresholds_spec, DEFAULT_THRESHOLDS,
@@ -267,15 +267,6 @@ def _load_dataset(path: str, opts: argparse.Namespace) -> Dataset:
     # no explicit period: use the span of the data itself
     first, last = (dt.date.fromordinal(int(day)) for day in (data.dates.min(), data.dates.max()))
     return dataclasses.replace(data, period_start=first, period_end=last)
-
-
-def _load_traffic(opts: argparse.Namespace, delta_x: float):
-    table_path, runs_path = opts.traffic, opts.traffic_runs
-    if (table_path is None) == (runs_path is None):
-        raise ValueError("provide exactly one of --traffic or --traffic-runs")
-    if table_path is not None:
-        return _parse(table_path, parse_traffic, delta_x)
-    return _parse(runs_path, parse_traffic_runs, delta_x)
 
 
 def _out_path(opts: argparse.Namespace, filename: str) -> str:
@@ -335,7 +326,7 @@ def cmd_warn(opts: argparse.Namespace) -> int:
         given = ", ".join("--" + name.replace("_", "-") for name in map_only)
         raise ValueError(f"{given}: used only by the GeoJSON export, which needs --geometry")
     model = _parse(_require(opts, "model"), model_from_json)
-    traffic = _load_traffic(opts, model.bins.delta_x)
+    traffic = _parse(_require(opts, "traffic"), parse_traffic, model.bins.delta_x)
     theta_map = opts.thresholds[0] if opts.theta_map is None else opts.theta_map
     geometries = None if opts.geometry is None else _parse(opts.geometry, parse_geometries)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
@@ -396,7 +387,7 @@ def cmd_profile(opts: argparse.Namespace) -> int:
 
 def cmd_corr(opts: argparse.Namespace) -> int:
     data = _load_dataset(_require(opts, "accidents"), opts)
-    traffic = _load_traffic(opts, opts.delta_x)
+    traffic = _parse(_require(opts, "traffic"), parse_traffic, opts.delta_x)
     speeds = _parse(_require(opts, "speeds"), parse_speed_profiles)
     report = speed_correlation(data, traffic, speeds, opts.delta_x)
     out = _out_path(opts, "correlation.json")
@@ -410,7 +401,7 @@ def cmd_corr(opts: argparse.Namespace) -> int:
 
 def cmd_eval(opts: argparse.Namespace) -> int:
     model = _parse(_require(opts, "model"), model_from_json)
-    traffic = _load_traffic(opts, model.bins.delta_x)
+    traffic = _parse(_require(opts, "traffic"), parse_traffic, model.bins.delta_x)
     test = _load_dataset(_require(opts, "test"), opts)
     theta = opts.thresholds[0] if opts.theta is None else opts.theta
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
@@ -428,7 +419,7 @@ def cmd_eval(opts: argparse.Namespace) -> int:
 
 
 _ACCIDENTS = ("accidents", "period_start", "period_end")
-_GRID = ("model", "traffic", "traffic_runs")
+_GRID = ("model", "traffic")
 
 # command -> (handler, help, the options it reads)
 COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[str, ...]]] = {
@@ -442,7 +433,7 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[str, .
     "profile": (cmd_profile, "species and hour-of-day accident profiles", (
         *_ACCIDENTS, "seasons", "out_dir")),
     "corr": (cmd_corr, "correlate track speed with accidents per train", (
-        *_ACCIDENTS, "delta_x", "traffic", "traffic_runs", "speeds", "out_dir")),
+        *_ACCIDENTS, "delta_x", "traffic", "speeds", "out_dir")),
     "eval": (cmd_eval, "evaluate a warning grid against held-out accidents", (
         *_GRID, "test", "period_start", "period_end", "thresholds", "theta", "adjacent",
         "out_dir")),

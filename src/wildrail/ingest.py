@@ -25,7 +25,6 @@ __all__ = [
     "count_days",
     "parse_accidents",
     "parse_traffic",
-    "parse_traffic_runs",
     "parse_geometries",
     "km_to_geo",
     "geocode",
@@ -180,45 +179,20 @@ class Dataset:
         """Calendar days in the observation period, inclusive."""
         return count_days(self.period_start, self.period_end)
 
-    def km_bin_counts(self, delta: float) -> dict[str, dict[int, int]]:
-        """Records per line and km bin: line -> ``bin_index(km, delta)`` -> count.
 
-        Only occupied bins are listed; lines and bins ascend.  A km without a
-        finite bin index (``delta`` too small) raises ValueError.
-        """
-        if not self.n:
-            return {}
-        bins = _bin_floor(self.kms, delta)
-        unindexed = ~np.isfinite(bins)
-        if unindexed.any():
-            km = float(self.kms[unindexed][0])
-            raise ValueError(f"km {km!r} has no finite bin index at bin width {delta!r}")
-        # one int64 key per record, ascending by line and then by bin; it stays
-        # below lines x distinct bins, so it cannot overflow
-        values, ranks = np.unique(bins, return_inverse=True)
-        n = len(values)
-        keys, sizes = np.unique(self.line_codes.astype(np.int64) * n + ranks, return_counts=True)
-        counts: dict[str, dict[int, int]] = {name: {} for name in self.line_names}
-        for key, index, size in zip(keys.tolist(), values[keys % n].tolist(), sizes.tolist()):
-            counts[self.line_names[key // n]][int(index)] = size
-        return counts
-
-
-def _read_header(reader, expected: tuple[str, ...], what: str) -> bool:
-    """Consume and check the header row.  Returns False when the stream is empty."""
+def _read_header(reader, headers: tuple, what: str) -> tuple[str, ...] | None:
+    """Consume the header row and return which of ``headers`` it is; None for an empty stream."""
     try:
         header = next(reader)
     except StopIteration:
-        return False
+        return None
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from None
     got = tuple(cell.strip() for cell in header)
-    if got != expected:
-        raise ParseError(
-            f"{what} header must be {','.join(expected)!r}, got {','.join(got)!r}",
-            line_no=1,
-        )
-    return True
+    if got not in headers:
+        accepted = " or ".join(repr(",".join(expected)) for expected in headers)
+        raise ParseError(f"{what} header must be {accepted}, got {','.join(got)!r}", line_no=1)
+    return got
 
 
 def _rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
@@ -241,14 +215,16 @@ def _rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(str(exc), reader.line_num) from None
 
 
-def _table_rows(stream, header: tuple[str, ...], what: str) -> Iterator[tuple[int, str, list]]:
+def _table_rows(stream, headers: tuple, what: str) -> Iterator[tuple[int, str, list]]:
     """``(line_no, line, other cells)`` of each ``_rows`` row of CSV text or a text stream.
 
-    The header must read ``header`` (``what`` names the table) and each line
-    identifier must be non-empty, or a ParseError says so.  An empty stream yields no rows.
+    The header must read one of ``headers`` (``what`` names the table), as
+    wide as every row, and each line identifier must be non-empty, or a
+    ParseError says so.  An empty stream yields no rows.
     """
     reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
-    if _read_header(reader, header, what):
+    header = _read_header(reader, headers, what)
+    if header:
         for line_no, (line, *cells) in _rows(reader, len(header)):
             if not line:
                 raise ParseError("line identifier must be non-empty", line_no)
@@ -284,7 +260,7 @@ def _accident_rows(reader, period: tuple[dt.date, dt.date]) -> tuple:
     ``parse_accidents``.
     """
     start, end = period
-    if not _read_header(reader, ACCIDENT_HEADER, "accident"):
+    if not _read_header(reader, (ACCIDENT_HEADER,), "accident"):
         raise ParseError("empty accident file")
     lines: dict[str, int] = {}
     day_of_text: dict[str, int] = {}  # date text -> its position in days
@@ -558,106 +534,152 @@ def _grid_index(start: float, delta: float) -> int | None:
 
 @dataclass(frozen=True)
 class TrafficTable:
-    """Daily train counts per (line, km bin).
+    """Daily train counts per line as one dense run of km bins, the layout of ``ModelCounts``.
 
-    Keys are (line, k) for the bin [k * delta_x, (k + 1) * delta_x); k must
-    be a non-negative int, so a float start such as 10.0 is rejected rather
-    than read as bin 10.  Counts must be finite and non-negative; unknown
-    cells count as zero traffic.
+    ``counts[line][i]`` counts km bin k = ``x_first[line] + i``, which is
+    [k * delta_x, (k + 1) * delta_x); bins off a line's run count as zero.
+    ``x_first`` values must be plain non-negative ints, so a start such as
+    10.0 is not read as bin 10, and runs 1-D arrays of finite, non-negative
+    counts.  Tables are equal when their bin widths and runs are.
     """
 
-    counts: dict[tuple[str, int], float]
+    x_first: dict[str, int]
+    counts: dict[str, np.ndarray]
     delta_x: float
 
     def __post_init__(self) -> None:
         _check_bin_width(self.delta_x)
-        for (line, k), value in self.counts.items():
+        if self.x_first.keys() != self.counts.keys():
+            raise ValueError("x_first and counts must name the same lines")
+        for line, run in self.counts.items():
+            k = self.x_first[line]
             if type(k) is not int or k < 0:
                 raise ValueError(f"km bin {k!r} on line {line} must be a non-negative int index")
-            if not 0 <= value < math.inf:
-                kind = "negative" if value < 0 else "non-finite"
-                raise ValueError(f"{kind} count {value} on line {line} in km bin {k}")
+            if not isinstance(run, np.ndarray) or run.ndim != 1:
+                raise ValueError(f"counts of line {line} must be a 1-D numpy array")
+            bad = np.flatnonzero(~((run >= 0) & (run < math.inf)))
+            if bad.size:
+                value, kind = float(run[bad[0]]), "negative" if run[bad[0]] < 0 else "non-finite"
+                raise ValueError(f"{kind} count {value} on line {line} in km bin {k + int(bad[0])}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrafficTable):
+            return NotImplemented
+        same = self.delta_x == other.delta_x and self.x_first == other.x_first
+        return same and all(np.array_equal(r, other.counts[ln]) for ln, r in self.counts.items())
 
     def count(self, line: str, km: float) -> float:
         """Trains per day through the bin containing ``km`` on ``line`` (0 if unknown)."""
-        return self.counts.get((line, bin_index(km, self.delta_x)), 0.0)
+        run, i = self.counts.get(line, ()), bin_index(km, self.delta_x) - self.x_first.get(line, 0)
+        return float(run[i]) if 0 <= i < len(run) else 0.0
 
 
 def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
-    """Parse traffic CSV (``line,km_from,count``) into a TrafficTable.
+    """Parse traffic CSV, in the form its header names, into a TrafficTable.
 
-    km_from must be non-negative and sit on the ``delta_x`` grid.  Duplicate
-    (line, bin) rows are summed, and a sum that overflows is a ParseError.  An
-    empty stream yields an empty table (all lookups return 0).
-
-    Raises:
-        ValueError: delta_x not positive and finite.
-        ParseError: malformed header, row or field.
-    """
-    _check_bin_width(delta_x)
-    counts: dict[tuple[str, int], float] = {}
-    for line_no, line, (km_text, count_text) in _table_rows(stream, TRAFFIC_HEADER, "traffic"):
-        km_from = _parse_float_field(km_text, "km_from", line_no)
-        if km_from < 0:
-            raise ParseError(f"km_from must be non-negative, got {km_text!r}", line_no)
-        index = _grid_index(km_from, delta_x)
-        if index is None:
-            raise ParseError(f"km_from {km_text} is not aligned to the {delta_x} km grid", line_no)
-        count = _parse_float_field(count_text, "count", line_no)
-        if count < 0:
-            raise ParseError(f"count must be non-negative, got {count_text!r}", line_no)
-        total = counts.get((line, index), 0.0) + count
-        if total == math.inf:
-            raise ParseError(f"counts of line {line} in km bin {index} sum to inf", line_no)
-        counts[(line, index)] = total
-    return TrafficTable(counts=counts, delta_x=delta_x)
-
-
-def parse_traffic_runs(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
-    """Aggregate per-train run records into a daily-count TrafficTable.
-
-    Input CSV is ``line,km_from,km_to,departure`` with one row per train run
-    on a representative day.  A run adds one train to every delta_x bin its
-    [km_from, km_to) extent overlaps; the departure time is validated but not
-    retained (time-of-day shaping is owned by the traffic profile).  Runs whose
-    per-line bin spans sum past ``model.MAX_GRID_CELLS // 12``, more km bins
-    than any warning grid holds, are refused before their bins are counted.
+    ``line,km_from,count`` rows give trains per day by km bin: km_from must be
+    non-negative and on the ``delta_x`` grid, and a bin's rows are summed in
+    row order.  ``line,km_from,km_to,departure`` rows are the train runs of a
+    day: each adds one train to every bin its [km_from, km_to) overlaps, and
+    the departure is checked, not kept (the traffic profile shapes the day).
+    Rows whose per-line bin spans sum past ``model.MAX_GRID_CELLS // 12``,
+    more km bins than any warning grid holds, are refused before any bin is
+    counted.  An error names its row: a malformed row is reported once the
+    rows before it pass that bound and sum without overflow.  An empty stream
+    yields an empty table.
 
     Raises:
         ValueError: delta_x not positive and finite.
-        ParseError: malformed header, row or field, or runs past that bound.
+        ParseError: malformed header, row or field, rows past that bound, or
+            a sum that overflows.
     """
     from . import model  # the grid bound lives there, and model imports this module
 
     _check_bin_width(delta_x)
-    counts: dict[tuple[str, int], float] = {}
-    spans: dict[str, tuple[int, int]] = {}  # per line, its first and last run bin
-    bins = 0  # the spans' summed bin counts
-    runs = _table_rows(stream, TRAFFIC_RUN_HEADER, "traffic run")
-    for line_no, line, (from_text, to_text, dep_text) in runs:
-        km_from = _parse_float_field(from_text, "km_from", line_no)
-        km_to = _parse_float_field(to_text, "km_to", line_no)
-        if km_from < 0 or km_to <= km_from:
-            raise ParseError(f"need 0 <= km_from < km_to, got {from_text}..{to_text}", line_no)
-        _parse_time_field(dep_text, line_no)
-        if not math.isfinite(km_to / delta_x):
-            raise ParseError(f"km_to {to_text} has no finite {delta_x!r} km bin index", line_no)
-        # the run's bins first..last; a km_to on a bin's start edge leaves that bin out
-        first, last = bin_index(km_from, delta_x), bin_index(km_to, delta_x)
-        if last * delta_x == km_to:
-            last -= 1
-        lo, hi = spans.get(line, (first, first - 1))  # a new line holds no bins yet
-        spans[line] = (min(lo, first), max(hi, last))
-        bins += spans[line][1] - spans[line][0] - (hi - lo)
-        if bins > model.MAX_GRID_CELLS // 12:
-            raise ParseError(
-                f"runs span {bins:,} km bins of {delta_x!r} km, more than the"
-                f" {model.MAX_GRID_CELLS // 12:,} that a {model.MAX_GRID_CELLS:,}-cell grid holds",
-                line_no,
-            )
-        for idx in range(first, last + 1):
-            counts[(line, idx)] = counts.get((line, idx), 0.0) + 1.0
-    return TrafficTable(counts=counts, delta_x=delta_x)
+    lines: dict[str, int] = {}  # line -> its code
+    # per row: its line's code, physical line, and bin index (counts) or km_from (runs);
+    # then the count of each count row and the km_to of each run
+    codes, line_nos, starts, counts, stops = [], [], [], [], []
+    error = None
+    rows = _table_rows(stream, (TRAFFIC_HEADER, TRAFFIC_RUN_HEADER), "traffic")
+    try:
+        for line_no, line, cells in rows:
+            km_from = _parse_float_field(cells[0], "km_from", line_no)
+            if len(cells) == 2:  # line,km_from,count
+                if km_from < 0:
+                    raise ParseError(f"km_from must be non-negative, got {cells[0]!r}", line_no)
+                index = _grid_index(km_from, delta_x)
+                if index is None:
+                    raise ParseError(
+                        f"km_from {cells[0]} is not aligned to the {delta_x} km grid", line_no
+                    )
+                count = _parse_float_field(cells[1], "count", line_no)
+                if count < 0:
+                    raise ParseError(f"count must be non-negative, got {cells[1]!r}", line_no)
+                starts.append(index)
+                counts.append(count)
+            else:  # line,km_from,km_to,departure
+                km_to = _parse_float_field(cells[1], "km_to", line_no)
+                if km_from < 0 or km_to <= km_from:
+                    raise ParseError(
+                        f"need 0 <= km_from < km_to, got {cells[0]}..{cells[1]}", line_no
+                    )
+                _parse_time_field(cells[2], line_no)
+                if not math.isfinite(km_to / delta_x):
+                    raise ParseError(
+                        f"km_to {cells[1]} has no finite {delta_x!r} km bin index", line_no
+                    )
+                starts.append(km_from)
+                stops.append(km_to)
+            codes.append(lines.setdefault(line, len(lines)))
+            line_nos.append(line_no)
+    except ParseError as exc:
+        error = exc  # raised once the rows before it pass the checks below
+    code = np.array(codes, dtype=np.int64)
+    kms = np.array(starts + stops, dtype=float)
+    if stops:  # a run's bins first..last; a km_to on a bin's start edge leaves that bin out
+        firsts, lasts = np.split(_bin_floor(kms, delta_x), 2)
+        lasts -= lasts * delta_x == kms[len(starts) :]
+    else:
+        firsts = lasts = kms  # the bin index of each count row
+    lo = np.full(len(lines), math.inf)
+    np.minimum.at(lo, code, firsts)
+    hi = np.full(len(lines), -math.inf)
+    np.maximum.at(hi, code, lasts)
+    bound = model.MAX_GRID_CELLS // 12
+    if (hi - lo + 1).sum() > bound:  # replay the rows to name the one that passed it
+        spans = {}  # line code -> its first and last bin so far
+        total = 0.0
+        for row, line in enumerate(code.tolist()):
+            a, b = spans.get(line, (firsts[row], firsts[row] - 1))  # a new line holds no bins
+            spans[line] = (min(a, firsts[row]), max(b, lasts[row]))
+            total += spans[line][1] - spans[line][0] - (b - a)
+            if total > bound:
+                raise ParseError(
+                    f"traffic spans {int(total):,} km bins of {delta_x!r} km, more than the"
+                    f" {bound:,} that a {model.MAX_GRID_CELLS:,}-cell grid holds", line_nos[row]
+                )
+    sizes = (hi - lo + 1).astype(np.int64)
+    ends = np.cumsum(sizes)
+    # each row's first bin in one array of every line's run, line after line; within
+    # a line both bin indices are whole floats less than a span apart, so their difference is exact
+    pos = (firsts - lo[code]).astype(np.int64) + (ends - sizes)[code]
+    flat = np.zeros(int(sizes.sum()) + 1)
+    with np.errstate(over="ignore"):  # unbuffered, so a bin adds its rows in row order
+        np.add.at(flat, pos, counts or 1.0)
+    if stops:  # and -1 past each run's last bin, so a running sum counts the runs over a bin
+        np.add.at(flat, pos + (lasts - firsts).astype(np.int64) + 1, -1.0)
+        np.cumsum(flat, out=flat)
+    sums: dict[int, float] = {}
+    for row in np.flatnonzero(np.isinf(flat[pos])).tolist():  # the row whose addition overflowed
+        sums[pos[row]] = total = sums.get(pos[row], 0.0) + counts[row]
+        if total == math.inf:
+            line, k = list(lines)[code[row]], int(firsts[row])
+            raise ParseError(f"counts of line {line} in km bin {k} sum to inf", line_nos[row])
+    if error is not None:
+        raise error
+    x_first = {line: int(k) for line, k in zip(lines, lo.tolist())}
+    return TrafficTable(x_first, dict(zip(lines, np.split(flat[:-1], ends[:-1]))), delta_x)
 
 
 @dataclass(frozen=True)
@@ -829,18 +851,11 @@ class SpeedProfile:
                 raise ValueError(f"line {self.line!r}: vmax must be positive, got {vmax}")
             prev_end = km_to
 
-    def speed_at(self, km: float) -> float | None:
-        """vmax of the interval containing ``km``, or None where undefined."""
-        for km_from, km_to, vmax in self.intervals:
-            if km_from <= km < km_to:
-                return vmax
-        return None
-
 
 def parse_speed_profiles(stream: Union[str, IO[str]]) -> dict[str, SpeedProfile]:
     """Parse speed CSV (``line,km_from,km_to,vmax``) into per-line SpeedProfiles."""
     rows: dict[str, list[tuple[float, float, float]]] = {}
-    steps = _table_rows(stream, SPEED_HEADER, "speed")
+    steps = _table_rows(stream, (SPEED_HEADER,), "speed")
     for line_no, line, (from_text, to_text, vmax_text) in steps:
         km_from = _parse_float_field(from_text, "km_from", line_no)
         km_to = _parse_float_field(to_text, "km_to", line_no)

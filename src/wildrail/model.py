@@ -238,6 +238,10 @@ def fit(
 ) -> FittedModel:
     """Count the dataset into probability tables.
 
+    Each line's km bins are counted as one dense run from its lowest to its
+    highest occupied bin (``ModelCounts.x_first`` and ``by_line_xbin``), once
+    the runs are known to fit a grid of MAX_GRID_CELLS cells.
+
     Args:
         data: accident records with their observation period.
         seasons: month grouping for the hour-of-day distribution.
@@ -249,7 +253,8 @@ def fit(
 
     Raises:
         ValueError: empty dataset, non-positive exposure, negative smoothing,
-            or km spans whose grid would exceed MAX_GRID_CELLS.
+            a km without a finite bin index, or km spans whose grid would
+            exceed MAX_GRID_CELLS.
     """
     if bins is None:
         bins = BinConfig()
@@ -269,12 +274,24 @@ def fit(
     line_counts = np.bincount(data.line_codes, minlength=len(data.line_names))
     by_line = dict(zip(data.line_names, line_counts.tolist()))
     # dense per-line bins over the observed index range, zeros in the gaps
-    bin_counts = data.km_bin_counts(bins.delta_x)
-    spans = {line: (min(indices), max(indices)) for line, indices in bin_counts.items()}
+    x_bins = _bin_floor(data.kms, bins.delta_x)
+    if not np.isfinite(x_bins).all():
+        km = float(data.kms[~np.isfinite(x_bins)][0])
+        raise ValueError(f"km {km!r} has no finite bin index at bin width {bins.delta_x!r}")
+    lo = np.full(len(data.line_names), np.inf)
+    np.minimum.at(lo, data.line_codes, x_bins)
+    hi = np.full(len(data.line_names), -np.inf)
+    np.maximum.at(hi, data.line_codes, x_bins)
+    spans = {line: (int(a), int(b)) for line, a, b in zip(data.line_names, lo, hi)}
     _check_grid_size(spans, bins)
+    # every line's bins in one bincount, line after line; within a line both bin
+    # indices are whole floats less than a span apart, so their difference is exact
+    sizes = (hi - lo + 1).astype(np.int64)
+    starts = np.cumsum(sizes) - sizes
+    flat = np.bincount((x_bins - lo[data.line_codes]).astype(np.int64) + starts[data.line_codes])
     by_line_xbin = {
-        line: tuple(bin_counts[line].get(i, 0) for i in range(lo, hi + 1))
-        for line, (lo, hi) in spans.items()
+        line: tuple(flat[start : start + size].tolist())
+        for line, start, size in zip(data.line_names, starts.tolist(), sizes.tolist())
     }
     counts = {
         "n": data.n,

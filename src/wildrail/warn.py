@@ -304,6 +304,15 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
     return out
 
 
+def _bins(run: Sequence[float], first: int, lo: int, hi: int) -> np.ndarray:
+    """Bins lo..hi of ``run``, whose first bin is ``first``, as floats; 0 outside the run."""
+    out = np.zeros(hi - lo + 1)
+    start = max(lo, first)
+    stop = max(start, min(hi + 1, first + len(run)))  # start when the run misses lo..hi
+    out[start - lo : stop - lo] = run[start - first : stop - first]
+    return out
+
+
 def _build_grid(
     model: FittedModel,
     traffic: TrafficTable,
@@ -345,10 +354,10 @@ def _build_grid(
     m_window: dict[str, np.ndarray] = {}
     flags: dict[str, np.ndarray] = {}
     for line, (lo, hi) in spans.items():
-        # the model's km bins of the line by index; a line it lacks has p_line = 0
-        segment = dict(enumerate(model.p_segment.get(line, ()), model.counts.x_first.get(line, 0)))
-        spatial = np.array([segment.get(k, 0.0) for k in range(lo, hi + 1)]) * model.p_line_at(line)
-        m_vec = np.array([traffic.counts.get((line, k), 0.0) for k in range(lo, hi + 1)])
+        # the model's km bins of the line; a line it lacks has p_line = 0
+        segment = model.p_segment.get(line, ())
+        spatial = _bins(segment, model.counts.x_first.get(line, 0), lo, hi) * model.p_line_at(line)
+        m_vec = _bins(traffic.counts.get(line, ()), traffic.x_first.get(line, 0), lo, hi)
         window = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
         p = temporal[None, :, :] * spatial[:, None, None]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -385,20 +394,21 @@ def sweep_all(
     """Full warning grid: every model line, all 12 months, all time bins.
 
     Per line the km range is the dense span of the model's observed bins
-    united with the traffic table's bins; a ValueError names the line whose
+    united with the line's run of traffic bins; a ValueError names the line whose
     span takes the grid past ``model.MAX_GRID_CELLS``.  Cell evaluation is
     vectorized and order-independent; the result is identical to evaluating
     cells one at a time.
     """
     checked = _check_thresholds(thresholds)
-    # per model line: its first and last model bin, then the traffic table's bins
-    first = model.counts.x_first
-    indices = {ln: [first[ln], first[ln] + len(model.p_segment[ln]) - 1] for ln in model.lines}
-    if traffic.delta_x == model.bins.delta_x:
-        for line, k in traffic.counts:
-            if line in indices:
-                indices[line].append(k)
-    spans = {line: (min(found), max(found)) for line, found in indices.items()}
+    # per model line: its first and last model bin, widened to the traffic run's
+    spans = {}
+    for line in model.lines:
+        lo = model.counts.x_first[line]
+        hi = lo + len(model.p_segment[line]) - 1
+        run = traffic.counts.get(line, ()) if traffic.delta_x == model.bins.delta_x else ()
+        if len(run):
+            lo, hi = min(lo, traffic.x_first[line]), max(hi, traffic.x_first[line] + len(run) - 1)
+        spans[line] = (lo, hi)
     _check_grid_size(spans, model.bins)
     return _build_grid(model, traffic, profile, checked, spans)
 

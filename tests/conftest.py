@@ -91,6 +91,23 @@ def dataset_of(records, start: dt.date, end: dt.date) -> Dataset:
     return data
 
 
+def traffic_of(counts: dict[tuple[str, int], float], delta_x: float = 5.0) -> TrafficTable:
+    """The TrafficTable with ``counts[(line, k)]`` trains in km bin k of each line.
+
+    Each line's run spans its lowest to its highest listed bin, with zeros in
+    the gaps, as ``parse_traffic`` lays out rows of those bins.
+    """
+    x_first: dict[str, int] = {}
+    runs: dict[str, np.ndarray] = {}
+    for (line, k), count in counts.items():
+        x_first[line] = min(x_first.get(line, k), k)
+    for line, first in x_first.items():
+        bins = {k - first: count for (name, k), count in counts.items() if name == line}
+        runs[line] = np.zeros(max(bins) + 1)
+        runs[line][list(bins)] = list(bins.values())
+    return TrafficTable(x_first=x_first, counts=runs, delta_x=delta_x)
+
+
 def make_synthetic(
     rng: np.random.Generator,
     max_records: int = 1000,
@@ -126,7 +143,7 @@ def make_synthetic(
             if draw < 0.2:
                 continue  # bin absent from the table
             counts[(line, i)] = 0.0 if draw < 0.35 else float(rng.integers(10, 200))
-    return data, TrafficTable(counts=counts, delta_x=5.0)
+    return data, traffic_of(counts)
 
 
 @contextlib.contextmanager

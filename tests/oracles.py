@@ -650,20 +650,23 @@ def hourly_profile_loop(records: Iterable, season_groups: dict[str, tuple[int, .
 def speed_pairs_loop(records: Iterable, traffic, speeds: dict, delta_x: float) -> list[tuple]:
     """(line, x_from, speed, accidents per train) per usable traffic bin, counted record by record.
 
-    Traffic is keyed by (line, km bin index); ``speeds`` maps a line to an
-    object with ``speed_at(km)``.
+    ``traffic`` holds a run of counts per line from bin ``x_first[line]``;
+    ``speeds`` maps a line to an object with ``intervals`` of (km_from,
+    km_to, vmax) steps, scanned here one by one for the bin midpoint.
     """
     acc_counts: dict[tuple[str, int], int] = {}
     for r in records:
         key = (r.line, _bin_index(r.km, delta_x))
         acc_counts[key] = acc_counts.get(key, 0) + 1
     pairs = []
-    for line, k in sorted(traffic.counts):
-        m = traffic.counts[(line, k)]
-        x_from = k * delta_x
-        speed = speeds[line].speed_at(x_from + delta_x / 2.0) if line in speeds else None
-        if m > 0 and speed is not None:
-            pairs.append((line, x_from, speed, acc_counts.get((line, k), 0) / m))
+    for line in sorted(traffic.counts):
+        intervals = speeds[line].intervals if line in speeds else ()
+        for k, m in enumerate(traffic.counts[line].tolist(), traffic.x_first[line]):
+            x_from = k * delta_x
+            mid = x_from + delta_x / 2.0
+            speed = next((v for lo, hi, v in intervals if lo <= mid < hi), None)
+            if m > 0 and speed is not None:
+                pairs.append((line, x_from, speed, acc_counts.get((line, k), 0) / m))
     return pairs
 
 

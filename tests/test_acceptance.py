@@ -21,7 +21,6 @@ from wildrail import (
     DEFAULT_SEASONS,
     AccidentRecord,
     SpeedProfile,
-    TrafficTable,
     alpha,
     count_days,
     fit,
@@ -32,7 +31,7 @@ from wildrail import (
     sweep_all,
 )
 from wildrail.cli import main
-from conftest import DATA_DIR, PERIOD, dataset_of, make_synthetic
+from conftest import DATA_DIR, PERIOD, dataset_of, make_synthetic, traffic_of
 from oracles import alpha_fraction, cell_expectation, expected_tables, table_counts
 
 MONTH_SEASON = {m: DEFAULT_SEASONS.season_of(m) for m in range(1, 13)}
@@ -139,7 +138,7 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
         seg = tables["p_segment"].get(line, {})
         spatial = [0.0 if p_line == 0 else float(seg.get(k, Fraction(0)) * p_line) for k in bins]
         for xi, k in enumerate(bins):
-            count = traffic.counts.get((line, k), 0.0)
+            count = traffic.count(line, k * grid.delta_x)
             for mi, tau in enumerate(grid.months):
                 rows = temporal[tau]
                 for ti in range(24):
@@ -314,9 +313,7 @@ def test_criterion_6_holdout_informativeness() -> None:
     train = _structured_draw(rng, 4000, 2020, 2022, lines, p_line, seg_w, month_w, hour_w)
     test = _structured_draw(rng, 1000, 2023, 2023, lines, p_line, seg_w, month_w, hour_w)
     model = fit(dataset_of(train, dt.date(2020, 1, 1), dt.date(2022, 12, 31)))
-    traffic = TrafficTable(
-        counts={(line, i): 100.0 for line in lines for i in range(10)}, delta_x=5.0
-    )
+    traffic = traffic_of({(line, i): 100.0 for line in lines for i in range(10)})
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (1e-6,))
     values = np.concatenate([grid.p_pt[line].ravel() for line in grid.lines])
     theta = float(np.quantile(values[np.isfinite(values)], 0.75))
@@ -362,7 +359,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
                 bin_no += 1
             speed_map[line] = SpeedProfile(line=line, intervals=tuple(intervals))
         data = dataset_of(records, *period)
-        return data, TrafficTable(counts=counts, delta_x=5.0), speed_map
+        return data, traffic_of(counts), speed_map
 
     independent = build(
         lambda b, r: int(r.poisson(4.0)), lambda b, r: float(r.uniform(60.0, 160.0)), 100.0
@@ -390,10 +387,7 @@ def test_criterion_7_speed_correlation_behavior() -> None:
     ]
     data = dataset_of(records, *period)
     model = fit(data)
-    traffic = TrafficTable(
-        counts={(line, i): 120.0 for line in sweep_lines for i in range(20)},
-        delta_x=5.0,
-    )
+    traffic = traffic_of({(line, i): 120.0 for line in sweep_lines for i in range(20)})
     started = time.perf_counter()
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.0005, 0.001, 0.002))
     elapsed = time.perf_counter() - started

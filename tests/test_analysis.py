@@ -46,7 +46,7 @@ from oracles import (
     pearson_manual,
     spearman_manual,
 )
-from conftest import DATA_DIR, dataset_of, make_synthetic, no_records
+from conftest import DATA_DIR, dataset_of, make_synthetic, no_records, traffic_of
 
 PERIOD = (dt.date(2020, 1, 1), dt.date(2022, 12, 31))
 
@@ -369,9 +369,7 @@ def test_hourly_profile_is_dense(bundled_data) -> None:
 
 def linear_setup(n_bins: int = 6):
     # acc-per-train rises exactly linearly with speed
-    traffic = TrafficTable(
-        counts={("7", i): 50.0 for i in range(n_bins)}, delta_x=5.0
-    )
+    traffic = traffic_of({("7", i): 50.0 for i in range(n_bins)})
     speeds = {
         "7": SpeedProfile(
             line="7",
@@ -618,9 +616,10 @@ def test_holdout_matches_record_loop_across_block_seams(
     # traffic in the last bin lifts its p_pt above the first bins', so a read
     # wrapping from one end of the line to the other would change the hits
     counts = dict(bundled_traffic.counts)
-    last = max(k for line, k in counts if line == "139")
-    counts[("139", last)] /= 4.0
-    traffic = TrafficTable(counts=counts, delta_x=bundled_traffic.delta_x)
+    counts["139"] = counts["139"].copy()
+    counts["139"][-1] /= 4.0
+    last = bundled_traffic.x_first["139"] + len(counts["139"]) - 1
+    traffic = TrafficTable(bundled_traffic.x_first, counts, bundled_traffic.delta_x)
     grid = sweep_all(bundled_model, traffic, DEFAULT_PROFILE, (0.0005, 0.001, 0.002))
     first, n_x = grid.x_first["139"], grid.p_pt["139"].shape[0]
     assert first + n_x - 1 == last

@@ -24,7 +24,6 @@ from wildrail import (
     FLAG_EXCEEDS_UNITY,
     FLAG_INSUFFICIENT_DATA,
     FLAG_NO_TRAFFIC,
-    TrafficTable,
     model_from_json,
     sweep_all,
 )
@@ -38,7 +37,7 @@ from wildrail.cli import (
     parse_seasons_spec,
     parse_thresholds_spec,
 )
-from conftest import DATA_DIR, no_records
+from conftest import DATA_DIR, no_records, traffic_of
 from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 ACCIDENTS = str(DATA_DIR / "accidents_2020_2022.csv")
@@ -202,7 +201,6 @@ FILE_OPTIONS = {
     "accidents": ["profile", *PERIOD_FLAGS],
     "test": ["eval", "--model", MODEL, "--traffic", TRAFFIC],
     "traffic": ["eval", "--model", MODEL, "--test", TEST_ACCIDENTS],
-    "traffic-runs": ["eval", "--model", MODEL, "--test", TEST_ACCIDENTS],
     "speeds": ["corr", "--accidents", ACCIDENTS, *PERIOD_FLAGS, "--traffic", TRAFFIC],
     "geometry": ["map", "--accidents", ACCIDENTS, *PERIOD_FLAGS],
     "model": ["warn", "--traffic", TRAFFIC],
@@ -293,7 +291,7 @@ def test_warn_accepts_run_level_traffic(tmp_path: Path, fitted: Path) -> None:
         + "".join(f"139,0.0,60.0,{h:02d}:00\n" for h in range(5, 23))
     )
     code = main(
-        ["warn", "--model", str(fitted), "--traffic-runs", str(runs), "--out-dir", str(tmp_path)]
+        ["warn", "--model", str(fitted), "--traffic", str(runs), "--out-dir", str(tmp_path)]
     )
     assert code == 0
     with (tmp_path / "warnings.csv").open() as fh:
@@ -302,15 +300,11 @@ def test_warn_accepts_run_level_traffic(tmp_path: Path, fitted: Path) -> None:
     assert by_line == {"1", "139", "140"}  # model lines survive even without runs
 
 
-def test_warn_traffic_source_must_be_unambiguous(tmp_path: Path, fitted: Path) -> None:
+def test_warn_traffic_source_must_be_unambiguous(tmp_path: Path, fitted: Path, capsys) -> None:
+    # --traffic reads either traffic form, and a run without it is an input error
     assert main(["warn", "--model", str(fitted), "--out-dir", str(tmp_path)]) == 2
-    assert (
-        main(
-            ["warn", "--model", str(fitted), "--traffic", TRAFFIC,
-             "--traffic-runs", TRAFFIC, "--out-dir", str(tmp_path)]
-        )
-        == 2
-    )
+    assert capsys.readouterr().err == "error: missing required option --traffic\n"
+    assert not (tmp_path / "warnings.csv").exists()
 
 
 def test_warn_rejects_traffic_on_a_different_grid(tmp_path: Path, fitted: Path, capsys) -> None:
@@ -321,6 +315,24 @@ def test_warn_rejects_traffic_on_a_different_grid(tmp_path: Path, fitted: Path, 
     )
     assert code == 2
     assert "aligned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["warn", "corr"])
+def test_traffic_past_any_grid_is_refused_at_its_row(command: str, tmp_path: Path, capsys) -> None:
+    # one row at km 5e9 stretches line 139 over a billion 5 km bins, more than
+    # any warning grid holds: corr, which lays out no grid, refuses it too
+    far = tmp_path / "far.csv"
+    far.write_text(Path(TRAFFIC).read_text() + "139,5000000000.0,1\n")
+    inputs = {"warn": ["--model", MODEL], "corr": ["--accidents", ACCIDENTS, *PERIOD_FLAGS,
+                                                   "--speeds", SPEEDS]}[command]
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--traffic", str(far), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: {far}: line 39: traffic spans 1,000,000,026 km bins of 5.0 km, more than the"
+        " 4,166,666 that a 50,000,000-cell grid holds"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["warn", "eval"])
@@ -397,7 +409,7 @@ def test_warn_counts_cells_per_flag(tmp_path: Path, fitted: Path, capsys) -> Non
                  "--out-dir", str(tmp_path)]) == 0
     grid = sweep_all(
         model_from_json(fitted.read_text()),
-        TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0),
+        traffic_of({("139", 2): 131.0}),
         DEFAULT_PROFILE,
         DEFAULT_THRESHOLDS,
     )
@@ -870,13 +882,13 @@ def csv_text(kind: str) -> st.SearchStrategy[str]:
 GENERATED_FORMS = {
     "fit": ["fit", "--accidents", "{accidents}"],
     "warn --traffic": ["warn", "--model", MODEL, "--traffic", "{traffic}"],
-    "warn --traffic-runs": ["warn", "--model", MODEL, "--traffic-runs", "{traffic_runs}"],
+    "warn --traffic runs": ["warn", "--model", MODEL, "--traffic", "{traffic_runs}"],
     "eval": ["eval", "--model", MODEL, "--traffic", "{traffic}", "--test", "{accidents}"],
     "map": ["map", "--accidents", "{accidents}", "--geometry", GEOMETRY],
     "corr --traffic": ["corr", "--accidents", "{accidents}", "--traffic", "{traffic}",
                        "--speeds", "{speeds}"],
-    "corr --traffic-runs": ["corr", "--accidents", "{accidents}", "--traffic-runs",
-                            "{traffic_runs}", "--speeds", "{speeds}"],
+    "corr --traffic runs": ["corr", "--accidents", "{accidents}", "--traffic", "{traffic_runs}",
+                            "--speeds", "{speeds}"],
     "profile": ["profile", "--accidents", "{accidents}"],
 }
 

@@ -55,7 +55,7 @@ def _commands(delta_x: str, delta_t: str, out: str):
         ["fit", *ACCIDENTS, "--days-per-year", "365", "--delta-x", delta_x, "--delta-t", delta_t,
          "--out-dir", out],
         ["warn", *model, *TRAFFIC, *THRESHOLDS, *geometry, "--out-dir", out],
-        ["warn", *model, "--traffic-runs", f"{out}/runs.csv", *THRESHOLDS, *geometry,
+        ["warn", *model, "--traffic", f"{out}/runs.csv", *THRESHOLDS, *geometry,
          "--out-dir", f"{out}/runs"],
         ["eval", *model, *TRAFFIC, *THRESHOLDS, "--test", str(DATA_DIR / "accidents_2023_test.csv"),
          "--theta", "0.0001", "--adjacent", "--out-dir", out],

@@ -10,6 +10,7 @@ import itertools
 import math
 import runpy
 import shutil
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -40,11 +41,10 @@ from wildrail import (
     parse_geometries,
     parse_speed_profiles,
     parse_traffic,
-    parse_traffic_runs,
     species_profile,
     speed_correlation,
 )
-from conftest import DATA_DIR, dataset_of, no_records
+from conftest import DATA_DIR, dataset_of, no_records, traffic_of
 from oracles import (
     LoopParseError,
     count_days_loop,
@@ -130,31 +130,39 @@ def test_bin_membership_invariant(value: float, delta: float) -> None:
 
 @pytest.mark.parametrize("delta", [5.0, 0.5])
 def test_km_bin_counts_matches_record_loop_in_order(delta: float) -> None:
-    # more than two blocks of interleaved lines; -0.0 and 0.0, exact bin
-    # edges and 1e15 on one line, and a line with a single record.  Lists,
-    # not dicts, so the order of lines and of bins is compared too.  The bin
-    # widths are exact binary fractions, where bin_index is the exact floor
+    # fit's dense km-bin runs: more than two blocks of interleaved lines;
+    # -0.0 and 0.0 and exact bin edges on one line, and a line with a single
+    # record.  Lists, not dicts, so the order of lines is compared too.  The
+    # bin widths are exact binary fractions, where bin_index is the exact floor
     rng = np.random.default_rng(23)
     n = 2 * ingest._BLOCK + 11
     codes = rng.integers(0, 4, n)
     kms = rng.uniform(0.0, 400.0, n)
     special = rng.choice(n - 1, 8, replace=False)
-    kms[special] = [-0.0, 0.0, delta, 3 * delta, 80 * delta, 0.3, 1e15, 1e15]
+    kms[special] = [-0.0, 0.0, delta, 3 * delta, 80 * delta, 0.3, 400.0, 400.0]
     codes[special] = 2
     codes[-1] = 4
     names = ("0", "1", "2", "3", "4")
     ints = np.ones(n, dtype=np.int64)
     data = Dataset(*PERIOD, names, codes, kms, ints, ints, ints * PERIOD[0].toordinal(), ("",) * n)
     loop: dict[str, dict[int, int]] = {}
-    rows = sorted((code, floor_bin(km, delta)) for code, km in zip(codes.tolist(), kms.tolist()))
-    for code, k in rows:
+    for code, km in zip(codes.tolist(), kms.tolist()):
         bins = loop.setdefault(names[code], {})
+        k = floor_bin(km, delta)
         bins[k] = bins.get(k, 0) + 1
-    counts = data.km_bin_counts(delta)
-    assert [(line, list(bins.items())) for line, bins in counts.items()] == [
-        (line, list(bins.items())) for line, bins in loop.items()
-    ]
-    assert counts["4"] == {floor_bin(float(kms[-1]), delta): 1}
+    runs = []
+    for line in sorted(loop):
+        first, last = min(loop[line]), max(loop[line])
+        runs.append((line, first, tuple(loop[line].get(k, 0) for k in range(first, last + 1))))
+    model = fit(data, bins=BinConfig(delta_x=delta))
+    counts = model.counts
+    assert [(line, first, counts.by_line_xbin[line]) for line, first in counts.x_first.items()] == runs
+    assert counts.by_line_xbin["4"] == (1,)
+    # a km of 1e15 on line 2 would stretch its run over 1e14 bins or more
+    far = kms.copy()
+    far[special[-2:]] = 1e15
+    with pytest.raises(ValueError, match=r"^line '2' spans km 0\.0\.\.1000000000000"):
+        fit(dataclasses.replace(data, kms=far), bins=BinConfig(delta_x=delta))
 
 
 # --- records and datasets ---
@@ -641,7 +649,7 @@ def speed_inputs(x_first: dict, by_line_xbin: dict, delta_x: float):
             line=line,
             intervals=tuple((i * delta_x, (i + 1) * delta_x, 50.0 + 10 * (i % 3)) for i in indices),
         )
-    return TrafficTable(counts=counts, delta_x=delta_x), speeds
+    return traffic_of(counts, delta_x), speeds
 
 
 @pytest.mark.parametrize(
@@ -676,7 +684,7 @@ def test_parse_error_names_first_row_of_repeated_value(rows, line_no: int, fragm
     [
         (lambda text: parse_traffic(text, 5.0), "line,km_from,count", ('"a\nb",0,10', "1,abc,5")),
         (
-            lambda text: parse_traffic_runs(text, 5.0),
+            lambda text: parse_traffic(text, 5.0),
             "line,km_from,km_to,departure",
             ('"a\nb",0,5,10:00', "1,0,5,25:00"),
         ),
@@ -697,7 +705,7 @@ TABLE_PARSERS = {
         lambda text: parse_traffic(text, 5.0), "line,km_from,count", "{line},0,{value}", "count"
     ),
     "traffic_runs": (
-        lambda text: parse_traffic_runs(text, 5.0),
+        lambda text: parse_traffic(text, 5.0),
         "line,km_from,km_to,departure",
         "{line},0,{value},10:00",
         "km_to",
@@ -764,8 +772,8 @@ def test_parse_traffic_sums_duplicates() -> None:
     assert table.count("139", 12.3) == 131.0
     assert table.count("1", 4.9) == 80.0
     assert table.count("1", 5.0) == 0.0
-    assert sorted({line for line, _ in table.counts}) == ["1", "139"]
-    assert table.counts == {("139", 2): 131.0, ("1", 0): 80.0}
+    assert sorted(table.counts) == ["1", "139"]
+    assert table == traffic_of({("139", 2): 131.0, ("1", 0): 80.0})
 
 
 def test_parse_traffic_refuses_counts_that_sum_to_inf() -> None:
@@ -774,7 +782,63 @@ def test_parse_traffic_refuses_counts_that_sum_to_inf() -> None:
     with pytest.raises(ParseError, match="^line 4: counts of line 139 in km bin 2 sum to inf$"):
         parse_traffic(io.StringIO(text), 5.0)
     largest = parse_traffic(io.StringIO("line,km_from,count\n139,10,1e308\n139,10,7e307\n"), 5.0)
-    assert largest.counts == {("139", 2): 1e308 + 7e307}
+    assert largest == traffic_of({("139", 2): 1e308 + 7e307})
+
+
+def test_parse_traffic_sums_duplicate_rows_in_row_order() -> None:
+    # fractional counts whose sum depends on the order of the additions, with
+    # rows of another bin and another line between them
+    counts = [0.01] * 30 + [0.1] * 10 + [0.7, 1e-3] + [0.01] * 30
+    rows = [f"7,5,{count!r}\n" for count in counts]
+    rows[10:10] = ["7,0,0.01\n", "8,5,0.01\n"]
+    table = parse_traffic("line,km_from,count\n" + "".join(rows), 5.0)
+    total = 0.0
+    for count in counts:
+        total += count
+    assert total != math.fsum(counts)
+    assert table.count("7", 5.0) == total
+    assert table == traffic_of({("7", 0): 0.01, ("7", 1): total, ("8", 1): 0.01})
+
+
+def test_count_rows_past_the_grid_bound_are_refused_in_row_order(monkeypatch) -> None:
+    # with room for 10 km bins (120 cells), count rows obey the bound that runs
+    # do: the row taking the summed spans past it is named, before any later
+    # malformed row, and so is a row whose sum overflowed
+    monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 120)
+    fits = "line,km_from,count\n1,0,5\n1,45,1\n"
+    assert sum(len(run) for run in parse_traffic(fits, 5.0).counts.values()) == 10
+    for tail in ("2,0,1\n", "2,0,1\n1,x,1\n", "2,0,1\n1,0,1e308\n1,0,1e308\n"):
+        with pytest.raises(ParseError, match=r"^line 4: traffic spans 11 km bins of 5\.0 km"):
+            parse_traffic(fits + tail, 5.0)
+    overflow = fits + "1,0,1e308\n1,0,1e308\n1,x,1\n"
+    with pytest.raises(ParseError, match="^line 5: counts of line 1 in km bin 0 sum to inf$"):
+        parse_traffic(overflow, 5.0)
+
+
+def test_a_bad_traffic_header_names_both_forms() -> None:
+    with pytest.raises(ParseError) as err:
+        parse_traffic("line,km_from,km_to\n1,0,5\n", 5.0)
+    assert str(err.value) == (
+        "line 1: traffic header must be 'line,km_from,count' or"
+        " 'line,km_from,km_to,departure', got 'line,km_from,km_to'"
+    )
+
+
+def test_long_runs_parse_in_memory_of_one_float_per_bin() -> None:
+    # 3 runs of 400,000 bins of 0.5 km; counted bin by bin into a dict they
+    # took over 160 MiB
+    text = "line,km_from,km_to,departure\n" + "".join(
+        f"{line},0,200000,06:00\n" for line in ("1", "2", "3")
+    )
+    tracemalloc.start()
+    try:
+        table = parse_traffic(text, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(run) for run in table.counts.values()] == [400_000] * 3
+    assert table.count("2", 199_999.9) == 1.0 and table.count("2", 200_000.0) == 0.0
+    assert peak < 40 * 2**20
 
 
 def test_parse_traffic_rejects_bad_rows() -> None:
@@ -798,7 +862,7 @@ def test_traffic_parsers_reject_bad_bin_width(delta_x: float) -> None:
     # checked before any row is read, so no division by zero can happen
     for parse, text in (
         (parse_traffic, "line,km_from,count\n139,10.0,5\n"),
-        (parse_traffic_runs, "line,km_from,km_to,departure\n139,5.0,10.0,06:00\n"),
+        (parse_traffic, "line,km_from,km_to,departure\n139,5.0,10.0,06:00\n"),
     ):
         for stream in (text, ""):
             with pytest.raises(ValueError, match="delta_x must be positive and finite") as info:
@@ -814,32 +878,36 @@ def test_parse_traffic_empty_inputs() -> None:
 def test_traffic_table_validation() -> None:
     from wildrail import TrafficTable
 
-    with pytest.raises(ValueError, match="negative count"):
-        TrafficTable(counts={("1", 1): -1.0}, delta_x=5.0)
+    with pytest.raises(ValueError, match="^negative count -1.0 on line 1 in km bin 3$"):
+        TrafficTable(x_first={"1": 1}, counts={"1": np.array([1.0, 0.0, -1.0])}, delta_x=5.0)
     with pytest.raises(ValueError):
-        TrafficTable(counts={}, delta_x=0.0)
+        TrafficTable(x_first={}, counts={}, delta_x=0.0)
+    with pytest.raises(ValueError, match="must be a 1-D numpy array"):
+        TrafficTable(x_first={"1": 1}, counts={"1": np.ones((2, 2))}, delta_x=5.0)
+    with pytest.raises(ValueError, match="must name the same lines"):
+        TrafficTable(x_first={"1": 1, "2": 0}, counts={"1": np.ones(2)}, delta_x=5.0)
 
 
 def test_traffic_table_refuses_non_finite_counts() -> None:
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^non-finite count {value} on line 1 in km bin 1$"):
-            TrafficTable(counts={("1", 1): value}, delta_x=5.0)
+            TrafficTable(x_first={"1": 1}, counts={"1": np.array([value])}, delta_x=5.0)
     with pytest.raises(ValueError, match="^negative count -inf"):
-        TrafficTable(counts={("1", 1): -math.inf}, delta_x=5.0)
+        TrafficTable(x_first={"1": 1}, counts={"1": np.array([-math.inf])}, delta_x=5.0)
 
 
 def test_traffic_table_rejects_starts_no_lookup_reads() -> None:
-    # lookups read (line, bin index) keys; a km start such as 10.0 would equal
-    # the key of bin 10 (km 50), so any key but a non-negative int is refused
+    # lookups read runs from a first bin index; a km start such as 10.0 would
+    # equal bin 10 (km 50), so any first bin but a non-negative int is refused
     for k in (10.0, 10.000000000000002, 3.0, 0.3, True, np.int64(2), -1, "2"):
         with pytest.raises(ValueError, match="must be a non-negative int index"):
-            TrafficTable(counts={("139", k): 131.0}, delta_x=5.0)
+            TrafficTable(x_first={"139": k}, counts={"139": np.array([131.0])}, delta_x=5.0)
     # parse_traffic writes the bin index a lookup reads, for starts within 1e-9 of a bin
     text = "line,km_from,count\n139,10.000000000000002,131\n"
-    assert parse_traffic(io.StringIO(text), 5.0).counts == {("139", 2): 131.0}
+    assert parse_traffic(io.StringIO(text), 5.0) == traffic_of({("139", 2): 131.0})
     assert parse_traffic(io.StringIO(text), 5.0).count("139", 12.0) == 131.0
     table = parse_traffic(io.StringIO("line,km_from,count\n1,0.3,1\n"), 0.1)
-    assert table.counts == {("1", 3): 1.0}
+    assert table == traffic_of({("1", 3): 1.0}, 0.1)
     assert table.count("1", 0.35) == 1.0
 
 
@@ -850,7 +918,7 @@ def test_parse_traffic_runs_half_open_overlap() -> None:
         "139,5.0,10.0,06:00\n"
         "139,5.0,10.0,07:00\n"
     )
-    table = parse_traffic_runs(io.StringIO(text), 5.0)
+    table = parse_traffic(io.StringIO(text), 5.0)
     # the long run clips bins 5..20; the short runs touch only bin 5
     assert table.count("139", 0.0) == 0.0
     assert table.count("139", 5.0) == 3.0
@@ -885,12 +953,12 @@ def test_parse_traffic_runs_matches_bin_loop(delta_x: float, data) -> None:
         for b in range(math.ceil(km_to / delta_x) + 1):
             if b * delta_x < km_to and (b + 1) * delta_x > km_from:
                 expected[("139", b)] = expected.get(("139", b), 0.0) + 1.0
-    assert parse_traffic_runs(io.StringIO(text), delta_x).counts == expected
+    assert parse_traffic(io.StringIO(text), delta_x) == traffic_of(expected, delta_x)
 
 
 def test_parse_traffic_runs_rejects_empty_span() -> None:
     with pytest.raises(ParseError):
-        parse_traffic_runs(io.StringIO("line,km_from,km_to,departure\n139,10.0,10.0,05:00\n"), 5.0)
+        parse_traffic(io.StringIO("line,km_from,km_to,departure\n139,10.0,10.0,05:00\n"), 5.0)
 
 
 def test_parse_traffic_runs_refuses_spans_no_grid_holds(monkeypatch) -> None:
@@ -900,19 +968,20 @@ def test_parse_traffic_runs_refuses_spans_no_grid_holds(monkeypatch) -> None:
     header = "line,km_from,km_to,departure\n"
     monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 120)
     fits = header + "1,0,30,06:00\n2,0,10,06:00\n2,15,20,06:00\n1,10,15,07:00\n"
-    assert len(parse_traffic_runs(io.StringIO(fits), 5.0).counts) == 9
+    runs = parse_traffic(io.StringIO(fits), 5.0).counts
+    assert sum(len(run) for run in runs.values()) == 10
     for extra in ("2,20,20.5,08:00", "3,0,1,08:00", "1,30,35,08:00"):
-        with pytest.raises(ParseError, match=r"line 6: runs span 11 km bins of 5\.0 km, more than the 10 "):
-            parse_traffic_runs(io.StringIO(fits + extra + "\n"), 5.0)
+        with pytest.raises(ParseError, match=r"line 6: traffic spans 11 km bins of 5\.0 km, more than the 10 "):
+            parse_traffic(io.StringIO(fits + extra + "\n"), 5.0)
     monkeypatch.undo()
     # 2e8 bins of 5 km, 6e7 bins of 1e-6 km, and a bin index past any float
     for row, delta_x, match in (
-        ("139,0,1e9,08:00", 5.0, r"runs span 200,000,000 km bins"),
-        ("139,0,60,08:00", 1e-6, r"runs span 60,000,00\d km bins"),
+        ("139,0,1e9,08:00", 5.0, r"traffic spans 200,000,000 km bins"),
+        ("139,0,60,08:00", 1e-6, r"traffic spans 60,000,00\d km bins"),
         ("139,1e10,2e10,08:00", 1e-300, r"km_to 2e10 has no finite 1e-300 km bin index"),
     ):
         with pytest.raises(ParseError, match=f"line 2: {match}"):
-            parse_traffic_runs(io.StringIO(header + row + "\n"), delta_x)
+            parse_traffic(io.StringIO(header + row + "\n"), delta_x)
 
 
 # --- geometry ---
@@ -1130,12 +1199,35 @@ def test_parse_geometries_rejects_duplicate_lines() -> None:
 
 
 def test_speed_profile_lookup() -> None:
-    profile = SpeedProfile(line="139", intervals=((0.0, 10.0, 100.0), (10.0, 15.0, 70.0)))
-    assert profile.speed_at(0.0) == 100.0
-    assert profile.speed_at(9.999) == 100.0
-    assert profile.speed_at(10.0) == 70.0
-    assert profile.speed_at(15.0) is None
-    assert profile.speed_at(-1.0) is None
+    # speed_correlation reads the step [km_from, km_to) holding each 5 km bin's
+    # midpoint (2.5, 7.5, 12.5, ...): midpoints on a step's start and on its
+    # end, gaps between steps, a profile without steps, a line with speeds but
+    # no traffic and one with traffic but no speeds.  Accidents just past a
+    # run (line 4, km 21) or far off it count in no bin.  The oracle scans the steps
+    speeds = {
+        "1": SpeedProfile("1", ((2.5, 7.5, 100.0), (7.5, 12.5, 70.0), (20.0, 27.5, 90.0),
+                                (32.5, 40.0, 60.0))),
+        "2": SpeedProfile("2", ()),
+        "3": SpeedProfile("3", ((0.0, 50.0, 80.0),)),
+        "5": SpeedProfile("5", ((0.0, 12.5, 120.0), (12.5, 30.0, 140.0))),
+    }
+    runs = {"1": [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 0.0, 2.0], "2": [1.0] * 4, "4": [1.0] * 4,
+            "5": [10.0, 20.0, 30.0, 40.0, 50.0]}
+    firsts = {"1": 0, "2": 0, "4": 0, "5": 1}
+    traffic = traffic_of(
+        {(line, firsts[line] + i): m for line, run in runs.items() for i, m in enumerate(run)}
+    )
+    kms = {"1": (1.0, 6.0, 6.5, 21.0, 33.0, 33.0, 36.0, 100.0), "2": (1.0,), "3": (3.0,),
+           "4": (2.0, 21.0), "5": (8.0, 13.0, 13.0, 13.0, 27.0, 2.0), "9": (4.0,)}
+    records = [AccidentRecord(dt.date(2020, 1, 1), 0, line, km) for line in kms for km in kms[line]]
+    report = speed_correlation(dataset_of(records, *PERIOD), traffic, speeds, 5.0)
+    assert report.pairs == tuple(speed_pairs_loop(records, traffic, speeds, 5.0))
+    assert [pair[:3] for pair in report.pairs] == [
+        ("1", 0.0, 100.0), ("1", 5.0, 70.0), ("1", 20.0, 90.0), ("1", 30.0, 60.0),
+        ("5", 5.0, 120.0), ("5", 10.0, 140.0), ("5", 15.0, 140.0), ("5", 20.0, 140.0),
+        ("5", 25.0, 140.0),
+    ]
+    assert report.pairs[1][3] == 2 / 4.0 and report.pairs[5][3] == 3 / 20.0
 
 
 def test_speed_profile_validation() -> None:
@@ -1151,7 +1243,7 @@ def test_parse_speed_profiles() -> None:
     text = "line,km_from,km_to,vmax\n139,0.0,10.0,100\n139,10.0,15.0,70\n1,0.0,20.0,140\n"
     speeds = parse_speed_profiles(io.StringIO(text))
     assert set(speeds) == {"1", "139"}
-    assert speeds["139"].speed_at(12.0) == 70.0
+    assert speeds["139"].intervals == ((0.0, 10.0, 100.0), (10.0, 15.0, 70.0))
     with pytest.raises(ParseError, match=r"^line '139': empty interval 5\.0\.\.5\.0$"):
         parse_speed_profiles(io.StringIO("line,km_from,km_to,vmax\n139,5.0,5.0,100\n"))
     # the line is quoted, so it cannot pass for a row number of the file

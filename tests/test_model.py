@@ -22,7 +22,6 @@ from wildrail import (
     SeasonScheme,
     DEFAULT_PROFILE,
     TrafficProfile,
-    TrafficTable,
     alpha,
     count_days,
     fit,
@@ -32,7 +31,7 @@ from wildrail import (
     sweep_all,
 )
 from wildrail.cli import main
-from conftest import DATA_DIR, PERIOD, dataset_of, make_synthetic
+from conftest import DATA_DIR, PERIOD, dataset_of, make_synthetic, traffic_of
 from oracles import expected_tables, table_counts
 
 
@@ -260,9 +259,7 @@ def test_smoothing_keeps_normalization_and_shrinks_extremes(seed: int, smoothing
 # --- per-train probability at the edges of the tables ---
 
 # trains on the one-month model's line and on a line without accidents
-ONE_MONTH_TRAFFIC = TrafficTable(
-    counts={("7", 0): 120.0, ("7", 1): 120.0, ("999", 0): 80.0}, delta_x=5.0
-)
+ONE_MONTH_TRAFFIC = traffic_of({("7", 0): 120.0, ("7", 1): 120.0, ("999", 0): 80.0})
 
 
 def make_one_month_model():

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wildrail.model
+import wildrail.warn
 from wildrail import (
     DEFAULT_PROFILE,
     FLAG_EXCEEDS_UNITY,
@@ -32,11 +33,12 @@ from wildrail import (
     alpha,
     fit,
     p_per_train,
+    parse_traffic,
     sweep_all,
     warnings_to_csv,
     warnings_to_geojson,
 )
-from conftest import dataset_of, make_synthetic
+from conftest import dataset_of, make_synthetic, traffic_of
 from oracles import (
     alpha_fraction,
     cell_of,
@@ -121,7 +123,7 @@ def test_profile_validation() -> None:
 
 
 def test_traffic_m_window(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0)
+    table = traffic_of({("139", 2): 131.0})
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     _, (x12, x20), _, (t18, t16) = grid.locate(
         ("139",), np.array([0, 0]), np.array([12.0, 20.0]), np.array([1, 1]),
@@ -147,7 +149,7 @@ def test_p_per_train_composes_parts(bundled_model, bundled_traffic) -> None:
 
 
 def test_p_per_train_requires_traffic(bundled_model) -> None:
-    empty = TrafficTable(counts={}, delta_x=5.0)
+    empty = traffic_of({})
     with pytest.raises(NoTrafficError):
         p_per_train(bundled_model, empty, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
 
@@ -160,7 +162,7 @@ def test_p_per_train_reports_no_traffic_before_insufficient_data(bundled_model, 
     )
     with pytest.raises(InsufficientDataError):
         p_per_train(broken, bundled_traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
-    empty = TrafficTable(counts={}, delta_x=5.0)
+    empty = traffic_of({})
     with pytest.raises(NoTrafficError):
         p_per_train(broken, empty, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
 
@@ -184,7 +186,7 @@ def test_p_per_train_rejects_cells_off_the_grid(bundled_model, bundled_traffic) 
     with pytest.raises(ValueError, match="km must be non-negative"):
         p(13, x=-1.0)
     with pytest.raises(ValueError, match="month must be 1..12"):
-        p(13, traffic=TrafficTable(counts={}, delta_x=5.0))
+        p(13, traffic=traffic_of({}))
     assert p(1.0) == p(1)
 
 
@@ -197,7 +199,8 @@ def test_sweep_covers_model_and_traffic_bins(bundled_grid, bundled_model, bundle
     assert bundled_grid.n_t == 24
     for line in bundled_grid.lines:
         first, n_x = bundled_grid.x_first[line], bundled_grid.p_pt[line].shape[0]
-        traffic_bins = {k for ln, k in bundled_traffic.counts if ln == line}
+        traffic_first = bundled_traffic.x_first[line]
+        traffic_bins = set(range(traffic_first, traffic_first + len(bundled_traffic.counts[line])))
         model_first = bundled_model.counts.x_first[line]
         model_bins = set(range(model_first, model_first + len(bundled_model.p_segment[line])))
         covered = model_bins | traffic_bins
@@ -255,14 +258,45 @@ def test_sweep_refuses_a_grid_past_the_cell_limit(
     with pytest.raises(ValueError, match="line '140' spans km"):
         sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, THRESHOLDS)
     monkeypatch.undo()
-    # one traffic row at km 5,000,000 would stretch line 139 over a million 5 km bins
-    far = TrafficTable(counts={**bundled_traffic.counts, ("139", 1_000_000): 1.0}, delta_x=5.0)
+    # traffic at km 5,000,000 would stretch line 139 over a million 5 km bins
+    far = traffic_of({("139", 1_000_000): 1.0})
     with pytest.raises(ValueError, match=r"line '139' spans km 0\.0\.\.5000005\.0, .* 50,000,000 cells"):
         sweep_all(bundled_model, far, DEFAULT_PROFILE, THRESHOLDS)
 
 
+def test_bins_read_a_run_with_zeros_off_it() -> None:
+    run = np.array([1.0, 2.0, 3.0])  # km bins 5..7
+    assert wildrail.warn._bins(run, 5, 3, 9).tolist() == [0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0]
+    assert wildrail.warn._bins(run, 5, 6, 6).tolist() == [2.0]
+    # windows wholly before or after the run, some wider than the gap to it
+    for lo, hi in ((0, 4), (0, 1), (8, 9), (10, 20), (100, 103)):
+        assert wildrail.warn._bins(run, 5, lo, hi).tolist() == [0.0] * (hi - lo + 1)
+
+
+def test_count_and_run_tables_of_the_same_counts_sweep_alike(bundled_model) -> None:
+    runs = (("139", 0.0, 60.0), ("139", 12.5, 30.0), ("140", 3.0, 4.0), ("1", 0.0, 45.5),
+            ("139", 55.0, 80.0), ("999", 7.5, 10.0))
+    run_text = "line,km_from,km_to,departure\n" + "".join(
+        f"{line},{km_from!r},{km_to!r},06:00\n" for line, km_from, km_to in runs
+    )
+    # one count row per (line, bin) a run overlaps, latest bins first
+    counts: dict[tuple[str, int], float] = {}
+    for line, km_from, km_to in runs:
+        for k in range(math.floor(km_from / 5.0), math.ceil(km_to / 5.0)):
+            counts[(line, k)] = counts.get((line, k), 0.0) + 1.0
+    count_text = "line,km_from,count\n" + "".join(
+        f"{line},{k * 5.0!r},{count!r}\n" for (line, k), count in reversed(counts.items())
+    )
+    from_runs, from_counts = parse_traffic(run_text, 5.0), parse_traffic(count_text, 5.0)
+    assert from_runs == from_counts == traffic_of(counts)
+    assert from_runs != traffic_of({**counts, ("139", 0): 2.0})
+    grids = [sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
+             for table in (from_runs, from_counts)]
+    assert csv_text(grids[0]) == csv_text(grids[1])
+
+
 def test_mismatched_traffic_bin_width_is_rejected(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 4): 131.0}, delta_x=2.5)
+    table = traffic_of({("139", 4): 131.0}, delta_x=2.5)
     with pytest.raises(ValueError):
         sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
 
@@ -307,7 +341,7 @@ def test_sweep_peak_memory_stays_near_its_output() -> None:
 
 
 def test_warned_mask_ignores_nan(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0)
+    table = traffic_of({("139", 2): 131.0})
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     for line in grid.lines:
         mask = grid.warned_mask(line, 1e-12)
@@ -336,7 +370,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     # the per-train ratio far above 1; the cell must stay finite and warned
     record = AccidentRecord(date=dt.date(2021, 1, 5), time=12 * 60 + 30, line="9", km=2.0)
     data = dataset_of((record,), dt.date(2021, 1, 1), dt.date(2021, 1, 7))
-    traffic = TrafficTable(counts={("9", 0): 1.0}, delta_x=5.0)
+    traffic = traffic_of({("9", 0): 1.0})
     grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (0.001,))
     _, (xi,), (mi,), (ti,) = grid.locate(
         ("9",), np.array([0]), np.array([2.0]), np.array([1]), np.array([12.5])
@@ -353,7 +387,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
 def test_an_overflowing_p_pt_is_flagged_without_a_warning(bundled_model) -> None:
     # 1e-320 trains a day is finite and non-negative, but dividing by it
     # overflows; the suite turns numpy's RuntimeWarning into an error
-    traffic = TrafficTable(counts={("139", 2): 1e-320}, delta_x=5.0)
+    traffic = traffic_of({("139", 2): 1e-320})
     grid = sweep_all(bundled_model, traffic, DEFAULT_PROFILE, THRESHOLDS)
     p, flags = (table["139"][2 - grid.x_first["139"]] for table in (grid.p_pt, grid.flags))
     assert np.isinf(p).any()
@@ -362,7 +396,8 @@ def test_an_overflowing_p_pt_is_flagged_without_a_warning(bundled_model) -> None
 
 def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, bundled_grid) -> None:
     doubled = TrafficTable(
-        counts={key: 2.0 * value for key, value in bundled_traffic.counts.items()},
+        x_first=bundled_traffic.x_first,
+        counts={line: 2.0 * run for line, run in bundled_traffic.counts.items()},
         delta_x=5.0,
     )
     grid2 = sweep_all(bundled_model, doubled, DEFAULT_PROFILE, THRESHOLDS)
@@ -509,7 +544,7 @@ def test_warning_csv_layout(bundled_grid) -> None:
 
 
 def test_warning_csv_marks_flagged_cells(bundled_model) -> None:
-    table = TrafficTable(counts={("139", 2): 131.0}, delta_x=5.0)
+    table = traffic_of({("139", 2): 131.0})
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     rows = list(csv.reader(io.StringIO(csv_text(grid))))
     flagged = [r for r in rows[1:] if r[8]]
@@ -662,7 +697,8 @@ def test_exporters_match_cell_loops(
     )
     # thin traffic pushes p_pt past 1, so exceeds_unity cells appear
     traffic = TrafficTable(
-        counts={(names[line], x): c * traffic_scale for (line, x), c in traffic.counts.items()},
+        x_first={names[line]: first for line, first in traffic.x_first.items()},
+        counts={names[line]: run * traffic_scale for line, run in traffic.counts.items()},
         delta_x=5.0,
     )
     model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
