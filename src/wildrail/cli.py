@@ -62,7 +62,6 @@ from .model import (
 from .warn import (
     DEFAULT_PROFILE,
     FLAG_EXCEEDS_UNITY,
-    FLAG_INSUFFICIENT_DATA,
     FLAG_NO_TRAFFIC,
     sweep_all,
     warnings_to_csv,
@@ -302,7 +301,7 @@ def cmd_fit(opts: argparse.Namespace) -> int:
 def _print_warn_summary(grid) -> None:
     theta = grid.thresholds[0]
     print(f"cells: {grid.n_cells()} ({grid.traffic_positive_cells()} with traffic)")
-    flags = (FLAG_NO_TRAFFIC, FLAG_INSUFFICIENT_DATA, FLAG_EXCEEDS_UNITY)
+    flags = (FLAG_NO_TRAFFIC, FLAG_EXCEEDS_UNITY)
     print("flagged cells: " + " ".join(f"{flag}={grid.flagged_cells(flag)}" for flag in flags))
     for theta_i in grid.thresholds:
         print(f"warned cells at theta={theta_i!r}: {grid.warned_cells(theta_i)}")

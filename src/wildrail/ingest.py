@@ -120,16 +120,19 @@ class Dataset:
     """Accident records as columns, together with the observation period.
 
     The period is what the exposure time T is computed from, so it must be
-    stated even when no accident falls on its first or last day.  Every date
-    must lie inside it; ``__post_init__`` holds that rule for the datasets
-    ``parse_accidents`` makes and for ``dataclasses.replace`` of one.
+    stated even when no accident falls on its first or last day.
+    ``__post_init__`` holds the rules ``parse_accidents`` gives its datasets
+    for ``dataclasses.replace`` of one too, with a ValueError naming the
+    field at fault: columns of equal length, every date inside the period,
+    and the column rules below.
 
     The columns hold one entry per record, in input order: ``line_codes``
-    indexes ``line_names`` (the distinct lines, sorted); ``kms``, ``months``
-    (1..12), ``minutes`` (since midnight) and ``dates`` (``date.toordinal()``)
-    are read-only numpy arrays; ``species`` is a tuple of str.  ``records``
-    is a read-only view of the columns as AccidentRecord named tuples, built
-    anew on each access.  Datasets compare and hash by identity.
+    indexes ``line_names`` (the distinct lines, sorted, each with a record);
+    ``kms`` (finite, >= 0), ``months`` (1..12), ``minutes`` (since midnight)
+    and ``dates`` (``date.toordinal()``) are read-only numpy arrays;
+    ``species`` is a tuple of str.  ``records`` is a read-only view of the
+    columns as AccidentRecord named tuples, built anew on each access.
+    Datasets compare and hash by identity.
     """
 
     period_start: dt.date
@@ -146,6 +149,21 @@ class Dataset:
         start, end = self.period_start, self.period_end
         if end < start:
             raise ValueError("period_end precedes period_start")
+        n, names = len(self.line_codes), self.line_names
+        for name in ("kms", "months", "minutes", "dates", "species"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} holds {len(getattr(self, name))} entries, line_codes {n}")
+        if list(names) != sorted(set(names)):
+            raise ValueError("line_names must be distinct and sorted")
+        bounds = (("line_codes", 0, len(names) - 1), ("months", 1, 12),
+                  ("minutes", 0, MINUTES_PER_DAY - 1), ("kms", 0.0, np.finfo(float).max))
+        for name, lo, hi in bounds:
+            column = getattr(self, name)
+            if n and not (lo <= column.min() and column.max() <= hi):  # NaN fails both
+                raise ValueError(f"{name} must lie in {lo}..{hi}")
+        unused = np.flatnonzero(np.bincount(self.line_codes, minlength=len(names)) == 0)
+        if unused.size:
+            raise ValueError(f"line_names entry {names[unused[0]]!r} has no record")
         outside = np.flatnonzero((self.dates < start.toordinal()) | (self.dates > end.toordinal()))
         if outside.size:
             date = dt.date.fromordinal(int(self.dates[outside[0]]))

@@ -4,8 +4,8 @@ The model is a set of count ratios over a fixed binning: a monthly accident
 rate mu(tau) = N_tau / (T/12), an hour-of-day distribution conditioned on the
 daylight season containing the month, a line distribution p(l) = N_l / N, and
 a km-bin distribution along each line p(x, dx | l).  The counts are the source
-of truth: every table is derived from them by one function, both when fitting
-and when loading a saved model.
+of truth: a FittedModel derives every table from them when it is built, both
+when fitting and when loading a saved model.
 """
 
 from __future__ import annotations
@@ -171,16 +171,24 @@ class ModelCounts:
     n: int
     total_days: float
     by_month: dict[int, int]
-    by_season: dict[str, int]
     by_season_tbin: dict[str, tuple[int, ...]]
     by_line: dict[str, int]
     x_first: dict[str, int]
     by_line_xbin: dict[str, tuple[int, ...]]
 
+    @property
+    def by_season(self) -> dict[str, int]:
+        """Accidents per season label: the sum of its hour bins."""
+        return {label: sum(run) for label, run in self.by_season_tbin.items()}
+
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Immutable probability tables fitted from a Dataset.
+    """Immutable probability tables, derived from ``counts`` when the model is built.
+
+    ``fit``, ``model_from_json`` and ``dataclasses.replace`` all build one
+    through ``FittedModel(counts, seasons, bins, smoothing)``, which raises
+    ValueError on counts no dataset could give; the tables cannot be passed in.
 
     ``mu`` maps month -> accidents per average month; ``p_time`` maps season
     label -> one probability per hour bin index (a season with zero
@@ -190,14 +198,59 @@ class FittedModel:
     on, over the line's observed bin range.  Treat all tables as read-only.
     """
 
-    mu: dict[int, float]
-    p_time: dict[str, tuple[float, ...]]
-    p_line: dict[str, float]
-    p_segment: dict[str, tuple[float, ...]]
+    counts: ModelCounts
     seasons: SeasonScheme
     bins: BinConfig
-    counts: ModelCounts
     smoothing: float = 0.0
+    mu: dict[int, float] = field(init=False)
+    p_time: dict[str, tuple[float, ...]] = field(init=False)
+    p_line: dict[str, float] = field(init=False)
+    p_segment: dict[str, tuple[float, ...]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        counts, smoothing = self.counts, float(self.smoothing)
+        T, n, by_month, by_line = counts.total_days, counts.n, counts.by_month, counts.by_line
+        if not 0 < T < math.inf:
+            raise ValueError(f"total_days must be positive and finite, got {T!r}")
+        if not 0 <= smoothing < math.inf:
+            raise ValueError(f"smoothing must be non-negative and finite, got {smoothing!r}")
+        if set(by_month) != set(MONTHS) or min(by_month.values()) < 0:
+            raise ValueError("monthly counts must cover months 1..12 and be non-negative")
+        if sum(by_month.values()) != n or sum(by_line.values()) != n or n <= 0:
+            raise ValueError(f"monthly and per-line counts must both sum to n={n} > 0")
+        if counts.by_season_tbin.keys() != self.seasons.groups.keys():
+            raise ValueError("hour-bin counts must cover exactly the season labels")
+        p_time: dict[str, tuple[float, ...]] = {}
+        for label, months in self.seasons.groups.items():
+            run = counts.by_season_tbin[label]
+            in_season = sum(by_month[m] for m in months)
+            if len(run) != self.bins.n_t_bins or min(run) < 0 or sum(run) != in_season:
+                raise ValueError(f"hour-bin counts of season {label!r} disagree with its months")
+            denom = in_season + smoothing * len(run)
+            if denom > 0:
+                p_time[label] = tuple((cnt + smoothing) / denom for cnt in run)
+        if not counts.by_line_xbin.keys() == counts.x_first.keys() == by_line.keys():
+            raise ValueError("km-bin counts must cover exactly the counted lines")
+        p_segment: dict[str, tuple[float, ...]] = {}
+        for line, run in counts.by_line_xbin.items():
+            if counts.x_first[line] < 0 or not run or run[0] == 0 or run[-1] == 0:
+                raise ValueError(
+                    f"km-bin counts of line {line!r} must be one run of {self.bins.delta_x} km bins"
+                    " with records in both end bins"
+                )
+            if sum(run) != by_line[line] or min(run) < 0:
+                raise ValueError(f"km-bin counts of line {line!r} disagree with its count")
+            denom = by_line[line] + smoothing * len(run)
+            p_segment[line] = tuple((cnt + smoothing) / denom for cnt in run)
+        line_denom = n + smoothing * len(by_line)
+        month_denom = T / MONTHS_PER_YEAR
+        object.__setattr__(self, "smoothing", smoothing)
+        object.__setattr__(self, "mu", {m: by_month[m] / month_denom for m in MONTHS})
+        object.__setattr__(self, "p_time", p_time)
+        object.__setattr__(
+            self, "p_line", {line: (cnt + smoothing) / line_denom for line, cnt in by_line.items()}
+        )
+        object.__setattr__(self, "p_segment", p_segment)
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -293,59 +346,16 @@ def fit(
         line: tuple(flat[start : start + size].tolist())
         for line, start, size in zip(data.line_names, starts.tolist(), sizes.tolist())
     }
-    counts = {
-        "n": data.n,
-        "total_days": float(data.total_days if total_days is None else total_days),
-        "by_month": by_month,
-        "by_season_tbin": by_season_tbin,
-        "by_line": by_line,
-        "x_first": {line: lo for line, (lo, _) in spans.items()},
-        "by_line_xbin": by_line_xbin,
-    }
-    return _model_from_counts(counts, seasons, bins, smoothing)
-
-
-def _model_from_counts(
-    counts: dict, seasons: SeasonScheme, bins: BinConfig, smoothing: float
-) -> FittedModel:
-    """Derive the per-season totals and every probability table from raw counts.
-
-    ``counts`` holds the ModelCounts fields except ``by_season``.  This is
-    the only place the tables are computed, for fitted and loaded models alike.
-    """
-    T = counts["total_days"]
-    if not 0 < T < math.inf:
-        raise ValueError(f"total_days must be positive and finite, got {T!r}")
-    if not 0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be non-negative and finite, got {smoothing!r}")
-    by_month = counts["by_month"]
-    by_season = {
-        label: sum(by_month[m] for m in months) for label, months in seasons.groups.items()
-    }
-    month_denom = T / MONTHS_PER_YEAR
-    mu = {m: by_month[m] / month_denom for m in MONTHS}
-    p_time: dict[str, tuple[float, ...]] = {}
-    for label, table in counts["by_season_tbin"].items():
-        denom = by_season[label] + smoothing * len(table)
-        if denom > 0:
-            p_time[label] = tuple((cnt + smoothing) / denom for cnt in table)
-    by_line = counts["by_line"]
-    line_denom = counts["n"] + smoothing * len(by_line)
-    p_line = {line: (cnt + smoothing) / line_denom for line, cnt in by_line.items()}
-    p_segment: dict[str, tuple[float, ...]] = {}
-    for line, table in counts["by_line_xbin"].items():
-        denom = by_line[line] + smoothing * len(table)
-        p_segment[line] = tuple((cnt + smoothing) / denom for cnt in table)
-    return FittedModel(
-        mu=mu,
-        p_time=p_time,
-        p_line=p_line,
-        p_segment=p_segment,
-        seasons=seasons,
-        bins=bins,
-        counts=ModelCounts(by_season=by_season, **counts),
-        smoothing=float(smoothing),
+    counts = ModelCounts(
+        n=data.n,
+        total_days=float(data.total_days if total_days is None else total_days),
+        by_month=by_month,
+        by_season_tbin=by_season_tbin,
+        by_line=by_line,
+        x_first={line: lo for line, (lo, _) in spans.items()},
+        by_line_xbin=by_line_xbin,
     )
+    return FittedModel(counts, seasons, bins, smoothing)
 
 
 _FORMAT_TAG = "wildrail.model/1"
@@ -415,8 +425,7 @@ def model_from_json(text: str) -> FittedModel:
         )
         bins = BinConfig(delta_x=doc["bins"]["delta_x"], delta_t=doc["bins"]["delta_t"])
         smoothing = float(doc["smoothing"])
-        counts = _read_counts(doc["counts"], seasons, bins)
-        model = _model_from_counts(counts, seasons, bins, smoothing)
+        model = FittedModel(_read_counts(doc["counts"], bins), seasons, bins, smoothing)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc!r}") from None
     canonical = json.loads(model_to_json(model))
@@ -438,39 +447,25 @@ def _bin_run(table: dict, delta: float) -> tuple[int, tuple[int, ...]]:
     return first, tuple(indexed[i] for i in range(first, first + len(indexed)))
 
 
-def _read_counts(raw: dict, seasons: SeasonScheme, bins: BinConfig) -> dict:
-    """The ModelCounts fields but ``by_season`` of a model document's counts.
+def _read_counts(raw: dict, bins: BinConfig) -> ModelCounts:
+    """The counts of a model document, each bin table read as a run of bins.
 
-    Rejects counts that no dataset could produce; fit's own always pass.
+    Keys off the grid or with a gap give a km run ``-1, ()`` and an hour run
+    ``()``, as does an hour run not starting at bin 0; FittedModel refuses both.
     """
-    n = int(raw["n"])
-    by_month = {int(m): int(c) for m, c in raw["by_month"].items()}
-    by_line = {line: int(c) for line, c in raw["by_line"].items()}
-    if set(by_month) != set(MONTHS) or min(by_month.values()) < 0:
-        raise ValueError("monthly counts must cover months 1..12 and be non-negative")
-    if sum(by_month.values()) != n or sum(by_line.values()) != n or n <= 0:
-        raise ValueError(f"monthly and per-line counts must both sum to n={n} > 0")
-    counts = dict(n=n, total_days=float(raw["total_days"]), by_month=by_month, by_line=by_line)
-    tbins = counts["by_season_tbin"] = {}
-    for label, months in seasons.groups.items():
-        first, run = _bin_run(raw["by_season_tbin"][label], bins.delta_t)
-        in_season = sum(by_month[m] for m in months)
-        if first != 0 or len(run) != bins.n_t_bins or min(run) < 0 or sum(run) != in_season:
-            raise ValueError(f"hour-bin counts of season {label!r} disagree with its months")
-        tbins[label] = run
-    if set(raw["by_line_xbin"]) != set(by_line):
-        raise ValueError("km-bin counts must cover exactly the counted lines")
-    x_first = counts["x_first"] = {}
-    xbins = counts["by_line_xbin"] = {}
+    by_season_tbin = {}
+    for label, table in raw["by_season_tbin"].items():
+        first, run = _bin_run(table, bins.delta_t)
+        by_season_tbin[label] = run if first == 0 else ()
+    x_first, by_line_xbin = {}, {}
     for line, table in raw["by_line_xbin"].items():
-        # fit writes one run of bins from an index >= 0, with records in both end bins
-        first, run = _bin_run(table, bins.delta_x)
-        if first < 0 or run[0] == 0 or run[-1] == 0:
-            raise ValueError(
-                f"km-bin counts of line {line!r} must be one run of {bins.delta_x} km bins"
-                " with records in both end bins"
-            )
-        if by_line[line] <= 0 or sum(run) != by_line[line] or min(run) < 0:
-            raise ValueError(f"km-bin counts of line {line!r} disagree with its count")
-        x_first[line], xbins[line] = first, run
-    return counts
+        x_first[line], by_line_xbin[line] = _bin_run(table, bins.delta_x)
+    return ModelCounts(
+        n=int(raw["n"]),
+        total_days=float(raw["total_days"]),
+        by_month={int(m): int(c) for m, c in raw["by_month"].items()},
+        by_season_tbin=by_season_tbin,
+        by_line={line: int(c) for line, c in raw["by_line"].items()},
+        x_first=x_first,
+        by_line_xbin=by_line_xbin,
+    )

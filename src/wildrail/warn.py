@@ -25,11 +25,10 @@ from typing import ClassVar, Sequence, TextIO
 import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, _bin_floor, _grid_index, bin_index, km_to_geo
-from .model import MONTHS, FittedModel, InsufficientDataError, _check_grid_size
+from .model import MONTHS, FittedModel, _check_grid_size
 
 __all__ = [
     "FLAG_NO_TRAFFIC",
-    "FLAG_INSUFFICIENT_DATA",
     "FLAG_EXCEEDS_UNITY",
     "NoTrafficError",
     "TrafficProfile",
@@ -43,16 +42,13 @@ __all__ = [
 ]
 
 FLAG_NO_TRAFFIC = "no_traffic"
-FLAG_INSUFFICIENT_DATA = "insufficient_data"
 FLAG_EXCEEDS_UNITY = "exceeds_unity"
 
 _NO_TRAFFIC_BIT = 1
-_INSUFFICIENT_BIT = 2
 _EXCEEDS_BIT = 4
 
 _FLAG_NAMES = (
     (_NO_TRAFFIC_BIT, FLAG_NO_TRAFFIC),
-    (_INSUFFICIENT_BIT, FLAG_INSUFFICIENT_DATA),
     (_EXCEEDS_BIT, FLAG_EXCEEDS_UNITY),
 )
 
@@ -169,7 +165,6 @@ def p_per_train(
 
     Raises:
         NoTrafficError: the window has zero expected trains.
-        InsufficientDataError: a required model probability is undefined.
         ValueError: a month, hour or km outside the grid, or traffic binned
             on a different km grid than the model.
     """
@@ -181,9 +176,6 @@ def p_per_train(
     bits = int(grid.flags[line][cell])
     if bits & _NO_TRAFFIC_BIT:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
-    if bits & _INSUFFICIENT_BIT:
-        label = model.seasons.season_of(tau)
-        raise InsufficientDataError(f"no accidents in season {label!r}; p(t|season) undefined")
     return float(grid.p_pt[line][cell])
 
 
@@ -336,19 +328,13 @@ def _build_grid(
         )
     alpha_vec = np.array([alpha(i * delta_t, delta_t, profile) for i in range(n_t)])
 
-    # temporal part per (month, t-bin); months with an undefined season table
-    # are flagged, months with mu=0 are plain zeros
+    # temporal part per (month, t-bin); months with mu=0 are plain zeros, and
+    # the season of any other month has accidents, so it has an hour table
     temporal = np.zeros((len(MONTHS), n_t))
-    month_insufficient = np.zeros(len(MONTHS), dtype=bool)
     for mi, tau in enumerate(MONTHS):
         mu = model.mu_at(tau)
-        if mu == 0.0:
-            continue
-        table = model.p_time.get(model.seasons.season_of(tau))
-        if table is None:
-            month_insufficient[mi] = True
-            continue
-        temporal[mi, :] = np.array(table) * mu
+        if mu != 0.0:
+            temporal[mi, :] = np.array(model.p_time[model.seasons.season_of(tau)]) * mu
 
     p_pt: dict[str, np.ndarray] = {}
     m_window: dict[str, np.ndarray] = {}
@@ -364,11 +350,9 @@ def _build_grid(
             np.divide(p, window[:, None, :], out=p)
         no_traffic = (window == 0.0)[:, None, :]
         np.copyto(p, np.nan, where=no_traffic)
-        np.copyto(p, np.nan, where=month_insufficient[None, :, None])
         with np.errstate(invalid="ignore"):
             cell_flags = (p > 1.0).view(np.uint8) * np.uint8(_EXCEEDS_BIT)
         cell_flags |= no_traffic.view(np.uint8) * np.uint8(_NO_TRAFFIC_BIT)
-        cell_flags |= month_insufficient.view(np.uint8)[None, :, None] * np.uint8(_INSUFFICIENT_BIT)
         p_pt[line] = p
         m_window[line] = window
         flags[line] = cell_flags

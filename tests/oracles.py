@@ -257,7 +257,6 @@ def partition_mass(delta_t: Fraction, groups) -> Fraction:
 # --- per-cell warning arithmetic ---
 
 NO_TRAFFIC = "no_traffic"
-INSUFFICIENT = "insufficient_data"
 EXCEEDS = "exceeds_unity"
 
 
@@ -275,24 +274,15 @@ def cell_expectation(
     """p_pt and flags for one cell, from first principles.
 
     Returns (None, flags) where the probability is undefined.  Mirrors the
-    contract: zero expected trains or a missing season table blocks the cell;
-    a zero-accident month gives probability 0 without needing its season.
+    contract: zero expected trains blocks the cell; a zero-accident month
+    gives probability 0 without needing its season, whose table may be absent.
     """
     flags: set[str] = set()
     m_window = Fraction(traffic_count) * alpha_value * delta_t_hours
     if m_window == 0:
         flags.add(NO_TRAFFIC)
     mu = tables["mu"][tau]
-    temporal: Fraction | None
-    if mu == 0:
-        temporal = Fraction(0)
-    else:
-        season = month_season[tau]
-        if season not in tables["p_time"]:
-            temporal = None
-            flags.add(INSUFFICIENT)
-        else:
-            temporal = tables["p_time"][season][t_index] * mu
+    temporal = Fraction(0) if mu == 0 else tables["p_time"][month_season[tau]][t_index] * mu
     p_line = tables["p_line"].get(line, Fraction(0))
     if p_line == 0:
         spatial = Fraction(0)
@@ -300,7 +290,6 @@ def cell_expectation(
         spatial = tables["p_segment"][line].get(x_index, Fraction(0)) * p_line
     if flags:
         return (None, flags)
-    assert temporal is not None
     p = temporal * spatial / m_window
     if p > 1:
         flags.add(EXCEEDS)
@@ -508,7 +497,7 @@ def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = 
 # the per-cell exporters: every cell is materialized as a record with its own
 # warned dict, the representation the package's column exporters replaced
 
-FLAG_BITS = ((1, NO_TRAFFIC), (2, INSUFFICIENT), (4, EXCEEDS))
+FLAG_BITS = ((1, NO_TRAFFIC), (4, EXCEEDS))
 
 
 def cell_record(grid, line: str, xi: int, mi: int, ti: int) -> dict:

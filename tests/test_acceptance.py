@@ -125,11 +125,8 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
         if mu == 0:
             temporal[tau] = [0.0] * 24
         else:
-            season = MONTH_SEASON[tau]
-            table = tables["p_time"].get(season)
-            temporal[tau] = (
-                None if table is None else [float(table[ti] * mu) for ti in range(24)]
-            )
+            table = tables["p_time"][MONTH_SEASON[tau]]
+            temporal[tau] = [float(table[ti] * mu) for ti in range(24)]
     flat_index = 0
     for line in grid.lines:
         # km bin indices of the grid's bins on the line
@@ -145,10 +142,9 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
                     got = float(grid.p_pt[line][xi, mi, ti])
                     bits = int(grid.flags[line][xi, mi, ti])
                     window = count * (alpha_floats[ti] * 1.0)
-                    if window == 0.0 or rows is None:
+                    if window == 0.0:
                         assert math.isnan(got)
-                        want_bits = (1 if window == 0.0 else 0) | (0 if rows is not None else 2)
-                        assert bits == want_bits
+                        assert bits == 1
                     else:
                         want = rows[ti] * (spatial[xi] / window)
                         if want == 0.0:

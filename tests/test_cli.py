@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from wildrail import (
     DEFAULT_PROFILE,
     FLAG_EXCEEDS_UNITY,
-    FLAG_INSUFFICIENT_DATA,
     FLAG_NO_TRAFFIC,
     model_from_json,
     sweep_all,
@@ -47,7 +46,7 @@ SPEEDS = str(DATA_DIR / "speeds.csv")
 GEOMETRY = str(DATA_DIR / "lines.geojson")
 MODEL = str(DATA_DIR.parent / "demos" / "output" / "model.json")
 
-FLAGS = (FLAG_NO_TRAFFIC, FLAG_INSUFFICIENT_DATA, FLAG_EXCEEDS_UNITY)
+FLAGS = (FLAG_NO_TRAFFIC, FLAG_EXCEEDS_UNITY)
 
 PERIOD_FLAGS = ["--period-start", "2020-01-01", "--period-end", "2022-12-31"]
 

@@ -8,6 +8,7 @@ import datetime as dt
 import io
 import itertools
 import math
+import re
 import runpy
 import shutil
 import tracemalloc
@@ -177,6 +178,39 @@ def test_dataset_validation() -> None:
     empty = dataset_of((), *PERIOD)
     assert empty.n == 0
     assert empty.total_days == 1096
+
+
+def with_km(data, km: float) -> np.ndarray:
+    kms = data.kms.copy()
+    kms[3] = km
+    return kms
+
+
+def test_dataset_refuses_columns_parsing_never_gives(bundled_data) -> None:
+    data, names = bundled_data, bundled_data.line_names
+    cases = [
+        # at the parent, the first three failed only later: OverflowError in
+        # fit, IndexError, and a numpy broadcast error
+        ({"line_names": (*names, "zzz")}, "line_names entry 'zzz' has no record"),
+        ({"line_codes": data.line_codes + 5}, f"line_codes must lie in 0..{len(names) - 1}"),
+        ({"months": data.months[:-1]}, f"months holds {data.n - 1} entries, line_codes {data.n}"),
+        ({"species": data.species + ("",)}, f"species holds {data.n + 1} entries"),
+        ({"line_names": names[::-1]}, "line_names must be distinct and sorted"),
+        ({"line_names": (names[0], *names)}, "line_names must be distinct and sorted"),
+        ({"line_codes": data.line_codes - 1}, "line_codes must lie in"),
+        ({"months": data.months % 12}, "months must lie in 1..12"),
+        ({"months": data.months + 1}, "months must lie in 1..12"),
+        ({"minutes": data.minutes + 1440}, "minutes must lie in 0..1439"),
+        ({"minutes": data.minutes - 1440}, "minutes must lie in 0..1439"),
+        ({"kms": with_km(data, -0.5)}, "kms must lie in 0.0.."),
+        ({"kms": with_km(data, math.nan)}, "kms must lie in 0.0.."),
+        ({"kms": with_km(data, math.inf)}, "kms must lie in 0.0.."),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            dataclasses.replace(data, **changes)
+    # -0.0 is a km parse_accidents accepts
+    assert dataclasses.replace(data, kms=with_km(data, -0.0)).n == data.n
 
 
 # --- accident CSV ---

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from wildrail import (
     DEFAULT_SEASONS,
     AccidentRecord,
     BinConfig,
+    FittedModel,
     InsufficientDataError,
     SeasonScheme,
     DEFAULT_PROFILE,
@@ -296,6 +299,83 @@ def test_spatial_part_handles_unknown_locations() -> None:
         model.p_segment_at("999", 0.0)
     assert model.p_segment_at("7", 500.0) == 0.0
     assert one_month_p(model, 1, 18.0, "7", 5.0) > 0.0
+
+
+# --- construction from counts ---
+
+
+def broken_counts(c) -> list[tuple[dict, str]]:
+    """Changes to the counts ``c`` that each break one rule, with the start of its error."""
+    hours, kms = c.by_season_tbin["short"], c.by_line_xbin["139"]
+
+    def hour_run(run) -> dict:
+        return {"by_season_tbin": {**c.by_season_tbin, "short": run}}
+
+    def km_run(run) -> dict:
+        return {"by_line_xbin": {**c.by_line_xbin, "139": run}}
+
+    sums = "monthly and per-line counts must both sum"
+    seasons, lines = "hour-bin counts must cover exactly", "km-bin counts must cover exactly"
+    off_hours = "hour-bin counts of season 'short' disagree"
+    off_count = "km-bin counts of line '139' disagree"
+    one_run = "km-bin counts of line '139' must be one run"
+    return [
+        ({"total_days": 0.0}, "total_days must be positive and finite"),
+        ({"total_days": math.inf}, "total_days must be positive and finite"),
+        ({"by_month": {m: v for m, v in c.by_month.items() if m != 12}}, "monthly counts must cover"),
+        ({"by_month": {**c.by_month, 1: -c.by_month[1]}}, "monthly counts must cover"),
+        ({"n": c.n + 1}, sums),
+        ({"by_line": {**c.by_line, "139": c.by_line["139"] + 1}}, sums),
+        ({"n": 0, "by_month": dict.fromkeys(c.by_month, 0), "by_line": dict.fromkeys(c.by_line, 0)}, sums),
+        ({"by_season_tbin": {k: v for k, v in c.by_season_tbin.items() if k != "short"}}, seasons),
+        ({"by_season_tbin": {**c.by_season_tbin, "spare": hours}}, seasons),
+        (hour_run(hours[:-1]), off_hours),
+        (hour_run((hours[0] + 1, *hours[1:])), off_hours),
+        (hour_run((hours[0] + hours[1] + 1, -1, *hours[2:])), off_hours),
+        ({"by_line_xbin": {k: v for k, v in c.by_line_xbin.items() if k != "139"}}, lines),
+        ({"x_first": {k: v for k, v in c.x_first.items() if k != "139"}}, lines),
+        ({"x_first": {**c.x_first, "139": -1}}, one_run),
+        (km_run(()), one_run),
+        (km_run((0, *kms)), one_run),
+        (km_run((*kms, 0)), one_run),
+        (km_run((kms[0] + 1, *kms[1:])), off_count),
+        (km_run((kms[0] + kms[1] + 1, -1, *kms[2:])), off_count),
+    ]
+
+
+def test_fitted_model_refuses_counts_no_dataset_gives(bundled_model) -> None:
+    seasons, bins = bundled_model.seasons, bundled_model.bins
+    assert FittedModel(bundled_model.counts, seasons, bins) == bundled_model
+    for changes, message in broken_counts(bundled_model.counts):
+        broken = dataclasses.replace(bundled_model.counts, **changes)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            FittedModel(broken, seasons, bins)
+    for smoothing in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^smoothing must be non-negative and finite"):
+            dataclasses.replace(bundled_model, smoothing=smoothing)
+
+
+def test_fitted_model_tables_cannot_be_passed_in(bundled_model) -> None:
+    for name in ("mu", "p_time", "p_line", "p_segment"):
+        table = getattr(bundled_model, name)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(bundled_model, **{name: table})
+        with pytest.raises(TypeError):
+            FittedModel(bundled_model.counts, bundled_model.seasons, bundled_model.bins, **{name: table})
+
+
+def test_replacing_the_smoothing_derives_the_tables_anew(bundled_data, bundled_model) -> None:
+    smooth = dataclasses.replace(bundled_model, smoothing=1.0)
+    assert model_to_json(smooth) == model_to_json(fit(bundled_data, total_days=1095, smoothing=1.0))
+    assert model_to_json(dataclasses.replace(smooth, smoothing=0.0)) == model_to_json(bundled_model)
+
+
+def test_season_counts_sum_their_months(bundled_model) -> None:
+    counts = bundled_model.counts
+    assert counts.by_season == {
+        label: sum(counts.by_month[m] for m in months)
+        for label, months in bundled_model.seasons.groups.items()
+    }
 
 
 # --- serialization ---

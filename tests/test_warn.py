@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime as dt
 import io
 import json
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wildrail.model
@@ -21,11 +20,9 @@ import wildrail.warn
 from wildrail import (
     DEFAULT_PROFILE,
     FLAG_EXCEEDS_UNITY,
-    FLAG_INSUFFICIENT_DATA,
     FLAG_NO_TRAFFIC,
     AccidentRecord,
     BinConfig,
-    InsufficientDataError,
     LineGeometry,
     NoTrafficError,
     TrafficProfile,
@@ -152,19 +149,6 @@ def test_p_per_train_requires_traffic(bundled_model) -> None:
     empty = traffic_of({})
     with pytest.raises(NoTrafficError):
         p_per_train(bundled_model, empty, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
-
-
-def test_p_per_train_reports_no_traffic_before_insufficient_data(bundled_model, bundled_traffic) -> None:
-    # a hand-built model whose January season lost its hour table
-    label = bundled_model.seasons.season_of(1)
-    broken = dataclasses.replace(
-        bundled_model, p_time={k: v for k, v in bundled_model.p_time.items() if k != label}
-    )
-    with pytest.raises(InsufficientDataError):
-        p_per_train(broken, bundled_traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
-    empty = traffic_of({})
-    with pytest.raises(NoTrafficError):
-        p_per_train(broken, empty, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
 
 
 def test_p_per_train_rejects_cells_off_the_grid(bundled_model, bundled_traffic) -> None:
@@ -690,11 +674,17 @@ def test_exporters_match_cell_loops(
     rng = np.random.default_rng(seed)
     train, traffic = make_synthetic(rng, max_records=100, max_lines=3, km_span=20.0)
     names = {str(100 + i): name for i, name in enumerate(LINE_NAMES)}
-    train = dataset_of(
-        (r._replace(line=names[r.line]) for r in train.records),
-        train.period_start,
-        train.period_end,
-    )
+    # a season without records has no hour table, and its zero-rate months
+    # must still reach both exporters
+    seasons = wildrail.model.DEFAULT_SEASONS
+    dropped = data.draw(st.sampled_from([None, *seasons.labels]))
+    kept = [
+        r._replace(line=names[r.line])
+        for r in train.records
+        if seasons.season_of(r.date.month) != dropped
+    ]
+    assume(kept)
+    train = dataset_of(kept, train.period_start, train.period_end)
     # thin traffic pushes p_pt past 1, so exceeds_unity cells appear
     traffic = TrafficTable(
         x_first={names[line]: first for line, first in traffic.x_first.items()},
@@ -702,11 +692,6 @@ def test_exporters_match_cell_loops(
         delta_x=5.0,
     )
     model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
-    # a season without its hour table makes its months insufficient_data
-    dropped = data.draw(st.sampled_from([None, *sorted(model.p_time)]))
-    model = dataclasses.replace(
-        model, p_time={k: v for k, v in model.p_time.items() if k != dropped}
-    )
     probe = sweep_all(model, traffic, DEFAULT_PROFILE, (1.0,))
     # thresholds equal to cells' own p_pt check that warnings stay strict
     own = sorted({float(v) for p in probe.p_pt.values() for v in p[p > 0.0]})
