@@ -133,8 +133,7 @@ def hex_bin(points: list[tuple[float, float]] | np.ndarray, spacing: float = 2.5
     lat, lon = latlon.T
     if not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
         raise ValueError("points must be geographic: |lat| <= 90 and |lon| <= 180, none NaN")
-    lat0 = sum(lat.tolist()) / len(lat)
-    lon0 = sum(lon.tolist()) / len(lon)
+    lat0, lon0 = (_sequential_sum(a) / len(a) for a in (lat, lon))
     grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells={})
     blocks = [grid.assign(*grid.project(lat[i : i + _BLOCK], lon[i : i + _BLOCK]))
               for i in range(0, len(lat), _BLOCK)]
@@ -154,6 +153,17 @@ def hex_bin(points: list[tuple[float, float]] | np.ndarray, spacing: float = 2.5
     firsts = firsts[by_first]
     cells = dict(zip(zip(cols[firsts].tolist(), rows[firsts].tolist()), counts[by_first].tolist()))
     return HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells=cells)
+
+
+def _sequential_sum(a: np.ndarray) -> float:
+    """The left-to-right float sum of a non-empty ``a``, on every Python version.
+
+    ``np.add.accumulate`` adds one element at a time, as ``sum`` does before
+    Python 3.12; ``+ 0.0`` turns an all ``-0.0`` total into ``sum``'s
+    ``0.0``.  ``sum`` from 3.12 on compensates and ``np.sum`` adds pairwise,
+    so either could move the lattice by an ulp of its centre.
+    """
+    return float(np.add.accumulate(a)[-1]) + 0.0
 
 
 def hex_grid_to_geojson(grid: HexGrid) -> str:
@@ -183,9 +193,22 @@ def hex_grid_to_geojson(grid: HexGrid) -> str:
             f"a hexagon corner at spacing {grid.spacing!r} km lies off the globe "
             f"(lat {lat!r}, lon {lon!r}); corners need |lat| <= 90 and |lon| <= 180"
         )
+    # neighbouring cells share corners, so each distinct coordinate and each
+    # distinct corner is formatted once; equal bits give equal repr texts,
+    # where float equality would merge 0.0 and -0.0
+    lat_bits, lat_at = np.unique(lats.ravel().view(np.int64), return_inverse=True)
+    lon_bits, lon_at = np.unique(lons.ravel().view(np.int64), return_inverse=True)
+    lat_texts = list(map(repr, lat_bits.view(float).tolist()))
+    lon_texts = list(map(repr, lon_bits.view(float).tolist()))
+    pairs, corner_at = np.unique(lon_at * len(lat_bits) + lat_at, return_inverse=True)
+    lon_of, lat_of = np.divmod(pairs, len(lat_bits))
+    corner_texts = [
+        f"[{lon_texts[i]}, {lat_texts[j]}]" for i, j in zip(lon_of.tolist(), lat_of.tolist())
+    ]
+    corner_at = corner_at.reshape(lats.shape)
     features = []
-    for ((col, row), count), lat6, lon6 in zip(items, lats.tolist(), lons.tolist()):
-        ring = [f"[{lon!r}, {lat!r}]" for lon, lat in zip(lon6, lat6)]
+    for ((col, row), count), six in zip(items, corner_at.tolist()):
+        ring = [corner_texts[i] for i in six]
         ring.append(ring[0])
         features.append(
             f'{{"geometry": {{"coordinates": [[{", ".join(ring)}]], "type": "Polygon"}}, '

@@ -99,7 +99,7 @@ def count_days(start: dt.date, end: dt.date, days_per_year: str = "calendar") ->
 
 
 class AccidentRecord(NamedTuple):
-    """One wildlife-train collision report, as a Dataset's ``records`` view yields it.
+    """One wildlife-train collision report, as iterating a Dataset's ``records`` yields it.
 
     An immutable named tuple.  ``time`` is minutes since midnight in [0,
     1440); ``km`` is the position along the line in kilometres (any
@@ -130,8 +130,9 @@ class Dataset:
     indexes ``line_names`` (the distinct lines, sorted, each with a record);
     ``kms`` (finite, >= 0), ``months`` (1..12), ``minutes`` (since midnight)
     and ``dates`` (``date.toordinal()``) are read-only numpy arrays;
-    ``species`` is a tuple of str.  ``records`` is a read-only view of the
-    columns as AccidentRecord named tuples, built anew on each access.
+    ``species`` is a tuple of str.  ``records`` reads the columns back as
+    AccidentRecord named tuples: each access returns a new one-pass
+    iterator, so wrap it in ``tuple()`` to keep or index the records.
     Datasets compare and hash by identity.
     """
 
@@ -170,22 +171,28 @@ class Dataset:
             raise ValueError(f"record dated {date} falls outside period {start}..{end}")
 
     @property
-    def records(self) -> tuple[AccidentRecord, ...]:
-        """The columns as AccidentRecord named tuples, built anew on each access."""
-        dates = self.dates.tolist()
-        days = {day: dt.date.fromordinal(day) for day in set(dates)}
-        return tuple(
-            map(
+    def records(self) -> Iterator[AccidentRecord]:
+        """The columns as AccidentRecord named tuples, one pass per access.
+
+        Each access returns a fresh iterator that builds the records block by
+        block as it is read, so no more than a block of them is held at once;
+        ``tuple(data.records)`` keeps them all.
+        """
+        days: dict[int, dt.date] = {}  # one date object per distinct day
+        for first in range(0, self.n, _BLOCK):
+            block = slice(first, first + _BLOCK)
+            dates = self.dates[block].tolist()
+            days.update((day, dt.date.fromordinal(day)) for day in set(dates).difference(days))
+            yield from map(
                 AccidentRecord._make,
                 zip(
                     map(days.__getitem__, dates),
-                    self.minutes.tolist(),
-                    map(self.line_names.__getitem__, self.line_codes.tolist()),
-                    self.kms.tolist(),
-                    self.species,
+                    self.minutes[block].tolist(),
+                    map(self.line_names.__getitem__, self.line_codes[block].tolist()),
+                    self.kms[block].tolist(),
+                    self.species[block],
                 ),
             )
-        )
 
     @property
     def n(self) -> int:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -165,16 +167,27 @@ class ModelCounts:
 
     ``by_season_tbin[label][i]`` counts hour bin i, for every bin of the day;
     ``by_line_xbin[line][k]`` counts km bin ``x_first[line] + k``, densely
-    from the line's first to its last occupied bin.
+    from the line's first to its last occupied bin.  Each table is kept as a
+    read-only mapping over a copy of the one passed in.
     """
 
     n: int
     total_days: float
-    by_month: dict[int, int]
-    by_season_tbin: dict[str, tuple[int, ...]]
-    by_line: dict[str, int]
-    x_first: dict[str, int]
-    by_line_xbin: dict[str, tuple[int, ...]]
+    by_month: Mapping[int, int]
+    by_season_tbin: Mapping[str, tuple[int, ...]]
+    by_line: Mapping[str, int]
+    x_first: Mapping[str, int]
+    by_line_xbin: Mapping[str, tuple[int, ...]]
+
+    _TABLES = ("by_month", "by_season_tbin", "by_line", "x_first", "by_line_xbin")
+
+    def __post_init__(self) -> None:
+        for name in self._TABLES:
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
+        return type(self), (self.n, self.total_days, *(dict(getattr(self, t)) for t in self._TABLES))
 
     @property
     def by_season(self) -> dict[str, int]:
@@ -195,17 +208,18 @@ class FittedModel:
     accidents and zero smoothing is absent, and lookups for it raise
     InsufficientDataError); ``p_line`` maps line -> probability; ``p_segment``
     maps line -> probabilities of its km bins from ``counts.x_first[line]``
-    on, over the line's observed bin range.  Treat all tables as read-only.
+    on, over the line's observed bin range.  The tables are read-only
+    mappings, so a model cannot be edited into disagreeing with its counts.
     """
 
     counts: ModelCounts
     seasons: SeasonScheme
     bins: BinConfig
     smoothing: float = 0.0
-    mu: dict[int, float] = field(init=False)
-    p_time: dict[str, tuple[float, ...]] = field(init=False)
-    p_line: dict[str, float] = field(init=False)
-    p_segment: dict[str, tuple[float, ...]] = field(init=False)
+    mu: Mapping[int, float] = field(init=False)
+    p_time: Mapping[str, tuple[float, ...]] = field(init=False)
+    p_line: Mapping[str, float] = field(init=False)
+    p_segment: Mapping[str, tuple[float, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
         counts, smoothing = self.counts, float(self.smoothing)
@@ -244,13 +258,19 @@ class FittedModel:
             p_segment[line] = tuple((cnt + smoothing) / denom for cnt in run)
         line_denom = n + smoothing * len(by_line)
         month_denom = T / MONTHS_PER_YEAR
+        tables = {
+            "mu": {m: by_month[m] / month_denom for m in MONTHS},
+            "p_time": p_time,
+            "p_line": {line: (cnt + smoothing) / line_denom for line, cnt in by_line.items()},
+            "p_segment": p_segment,
+        }
         object.__setattr__(self, "smoothing", smoothing)
-        object.__setattr__(self, "mu", {m: by_month[m] / month_denom for m in MONTHS})
-        object.__setattr__(self, "p_time", p_time)
-        object.__setattr__(
-            self, "p_line", {line: (cnt + smoothing) / line_denom for line, cnt in by_line.items()}
-        )
-        object.__setattr__(self, "p_segment", p_segment)
+        for name, table in tables.items():
+            object.__setattr__(self, name, MappingProxyType(table))
+
+    def __reduce__(self):
+        # the tables are read-only mappings, which cannot be pickled; rebuild them
+        return type(self), (self.counts, self.seasons, self.bins, self.smoothing)
 
     @property
     def lines(self) -> tuple[str, ...]:

@@ -87,7 +87,7 @@ def dataset_of(records, start: dt.date, end: dt.date) -> Dataset:
         time = f"{r.time // 60:02d}:{r.time % 60:02d}"
         writer.writerow((r.date.isoformat(), time, r.line, repr(float(r.km)), r.species))
     data = parse_accidents(out.getvalue(), (start, end))
-    assert data.records == records
+    assert tuple(data.records) == records
     return data
 
 

@@ -355,13 +355,19 @@ KM_PER_DEGREE = math.pi * 6371.0 / 180.0
 def hex_bin_loop(points: Sequence[tuple[float, float]], spacing: float) -> dict:
     """Hex counts point by point: the fields of the package's HexGrid.
 
-    The centroid is the sequential sum of the points, the projection is
-    equirectangular around it, and ``cells`` keeps first-appearance order.
+    The centroid is the sequential sum of the points, added one at a time
+    from 0.0 (not ``sum``, which compensates from Python 3.12 on), the
+    projection is equirectangular around it, and ``cells`` keeps
+    first-appearance order.
     """
     if not points:
         return {"spacing": spacing, "lat0": 0.0, "lon0": 0.0, "cells": {}}
-    lat0 = sum(lat for lat, _ in points) / len(points)
-    lon0 = sum(lon for _, lon in points) / len(points)
+    lat_total = lon_total = 0.0
+    for lat, lon in points:
+        lat_total += lat
+        lon_total += lon
+    lat0 = lat_total / len(points)
+    lon0 = lon_total / len(points)
     cos0 = math.cos(math.radians(lat0))
     cells: dict[tuple[int, int], int] = {}
     for lat, lon in points:

@@ -25,6 +25,7 @@ from wildrail import (
     UndefinedCorrelationError,
     evaluate_holdout,
     fit,
+    geocode,
     hex_bin,
     hex_grid_to_geojson,
     hourly_profile,
@@ -251,6 +252,38 @@ def test_hex_bin_takes_an_array_of_points() -> None:
     assert hex_bin(np.empty((0, 2)), 2.5) == hex_bin([], 2.5)
 
 
+def test_hex_centre_is_the_sequential_sum_on_every_python(bundled_data, bundled_geometries) -> None:
+    # the built-in sum compensates from Python 3.12 on and reads lat0
+    # 50.06098979972517 on the bundled map, which would move every corner of
+    # hexmap.geojson; the centre is the sum of the points added one at a time
+    points = geocode(bundled_data, bundled_geometries)
+    grid = hex_bin(points, 2.5)
+    assert (grid.lat0, grid.lon0) == (50.06098979972518, 18.833800300558426)
+    assert grid == HexGrid(**hex_bin_loop(points, 2.5))
+    rng = np.random.default_rng(14)
+    compensated_differs = 0
+    for n in (2, 3, 10, 1000, analysis._BLOCK + 3):
+        # mixed magnitudes and signs, so the order of the additions shows
+        latlon = np.column_stack([
+            rng.uniform(-90.0, 90.0, n) * 10.0 ** rng.integers(-12, 1, n),
+            rng.uniform(-180.0, 180.0, n) * 10.0 ** rng.integers(-12, 1, n),
+        ])
+        lat_total = lon_total = 0.0
+        for lat, lon in latlon.tolist():
+            lat_total += lat
+            lon_total += lon
+        lat0, lon0 = lat_total / n, lon_total / n
+        grid = hex_bin(latlon, 1e6)
+        assert (grid.lat0, grid.lon0) == (lat0, lon0)
+        compensated_differs += math.fsum(latlon[:, 0]) / n != lat0
+    assert compensated_differs  # the arrays tell a compensated sum from a sequential one
+    # an all -0.0 column sums to 0.0, as the loop's 0.0 + -0.0 does
+    for latlon in ([(-0.0, -0.0)] * 3, [(-0.0, 1.0), (-0.0, -1.0)]):
+        grid = hex_bin(latlon, 2.5)
+        assert grid == HexGrid(**hex_bin_loop(latlon, 2.5))
+        assert math.copysign(1.0, grid.lat0) == math.copysign(1.0, grid.lon0) == 1.0
+
+
 def test_hex_geojson_rings() -> None:
     grid = hex_bin([(50.0, 19.0), (50.001, 19.001), (50.3, 19.4)], spacing=2.5)
     doc = json.loads(hex_grid_to_geojson(grid))
@@ -321,6 +354,28 @@ def test_hex_geojson_matches_corner_loop(spacing: float, lat0: float) -> None:
     assert None not in written  # the 4e10 indices leave the globe at any spacing
     grid = hex_bin([(lat0 + 0.01 * i, 19.0 - 0.02 * i) for i in range(-20, 21)], spacing)
     assert assert_same_geojson(grid, hex_geojson_loop(grid)) == (spacing < 1e6)
+
+
+@pytest.mark.parametrize("lat0", [50.06098979972518, -33.9])
+def test_hex_geojson_of_a_dense_lattice_matches_corner_loop(lat0: float) -> None:
+    # every cell of a 40 x 40 block, negative and odd columns among them, so
+    # nearly every corner is shared by three cells and written from one text
+    cells = {(col, row): 1 + (3 * col + row) % 5 for col in range(-21, 19) for row in range(-17, 23)}
+    grid = HexGrid(spacing=2.5, lat0=lat0, lon0=18.833800300558426, cells=cells)
+    assert hex_grid_to_geojson(grid) == hex_geojson_loop(grid)
+
+
+def test_hex_geojson_keeps_the_sign_of_zero() -> None:
+    # 0.0 and -0.0 are equal floats with different texts; each corner keeps its own
+    lats = np.array([[0.0, -0.0, 0.5, -0.0, 0.0, 1.0], [-0.0, 0.0, -0.0, 0.5, 1.0, 0.0]])
+    lons = np.array([[-0.0, 0.0, 0.0, -0.0, 2.0, -0.0], [0.0, 0.0, -0.0, -0.0, 2.0, 0.0]])
+    grid = HexGrid(spacing=2.5, lat0=0.0, lon0=0.0, cells={(0, 0): 1, (0, 1): 2})
+    with mock.patch.object(HexGrid, "unproject", lambda self, x, y: (lats, lons)):
+        doc = json.loads(hex_grid_to_geojson(grid))
+    for feature, lat6, lon6 in zip(doc["features"], lats.tolist(), lons.tolist()):
+        ring = [[repr(lon), repr(lat)] for lon, lat in zip(lon6, lat6)]
+        got = [[repr(c) for c in corner] for corner in feature["geometry"]["coordinates"][0]]
+        assert got == [*ring, ring[0]]
 
 
 def test_hex_geojson_refuses_corners_off_the_globe() -> None:
@@ -536,7 +591,7 @@ def test_holdout_rejects_non_finite_theta(eval_grid) -> None:
 def assert_same_report(grid, test: Dataset, theta: float) -> None:
     for adjacent in (False, True):
         report = evaluate_holdout(grid, test, theta, include_adjacent=adjacent)
-        assert report == EvalReport(**evaluate_holdout_loop(grid, test.records, theta, adjacent))
+        assert report == EvalReport(**evaluate_holdout_loop(grid, tuple(test.records), theta, adjacent))
 
 
 @settings(max_examples=40)
@@ -599,7 +654,7 @@ def test_holdout_matches_record_loop_across_block_seams(
     # the bundled hold-out set, moved along its lines and around the clock,
     # past two block seams
     rng = np.random.default_rng(5)
-    base = bundled_test_data.records
+    base = tuple(bundled_test_data.records)
     block = analysis._BLOCK
     n = 2 * block + 7
     records = [

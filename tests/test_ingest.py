@@ -219,15 +219,56 @@ def test_dataset_refuses_columns_parsing_never_gives(bundled_data) -> None:
 def test_parse_accidents_good() -> None:
     data = parse_accidents(io.StringIO(GOOD_CSV), PERIOD)
     assert data.n == 3
-    assert data.records[0].line == "139"
-    assert data.records[0].time == 18 * 60 + 23
-    assert data.records[1].species == ""
-    assert data.records[2].km == 79.9
-    assert data.records == data.records and data.records is not data.records  # built on each access
+    records = tuple(data.records)
+    assert records[0].line == "139"
+    assert records[0].time == 18 * 60 + 23
+    assert records[1].species == ""
+    assert records[2].km == 79.9
+    # each access is a new one-pass iterator over the same records
+    assert tuple(data.records) == records and data.records is not data.records
     assert data.line_names == ("1", "139", "140")
     assert data.line_codes.tolist() == [1, 0, 2]
     with pytest.raises(ValueError):
         data.kms[0] = 1.0  # the columns are read-only
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_records_read_the_columns_block_by_block(bundled_data, block: int) -> None:
+    data = bundled_data
+    expected = [
+        AccidentRecord(dt.date.fromordinal(day), minute, data.line_names[code], km, species)
+        for day, minute, code, km, species in zip(
+            data.dates.tolist(), data.minutes.tolist(), data.line_codes.tolist(),
+            data.kms.tolist(), data.species,
+        )
+    ]
+    with mock.patch.object(ingest, "_BLOCK", block):
+        records = data.records
+        assert list(records) == expected
+        assert list(records) == []  # one pass per access
+
+
+def test_records_stream_in_memory_of_one_block() -> None:
+    # 200k rows; as one tuple the records took 28.5 MiB, and building it
+    # peaked at 40 MiB.  Streamed, the columns of one block are converted
+    # at a time (about 4 MiB measured), whatever the number of rows
+    rng = np.random.default_rng(3)
+    n = 200_000
+    names = tuple(str(100 + i) for i in range(200))
+    days = rng.integers(PERIOD[0].toordinal(), PERIOD[1].toordinal() + 1, n)
+    data = Dataset(
+        *PERIOD, names, rng.permutation(np.arange(n) % len(names)), rng.uniform(0.0, 400.0, n),
+        rng.integers(1, 13, n), rng.integers(0, 24 * 60, n), days, ("roe deer", "") * (n // 2),
+    )
+    tracemalloc.start()
+    try:
+        seen = sum(1 for _ in data.records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == n
+    # 192 bytes a row of one block
+    assert peak <= 192 * ingest._BLOCK
 
 
 def test_parse_accidents_accepts_plain_string() -> None:
@@ -529,7 +570,7 @@ def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) 
             assert report.pairs == tuple(pairs)
 
     # records, and the dataset parsed back from them
-    assert parsed.records == tuple(records)
+    assert tuple(parsed.records) == tuple(records)
     assert_same_columns(dataset_of(records, *PERIOD), parsed)
 
 
@@ -772,7 +813,7 @@ def test_dataset_replace_and_equality() -> None:
     assert moved.kms.tolist() == [13.4, 1.0, 80.9]
     assert moved.period_start == parsed.period_start
     longer = dataclasses.replace(parsed, period_end=dt.date(2023, 6, 30))
-    assert longer.records == parsed.records and longer.kms is parsed.kms
+    assert tuple(longer.records) == tuple(parsed.records) and longer.kms is parsed.kms
     assert longer.total_days == parsed.total_days + 181
     with pytest.raises(ValueError, match="outside period"):
         dataclasses.replace(parsed, period_end=dt.date(2022, 12, 30))
@@ -790,7 +831,7 @@ def test_dataset_with_period() -> None:
     span = with_period(parsed, dt.date(2020, 1, 15), dt.date(2022, 12, 31))
     assert span.period_start == dt.date(2020, 1, 15)
     assert span.kms is parsed.kms
-    assert span.records == parsed.records
+    assert tuple(span.records) == tuple(parsed.records)
     with pytest.raises(ValueError, match="record dated 2020-01-15 falls outside"):
         with_period(parsed, dt.date(2020, 1, 16), dt.date(2022, 12, 31))
     with pytest.raises(ValueError, match="precedes"):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import datetime as dt
 import json
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -353,6 +355,36 @@ def test_fitted_model_refuses_counts_no_dataset_gives(bundled_model) -> None:
     for smoothing in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="^smoothing must be non-negative and finite"):
             dataclasses.replace(bundled_model, smoothing=smoothing)
+
+
+def test_model_tables_and_counts_are_read_only(bundled_data) -> None:
+    # a fresh model, so a table that did change could not leak into other tests
+    model = fit(bundled_data, total_days=count_days(*PERIOD, "365"))
+    text = model_to_json(model)
+    with pytest.raises(TypeError):
+        model.counts.by_month[1] += 1
+    with pytest.raises(TypeError):
+        model.mu[2] = 99.0
+    counts = model.counts
+    for table in (counts.by_month, counts.by_season_tbin, counts.by_line, counts.x_first,
+                  counts.by_line_xbin, model.mu, model.p_time, model.p_line, model.p_segment):
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+    assert model_to_json(model) == text
+    # the counts keep a copy of the tables they are given
+    by_line = dict(counts.by_line)
+    kept = dataclasses.replace(counts, by_line=by_line)
+    by_line["139"] += 1
+    assert kept.by_line == counts.by_line
+    assert model_to_json(FittedModel(kept, model.seasons, model.bins)) == text
+    # a mappingproxy cannot be pickled; the model and its counts still can
+    for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert copied == model and model_to_json(copied) == text
+        with pytest.raises(TypeError):
+            copied.p_line["139"] = 1.0
 
 
 def test_fitted_model_tables_cannot_be_passed_in(bundled_model) -> None:
