@@ -46,7 +46,7 @@ for theta in thresholds:
 # the hottest cells, by raw per-train probability
 flat = []
 for line in grid.lines:
-    p = grid.p_pt[line]
+    p, _ = grid.line_cells(line)  # computed from the grid's factors on each call
     for idx in np.argsort(np.nan_to_num(p, nan=-1.0), axis=None)[-3:]:
         xi, mi, ti = np.unravel_index(idx, p.shape)
         flat.append((float(p[xi, mi, ti]), line, int(xi), int(mi), int(ti)))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable, _bin_floor
 from .model import SeasonScheme
-from .warn import WarningGrid
+from .warn import WarningGrid, _counts_above
 
 __all__ = [
     "UndefinedCorrelationError",
@@ -410,16 +410,17 @@ def evaluate_holdout(
                 line_cells.append(part)
     thetas = sorted(set(grid.thresholds) | {float(theta)})
     hits = [0] * len(thetas)
+    warned = [0] * len(thetas)
     n_mapped = 0
-    with np.errstate(invalid="ignore"):
-        for line, line_cells in zip(grid.lines, cells):
-            if line_cells:
-                best = _best_p(grid.p_pt[line], np.concatenate(line_cells), include_adjacent)
-                n_mapped += best.size
-                for i, th in enumerate(thetas):
-                    hits[i] += int(np.count_nonzero(best > th))  # NaN never hits
+    for line, line_cells in zip(grid.lines, cells):
+        # each line's p_pt is computed once, for its warned counts and its accidents' cells
+        p_pt = grid._line_p_pt(line)
+        warned = [a + b for a, b in zip(warned, _counts_above(p_pt, thetas))]
+        if line_cells:
+            best = _best_p(p_pt, np.concatenate(line_cells), include_adjacent)
+            n_mapped += best.size
+            hits = [a + b for a, b in zip(hits, _counts_above(best, thetas))]  # NaN never hits
     traffic_positive = grid.traffic_positive_cells()
-    warned = grid.warned_counts(thetas)
     curve = []
     for th, hits_th, warned_th in zip(thetas, hits, warned):
         hit_rate = hits_th / n_mapped if n_mapped else 0.0

@@ -42,6 +42,9 @@ MINUTES_PER_DAY = 24 * 60
 # short-lived arrays stay a few MB however long the input is
 _BLOCK = 1 << 15
 
+# characters of a str that the csv row loops copy at a time
+_TEXT_PIECE = 1 << 16
+
 
 class ParseError(ValueError):
     """Raised when an input stream violates its schema.
@@ -205,6 +208,20 @@ class Dataset:
         return count_days(self.period_start, self.period_end)
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as io.StringIO(text) yields them, each up to and with its "\\n".
+
+    The text goes through io.StringIO one piece of at least ``_TEXT_PIECE``
+    characters at a time, each piece ending after a "\\n", so the lines are
+    the same and the text is never copied whole.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _TEXT_PIECE - 1) + 1 or size
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 def _read_header(reader, headers: tuple, what: str) -> tuple[str, ...] | None:
     """Consume the header row and return which of ``headers`` it is; None for an empty stream."""
     try:
@@ -247,7 +264,7 @@ def _table_rows(stream, headers: tuple, what: str) -> Iterator[tuple[int, str, l
     wide as every row, and each line identifier must be non-empty, or a
     ParseError says so.  An empty stream yields no rows.
     """
-    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+    reader = csv.reader(_text_lines(stream) if isinstance(stream, str) else stream)
     header = _read_header(reader, headers, what)
     if header:
         for line_no, (line, *cells) in _rows(reader, len(header)):
@@ -535,7 +552,7 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
             lines = None  # split on "\n" alone, as the text would be
     columns = _accident_arrays(text, period)
     if columns is None:
-        columns = _accident_rows(csv.reader(io.StringIO(text) if lines is None else lines), period)
+        columns = _accident_rows(csv.reader(_text_lines(text) if lines is None else lines), period)
     names, codes, *arrays, species = columns
     position = {name: i for i, name in enumerate(sorted(names))}
     arrays.insert(0, np.array([position[name] for name in names], dtype=np.int64)[codes])

@@ -40,7 +40,8 @@ MAX_GRID_CELLS = 50_000_000
 and ``sweep_all`` lay out.  A grid spans each line densely from its lowest to
 its highest km bin, so one stray km or a mistyped bin width can ask for
 billions of cells; 50M is about ten times a 200-line x 400 km network at
-5 km x 1 h, and about half a gigabyte of grid arrays."""
+5 km x 1 h, whose every reader computes each cell and whose CSV export
+would run to about 3.6 GB."""
 
 
 class InsufficientDataError(ValueError):

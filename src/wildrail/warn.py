@@ -11,6 +11,12 @@ p_pt exceeds a threshold (strictly).  Cells without traffic carry no p_pt and
 are never warned; they are flagged instead.  p_pt is a ratio of an expected
 event count to a train count and is deliberately not clamped: values above 1
 get an "exceeds unity" flag so data problems stay visible.
+
+A ``WarningGrid`` holds only the factors of that product: the temporal part
+per (month, hour bin), and per line the spatial part per km bin and
+m_window per (km bin, hour bin).  Each line's p_pt and flags are computed
+from them when read (``WarningGrid.line_cells``), so a grid stores a few
+numbers per km bin, not one per cell.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import ClassVar, Sequence, TextIO
+from types import MappingProxyType, SimpleNamespace
+from typing import ClassVar, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -173,25 +179,30 @@ def p_per_train(
     if tau not in MONTHS:
         raise ValueError(f"month must be 1..12, got {tau!r}")
     cell = (0, MONTHS.index(tau), ti)
-    bits = int(grid.flags[line][cell])
-    if bits & _NO_TRAFFIC_BIT:
+    p, flags = grid.line_cells(line)
+    if flags[cell] & _NO_TRAFFIC_BIT:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
-    return float(grid.p_pt[line][cell])
+    return float(p[cell])
 
 
 @dataclass(frozen=True)
 class WarningGrid:
-    """Warning state over (line, km bin, month, hour bin) cells.
+    """Warning state over (line, km bin, month, hour bin) cells, held as its factors.
 
     Every grid spans all 12 months (the class constant ``months``, 1..12)
     and all ``n_t`` hour bins of its model; hour bin ti starts at
     ``ti * delta_t``.  ``x_first`` maps each line, in grid order, to the
     index of its first km bin, so km bin xi of a line starts at
-    ``(x_first[line] + xi) * delta_x``.  Per line, ``p_pt`` is a
-    (n_x, 12, n_t) float array with NaN in flagged cells, ``m_window`` a
-    (n_x, n_t) array, and ``flags`` a bitmask array parallel to ``p_pt``.
-    ``warned`` state is derived on demand: a cell is warned at theta exactly
-    when p_pt > theta.
+    ``(x_first[line] + xi) * delta_x``.  A cell's p_pt is the product of
+    three small tables: ``temporal`` is a (12, n_t) month x hour-bin array,
+    and per line ``spatial`` is an (n_x,) array and ``m_window`` an
+    (n_x, n_t) array of expected trains, so cell (xi, mi, ti) of a line is
+    ``temporal[mi, ti] * spatial[xi] / m_window[xi, ti]``.  ``line_cells``
+    computes a line's p_pt and flags from them on each call; ``warned``
+    state is derived the same way: a cell is warned at theta exactly when
+    p_pt > theta.  The per-line tables are read-only mappings and every
+    stored array is a read-only view, so the caller's own arrays keep their
+    flags.
     """
 
     months: ClassVar[tuple[int, ...]] = MONTHS
@@ -199,14 +210,51 @@ class WarningGrid:
     delta_t: float
     thresholds: tuple[float, ...]
     n_t: int
-    x_first: dict[str, int]
-    p_pt: dict[str, np.ndarray]
-    m_window: dict[str, np.ndarray]
-    flags: dict[str, np.ndarray]
+    x_first: Mapping[str, int]
+    temporal: np.ndarray
+    spatial: Mapping[str, np.ndarray]
+    m_window: Mapping[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "temporal", _read_only(self.temporal))
+        object.__setattr__(self, "x_first", MappingProxyType(dict(self.x_first)))
+        for name in ("spatial", "m_window"):
+            table = {line: _read_only(arr) for line, arr in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(table))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
+        return type(self), (
+            self.delta_x, self.delta_t, self.thresholds, self.n_t, dict(self.x_first),
+            self.temporal, dict(self.spatial), dict(self.m_window),
+        )
 
     @property
     def lines(self) -> tuple[str, ...]:
         return tuple(self.x_first)
+
+    def line_cells(self, line: str) -> tuple[np.ndarray, np.ndarray]:
+        """(p_pt, flags) of every cell of ``line``, computed from the factors on each call.
+
+        ``p_pt`` is a new (n_x, 12, n_t) float array with NaN in cells without
+        traffic, and ``flags`` a uint8 bitmask array of the same shape.  Both
+        are the caller's own, so a caller that reads a line more than once
+        should keep the pair rather than call again.
+        """
+        p = self._line_p_pt(line)
+        with np.errstate(invalid="ignore"):
+            flags = (p > 1.0).view(np.uint8) * np.uint8(_EXCEEDS_BIT)
+        flags |= (self.m_window[line] == 0.0)[:, None, :].view(np.uint8) * np.uint8(_NO_TRAFFIC_BIT)
+        return p, flags
+
+    def _line_p_pt(self, line: str) -> np.ndarray:
+        """The p_pt array of ``line_cells``, for readers that need no flags."""
+        window = self.m_window[line]
+        p = self.temporal[None, :, :] * self.spatial[line][:, None, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(p, window[:, None, :], out=p)
+        np.copyto(p, np.nan, where=(window == 0.0)[:, None, :])
+        return p
 
     def locate(
         self,
@@ -232,7 +280,7 @@ class WarningGrid:
         li = np.array([at.get(name, -1) for name in names], dtype=np.int64)[codes]
         # one (first bin, bin count) row per line, plus an empty row that li = -1 picks
         firsts = np.array([*self.x_first.values(), 0], dtype=float)
-        sizes = np.array([self.p_pt[line].shape[0] for line in self.x_first] + [0], dtype=float)
+        sizes = np.array([self.m_window[line].shape[0] for line in self.x_first] + [0], dtype=float)
         first, size = firsts[li], sizes[li]
         km = np.asarray(km, dtype=float)
         # positions stay floats until checked, so a huge km cannot overflow
@@ -253,9 +301,11 @@ class WarningGrid:
         return li, xi, mi, ti
 
     def warned_mask(self, line: str, theta: float) -> np.ndarray:
-        """Boolean (n_x, 12, n_t) array: p_pt strictly above theta (NaN never warns)."""
-        with np.errstate(invalid="ignore"):
-            return self.p_pt[line] > theta
+        """Boolean (n_x, 12, n_t) array of ``line``: p_pt strictly above theta (NaN never warns).
+
+        Computes the line's cells, as ``line_cells`` does, on each call.
+        """
+        return _warned(self._line_p_pt(line), theta)
 
     def traffic_positive_cells(self) -> int:
         """Number of cells whose window holds at least one expected train."""
@@ -266,8 +316,7 @@ class WarningGrid:
 
     def flagged_cells(self, flag: str) -> int:
         """Number of cells carrying ``flag`` (one of the FLAG_* names)."""
-        bit = {name: bit for bit, name in _FLAG_NAMES}[flag]
-        return sum(int(np.count_nonzero(self.flags[line] & bit)) for line in self.lines)
+        return sum(_flag_counts(self.line_cells(line)[1])[flag] for line in self.lines)
 
     def warned_cells(self, theta: float) -> int:
         return self.warned_counts((theta,))[0]
@@ -275,14 +324,35 @@ class WarningGrid:
     def warned_counts(self, thetas: Sequence[float]) -> list[int]:
         """Number of cells warned at each of ``thetas``, all counted in one loop over the lines."""
         counts = [0] * len(thetas)
-        with np.errstate(invalid="ignore"):
-            for line in self.lines:
-                for i, theta in enumerate(thetas):
-                    counts[i] += int(np.count_nonzero(self.p_pt[line] > theta))
+        for line in self.lines:
+            counts = [a + b for a, b in zip(counts, _counts_above(self._line_p_pt(line), thetas))]
         return counts
 
     def n_cells(self) -> int:
-        return sum(arr.size for arr in self.p_pt.values())
+        return sum(arr.shape[0] for arr in self.m_window.values()) * len(self.months) * self.n_t
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself keeps its flags."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+def _warned(p: np.ndarray, theta: float) -> np.ndarray:
+    """Where ``p`` is strictly above theta; NaN never is."""
+    with np.errstate(invalid="ignore"):
+        return p > theta
+
+
+def _counts_above(p: np.ndarray, thetas: Sequence[float]) -> list[int]:
+    """Number of entries of ``p`` strictly above each of ``thetas``."""
+    return [int(np.count_nonzero(_warned(p, theta))) for theta in thetas]
+
+
+def _flag_counts(flags: np.ndarray) -> dict[str, int]:
+    """Number of cells of a ``line_cells`` flags array carrying each FLAG_* name."""
+    return {name: int(np.count_nonzero(flags & bit)) for bit, name in _FLAG_NAMES}
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:
@@ -312,8 +382,8 @@ def _build_grid(
     thresholds: tuple[float, ...],
     spans: dict[str, tuple[int, int]],
 ) -> WarningGrid:
-    """The grid over the km bins ``spans`` gives (line -> first, last bin index),
-    all 12 months and every hour bin of the model."""
+    """The factors of the grid over the km bins ``spans`` gives (line -> first,
+    last bin index), all 12 months and every hour bin of the model."""
     n_t = model.bins.n_t_bins
     delta_t = model.bins.delta_t
     delta_x = model.bins.delta_x
@@ -336,26 +406,14 @@ def _build_grid(
         if mu != 0.0:
             temporal[mi, :] = np.array(model.p_time[model.seasons.season_of(tau)]) * mu
 
-    p_pt: dict[str, np.ndarray] = {}
+    spatial: dict[str, np.ndarray] = {}
     m_window: dict[str, np.ndarray] = {}
-    flags: dict[str, np.ndarray] = {}
     for line, (lo, hi) in spans.items():
         # the model's km bins of the line; a line it lacks has p_line = 0
         segment = model.p_segment.get(line, ())
-        spatial = _bins(segment, model.counts.x_first.get(line, 0), lo, hi) * model.p_line_at(line)
+        spatial[line] = _bins(segment, model.counts.x_first.get(line, 0), lo, hi) * model.p_line_at(line)
         m_vec = _bins(traffic.counts.get(line, ()), traffic.x_first.get(line, 0), lo, hi)
-        window = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
-        p = temporal[None, :, :] * spatial[:, None, None]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(p, window[:, None, :], out=p)
-        no_traffic = (window == 0.0)[:, None, :]
-        np.copyto(p, np.nan, where=no_traffic)
-        with np.errstate(invalid="ignore"):
-            cell_flags = (p > 1.0).view(np.uint8) * np.uint8(_EXCEEDS_BIT)
-        cell_flags |= no_traffic.view(np.uint8) * np.uint8(_NO_TRAFFIC_BIT)
-        p_pt[line] = p
-        m_window[line] = window
-        flags[line] = cell_flags
+        m_window[line] = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
 
     return WarningGrid(
         delta_x=delta_x,
@@ -363,9 +421,9 @@ def _build_grid(
         thresholds=thresholds,
         n_t=n_t,
         x_first={line: lo for line, (lo, _) in spans.items()},
-        p_pt=p_pt,
+        temporal=temporal,
+        spatial=spatial,
         m_window=m_window,
-        flags=flags,
     )
 
 
@@ -379,9 +437,9 @@ def sweep_all(
 
     Per line the km range is the dense span of the model's observed bins
     united with the line's run of traffic bins; a ValueError names the line whose
-    span takes the grid past ``model.MAX_GRID_CELLS``.  Cell evaluation is
-    vectorized and order-independent; the result is identical to evaluating
-    cells one at a time.
+    span takes the grid past ``model.MAX_GRID_CELLS``.  The grid keeps the
+    factors of p_pt; ``WarningGrid.line_cells`` evaluates a line's cells
+    vectorized, and each equals the cell evaluated on its own.
     """
     checked = _check_thresholds(thresholds)
     # per model line: its first and last model bin, widened to the traffic run's
@@ -419,12 +477,12 @@ def warnings_to_csv(grid: WarningGrid, out: TextIO) -> None:
     )
     hours = [f"{t!r},{t + grid.delta_t!r}" for t in (np.arange(grid.n_t) * grid.delta_t).tolist()]
     for line in grid.lines:
-        p = grid.p_pt[line]
+        p, flags = grid.line_cells(line)
         below = np.where(np.isnan(p), 0, np.searchsorted(grid.thresholds, p, side="left"))
         name = row([line, ""])[:-1]  # "<line>,", quoted as in a row
         rows: list[str] = []
         for k, (p_x, tail_x, m_x) in enumerate(
-            zip(p.tolist(), tails[grid.flags[line], below].tolist(), grid.m_window[line].tolist()),
+            zip(p.tolist(), tails[flags, below].tolist(), grid.m_window[line].tolist()),
             grid.x_first[line],
         ):
             x = k * grid.delta_x
@@ -485,8 +543,8 @@ def warnings_to_geojson(
         geometry = geometries.get(line)
         if geometry is None:
             continue
-        mask = grid.warned_mask(line, theta) & keep
-        p_arr = grid.p_pt[line]
+        p_arr = grid._line_p_pt(line)
+        mask = _warned(p_arr, theta) & keep
         for xi in np.flatnonzero(mask.any(axis=(1, 2))).tolist():
             x_from = (grid.x_first[line] + xi) * grid.delta_x
             x_to = x_from + grid.delta_x

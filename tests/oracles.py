@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # --- day counting ---
 
 
@@ -296,6 +298,45 @@ def cell_expectation(
     return (p, flags)
 
 
+
+def _run_bins(run, first: int, lo: int, hi: int):
+    """Bins lo..hi of a run whose first bin is ``first``, one at a time; 0.0 off the run."""
+    return np.array([float(run[k - first]) if 0 <= k - first < len(run) else 0.0
+                     for k in range(lo, hi + 1)])
+
+
+def dense_grid_cells(model, traffic, alpha_vec: Sequence[float], spans: dict) -> dict:
+    """Each line's (p_pt, flags, m_window), every cell of the grid laid out at once.
+
+    A dense build straight from the model and traffic tables, with the numpy
+    arithmetic ``WarningGrid.line_cells`` uses in the same order, so the two
+    must agree bit for bit.  ``alpha_vec`` holds alpha(ti * delta_t, delta_t)
+    per hour bin and ``spans`` maps a line to its first and last km bin index.
+    """
+    n_t, delta_t = model.bins.n_t_bins, model.bins.delta_t
+    temporal = np.zeros((12, n_t))
+    for mi, tau in enumerate(range(1, 13)):
+        mu = model.mu_at(tau)
+        if mu != 0.0:
+            temporal[mi, :] = np.array(model.p_time[model.seasons.season_of(tau)]) * mu
+    out = {}
+    for line, (lo, hi) in spans.items():
+        segment = model.p_segment.get(line, ())
+        spatial = _run_bins(segment, model.counts.x_first.get(line, 0), lo, hi) * model.p_line_at(line)
+        m_vec = _run_bins(traffic.counts.get(line, ()), traffic.x_first.get(line, 0), lo, hi)
+        window = (m_vec[:, None] * np.asarray(alpha_vec)[None, :]) * delta_t
+        p = temporal[None, :, :] * spatial[:, None, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(p, window[:, None, :], out=p)
+        no_traffic = (window == 0.0)[:, None, :]
+        np.copyto(p, np.nan, where=no_traffic)
+        with np.errstate(invalid="ignore"):
+            flags = (p > 1.0).view(np.uint8) * np.uint8(4)
+        flags |= no_traffic.view(np.uint8) * np.uint8(1)
+        out[line] = (p, flags, window)
+    return out
+
+
 # --- hexagonal lattice ---
 
 
@@ -441,7 +482,7 @@ def cell_of(grid, line: str, km: float, month: int, hour: float) -> tuple[int, i
     """(xi, mi, ti) of one accident in a WarningGrid, by per-value index arithmetic; None off-grid."""
     if line not in grid.x_first:
         return None
-    first, n_x = grid.x_first[line], grid.p_pt[line].shape[0]
+    first, n_x = grid.x_first[line], grid.m_window[line].shape[0]
     xi = _bin_index(km, grid.delta_x) - first
     if not 0 <= xi < n_x:
         if xi == n_x and km == (first + n_x) * grid.delta_x:
@@ -463,12 +504,13 @@ def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = 
     ``warned_cells`` and ``traffic_positive_cells``.
     """
     mapped_ps: list[list[float]] = []
+    p_pt = {line: grid.line_cells(line)[0] for line in grid.lines}  # each line computed once
     for rec in records:
         cell = cell_of(grid, rec.line, rec.km, rec.date.month, rec.time / 60.0)
         if cell is None:
             continue
         xi, mi, ti = cell
-        arr = grid.p_pt[rec.line]
+        arr = p_pt[rec.line]
         candidates = [xi]
         if include_adjacent:
             candidates.extend(i for i in (xi - 1, xi + 1) if 0 <= i < arr.shape[0])
@@ -506,10 +548,13 @@ def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = 
 FLAG_BITS = ((1, NO_TRAFFIC), (4, EXCEEDS))
 
 
-def cell_record(grid, line: str, xi: int, mi: int, ti: int) -> dict:
-    """The cell at array indices (xi, mi, ti) of ``line``, with p_pt None where undefined."""
-    p = float(grid.p_pt[line][xi, mi, ti])
-    bits = int(grid.flags[line][xi, mi, ti])
+def cell_record(grid, line: str, cells, xi: int, mi: int, ti: int) -> dict:
+    """The cell at array indices (xi, mi, ti) of ``line``, with p_pt None where undefined.
+
+    ``cells`` is the line's ``(p_pt, flags)`` pair, read once per line by the caller.
+    """
+    p = float(cells[0][xi, mi, ti])
+    bits = int(cells[1][xi, mi, ti])
     p_out = None if math.isnan(p) else p
     x_from = (grid.x_first[line] + xi) * grid.delta_x
     t_from = ti * grid.delta_t
@@ -536,10 +581,11 @@ def warnings_to_csv_loop(grid) -> str:
         + [f"warned@{theta!r}" for theta in grid.thresholds]
     )
     for line in grid.lines:
-        for xi in range(grid.p_pt[line].shape[0]):
+        cells = grid.line_cells(line)
+        for xi in range(cells[0].shape[0]):
             for mi in range(len(grid.months)):
                 for ti in range(grid.n_t):
-                    cell = cell_record(grid, line, xi, mi, ti)
+                    cell = cell_record(grid, line, cells, xi, mi, ti)
                     writer.writerow(
                         [
                             cell["line"],
@@ -578,12 +624,13 @@ def warnings_to_geojson_loop(grid, geometries, theta: float, month=None, hour=No
         geometry = geometries.get(line)
         if geometry is None:
             continue
-        for xi in range(grid.p_pt[line].shape[0]):
+        cells = grid.line_cells(line)
+        for xi in range(cells[0].shape[0]):
             x_from = (grid.x_first[line] + xi) * grid.delta_x
             hits = []
             for mi in range(len(grid.months)):
                 for ti in range(grid.n_t):
-                    cell = cell_record(grid, line, xi, mi, ti)
+                    cell = cell_record(grid, line, cells, xi, mi, ti)
                     if cell["p_pt"] is None or not cell["p_pt"] > theta:
                         continue
                     if month is not None and cell["month"] != month:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wildrail.warn
 from wildrail import (
     DEFAULT_PROFILE,
     DEFAULT_SEASONS,
@@ -130,7 +131,8 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
     flat_index = 0
     for line in grid.lines:
         # km bin indices of the grid's bins on the line
-        bins = range(grid.x_first[line], grid.x_first[line] + grid.p_pt[line].shape[0])
+        bins = range(grid.x_first[line], grid.x_first[line] + grid.m_window[line].shape[0])
+        p_pt, flags = grid.line_cells(line)
         p_line = tables["p_line"].get(line, Fraction(0))
         seg = tables["p_segment"].get(line, {})
         spatial = [0.0 if p_line == 0 else float(seg.get(k, Fraction(0)) * p_line) for k in bins]
@@ -139,8 +141,8 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
             for mi, tau in enumerate(grid.months):
                 rows = temporal[tau]
                 for ti in range(24):
-                    got = float(grid.p_pt[line][xi, mi, ti])
-                    bits = int(grid.flags[line][xi, mi, ti])
+                    got = float(p_pt[xi, mi, ti])
+                    bits = int(flags[xi, mi, ti])
                     window = count * (alpha_floats[ti] * 1.0)
                     if window == 0.0:
                         assert math.isnan(got)
@@ -243,16 +245,16 @@ def test_criterion_5_threshold_and_traffic_monotonicity() -> None:
     for _ in range(25):
         data, traffic = make_synthetic(rng, max_records=400)
         grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (1e-4,))
-        values = np.concatenate([grid.p_pt[line].ravel() for line in grid.lines])
+        p_pt = [grid.line_cells(line)[0] for line in grid.lines]
+        values = np.concatenate([p.ravel() for p in p_pt])
         values = values[np.isfinite(values)]
         top = float(values.max()) if values.size else 1.0
         for _ in range(200):
             pair = np.sort(rng.uniform(0.0, top * 1.1, size=2))
             lo = float(pair[0]) + 1e-300  # thresholds must stay positive
             hi = float(pair[1]) + 2e-300
-            for line in grid.lines:
-                tight = grid.warned_mask(line, hi)
-                loose = grid.warned_mask(line, lo)
+            for p in p_pt:
+                tight, loose = wildrail.warn._warned(p, hi), wildrail.warn._warned(p, lo)
                 assert not (tight & ~loose).any()
             cases += 1
     # strict decrease in m for positive numerators
@@ -311,7 +313,7 @@ def test_criterion_6_holdout_informativeness() -> None:
     model = fit(dataset_of(train, dt.date(2020, 1, 1), dt.date(2022, 12, 31)))
     traffic = traffic_of({(line, i): 100.0 for line in lines for i in range(10)})
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (1e-6,))
-    values = np.concatenate([grid.p_pt[line].ravel() for line in grid.lines])
+    values = np.concatenate([grid.line_cells(line)[0].ravel() for line in grid.lines])
     theta = float(np.quantile(values[np.isfinite(values)], 0.75))
     report = evaluate_holdout_for_acceptance(grid, test, theta)
     assert 0.1 <= report.warned_fraction <= 0.5

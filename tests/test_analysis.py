@@ -611,7 +611,7 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
         {
             k * 5.0
             for line, first in grid.x_first.items()
-            for k in range(first, first + grid.p_pt[line].shape[0] + 1)
+            for k in range(first, first + grid.m_window[line].shape[0] + 1)
         }
     )
     km = st.one_of(
@@ -637,8 +637,9 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
     test = dataset_of(records, dt.date(2023, 1, 1), dt.date(2023, 12, 31))
     # theta equal to a test accident's own p_pt checks that hits are strict;
     # flagged cells carry NaN and never hit
+    p_pt = {line: grid.line_cells(line)[0] for line in grid.lines}
     own = [
-        float(grid.p_pt[rec.line][cell])
+        float(p_pt[rec.line][cell])
         for rec in records
         if (cell := cell_of(grid, rec.line, rec.km, rec.date.month, rec.time / 60.0)) is not None
     ]
@@ -676,7 +677,7 @@ def test_holdout_matches_record_loop_across_block_seams(
     last = bundled_traffic.x_first["139"] + len(counts["139"]) - 1
     traffic = TrafficTable(bundled_traffic.x_first, counts, bundled_traffic.delta_x)
     grid = sweep_all(bundled_model, traffic, DEFAULT_PROFILE, (0.0005, 0.001, 0.002))
-    first, n_x = grid.x_first["139"], grid.p_pt["139"].shape[0]
+    first, n_x = grid.x_first["139"], grid.m_window["139"].shape[0]
     assert first + n_x - 1 == last
     ends = ((first + 0.5) * grid.delta_x, (first + n_x - 0.5) * grid.delta_x)
     for i in [*range(0, n, 40), *range(41, n, 40), block - 1, block, n - 1]:
@@ -690,8 +691,9 @@ def test_holdout_matches_record_loop_across_block_seams(
     assert cells[block - 1][0] == cells[41][0] == n_x - 1
     assert "999" in test.line_names and cells[3] is None
     # theta equal to the p_pt of a test accident's own cell checks that hits are strict
+    p_pt = {line: grid.line_cells(line)[0] for line in grid.lines}
     own = next(p for r, cell in zip(records, cells) if cell is not None
-               and not math.isnan(p := float(grid.p_pt[r.line][cell])))
+               and not math.isnan(p := float(p_pt[r.line][cell])))
     for theta in (0.001, own):
         assert_same_report(grid, test, theta)
 

@@ -434,6 +434,57 @@ def test_quoted_crlf_copy_parses_to_the_same_columns() -> None:
     assert_same_columns(parse_accidents(copy, PERIOD), parse_accidents(text, PERIOD))
 
 
+def read_all(lines) -> list:
+    """Each row the csv module reads from ``lines`` with its ``line_num``, then its error if any."""
+    reader = csv.reader(lines)
+    out: list = []
+    try:
+        for row in reader:
+            out.append((row, reader.line_num))
+    except csv.Error as exc:
+        out.append((str(exc), reader.line_num))
+    return out
+
+
+LINE_TEXTS = ("", "\n", "a", "a\nb", "a\r\nb\r\n", "a\rb\n", '"a\nb",c\n', '"a\r\nb"\r\n',
+              '"unterminated\n', '"unterminated', "a\n\n\nb", 'x"y,"z"\rq\n')
+
+
+@given(st.one_of(st.sampled_from(LINE_TEXTS), st.text(alphabet='a,"\r\n ', max_size=40)))
+def test_text_lines_read_like_a_string_io(text: str) -> None:
+    assert list(ingest._text_lines(text)) == list(io.StringIO(text))
+    assert read_all(ingest._text_lines(text)) == read_all(io.StringIO(text))
+
+
+def test_text_lines_read_like_a_string_io_across_pieces() -> None:
+    # quoted fields spanning lines, CRLF and lone CR, repeated over three pieces
+    unit = 'a,b\r\n"x\ny",z\n"q\r\nr"\r\nplain\rcr\n\n'
+    text = unit * (3 * ingest._TEXT_PIECE // len(unit) + 1)
+    for shift in range(len(unit)):  # moves every piece boundary against the unit
+        assert list(ingest._text_lines(text[shift:])) == list(io.StringIO(text[shift:]))
+        assert read_all(ingest._text_lines(text[shift:])) == read_all(io.StringIO(text[shift:]))
+
+
+def test_a_quoted_log_is_parsed_without_a_copy_of_its_text() -> None:
+    # a quoted field sends the whole log to the row loop; a copy of the text
+    # in io.StringIO takes about four bytes a character on its own
+    rows = 50_000
+    text = f"{HEADER}\n" + "".join(
+        f'2021-{1 + i % 12:02d}-{1 + i % 28:02d},{i % 24:02d}:{i % 60:02d},{100 + i % 7},'
+        f'{(i % 4000) / 10!r},"roe deer"\n'
+        for i in range(rows)
+    )
+    assert ingest._accident_arrays(text, PERIOD) is None
+    tracemalloc.start()
+    try:
+        data = parse_accidents(text, PERIOD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n == rows and set(data.species) == {"roe deer"}
+    assert peak <= 5 * len(text)
+
+
 # --- columnar parsing against the row loop ---
 
 # valid field texts, repeated across rows so the per-text memos are reused

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import datetime as dt
 import io
 import json
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -27,7 +30,9 @@ from wildrail import (
     NoTrafficError,
     TrafficProfile,
     TrafficTable,
+    WarningGrid,
     alpha,
+    evaluate_holdout,
     fit,
     p_per_train,
     parse_traffic,
@@ -39,6 +44,7 @@ from conftest import dataset_of, make_synthetic, traffic_of
 from oracles import (
     alpha_fraction,
     cell_of,
+    dense_grid_cells,
     partition_mass,
     warnings_to_csv_loop,
     warnings_to_geojson_loop,
@@ -182,17 +188,17 @@ def test_sweep_covers_model_and_traffic_bins(bundled_grid, bundled_model, bundle
     assert bundled_grid.months == tuple(range(1, 13))
     assert bundled_grid.n_t == 24
     for line in bundled_grid.lines:
-        first, n_x = bundled_grid.x_first[line], bundled_grid.p_pt[line].shape[0]
+        first, n_x = bundled_grid.x_first[line], bundled_grid.m_window[line].shape[0]
         traffic_first = bundled_traffic.x_first[line]
         traffic_bins = set(range(traffic_first, traffic_first + len(bundled_traffic.counts[line])))
         model_first = bundled_model.counts.x_first[line]
         model_bins = set(range(model_first, model_first + len(bundled_model.p_segment[line])))
         covered = model_bins | traffic_bins
         assert covered <= set(range(first, first + n_x))
-        assert bundled_grid.p_pt[line].shape == (n_x, 12, 24)
+        assert all(cells.shape == (n_x, 12, 24) for cells in bundled_grid.line_cells(line))
         assert bundled_grid.m_window[line].shape == (n_x, 24)
     assert bundled_grid.n_cells() == sum(
-        bundled_grid.p_pt[line].shape[0] * 12 * 24 for line in bundled_grid.lines
+        bundled_grid.m_window[line].shape[0] * 12 * 24 for line in bundled_grid.lines
     )
 
 
@@ -200,10 +206,11 @@ def test_grid_cells_match_scalar_recomputation(bundled_grid, bundled_model, bund
     # bit-for-bit: the vectorized sweep must equal one-at-a-time evaluation
     for line in bundled_grid.lines:
         first = bundled_grid.x_first[line]
-        for xi in range(0, bundled_grid.p_pt[line].shape[0], 3):
+        p_pt = bundled_grid.line_cells(line)[0]
+        for xi in range(0, p_pt.shape[0], 3):
             for mi in range(0, 12, 5):
                 for ti in range(0, 24, 7):
-                    got = float(bundled_grid.p_pt[line][xi, mi, ti])
+                    got = float(p_pt[xi, mi, ti])
                     want = p_per_train(
                         bundled_model,
                         bundled_traffic,
@@ -289,7 +296,7 @@ def test_mismatched_traffic_bin_width_is_rejected(bundled_model) -> None:
 
 
 def test_warning_threshold_is_strict(bundled_grid) -> None:
-    arr = bundled_grid.p_pt["139"]
+    arr = bundled_grid.line_cells("139")[0]
     finite = arr[np.isfinite(arr) & (arr > 0)]
     value = float(finite.max())
     at = bundled_grid.warned_cells(value)
@@ -299,9 +306,9 @@ def test_warning_threshold_is_strict(bundled_grid) -> None:
 
 def test_warned_counts_match_cell_loop(bundled_grid) -> None:
     # thresholds equal to p_pt values of the grid check that each count is strict
-    values = bundled_grid.p_pt["139"]
+    values = bundled_grid.line_cells("139")[0]
     thetas = sorted(set(values[~np.isnan(values)].tolist()))[::25] + [0.0, 0.001, math.inf]
-    cells = [p for line in bundled_grid.lines for p in bundled_grid.p_pt[line].ravel().tolist()]
+    cells = [p for line in bundled_grid.lines for p in bundled_grid.line_cells(line)[0].ravel().tolist()]
     counts = bundled_grid.warned_counts(thetas)
     assert counts == [sum(1 for p in cells if p > theta) for theta in thetas]
     assert counts == [bundled_grid.warned_cells(theta) for theta in thetas]
@@ -309,8 +316,9 @@ def test_warned_counts_match_cell_loop(bundled_grid) -> None:
 
 
 def test_sweep_peak_memory_stays_near_its_output() -> None:
-    # the grid is built line by line; one p_pt buffer for the whole network
-    # would about double the traced peak
+    # the grid stores its factors, a few numbers per km bin; array headers and
+    # the per-line mappings add about 30 % to them, while laying out even one
+    # byte per cell would add more than the bound's 50 %
     train, traffic = make_synthetic(np.random.default_rng(2), max_records=2000, max_lines=40)
     model = fit(train)
     tracemalloc.start()
@@ -320,8 +328,107 @@ def test_sweep_peak_memory_stays_near_its_output() -> None:
     finally:
         tracemalloc.stop()
     assert len(grid.lines) >= 20
-    tables = (grid.p_pt, grid.m_window, grid.flags)
-    assert peak <= 1.1 * sum(arr.nbytes for table in tables for arr in table.values())
+    tables = (grid.spatial, grid.m_window)
+    factors = grid.temporal.nbytes + sum(arr.nbytes for table in tables for arr in table.values())
+    assert grid.n_cells() > 0.5 * factors
+    assert peak <= 1.5 * factors
+
+
+def _bits(arr: np.ndarray) -> np.ndarray:
+    return arr.view(np.uint64) if arr.dtype == np.float64 else arr
+
+
+def _assert_cells_equal_dense_build(model, traffic) -> None:
+    grid = sweep_all(model, traffic, DEFAULT_PROFILE, THRESHOLDS)
+    alpha_vec = [alpha(ti * grid.delta_t, grid.delta_t, DEFAULT_PROFILE) for ti in range(grid.n_t)]
+    spans = {line: (lo, lo + grid.m_window[line].shape[0] - 1) for line, lo in grid.x_first.items()}
+    dense = dense_grid_cells(model, traffic, alpha_vec, spans)
+    assert tuple(dense) == grid.lines
+    for line, (p_pt, flags, m_window) in dense.items():
+        got_p, got_flags = grid.line_cells(line)
+        # bit for bit: NaN payloads, signed zeros and infinities included
+        for got, want in ((got_p, p_pt), (got_flags, flags), (grid.m_window[line], m_window)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_line_cells_equal_the_dense_build(bundled_model, bundled_traffic) -> None:
+    _assert_cells_equal_dense_build(bundled_model, bundled_traffic)
+    # cells without traffic, and a p_pt that overflows to inf
+    _assert_cells_equal_dense_build(bundled_model, traffic_of({("139", 2): 131.0, ("140", 1): 1e-320}))
+
+
+@given(seed=st.integers(0, 5_000), delta_t=st.sampled_from([1.0, 0.5, 0.25]))
+@settings(max_examples=25)
+def test_line_cells_equal_the_dense_build_on_synthetic_data(seed: int, delta_t: float) -> None:
+    data, traffic = make_synthetic(np.random.default_rng(seed), max_records=300)
+    # thin and missing traffic give exceeds_unity and no_traffic cells
+    scale = (1.0, 1e-3, 0.0)[seed % 3]
+    traffic = TrafficTable(traffic.x_first, {line: run * scale for line, run in traffic.counts.items()}, 5.0)
+    _assert_cells_equal_dense_build(fit(data, bins=BinConfig(delta_x=5.0, delta_t=delta_t)), traffic)
+
+
+def test_each_reader_computes_a_line_at_most_once(
+    bundled_grid, bundled_test_data, bundled_geometries, monkeypatch
+) -> None:
+    # every reader computes a line's p_pt through _line_p_pt, line_cells included
+    calls: list[str] = []
+    line_p_pt = WarningGrid._line_p_pt
+
+    def spy(grid, line):
+        calls.append(line)
+        return line_p_pt(grid, line)
+
+    monkeypatch.setattr(WarningGrid, "_line_p_pt", spy)
+    grid = bundled_grid
+    readers = {
+        "evaluate_holdout": lambda: evaluate_holdout(grid, bundled_test_data, 0.001),
+        "evaluate_holdout adjacent": lambda: evaluate_holdout(
+            grid, bundled_test_data, 0.001, include_adjacent=True
+        ),
+        "warned_counts": lambda: grid.warned_counts(THRESHOLDS),
+        "warned_cells": lambda: grid.warned_cells(0.001),
+        "flagged_cells": lambda: grid.flagged_cells(FLAG_EXCEEDS_UNITY),
+        "warnings_to_csv": lambda: warnings_to_csv(grid, CharCount()),
+        "warnings_to_geojson": lambda: warnings_to_geojson(grid, bundled_geometries, 0.001),
+    }
+    for name, read in readers.items():
+        calls.clear()
+        read()
+        assert sorted(calls) == sorted(grid.lines), name
+
+
+def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
+    grid = sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, THRESHOLDS)
+    text = csv_text(grid)
+    for arr in (grid.temporal, grid.spatial["139"], grid.m_window["139"]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    for table in (grid.x_first, grid.spatial, grid.m_window):
+        with pytest.raises(TypeError):
+            table["139"] = table["139"]
+        with pytest.raises(TypeError):
+            del table["139"]
+    # the grid stores read-only views: the arrays it is built from keep their flags
+    temporal, m_window = np.array(grid.temporal), np.array(grid.m_window["139"])
+    built = dataclasses.replace(grid, temporal=temporal, m_window={**grid.m_window, "139": m_window})
+    assert temporal.flags.writeable and m_window.flags.writeable
+    assert not built.temporal.flags.writeable and not built.m_window["139"].flags.writeable
+    # the arrays line_cells returns are the caller's own
+    p_pt, flags = grid.line_cells("139")
+    kept = p_pt.copy(), flags.copy()
+    p_pt[...] = 5.0
+    flags[...] = 5
+    for again, want in zip(grid.line_cells("139"), kept):
+        assert np.array_equal(again, want)
+    assert csv_text(grid) == text
+    # a mappingproxy cannot be pickled; the grid still can
+    for copied in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
+        assert csv_text(copied) == text
+        with pytest.raises(TypeError):
+            copied.m_window["139"] = grid.m_window["139"]
+        with pytest.raises(ValueError, match="read-only"):
+            copied.temporal[0] = 5.0
 
 
 def test_warned_mask_ignores_nan(bundled_model) -> None:
@@ -329,7 +436,7 @@ def test_warned_mask_ignores_nan(bundled_model) -> None:
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
     for line in grid.lines:
         mask = grid.warned_mask(line, 1e-12)
-        assert not mask[np.isnan(grid.p_pt[line])].any()
+        assert not mask[np.isnan(grid.line_cells(line)[0])].any()
 
 
 def test_flags_mirror_undefined_cells() -> None:
@@ -338,8 +445,7 @@ def test_flags_mirror_undefined_cells() -> None:
         data, traffic = make_synthetic(rng, max_records=250)
         grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, THRESHOLDS)
         for line in grid.lines:
-            p = grid.p_pt[line]
-            flags = grid.flags[line]
+            p, flags = grid.line_cells(line)
             window = grid.m_window[line][:, None, :]
             no_traffic = (flags & 1) > 0
             assert np.array_equal(no_traffic, np.broadcast_to(window == 0.0, p.shape))
@@ -359,9 +465,10 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     _, (xi,), (mi,), (ti,) = grid.locate(
         ("9",), np.array([0]), np.array([2.0]), np.array([1]), np.array([12.5])
     )
-    p = float(grid.p_pt["9"][xi, mi, ti])
+    p_pt, flags = grid.line_cells("9")
+    p = float(p_pt[xi, mi, ti])
     assert p > 1.0
-    assert int(grid.flags["9"][xi, mi, ti]) == 4  # exceeds_unity alone
+    assert int(flags[xi, mi, ti]) == 4  # exceeds_unity alone
     assert grid.warned_mask("9", 0.001)[xi, mi, ti]
     row = list(csv.reader(io.StringIO(csv_text(grid))))[1 + (mi * 24) + ti]
     assert row[:5] == ["9", "0.0", "5.0", "1", "12.0"]
@@ -373,7 +480,7 @@ def test_an_overflowing_p_pt_is_flagged_without_a_warning(bundled_model) -> None
     # overflows; the suite turns numpy's RuntimeWarning into an error
     traffic = traffic_of({("139", 2): 1e-320})
     grid = sweep_all(bundled_model, traffic, DEFAULT_PROFILE, THRESHOLDS)
-    p, flags = (table["139"][2 - grid.x_first["139"]] for table in (grid.p_pt, grid.flags))
+    p, flags = (cells[2 - grid.x_first["139"]] for cells in grid.line_cells("139"))
     assert np.isinf(p).any()
     assert (flags[np.isinf(p)] == 4).all()  # exceeds_unity alone
 
@@ -386,8 +493,8 @@ def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, b
     )
     grid2 = sweep_all(bundled_model, doubled, DEFAULT_PROFILE, THRESHOLDS)
     for line in bundled_grid.lines:
-        a = bundled_grid.p_pt[line]
-        b = grid2.p_pt[line]
+        a = bundled_grid.line_cells(line)[0]
+        b = grid2.line_cells(line)[0]
         ok = np.isfinite(a)
         # powers of two scale without rounding, so this comparison is exact
         assert np.array_equal(b[ok], a[ok] / 2.0)
@@ -424,7 +531,7 @@ def test_locate_matches_tuple_lookups(seed: int, delta_t: float, data) -> None:
     edges = [
         k * 5.0
         for line, first in grid.x_first.items()
-        for k in range(first, first + grid.p_pt[line].shape[0] + 1)
+        for k in range(first, first + grid.m_window[line].shape[0] + 1)
     ]
     # bin edges and their floating-point neighbours, negatives and far-off values
     km = st.one_of(
@@ -491,12 +598,12 @@ def test_cell_materialization_is_consistent(bundled_grid) -> None:
     # rows run over (line, x, month, t); line "139" follows line "1"
     n_m, n_t = len(bundled_grid.months), bundled_grid.n_t
     xi, mi, ti = 2, 0, 18
-    row = rows[1 + bundled_grid.p_pt["1"].size + (xi * n_m + mi) * n_t + ti]
+    row = rows[1 + bundled_grid.line_cells("1")[0].size + (xi * n_m + mi) * n_t + ti]
     assert row[0] == "139"
     assert (row[1], row[2]) == ("10.0", "15.0")
     assert row[3] == "1"
     assert (row[4], row[5]) == ("18.0", "19.0")
-    p = float(bundled_grid.p_pt["139"][xi, mi, ti])
+    p = float(bundled_grid.line_cells("139")[0][xi, mi, ti])
     assert row[7] == repr(p)
     assert row[9:] == [str(int(p > th)) for th in THRESHOLDS]
 
@@ -522,7 +629,7 @@ def test_warning_csv_layout(bundled_grid) -> None:
     assert len(rows) == bundled_grid.n_cells() + 1
     by_key = {(r[0], r[1], r[3], r[4]): r for r in rows[1:]}
     hot = by_key[("139", "10.0", "1", "18.0")]
-    assert hot[7] == repr(float(bundled_grid.p_pt["139"][2, 0, 18]))
+    assert hot[7] == repr(float(bundled_grid.line_cells("139")[0][2, 0, 18]))
     assert hot[8] == ""
     assert [hot[9], hot[10], hot[11]] == ["1", "1", "0"]
 
@@ -694,7 +801,8 @@ def test_exporters_match_cell_loops(
     model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
     probe = sweep_all(model, traffic, DEFAULT_PROFILE, (1.0,))
     # thresholds equal to cells' own p_pt check that warnings stay strict
-    own = sorted({float(v) for p in probe.p_pt.values() for v in p[p > 0.0]})
+    p_pt = [probe.line_cells(line)[0] for line in probe.lines]
+    own = sorted({float(v) for p in p_pt for v in p[p > 0.0]})
     choices = st.sampled_from(own + [0.0005, 0.001, 1.0])
     thresholds = data.draw(st.lists(choices, min_size=1, max_size=3))
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
@@ -743,10 +851,11 @@ def test_grid_matches_scalar_path_on_synthetic_data(seed: int) -> None:
     model = fit(data)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.001,))
     line = grid.lines[seed % len(grid.lines)]
-    xi = seed % grid.p_pt[line].shape[0]
+    p_pt = grid.line_cells(line)[0]
+    xi = seed % p_pt.shape[0]
     km = (grid.x_first[line] + xi) * 5.0
     mi, ti = seed % 12, seed % 24
-    value = float(grid.p_pt[line][xi, mi, ti])
+    value = float(p_pt[xi, mi, ti])
     if math.isnan(value):
         with pytest.raises(NoTrafficError):
             p_per_train(model, traffic, DEFAULT_PROFILE, mi + 1, float(ti), line, km)
