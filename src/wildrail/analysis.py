@@ -135,17 +135,24 @@ def hex_bin(points: list[tuple[float, float]] | np.ndarray, spacing: float = 2.5
         raise ValueError("points must be geographic: |lat| <= 90 and |lon| <= 180, none NaN")
     lat0, lon0 = (_sequential_sum(a) / len(a) for a in (lat, lon))
     grid = HexGrid(spacing=spacing, lat0=lat0, lon0=lon0, cells={})
-    blocks = [grid.assign(*grid.project(lat[i : i + _BLOCK], lon[i : i + _BLOCK]))
-              for i in range(0, len(lat), _BLOCK)]
-    cols, rows = (np.concatenate(parts) for parts in zip(*blocks))
+    cols, rows = np.empty(len(lat), dtype=np.int64), np.empty(len(lat), dtype=np.int64)
+    for i in range(0, len(lat), _BLOCK):
+        cols[i : i + _BLOCK], rows[i : i + _BLOCK] = grid.assign(
+            *grid.project(lat[i : i + _BLOCK], lon[i : i + _BLOCK])
+        )
+    del latlon, lat, lon  # a converted copy of the points, not read again
     # one int64 key per cell from the ranks of its column and row: it stays
     # below (number of points)**2, so it cannot overflow
-    _, col_ranks = np.unique(cols, return_inverse=True)
-    row_values, row_ranks = np.unique(rows, return_inverse=True)
-    keys = col_ranks * len(row_values) + row_ranks
+    row_values, keys = np.unique(rows, return_inverse=True)
+    col_ranks = np.unique(cols, return_inverse=True)[1]
+    col_ranks *= len(row_values)
+    keys += col_ranks
+    del col_ranks
     order = np.argsort(keys)
     ordered = keys[order]
+    del keys
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    del ordered
     counts = np.diff(starts, append=order.size)
     # a cell's first point is the smallest point index in its group
     firsts = np.minimum.reduceat(order, starts)

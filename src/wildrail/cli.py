@@ -43,6 +43,7 @@ from .analysis import (
 )
 from .ingest import (
     Dataset,
+    _iso_date,
     count_days,
     geocode,
     km_to_geo,  # not called here: perfbench/clishim.py traces it as cli.km_to_geo
@@ -169,7 +170,7 @@ def _days_per_year(value: Any) -> str:
 
 def _date(value: Any) -> dt.date:
     try:
-        return dt.date.fromisoformat(_path(value))
+        return _iso_date(_path(value))
     except ValueError:
         raise ValueError(f"must be YYYY-MM-DD, got {value!r}") from None
 

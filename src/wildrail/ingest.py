@@ -10,7 +10,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator, NamedTuple, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -42,8 +42,8 @@ MINUTES_PER_DAY = 24 * 60
 # short-lived arrays stay a few MB however long the input is
 _BLOCK = 1 << 15
 
-# characters of a str that the csv row loops copy at a time
-_TEXT_PIECE = 1 << 16
+# characters of input that the parsers take at a time, in whole lines
+_TEXT_PIECE = 1 << 18
 
 
 class ParseError(ValueError):
@@ -208,16 +208,20 @@ class Dataset:
         return count_days(self.period_start, self.period_end)
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` as io.StringIO(text) yields them, each up to and with its "\\n".
+def _piece_end(text: str, start: int) -> int:
+    """The end of the piece of ``text`` from ``start``: its fewest whole lines that
+    pass ``_TEXT_PIECE`` characters, as ``readlines(_TEXT_PIECE)`` reads a stream."""
+    return text.find("\n", start + _TEXT_PIECE) + 1 or len(text)
 
-    The text goes through io.StringIO one piece of at least ``_TEXT_PIECE``
-    characters at a time, each piece ending after a "\\n", so the lines are
-    the same and the text is never copied whole.
+
+def _text_lines(text: str, start: int = 0) -> Iterator[str]:
+    """The lines of ``text[start:]`` as io.StringIO yields them, each up to and with its "\\n".
+
+    The text goes through io.StringIO one ``_piece_end`` piece at a time, so
+    the lines are the same and the text is never copied whole.
     """
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _TEXT_PIECE - 1) + 1 or size
+    while start < len(text):
+        end = _piece_end(text, start)
         yield from io.StringIO(text[start:end])
         start = end
 
@@ -237,24 +241,25 @@ def _read_header(reader, headers: tuple, what: str) -> tuple[str, ...] | None:
     return got
 
 
-def _rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+def _rows(reader, n_fields: int, skipped: int = 0) -> Iterator[tuple[int, list[str]]]:
     """Each remaining non-blank row, its cells stripped, with its first physical line.
 
-    A quoted newline makes a row span several lines.  A row without exactly
-    ``n_fields`` cells is a ParseError, and so is text the csv module rejects
-    (a field over ``csv.field_size_limit()``, or a NUL before Python 3.11),
-    named by the physical line where the csv module stopped.
+    ``skipped`` counts the physical lines of the input before the reader's
+    first.  A quoted newline makes a row span several lines.  A row without
+    exactly ``n_fields`` cells is a ParseError, and so is text the csv module
+    rejects (a field over ``csv.field_size_limit()``, or a NUL before Python
+    3.11), named by the physical line where the csv module stopped.
     """
-    first = reader.line_num + 1
+    first = skipped + reader.line_num + 1
     try:
         for row in reader:
             if row:
                 if len(row) != n_fields:
                     raise ParseError(f"expected {n_fields} fields, got {len(row)}", first)
                 yield first, [cell.strip() for cell in row]
-            first = reader.line_num + 1
+            first = skipped + reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num) from None
+        raise ParseError(str(exc), skipped + reader.line_num) from None
 
 
 def _table_rows(stream, headers: tuple, what: str) -> Iterator[tuple[int, str, list]]:
@@ -273,9 +278,21 @@ def _table_rows(stream, headers: tuple, what: str) -> Iterator[tuple[int, str, l
             yield line_no, line, cells
 
 
+def _iso_date(text: str) -> dt.date:
+    """The date ``text`` spells as exactly ``YYYY-MM-DD`` in ASCII digits; a ValueError otherwise.
+
+    ``date.fromisoformat`` also reads ``20200102`` and ``2020-W01-3`` from
+    Python 3.11 on, so it would accept different dates on different Pythons.
+    """
+    digits = text[:4] + text[5:7] + text[8:]
+    if len(text) != 10 or text[4] + text[7] != "--" or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"date must be YYYY-MM-DD, got {text!r}")
+    return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+
+
 def _parse_time_field(text: str, line_no: int) -> int:
     parts = text.strip().split(":")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ParseError(f"time must be HH:MM, got {text!r}", line_no)
     hh, mm = int(parts[0]), int(parts[1])
     if hh > 23 or mm > 59:
@@ -293,38 +310,102 @@ def _parse_float_field(text: str, name: str, line_no: int) -> float:
     return value
 
 
-def _accident_rows(reader, period: tuple[dt.date, dt.date]) -> tuple:
-    """The accident columns from a csv.reader, checked row by row.
+class _AccidentColumns:
+    """The accident columns of one parse as they fill, and the state both routes share.
 
-    Returns ``(lines, line_codes, kms, months, minutes, dates, species)``,
-    where ``line_codes`` index the names of ``lines`` in insertion order, as
-    ``_accident_arrays`` does.  This row loop raises every ParseError of
-    ``parse_accidents``.
+    The array route and the row loop each add rows with ``put``.  ``lines``
+    gives each line name its code in order of first appearance, and
+    ``shared_species`` maps each species text to the one str kept for it.
+    ``days`` maps each date the array route has checked, as the integer
+    ``YYYYMMDD``, to its ordinal and month; the row loop memoises date texts
+    instead.  ``skipped`` counts the physical lines the array route has
+    taken, the header among them.  The columns start with room for
+    ``capacity`` rows and double in place when full.
     """
-    start, end = period
-    if not _read_header(reader, (ACCIDENT_HEADER,), "accident"):
+
+    def __init__(self, capacity: int) -> None:
+        self.n = 0
+        self.skipped = 0
+        self.lines: dict[str, int] = {}
+        self.shared_species: dict[str, str] = {}
+        self.days: dict[int, tuple[int, int]] = {}
+        # line codes, kms, months, minutes and dates, as the Dataset orders them
+        dtypes = (np.int64, float, np.int64, np.int64, np.int64)
+        self.columns = [np.empty(capacity, dtype) for dtype in dtypes]
+        self.species = [""] * capacity
+
+    def put(self, codes, kms, months, minutes, dates, species: list[str]) -> None:
+        """Append rows, one array or list per column."""
+        first, end = self.n, self.n + len(species)
+        if end > len(self.species):
+            size = max(2 * len(self.species), end)
+            for column in self.columns:
+                column.resize(size, refcheck=False)  # nothing else refers to it
+            self.species.extend([""] * (size - len(self.species)))
+        for column, values in zip(self.columns, (codes, kms, months, minutes, dates)):
+            column[first:end] = values
+        self.species[first:end] = species
+        self.n = end
+
+    def dataset(self, period: tuple[dt.date, dt.date]) -> Dataset:
+        """The rows put so far as a Dataset, its line codes indexing the sorted names."""
+        if not self.n:
+            raise ParseError("no accident records in input")
+        for column in self.columns:
+            column.resize(self.n, refcheck=False)
+        del self.species[self.n :]
+        position = {name: i for i, name in enumerate(sorted(self.lines))}
+        codes = self.columns[0]
+        codes[:] = np.array([position[name] for name in self.lines], dtype=np.int64)[codes]
+        for column in self.columns:
+            column.setflags(write=False)
+        return Dataset(period[0], period[1], tuple(position), *self.columns, tuple(self.species))
+
+
+def _accident_rows(
+    lines: Iterable[str], columns: _AccidentColumns, period: tuple[dt.date, dt.date]
+) -> None:
+    """Put the rows of ``lines`` into ``columns``, checked one by one with a csv.reader.
+
+    ``lines`` are the input's physical lines from line ``columns.skipped + 1``
+    on, so the header comes first when nothing was skipped.  Rows go into
+    the columns ``_BLOCK`` at a time.  This row loop raises every ParseError
+    of ``parse_accidents`` that names a line, and parses each distinct date
+    and time text once.
+    """
+    reader = csv.reader(lines)
+    if not columns.skipped and not _read_header(reader, (ACCIDENT_HEADER,), "accident"):
         raise ParseError("empty accident file")
-    lines: dict[str, int] = {}
-    day_of_text: dict[str, int] = {}  # date text -> its position in days
-    days: list[dt.date] = []
+    start, end = period
+    known_lines, shared_species = columns.lines, columns.shared_species
+    day_of_text: dict[str, int] = {}  # date text -> its position in the day lists
+    ordinals: list[int] = []
+    months: list[int] = []
     in_period: list[bool] = []
     minute_of_text: dict[str, int] = {}
-    shared_species: dict[str, str] = {}
-    line_codes: list[int] = []
-    day_codes: list[int] = []
-    minutes: list[int] = []
-    kms: list[float] = []
-    species: list[str] = []
-    for line_no, fields in _rows(reader, len(ACCIDENT_HEADER)):
+    block = codes, day_codes, minutes, kms, species = [], [], [], [], []
+
+    def put_block() -> None:
+        days = np.array(day_codes, dtype=np.int64)
+        columns.put(
+            np.array(codes, dtype=np.int64), np.array(kms, dtype=float),
+            np.array(months, dtype=np.int64)[days], np.array(minutes, dtype=np.int64),
+            np.array(ordinals, dtype=np.int64)[days], species,
+        )
+        for column in block:
+            column.clear()
+
+    for line_no, fields in _rows(reader, len(ACCIDENT_HEADER), columns.skipped):
         date_text, time_text, line, km_text, species_text = fields
         day = day_of_text.get(date_text)
         if day is None:
             try:
-                date = dt.date.fromisoformat(date_text)
+                date = _iso_date(date_text)
             except ValueError:
                 raise ParseError(f"invalid calendar date {date_text!r}", line_no) from None
-            day = day_of_text[date_text] = len(days)
-            days.append(date)
+            day = day_of_text[date_text] = len(ordinals)
+            ordinals.append(date.toordinal())
+            months.append(date.month)
             in_period.append(start <= date <= end)
         minute = minute_of_text.get(time_text)
         if minute is None:
@@ -335,24 +416,16 @@ def _accident_rows(reader, period: tuple[dt.date, dt.date]) -> tuple:
         if not line:
             raise ParseError("line identifier must be non-empty", line_no)
         if not in_period[day]:
-            raise ParseError(f"record dated {days[day]} outside period {start}..{end}", line_no)
-        line_codes.append(lines.setdefault(line, len(lines)))
+            date = dt.date.fromordinal(ordinals[day])
+            raise ParseError(f"record dated {date} outside period {start}..{end}", line_no)
+        codes.append(known_lines.setdefault(line, len(known_lines)))
         day_codes.append(day)
         minutes.append(minute)
         kms.append(km)
         species.append(shared_species.setdefault(species_text, species_text))
-    if not kms:
-        raise ParseError("no accident records in input")
-    day_index = np.array(day_codes, dtype=np.int64)
-    return (
-        lines,
-        np.array(line_codes, dtype=np.int64),
-        np.array(kms, dtype=float),
-        np.array([day.month for day in days], dtype=np.int64)[day_index],
-        np.array(minutes, dtype=np.int64),
-        np.array([day.toordinal() for day in days], dtype=np.int64)[day_index],
-        species,
-    )
+        if len(kms) == _BLOCK:
+            put_block()
+    put_block()
 
 
 _NEWLINE, _COMMA = ord("\n"), ord(",")
@@ -429,109 +502,127 @@ def _cut(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> list[str]:
     return chars.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
-def _accident_arrays(text: str, period: tuple[dt.date, dt.date]) -> tuple | None:
-    """The accident columns of ``text`` parsed as byte arrays, or None.
+def _accident_piece(piece: str, columns: _AccidentColumns, period: tuple[dt.date, dt.date]) -> bool:
+    """Put the rows of ``piece``, whole lines of the input, into ``columns`` as byte arrays.
 
-    Only text with no quote, CR or NUL is taken: csv.reader would split each
-    of its lines on every comma.  Rows are parsed in blocks of ``_BLOCK``
-    with digit arithmetic: a date must read ``YYYY-MM-DD``, a time ``HH:MM``
-    and a km ``[-]digits[.digits]`` (see ``_kms``); a line name must be
-    non-empty and, like a species, equal its own ``.strip()``.  Each
-    distinct date is checked once.  None means the row loop must parse the
-    text: it breaks one of these forms or a row-loop rule (and the row loop
-    names the row), has no data row, or has a field over
-    ``csv.field_size_limit()``.
+    The piece opens with the header when ``columns.skipped`` is 0.  Only text
+    with no quote, CR or NUL is taken: csv.reader would split each of its
+    lines on every comma.  Its rows are parsed with digit arithmetic: a date
+    must read ``YYYY-MM-DD``, a time ``HH:MM`` and a km ``[-]digits[.digits]``
+    (see ``_kms``); a line name must be non-empty and, like a species, equal
+    its own ``.strip()``.  Each distinct date is checked once.  False means
+    the row loop must parse the piece, and puts no row, line or species: it
+    breaks one of these forms or a row-loop rule (and the row loop names the
+    row), or has a field over ``csv.field_size_limit()``.
     """
-    header_end = text.find("\n")
-    if header_end < 0 or '"' in text or "\r" in text or "\0" in text:
-        return None
+    if '"' in piece or "\r" in piece or "\0" in piece:
+        return False
     limit = csv.field_size_limit()
-    header = text[:header_end]
-    if len(header) > limit or tuple(map(str.strip, header.split(","))) != ACCIDENT_HEADER:
-        return None
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if not columns.skipped:
+        header_end = piece.find("\n")
+        if header_end < 0 or header_end > limit:
+            return False
+        if tuple(map(str.strip, piece[:header_end].split(","))) != ACCIDENT_HEADER:
+            return False
+    buf = np.frombuffer(piece.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     newlines = np.flatnonzero(buf == _NEWLINE)
-    starts, ends = newlines + 1, np.append(newlines[1:], len(buf))
-    filled = ends > starts  # csv.reader skips blank lines
-    starts, ends = starts[filled], ends[filled]
-    n = len(starts)
-    if not n:
-        return None
-    start, end = period
-    lines: dict[str, int] = {}
-    days: dict[int, tuple[int, int]] = {}  # YYYYMMDD -> (ordinal, month)
-    shared_species: dict[str, str] = {}
-    species: list[str] = []
-    codes, months, minutes, dates = (np.empty(n, dtype=np.int64) for _ in range(4))
-    kms = np.empty(n)
-    for first in range(0, n, _BLOCK):
-        rows = slice(first, first + _BLOCK)
-        row_starts, row_ends = starts[rows], ends[rows]
+    line_starts, line_ends = np.append(0, newlines + 1), np.append(newlines, len(buf))
+    if not columns.skipped:  # past the header
+        line_starts, line_ends = line_starts[1:], line_ends[1:]
+    filled = line_ends > line_starts  # csv.reader skips blank lines
+    row_starts, row_ends = line_starts[filled], line_ends[filled]
+    if len(row_starts):
         commas = np.flatnonzero(buf[row_starts[0] : row_ends[-1]] == _COMMA) + row_starts[0]
         if len(commas) != 4 * len(row_starts):
-            return None
+            return False
         commas = commas.reshape(-1, 4)
         # each row's four commas lie inside it, so it holds exactly four
         if (commas[:, 0] < row_starts).any() or (commas[:, 3] >= row_ends).any():
-            return None
+            return False
         begins = np.column_stack((row_starts, commas + 1))
         stops = np.column_stack((commas, row_ends))
         if (stops - begins).max() > limit:
-            return None
+            return False
         ymd = _number(buf, begins[:, 0], stops[:, 0], b"0000-00-00")
         hhmm = _number(buf, begins[:, 1], stops[:, 1], b"00:00")
-        block_kms = _kms(buf, begins[:, 3], stops[:, 3])
-        if ymd is None or hhmm is None or block_kms is None:
-            return None
+        kms = _kms(buf, begins[:, 3], stops[:, 3])
+        if ymd is None or hhmm is None or kms is None:
+            return False
         hours, mins = np.divmod(hhmm, 100)
         if (hours > 23).any() or (mins > 59).any():
-            return None
+            return False
+        start, end = period
+        days = columns.days
         keys, day_index = np.unique(ymd, return_inverse=True)
         for key in keys.tolist():
             if key not in days:
                 try:
                     date = dt.date(key // 10000, key // 100 % 100, key % 100)
                 except ValueError:
-                    return None
+                    return False
                 if not start <= date <= end:
-                    return None
+                    return False
                 days[key] = (date.toordinal(), date.month)
         day_ordinals, day_months = np.array([days[key] for key in keys.tolist()], dtype=np.int64).T
         names = _cut(buf, begins[:, 2], stops[:, 2])
-        for name in set(names).difference(lines):
-            if not name or name != name.strip():
-                return None
-            lines[name] = len(lines)
+        new_names = set(names).difference(columns.lines)
+        if any(not name or name != name.strip() for name in new_names):
+            return False
         texts = _cut(buf, begins[:, 4], stops[:, 4])
-        for value in set(texts).difference(shared_species):
-            if value != value.strip():
-                return None
-            shared_species[value] = value
-        species.extend(map(shared_species.__getitem__, texts))
-        codes[rows] = np.fromiter(map(lines.__getitem__, names), dtype=np.int64, count=len(names))
-        kms[rows] = block_kms
-        months[rows] = day_months[day_index]
-        minutes[rows] = hours * 60 + mins
-        dates[rows] = day_ordinals[day_index]
-    return lines, codes, kms, months, minutes, dates, species
+        new_species = set(texts).difference(columns.shared_species)
+        if any(value != value.strip() for value in new_species):
+            return False
+        lines, shared_species = columns.lines, columns.shared_species
+        for name in new_names:
+            lines[name] = len(lines)
+        shared_species.update(zip(new_species, new_species))
+        columns.put(
+            np.fromiter(map(lines.__getitem__, names), dtype=np.int64, count=len(names)), kms,
+            day_months[day_index], hours * 60 + mins, day_ordinals[day_index],
+            list(map(shared_species.__getitem__, texts)),
+        )
+    columns.skipped += len(newlines)
+    return True
+
+
+def _pieces(stream: Union[str, IO[str]]) -> Iterator[tuple[str, Iterator[str]]]:
+    """The input in pieces of whole lines, each with its lines and every later one.
+
+    A str is cut as ``_text_lines`` cuts it.  A stream gives pieces of
+    ``stream.readlines(_TEXT_PIECE)``, so its own newline setting splits it.
+    The lines run from the start of the piece to the end of the input, as
+    the row loop reads them; they are read only if iterated.
+    """
+    if isinstance(stream, str):
+        start = 0
+        while start < len(stream):
+            end = _piece_end(stream, start)
+            yield stream[start:end], _text_lines(stream, start)
+            start = end
+    else:
+        while lines := stream.readlines(_TEXT_PIECE):
+            yield "".join(lines), (line for part in (lines, stream) for line in part)
 
 
 def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]) -> Dataset:
     """Parse accident CSV (``date,time,line,km,species``) into a Dataset.
 
     Parsing is strict: any malformed row aborts with a ParseError naming the
-    offending physical line, as does a record dated outside ``period``.  An
-    input with no data rows is an error.  Equal species values share one str
-    object.
+    offending physical line, as does a record dated outside ``period``.  A
+    date must read exactly ``YYYY-MM-DD``.  An input with no data rows is an
+    error.  Equal species values share one str object.
 
-    Text with no quote, CR or NUL whose every row is plain (``YYYY-MM-DD``
-    dates, ``HH:MM`` times, ``[-]digits[.digits]`` km of at most 15 digits,
-    and line and species fields without padding) is parsed as byte arrays,
-    block by block.  Everything else, and every error, goes through a
-    csv.reader row loop over the whole input, which parses each distinct
-    date and time text once.  A stream is read with ``readlines()``, so its
-    own newline setting splits it: a file opened with ``newline=""`` may end
-    its lines in a lone CR.
+    The input is read one piece of whole lines at a time (see ``_pieces``),
+    so neither the text nor a copy of it is held whole beyond what the
+    caller passed.  A piece with no quote, CR or NUL whose every row is
+    plain (``YYYY-MM-DD`` dates, ``HH:MM`` times, ``[-]digits[.digits]`` km
+    of at most 15 digits, and line and species fields without padding) goes
+    into the columns as byte arrays.  The first piece that is not, and every
+    error, hands that piece and the rest of the input to a csv.reader row
+    loop, which goes on with the lines, species and physical line numbers
+    the pieces before it left and parses each distinct date and time text
+    once.  A stream's own newline setting splits its lines: a file opened
+    with ``newline=""`` may end them in a lone CR.
 
     Args:
         stream: CSV text or an open text stream.
@@ -543,22 +634,16 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
     """
     if period[1] < period[0]:
         raise ValueError(f"period end {period[1]} precedes start {period[0]}")
-    if isinstance(stream, str):
-        text, lines = stream, None
+    # rows of a str are fewer than its lines, so its columns never grow
+    columns = _AccidentColumns(stream.count("\n") + 1 if isinstance(stream, str) else 0)
+    for piece, lines in _pieces(stream):
+        if not _accident_piece(piece, columns, period):
+            _accident_rows(lines, columns, period)
+            break
     else:
-        lines = stream.readlines()
-        text = "".join(lines)
-        if "\r" not in text:
-            lines = None  # split on "\n" alone, as the text would be
-    columns = _accident_arrays(text, period)
-    if columns is None:
-        columns = _accident_rows(csv.reader(_text_lines(text) if lines is None else lines), period)
-    names, codes, *arrays, species = columns
-    position = {name: i for i, name in enumerate(sorted(names))}
-    arrays.insert(0, np.array([position[name] for name in names], dtype=np.int64)[codes])
-    for column in arrays:
-        column.setflags(write=False)
-    return Dataset(period[0], period[1], tuple(position), *arrays, tuple(species))
+        if not columns.skipped:
+            raise ParseError("empty accident file")
+    return columns.dataset(period)
 
 
 def _check_bin_width(delta_x: float) -> None:

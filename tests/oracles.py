@@ -14,6 +14,7 @@ import datetime as dt
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -57,7 +58,7 @@ class LoopParseError(ValueError):
 
 def _time_minutes(text: str, line_no: int) -> int:
     parts = text.strip().split(":")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise LoopParseError(f"time must be HH:MM, got {text!r}", line_no)
     hh, mm = int(parts[0]), int(parts[1])
     if hh > 23 or mm > 59:
@@ -102,6 +103,9 @@ def _accident_loop(reader, period: tuple[dt.date, dt.date]) -> list[tuple]:
             raise LoopParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
         date_text, time_text, line, km_text, species = (cell.strip() for cell in row)
         try:
+            # fromisoformat takes more forms from Python 3.11 on: hold it to YYYY-MM-DD
+            if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", date_text, flags=re.ASCII):
+                raise ValueError(date_text)
             date = dt.date.fromisoformat(date_text)
         except ValueError:
             raise LoopParseError(f"invalid calendar date {date_text!r}", line_no) from None

@@ -119,6 +119,15 @@ def test_fit_input_errors(tmp_path: Path, capsys) -> None:
     assert "error:" in err
 
 
+@pytest.mark.parametrize("value", ["20200101", "2020-W01-3", "2020-1-01", "\uff12020-01-01"])
+def test_a_period_date_must_read_yyyy_mm_dd(value: str, tmp_path: Path, capsys) -> None:
+    # date.fromisoformat reads the first two from Python 3.11 on
+    flags = ["--period-start", value, "--period-end", "2022-12-31", "--out-dir", str(tmp_path)]
+    assert main(["fit", "--accidents", ACCIDENTS, *flags]) == 2
+    assert capsys.readouterr().err == f"error: --period-start: must be YYYY-MM-DD, got {value!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reversed_period_names_both_flags_before_reading_the_file(tmp_path: Path, capsys) -> None:
     flags = ["--period-start", "2022-01-01", "--period-end", "2020-01-01"]
     flags += ["--out-dir", str(tmp_path)]

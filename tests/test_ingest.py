@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
@@ -351,9 +352,10 @@ EDGE_CASES = {
     # characters str.splitlines breaks on, inside one field
     "splitlines_breaks": (f"{HEADER}\n2020-01-15,18:23,139,12.4,a\x0bb\x1cc\u2028d\x85e\n", True),
     "blank_first_line": (f"\n{HEADER}\n{ROW}\n", False),
-    "header_only": (f"{HEADER}\n", False),
+    # no rows after a plain header, or no text: refused without the row loop
+    "header_only": (f"{HEADER}\n", True),
     "header_only_no_newline": (HEADER, False),
-    "empty": ("", False),
+    "empty": ("", True),
     "no_final_newline": (f"{HEADER}\n{ROW}\n2021-07-02,04:05,1,0.0,fox", True),
     "bad_header": (f"date,time,line,km\n{ROW}\n", False),
     "bad_row_after_valid_rows": (f"{HEADER}\n{ROW}\n\n{ROW}\n2020-01-15,24:00,139,12.4,\n", False),
@@ -390,14 +392,18 @@ EDGE_CASES = {
     "leap_day_of_a_common_year": (f"{HEADER}\n{ROW}\n2021-02-29,18:23,139,12.4,\n", False),
     "short_time": (f"{HEADER}\n2020-01-15,8:23,139,12.4,fox\n", False),
     "time_with_point": (f"{HEADER}\n2020-01-15,18.23,139,12.4,fox\n", False),
+    # str.isdigit takes a superscript digit, which int() refuses
+    "superscript_digit_time": (f"{HEADER}\n2020-01-15,1\u00b2:00,139,12.4,fox\n", False),
+    "fullwidth_digit_time": (f"{HEADER}\n2020-01-15,\uff11\uff18:23,139,12.4,fox\n", False),
+    # date.fromisoformat reads these from Python 3.11 on
+    "basic_format_date": (f"{HEADER}\n20200115,18:23,139,12.4,fox\n", False),
+    "week_date": (f"{HEADER}\n2020-W03-3,18:23,139,12.4,fox\n", False),
 }
 
 
 @pytest.mark.parametrize("text,array_route", EDGE_CASES.values(), ids=EDGE_CASES.keys())
 def test_parse_accidents_edge_texts_match_oracle(text: str, array_route: bool) -> None:
-    parsed = assert_parses_like_row_loop(text, array_route)
-    if parsed is not None:
-        assert_same_columns(parse_accidents(io.StringIO(text), PERIOD), parsed)
+    assert_parses_like_row_loop(text, array_route)
 
 
 def test_stream_is_split_by_its_own_newline_setting() -> None:
@@ -474,21 +480,121 @@ def test_a_quoted_log_is_parsed_without_a_copy_of_its_text() -> None:
         f'{(i % 4000) / 10!r},"roe deer"\n'
         for i in range(rows)
     )
-    assert ingest._accident_arrays(text, PERIOD) is None
-    tracemalloc.start()
-    try:
-        data = parse_accidents(text, PERIOD)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with row_loop_watched() as row_loop:
+        tracemalloc.start()
+        try:
+            data = parse_accidents(text, PERIOD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert row_loop.called
     assert data.n == rows and set(data.species) == {"roe deer"}
     assert peak <= 5 * len(text)
+
+
+def plain_log(rows: int) -> str:
+    """A log of ``rows`` plain rows, about 50 characters each."""
+    return f"{HEADER}\n" + "".join(
+        f"2021-{1 + i % 12:02d}-{1 + i % 28:02d},{i % 24:02d}:{i % 60:02d},{100 + i % 7},"
+        f"{(i % 4000) / 10!r},red deer (Cervus elaphus)\n"
+        for i in range(rows)
+    )
+
+
+# bytes a parsed row keeps: five 8-byte columns, and a species pointer in
+# the list that fills and in the tuple the Dataset holds
+COLUMN_BYTES_PER_ROW = 5 * 8 + 8 + 8
+
+
+def test_a_plain_log_parses_from_a_str_in_memory_of_its_columns() -> None:
+    # encoding the whole text at once would take a further byte or more a
+    # character; piece by piece one piece's arrays are live at a time (3.2 MB
+    # measured at 256 Ki characters a piece, most of it the character indices
+    # _cut builds for the species texts)
+    rows = 100_000
+    text = plain_log(rows)
+    assert len(text) > 10 * ingest._TEXT_PIECE
+    with row_loop_unused():
+        tracemalloc.start()
+        try:
+            data = parse_accidents(text, PERIOD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert data.n == rows
+    assert peak <= COLUMN_BYTES_PER_ROW * rows + 16 * ingest._TEXT_PIECE
+
+
+def test_a_plain_log_parses_from_a_file_without_holding_its_text(tmp_path: Path) -> None:
+    # reading the file whole (readlines() and a join) took 41 MiB traced for a
+    # 7 MB log.  A stream's row count is not known ahead, so the columns
+    # double in place as they fill and may hold twice the room
+    rows = 100_000
+    path = tmp_path / "accidents.csv"
+    path.write_text(plain_log(rows), encoding="utf-8")
+    with row_loop_unused(), open(path, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            data = parse_accidents(fh, PERIOD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert data.n == rows
+    # twice the room in the columns and species list, and the species tuple
+    assert peak <= (2 * COLUMN_BYTES_PER_ROW - 8) * rows + 16 * ingest._TEXT_PIECE
+
+
+# rows that send the last piece of a plain log to the row loop, each with
+# the physical line of its error, counted from the first of these rows
+REFUSED_LAST_ROWS = {
+    "quoted": ('2021-03-04,05:06,7,1.5,"lynx"\n', None),
+    "crlf": ("2021-03-04,05:06,7,1.5,lynx\r\n", None),
+    "malformed": ("2021-03-04,24:00,7,1.5,lynx\n", 0),
+    "out_of_period": ("2023-03-04,05:06,7,1.5,lynx\n", 0),
+    "quoted_newline_then_malformed": (
+        '2021-03-04,05:06,7,1.5,"two\nlines"\n2021-03-04,05:06,7,1.5,lynx,\n', 2
+    ),
+}
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["str", "stream"])
+@pytest.mark.parametrize(
+    "last_rows,error_line", REFUSED_LAST_ROWS.values(), ids=REFUSED_LAST_ROWS.keys()
+)
+def test_a_refused_last_piece_hands_only_the_rest_to_the_row_loop(
+    last_rows: str, error_line: int | None, stream: bool
+) -> None:
+    bundled = (DATA_DIR / "accidents_2020_2022.csv").read_text(encoding="utf-8")
+    text = bundled + last_rows
+    with mock.patch.object(ingest, "_TEXT_PIECE", 1000), mock.patch.object(ingest, "_BLOCK", 7):
+        starts = [0]  # where each piece of the text starts
+        while starts[-1] < len(bundled):
+            starts.append(ingest._piece_end(text, starts[-1]))
+        skipped = text.count("\n", 0, starts[-2])  # the lines before the last piece
+        assert skipped > 800
+        source = io.StringIO(text, newline="") if stream else text
+        with row_loop_watched() as row_loop:
+            if error_line is None:
+                parsed = parse_accidents(source, PERIOD)
+            else:
+                with pytest.raises(ParseError) as err:
+                    parse_accidents(source, PERIOD)
+    # the row loop ran once, from the start of the last piece on
+    assert row_loop.call_count == 1 and row_loop.call_args.args[1].skipped == skipped
+    try:
+        expected = parse_accidents_loop(text, PERIOD)
+    except LoopParseError as exc:
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        assert exc.line_no == bundled.count("\n") + 1 + error_line
+    else:
+        assert error_line is None
+        assert_columns_hold(parsed, [AccidentRecord(*row) for row in expected])
 
 
 # --- columnar parsing against the row loop ---
 
 # valid field texts, repeated across rows so the per-text memos are reused
-DATE_TEXTS = ("2020-01-01", "2022-12-31", "2021-02-28", "2020-02-29", " 2021-07-02 ", "20210703")
+DATE_TEXTS = ("2020-01-01", "2022-12-31", "2021-02-28", "2020-02-29", " 2021-07-02 ")
 TIME_TEXTS = ("00:00", "23:59", "18:23", "7:05", "06:0", " 12:30 ", "\uff11\uff12:00")
 LINE_TEXTS = ("1", "139", " 7 ", "a,b", '"q"')
 SPECIES_TEXTS = ("", "roe deer", " fox ", "a,b", 'say "hi"', "two\nlines")
@@ -497,8 +603,8 @@ PLAIN_LINE_TEXTS = LINE_TEXTS[:3]
 PLAIN_SPECIES_TEXTS = SPECIES_TEXTS[:3]
 # malformed or out-of-period texts per field
 BAD_TEXTS = (
-    ("2020-13-01", "2020-02-30", "x", "", "2019-12-31", "2023-01-01"),
-    ("24:00", "10:61", "1000", "ab:cd", "", "1:2:3", "-1:00"),
+    ("2020-13-01", "2020-02-30", "x", "", "2019-12-31", "2023-01-01", "20210703", "2021-W01-3"),
+    ("24:00", "10:61", "1000", "ab:cd", "", "1:2:3", "-1:00", "1\u00b2:00"),
     ("", "  "),
     ("-1.0", "-1e-300", "nan", "inf", "-inf", "abc", "", "1e999"),
 )
@@ -587,7 +693,9 @@ report_as_drawn = settings(phases=[phase for phase in Phase if phase is not Phas
 def test_parse_accidents_matches_row_loop(delta_x: float, delta_t: float, data) -> None:
     text = data.draw(accident_csv(delta_x))
     event("quoted" if '"' in text else "quote-free")
-    event("array route" if ingest._accident_arrays(text, PERIOD) is not None else "row loop")
+    with row_loop_watched() as row_loop, contextlib.suppress(ParseError):
+        parse_accidents(text, PERIOD)
+    event("row loop" if row_loop.called else "array route")
     try:
         expected = parse_accidents_loop(text, PERIOD)
     except LoopParseError as exc:
@@ -668,23 +776,33 @@ def row_loop_unused():
     return mock.patch.object(ingest, "_accident_rows", side_effect=ran)
 
 
+def row_loop_watched():
+    """A context that records each call of the csv.reader row loop of ``parse_accidents``."""
+    return mock.patch.object(ingest, "_accident_rows", wraps=ingest._accident_rows)
+
+
 def assert_parses_like_row_loop(text: str, array_route: bool) -> Dataset | None:
-    """``parse_accidents(text)`` gives the row-loop oracle's records, returned, or
-    its exact error, and takes the array route exactly when ``array_route``."""
-    assert (ingest._accident_arrays(text, PERIOD) is not None) == array_route
+    """``parse_accidents`` of ``text``, as a str and as a stream, gives the row-loop
+    oracle's records, returned, or its exact error, and runs no row loop exactly
+    when ``array_route``."""
     try:
         expected = parse_accidents_loop(text, PERIOD)
     except LoopParseError as exc:
-        with pytest.raises(ParseError) as err:
-            parse_accidents(text, PERIOD)
-        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
-        return None
-    if array_route:
-        with row_loop_unused():
-            parsed = parse_accidents(text, PERIOD)
-    else:
-        parsed = parse_accidents(text, PERIOD)
-    assert_columns_hold(parsed, [AccidentRecord(*row) for row in expected])
+        expected = exc
+    parsed = None
+    for source in (text, io.StringIO(text)):
+        with row_loop_watched() as row_loop:
+            if isinstance(expected, LoopParseError):
+                with pytest.raises(ParseError) as err:
+                    parse_accidents(source, PERIOD)
+                assert (str(err.value), err.value.line_no) == (str(expected), expected.line_no)
+            else:
+                data = parse_accidents(source, PERIOD)
+                assert_columns_hold(data, [AccidentRecord(*row) for row in expected])
+                if parsed is not None:
+                    assert_same_columns(data, parsed)
+                parsed = data
+        assert row_loop.called != array_route
     return parsed
 
 
@@ -727,9 +845,9 @@ def plain_accident_csv(draw) -> str:
 
 
 @report_as_drawn
-@given(text=plain_accident_csv(), block=st.sampled_from([1, 3, ingest._BLOCK]))
-def test_plain_logs_take_the_array_route(text: str, block: int) -> None:
-    with mock.patch.object(ingest, "_BLOCK", block):
+@given(text=plain_accident_csv(), piece=st.sampled_from([1, 30, ingest._TEXT_PIECE]))
+def test_plain_logs_take_the_array_route(text: str, piece: int) -> None:
+    with mock.patch.object(ingest, "_TEXT_PIECE", piece):
         assert_parses_like_row_loop(text, array_route=True)
 
 
@@ -745,11 +863,12 @@ def test_plain_logs_take_the_array_route(text: str, block: int) -> None:
     ],
 )
 def test_a_last_block_of_one_row_matches_the_row_loop(last_row: str, array_route: bool) -> None:
-    # a first block of _BLOCK rows with a blank line among them, then a block
-    # of one row with a new line, a new date and a new species, good or bad
-    rows = [ROW] * (ingest._BLOCK - 1) + ["", "2020-06-07,08:09,139,3.5,roe deer", last_row]
-    text = "\n".join([HEADER, *rows]) + "\n"
-    assert_parses_like_row_loop(text, array_route)
+    # a first piece of rows with a blank line among them, then a piece of one
+    # row with a new line, a new date and a new species, good or bad
+    rows = [ROW] * 999 + ["", "2020-06-07,08:09,139,3.5,roe deer"]
+    first_piece = "\n".join([HEADER, *rows]) + "\n"
+    with mock.patch.object(ingest, "_TEXT_PIECE", len(first_piece) - 1):
+        assert_parses_like_row_loop(first_piece + last_row + "\n", array_route)
 
 
 def test_a_stream_without_cr_takes_the_array_route() -> None:
@@ -976,6 +1095,14 @@ def test_parse_traffic_rejects_bad_rows() -> None:
         parse_traffic(io.StringIO("line,km_from,count\n,10.0,5\n"), 5.0)
     with pytest.raises(ParseError):
         parse_traffic(io.StringIO("wrong,header,here\n"), 5.0)
+
+
+def test_a_departure_with_a_superscript_digit_is_a_parse_error() -> None:
+    # str.isdigit takes "²", so int() once raised a bare ValueError with no line
+    with pytest.raises(ParseError, match=r"^line 3: time must be HH:MM, got '1²:00'$"):
+        parse_traffic("line,km_from,km_to,departure\n1,0,5,08:00\n1,0,5,1\u00b2:00\n", 5.0)
+    runs = parse_traffic("line,km_from,km_to,departure\n1,0,5,\uff10\uff18:00\n", 5.0)
+    assert runs.counts["1"].tolist() == [1.0]  # full-width digits are decimal digits
 
 
 def test_parse_traffic_rejects_negative_km_from() -> None:
