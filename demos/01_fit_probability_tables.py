@@ -14,6 +14,7 @@ from pathlib import Path
 from wildrail import (
     DEFAULT_PROFILE,
     alpha,
+    bin_index,
     count_days,
     fit,
     model_to_json,
@@ -42,7 +43,7 @@ model = fit(data, total_days=total_days)
 print("\nmonthly rate mu(tau):")
 for tau in range(1, 13):
     month = dt.date(2000, tau, 1).strftime("%b")
-    print(f"  {month}: {model.mu_at(tau):.4f}  (n={model.counts.by_month[tau]})")
+    print(f"  {month}: {model.mu[tau]:.4f}  (n={model.counts.by_month[tau]})")
 
 # table 2: hour-of-day distribution, conditioned on the daylight season
 print("\np(hour | season), evening hours only:")
@@ -54,7 +55,7 @@ for label in model.seasons.labels:
 # tables 3 and 4: where accidents happen
 print("\nline shares p(l):")
 for line in model.lines:
-    print(f"  line {line}: {model.p_line_at(line):.4f}")
+    print(f"  line {line}: {model.p_line[line]:.4f}")
 print("\nkm-bin shares on line 139 (first five bins):")
 # p_segment[line] runs from the line's first occupied km bin, x_first[line], on;
 # km bin k starts at k * delta_x
@@ -65,12 +66,16 @@ for k, share in enumerate(model.p_segment["139"][:5], model.counts.x_first["139"
 # compose one cell by hand: line 139, km 12, January, 18:00-19:00
 with open(DATA / "traffic.csv", encoding="utf-8") as fh:
     traffic = parse_traffic(fh, model.bins.delta_x)
-mu = model.mu_at(1)
-p_t = model.p_time_at(1, 18.0)
-p_l = model.p_line_at("139")
-p_x = model.p_segment_at("139", 12.0)
+# km 12 is in km bin k = 2, [10, 15); January's season is "short", and at
+# 1 h bins the 18-19 h window is hour bin 18
+k = bin_index(12.0, model.bins.delta_x)
+mu = model.mu[1]
+p_t = model.p_time[model.seasons.season_of(1)][18]
+p_l = model.p_line["139"]
+p_x = model.p_segment["139"][k - model.counts.x_first["139"]]
 # expected trains in the window: daily count n times the hourly share alpha times dt
-m = (traffic.count("139", 12.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
+n = traffic.counts["139"][k - traffic.x_first["139"]]
+m = (n * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
 print("\nworked cell (line 139, km bin [10, 15), January, 18-19 h):")
 print(f"  mu(Jan)            = {mu:.4f} accidents / month")
 print(f"  p(18-19h | short)  = {p_t:.4f}")

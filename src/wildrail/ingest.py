@@ -75,8 +75,12 @@ def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
 
 
 def bin_index(value: float, delta: float) -> int:
-    """Index k of the bin [k*delta, (k+1)*delta) holding ``value``, as ``_bin_floor`` finds it."""
-    return int(_bin_floor(value, delta))
+    """Index k of the bin [k*delta, (k+1)*delta) holding ``value``, as ``_bin_floor`` finds it;
+    a ValueError where there is no finite index (NaN, infinite or too large a value)."""
+    index = _bin_floor(value, delta)
+    if not math.isfinite(index):
+        raise ValueError(f"{value!r} has no finite bin index at bin width {delta!r}")
+    return int(index)
 
 
 def count_days(start: dt.date, end: dt.date, days_per_year: str = "calendar") -> int:
@@ -694,11 +698,6 @@ class TrafficTable:
             return NotImplemented
         same = self.delta_x == other.delta_x and self.x_first == other.x_first
         return same and all(np.array_equal(r, other.counts[ln]) for ln, r in self.counts.items())
-
-    def count(self, line: str, km: float) -> float:
-        """Trains per day through the bin containing ``km`` on ``line`` (0 if unknown)."""
-        run, i = self.counts.get(line, ()), bin_index(km, self.delta_x) - self.x_first.get(line, 0)
-        return float(run[i]) if 0 <= i < len(run) else 0.0
 
 
 def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:

@@ -18,10 +18,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import MINUTES_PER_DAY, Dataset, _bin_floor, _grid_index, bin_index
+from .ingest import MINUTES_PER_DAY, Dataset, _bin_floor, _grid_index
 
 __all__ = [
-    "InsufficientDataError",
     "SeasonScheme",
     "DEFAULT_SEASONS",
     "BinConfig",
@@ -42,10 +41,6 @@ its highest km bin, so one stray km or a mistyped bin width can ask for
 billions of cells; 50M is about ten times a 200-line x 400 km network at
 5 km x 1 h, whose every reader computes each cell and whose CSV export
 would run to about 3.6 GB."""
-
-
-class InsufficientDataError(ValueError):
-    """A requested probability is undefined because its conditioning count is zero."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,8 @@ class BinConfig:
     least one minute, the accident log's time resolution.  A sweep
     further needs it to divide every piece boundary of the traffic profile in
     use, so no time bin straddles a piece; the default profile allows 1, 0.5,
-    0.25, ... hour bins.
+    0.25, ... hour bins.  Bin k is [k * delta, (k + 1) * delta), up to hour
+    bin ``n_t_bins - 1``; ``WarningGrid.locate`` finds the bins of a point.
     """
 
     delta_x: float = 5.0
@@ -127,25 +123,6 @@ class BinConfig:
     @property
     def n_t_bins(self) -> int:
         return _grid_index(24.0, self.delta_t)
-
-    def t_bin(self, hour: float) -> int:
-        """Index, below ``n_t_bins``, of the time bin containing the fractional hour ``hour``.
-
-        n_t_bins * delta_t can fall a rounding step short of 24 (delta_t =
-        24/47), so an hour past the last bin is a ValueError too.
-        """
-        if not 0.0 <= hour < 24.0:
-            raise ValueError(f"hour must be in [0, 24), got {hour!r}")
-        index = bin_index(hour, self.delta_t)
-        if index >= self.n_t_bins:
-            raise ValueError(f"hour {hour!r} is past the last {self.delta_t!r} h bin")
-        return index
-
-    def x_bin(self, km: float) -> int:
-        """Index of the km bin containing ``km``."""
-        if km < 0:
-            raise ValueError(f"km must be non-negative, got {km!r}")
-        return bin_index(km, self.delta_x)
 
 
 def _check_grid_size(spans: dict[str, tuple[int, int]], bins: BinConfig) -> None:
@@ -206,11 +183,12 @@ class FittedModel:
 
     ``mu`` maps month -> accidents per average month; ``p_time`` maps season
     label -> one probability per hour bin index (a season with zero
-    accidents and zero smoothing is absent, and lookups for it raise
-    InsufficientDataError); ``p_line`` maps line -> probability; ``p_segment``
-    maps line -> probabilities of its km bins from ``counts.x_first[line]``
-    on, over the line's observed bin range.  The tables are read-only
-    mappings, so a model cannot be edited into disagreeing with its counts.
+    accidents and zero smoothing is absent; its months have ``mu`` 0);
+    ``p_line`` maps line -> probability; ``p_segment`` maps line ->
+    probabilities of its observed km bins from ``counts.x_first[line]`` on,
+    so ``p_segment[line][k - counts.x_first[line]]`` is km bin k.  The tables
+    are read-only mappings, so a model cannot be edited into disagreeing
+    with its counts.
     """
 
     counts: ModelCounts
@@ -276,30 +254,6 @@ class FittedModel:
     @property
     def lines(self) -> tuple[str, ...]:
         return tuple(sorted(self.p_line))
-
-    def mu_at(self, tau: int) -> float:
-        if tau not in MONTHS:
-            raise ValueError(f"month must be 1..12, got {tau!r}")
-        return self.mu[tau]
-
-    def p_time_at(self, tau: int, t: float) -> float:
-        """p(t, t+delta_t | season containing tau)."""
-        label = self.seasons.season_of(tau)
-        table = self.p_time.get(label)
-        if table is None:
-            raise InsufficientDataError(f"no accidents in season {label!r}; p(t|season) undefined")
-        return table[self.bins.t_bin(t)]
-
-    def p_line_at(self, line: str) -> float:
-        return self.p_line.get(line, 0.0)
-
-    def p_segment_at(self, line: str, x: float) -> float:
-        """p(x, x+delta_x | line); 0 for bins outside the observed range."""
-        table = self.p_segment.get(line)
-        if table is None:
-            raise InsufficientDataError(f"no accidents on line {line!r}; p(x|line) undefined")
-        k = self.bins.x_bin(x) - self.counts.x_first[line]
-        return table[k] if 0 <= k < len(table) else 0.0
 
 
 def fit(

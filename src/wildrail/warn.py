@@ -165,24 +165,30 @@ def p_per_train(
 ) -> float:
     """Per-train accident probability for one cell.
 
-    The value is the cell containing (tau, t, line, x) of the grid that
-    ``sweep_all`` computes, read from a grid of that one km bin: an expected
-    event count per train, not clamped.
+    The value is the cell of the grid that ``sweep_all`` computes where
+    ``WarningGrid.locate`` puts (tau, t, line, x), read from a grid of that
+    one km bin: an expected event count per train, not clamped.
 
     Raises:
         NoTrafficError: the window has zero expected trains.
-        ValueError: a month, hour or km outside the grid, or traffic binned
-            on a different km grid than the model.
+        ValueError: an hour, km or month that ``locate`` finds off the grid,
+            checked in that order, or traffic binned on a different km grid
+            than the model.
     """
-    ti, k = model.bins.t_bin(t), model.bins.x_bin(x)
+    # a negative or non-finite km has no bin, and locate misses it on any grid
+    k = bin_index(x, model.bins.delta_x) if 0.0 <= x < math.inf else 0
     grid = _build_grid(model, traffic, profile, (), {line: (k, k)})
-    if tau not in MONTHS:
+    _, (xi,), (mi,), (ti,) = grid.locate((line,), [0], [x], [tau], [t])
+    if ti < 0:
+        raise ValueError(f"hour must be in [0, 24) and not past the last {grid.delta_t!r} h bin, got {t!r}")
+    if xi < 0:
+        raise ValueError(f"km must be non-negative and finite, got {x!r}")
+    if mi < 0:
         raise ValueError(f"month must be 1..12, got {tau!r}")
-    cell = (0, MONTHS.index(tau), ti)
     p, flags = grid.line_cells(line)
-    if flags[cell] & _NO_TRAFFIC_BIT:
+    if flags[xi, mi, ti] & _NO_TRAFFIC_BIT:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
-    return float(p[cell])
+    return float(p[xi, mi, ti])
 
 
 @dataclass(frozen=True)
@@ -402,7 +408,7 @@ def _build_grid(
     # the season of any other month has accidents, so it has an hour table
     temporal = np.zeros((len(MONTHS), n_t))
     for mi, tau in enumerate(MONTHS):
-        mu = model.mu_at(tau)
+        mu = model.mu[tau]
         if mu != 0.0:
             temporal[mi, :] = np.array(model.p_time[model.seasons.season_of(tau)]) * mu
 
@@ -410,8 +416,8 @@ def _build_grid(
     m_window: dict[str, np.ndarray] = {}
     for line, (lo, hi) in spans.items():
         # the model's km bins of the line; a line it lacks has p_line = 0
-        segment = model.p_segment.get(line, ())
-        spatial[line] = _bins(segment, model.counts.x_first.get(line, 0), lo, hi) * model.p_line_at(line)
+        segment = _bins(model.p_segment.get(line, ()), model.counts.x_first.get(line, 0), lo, hi)
+        spatial[line] = segment * model.p_line.get(line, 0.0)
         m_vec = _bins(traffic.counts.get(line, ()), traffic.x_first.get(line, 0), lo, hi)
         m_window[line] = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
 

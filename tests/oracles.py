@@ -320,13 +320,13 @@ def dense_grid_cells(model, traffic, alpha_vec: Sequence[float], spans: dict) ->
     n_t, delta_t = model.bins.n_t_bins, model.bins.delta_t
     temporal = np.zeros((12, n_t))
     for mi, tau in enumerate(range(1, 13)):
-        mu = model.mu_at(tau)
+        mu = model.mu[tau]
         if mu != 0.0:
             temporal[mi, :] = np.array(model.p_time[model.seasons.season_of(tau)]) * mu
     out = {}
     for line, (lo, hi) in spans.items():
-        segment = model.p_segment.get(line, ())
-        spatial = _run_bins(segment, model.counts.x_first.get(line, 0), lo, hi) * model.p_line_at(line)
+        segment = _run_bins(model.p_segment.get(line, ()), model.counts.x_first.get(line, 0), lo, hi)
+        spatial = segment * model.p_line.get(line, 0.0)
         m_vec = _run_bins(traffic.counts.get(line, ()), traffic.x_first.get(line, 0), lo, hi)
         window = (m_vec[:, None] * np.asarray(alpha_vec)[None, :]) * delta_t
         p = temporal[None, :, :] * spatial[:, None, None]

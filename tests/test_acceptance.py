@@ -59,11 +59,13 @@ def test_criterion_1_worked_example_reproduction() -> None:
         traffic = parse_traffic(fh, 5.0)
     total_days = count_days(*PERIOD, "365")
     model = fit(data, total_days=total_days)
-    mu_jan = model.mu_at(1)
-    p_time = model.p_time_at(1, 18.0)
-    p_line = model.p_line_at("139")
-    p_segment = model.p_segment_at("139", 10.0)
-    m_window = (traffic.count("139", 12.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
+    # January is a short-day month; km 10.0 and 12.0 lie in km bin 2, [10, 15)
+    mu_jan = model.mu[1]
+    p_time = model.p_time["short"][18]
+    p_line = model.p_line["139"]
+    p_segment = model.p_segment["139"][2 - model.counts.x_first["139"]]
+    trains = traffic.counts["139"][2 - traffic.x_first["139"]]
+    m_window = (trains * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
     p_pt = p_per_train(model, traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.001,))
     _, (xi,), (mi,), (ti,) = grid.locate(
@@ -136,8 +138,9 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
         p_line = tables["p_line"].get(line, Fraction(0))
         seg = tables["p_segment"].get(line, {})
         spatial = [0.0 if p_line == 0 else float(seg.get(k, Fraction(0)) * p_line) for k in bins]
+        run, run_first = traffic.counts.get(line, ()), traffic.x_first.get(line, 0)
         for xi, k in enumerate(bins):
-            count = traffic.count(line, k * grid.delta_x)
+            count = float(run[k - run_first]) if 0 <= k - run_first < len(run) else 0.0
             for mi, tau in enumerate(grid.months):
                 rows = temporal[tau]
                 for ti in range(24):

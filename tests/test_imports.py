@@ -1,9 +1,12 @@
-"""The modules the package imports: numpy and a pinned set of the standard library."""
+"""The modules the package imports (numpy and a pinned set of the standard library) and the
+public names it exports."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import wildrail
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wildrail"
 
@@ -25,3 +28,31 @@ def test_the_package_imports_only_numpy_and_pinned_stdlib_modules() -> None:
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported == PINNED
+
+
+# every public name of ``wildrail``; adding or removing one is an API change
+# and must be made here on purpose
+PUBLIC = {
+    "__version__",
+    # ingest
+    "ParseError", "AccidentRecord", "Dataset", "TrafficTable", "LineGeometry", "SpeedProfile",
+    "bin_index", "count_days", "parse_accidents", "parse_traffic", "parse_geometries",
+    "km_to_geo", "geocode", "parse_speed_profiles",
+    # model
+    "SeasonScheme", "DEFAULT_SEASONS", "BinConfig", "ModelCounts", "FittedModel", "fit",
+    "model_to_json", "model_from_json",
+    # warn
+    "FLAG_NO_TRAFFIC", "FLAG_EXCEEDS_UNITY", "NoTrafficError", "TrafficProfile",
+    "DEFAULT_PROFILE", "WarningGrid", "alpha", "p_per_train", "sweep_all", "warnings_to_csv",
+    "warnings_to_geojson",
+    # analysis
+    "CorrelationReport", "EvalReport", "HexGrid", "UndefinedCorrelationError",
+    "evaluate_holdout", "hex_bin", "hex_grid_to_geojson", "hourly_profile", "report_to_json",
+    "species_profile", "speed_correlation",
+}
+
+
+def test_the_package_exports_the_pinned_public_names() -> None:
+    assert len(wildrail.__all__) == len(set(wildrail.__all__))
+    assert set(wildrail.__all__) == PUBLIC
+    assert all(hasattr(wildrail, name) for name in PUBLIC)

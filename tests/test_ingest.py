@@ -110,14 +110,23 @@ def test_count_days_matches_day_by_day_walk(start_ord: int, span: int, mode: str
         (5.0, 5.0, 1),
         (12.4, 5.0, 2),
         (-0.1, 5.0, -1),
+        (-1.0, 5.0, -1),
         (23.0, 1.0, 23),
         (0.5, 0.5, 1),
     ],
 )
 def test_bin_index_basic(value: float, delta: float, expected: int) -> None:
     assert bin_index(value, delta) == expected
-    if value >= 0:
-        assert BinConfig(delta_x=delta).x_bin(value) == expected
+
+
+# a finite value can be too large for its bin width to index
+@pytest.mark.parametrize(
+    "value,delta", [(math.inf, 5.0), (-math.inf, 5.0), (math.nan, 5.0), (1e308, 1e-10)]
+)
+def test_bin_index_names_a_value_without_a_finite_bin(value: float, delta: float) -> None:
+    message = f"{value!r} has no finite bin index at bin width {delta!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bin_index(value, delta)
 
 
 @given(
@@ -1014,10 +1023,8 @@ def test_dataset_with_period() -> None:
 def test_parse_traffic_sums_duplicates() -> None:
     text = "line,km_from,count\n139,10.0,100\n139,10.0,31\n1,0,80\n"
     table = parse_traffic(io.StringIO(text), 5.0)
-    assert table.count("139", 12.3) == 131.0
-    assert table.count("1", 4.9) == 80.0
-    assert table.count("1", 5.0) == 0.0
-    assert sorted(table.counts) == ["1", "139"]
+    assert table.x_first == {"139": 2, "1": 0}
+    assert table.counts["139"].tolist() == [131.0] and table.counts["1"].tolist() == [80.0]
     assert table == traffic_of({("139", 2): 131.0, ("1", 0): 80.0})
 
 
@@ -1041,7 +1048,7 @@ def test_parse_traffic_sums_duplicate_rows_in_row_order() -> None:
     for count in counts:
         total += count
     assert total != math.fsum(counts)
-    assert table.count("7", 5.0) == total
+    assert table.x_first["7"] == 0 and table.counts["7"].tolist() == [0.01, total]
     assert table == traffic_of({("7", 0): 0.01, ("7", 1): total, ("8", 1): 0.01})
 
 
@@ -1082,7 +1089,9 @@ def test_long_runs_parse_in_memory_of_one_float_per_bin() -> None:
     finally:
         tracemalloc.stop()
     assert [len(run) for run in table.counts.values()] == [400_000] * 3
-    assert table.count("2", 199_999.9) == 1.0 and table.count("2", 200_000.0) == 0.0
+    # every run covers [0, 200000) km, one train in each bin
+    assert table.x_first == {"1": 0, "2": 0, "3": 0}
+    assert all(np.all(run == 1.0) for run in table.counts.values())
     assert peak < 40 * 2**20
 
 
@@ -1157,11 +1166,12 @@ def test_traffic_table_rejects_starts_no_lookup_reads() -> None:
             TrafficTable(x_first={"139": k}, counts={"139": np.array([131.0])}, delta_x=5.0)
     # parse_traffic writes the bin index a lookup reads, for starts within 1e-9 of a bin
     text = "line,km_from,count\n139,10.000000000000002,131\n"
-    assert parse_traffic(io.StringIO(text), 5.0) == traffic_of({("139", 2): 131.0})
-    assert parse_traffic(io.StringIO(text), 5.0).count("139", 12.0) == 131.0
+    table = parse_traffic(io.StringIO(text), 5.0)
+    assert table == traffic_of({("139", 2): 131.0})
+    assert table.x_first == {"139": 2} and table.counts["139"].tolist() == [131.0]
     table = parse_traffic(io.StringIO("line,km_from,count\n1,0.3,1\n"), 0.1)
     assert table == traffic_of({("1", 3): 1.0}, 0.1)
-    assert table.count("1", 0.35) == 1.0
+    assert table.x_first == {"1": 3} and table.counts["1"].tolist() == [1.0]
 
 
 def test_parse_traffic_runs_half_open_overlap() -> None:
@@ -1173,12 +1183,9 @@ def test_parse_traffic_runs_half_open_overlap() -> None:
     )
     table = parse_traffic(io.StringIO(text), 5.0)
     # the long run clips bins 5..20; the short runs touch only bin 5
-    assert table.count("139", 0.0) == 0.0
-    assert table.count("139", 5.0) == 3.0
-    assert table.count("139", 10.0) == 1.0
-    assert table.count("139", 15.0) == 1.0
-    assert table.count("139", 20.0) == 1.0
-    assert table.count("139", 25.0) == 0.0
+    # so the run spans bins 1..4: km 0 and km 25 are off it
+    assert table.x_first == {"139": 1}
+    assert table.counts["139"].tolist() == [3.0, 1.0, 1.0, 1.0]
 
 
 def run_end(delta_x: float):

@@ -23,11 +23,11 @@ from wildrail import (
     AccidentRecord,
     BinConfig,
     FittedModel,
-    InsufficientDataError,
     SeasonScheme,
     DEFAULT_PROFILE,
     TrafficProfile,
     alpha,
+    bin_index,
     count_days,
     fit,
     model_from_json,
@@ -74,9 +74,9 @@ def test_bin_config_defaults_and_bins() -> None:
     assert bins.delta_x == 5.0 and bins.delta_t == 1.0
     assert bins.n_t_bins == 24
     # lookups return bin indices as ints
-    assert type(bins.t_bin(18.99)) is int and bins.t_bin(18.99) == 18
-    assert type(bins.x_bin(12.4)) is int and bins.x_bin(12.4) == 2
-    assert bins.x_bin(0.0) == 0
+    assert type(bin_index(18.99, bins.delta_t)) is int and bin_index(18.99, bins.delta_t) == 18
+    assert type(bin_index(12.4, bins.delta_x)) is int and bin_index(12.4, bins.delta_x) == 2
+    assert bin_index(0.0, bins.delta_x) == 0
 
 
 def test_bin_config_rejects_widths_that_split_profile_pieces(bundled_data, bundled_traffic) -> None:
@@ -123,14 +123,19 @@ def test_fit_refuses_a_grid_past_the_cell_limit(bundled_data, monkeypatch) -> No
         fit(bundled_data, bins=BinConfig(delta_x=1e-9))
 
 
-def test_bin_config_rejects_out_of_range_lookups() -> None:
-    bins = BinConfig()
-    with pytest.raises(ValueError):
-        bins.t_bin(24.0)
-    with pytest.raises(ValueError):
-        bins.t_bin(-0.5)
-    with pytest.raises(ValueError):
-        bins.x_bin(-1.0)
+def test_bin_config_rejects_out_of_range_lookups(bundled_data, bundled_traffic) -> None:
+    # a grid of the default bins holds no hour 24.0 or -0.5 and no km -1.0
+    model = fit(bundled_data, bins=BinConfig())
+    grid = sweep_all(model, bundled_traffic, DEFAULT_PROFILE, (0.001,))
+    _, xi, _, ti = grid.locate(
+        ("139",), np.zeros(4, dtype=int), np.array([12.0, 12.0, -1.0, 12.0]), np.ones(4),
+        np.array([24.0, -0.5, 18.0, 18.0]),
+    )
+    k = 2 - grid.x_first["139"]  # km 12.0 is in km bin 2
+    assert ti.tolist() == [-1, -1, 18, 18] and xi.tolist() == [k, k, -1, k]
+    for t, x in ((24.0, 12.0), (-0.5, 12.0), (18.0, -1.0)):
+        with pytest.raises(ValueError):
+            p_per_train(model, bundled_traffic, DEFAULT_PROFILE, 1, t, "139", x)
 
 
 def test_hours_past_the_last_bin_are_rejected(bundled_data, bundled_traffic) -> None:
@@ -139,18 +144,14 @@ def test_hours_past_the_last_bin_are_rejected(bundled_data, bundled_traffic) -> 
     bins = BinConfig(delta_t=24 / 47)
     end = bins.n_t_bins * bins.delta_t
     assert end < 24.0
-    assert bins.t_bin(math.nextafter(end, 0.0)) == bins.n_t_bins - 1
+    assert bin_index(math.nextafter(end, 0.0), bins.delta_t) == bins.n_t_bins - 1
     flat = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
     model = fit(bundled_data, bins=bins)
+    assert p_per_train(model, bundled_traffic, flat, 1, math.nextafter(end, 0.0), "139", 12.0) > 0.0
     for hour in (end, math.nextafter(24.0, 0.0)):
-        for lookup in (
-            bins.t_bin,
-            lambda t: model.p_time_at(1, t),
-            lambda t: p_per_train(model, bundled_traffic, flat, 1, t, "139", 12.0),
-        ):
-            with pytest.raises(ValueError, match=r"past the last 0\.51\d* h bin") as err:
-                lookup(hour)
-            assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match=r"past the last 0\.51\d* h bin") as err:
+            p_per_train(model, bundled_traffic, flat, 1, hour, "139", 12.0)
+        assert type(err.value) is ValueError
 
 
 # --- fitted tables on the bundled example data ---
@@ -160,18 +161,18 @@ def test_bundled_counts_match_reference_totals(bundled_data, bundled_model) -> N
     T = count_days(*PERIOD, "365")
     assert T == 1095
     assert bundled_data.n == 877
-    assert bundled_model.mu_at(1) == 81 / (1095 / 12)
-    assert bundled_model.p_time_at(1, 18.0) == 37 / 338
-    assert bundled_model.p_line_at("139") == 285 / 877
-    assert bundled_model.p_segment_at("139", 10.0) == 50 / 285
+    assert bundled_model.mu[1] == 81 / (1095 / 12)
+    assert bundled_model.p_time["short"][18] == 37 / 338
+    assert bundled_model.p_line["139"] == 285 / 877
+    # km 10.0 starts km bin 2
+    assert bundled_model.p_segment["139"][2 - bundled_model.counts.x_first["139"]] == 50 / 285
 
 
 def test_estimator_guards() -> None:
     empty = dataset_of((), *PERIOD)
     rec = AccidentRecord(date=dt.date(2020, 1, 5), time=0, line="1", km=0.0)
     tiny = dataset_of((rec,), *PERIOD)
-    with pytest.raises(ValueError):
-        fit(tiny, total_days=1095).mu_at(13)
+    assert tuple(fit(tiny, total_days=1095).mu) == tuple(range(1, 13))
     with pytest.raises(ValueError):
         fit(empty)
     with pytest.raises(ValueError):
@@ -188,19 +189,19 @@ def test_fit_tables_match_counting_oracle(bundled_data, bundled_model) -> None:
     counts = table_counts(bundled_data.records, DEFAULT_SEASONS.groups, 5.0, 60)
     tables = expected_tables(counts, 1095)
     for tau in range(1, 13):
-        assert bundled_model.mu_at(tau) == float(tables["mu"][tau])
+        assert bundled_model.mu[tau] == float(tables["mu"][tau])
     for label, per_bin in tables["p_time"].items():
         assert len(bundled_model.p_time[label]) == len(per_bin)
         for ti, value in per_bin.items():
             assert bundled_model.p_time[label][ti] == float(value)
     assert set(bundled_model.p_line) == set(tables["p_line"])
     for line, p in tables["p_line"].items():
-        assert bundled_model.p_line_at(line) == float(p)
+        assert bundled_model.p_line[line] == float(p)
     for line, per_bin in tables["p_segment"].items():
         first, got = bundled_model.counts.x_first[line], bundled_model.p_segment[line]
         assert range(first, first + len(got)) == range(min(per_bin), max(per_bin) + 1)
         for i, value in per_bin.items():
-            assert bundled_model.p_segment_at(line, i * 5.0) == float(value)
+            assert got[i - first] == float(value)
 
 
 def test_fit_supports_are_dense_per_line(bundled_model) -> None:
@@ -283,23 +284,24 @@ def one_month_p(model, tau: int, t: float, line: str, x: float) -> float:
 def test_zero_rate_month_short_circuits_missing_season() -> None:
     model = make_one_month_model()
     # June never occurs: mu=0, and its season has no hour table at all
-    assert model.mu_at(6) == 0.0
-    with pytest.raises(InsufficientDataError):
-        model.p_time_at(6, 12.0)
+    assert model.mu[6] == 0.0
+    assert model.seasons.season_of(6) == "long" and "long" not in model.p_time
     assert one_month_p(model, 6, 12.0, "7", 0.0) == 0.0
-    m = (ONE_MONTH_TRAFFIC.count("7", 0.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
-    temporal = model.p_time_at(1, 18.0) * model.mu_at(1)
-    spatial = model.p_segment_at("7", 0.0) * model.p_line_at("7")
+    # km 0.0 is km bin 0, the first of line 7's model and traffic runs
+    assert model.counts.x_first["7"] == ONE_MONTH_TRAFFIC.x_first["7"] == 0
+    m = (ONE_MONTH_TRAFFIC.counts["7"][0] * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
+    temporal = model.p_time["short"][18] * model.mu[1]
+    spatial = model.p_segment["7"][0] * model.p_line["7"]
     assert one_month_p(model, 1, 18.0, "7", 0.0) == temporal * spatial / m
 
 
 def test_spatial_part_handles_unknown_locations() -> None:
     model = make_one_month_model()
-    assert model.p_line_at("999") == 0.0
+    # a line without accidents has no p_line or p_segment entry, and its cells are 0
+    assert "999" not in model.p_line and "999" not in model.p_segment
     assert one_month_p(model, 1, 18.0, "999", 0.0) == 0.0
-    with pytest.raises(InsufficientDataError):
-        model.p_segment_at("999", 0.0)
-    assert model.p_segment_at("7", 500.0) == 0.0
+    # line 7's km-bin run ends well before km 500 (bin 100)
+    assert model.counts.x_first["7"] + len(model.p_segment["7"]) <= 100
     assert one_month_p(model, 1, 18.0, "7", 5.0) > 0.0
 
 

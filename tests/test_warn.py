@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import wildrail.model
@@ -32,6 +32,7 @@ from wildrail import (
     TrafficTable,
     WarningGrid,
     alpha,
+    bin_index,
     evaluate_holdout,
     fit,
     p_per_train,
@@ -145,9 +146,12 @@ def test_traffic_m_window(bundled_model) -> None:
 
 def test_p_per_train_composes_parts(bundled_model, bundled_traffic) -> None:
     p = p_per_train(bundled_model, bundled_traffic, DEFAULT_PROFILE, 1, 18.0, "139", 12.0)
-    temporal = bundled_model.p_time_at(1, 18.0) * bundled_model.mu_at(1)
-    spatial = bundled_model.p_segment_at("139", 12.0) * bundled_model.p_line_at("139")
-    m = (bundled_traffic.count("139", 12.0) * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
+    # January is a short-day month, and km 12.0 is in km bin 2
+    temporal = bundled_model.p_time["short"][18] * bundled_model.mu[1]
+    segment = bundled_model.p_segment["139"][2 - bundled_model.counts.x_first["139"]]
+    spatial = segment * bundled_model.p_line["139"]
+    trains = bundled_traffic.counts["139"][2 - bundled_traffic.x_first["139"]]
+    m = (trains * alpha(18.0, 1.0, DEFAULT_PROFILE)) * 1.0
     assert p == temporal * spatial / m
 
 
@@ -167,8 +171,11 @@ def test_p_per_train_rejects_cells_off_the_grid(bundled_model, bundled_traffic) 
     for t in (24.0, -0.5):
         with pytest.raises(ValueError, match="hour must be in"):
             p(1, t=t)
-    with pytest.raises(ValueError, match="km must be non-negative"):
-        p(1, x=-1.0)
+    # nor has a non-finite km a bin
+    for x in (-1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="km must be non-negative") as err:
+            p(1, x=x)
+        assert type(err.value) is ValueError
     # the hour is checked first, then the km, then the month, and a cell
     # without traffic is reported only for a month of the year
     with pytest.raises(ValueError, match="hour must be in"):
@@ -178,6 +185,80 @@ def test_p_per_train_rejects_cells_off_the_grid(bundled_model, bundled_traffic) 
     with pytest.raises(ValueError, match="month must be 1..12"):
         p(13, traffic=traffic_of({}))
     assert p(1.0) == p(1)
+
+
+FLAT_PROFILE = TrafficProfile(groups=((1.0, ((0.0, 24.0),)),))
+
+
+@given(
+    seed=st.integers(0, 5_000),
+    delta_t=st.sampled_from([1.0, 24 / 47]),
+    data=st.data(),
+)
+def test_p_per_train_reads_the_sweep_cell_that_locate_finds(seed: int, delta_t: float, data) -> None:
+    train, traffic = make_synthetic(np.random.default_rng(seed), max_records=100)
+    model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
+    # 24/47 h bins straddle the default profile's piece boundaries
+    profile = DEFAULT_PROFILE if delta_t == 1.0 else FLAT_PROFILE
+    grid = sweep_all(model, traffic, profile, (0.001,))
+    edges = [
+        k * 5.0
+        for line, first in grid.x_first.items()
+        for k in range(first, first + grid.m_window[line].shape[0] + 1)
+    ]
+    # bin edges and their neighbours, points off the bin starts, and kms without a bin
+    km = st.one_of(
+        st.sampled_from(edges).flatmap(
+            lambda e: st.sampled_from([e, math.nextafter(e, -1.0), math.nextafter(e, 1e9)])
+        ),
+        st.floats(min_value=-10.0, max_value=60.0, allow_nan=False),
+        st.sampled_from([-1.0, -0.0, -1e-300, math.inf, -math.inf, math.nan]),
+    )
+    # the stretch from n_t * delta_t to 24 h is past the last 24/47 h bin
+    hour = st.one_of(
+        st.sampled_from(
+            [0.0, -0.0, 24.0, math.nextafter(24.0, 0.0), grid.n_t * delta_t, -1e-12, math.nan]
+        ),
+        st.floats(min_value=-2.0, max_value=26.0, allow_nan=False),
+    )
+    month = st.one_of(st.integers(1, 12), st.sampled_from([0, 13, -1, 1.5, 12.0, math.nan]))
+    queries = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(grid.lines + ("999",)), km, month, hour),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    for line, x, tau, t in queries:
+        _, _, (mi,), (ti,) = grid.locate((line,), [0], [x], [tau], [t])
+        off_grid = [
+            (ti < 0, "hour must be in"),
+            (not 0.0 <= x < math.inf, "km must be non-negative and finite"),
+            (mi < 0, "month must be 1..12"),
+        ]
+        missed = [message for miss, message in off_grid if miss]
+        if missed:
+            event(f"off the grid: {missed[0]}")
+            # the hour is checked first, then the km, then the month
+            with pytest.raises(ValueError, match=missed[0]) as err:
+                p_per_train(model, traffic, profile, tau, t, line, x)
+            assert type(err.value) is ValueError
+            continue
+        # the sweep's cell in the km bin holding x; an unknown line has no span
+        n_x = grid.m_window[line].shape[0] if line in grid.x_first else 0
+        xi = bin_index(x, grid.delta_x) - grid.x_first.get(line, 0)
+        if not 0 <= xi < n_x:
+            event("off the line's span")
+            with pytest.raises(NoTrafficError):
+                p_per_train(model, traffic, profile, tau, t, line, x)
+            continue
+        p, flags = grid.line_cells(line)
+        event(f"{delta_t!r} h bins, no traffic: {bool(flags[xi, mi, ti] & 1)}")
+        if flags[xi, mi, ti] & 1:
+            with pytest.raises(NoTrafficError):
+                p_per_train(model, traffic, profile, tau, t, line, x)
+        else:
+            assert p_per_train(model, traffic, profile, tau, t, line, x) == p[xi, mi, ti]
 
 
 # --- grid construction ---
