@@ -36,12 +36,13 @@ with open(DATA / "traffic.csv", encoding="utf-8") as fh:
 
 thresholds = (0.0005, 0.001, 0.002)
 grid = sweep_all(model, traffic, DEFAULT_PROFILE, thresholds)
-print(f"grid: {grid.n_cells()} cells over lines {', '.join(grid.lines)}")
-print(f"cells with traffic: {grid.traffic_positive_cells()}")
+census = grid.census()  # every count below, from one read of each line
+print(f"grid: {census.cells} cells over lines {', '.join(grid.lines)}")
+print(f"cells with traffic: {census.traffic_positive}")
 
 # a warning is strict: p_pt must exceed theta, equality never warns
-for theta in thresholds:
-    print(f"warned at theta={theta!r}: {grid.warned_cells(theta)} cells")
+for theta, n_warned in zip(grid.thresholds, census.warned):
+    print(f"warned at theta={theta!r}: {n_warned} cells")
 
 # the hottest cells, by raw per-train probability
 flat = []

@@ -418,16 +418,16 @@ def evaluate_holdout(
     thetas = sorted(set(grid.thresholds) | {float(theta)})
     hits = [0] * len(thetas)
     warned = [0] * len(thetas)
-    n_mapped = 0
+    n_mapped = traffic_positive = 0
     for line, line_cells in zip(grid.lines, cells):
         # each line's p_pt is computed once, for its warned counts and its accidents' cells
         p_pt = grid._line_p_pt(line)
         warned = [a + b for a, b in zip(warned, _counts_above(p_pt, thetas))]
+        traffic_positive += int((grid.m_window[line] > 0.0).sum()) * len(grid.months)
         if line_cells:
             best = _best_p(p_pt, np.concatenate(line_cells), include_adjacent)
             n_mapped += best.size
             hits = [a + b for a, b in zip(hits, _counts_above(best, thetas))]  # NaN never hits
-    traffic_positive = grid.traffic_positive_cells()
     curve = []
     for th, hits_th, warned_th in zip(thetas, hits, warned):
         hit_rate = hits_th / n_mapped if n_mapped else 0.0

@@ -299,25 +299,18 @@ def cmd_fit(opts: argparse.Namespace) -> int:
     return 0
 
 
-def _print_warn_summary(grid) -> None:
-    theta = grid.thresholds[0]
-    print(f"cells: {grid.n_cells()} ({grid.traffic_positive_cells()} with traffic)")
-    flags = (FLAG_NO_TRAFFIC, FLAG_EXCEEDS_UNITY)
-    print("flagged cells: " + " ".join(f"{flag}={grid.flagged_cells(flag)}" for flag in flags))
-    for theta_i in grid.thresholds:
-        print(f"warned cells at theta={theta_i!r}: {grid.warned_cells(theta_i)}")
-    print(f"warned km-bins per line and month at theta={theta!r}:")
-    for line in grid.lines:
-        mask = grid.warned_mask(line, theta)
-        by_month = mask.any(axis=2).sum(axis=0)  # per month: bins warned in any hour
-        if not by_month.any():
-            continue
+def _print_warn_summary(grid, census) -> None:
+    print(f"cells: {census.cells} ({census.traffic_positive} with traffic)")
+    print("flagged cells: " + " ".join(f"{flag}={n}" for flag, n in census.flagged.items()))
+    for theta, n_warned in zip(grid.thresholds, census.warned):
+        print(f"warned cells at theta={theta!r}: {n_warned}")
+    print(f"warned km-bins per line and month at theta={grid.thresholds[0]!r}:")
+    for line, by_month in census.warned_bins.items():
         cells = " ".join(
-            f"{calendar.month_abbr[grid.months[mi]]}={int(by_month[mi])}"
-            for mi in range(len(grid.months))
-            if by_month[mi]
+            f"{calendar.month_abbr[month]}={n}" for month, n in zip(grid.months, by_month) if n
         )
-        print(f"  line {line}: {cells}")
+        if cells:
+            print(f"  line {line}: {cells}")
 
 
 def cmd_warn(opts: argparse.Namespace) -> int:
@@ -330,10 +323,18 @@ def cmd_warn(opts: argparse.Namespace) -> int:
     theta_map = opts.thresholds[0] if opts.theta_map is None else opts.theta_map
     geometries = None if opts.geometry is None else _parse(opts.geometry, parse_geometries)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
-    exceeds = grid.flagged_cells(FLAG_EXCEEDS_UNITY)
+    census = grid.census()
+    exceeds = census.flagged[FLAG_EXCEEDS_UNITY]
     if exceeds:
         print(
             f"warning: {exceeds} cells have p_pt > 1 ({FLAG_EXCEEDS_UNITY});"
+            " check the traffic table",
+            file=sys.stderr,
+        )
+    no_traffic = census.flagged[FLAG_NO_TRAFFIC]
+    if no_traffic > census.cells / 2:
+        print(
+            f"warning: {no_traffic} of {census.cells} cells have no trains ({FLAG_NO_TRAFFIC});"
             " check the traffic table",
             file=sys.stderr,
         )
@@ -346,7 +347,7 @@ def cmd_warn(opts: argparse.Namespace) -> int:
         geo_path = _out_path(opts, "warnings.geojson")
         _write_text(geo_path, geojson)
         print(f"warned segments written to {geo_path}")
-    _print_warn_summary(grid)
+    _print_warn_summary(grid, census)
     return 0
 
 

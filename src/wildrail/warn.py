@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType, SimpleNamespace
 from typing import ClassVar, Mapping, Sequence, TextIO
@@ -61,6 +62,9 @@ _FLAG_NAMES = (
 
 class NoTrafficError(ValueError):
     """A per-train probability was requested for a cell with zero expected trains."""
+
+
+_Census = namedtuple("_Census", "cells traffic_positive flagged warned warned_bins")
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,11 @@ class WarningGrid:
     and per line ``spatial`` is an (n_x,) array and ``m_window`` an
     (n_x, n_t) array of expected trains, so cell (xi, mi, ti) of a line is
     ``temporal[mi, ti] * spatial[xi] / m_window[xi, ti]``.  ``line_cells``
-    computes a line's p_pt and flags from them on each call; ``warned``
-    state is derived the same way: a cell is warned at theta exactly when
-    p_pt > theta.  The per-line tables are read-only mappings and every
-    stored array is a read-only view, so the caller's own arrays keep their
-    flags.
+    computes a line's p_pt and flags from them on each call, and a cell is
+    warned at theta exactly when p_pt > theta; ``census`` counts the cells
+    per flag and warned per threshold in one read of each line.  The
+    per-line tables are read-only mappings and every stored array is a
+    read-only view, so the caller's own arrays keep their flags.
     """
 
     months: ClassVar[tuple[int, ...]] = MONTHS
@@ -280,7 +284,8 @@ class WarningGrid:
         delta_t)`` for 0 <= hour < 24 and ti < n_t.  Each part is -1 where it
         misses the grid, and an unknown line also gives xi = -1.  A km
         exactly at a line's final bin edge is clamped into the final bin;
-        anything further out misses.
+        anything further out misses.  km, months and hours must be integers
+        or floats (not bools); a TypeError names the one that is not.
         """
         at = {line: i for i, line in enumerate(self.x_first)}
         li = np.array([at.get(name, -1) for name in names], dtype=np.int64)[codes]
@@ -288,51 +293,50 @@ class WarningGrid:
         firsts = np.array([*self.x_first.values(), 0], dtype=float)
         sizes = np.array([self.m_window[line].shape[0] for line in self.x_first] + [0], dtype=float)
         first, size = firsts[li], sizes[li]
-        km = np.asarray(km, dtype=float)
+        km = _real_array(km, "km")
         # positions stay floats until checked, so a huge km cannot overflow
         pos = _bin_floor(km, self.delta_x) - first
         inside = (pos >= 0) & (pos < size)
         end_edge = (size > 0) & (pos == size) & (km == (first + size) * self.delta_x)
         pos = np.where(end_edge, size - 1, pos)
         xi = np.where(inside | end_edge, pos, -1).astype(np.int64)
-        months = np.asarray(months, dtype=float)
+        return (li, xi, *self._time_cells(months, hours))
+
+    def _time_cells(self, months, hours) -> tuple[np.ndarray, np.ndarray]:
+        """The (mi, ti) parts of ``locate`` for months and hours of any shapes."""
+        months = _real_array(months, "month")
         in_year = (months >= 1) & (months <= 12) & (months == np.floor(months))
         mi = np.where(in_year, months - 1, -1).astype(np.int64)
-        hours = np.asarray(hours, dtype=float)
+        hours = _real_array(hours, "hour")
         t_bins = _bin_floor(hours, self.delta_t)
         # n_t * delta_t can fall a rounding step short of 24 (delta_t = 24/47), so
         # the last stretch of the day is bin n_t, which the grid does not hold
         in_day = (hours >= 0.0) & (hours < 24.0) & (t_bins < self.n_t)
         ti = np.where(in_day, t_bins, -1).astype(np.int64)
-        return li, xi, mi, ti
+        return mi, ti
 
-    def warned_mask(self, line: str, theta: float) -> np.ndarray:
-        """Boolean (n_x, 12, n_t) array of ``line``: p_pt strictly above theta (NaN never warns).
-
-        Computes the line's cells, as ``line_cells`` does, on each call.
-        """
-        return _warned(self._line_p_pt(line), theta)
-
-    def traffic_positive_cells(self) -> int:
-        """Number of cells whose window holds at least one expected train."""
-        total = 0
+    def census(self, thetas: Sequence[float] | None = None) -> _Census:
+        """The number of ``cells``, of ``traffic_positive`` cells, of cells ``flagged`` per
+        FLAG_* name and ``warned`` per theta (the grid's thresholds by default), and per
+        line ``warned_bins``, the km bins warned in any hour of each month at the first
+        theta; from one ``line_cells`` read per line."""
+        thetas = self.thresholds if thetas is None else tuple(thetas)
+        traffic_positive = 0
+        flagged = dict.fromkeys((name for _, name in _FLAG_NAMES), 0)
+        warned = [0] * len(thetas)
+        warned_bins = {}
         for line in self.lines:
-            total += int((self.m_window[line] > 0.0).sum()) * len(self.months)
-        return total
-
-    def flagged_cells(self, flag: str) -> int:
-        """Number of cells carrying ``flag`` (one of the FLAG_* names)."""
-        return sum(_flag_counts(self.line_cells(line)[1])[flag] for line in self.lines)
+            p, flags = self.line_cells(line)
+            traffic_positive += int((self.m_window[line] > 0.0).sum()) * len(self.months)
+            for bit, name in _FLAG_NAMES:
+                flagged[name] += int(np.count_nonzero(flags & bit))
+            warned = [a + b for a, b in zip(warned, _counts_above(p, thetas))]
+            if thetas:
+                warned_bins[line] = tuple(_warned(p, thetas[0]).any(axis=2).sum(axis=0).tolist())
+        return _Census(self.n_cells(), traffic_positive, flagged, tuple(warned), warned_bins)
 
     def warned_cells(self, theta: float) -> int:
-        return self.warned_counts((theta,))[0]
-
-    def warned_counts(self, thetas: Sequence[float]) -> list[int]:
-        """Number of cells warned at each of ``thetas``, all counted in one loop over the lines."""
-        counts = [0] * len(thetas)
-        for line in self.lines:
-            counts = [a + b for a, b in zip(counts, _counts_above(self._line_p_pt(line), thetas))]
-        return counts
+        return sum(_counts_above(self._line_p_pt(line), (theta,))[0] for line in self.lines)
 
     def n_cells(self) -> int:
         return sum(arr.shape[0] for arr in self.m_window.values()) * len(self.months) * self.n_t
@@ -356,9 +360,12 @@ def _counts_above(p: np.ndarray, thetas: Sequence[float]) -> list[int]:
     return [int(np.count_nonzero(_warned(p, theta))) for theta in thetas]
 
 
-def _flag_counts(flags: np.ndarray) -> dict[str, int]:
-    """Number of cells of a ``line_cells`` flags array carrying each FLAG_* name."""
-    return {name: int(np.count_nonzero(flags & bit)) for bit, name in _FLAG_NAMES}
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a TypeError naming ``name`` unless they are ints or floats."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":  # bools, strings and objects such as None are refused
+        raise TypeError(f"{name} values must be integers or floats, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:
@@ -529,21 +536,24 @@ def warnings_to_geojson(
     A feature is emitted per (line, km bin) that is warned at ``theta`` in
     any surviving (month, hour) cell after the optional ``month``/``hour``
     filters; the warned months and window starts are listed in its
-    properties.  Bins on lines without geometry, or falling entirely outside
-    the calibrated km range, are omitted (they remain in the CSV export).
+    properties.  A filter keeps the month and hour bin that
+    ``WarningGrid.locate`` finds for it, and none where locate misses.
+    Bins on lines without geometry, or falling entirely outside the
+    calibrated km range, are omitted (they remain in the CSV export).
 
     Raises:
         ValueError: ``theta`` is not finite.
+        TypeError: ``month`` or ``hour`` is neither an integer nor a float.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    # the (month, hour bin) cells the filters keep; a filter that matches nothing keeps none
-    keep = np.ones((len(grid.months), grid.n_t), dtype=bool)
-    if month is not None:
-        keep &= np.array([m == month for m in grid.months], dtype=bool)[:, None]
-    if hour is not None:
-        ti = bin_index(hour, grid.delta_t) if 0.0 <= hour < 24.0 else -1
-        keep &= (np.arange(grid.n_t) == ti)[None, :]
+    # the (month, hour bin) cells the filters keep, by the rules of locate; a miss keeps none
+    mi, ti = grid._time_cells(
+        grid.months if month is None else [month],
+        np.arange(grid.n_t) * grid.delta_t if hour is None else [hour],
+    )
+    keep = np.zeros((len(grid.months), grid.n_t), dtype=bool)
+    keep[np.ix_(mi[mi >= 0], ti[ti >= 0])] = True
     features = []
     for line in grid.lines:
         geometry = geometries.get(line)

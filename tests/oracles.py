@@ -504,8 +504,8 @@ def cell_of(grid, line: str, km: float, month: int, hour: float) -> tuple[int, i
 def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = False) -> dict:
     """Hold-out scoring one accident at a time: the fields of the package's EvalReport.
 
-    Warned and traffic-positive cell counts are read from the grid's own
-    ``warned_cells`` and ``traffic_positive_cells``.
+    Warned cell counts are read from the grid's own ``warned_cells``, and
+    traffic-positive cells counted from its ``m_window``, one window at a time.
     """
     mapped_ps: list[list[float]] = []
     p_pt = {line: grid.line_cells(line)[0] for line in grid.lines}  # each line computed once
@@ -521,7 +521,8 @@ def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = 
         ps = [float(arr[i, mi, ti]) for i in candidates]
         mapped_ps.append([p for p in ps if not math.isnan(p)])
     n_mapped = len(mapped_ps)
-    traffic_positive = grid.traffic_positive_cells()
+    windows = [m for line in grid.lines for row in grid.m_window[line].tolist() for m in row]
+    traffic_positive = len(grid.months) * sum(1 for m in windows if m > 0.0)
 
     def point(th: float) -> tuple[float, float, int]:
         hits = sum(1 for ps in mapped_ps if any(p > th for p in ps))
@@ -574,6 +575,42 @@ def cell_record(grid, line: str, cells, xi: int, mi: int, ti: int) -> dict:
         "flags": tuple(name for bit, name in FLAG_BITS if bits & bit),
         "warned": {th: (p_out is not None and p_out > th) for th in grid.thresholds},
     }
+
+
+def census_loop(grid, thetas: Sequence[float]) -> dict:
+    """The fields of ``WarningGrid.census``, counted one materialized cell at a time.
+
+    A cell has traffic where its m_window is positive, is ``no_traffic``
+    where m_window is zero and ``exceeds_unity`` where p_pt > 1, all read
+    off the cell, not its flag bits.
+    """
+    census = {
+        "cells": 0,
+        "traffic_positive": 0,
+        "flagged": {NO_TRAFFIC: 0, EXCEEDS: 0},
+        "warned": [0] * len(thetas),
+        "warned_bins": {},
+    }
+    for line in grid.lines:
+        cells = grid.line_cells(line)
+        warned_bins: dict[int, set[int]] = {month: set() for month in grid.months}
+        for xi in range(cells[0].shape[0]):
+            for mi in range(len(grid.months)):
+                for ti in range(grid.n_t):
+                    cell = cell_record(grid, line, cells, xi, mi, ti)
+                    p = cell["p_pt"]
+                    census["cells"] += 1
+                    census["traffic_positive"] += cell["m_window"] > 0.0
+                    census["flagged"][NO_TRAFFIC] += cell["m_window"] == 0.0
+                    census["flagged"][EXCEEDS] += p is not None and p > 1.0
+                    for i, theta in enumerate(thetas):
+                        if p is not None and p > theta:
+                            census["warned"][i] += 1
+                            if i == 0:
+                                warned_bins[cell["month"]].add(xi)
+        census["warned_bins"][line] = tuple(len(warned_bins[month]) for month in grid.months)
+    census["warned"] = tuple(census["warned"])
+    return census
 
 
 def warnings_to_csv_loop(grid) -> str:

@@ -421,11 +421,57 @@ def test_warn_counts_cells_per_flag(tmp_path: Path, fitted: Path, capsys) -> Non
         DEFAULT_PROFILE,
         DEFAULT_THRESHOLDS,
     )
-    counts = {flag: grid.flagged_cells(flag) for flag in FLAGS}
-    assert counts[FLAG_NO_TRAFFIC] == grid.n_cells() - grid.traffic_positive_cells()
+    census = grid.census()
+    counts = census.flagged
+    assert tuple(counts) == FLAGS
+    assert counts[FLAG_NO_TRAFFIC] == census.cells - census.traffic_positive
     assert counts[FLAG_NO_TRAFFIC] > 0
     expected = "flagged cells: " + " ".join(f"{flag}={n}" for flag, n in counts.items())
-    assert expected in capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    assert expected in captured.out.splitlines()
+    # most cells have no trains, which stderr says once
+    assert captured.err.splitlines() == [
+        f"warning: {counts[FLAG_NO_TRAFFIC]} of {census.cells} cells have no trains"
+        " (no_traffic); check the traffic table"
+    ]
+
+
+# the golden warn run's stdout, with its output directory masked
+WARN_STDOUT = """\
+warning grid written to <out>/warnings.csv
+warned segments written to <out>/warnings.geojson
+cells: 10656 (10656 with traffic)
+flagged cells: no_traffic=0 exceeds_unity=0
+warned cells at theta=0.0005: 1384
+warned cells at theta=0.001: 301
+warned cells at theta=0.002: 71
+warned km-bins per line and month at theta=0.0005:
+  line 1: Jan=9 Feb=9 Mar=9 Apr=9 May=9 Jun=9 Jul=9 Aug=9 Sep=9 Oct=9 Nov=9 Dec=9
+  line 139: Jan=12 Feb=12 Mar=12 Apr=12 May=12 Jun=12 Jul=12 Aug=12 Sep=12 Oct=12 Nov=12 Dec=12
+  line 140: Jan=16 Feb=16 Mar=16 Apr=16 May=16 Jun=16 Jul=16 Aug=16 Sep=16 Oct=16 Nov=16 Dec=16
+"""
+
+
+def test_warn_prints_the_pinned_summary(tmp_path: Path, capsys) -> None:
+    assert main(["warn", "--model", MODEL, "--traffic", TRAFFIC, "--geometry", GEOMETRY,
+                 "--theta-map", "0.001", "--month", "1", "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.replace(str(tmp_path), "<out>") == WARN_STDOUT
+    assert captured.err == ""
+
+
+def test_warn_reports_a_grid_mostly_without_traffic(tmp_path: Path, capsys) -> None:
+    # one train a day at km 2000 stretches line 139's grid over 400 km bins without traffic
+    far = tmp_path / "far.csv"
+    far.write_text(Path(TRAFFIC).read_text(encoding="utf-8") + "139,2000.0,1\n", encoding="utf-8")
+    assert main(["warn", "--model", MODEL, "--traffic", str(far), "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: 111744 of 122688 cells have no trains (no_traffic); check the traffic table"
+    ]
+    out = captured.out.splitlines()
+    assert out[1:3] == ["cells: 122688 (10944 with traffic)", "flagged cells: no_traffic=111744 exceeds_unity=0"]
+    assert (tmp_path / "warnings.csv").stat().st_size > 0
 
 
 def test_warn_rejects_map_filters_that_match_nothing(tmp_path: Path, fitted: Path, capsys) -> None:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import dataclasses
 import datetime as dt
+import hashlib
 import io
 import json
 import math
 import pickle
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import wildrail.cli
 import wildrail.model
 import wildrail.warn
 from wildrail import (
@@ -41,10 +45,11 @@ from wildrail import (
     warnings_to_csv,
     warnings_to_geojson,
 )
-from conftest import dataset_of, make_synthetic, traffic_of
+from conftest import DATA_DIR, dataset_of, make_synthetic, traffic_of
 from oracles import (
     alpha_fraction,
     cell_of,
+    census_loop,
     dense_grid_cells,
     partition_mass,
     warnings_to_csv_loop,
@@ -390,10 +395,48 @@ def test_warned_counts_match_cell_loop(bundled_grid) -> None:
     values = bundled_grid.line_cells("139")[0]
     thetas = sorted(set(values[~np.isnan(values)].tolist()))[::25] + [0.0, 0.001, math.inf]
     cells = [p for line in bundled_grid.lines for p in bundled_grid.line_cells(line)[0].ravel().tolist()]
-    counts = bundled_grid.warned_counts(thetas)
-    assert counts == [sum(1 for p in cells if p > theta) for theta in thetas]
-    assert counts == [bundled_grid.warned_cells(theta) for theta in thetas]
+    counts = bundled_grid.census(thetas).warned
+    assert counts == tuple(sum(1 for p in cells if p > theta) for theta in thetas)
+    assert counts == tuple(bundled_grid.warned_cells(theta) for theta in thetas)
     assert len(thetas) > 10 and counts[-1] == 0
+
+
+def assert_census_matches_cell_loop(grid, thetas) -> None:
+    census = grid.census(thetas)
+    assert census._asdict() == census_loop(grid, thetas)
+    assert census.cells == grid.n_cells()
+
+
+def test_census_matches_cell_loop(bundled_grid) -> None:
+    assert_census_matches_cell_loop(bundled_grid, bundled_grid.thresholds)
+    census = bundled_grid.census()
+    assert census == bundled_grid.census(bundled_grid.thresholds)
+    assert census.warned == (1384, 301, 71)  # the bundled warn summary
+    assert census.flagged == {FLAG_NO_TRAFFIC: 0, FLAG_EXCEEDS_UNITY: 0}
+
+
+def test_census_matches_cell_loop_on_flagged_cells(bundled_model) -> None:
+    # traffic in one bin leaves no_traffic cells; 1e-6 trains a day push p_pt past 1
+    grid = sweep_all(
+        bundled_model, traffic_of({("139", 2): 131.0, ("140", 1): 1e-6}), DEFAULT_PROFILE, THRESHOLDS
+    )
+    census = grid.census()
+    assert census.flagged[FLAG_NO_TRAFFIC] > census.cells / 2
+    assert census.flagged[FLAG_EXCEEDS_UNITY] > 0
+    # unsorted thetas: warned_bins counts at the first one given
+    for thetas in (THRESHOLDS, (0.002, 0.0, 1.0), (math.inf,)):
+        assert_census_matches_cell_loop(grid, thetas)
+
+
+@given(seed=st.integers(0, 5_000), delta_t=st.sampled_from([1.0, 0.5]))
+@settings(max_examples=15)
+def test_census_matches_cell_loop_on_synthetic_data(seed: int, delta_t: float) -> None:
+    data, traffic = make_synthetic(np.random.default_rng(seed), max_records=200)
+    # thin and missing traffic give exceeds_unity and no_traffic cells
+    scale = (1.0, 1e-3, 0.0)[seed % 3]
+    traffic = TrafficTable(traffic.x_first, {line: run * scale for line, run in traffic.counts.items()}, 5.0)
+    grid = sweep_all(fit(data, bins=BinConfig(delta_x=5.0, delta_t=delta_t)), traffic, DEFAULT_PROFILE, THRESHOLDS)
+    assert_census_matches_cell_loop(grid, THRESHOLDS)
 
 
 def test_sweep_peak_memory_stays_near_its_output() -> None:
@@ -467,9 +510,8 @@ def test_each_reader_computes_a_line_at_most_once(
         "evaluate_holdout adjacent": lambda: evaluate_holdout(
             grid, bundled_test_data, 0.001, include_adjacent=True
         ),
-        "warned_counts": lambda: grid.warned_counts(THRESHOLDS),
+        "census": lambda: grid.census(),
         "warned_cells": lambda: grid.warned_cells(0.001),
-        "flagged_cells": lambda: grid.flagged_cells(FLAG_EXCEEDS_UNITY),
         "warnings_to_csv": lambda: warnings_to_csv(grid, CharCount()),
         "warnings_to_geojson": lambda: warnings_to_geojson(grid, bundled_geometries, 0.001),
     }
@@ -477,6 +519,14 @@ def test_each_reader_computes_a_line_at_most_once(
         calls.clear()
         read()
         assert sorted(calls) == sorted(grid.lines), name
+    # warn reads each line once for its census, which its summary and stderr
+    # warnings print, and once for the CSV
+    calls.clear()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        model = DATA_DIR.parent / "demos" / "output" / "model.json"
+        argv = ["warn", "--model", str(model), "--traffic", str(DATA_DIR / "traffic.csv"), "--out-dir", out]
+        assert wildrail.cli.main(argv) == 0
+    assert sorted(calls) == sorted(grid.lines * 2)
 
 
 def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
@@ -512,12 +562,18 @@ def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
             copied.temporal[0] = 5.0
 
 
-def test_warned_mask_ignores_nan(bundled_model) -> None:
+def test_census_never_warns_a_nan_cell(bundled_model) -> None:
     table = traffic_of({("139", 2): 131.0})
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
-    for line in grid.lines:
-        mask = grid.warned_mask(line, 1e-12)
-        assert not mask[np.isnan(grid.line_cells(line)[0])].any()
+    p_pt = [grid.line_cells(line)[0] for line in grid.lines]
+    assert sum(int(np.isnan(p).sum()) for p in p_pt) > 0
+    # a NaN cell counts as a p_pt of zero, never as a warning
+    census = grid.census((1e-12,))
+    assert census.warned == (sum(int((np.nan_to_num(p, nan=0.0) > 1e-12).sum()) for p in p_pt),)
+    assert census.warned_bins == {
+        line: tuple((np.nan_to_num(p, nan=0.0) > 1e-12).any(axis=2).sum(axis=0).tolist())
+        for line, p in zip(grid.lines, p_pt)
+    }
 
 
 def test_flags_mirror_undefined_cells() -> None:
@@ -550,7 +606,7 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     p = float(p_pt[xi, mi, ti])
     assert p > 1.0
     assert int(flags[xi, mi, ti]) == 4  # exceeds_unity alone
-    assert grid.warned_mask("9", 0.001)[xi, mi, ti]
+    assert grid.census().warned_bins["9"][mi] == 1  # the line's one km bin is warned
     row = list(csv.reader(io.StringIO(csv_text(grid))))[1 + (mi * 24) + ti]
     assert row[:5] == ["9", "0.0", "5.0", "1", "12.0"]
     assert row[7:] == [repr(p), FLAG_EXCEEDS_UNITY, "1"]
@@ -690,11 +746,12 @@ def test_cell_materialization_is_consistent(bundled_grid) -> None:
 
 
 def test_traffic_positive_and_warned_counts(bundled_grid) -> None:
-    positive = bundled_grid.traffic_positive_cells()
+    census = bundled_grid.census((0.001, math.inf))
+    positive = census.traffic_positive
     assert positive == bundled_grid.n_cells()  # the bundled table covers every bin
-    n_warned = bundled_grid.warned_cells(0.001)
+    n_warned = census.warned[0]
     assert 0 < n_warned < positive
-    assert bundled_grid.warned_cells(math.inf) == 0
+    assert census.warned[1] == bundled_grid.warned_cells(math.inf) == 0
 
 
 # --- CSV export ---
@@ -804,6 +861,70 @@ def test_warning_geojson_filters_outside_the_day_keep_nothing(
     assert doc["features"] == []
 
 
+# sha256 of the GeoJSON texts at theta 0.0002, joined by newlines, for months
+# 1..12 and None crossed with each hour-bin start, None, 24 and hours past the
+# last bin: the cells the month and hour filters keep, pinned per bin width
+GEOJSON_FILTER_DIGESTS = {
+    1.0: "d8834af9b0c69f865020e1489a5330c21c768d78fa75ff608b3d97f880a7595e",
+    24 / 47: "9c320888c7eedcec600cc4f9f8d018db8b511c58a0c34ed8b67a74a9031ff52e",
+}
+
+
+@pytest.mark.parametrize("delta_t", sorted(GEOJSON_FILTER_DIGESTS))
+def test_warning_geojson_filters_keep_the_pinned_cells(
+    delta_t, bundled_grid, bundled_data, bundled_traffic, bundled_geometries
+) -> None:
+    if delta_t == 1.0:
+        grid = bundled_grid
+    else:
+        grid = sweep_all(fit(bundled_data, bins=BinConfig(delta_t=delta_t)), bundled_traffic, FLAT_PROFILE, (0.001,))
+    end = grid.n_t * grid.delta_t
+    assert grid.n_t == round(24 / delta_t) and (end < 24.0) == (delta_t != 1.0)
+    hours = [*(ti * grid.delta_t for ti in range(grid.n_t)), None, 24.0, end, math.nextafter(24.0, 0.0)]
+    texts = [
+        warnings_to_geojson(grid, bundled_geometries, 0.0002, month=month, hour=hour)
+        for month in [*range(1, 13), None]
+        for hour in hours
+    ]
+    assert sum(json.loads(text)["features"] != [] for text in texts) > len(texts) / 3
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == GEOJSON_FILTER_DIGESTS[delta_t]
+
+
+def test_month_hour_and_km_must_be_numbers(
+    bundled_model, bundled_traffic, bundled_grid, bundled_geometries
+) -> None:
+    def p(tau=1, t=18.0, x=12.0):
+        return p_per_train(bundled_model, bundled_traffic, DEFAULT_PROFILE, tau, t, "139", x)
+
+    for bad in ("1", True, None):
+        with pytest.raises(TypeError, match="^month values must be integers or floats"):
+            p(tau=bad)
+        with pytest.raises(TypeError, match="^hour values must be integers or floats"):
+            p(t=bad)
+    with pytest.raises(TypeError, match="^km values must be integers or floats"):
+        p(x=True)
+    for bad in ("3", True):
+        with pytest.raises(TypeError, match="^month values"):
+            warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, month=bad)
+        with pytest.raises(TypeError, match="^hour values"):
+            warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, hour=bad)
+    # None is no filter
+    everything = warnings_to_geojson(bundled_grid, bundled_geometries, 0.001)
+    assert warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, month=None, hour=None) == everything
+    # ints, unsigned ints and floats of any width are numbers; object arrays are not
+    for dtype in (np.int32, np.uint8, np.float32):
+        assert p(tau=dtype(1), t=dtype(18)) == p()
+    one = np.ones(1, dtype=int)
+    for km, months, hours, name in (
+        (np.array(["12"]), one, one, "km"),
+        (one, np.array([1], dtype=object), one, "month"),
+        (one, one, np.array([False]), "hour"),
+    ):
+        with pytest.raises(TypeError, match=f"^{name} values"):
+            bundled_grid.locate(("139",), np.zeros(1, dtype=int), km, months, hours)
+
+
 def test_warning_geojson_rejects_non_finite_theta(bundled_grid, bundled_geometries) -> None:
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -909,7 +1030,7 @@ def test_exporters_match_cell_loops(
         {
             (grid.months[mi], ti * grid.delta_t)
             for line in grid.lines
-            for mi, ti in zip(*np.nonzero(grid.warned_mask(line, theta).any(axis=0)))
+            for mi, ti in zip(*np.nonzero((grid.line_cells(line)[0] > theta).any(axis=0)))
         }
     )
     warned_month, warned_hour = data.draw(st.sampled_from(warned or [(1, 0.0)]))
