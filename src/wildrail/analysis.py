@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable, _bin_floor
+from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable, _bin_floor, _positive, _real, _real_array
 from .model import SeasonScheme
 from .warn import WarningGrid, _counts_above
 
@@ -123,9 +123,9 @@ def hex_bin(points: list[tuple[float, float]] | np.ndarray, spacing: float = 2.5
         empty grid.
     """
     lo, hi = _SPACING_KM
-    if not lo <= spacing <= hi:  # NaN fails too
+    if not lo <= (spacing := _real(spacing, "spacing")) <= hi:  # NaN fails too
         raise ValueError(f"spacing must be from {lo:g} to {hi:g} km, got {spacing!r}")
-    latlon = np.asarray(points, dtype=float)
+    latlon = _real_array(points, "points")
     if not latlon.size:
         return HexGrid(spacing=spacing, lat0=0.0, lon0=0.0, cells={})
     if latlon.ndim != 2 or latlon.shape[1] != 2:
@@ -272,10 +272,12 @@ def speed_correlation(
     Pairs run by line name, then by km bin.
 
     Raises:
-        ValueError: delta_x mismatching the traffic table, or fewer than 3
-            usable bins.
+        TypeError: delta_x is not an int or a float.
+        ValueError: delta_x not positive and finite or mismatching the traffic
+            table, or fewer than 3 usable bins.
         UndefinedCorrelationError: zero variance in either variable.
     """
+    delta_x = _positive(delta_x, "delta_x")
     if delta_x != traffic.delta_x:
         raise ValueError(
             f"delta_x={delta_x} does not match the traffic table bin width {traffic.delta_x}"
@@ -392,14 +394,14 @@ def evaluate_holdout(
     also accepts the neighbouring km bins on the same line (off by default).
 
     Raises:
+        TypeError: theta is not an int or a float.
         ValueError: empty test set, or theta negative or not finite.
     """
     if test.n == 0:
         raise ValueError("empty test set")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta!r}")
+    theta = _real(theta, "theta")
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be non-negative and finite, got {theta!r}")
     # per grid line, the flat p_pt index of each mapped accident's cell, block by block
     cells: list[list[np.ndarray]] = [[] for _ in grid.lines]
     for start in range(0, test.n, _BLOCK):
@@ -415,7 +417,7 @@ def evaluate_holdout(
         for line_cells, part in zip(cells, np.split(flat, ends[:-1])):
             if part.size:
                 line_cells.append(part)
-    thetas = sorted(set(grid.thresholds) | {float(theta)})
+    thetas = sorted(set(grid.thresholds) | {theta})
     hits = [0] * len(thetas)
     warned = [0] * len(thetas)
     n_mapped = traffic_positive = 0
@@ -433,9 +435,9 @@ def evaluate_holdout(
         hit_rate = hits_th / n_mapped if n_mapped else 0.0
         warned_fraction = warned_th / traffic_positive if traffic_positive else 0.0
         curve.append((th, warned_fraction, hit_rate))
-    at = thetas.index(float(theta))
+    at = thetas.index(theta)
     return EvalReport(
-        theta=float(theta),
+        theta=theta,
         hit_rate=curve[at][2],
         warned_fraction=curve[at][1],
         n_test=test.n,

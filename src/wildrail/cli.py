@@ -26,7 +26,6 @@ import csv
 import dataclasses
 import datetime as dt
 import json
-import math
 import os
 import sys
 from typing import Any, Callable, TextIO
@@ -44,6 +43,8 @@ from .analysis import (
 from .ingest import (
     Dataset,
     _iso_date,
+    _positive,
+    _real,
     count_days,
     geocode,
     km_to_geo,  # not called here: perfbench/clishim.py traces it as cli.km_to_geo
@@ -64,6 +65,7 @@ from .warn import (
     DEFAULT_PROFILE,
     FLAG_EXCEEDS_UNITY,
     FLAG_NO_TRAFFIC,
+    _check_thresholds,
     sweep_all,
     warnings_to_csv,
     warnings_to_geojson,
@@ -126,33 +128,14 @@ def _path(value: Any) -> str:
 
 
 def _number(value: Any) -> float:
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
-    raise ValueError(f"must be a number, got {value!r}")
+    try:
+        return float(value) if isinstance(value, str) else _real(value, "value")
+    except (TypeError, ValueError):
+        raise ValueError(f"must be a number, got {value!r}") from None
 
 
-def _positive(value: Any) -> float:
-    number = _number(value)
-    if not (math.isfinite(number) and number > 0):
-        raise ValueError(f"must be positive and finite, got {value!r}")
-    return number
-
-
-def _month(value: Any) -> int:
-    month = _number(value)
-    if month not in range(1, 13):
-        raise ValueError(f"must be a month 1..12, got {value!r}")
-    return int(month)
-
-
-def _hour(value: Any) -> float:
-    hour = _number(value)
-    if not 0.0 <= hour < 24.0:
-        raise ValueError(f"must be in [0, 24), got {value!r}")
-    return hour
+def _bin_width(value: Any) -> float:
+    return _positive(_number(value), "bin width")
 
 
 def _boolean(value: Any) -> bool:
@@ -207,13 +190,8 @@ def parse_thresholds_spec(spec: Any) -> tuple[float, ...]:
     elif not isinstance(spec, list):
         raise ValueError(f"must be a list of numbers or comma-separated text, got {spec!r}")
     values = tuple(_number(p) for p in spec)
-    if not values:
-        raise ValueError("at least one threshold is required")
-    for a, b in zip(values, values[1:]):
-        if b <= a:
-            raise ValueError("thresholds must be sorted strictly ascending")
-    if values[0] <= 0:
-        raise ValueError("thresholds must be strictly positive")
+    if _check_thresholds(values) != values:
+        raise ValueError("thresholds must be sorted strictly ascending")
     return values
 
 
@@ -226,8 +204,8 @@ OPTIONS: dict[str, tuple[Callable[[Any], Any], Any, str]] = {
     "days_per_year": (_days_per_year, "calendar", "day counting: calendar (default) or 365"),
     "seasons": (parse_seasons_spec, DEFAULT_SEASONS,
                 "month grouping (default 'short=11,12,1,2;long=5,6,7,8;mid=3,4,9,10')"),
-    "delta_x": (_positive, 5.0, "km bin width (default 5)"),
-    "delta_t": (_positive, 1.0, "hour bin width (default 1)"),
+    "delta_x": (_bin_width, 5.0, "km bin width (default 5)"),
+    "delta_t": (_bin_width, 1.0, "hour bin width (default 1)"),
     "smoothing": (_number, 0.0, "additive smoothing count (default 0)"),
     "model": (_path, None, "fitted model JSON"),
     "traffic": (_path, None,
@@ -237,12 +215,12 @@ OPTIONS: dict[str, tuple[Callable[[Any], Any], Any, str]] = {
     "geometry": (_path, None, "line geometry GeoJSON"),
     "thresholds": (parse_thresholds_spec, DEFAULT_THRESHOLDS,
                    "comma-separated warning thresholds, ascending (default 0.0005,0.001,0.002)"),
-    "theta_map": (_positive, None, "threshold of the GeoJSON export (default: smallest)"),
-    "month": (_month, None, "restrict the GeoJSON export to one month"),
-    "hour": (_hour, None, "restrict the GeoJSON export to one hour bin"),
+    "theta_map": (_number, None, "threshold of the GeoJSON export (default: smallest)"),
+    "month": (_number, None, "restrict the GeoJSON export to one month"),
+    "hour": (_number, None, "restrict the GeoJSON export to one hour bin"),
     "theta": (_number, None, "threshold to report (default: smallest)"),
     "adjacent": (_boolean, False, "count warnings in neighbouring km bins as hits"),
-    "spacing": (_positive, 2.5, "hex center spacing in km, 1e-6 to 1e6 (default 2.5)"),
+    "spacing": (_number, 2.5, "hex center spacing in km, 1e-6 to 1e6 (default 2.5)"),
     "out": (_path, None, "model JSON path (default <out-dir>/model.json)"),
     "out_dir": (_path, ".", "directory for output files (default .)"),
 }
@@ -323,6 +301,10 @@ def cmd_warn(opts: argparse.Namespace) -> int:
     theta_map = opts.thresholds[0] if opts.theta_map is None else opts.theta_map
     geometries = None if opts.geometry is None else _parse(opts.geometry, parse_geometries)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, opts.thresholds)
+    # built before anything is said or written, so a refused --month or --hour leaves no trace
+    geojson = None if geometries is None else warnings_to_geojson(
+        grid, geometries, theta_map, month=opts.month, hour=opts.hour
+    )
     census = grid.census()
     exceeds = census.flagged[FLAG_EXCEEDS_UNITY]
     if exceeds:
@@ -342,8 +324,7 @@ def cmd_warn(opts: argparse.Namespace) -> int:
     with _open_out(csv_path) as fh:
         warnings_to_csv(grid, fh)
     print(f"warning grid written to {csv_path}")
-    if geometries is not None:
-        geojson = warnings_to_geojson(grid, geometries, theta_map, month=opts.month, hour=opts.hour)
+    if geojson is not None:
         geo_path = _out_path(opts, "warnings.geojson")
         _write_text(geo_path, geojson)
         print(f"warned segments written to {geo_path}")

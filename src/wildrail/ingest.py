@@ -74,10 +74,38 @@ def _bin_floor(values: np.ndarray, delta: float) -> np.ndarray:
     return idx - down + up
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float: a TypeError naming ``name`` unless it is an int, a float or a
+    numpy real (not a bool), and a ValueError naming it for an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be an integer or a float, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # the int's repr can be too long to print
+        raise ValueError(f"{name} must fit a float, got an int of {value.bit_length()} bits") from None
+
+
+def _positive(value, name: str) -> float:
+    """``_real(value, name)``, and a ValueError naming ``name`` unless it is positive and finite."""
+    number = _real(value, name)
+    if not 0 < number < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a TypeError naming ``name`` unless they are ints or floats."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":  # bools, strings and objects such as None are refused
+        raise TypeError(f"{name} values must be integers or floats, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def bin_index(value: float, delta: float) -> int:
     """Index k of the bin [k*delta, (k+1)*delta) holding ``value``, as ``_bin_floor`` finds it;
-    a ValueError where there is no finite index (NaN, infinite or too large a value)."""
-    index = _bin_floor(value, delta)
+    a ValueError where there is no finite index (NaN, infinite or too large a value) or
+    ``delta`` is not positive and finite, and a TypeError where either is not a number."""
+    index = _bin_floor(_real(value, "value"), _positive(delta, "delta"))
     if not math.isfinite(index):
         raise ValueError(f"{value!r} has no finite bin index at bin width {delta!r}")
     return int(index)
@@ -650,11 +678,6 @@ def parse_accidents(stream: Union[str, IO[str]], period: tuple[dt.date, dt.date]
     return columns.dataset(period)
 
 
-def _check_bin_width(delta_x: float) -> None:
-    if not (math.isfinite(delta_x) and delta_x > 0):
-        raise ValueError(f"delta_x must be positive and finite, got {delta_x!r}")
-
-
 def _grid_index(start: float, delta: float) -> int | None:
     """k when ``start`` is the bin start k*delta, up to a 1e-9 bin tolerance; else None."""
     ratio = start / delta
@@ -679,7 +702,7 @@ class TrafficTable:
     delta_x: float
 
     def __post_init__(self) -> None:
-        _check_bin_width(self.delta_x)
+        _positive(self.delta_x, "delta_x")
         if self.x_first.keys() != self.counts.keys():
             raise ValueError("x_first and counts must name the same lines")
         for line, run in self.counts.items():
@@ -715,13 +738,14 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
     yields an empty table.
 
     Raises:
+        TypeError: delta_x is not an int or a float.
         ValueError: delta_x not positive and finite.
         ParseError: malformed header, row or field, rows past that bound, or
             a sum that overflows.
     """
     from . import model  # the grid bound lives there, and model imports this module
 
-    _check_bin_width(delta_x)
+    _positive(delta_x, "delta_x")
     lines: dict[str, int] = {}  # line -> its code
     # per row: its line's code, physical line, and bin index (counts) or km_from (runs);
     # then the count of each count row and the km_to of each run
@@ -892,11 +916,9 @@ def geocode(data: Dataset, geometries: dict[str, LineGeometry]) -> list[tuple[fl
 
 def _json_number(value: object) -> float | None:
     """A finite JSON number as a float; None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
     try:
-        number = float(value)
-    except OverflowError:
+        number = _real(value, "JSON number")
+    except (TypeError, ValueError):
         return None
     return number if math.isfinite(number) else None
 

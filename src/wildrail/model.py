@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import MINUTES_PER_DAY, Dataset, _bin_floor, _grid_index
+from .ingest import MINUTES_PER_DAY, Dataset, _bin_floor, _grid_index, _positive, _real
 
 __all__ = [
     "SeasonScheme",
@@ -113,10 +113,8 @@ class BinConfig:
     delta_t: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta_x) and self.delta_x > 0):
-            raise ValueError(f"delta_x must be positive, got {self.delta_x!r}")
-        if not (math.isfinite(self.delta_t) and self.delta_t > 0):
-            raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
+        _positive(self.delta_x, "delta_x")
+        _positive(self.delta_t, "delta_t")
         if not 1 <= (_grid_index(24.0, self.delta_t) or 0) <= MINUTES_PER_DAY:
             raise ValueError(f"delta_t={self.delta_t} must divide 24 hours into bins of at least a minute")
 
@@ -201,10 +199,9 @@ class FittedModel:
     p_segment: Mapping[str, tuple[float, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
-        counts, smoothing = self.counts, float(self.smoothing)
-        T, n, by_month, by_line = counts.total_days, counts.n, counts.by_month, counts.by_line
-        if not 0 < T < math.inf:
-            raise ValueError(f"total_days must be positive and finite, got {T!r}")
+        counts, smoothing = self.counts, _real(self.smoothing, "smoothing")
+        T = _positive(counts.total_days, "total_days")
+        n, by_month, by_line = counts.n, counts.by_month, counts.by_line
         if not 0 <= smoothing < math.inf:
             raise ValueError(f"smoothing must be non-negative and finite, got {smoothing!r}")
         if set(by_month) != set(MONTHS) or min(by_month.values()) < 0:
@@ -280,6 +277,7 @@ def fit(
             the three probability tables; 0 keeps the raw ratios.
 
     Raises:
+        TypeError: ``total_days`` or ``smoothing`` is not an int or a float.
         ValueError: empty dataset, non-positive exposure, negative smoothing,
             a km without a finite bin index, or km spans whose grid would
             exceed MAX_GRID_CELLS.
@@ -323,7 +321,7 @@ def fit(
     }
     counts = ModelCounts(
         n=data.n,
-        total_days=float(data.total_days if total_days is None else total_days),
+        total_days=_real(data.total_days if total_days is None else total_days, "total_days"),
         by_month=by_month,
         by_season_tbin=by_season_tbin,
         by_line=by_line,
@@ -399,8 +397,7 @@ def model_from_json(text: str) -> FittedModel:
             groups={label: tuple(months) for label, months in doc["seasons"].items()}
         )
         bins = BinConfig(delta_x=doc["bins"]["delta_x"], delta_t=doc["bins"]["delta_t"])
-        smoothing = float(doc["smoothing"])
-        model = FittedModel(_read_counts(doc["counts"], bins), seasons, bins, smoothing)
+        model = FittedModel(_read_counts(doc["counts"], bins), seasons, bins, doc["smoothing"])
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc!r}") from None
     canonical = json.loads(model_to_json(model))

@@ -32,6 +32,7 @@ from typing import ClassVar, Mapping, Sequence, TextIO
 import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, _bin_floor, _grid_index, bin_index, km_to_geo
+from .ingest import _positive, _real, _real_array
 from .model import MONTHS, FittedModel, _check_grid_size
 
 __all__ = [
@@ -65,6 +66,9 @@ class NoTrafficError(ValueError):
 
 
 _Census = namedtuple("_Census", "cells traffic_positive flagged warned warned_bins")
+
+_MONTH_MISS = "month must be 1..12, got {!r}"  # the refusals of p_per_train and warnings_to_geojson
+_HOUR_MISS = "hour must be in [0, 24) and not past the last {!r} h bin, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -137,13 +141,13 @@ def alpha(t: float, delta_t: float, profile: TrafficProfile = DEFAULT_PROFILE) -
     day.
 
     Raises:
-        ValueError: t outside [0, 24), non-positive delta_t, or a window
-            reaching past midnight.
+        TypeError: t or delta_t is not an int or a float.
+        ValueError: t outside [0, 24), delta_t not positive and finite, or a
+            window reaching past midnight.
     """
+    t, delta_t = _real(t, "t"), _positive(delta_t, "delta_t")
     if not 0.0 <= t < 24.0:
         raise ValueError(f"t must be in [0, 24), got {t!r}")
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be positive, got {delta_t!r}")
     if t + delta_t > 24.0 + 1e-9:
         raise ValueError(f"window [{t}, {t + delta_t}) reaches past midnight")
     t_end = t + delta_t
@@ -175,20 +179,22 @@ def p_per_train(
 
     Raises:
         NoTrafficError: the window has zero expected trains.
+        TypeError: a km ``x``, month ``tau`` or hour ``t`` that is not an int or a float.
         ValueError: an hour, km or month that ``locate`` finds off the grid,
             checked in that order, or traffic binned on a different km grid
             than the model.
     """
+    x = _real(x, "km")
     # a negative or non-finite km has no bin, and locate misses it on any grid
     k = bin_index(x, model.bins.delta_x) if 0.0 <= x < math.inf else 0
     grid = _build_grid(model, traffic, profile, (), {line: (k, k)})
     _, (xi,), (mi,), (ti,) = grid.locate((line,), [0], [x], [tau], [t])
     if ti < 0:
-        raise ValueError(f"hour must be in [0, 24) and not past the last {grid.delta_t!r} h bin, got {t!r}")
+        raise ValueError(_HOUR_MISS.format(grid.delta_t, t))
     if xi < 0:
         raise ValueError(f"km must be non-negative and finite, got {x!r}")
     if mi < 0:
-        raise ValueError(f"month must be 1..12, got {tau!r}")
+        raise ValueError(_MONTH_MISS.format(tau))
     p, flags = grid.line_cells(line)
     if flags[xi, mi, ti] & _NO_TRAFFIC_BIT:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
@@ -360,22 +366,10 @@ def _counts_above(p: np.ndarray, thetas: Sequence[float]) -> list[int]:
     return [int(np.count_nonzero(_warned(p, theta))) for theta in thetas]
 
 
-def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; a TypeError naming ``name`` unless they are ints or floats."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":  # bools, strings and objects such as None are refused
-        raise TypeError(f"{name} values must be integers or floats, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
-
-
 def _check_thresholds(thresholds) -> tuple[float, ...]:
-    out = tuple(sorted(set(float(th) for th in thresholds)))
+    out = tuple(sorted({_positive(th, "thresholds") for th in thresholds}))
     if not out:
         raise ValueError("at least one threshold is required")
-    if not all(math.isfinite(th) for th in out):
-        raise ValueError(f"thresholds must be finite, got {out!r}")
-    if out[0] <= 0:
-        raise ValueError(f"thresholds must be strictly positive, got {out[0]!r}")
     return out
 
 
@@ -537,23 +531,26 @@ def warnings_to_geojson(
     any surviving (month, hour) cell after the optional ``month``/``hour``
     filters; the warned months and window starts are listed in its
     properties.  A filter keeps the month and hour bin that
-    ``WarningGrid.locate`` finds for it, and none where locate misses.
+    ``WarningGrid.locate`` finds for it.
     Bins on lines without geometry, or falling entirely outside the
     calibrated km range, are omitted (they remain in the CSV export).
 
     Raises:
-        ValueError: ``theta`` is not finite.
-        TypeError: ``month`` or ``hour`` is neither an integer nor a float.
+        TypeError: ``theta``, ``month`` or ``hour`` is neither an integer nor a float.
+        ValueError: ``theta`` not positive and finite, or an hour, then a month, on no cell.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    # the (month, hour bin) cells the filters keep, by the rules of locate; a miss keeps none
+    theta = _positive(theta, "theta")
+    # the (month, hour bin) cells the filters keep, by the rules of locate
     mi, ti = grid._time_cells(
         grid.months if month is None else [month],
         np.arange(grid.n_t) * grid.delta_t if hour is None else [hour],
     )
+    if ti.min() < 0:
+        raise ValueError(_HOUR_MISS.format(grid.delta_t, hour))
+    if mi.min() < 0:
+        raise ValueError(_MONTH_MISS.format(month))
     keep = np.zeros((len(grid.months), grid.n_t), dtype=bool)
-    keep[np.ix_(mi[mi >= 0], ti[ti >= 0])] = True
+    keep[np.ix_(mi, ti)] = True
     features = []
     for line in grid.lines:
         geometry = geometries.get(line)

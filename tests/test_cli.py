@@ -483,7 +483,14 @@ def test_warn_rejects_map_filters_that_match_nothing(tmp_path: Path, fitted: Pat
         config = tmp_path / f"{key}.json"
         config.write_text(json.dumps({key: value}))
         assert_input_error(main(base + ["--config", str(config)]), capsys)
+    # a table that leaves most cells without trains would warn on stderr, but the
+    # filter is refused before that warning and before any file is written
+    far = tmp_path / "far.csv"
+    far.write_text(Path(TRAFFIC).read_text(encoding="utf-8") + "139,2000.0,1\n", encoding="utf-8")
+    far_base = [arg if arg != TRAFFIC else str(far) for arg in base]
+    assert_input_error(main(far_base + ["--month", "13"]), capsys)
     assert not (tmp_path / "warnings.geojson").exists()
+    assert not (tmp_path / "warnings.csv").exists()
 
 
 def test_warn_rejects_map_options_without_geometry(tmp_path: Path, fitted: Path, capsys) -> None:

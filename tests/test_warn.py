@@ -12,6 +12,7 @@ import io
 import json
 import math
 import pickle
+import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -850,24 +851,30 @@ def test_warning_geojson_month_and_hour_filters(bundled_grid, bundled_geometries
         assert feature["properties"]["hours"] == [18.0]
 
 
-def test_warning_geojson_filters_outside_the_day_keep_nothing(
-    bundled_grid, bundled_geometries
-) -> None:
+def test_warning_geojson_refuses_filters_off_the_grid(bundled_grid, bundled_geometries) -> None:
     assert json.loads(warnings_to_geojson(bundled_grid, bundled_geometries, 0.001))["features"]
     for hour in (math.nan, math.inf, 24.0, -1.0):
-        doc = json.loads(warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, hour=hour))
-        assert doc["features"] == [], hour
-    doc = json.loads(warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, month=13))
-    assert doc["features"] == []
+        message = f"hour must be in [0, 24) and not past the last 1.0 h bin, got {hour!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, hour=hour)
+    for month in (13, 0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=f"^month must be 1..12, got {re.escape(repr(month))}$"):
+            warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, month=month)
+    # the hour is checked first, as p_per_train checks it
+    with pytest.raises(ValueError, match="^hour must be in"):
+        warnings_to_geojson(bundled_grid, bundled_geometries, 0.001, month=13, hour=24.0)
 
 
 # sha256 of the GeoJSON texts at theta 0.0002, joined by newlines, for months
 # 1..12 and None crossed with each hour-bin start, None, 24 and hours past the
-# last bin: the cells the month and hour filters keep, pinned per bin width
+# last bin: the cells the month and hour filters keep, pinned per bin width.
+# An hour past the last bin is refused; it stands as EMPTY_COLLECTION, the text
+# the export gave for it before it refused it, so the pins hold the hits as they were
 GEOJSON_FILTER_DIGESTS = {
     1.0: "d8834af9b0c69f865020e1489a5330c21c768d78fa75ff608b3d97f880a7595e",
     24 / 47: "9c320888c7eedcec600cc4f9f8d018db8b511c58a0c34ed8b67a74a9031ff52e",
 }
+EMPTY_COLLECTION = '{"features": [], "type": "FeatureCollection"}'
 
 
 @pytest.mark.parametrize("delta_t", sorted(GEOJSON_FILTER_DIGESTS))
@@ -881,11 +888,15 @@ def test_warning_geojson_filters_keep_the_pinned_cells(
     end = grid.n_t * grid.delta_t
     assert grid.n_t == round(24 / delta_t) and (end < 24.0) == (delta_t != 1.0)
     hours = [*(ti * grid.delta_t for ti in range(grid.n_t)), None, 24.0, end, math.nextafter(24.0, 0.0)]
-    texts = [
-        warnings_to_geojson(grid, bundled_geometries, 0.0002, month=month, hour=hour)
-        for month in [*range(1, 13), None]
-        for hour in hours
-    ]
+
+    def text(month, hour) -> str:
+        if hour is not None and hour >= end:  # past the last bin
+            with pytest.raises(ValueError, match=f"^hour must be in .* got {re.escape(repr(hour))}$"):
+                warnings_to_geojson(grid, bundled_geometries, 0.0002, month=month, hour=hour)
+            return EMPTY_COLLECTION
+        return warnings_to_geojson(grid, bundled_geometries, 0.0002, month=month, hour=hour)
+
+    texts = [text(month, hour) for month in [*range(1, 13), None] for hour in hours]
     assert sum(json.loads(text)["features"] != [] for text in texts) > len(texts) / 3
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == GEOJSON_FILTER_DIGESTS[delta_t]
@@ -902,7 +913,7 @@ def test_month_hour_and_km_must_be_numbers(
             p(tau=bad)
         with pytest.raises(TypeError, match="^hour values must be integers or floats"):
             p(t=bad)
-    with pytest.raises(TypeError, match="^km values must be integers or floats"):
+    with pytest.raises(TypeError, match="^km must be an integer or a float, got True$"):
         p(x=True)
     for bad in ("3", True):
         with pytest.raises(TypeError, match="^month values"):
@@ -1025,7 +1036,7 @@ def test_exporters_match_cell_loops(
             line=line, vertices=((50.0, 19.0 + i, k0), (50.05, 19.1 + i, k1), (50.1, 19.15 + i, k2))
         )
     theta = data.draw(choices)
-    # filters that keep a warned cell, and ones that match nothing (month 13, hours 24 and -1)
+    # filters that keep a warned cell, and ones on no cell (month 13, hours 24 and -1), which are refused
     warned = sorted(
         {
             (grid.months[mi], ti * grid.delta_t)
@@ -1036,6 +1047,10 @@ def test_exporters_match_cell_loops(
     warned_month, warned_hour = data.draw(st.sampled_from(warned or [(1, 0.0)]))
     month = data.draw(st.sampled_from([None, warned_month, 13]))
     hour = data.draw(st.sampled_from([None, warned_hour, warned_hour + 0.5 * delta_t, 24.0, -1.0]))
+    if month == 13 or hour in (24.0, -1.0):
+        with pytest.raises(ValueError, match="^(hour|month) must be"):
+            warnings_to_geojson(grid, geometries, theta, month=month, hour=hour)
+        return
     got = warnings_to_geojson(grid, geometries, theta, month=month, hour=hour)
     want = warnings_to_geojson_loop(grid, geometries, theta, month=month, hour=hour)
     assert_same_rows(feature_rows(got), feature_rows(want), "GeoJSON feature")
