@@ -323,7 +323,7 @@ def _iso_date(text: str) -> dt.date:
 
 
 def _parse_time_field(text: str, line_no: int) -> int:
-    parts = text.strip().split(":")
+    parts = text.split(":")
     if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ParseError(f"time must be HH:MM, got {text!r}", line_no)
     hh, mm = int(parts[0]), int(parts[1])
@@ -349,10 +349,11 @@ class _AccidentColumns:
     gives each line name its code in order of first appearance, and
     ``shared_species`` maps each species text to the one str kept for it.
     ``days`` maps each date the array route has checked, as the integer
-    ``YYYYMMDD``, to its ordinal and month; the row loop memoises date texts
-    instead.  ``skipped`` counts the physical lines the array route has
-    taken, the header among them.  The columns start with room for
-    ``capacity`` rows and double in place when full.
+    ``YYYYMMDD``, to its ordinal and month; the row loop keeps its own map
+    from each date text to that pair, or to None for a date outside the
+    period, and puts its rows as lists.  ``skipped`` counts the physical
+    lines the array route has taken, the header among them.  The columns
+    start with room for ``capacity`` rows and double in place when full.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -406,39 +407,21 @@ def _accident_rows(
     and time text once.
     """
     reader = csv.reader(lines)
-    if not columns.skipped and not _read_header(reader, (ACCIDENT_HEADER,), "accident"):
-        raise ParseError("empty accident file")
+    if not columns.skipped:  # a piece is never empty, so the header is read or refused
+        _read_header(reader, (ACCIDENT_HEADER,), "accident")
     start, end = period
     known_lines, shared_species = columns.lines, columns.shared_species
-    day_of_text: dict[str, int] = {}  # date text -> its position in the day lists
-    ordinals: list[int] = []
-    months: list[int] = []
-    in_period: list[bool] = []
+    day_of_text: dict[str, tuple[int, int] | None] = {}  # None: outside the period
     minute_of_text: dict[str, int] = {}
-    block = codes, day_codes, minutes, kms, species = [], [], [], [], []
-
-    def put_block() -> None:
-        days = np.array(day_codes, dtype=np.int64)
-        columns.put(
-            np.array(codes, dtype=np.int64), np.array(kms, dtype=float),
-            np.array(months, dtype=np.int64)[days], np.array(minutes, dtype=np.int64),
-            np.array(ordinals, dtype=np.int64)[days], species,
-        )
-        for column in block:
-            column.clear()
-
+    block = codes, kms, months, minutes, dates, species = [], [], [], [], [], []
     for line_no, fields in _rows(reader, len(ACCIDENT_HEADER), columns.skipped):
         date_text, time_text, line, km_text, species_text = fields
-        day = day_of_text.get(date_text)
-        if day is None:
+        if date_text not in day_of_text:
             try:
                 date = _iso_date(date_text)
             except ValueError:
                 raise ParseError(f"invalid calendar date {date_text!r}", line_no) from None
-            day = day_of_text[date_text] = len(ordinals)
-            ordinals.append(date.toordinal())
-            months.append(date.month)
-            in_period.append(start <= date <= end)
+            day_of_text[date_text] = (date.toordinal(), date.month) if start <= date <= end else None
         minute = minute_of_text.get(time_text)
         if minute is None:
             minute = minute_of_text[time_text] = _parse_time_field(time_text, line_no)
@@ -447,17 +430,20 @@ def _accident_rows(
             raise ParseError(f"km must be non-negative, got {km_text!r}", line_no)
         if not line:
             raise ParseError("line identifier must be non-empty", line_no)
-        if not in_period[day]:
-            date = dt.date.fromordinal(ordinals[day])
-            raise ParseError(f"record dated {date} outside period {start}..{end}", line_no)
+        day = day_of_text[date_text]
+        if day is None:  # _iso_date read the text, so it is the date's ISO form
+            raise ParseError(f"record dated {date_text} outside period {start}..{end}", line_no)
         codes.append(known_lines.setdefault(line, len(known_lines)))
-        day_codes.append(day)
-        minutes.append(minute)
         kms.append(km)
+        dates.append(day[0])
+        months.append(day[1])
+        minutes.append(minute)
         species.append(shared_species.setdefault(species_text, species_text))
         if len(kms) == _BLOCK:
-            put_block()
-    put_block()
+            columns.put(*block)
+            for column in block:
+                column.clear()
+    columns.put(*block)
 
 
 _NEWLINE, _COMMA = ord("\n"), ord(",")
@@ -847,11 +833,14 @@ class LineGeometry:
         where = f"line {self.line!r}"  # quoted, so it cannot pass for a row number
         if len(self.vertices) < 2:
             raise ValueError(f"{where}: need at least 2 vertices")
-        kms = self.kms
-        for a, b in zip(kms, kms[1:]):
-            if b <= a:
+        vertices = [
+            (_real(lat, f"{where}: lat"), _real(lon, f"{where}: lon"), _real(km, f"{where}: km"))
+            for lat, lon, km in self.vertices
+        ]
+        for (_, _, a), (_, _, b) in zip(vertices, vertices[1:]):
+            if not a < b:
                 raise ValueError(f"{where}: km values must strictly increase ({a} -> {b})")
-        for lat, lon, _ in self.vertices:
+        for lat, lon, _ in vertices:
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise ValueError(f"{where}: coordinate ({lat}, {lon}) out of range")
 
@@ -989,14 +978,18 @@ class SpeedProfile:
     intervals: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
+        where = f"line {self.line!r}"
         prev_end = -math.inf
-        for km_from, km_to, vmax in self.intervals:
-            if km_to <= km_from:
-                raise ValueError(f"line {self.line!r}: empty interval {km_from}..{km_to}")
+        for step in self.intervals:
+            km_from, km_to, vmax = (
+                _real(value, f"{where}: {name}") for value, name in zip(step, SPEED_HEADER[1:])
+            )
+            if not km_from < km_to:
+                raise ValueError(f"{where}: empty interval {km_from}..{km_to}")
             if km_from < prev_end:
-                raise ValueError(f"line {self.line!r}: overlapping interval at km {km_from}")
-            if vmax <= 0:
-                raise ValueError(f"line {self.line!r}: vmax must be positive, got {vmax}")
+                raise ValueError(f"{where}: overlapping interval at km {km_from}")
+            if not 0.0 < vmax < math.inf:
+                raise ValueError(f"{where}: vmax must be positive and finite, got {vmax}")
             prev_end = km_to
 
 

@@ -74,7 +74,7 @@ class SeasonScheme:
         object.__setattr__(self, "_by_month", by_month)
 
     def season_of(self, month: int) -> str:
-        if month not in MONTHS:
+        if _real(month, "month") not in MONTHS:
             raise ValueError(f"month must be 1..12, got {month!r}")
         return self._by_month[month]
 

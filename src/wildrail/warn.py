@@ -92,17 +92,21 @@ class TrafficProfile:
         segments: list[tuple[float, float, float]] = []
         total_mass = 0.0
         for mass, windows in self.groups:
-            if mass < 0:
-                raise ValueError(f"piece mass must be non-negative, got {mass!r}")
+            mass = _real(mass, "piece mass")
+            if not 0.0 <= mass < math.inf:
+                raise ValueError(f"piece mass must be non-negative and finite, got {mass!r}")
             if not windows:
                 raise ValueError("every profile group needs at least one window")
+            bounds = [
+                (_real(start, "window start"), _real(end, "window end")) for start, end in windows
+            ]
             hours = 0.0
-            for start, end in windows:
+            for start, end in bounds:
                 if not 0.0 <= start < end <= 24.0:
                     raise ValueError(f"window [{start}, {end}) must lie within [0, 24)")
                 hours += end - start
             rate = mass / hours
-            for start, end in windows:
+            for start, end in bounds:
                 segments.append((start, end, rate))
             total_mass += mass
         segments.sort()
@@ -342,7 +346,7 @@ class WarningGrid:
         return _Census(self.n_cells(), traffic_positive, flagged, tuple(warned), warned_bins)
 
     def warned_cells(self, theta: float) -> int:
-        return sum(_counts_above(self._line_p_pt(line), (theta,))[0] for line in self.lines)
+        return self.census((theta,)).warned[0]
 
     def n_cells(self) -> int:
         return sum(arr.shape[0] for arr in self.m_window.values()) * len(self.months) * self.n_t

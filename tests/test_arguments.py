@@ -9,6 +9,7 @@ the text names the argument.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -20,7 +21,11 @@ from hypothesis import strategies as st
 
 from wildrail import (
     DEFAULT_PROFILE,
+    DEFAULT_SEASONS,
     BinConfig,
+    LineGeometry,
+    SpeedProfile,
+    TrafficProfile,
     TrafficTable,
     alpha,
     bin_index,
@@ -100,6 +105,21 @@ ROWS = {
         "delta_x", lambda b, v: speed_correlation(b.data, b.traffic, b.speeds, v), 5.0
     ),
     "evaluate_holdout theta": Row("theta", lambda b, v: evaluate_holdout(b.grid, b.test, v), 0.001),
+    "TrafficProfile piece mass": Row(
+        "piece mass", lambda b, v: TrafficProfile(groups=((v, ((0.0, 24.0),)),)), 1.0
+    ),
+    "TrafficProfile window start": Row(
+        "window start", lambda b, v: TrafficProfile(groups=((1.0, ((v, 24.0),)),)), 0.0
+    ),
+    "TrafficProfile window end": Row(
+        "window end", lambda b, v: TrafficProfile(groups=((1.0, ((0.0, v),)),)), 24.0
+    ),
+    "SeasonScheme.season_of month": Row("month", lambda b, v: DEFAULT_SEASONS.season_of(v), 1),
+    "LineGeometry km": Row(
+        "km", lambda b, v: LineGeometry("139", ((50.0, 19.0, 0.0), (50.1, 19.1, v))), 10.0
+    ),
+    "SpeedProfile km_to": Row("km_to", lambda b, v: SpeedProfile("139", ((0.0, v, 100.0),)), 10.0),
+    "SpeedProfile vmax": Row("vmax", lambda b, v: SpeedProfile("139", ((0.0, 10.0, v),)), 100.0),
 }
 
 HUGE = 10**400  # an int no float can hold
@@ -134,8 +154,10 @@ def test_each_entry_point_takes_a_number_and_a_numpy_real(key: str, bundled) -> 
 
 @pytest.mark.parametrize("key", sorted(ROWS))
 @given(value=NOT_NUMBERS)
-@example(value=True)  # fit(total_days=True) gave mu[1] == 972.0, BinConfig kept it
+@example(value=True)  # fit(total_days=True) gave mu[1] == 972.0, BinConfig kept it,
+# season_of(True) gave "short" and TrafficProfile kept it as a piece mass
 @example(value="0.001")  # sweep_all took it as a threshold
+@example(value="1")  # TrafficProfile failed on a bare "<" comparison
 @example(value="12")  # p_per_train failed on a bare "<=" comparison
 @example(value="5")  # speed_correlation said delta_x=5 did not match the bin width 5.0
 @example(value=HUGE)  # BinConfig, fit and sweep_all raised OverflowError
@@ -169,3 +191,25 @@ def test_a_huge_int_is_named_without_printing_it() -> None:
     for value in (10**5000, -(10**5000)):  # past the int-to-str digit limit of Python 3.11+
         with pytest.raises(ValueError, match="^delta_x must fit a float, got an int of 16610 bits$"):
             BinConfig(delta_x=value)
+
+
+# NaN passes no "<" test, so each was built: a profile whose every p_pt is NaN
+# and unflagged, a line whose km_to_geo gives (nan, nan), and NaN speed steps
+@pytest.mark.parametrize(
+    "key,text",
+    [
+        ("TrafficProfile piece mass", "piece mass must be non-negative and finite, got nan"),
+        ("LineGeometry km", r"km values must strictly increase \(0\.0 -> nan\)"),
+        ("SpeedProfile km_to", r"empty interval 0\.0\.\.nan"),
+        ("SpeedProfile vmax", "vmax must be positive and finite, got nan"),
+    ],
+)
+def test_a_nan_fails_each_order_check(key: str, text: str, bundled) -> None:
+    with pytest.raises(ValueError, match=text):
+        ROWS[key].call(bundled, math.nan)
+
+
+def test_a_whole_float_month_has_a_season_as_it_has_a_grid_cell() -> None:
+    assert DEFAULT_SEASONS.season_of(1.0) == DEFAULT_SEASONS.season_of(1) == "short"
+    with pytest.raises(ValueError, match="^month must be 1..12, got 1.5$"):
+        DEFAULT_SEASONS.season_of(1.5)

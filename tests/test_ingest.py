@@ -920,6 +920,8 @@ def speed_inputs(x_first: dict, by_line_xbin: dict, delta_x: float):
         # a quoted newline makes the first row span lines 2-3
         (['2020-01-05,10:00,1,1.0,"two\nlines"', "2020-01-05,25:00,1,1.0,"], 4, "25:00"),
         (['2020-01-05,10:00,1,1.0,"two\nlines"', "2020-01-05,25:00,1,1.0,\"a\nb\""], 4, "25:00"),
+        # a missing line comes before an out-of-period date too: the period is checked last
+        (["2019-06-01,10:00,,1.0,"], 2, "line"),
     ],
 )
 def test_parse_error_names_first_row_of_repeated_value(rows, line_no: int, fragment: str) -> None:
