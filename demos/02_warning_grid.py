@@ -47,7 +47,7 @@ for theta, n_warned in zip(grid.thresholds, census.warned):
 # the hottest cells, by raw per-train probability
 flat = []
 for line in grid.lines:
-    p, _ = grid.line_cells(line)  # computed from the grid's factors on each call
+    p = grid.line_cells(line)  # computed from the grid's factors on each call
     for idx in np.argsort(np.nan_to_num(p, nan=-1.0), axis=None)[-3:]:
         xi, mi, ti = np.unravel_index(idx, p.shape)
         flat.append((float(p[xi, mi, ti]), line, int(xi), int(mi), int(ti)))

@@ -414,20 +414,20 @@ def evaluate_holdout(
         mapped = mapped[np.argsort(li[mapped])]
         flat = (xi[mapped] * len(grid.months) + mi[mapped]) * grid.n_t + ti[mapped]
         ends = np.cumsum(np.bincount(li[mapped], minlength=len(cells)))
-        for line_cells, part in zip(cells, np.split(flat, ends[:-1])):
+        for line_parts, part in zip(cells, np.split(flat, ends[:-1])):
             if part.size:
-                line_cells.append(part)
+                line_parts.append(part)
     thetas = sorted(set(grid.thresholds) | {theta})
     hits = [0] * len(thetas)
     warned = [0] * len(thetas)
     n_mapped = traffic_positive = 0
-    for line, line_cells in zip(grid.lines, cells):
+    for line, line_parts in zip(grid.lines, cells):
         # each line's p_pt is computed once, for its warned counts and its accidents' cells
-        p_pt = grid._line_p_pt(line)
+        p_pt = grid.line_cells(line)
         warned = [a + b for a, b in zip(warned, _counts_above(p_pt, thetas))]
         traffic_positive += int((grid.m_window[line] > 0.0).sum()) * len(grid.months)
-        if line_cells:
-            best = _best_p(p_pt, np.concatenate(line_cells), include_adjacent)
+        if line_parts:
+            best = _best_p(p_pt, np.concatenate(line_parts), include_adjacent)
             n_mapped += best.size
             hits = [a + b for a, b in zip(hits, _counts_above(best, thetas))]  # NaN never hits
     curve = []

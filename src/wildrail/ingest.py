@@ -822,8 +822,9 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
 class LineGeometry:
     """Calibrated polyline of one railway line.
 
-    ``vertices`` are (lat, lon, km) triples with strictly increasing km; the
-    km values tie track positions to the map, so at least two are required.
+    ``vertices`` are (lat, lon, km) triples with strictly increasing finite
+    km; the km values tie track positions to the map, so at least two are
+    required.
     """
 
     line: str
@@ -840,9 +841,11 @@ class LineGeometry:
         for (_, _, a), (_, _, b) in zip(vertices, vertices[1:]):
             if not a < b:
                 raise ValueError(f"{where}: km values must strictly increase ({a} -> {b})")
-        for lat, lon, _ in vertices:
+        for lat, lon, km in vertices:
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise ValueError(f"{where}: coordinate ({lat}, {lon}) out of range")
+            if math.isinf(km):  # NaN fails the order check
+                raise ValueError(f"{where}: km must be finite, got {km}")
 
     @cached_property
     def kms(self) -> tuple[float, ...]:
@@ -972,7 +975,7 @@ def parse_geometries(stream: Union[str, IO[str]]) -> dict[str, LineGeometry]:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Maximum permitted speed along one line as disjoint [km_from, km_to) steps."""
+    """Maximum permitted speed along one line as disjoint, finite [km_from, km_to) steps."""
 
     line: str
     intervals: tuple[tuple[float, float, float], ...]
@@ -986,6 +989,9 @@ class SpeedProfile:
             )
             if not km_from < km_to:
                 raise ValueError(f"{where}: empty interval {km_from}..{km_to}")
+            for name, km in (("km_from", km_from), ("km_to", km_to)):
+                if math.isinf(km):
+                    raise ValueError(f"{where}: {name} must be finite, got {km}")
             if km_from < prev_end:
                 raise ValueError(f"{where}: overlapping interval at km {km_from}")
             if not 0.0 < vmax < math.inf:

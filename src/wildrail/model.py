@@ -234,6 +234,8 @@ class FittedModel:
             p_segment[line] = tuple((cnt + smoothing) / denom for cnt in run)
         line_denom = n + smoothing * len(by_line)
         month_denom = T / MONTHS_PER_YEAR
+        if month_denom == 0.0 or n / month_denom == math.inf:
+            raise ValueError(f"total_days is too small for a finite monthly rate, got {T!r}")
         tables = {
             "mu": {m: by_month[m] / month_denom for m in MONTHS},
             "p_time": p_time,
@@ -278,9 +280,9 @@ def fit(
 
     Raises:
         TypeError: ``total_days`` or ``smoothing`` is not an int or a float.
-        ValueError: empty dataset, non-positive exposure, negative smoothing,
-            a km without a finite bin index, or km spans whose grid would
-            exceed MAX_GRID_CELLS.
+        ValueError: empty dataset, an exposure not positive or too small for a
+            finite monthly rate, negative smoothing, a km without a finite bin
+            index, or km spans whose grid would exceed MAX_GRID_CELLS.
     """
     if bins is None:
         bins = BinConfig()

@@ -14,9 +14,9 @@ get an "exceeds unity" flag so data problems stay visible.
 
 A ``WarningGrid`` holds only the factors of that product: the temporal part
 per (month, hour bin), and per line the spatial part per km bin and
-m_window per (km bin, hour bin).  Each line's p_pt and flags are computed
-from them when read (``WarningGrid.line_cells``), so a grid stores a few
-numbers per km bin, not one per cell.
+m_window per (km bin, hour bin).  Each line's p_pt is computed from them
+when read (``WarningGrid.line_cells``), and a cell's flag is read off m_window
+(0: ``no_traffic``, where p_pt is NaN) or p_pt (> 1: ``exceeds_unity``).
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ __all__ = [
 
 FLAG_NO_TRAFFIC = "no_traffic"
 FLAG_EXCEEDS_UNITY = "exceeds_unity"
-
-_NO_TRAFFIC_BIT = 1
-_EXCEEDS_BIT = 4
-
-_FLAG_NAMES = (
-    (_NO_TRAFFIC_BIT, FLAG_NO_TRAFFIC),
-    (_EXCEEDS_BIT, FLAG_EXCEEDS_UNITY),
-)
 
 
 class NoTrafficError(ValueError):
@@ -199,10 +191,9 @@ def p_per_train(
         raise ValueError(f"km must be non-negative and finite, got {x!r}")
     if mi < 0:
         raise ValueError(_MONTH_MISS.format(tau))
-    p, flags = grid.line_cells(line)
-    if flags[xi, mi, ti] & _NO_TRAFFIC_BIT:
+    if grid.m_window[line][xi, ti] == 0.0:
         raise NoTrafficError(f"no trains on line {line!r} km {x} in window starting {t} h")
-    return float(p[xi, mi, ti])
+    return float(grid.line_cells(line)[xi, mi, ti])
 
 
 @dataclass(frozen=True)
@@ -218,11 +209,12 @@ class WarningGrid:
     and per line ``spatial`` is an (n_x,) array and ``m_window`` an
     (n_x, n_t) array of expected trains, so cell (xi, mi, ti) of a line is
     ``temporal[mi, ti] * spatial[xi] / m_window[xi, ti]``.  ``line_cells``
-    computes a line's p_pt and flags from them on each call, and a cell is
-    warned at theta exactly when p_pt > theta; ``census`` counts the cells
-    per flag and warned per threshold in one read of each line.  The
-    per-line tables are read-only mappings and every stored array is a
-    read-only view, so the caller's own arrays keep their flags.
+    computes a line's p_pt from them on each call; a cell is warned at theta
+    exactly when p_pt > theta, ``no_traffic`` where ``m_window[xi, ti]`` is 0
+    and ``exceeds_unity`` where p_pt > 1.  ``census`` counts the cells per
+    flag and warned per threshold in one read of each line.  The per-line
+    tables are read-only mappings and every stored array is a read-only
+    view, so the caller's own arrays keep their flags.
     """
 
     months: ClassVar[tuple[int, ...]] = MONTHS
@@ -253,22 +245,13 @@ class WarningGrid:
     def lines(self) -> tuple[str, ...]:
         return tuple(self.x_first)
 
-    def line_cells(self, line: str) -> tuple[np.ndarray, np.ndarray]:
-        """(p_pt, flags) of every cell of ``line``, computed from the factors on each call.
+    def line_cells(self, line: str) -> np.ndarray:
+        """The p_pt of every cell of ``line``, computed from the factors on each call.
 
-        ``p_pt`` is a new (n_x, 12, n_t) float array with NaN in cells without
-        traffic, and ``flags`` a uint8 bitmask array of the same shape.  Both
-        are the caller's own, so a caller that reads a line more than once
-        should keep the pair rather than call again.
+        A new (n_x, 12, n_t) float array with NaN in cells without traffic.
+        It is the caller's own, so a caller that reads a line more than once
+        should keep it rather than call again.
         """
-        p = self._line_p_pt(line)
-        with np.errstate(invalid="ignore"):
-            flags = (p > 1.0).view(np.uint8) * np.uint8(_EXCEEDS_BIT)
-        flags |= (self.m_window[line] == 0.0)[:, None, :].view(np.uint8) * np.uint8(_NO_TRAFFIC_BIT)
-        return p, flags
-
-    def _line_p_pt(self, line: str) -> np.ndarray:
-        """The p_pt array of ``line_cells``, for readers that need no flags."""
         window = self.m_window[line]
         p = self.temporal[None, :, :] * self.spatial[line][:, None, None]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -331,18 +314,18 @@ class WarningGrid:
         line ``warned_bins``, the km bins warned in any hour of each month at the first
         theta; from one ``line_cells`` read per line."""
         thetas = self.thresholds if thetas is None else tuple(thetas)
-        traffic_positive = 0
-        flagged = dict.fromkeys((name for _, name in _FLAG_NAMES), 0)
-        warned = [0] * len(thetas)
+        traffic_positive = no_traffic = 0
+        above = [0] * (len(thetas) + 1)  # cells above each theta, then above 1 (exceeds_unity)
         warned_bins = {}
         for line in self.lines:
-            p, flags = self.line_cells(line)
-            traffic_positive += int((self.m_window[line] > 0.0).sum()) * len(self.months)
-            for bit, name in _FLAG_NAMES:
-                flagged[name] += int(np.count_nonzero(flags & bit))
-            warned = [a + b for a, b in zip(warned, _counts_above(p, thetas))]
+            window, p = self.m_window[line], self.line_cells(line)
+            traffic_positive += int(np.count_nonzero(window > 0.0)) * len(self.months)
+            no_traffic += int(np.count_nonzero(window == 0.0)) * len(self.months)
+            above = [a + b for a, b in zip(above, _counts_above(p, (*thetas, 1.0)))]
             if thetas:
                 warned_bins[line] = tuple(_warned(p, thetas[0]).any(axis=2).sum(axis=0).tolist())
+        *warned, exceeds = above
+        flagged = {FLAG_NO_TRAFFIC: no_traffic, FLAG_EXCEEDS_UNITY: exceeds}
         return _Census(self.n_cells(), traffic_positive, flagged, tuple(warned), warned_bins)
 
     def warned_cells(self, theta: float) -> int:
@@ -470,26 +453,27 @@ def warnings_to_csv(grid: WarningGrid, out: TextIO) -> None:
     """Write a WarningGrid to the text stream ``out`` as CSV, one row per cell.
 
     Columns: line, x_from, x_to, month, hour_from, hour_to, m_window, p_pt,
-    flags (semicolon-joined), then one warned@<theta> 0/1 column per
-    threshold.  Cells without a defined p_pt leave that field empty.  Rows
-    run over (line, x, month, t) and go out one line at a time.
+    flags, then one warned@<theta> 0/1 column per threshold.  A cell without
+    trains leaves p_pt empty and has the flags text ``no_traffic``, a cell
+    with p_pt > 1 has ``exceeds_unity`` and any other cell an empty text.
+    Rows run over (line, x, month, t) and go out one line at a time.
     """
     # writerow returns what its file's write returns; with write=str, the row text
     row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     header = "line x_from x_to month hour_from hour_to m_window p_pt flags".split()
     out.write(row(header + [f"warned@{theta!r}" for theta in grid.thresholds]))
-    # the ",flags,warned@..." row end per (flag bitmask, thresholds strictly below p_pt)
+    # the ",flags,warned@..." row end per (flag, thresholds strictly below p_pt)
     k = len(grid.thresholds)
-    flag_texts = [";".join(name for bit, name in _FLAG_NAMES if bits & bit) for bits in range(8)]
     tails = np.array(
         [[f",{text}" + ",1" * below + ",0" * (k - below) + "\n" for below in range(k + 1)]
-         for text in flag_texts],
+         for text in ("", FLAG_NO_TRAFFIC, FLAG_EXCEEDS_UNITY)],
         dtype=object,
     )
     hours = [f"{t!r},{t + grid.delta_t!r}" for t in (np.arange(grid.n_t) * grid.delta_t).tolist()]
     for line in grid.lines:
-        p, flags = grid.line_cells(line)
-        below = np.where(np.isnan(p), 0, np.searchsorted(grid.thresholds, p, side="left"))
+        p = grid.line_cells(line)
+        flags = np.where(np.isnan(p), 1, 2 * _warned(p, 1.0))  # a row of tails
+        below = np.where(flags == 1, 0, np.searchsorted(grid.thresholds, p, side="left"))
         name = row([line, ""])[:-1]  # "<line>,", quoted as in a row
         rows: list[str] = []
         for k, (p_x, tail_x, m_x) in enumerate(
@@ -560,7 +544,7 @@ def warnings_to_geojson(
         geometry = geometries.get(line)
         if geometry is None:
             continue
-        p_arr = grid._line_p_pt(line)
+        p_arr = grid.line_cells(line)
         mask = _warned(p_arr, theta) & keep
         for xi in np.flatnonzero(mask.any(axis=(1, 2))).tolist():
             x_from = (grid.x_first[line] + xi) * grid.delta_x

@@ -310,7 +310,7 @@ def _run_bins(run, first: int, lo: int, hi: int):
 
 
 def dense_grid_cells(model, traffic, alpha_vec: Sequence[float], spans: dict) -> dict:
-    """Each line's (p_pt, flags, m_window), every cell of the grid laid out at once.
+    """Each line's (p_pt, m_window), every cell of the grid laid out at once.
 
     A dense build straight from the model and traffic tables, with the numpy
     arithmetic ``WarningGrid.line_cells`` uses in the same order, so the two
@@ -332,12 +332,8 @@ def dense_grid_cells(model, traffic, alpha_vec: Sequence[float], spans: dict) ->
         p = temporal[None, :, :] * spatial[:, None, None]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(p, window[:, None, :], out=p)
-        no_traffic = (window == 0.0)[:, None, :]
-        np.copyto(p, np.nan, where=no_traffic)
-        with np.errstate(invalid="ignore"):
-            flags = (p > 1.0).view(np.uint8) * np.uint8(4)
-        flags |= no_traffic.view(np.uint8) * np.uint8(1)
-        out[line] = (p, flags, window)
+        np.copyto(p, np.nan, where=(window == 0.0)[:, None, :])
+        out[line] = (p, window)
     return out
 
 
@@ -508,7 +504,7 @@ def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = 
     traffic-positive cells counted from its ``m_window``, one window at a time.
     """
     mapped_ps: list[list[float]] = []
-    p_pt = {line: grid.line_cells(line)[0] for line in grid.lines}  # each line computed once
+    p_pt = {line: grid.line_cells(line) for line in grid.lines}  # each line computed once
     for rec in records:
         cell = cell_of(grid, rec.line, rec.km, rec.date.month, rec.time / 60.0)
         if cell is None:
@@ -550,19 +546,19 @@ def evaluate_holdout_loop(grid, records, theta: float, include_adjacent: bool = 
 # the per-cell exporters: every cell is materialized as a record with its own
 # warned dict, the representation the package's column exporters replaced
 
-FLAG_BITS = ((1, NO_TRAFFIC), (4, EXCEEDS))
-
-
 def cell_record(grid, line: str, cells, xi: int, mi: int, ti: int) -> dict:
     """The cell at array indices (xi, mi, ti) of ``line``, with p_pt None where undefined.
 
-    ``cells`` is the line's ``(p_pt, flags)`` pair, read once per line by the caller.
+    ``cells`` is the line's p_pt array, read once per line by the caller.  The
+    flags are read off the cell: ``no_traffic`` where its m_window is zero and
+    ``exceeds_unity`` where its p_pt is above 1.
     """
-    p = float(cells[0][xi, mi, ti])
-    bits = int(cells[1][xi, mi, ti])
+    p = float(cells[xi, mi, ti])
     p_out = None if math.isnan(p) else p
+    m_window = float(grid.m_window[line][xi, ti])
     x_from = (grid.x_first[line] + xi) * grid.delta_x
     t_from = ti * grid.delta_t
+    flags = ((NO_TRAFFIC, m_window == 0.0), (EXCEEDS, p_out is not None and p_out > 1.0))
     return {
         "line": line,
         "x_from": x_from,
@@ -570,9 +566,9 @@ def cell_record(grid, line: str, cells, xi: int, mi: int, ti: int) -> dict:
         "month": grid.months[mi],
         "t_from": t_from,
         "t_to": t_from + grid.delta_t,
-        "m_window": float(grid.m_window[line][xi, ti]),
+        "m_window": m_window,
         "p_pt": p_out,
-        "flags": tuple(name for bit, name in FLAG_BITS if bits & bit),
+        "flags": tuple(name for name, holds in flags if holds),
         "warned": {th: (p_out is not None and p_out > th) for th in grid.thresholds},
     }
 
@@ -580,9 +576,8 @@ def cell_record(grid, line: str, cells, xi: int, mi: int, ti: int) -> dict:
 def census_loop(grid, thetas: Sequence[float]) -> dict:
     """The fields of ``WarningGrid.census``, counted one materialized cell at a time.
 
-    A cell has traffic where its m_window is positive, is ``no_traffic``
-    where m_window is zero and ``exceeds_unity`` where p_pt > 1, all read
-    off the cell, not its flag bits.
+    A cell has traffic where its m_window is positive, and its flags are
+    those ``cell_record`` reads off it.
     """
     census = {
         "cells": 0,
@@ -594,15 +589,15 @@ def census_loop(grid, thetas: Sequence[float]) -> dict:
     for line in grid.lines:
         cells = grid.line_cells(line)
         warned_bins: dict[int, set[int]] = {month: set() for month in grid.months}
-        for xi in range(cells[0].shape[0]):
+        for xi in range(cells.shape[0]):
             for mi in range(len(grid.months)):
                 for ti in range(grid.n_t):
                     cell = cell_record(grid, line, cells, xi, mi, ti)
                     p = cell["p_pt"]
                     census["cells"] += 1
                     census["traffic_positive"] += cell["m_window"] > 0.0
-                    census["flagged"][NO_TRAFFIC] += cell["m_window"] == 0.0
-                    census["flagged"][EXCEEDS] += p is not None and p > 1.0
+                    for name in cell["flags"]:
+                        census["flagged"][name] += 1
                     for i, theta in enumerate(thetas):
                         if p is not None and p > theta:
                             census["warned"][i] += 1
@@ -623,7 +618,7 @@ def warnings_to_csv_loop(grid) -> str:
     )
     for line in grid.lines:
         cells = grid.line_cells(line)
-        for xi in range(cells[0].shape[0]):
+        for xi in range(cells.shape[0]):
             for mi in range(len(grid.months)):
                 for ti in range(grid.n_t):
                     cell = cell_record(grid, line, cells, xi, mi, ti)
@@ -666,7 +661,7 @@ def warnings_to_geojson_loop(grid, geometries, theta: float, month=None, hour=No
         if geometry is None:
             continue
         cells = grid.line_cells(line)
-        for xi in range(cells[0].shape[0]):
+        for xi in range(cells.shape[0]):
             x_from = (grid.x_first[line] + xi) * grid.delta_x
             hits = []
             for mi in range(len(grid.months)):

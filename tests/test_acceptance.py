@@ -97,7 +97,7 @@ def test_criterion_1_worked_example_reproduction() -> None:
     quoted = 0.11 * 0.89 * 0.33 * 0.175 / 5.15
     assert 0.00108 <= quoted <= 0.00112
     assert p_pt > 0.001
-    assert grid.line_cells("139")[0][xi, mi, ti] > 0.001  # the grid warns the cell too
+    assert grid.line_cells("139")[xi, mi, ti] > 0.001  # the grid warns the cell too
     assert elapsed < 0.1
 
 
@@ -134,7 +134,7 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
     for line in grid.lines:
         # km bin indices of the grid's bins on the line
         bins = range(grid.x_first[line], grid.x_first[line] + grid.m_window[line].shape[0])
-        p_pt, flags = grid.line_cells(line)
+        p_pt, m_window = grid.line_cells(line), grid.m_window[line]
         p_line = tables["p_line"].get(line, Fraction(0))
         seg = tables["p_segment"].get(line, {})
         spatial = [0.0 if p_line == 0 else float(seg.get(k, Fraction(0)) * p_line) for k in bins]
@@ -145,18 +145,17 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
                 rows = temporal[tau]
                 for ti in range(24):
                     got = float(p_pt[xi, mi, ti])
-                    bits = int(flags[xi, mi, ti])
                     window = count * (alpha_floats[ti] * 1.0)
+                    # the grid's no_traffic flag is its m_window of 0
+                    assert (m_window[xi, ti] == 0.0) == (window == 0.0)
                     if window == 0.0:
                         assert math.isnan(got)
-                        assert bits == 1
                     else:
                         want = rows[ti] * (spatial[xi] / window)
                         if want == 0.0:
                             assert got == 0.0
                         else:
                             assert abs(got - want) <= 1e-12 * abs(want)
-                        assert bits == (4 if got > 1.0 else 0)
                     if flat_index % 17 == 0:
                         exact_p, exact_flags = cell_expectation(
                             tables, MONTH_SEASON, count, alpha_fracs[ti], Fraction(1),
@@ -168,7 +167,7 @@ def _oracle_grid_check(model, traffic, grid, tables, alpha_floats, alpha_fracs) 
                             assert got == 0.0
                         else:
                             assert rel_err(got, exact_p) <= 1e-12
-                            assert ("exceeds_unity" in exact_flags) == bool(bits & 4)
+                            assert ("exceeds_unity" in exact_flags) == (got > 1.0)
                     flat_index += 1
                     checked += 1
     return checked
@@ -248,7 +247,7 @@ def test_criterion_5_threshold_and_traffic_monotonicity() -> None:
     for _ in range(25):
         data, traffic = make_synthetic(rng, max_records=400)
         grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, (1e-4,))
-        p_pt = [grid.line_cells(line)[0] for line in grid.lines]
+        p_pt = [grid.line_cells(line) for line in grid.lines]
         values = np.concatenate([p.ravel() for p in p_pt])
         values = values[np.isfinite(values)]
         top = float(values.max()) if values.size else 1.0
@@ -316,7 +315,7 @@ def test_criterion_6_holdout_informativeness() -> None:
     model = fit(dataset_of(train, dt.date(2020, 1, 1), dt.date(2022, 12, 31)))
     traffic = traffic_of({(line, i): 100.0 for line in lines for i in range(10)})
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (1e-6,))
-    values = np.concatenate([grid.line_cells(line)[0].ravel() for line in grid.lines])
+    values = np.concatenate([grid.line_cells(line).ravel() for line in grid.lines])
     theta = float(np.quantile(values[np.isfinite(values)], 0.75))
     report = evaluate_holdout_for_acceptance(grid, test, theta)
     assert 0.1 <= report.warned_fraction <= 0.5

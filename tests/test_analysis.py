@@ -637,7 +637,7 @@ def test_holdout_matches_record_loop(seed: int, delta_t: float, block: int, data
     test = dataset_of(records, dt.date(2023, 1, 1), dt.date(2023, 12, 31))
     # theta equal to a test accident's own p_pt checks that hits are strict;
     # flagged cells carry NaN and never hit
-    p_pt = {line: grid.line_cells(line)[0] for line in grid.lines}
+    p_pt = {line: grid.line_cells(line) for line in grid.lines}
     own = [
         float(p_pt[rec.line][cell])
         for rec in records
@@ -691,7 +691,7 @@ def test_holdout_matches_record_loop_across_block_seams(
     assert cells[block - 1][0] == cells[41][0] == n_x - 1
     assert "999" in test.line_names and cells[3] is None
     # theta equal to the p_pt of a test accident's own cell checks that hits are strict
-    p_pt = {line: grid.line_cells(line)[0] for line in grid.lines}
+    p_pt = {line: grid.line_cells(line) for line in grid.lines}
     own = next(p for r, cell in zip(records, cells) if cell is not None
                and not math.isnan(p := float(p_pt[r.line][cell])))
     for theta in (0.001, own):

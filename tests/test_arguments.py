@@ -77,6 +77,13 @@ ROWS = {
     "FittedModel smoothing": Row(
         "smoothing", lambda b, v: dataclasses.replace(b.model, smoothing=v), 1.0
     ),
+    "FittedModel total_days": Row(
+        "total_days",
+        lambda b, v: dataclasses.replace(
+            b.model, counts=dataclasses.replace(b.model.counts, total_days=v)
+        ),
+        1095,
+    ),
     "fit total_days": Row("total_days", lambda b, v: fit(b.data, total_days=v), 1095, True),
     "fit smoothing": Row("smoothing", lambda b, v: fit(b.data, smoothing=v), 0.5),
     "alpha t": Row("t", lambda b, v: alpha(v, 1.0), 18.0),
@@ -117,6 +124,9 @@ ROWS = {
     "SeasonScheme.season_of month": Row("month", lambda b, v: DEFAULT_SEASONS.season_of(v), 1),
     "LineGeometry km": Row(
         "km", lambda b, v: LineGeometry("139", ((50.0, 19.0, 0.0), (50.1, 19.1, v))), 10.0
+    ),
+    "SpeedProfile km_from": Row(
+        "km_from", lambda b, v: SpeedProfile("139", ((v, 10.0, 100.0),)), 0.0
     ),
     "SpeedProfile km_to": Row("km_to", lambda b, v: SpeedProfile("139", ((0.0, v, 100.0),)), 10.0),
     "SpeedProfile vmax": Row("vmax", lambda b, v: SpeedProfile("139", ((0.0, 10.0, v),)), 100.0),
@@ -175,6 +185,11 @@ def test_each_entry_point_refuses_what_is_not_a_number(key: str, bundled, value)
     [
         ("BinConfig delta_x", HUGE),
         ("fit total_days", HUGE),
+        # a month of T / 12 days underflowed to 0 (ZeroDivisionError) or gave mu = inf
+        ("fit total_days", 5e-324),
+        ("fit total_days", 4e-322),
+        ("FittedModel total_days", 5e-324),
+        ("FittedModel total_days", 4e-322),
         ("fit smoothing", HUGE),
         ("sweep_all thresholds", HUGE),
         ("warnings_to_geojson month", 13),
@@ -207,6 +222,21 @@ def test_a_huge_int_is_named_without_printing_it() -> None:
 def test_a_nan_fails_each_order_check(key: str, text: str, bundled) -> None:
     with pytest.raises(ValueError, match=text):
         ROWS[key].call(bundled, math.nan)
+
+
+# inf passes every order check, so each was built, as parse_geometries and
+# parse_speed_profiles refuse it
+@pytest.mark.parametrize(
+    "key,value,text",
+    [
+        ("LineGeometry km", math.inf, "km must be finite, got inf"),
+        ("SpeedProfile km_from", -math.inf, "km_from must be finite, got -inf"),
+        ("SpeedProfile km_to", math.inf, "km_to must be finite, got inf"),
+    ],
+)
+def test_an_infinite_km_fails_its_finite_check(key: str, value: float, text: str, bundled) -> None:
+    with pytest.raises(ValueError, match=f"^line '139': {text}$"):
+        ROWS[key].call(bundled, value)
 
 
 def test_a_whole_float_month_has_a_season_as_it_has_a_grid_cell() -> None:

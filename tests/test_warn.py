@@ -258,9 +258,11 @@ def test_p_per_train_reads_the_sweep_cell_that_locate_finds(seed: int, delta_t: 
             with pytest.raises(NoTrafficError):
                 p_per_train(model, traffic, profile, tau, t, line, x)
             continue
-        p, flags = grid.line_cells(line)
-        event(f"{delta_t!r} h bins, no traffic: {bool(flags[xi, mi, ti] & 1)}")
-        if flags[xi, mi, ti] & 1:
+        p = grid.line_cells(line)
+        no_traffic = bool(grid.m_window[line][xi, ti] == 0.0)
+        event(f"{delta_t!r} h bins, no traffic: {no_traffic}")
+        if no_traffic:
+            assert np.isnan(p[xi, mi, ti])
             with pytest.raises(NoTrafficError):
                 p_per_train(model, traffic, profile, tau, t, line, x)
         else:
@@ -282,7 +284,7 @@ def test_sweep_covers_model_and_traffic_bins(bundled_grid, bundled_model, bundle
         model_bins = set(range(model_first, model_first + len(bundled_model.p_segment[line])))
         covered = model_bins | traffic_bins
         assert covered <= set(range(first, first + n_x))
-        assert all(cells.shape == (n_x, 12, 24) for cells in bundled_grid.line_cells(line))
+        assert bundled_grid.line_cells(line).shape == (n_x, 12, 24)
         assert bundled_grid.m_window[line].shape == (n_x, 24)
     assert bundled_grid.n_cells() == sum(
         bundled_grid.m_window[line].shape[0] * 12 * 24 for line in bundled_grid.lines
@@ -293,7 +295,7 @@ def test_grid_cells_match_scalar_recomputation(bundled_grid, bundled_model, bund
     # bit-for-bit: the vectorized sweep must equal one-at-a-time evaluation
     for line in bundled_grid.lines:
         first = bundled_grid.x_first[line]
-        p_pt = bundled_grid.line_cells(line)[0]
+        p_pt = bundled_grid.line_cells(line)
         for xi in range(0, p_pt.shape[0], 3):
             for mi in range(0, 12, 5):
                 for ti in range(0, 24, 7):
@@ -383,7 +385,7 @@ def test_mismatched_traffic_bin_width_is_rejected(bundled_model) -> None:
 
 
 def test_warning_threshold_is_strict(bundled_grid) -> None:
-    arr = bundled_grid.line_cells("139")[0]
+    arr = bundled_grid.line_cells("139")
     finite = arr[np.isfinite(arr) & (arr > 0)]
     value = float(finite.max())
     at = bundled_grid.warned_cells(value)
@@ -393,9 +395,9 @@ def test_warning_threshold_is_strict(bundled_grid) -> None:
 
 def test_warned_counts_match_cell_loop(bundled_grid) -> None:
     # thresholds equal to p_pt values of the grid check that each count is strict
-    values = bundled_grid.line_cells("139")[0]
+    values = bundled_grid.line_cells("139")
     thetas = sorted(set(values[~np.isnan(values)].tolist()))[::25] + [0.0, 0.001, math.inf]
-    cells = [p for line in bundled_grid.lines for p in bundled_grid.line_cells(line)[0].ravel().tolist()]
+    cells = [p for line in bundled_grid.lines for p in bundled_grid.line_cells(line).ravel().tolist()]
     counts = bundled_grid.census(thetas).warned
     assert counts == tuple(sum(1 for p in cells if p > theta) for theta in thetas)
     assert counts == tuple(bundled_grid.warned_cells(theta) for theta in thetas)
@@ -459,22 +461,21 @@ def test_sweep_peak_memory_stays_near_its_output() -> None:
     assert peak <= 1.5 * factors
 
 
-def _bits(arr: np.ndarray) -> np.ndarray:
-    return arr.view(np.uint64) if arr.dtype == np.float64 else arr
-
-
 def _assert_cells_equal_dense_build(model, traffic) -> None:
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, THRESHOLDS)
     alpha_vec = [alpha(ti * grid.delta_t, grid.delta_t, DEFAULT_PROFILE) for ti in range(grid.n_t)]
     spans = {line: (lo, lo + grid.m_window[line].shape[0] - 1) for line, lo in grid.x_first.items()}
     dense = dense_grid_cells(model, traffic, alpha_vec, spans)
     assert tuple(dense) == grid.lines
-    for line, (p_pt, flags, m_window) in dense.items():
-        got_p, got_flags = grid.line_cells(line)
+    for line, (p_pt, m_window) in dense.items():
+        got_p = grid.line_cells(line)
         # bit for bit: NaN payloads, signed zeros and infinities included
-        for got, want in ((got_p, p_pt), (got_flags, flags), (grid.m_window[line], m_window)):
+        for got, want in ((got_p, p_pt), (grid.m_window[line], m_window)):
             assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # p_pt is NaN exactly in the no_traffic cells, where m_window is 0
+        no_traffic = np.broadcast_to((m_window == 0.0)[:, None, :], got_p.shape)
+        assert np.array_equal(np.isnan(got_p), no_traffic)
 
 
 def test_line_cells_equal_the_dense_build(bundled_model, bundled_traffic) -> None:
@@ -496,15 +497,15 @@ def test_line_cells_equal_the_dense_build_on_synthetic_data(seed: int, delta_t: 
 def test_each_reader_computes_a_line_at_most_once(
     bundled_grid, bundled_test_data, bundled_geometries, monkeypatch
 ) -> None:
-    # every reader computes a line's p_pt through _line_p_pt, line_cells included
+    # every reader computes a line's p_pt through line_cells
     calls: list[str] = []
-    line_p_pt = WarningGrid._line_p_pt
+    line_cells = WarningGrid.line_cells
 
     def spy(grid, line):
         calls.append(line)
-        return line_p_pt(grid, line)
+        return line_cells(grid, line)
 
-    monkeypatch.setattr(WarningGrid, "_line_p_pt", spy)
+    monkeypatch.setattr(WarningGrid, "line_cells", spy)
     grid = bundled_grid
     readers = {
         "evaluate_holdout": lambda: evaluate_holdout(grid, bundled_test_data, 0.001),
@@ -547,12 +548,10 @@ def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
     assert temporal.flags.writeable and m_window.flags.writeable
     assert not built.temporal.flags.writeable and not built.m_window["139"].flags.writeable
     # the arrays line_cells returns are the caller's own
-    p_pt, flags = grid.line_cells("139")
-    kept = p_pt.copy(), flags.copy()
+    p_pt = grid.line_cells("139")
+    kept = p_pt.copy()
     p_pt[...] = 5.0
-    flags[...] = 5
-    for again, want in zip(grid.line_cells("139"), kept):
-        assert np.array_equal(again, want)
+    assert np.array_equal(grid.line_cells("139"), kept)
     assert csv_text(grid) == text
     # a mappingproxy cannot be pickled; the grid still can
     for copied in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
@@ -566,7 +565,7 @@ def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
 def test_census_never_warns_a_nan_cell(bundled_model) -> None:
     table = traffic_of({("139", 2): 131.0})
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
-    p_pt = [grid.line_cells(line)[0] for line in grid.lines]
+    p_pt = [grid.line_cells(line) for line in grid.lines]
     assert sum(int(np.isnan(p).sum()) for p in p_pt) > 0
     # a NaN cell counts as a p_pt of zero, never as a warning
     census = grid.census((1e-12,))
@@ -577,20 +576,32 @@ def test_census_never_warns_a_nan_cell(bundled_model) -> None:
     }
 
 
-def test_flags_mirror_undefined_cells() -> None:
+def test_flags_mirror_undefined_cells(bundled_model) -> None:
     rng = np.random.default_rng(42)
-    for _ in range(5):
-        data, traffic = make_synthetic(rng, max_records=250)
-        grid = sweep_all(fit(data), traffic, DEFAULT_PROFILE, THRESHOLDS)
-        for line in grid.lines:
-            p, flags = grid.line_cells(line)
-            window = grid.m_window[line][:, None, :]
-            no_traffic = (flags & 1) > 0
-            assert np.array_equal(no_traffic, np.broadcast_to(window == 0.0, p.shape))
-            undefined = ((flags & 1) | (flags & 2)) > 0
-            assert np.array_equal(np.isnan(p), undefined)
-            exceeds = (flags & 4) > 0
-            assert np.all(p[exceeds] > 1.0)
+    grids = [
+        sweep_all(fit(data), traffic, DEFAULT_PROFILE, THRESHOLDS)
+        for data, traffic in (make_synthetic(rng, max_records=250) for _ in range(5))
+    ]
+    # traffic in one bin leaves no_traffic cells; 1e-6 trains a day push p_pt past 1
+    table = traffic_of({("139", 2): 131.0, ("140", 1): 1e-6})
+    grids.append(sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS))
+    for grid in grids:
+        # the CSV's flags column, in the cell order of the lines' p_pt arrays
+        flags = np.array([row[8] for row in list(csv.reader(io.StringIO(csv_text(grid))))[1:]])
+        p = np.concatenate([grid.line_cells(line).ravel() for line in grid.lines])
+        window = np.concatenate(
+            [np.repeat(grid.m_window[line][:, None, :], 12, axis=1).ravel() for line in grid.lines]
+        )
+        # no cell has both flags: the column holds one name at most
+        assert set(flags.tolist()) <= {"", FLAG_NO_TRAFFIC, FLAG_EXCEEDS_UNITY}
+        no_traffic, exceeds = flags == FLAG_NO_TRAFFIC, flags == FLAG_EXCEEDS_UNITY
+        assert np.array_equal(no_traffic, window == 0.0)
+        assert np.array_equal(no_traffic, np.isnan(p))
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(exceeds, p > 1.0)
+        counts = {FLAG_NO_TRAFFIC: int(no_traffic.sum()), FLAG_EXCEEDS_UNITY: int(exceeds.sum())}
+        assert grid.census().flagged == counts
+    assert all(grids[-1].census().flagged.values())  # the bundled-model grid has both flags
 
 
 def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
@@ -603,10 +614,9 @@ def test_exceeds_unity_flag_keeps_cell_warnable() -> None:
     _, (xi,), (mi,), (ti,) = grid.locate(
         ("9",), np.array([0]), np.array([2.0]), np.array([1]), np.array([12.5])
     )
-    p_pt, flags = grid.line_cells("9")
-    p = float(p_pt[xi, mi, ti])
+    p = float(grid.line_cells("9")[xi, mi, ti])
     assert p > 1.0
-    assert int(flags[xi, mi, ti]) == 4  # exceeds_unity alone
+    assert grid.m_window["9"][xi, ti] > 0.0  # exceeds_unity alone
     assert grid.census().warned_bins["9"][mi] == 1  # the line's one km bin is warned
     row = list(csv.reader(io.StringIO(csv_text(grid))))[1 + (mi * 24) + ti]
     assert row[:5] == ["9", "0.0", "5.0", "1", "12.0"]
@@ -618,9 +628,11 @@ def test_an_overflowing_p_pt_is_flagged_without_a_warning(bundled_model) -> None
     # overflows; the suite turns numpy's RuntimeWarning into an error
     traffic = traffic_of({("139", 2): 1e-320})
     grid = sweep_all(bundled_model, traffic, DEFAULT_PROFILE, THRESHOLDS)
-    p, flags = (cells[2 - grid.x_first["139"]] for cells in grid.line_cells("139"))
+    xi = 2 - grid.x_first["139"]
+    p = grid.line_cells("139")[xi]
     assert np.isinf(p).any()
-    assert (flags[np.isinf(p)] == 4).all()  # exceeds_unity alone
+    # exceeds_unity alone: each such cell has trains
+    assert (np.broadcast_to(grid.m_window["139"][xi], p.shape)[np.isinf(p)] > 0.0).all()
 
 
 def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, bundled_grid) -> None:
@@ -631,8 +643,8 @@ def test_doubling_traffic_halves_probabilities(bundled_model, bundled_traffic, b
     )
     grid2 = sweep_all(bundled_model, doubled, DEFAULT_PROFILE, THRESHOLDS)
     for line in bundled_grid.lines:
-        a = bundled_grid.line_cells(line)[0]
-        b = grid2.line_cells(line)[0]
+        a = bundled_grid.line_cells(line)
+        b = grid2.line_cells(line)
         ok = np.isfinite(a)
         # powers of two scale without rounding, so this comparison is exact
         assert np.array_equal(b[ok], a[ok] / 2.0)
@@ -736,12 +748,12 @@ def test_cell_materialization_is_consistent(bundled_grid) -> None:
     # rows run over (line, x, month, t); line "139" follows line "1"
     n_m, n_t = len(bundled_grid.months), bundled_grid.n_t
     xi, mi, ti = 2, 0, 18
-    row = rows[1 + bundled_grid.line_cells("1")[0].size + (xi * n_m + mi) * n_t + ti]
+    row = rows[1 + bundled_grid.line_cells("1").size + (xi * n_m + mi) * n_t + ti]
     assert row[0] == "139"
     assert (row[1], row[2]) == ("10.0", "15.0")
     assert row[3] == "1"
     assert (row[4], row[5]) == ("18.0", "19.0")
-    p = float(bundled_grid.line_cells("139")[0][xi, mi, ti])
+    p = float(bundled_grid.line_cells("139")[xi, mi, ti])
     assert row[7] == repr(p)
     assert row[9:] == [str(int(p > th)) for th in THRESHOLDS]
 
@@ -768,7 +780,7 @@ def test_warning_csv_layout(bundled_grid) -> None:
     assert len(rows) == bundled_grid.n_cells() + 1
     by_key = {(r[0], r[1], r[3], r[4]): r for r in rows[1:]}
     hot = by_key[("139", "10.0", "1", "18.0")]
-    assert hot[7] == repr(float(bundled_grid.line_cells("139")[0][2, 0, 18]))
+    assert hot[7] == repr(float(bundled_grid.line_cells("139")[2, 0, 18]))
     assert hot[8] == ""
     assert [hot[9], hot[10], hot[11]] == ["1", "1", "0"]
 
@@ -1014,7 +1026,7 @@ def test_exporters_match_cell_loops(
     model = fit(train, bins=BinConfig(delta_x=5.0, delta_t=delta_t))
     probe = sweep_all(model, traffic, DEFAULT_PROFILE, (1.0,))
     # thresholds equal to cells' own p_pt check that warnings stay strict
-    p_pt = [probe.line_cells(line)[0] for line in probe.lines]
+    p_pt = [probe.line_cells(line) for line in probe.lines]
     own = sorted({float(v) for p in p_pt for v in p[p > 0.0]})
     choices = st.sampled_from(own + [0.0005, 0.001, 1.0])
     thresholds = data.draw(st.lists(choices, min_size=1, max_size=3))
@@ -1041,7 +1053,7 @@ def test_exporters_match_cell_loops(
         {
             (grid.months[mi], ti * grid.delta_t)
             for line in grid.lines
-            for mi, ti in zip(*np.nonzero((grid.line_cells(line)[0] > theta).any(axis=0)))
+            for mi, ti in zip(*np.nonzero((grid.line_cells(line) > theta).any(axis=0)))
         }
     )
     warned_month, warned_hour = data.draw(st.sampled_from(warned or [(1, 0.0)]))
@@ -1068,7 +1080,7 @@ def test_grid_matches_scalar_path_on_synthetic_data(seed: int) -> None:
     model = fit(data)
     grid = sweep_all(model, traffic, DEFAULT_PROFILE, (0.001,))
     line = grid.lines[seed % len(grid.lines)]
-    p_pt = grid.line_cells(line)[0]
+    p_pt = grid.line_cells(line)
     xi = seed % p_pt.shape[0]
     km = (grid.x_first[line] + xi) * 5.0
     mi, ti = seed % 12, seed % 24
