@@ -215,6 +215,11 @@ class WarningGrid:
     flag and warned per threshold in one read of each line.  The per-line
     tables are read-only mappings and every stored array is a read-only
     view, so the caller's own arrays keep their flags.
+
+    A grid is refused unless ``sweep_all`` could have built it: ``spatial``
+    and ``m_window`` name the lines of ``x_first`` in its order, the shapes
+    are as above with n_x >= 1, and every factor is finite and >= 0.  A
+    TypeError or ValueError names the field that breaks a rule.
     """
 
     months: ClassVar[tuple[int, ...]] = MONTHS
@@ -228,11 +233,34 @@ class WarningGrid:
     m_window: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "temporal", _read_only(self.temporal))
-        object.__setattr__(self, "x_first", MappingProxyType(dict(self.x_first)))
+        lines = list(self.x_first)
         for name in ("spatial", "m_window"):
-            table = {line: _read_only(arr) for line, arr in getattr(self, name).items()}
-            object.__setattr__(self, name, MappingProxyType(table))
+            if list(getattr(self, name)) != lines:
+                raise ValueError(
+                    f"{name} must name the lines of x_first in its order {lines!r},"
+                    f" got {list(getattr(self, name))!r}"
+                )
+        temporal = _factor(self.temporal, "temporal")
+        if temporal.shape != (len(self.months), self.n_t):
+            raise ValueError(f"temporal must have shape (12, {self.n_t}), got {temporal.shape}")
+        spatial, m_window = {}, {}
+        for line in lines:
+            spatial[line] = _factor(self.spatial[line], f"spatial[{line!r}]")
+            m_window[line] = _factor(self.m_window[line], f"m_window[{line!r}]")
+            if spatial[line].ndim != 1 or not spatial[line].size:
+                raise ValueError(
+                    f"spatial[{line!r}] must have shape (n_x,) with n_x >= 1,"
+                    f" got {spatial[line].shape}"
+                )
+            if m_window[line].shape != (spatial[line].size, self.n_t):
+                raise ValueError(
+                    f"m_window[{line!r}] must have shape ({spatial[line].size}, {self.n_t}),"
+                    f" got {m_window[line].shape}"
+                )
+        object.__setattr__(self, "temporal", temporal)
+        object.__setattr__(self, "x_first", MappingProxyType(dict(self.x_first)))
+        object.__setattr__(self, "spatial", MappingProxyType(spatial))
+        object.__setattr__(self, "m_window", MappingProxyType(m_window))
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
@@ -335,8 +363,18 @@ class WarningGrid:
         return sum(arr.shape[0] for arr in self.m_window.values()) * len(self.months) * self.n_t
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr``; ``arr`` itself keeps its flags."""
+def _factor(values, name: str) -> np.ndarray:
+    """A read-only view of ``values`` as floats (a float array is not copied and keeps its
+    own flags); a TypeError naming ``name`` unless they are ints or floats, and a
+    ValueError naming it unless every entry is finite and >= 0."""
+    arr = _real_array(values, name)
+    if arr.size:
+        # min is NaN where any entry is; two reductions, no temporary array
+        with np.errstate(invalid="ignore"):
+            low, high = float(arr.min()), float(arr.max())
+        if not (low >= 0.0 and high < math.inf):
+            bad = low if not low >= 0.0 else high
+            raise ValueError(f"{name} entries must be finite and >= 0, got {bad!r}")
     view = arr.view()
     view.setflags(write=False)
     return view

@@ -729,7 +729,10 @@ def test_holdout_single_record_matches_record_loop(eval_grid) -> None:
 def test_holdout_maps_lines_by_name_not_position(eval_grid) -> None:
     # the grid lists its lines in reverse; the test set adds lines the grid
     # lacks, so its sorted line_names interleave known and unknown names
-    reordered = dataclasses.replace(eval_grid, x_first=dict(reversed(eval_grid.x_first.items())))
+    reordered = dataclasses.replace(eval_grid, **{
+        name: dict(reversed(getattr(eval_grid, name).items()))
+        for name in ("x_first", "spatial", "m_window")
+    })
     assert reordered.lines == ("140", "139", "1")
     lines = ("0", "1", "10", "139", "1390", "140", "999")
     records = [

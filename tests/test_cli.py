@@ -36,6 +36,7 @@ from wildrail.cli import (
     parse_seasons_spec,
     parse_thresholds_spec,
 )
+from cli_cases import CASES, Case, check, in_process
 from conftest import DATA_DIR, no_records, traffic_of
 from test_golden import COMMANDS as GOLDEN_COMMANDS
 
@@ -69,6 +70,16 @@ def assert_input_error(code: int, capsys) -> None:
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+# --- the contract table ---
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_cli_contract_case(case: Case, tmp_path: Path) -> None:
+    # the table that python tests/cli_cases.py runs against the installed script
+    result, problems = check(case, in_process, tmp_path)
+    assert not problems, (problems, result.stderr)
 
 
 # --- fit ---
@@ -356,24 +367,6 @@ def test_warn_rejects_traffic_on_a_different_grid(tmp_path: Path, fitted: Path, 
     assert "aligned" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["warn", "corr"])
-def test_traffic_past_any_grid_is_refused_at_its_row(command: str, tmp_path: Path, capsys) -> None:
-    # one row at km 5e9 stretches line 139 over a billion 5 km bins, more than
-    # any warning grid holds: corr, which lays out no grid, refuses it too
-    far = tmp_path / "far.csv"
-    far.write_text(Path(TRAFFIC).read_text() + "139,5000000000.0,1\n")
-    inputs = {"warn": ["--model", MODEL], "corr": ["--accidents", ACCIDENTS, *PERIOD_FLAGS,
-                                                   "--speeds", SPEEDS]}[command]
-    out = tmp_path / "out"
-    assert main([command, *inputs, "--traffic", str(far), "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        f"error: {far}: line 39: traffic spans 1,000,000,026 km bins of 5.0 km, more than the"
-        " 4,166,666 that a 50,000,000-cell grid holds"
-    ]
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["warn", "eval"])
 def test_far_off_traffic_row_is_refused_before_the_sweep(
     command: str, tmp_path: Path, capsys, monkeypatch
@@ -489,39 +482,6 @@ def test_warn_prints_the_pinned_summary(tmp_path: Path, capsys) -> None:
     captured = capsys.readouterr()
     assert captured.out.replace(str(tmp_path), "<out>") == WARN_STDOUT
     assert captured.err == ""
-
-
-def test_warn_reports_a_grid_mostly_without_traffic(tmp_path: Path, capsys) -> None:
-    # one train a day at km 2000 stretches line 139's grid over 400 km bins without traffic
-    far = tmp_path / "far.csv"
-    far.write_text(Path(TRAFFIC).read_text(encoding="utf-8") + "139,2000.0,1\n", encoding="utf-8")
-    assert main(["warn", "--model", MODEL, "--traffic", str(far), "--out-dir", str(tmp_path)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "warning: 111744 of 122688 cells have no trains (no_traffic); check the traffic table"
-    ]
-    out = captured.out.splitlines()
-    assert out[1:3] == ["cells: 122688 (10944 with traffic)", "flagged cells: no_traffic=111744 exceeds_unity=0"]
-    assert (tmp_path / "warnings.csv").stat().st_size > 0
-
-
-def test_warn_rejects_map_filters_that_match_nothing(tmp_path: Path, fitted: Path, capsys) -> None:
-    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", GEOMETRY,
-            "--out-dir", str(tmp_path)]
-    assert_input_error(main(base + ["--month", "13"]), capsys)
-    assert_input_error(main(base + ["--hour", "25"]), capsys)
-    for key, value in (("month", 13), ("hour", 25), ("month", [1]), ("hour", "noon")):
-        config = tmp_path / f"{key}.json"
-        config.write_text(json.dumps({key: value}))
-        assert_input_error(main(base + ["--config", str(config)]), capsys)
-    # a table that leaves most cells without trains would warn on stderr, but the
-    # filter is refused before that warning and before any file is written
-    far = tmp_path / "far.csv"
-    far.write_text(Path(TRAFFIC).read_text(encoding="utf-8") + "139,2000.0,1\n", encoding="utf-8")
-    far_base = [arg if arg != TRAFFIC else str(far) for arg in base]
-    assert_input_error(main(far_base + ["--month", "13"]), capsys)
-    assert not (tmp_path / "warnings.geojson").exists()
-    assert not (tmp_path / "warnings.csv").exists()
 
 
 def test_warn_rejects_map_options_without_geometry(tmp_path: Path, fitted: Path, capsys) -> None:
@@ -667,13 +627,9 @@ def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
 
 
 def test_map_spacing_range(tmp_path: Path, capsys) -> None:
-    # outside 1e-6..1e6 km: one error line and no map; at 1e-13 the corners
-    # of every hexagon would collapse to one point near (50, 19).  At 1e4 km
-    # and above, a hexagon of the bundled map reaches past lat 90: refused too
+    # at the ends of the range the map keeps six distinct corners per hexagon;
+    # the spacings map refuses are cases of tests/cli_cases.py
     base = ["map", "--accidents", ACCIDENTS, "--geometry", GEOMETRY, "--out-dir", str(tmp_path)]
-    for value in ("1e-13", "9.99e-7", "1e4", "1e6", "1.01e6", "1e7"):
-        assert_input_error(main(base + ["--spacing", value]), capsys)
-        assert not (tmp_path / "hexmap.geojson").exists()
     for value in ("1e-6", "1000"):
         assert main(base + ["--spacing", value]) == 0
         doc = json.loads((tmp_path / "hexmap.geojson").read_text())

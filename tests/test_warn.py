@@ -562,6 +562,71 @@ def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
             copied.temporal[0] = 5.0
 
 
+def one_bin_grid(**changes) -> dict:
+    """The fields of a valid grid of one line, one km bin and one hour bin, with ``changes``."""
+    fields = {
+        "delta_x": 5.0, "delta_t": 24.0, "thresholds": (0.001,), "n_t": 1, "x_first": {"a": 0},
+        "temporal": np.full((12, 1), 0.5), "spatial": {"a": np.array([1.0])},
+        "m_window": {"a": np.array([[2.0]])},
+    }
+    return {**fields, **changes}
+
+
+# grids sweep_all could not have built, one broken rule each, and the error that
+# names the field; the first two built unchecked once, and their census then
+# counted NaN cells as traffic or raised KeyError: 'b'
+BAD_GRIDS = {
+    "NaN spatial over a window of -1 trains": (
+        ValueError, r"spatial\['a'\] entries must be finite and >= 0, got nan",
+        one_bin_grid(spatial={"a": np.array([np.nan])}, m_window={"a": np.array([[-1.0]])})),
+    "line b without tables": (
+        ValueError, r"spatial must name the lines of x_first in its order \['a', 'b'\]",
+        one_bin_grid(x_first={"a": 0, "b": 0}, temporal=np.full((5, 2), 0.5), n_t=3,
+                     m_window={"a": np.array([[2.0, 2.0]])})),
+    "m_window lines in another order": (
+        ValueError, "m_window must name the lines of x_first",
+        one_bin_grid(x_first={"a": 0, "b": 4}, spatial={"a": np.ones(1), "b": np.ones(1)},
+                     m_window={"b": np.ones((1, 1)), "a": np.ones((1, 1))})),
+    "temporal not 12 x n_t": (
+        ValueError, r"temporal must have shape \(12, 1\), got \(12, 2\)",
+        one_bin_grid(temporal=np.full((12, 2), 0.5))),
+    "temporal of bools": (TypeError, "temporal", one_bin_grid(temporal=np.ones((12, 1), bool))),
+    "negative temporal": (
+        ValueError, "temporal entries must be finite and >= 0, got -0.5",
+        one_bin_grid(temporal=np.full((12, 1), -0.5))),
+    "spatial of two dimensions": (
+        ValueError, r"spatial\['a'\] must have shape \(n_x,\) with n_x >= 1, got \(1, 1\)",
+        one_bin_grid(spatial={"a": np.ones((1, 1))})),
+    "no km bins": (
+        ValueError, r"spatial\['a'\] must have shape \(n_x,\) with n_x >= 1, got \(0,\)",
+        one_bin_grid(spatial={"a": np.ones(0)}, m_window={"a": np.ones((0, 1))})),
+    "m_window not n_x x n_t": (
+        ValueError, r"m_window\['a'\] must have shape \(1, 1\), got \(2, 1\)",
+        one_bin_grid(m_window={"a": np.ones((2, 1))})),
+    "infinite m_window": (
+        ValueError, r"m_window\['a'\] entries must be finite and >= 0, got inf",
+        one_bin_grid(m_window={"a": np.array([[np.inf]])})),
+    "m_window of strings": (
+        TypeError, r"m_window\['a'\]", one_bin_grid(m_window={"a": np.array([["2"]])})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_a_grid_sweep_all_could_not_build_is_refused(name: str) -> None:
+    error, message, fields = BAD_GRIDS[name]
+    with pytest.raises(error, match=message):
+        WarningGrid(**fields)
+
+
+def test_a_valid_grid_builds_from_its_factors_without_copying_them() -> None:
+    fields = one_bin_grid()
+    grid = WarningGrid(**fields)
+    assert np.shares_memory(grid.temporal, fields["temporal"])
+    assert np.shares_memory(grid.m_window["a"], fields["m_window"]["a"])
+    assert grid.census().flagged == {FLAG_NO_TRAFFIC: 0, FLAG_EXCEEDS_UNITY: 0}
+    assert np.array_equal(pickle.loads(pickle.dumps(grid)).line_cells("a"), grid.line_cells("a"))
+
+
 def test_census_never_warns_a_nan_cell(bundled_model) -> None:
     table = traffic_of({("139", 2): 131.0})
     grid = sweep_all(bundled_model, table, DEFAULT_PROFILE, THRESHOLDS)
