@@ -11,7 +11,7 @@ import numpy as np
 
 from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable, _bin_floor, _positive, _real, _real_array
 from .model import SeasonScheme
-from .warn import WarningGrid, _counts_above
+from .warn import WarningGrid, _p_pt, _warned
 
 __all__ = [
     "UndefinedCorrelationError",
@@ -392,6 +392,9 @@ def evaluate_holdout(
     rate.  A mapped accident is a hit at theta when its cell's p_pt is
     strictly above theta; flagged (NaN) cells never hit.  ``include_adjacent``
     also accepts the neighbouring km bins on the same line (off by default).
+    ``warned_fraction`` is ``census.warned / census.traffic_positive`` of one
+    ``grid.census``.  The evaluation holds one copy of the grid's factors and
+    one block of located cells, and nothing per test row.
 
     Raises:
         TypeError: theta is not an int or a float.
@@ -402,38 +405,35 @@ def evaluate_holdout(
     theta = _real(theta, "theta")
     if not 0 <= theta < math.inf:
         raise ValueError(f"theta must be non-negative and finite, got {theta!r}")
-    # per grid line, the flat p_pt index of each mapped accident's cell, block by block
-    cells: list[list[np.ndarray]] = [[] for _ in grid.lines]
+    thetas = sorted(set(grid.thresholds) | {theta})
+    census = grid.census(thetas)
+    # the lines' km bins laid end to end: bin xi of line li is row offsets[li] + xi
+    offsets = np.cumsum([0] + [grid.spatial[line].size for line in grid.lines])
+    spatial = np.concatenate([grid.spatial[line] for line in grid.lines])
+    m_window = np.concatenate([grid.m_window[line] for line in grid.lines])
+    hits = [0] * len(thetas)
+    n_mapped = 0
     for start in range(0, test.n, _BLOCK):
         block = slice(start, start + _BLOCK)
         li, xi, mi, ti = grid.locate(
             test.line_names, test.line_codes[block], test.kms[block], test.months[block],
             test.minutes[block] / 60.0,
         )
-        mapped = np.flatnonzero((xi >= 0) & (mi >= 0) & (ti >= 0))
-        mapped = mapped[np.argsort(li[mapped])]
-        flat = (xi[mapped] * len(grid.months) + mi[mapped]) * grid.n_t + ti[mapped]
-        ends = np.cumsum(np.bincount(li[mapped], minlength=len(cells)))
-        for line_parts, part in zip(cells, np.split(flat, ends[:-1])):
-            if part.size:
-                line_parts.append(part)
-    thetas = sorted(set(grid.thresholds) | {theta})
-    hits = [0] * len(thetas)
-    warned = [0] * len(thetas)
-    n_mapped = traffic_positive = 0
-    for line, line_parts in zip(grid.lines, cells):
-        # each line's p_pt is computed once, for its warned counts and its accidents' cells
-        p_pt = grid.line_cells(line)
-        warned = [a + b for a, b in zip(warned, _counts_above(p_pt, thetas))]
-        traffic_positive += int((grid.m_window[line] > 0.0).sum()) * len(grid.months)
-        if line_parts:
-            best = _best_p(p_pt, np.concatenate(line_parts), include_adjacent)
-            n_mapped += best.size
-            hits = [a + b for a, b in zip(hits, _counts_above(best, thetas))]  # NaN never hits
+        mapped = (xi >= 0) & (mi >= 0) & (ti >= 0)
+        li, xi, temporal, ti = li[mapped], xi[mapped], grid.temporal[mi[mapped], ti[mapped]], ti[mapped]
+        k = offsets[li] + xi
+        best = _p_pt(temporal, spatial[k], m_window[k, ti])
+        if include_adjacent:
+            # a neighbour off either end of the line reads the accident's own bin
+            for inside, step in ((xi > 0, -1), (k < offsets[li + 1] - 1, 1)):
+                j = np.where(inside, k + step, k)
+                best = np.fmax(best, _p_pt(temporal, spatial[j], m_window[j, ti]))
+        n_mapped += best.size
+        hits = [a + int(np.count_nonzero(_warned(best, th))) for a, th in zip(hits, thetas)]
     curve = []
-    for th, hits_th, warned_th in zip(thetas, hits, warned):
+    for th, hits_th, warned_th in zip(thetas, hits, census.warned):
         hit_rate = hits_th / n_mapped if n_mapped else 0.0
-        warned_fraction = warned_th / traffic_positive if traffic_positive else 0.0
+        warned_fraction = warned_th / census.traffic_positive if census.traffic_positive else 0.0
         curve.append((th, warned_fraction, hit_rate))
     at = thetas.index(theta)
     return EvalReport(
@@ -447,22 +447,6 @@ def evaluate_holdout(
         curve=tuple(curve),
         include_adjacent=include_adjacent,
     )
-
-
-def _best_p(p_pt: np.ndarray, cells: np.ndarray, include_adjacent: bool) -> np.ndarray:
-    """Largest p_pt over each accident's cell (and its km neighbours), NaN when all are flagged.
-
-    ``cells`` are flat indices into ``p_pt``; the km neighbours of a cell lie
-    one km-bin stride before and after it.
-    """
-    flat = p_pt.reshape(-1)
-    best = flat[cells]
-    if include_adjacent:
-        stride = flat.size // p_pt.shape[0]
-        # at either end of the line the neighbour read is the accident's own cell
-        best = np.fmax(best, flat[np.where(cells >= stride, cells - stride, cells)])
-        best = np.fmax(best, flat[np.where(cells < flat.size - stride, cells + stride, cells)])
-    return best
 
 
 def report_to_json(report: CorrelationReport | EvalReport) -> str:

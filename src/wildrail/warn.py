@@ -33,7 +33,7 @@ import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, _bin_floor, _grid_index, bin_index, km_to_geo
 from .ingest import _positive, _real, _real_array
-from .model import MONTHS, FittedModel, _check_grid_size
+from .model import MONTHS, BinConfig, FittedModel, _check_grid_size
 
 __all__ = [
     "FLAG_NO_TRAFFIC",
@@ -217,7 +217,10 @@ class WarningGrid:
     view, so the caller's own arrays keep their flags.
 
     A grid is refused unless ``sweep_all`` could have built it: ``spatial``
-    and ``m_window`` name the lines of ``x_first`` in its order, the shapes
+    and ``m_window`` name the lines of ``x_first`` (at least one) in its
+    order, ``delta_x`` and ``delta_t`` make a ``BinConfig`` whose
+    ``n_t_bins`` is ``n_t``, the ``thresholds`` (possibly none) are positive,
+    finite, sorted and distinct, each ``x_first`` is an int >= 0, the shapes
     are as above with n_x >= 1, and every factor is finite and >= 0.  A
     TypeError or ValueError names the field that breaks a rule.
     """
@@ -234,12 +237,25 @@ class WarningGrid:
 
     def __post_init__(self) -> None:
         lines = list(self.x_first)
+        if not lines:
+            raise ValueError("x_first must name at least one line")
         for name in ("spatial", "m_window"):
             if list(getattr(self, name)) != lines:
                 raise ValueError(
                     f"{name} must name the lines of x_first in its order {lines!r},"
                     f" got {list(getattr(self, name))!r}"
                 )
+        n_t = BinConfig(self.delta_x, self.delta_t).n_t_bins  # the rules of delta_x and delta_t
+        if type(self.n_t) is not int or self.n_t != n_t:
+            raise ValueError(
+                f"n_t must be the int {n_t}, the hour bins of delta_t={self.delta_t!r}, got {self.n_t!r}"
+            )
+        thresholds = tuple(_positive(theta, "thresholds") for theta in self.thresholds)
+        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError(f"thresholds must be sorted and distinct, got {self.thresholds!r}")
+        for line, first in self.x_first.items():
+            if type(first) is not int or first < 0:
+                raise ValueError(f"x_first[{line!r}] must be an int >= 0, got {first!r}")
         temporal = _factor(self.temporal, "temporal")
         if temporal.shape != (len(self.months), self.n_t):
             raise ValueError(f"temporal must have shape (12, {self.n_t}), got {temporal.shape}")
@@ -257,6 +273,7 @@ class WarningGrid:
                     f"m_window[{line!r}] must have shape ({spatial[line].size}, {self.n_t}),"
                     f" got {m_window[line].shape}"
                 )
+        object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "temporal", temporal)
         object.__setattr__(self, "x_first", MappingProxyType(dict(self.x_first)))
         object.__setattr__(self, "spatial", MappingProxyType(spatial))
@@ -280,12 +297,9 @@ class WarningGrid:
         It is the caller's own, so a caller that reads a line more than once
         should keep it rather than call again.
         """
-        window = self.m_window[line]
-        p = self.temporal[None, :, :] * self.spatial[line][:, None, None]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(p, window[:, None, :], out=p)
-        np.copyto(p, np.nan, where=(window == 0.0)[:, None, :])
-        return p
+        return _p_pt(
+            self.temporal[None, :, :], self.spatial[line][:, None, None], self.m_window[line][:, None, :]
+        )
 
     def locate(
         self,
@@ -349,9 +363,11 @@ class WarningGrid:
             window, p = self.m_window[line], self.line_cells(line)
             traffic_positive += int(np.count_nonzero(window > 0.0)) * len(self.months)
             no_traffic += int(np.count_nonzero(window == 0.0)) * len(self.months)
-            above = [a + b for a, b in zip(above, _counts_above(p, (*thetas, 1.0)))]
-            if thetas:
-                warned_bins[line] = tuple(_warned(p, thetas[0]).any(axis=2).sum(axis=0).tolist())
+            for i, theta in enumerate((*thetas, 1.0)):
+                warned = _warned(p, theta)
+                above[i] += int(np.count_nonzero(warned))
+                if i == 0 and thetas:  # the first theta's mask also gives the warned km bins
+                    warned_bins[line] = tuple(warned.any(axis=2).sum(axis=0).tolist())
         *warned, exceeds = above
         flagged = {FLAG_NO_TRAFFIC: no_traffic, FLAG_EXCEEDS_UNITY: exceeds}
         return _Census(self.n_cells(), traffic_positive, flagged, tuple(warned), warned_bins)
@@ -380,15 +396,19 @@ def _factor(values, name: str) -> np.ndarray:
     return view
 
 
+def _p_pt(temporal: np.ndarray, spatial: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """``temporal * spatial / window`` broadcast, as a new array with NaN where window is 0."""
+    p = temporal * spatial
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(p, window, out=p)
+    np.copyto(p, np.nan, where=window == 0.0)
+    return p
+
+
 def _warned(p: np.ndarray, theta: float) -> np.ndarray:
     """Where ``p`` is strictly above theta; NaN never is."""
     with np.errstate(invalid="ignore"):
         return p > theta
-
-
-def _counts_above(p: np.ndarray, thetas: Sequence[float]) -> list[int]:
-    """Number of entries of ``p`` strictly above each of ``thetas``."""
-    return [int(np.count_nonzero(_warned(p, theta))) for theta in thetas]
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:

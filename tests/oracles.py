@@ -603,7 +603,8 @@ def census_loop(grid, thetas: Sequence[float]) -> dict:
                             census["warned"][i] += 1
                             if i == 0:
                                 warned_bins[cell["month"]].add(xi)
-        census["warned_bins"][line] = tuple(len(warned_bins[month]) for month in grid.months)
+        if thetas:  # without a first theta no km bin is counted, and no line listed
+            census["warned_bins"][line] = tuple(len(warned_bins[month]) for month in grid.months)
     census["warned"] = tuple(census["warned"])
     return census
 

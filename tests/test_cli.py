@@ -302,24 +302,6 @@ def test_warn_csv_flags_hold_one_name_at_most(tmp_path: Path, capsys) -> None:
     assert all((row["p_pt"] == "") == (row["flags"] == FLAG_NO_TRAFFIC) for row in rows)
 
 
-@pytest.mark.parametrize("total_days", ["5e-324", "4e-322"])
-def test_warn_refuses_a_model_too_short_for_a_finite_monthly_rate(
-    total_days: str, tmp_path: Path, capsys
-) -> None:
-    # 5e-324 days made a month of 0 days (ZeroDivisionError), 4e-322 a rate of inf
-    doc = json.loads(Path(MODEL).read_text(encoding="utf-8"))
-    doc["counts"]["total_days"] = float(total_days)
-    model = tmp_path / "short.json"
-    model.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
-    code = main(["warn", "--model", str(model), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == (
-        f"error: {model}: total_days is too small for a finite monthly rate, got {total_days}\n"
-    )
-    assert not (tmp_path / "warnings.csv").exists()
-
-
 def test_warn_with_geometry_writes_geojson(tmp_path: Path, fitted: Path) -> None:
     code = main(
         ["warn", "--model", str(fitted), "--traffic", TRAFFIC,

@@ -16,12 +16,14 @@ import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import wildrail.analysis
 import wildrail.cli
 import wildrail.model
 import wildrail.warn
@@ -31,6 +33,7 @@ from wildrail import (
     FLAG_NO_TRAFFIC,
     AccidentRecord,
     BinConfig,
+    EvalReport,
     LineGeometry,
     NoTrafficError,
     TrafficProfile,
@@ -52,6 +55,7 @@ from oracles import (
     cell_of,
     census_loop,
     dense_grid_cells,
+    evaluate_holdout_loop,
     partition_mass,
     warnings_to_csv_loop,
     warnings_to_geojson_loop,
@@ -608,6 +612,33 @@ BAD_GRIDS = {
         one_bin_grid(m_window={"a": np.array([[np.inf]])})),
     "m_window of strings": (
         TypeError, r"m_window\['a'\]", one_bin_grid(m_window={"a": np.array([["2"]])})),
+    "no lines": (
+        ValueError, "x_first must name at least one line", one_bin_grid(x_first={}, spatial={}, m_window={})),
+    "negative delta_x, with thresholds and x_first that also break rules": (
+        ValueError, "delta_x must be positive and finite, got -5.0",
+        one_bin_grid(delta_x=-5.0, thresholds=(0.002, 0.001, 0.001), x_first={"a": -3})),
+    "delta_t not dividing the day": (
+        ValueError, "delta_t=7.0 must divide 24 hours", one_bin_grid(delta_t=7.0)),
+    "n_t not the hour bins of delta_t": (
+        ValueError, r"n_t must be the int 1, the hour bins of delta_t=24.0, got 2",
+        one_bin_grid(n_t=2, temporal=np.full((12, 2), 0.5), m_window={"a": np.ones((1, 2))})),
+    "n_t of a bool": (ValueError, "n_t must be the int 1, .* got True", one_bin_grid(n_t=True)),
+    "thresholds out of order": (
+        ValueError, r"thresholds must be sorted and distinct, got \(0.002, 0.001\)",
+        one_bin_grid(thresholds=(0.002, 0.001))),
+    "repeated threshold": (
+        ValueError, r"thresholds must be sorted and distinct, got \(0.001, 0.001\)",
+        one_bin_grid(thresholds=(0.001, 0.001))),
+    "zero threshold": (
+        ValueError, "thresholds must be positive and finite, got 0.0", one_bin_grid(thresholds=(0.0,))),
+    "infinite threshold": (
+        ValueError, "thresholds must be positive and finite, got inf", one_bin_grid(thresholds=(math.inf,))),
+    "threshold of a string": (
+        TypeError, "thresholds must be an integer or a float", one_bin_grid(thresholds=("0.001",))),
+    "negative x_first": (
+        ValueError, r"x_first\['a'\] must be an int >= 0, got -3", one_bin_grid(x_first={"a": -3})),
+    "x_first of a float": (
+        ValueError, r"x_first\['a'\] must be an int >= 0, got 3.0", one_bin_grid(x_first={"a": 3.0})),
 }
 
 
@@ -625,6 +656,73 @@ def test_a_valid_grid_builds_from_its_factors_without_copying_them() -> None:
     assert np.shares_memory(grid.m_window["a"], fields["m_window"]["a"])
     assert grid.census().flagged == {FLAG_NO_TRAFFIC: 0, FLAG_EXCEEDS_UNITY: 0}
     assert np.array_equal(pickle.loads(pickle.dumps(grid)).line_cells("a"), grid.line_cells("a"))
+    # no thresholds, as p_per_train builds its grid; numpy thresholds are kept as floats
+    assert WarningGrid(**one_bin_grid(thresholds=())).census().warned == ()
+    grid = WarningGrid(**one_bin_grid(thresholds=(np.float64(0.001), 1)))
+    assert grid.thresholds == (0.001, 1.0) and {type(theta) for theta in grid.thresholds} == {float}
+    assert pickle.loads(pickle.dumps(grid)).thresholds == grid.thresholds
+
+
+# factors whose products and quotients are exact, so cells tie with thresholds
+EXACT = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(delta_t=st.sampled_from([24.0, 8.0, 6.0]), block=st.sampled_from([1, 3, 1 << 15]), data=st.data())
+def test_grids_built_from_drawn_factors_agree_with_the_cell_loops(
+    delta_t: float, block: int, data
+) -> None:
+    # valid grids straight from drawn factors: zero windows give no_traffic cells, small
+    # windows p_pt above 1, and thresholds drawn from the cells' own p_pt tie with them
+    n_t = BinConfig(5.0, delta_t).n_t_bins
+    lines = data.draw(st.lists(st.sampled_from(["1", "139", "a b"]), min_size=1, max_size=3, unique=True))
+
+    def factors(*shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        values = st.lists(EXACT | st.floats(0.0, 4.0), min_size=size, max_size=size)
+        return np.array(data.draw(values), dtype=float).reshape(shape)
+
+    n_x = {line: data.draw(st.integers(1, 4)) for line in lines}
+    probe = WarningGrid(
+        delta_x=5.0, delta_t=delta_t, thresholds=(), n_t=n_t,
+        x_first={line: data.draw(st.integers(0, 3)) for line in lines},
+        temporal=factors(12, n_t),
+        spatial={line: factors(n_x[line]) for line in lines},
+        m_window={line: factors(n_x[line], n_t) for line in lines},
+    )
+    cells = [p for line in lines for p in probe.line_cells(line).ravel().tolist()]
+    own = sorted({p for p in cells if 0.0 < p < math.inf})
+    choices = st.sampled_from(own + [0.5, 1.0])
+    grid = dataclasses.replace(probe, thresholds=tuple(sorted(set(data.draw(st.lists(choices, max_size=3))))))
+    flagged = grid.census().flagged
+    event(f"no_traffic: {flagged[FLAG_NO_TRAFFIC] > 0}, exceeds_unity: {flagged[FLAG_EXCEEDS_UNITY] > 0}")
+    event(f"a cell equal to a threshold: {bool(set(grid.thresholds) & set(own))}")
+    # census thetas in any order, repeats and 0 allowed
+    assert_census_matches_cell_loop(grid, data.draw(st.lists(choices | st.just(0.0), max_size=4)))
+    csv_rows = csv_text(grid).splitlines(keepends=True)
+    assert_same_rows(csv_rows, warnings_to_csv_loop(grid).splitlines(keepends=True), "CSV row")
+    # hold-out accidents on each line and on one the grid lacks, at bin edges, past
+    # either end of a line and in between
+    edges = [5.0 * (grid.x_first[line] + xi) for line in lines for xi in range(n_x[line] + 2)]
+    rows = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from([*lines, "999"]),
+            st.sampled_from(edges) | st.floats(0.0, max(edges) + 5.0),
+            st.integers(1, 12),
+            st.integers(0, 24 * 60 - 1),
+        ),
+        min_size=1, max_size=20,
+    ))
+    records = [
+        AccidentRecord(date=dt.date(2023, month, 1), time=time, line=line, km=km)
+        for line, km, month, time in rows
+    ]
+    test = dataset_of(records, dt.date(2023, 1, 1), dt.date(2023, 12, 31))
+    theta = data.draw(choices | st.just(0.0))
+    with mock.patch.object(wildrail.analysis, "_BLOCK", block):
+        for adjacent in (False, True):
+            report = evaluate_holdout(grid, test, theta, include_adjacent=adjacent)
+            assert report == EvalReport(**evaluate_holdout_loop(grid, records, theta, adjacent))
 
 
 def test_census_never_warns_a_nan_cell(bundled_model) -> None:
