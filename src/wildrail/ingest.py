@@ -8,7 +8,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
@@ -163,11 +163,12 @@ class Dataset:
 
     The columns hold one entry per record, in input order: ``line_codes``
     indexes ``line_names`` (the distinct lines, sorted, each with a record);
-    ``kms`` (finite, >= 0), ``months`` (1..12), ``minutes`` (since midnight)
-    and ``dates`` (``date.toordinal()``) are read-only numpy arrays;
-    ``species`` is a tuple of str.  ``records`` reads the columns back as
-    AccidentRecord named tuples: each access returns a new one-pass
-    iterator, so wrap it in ``tuple()`` to keep or index the records.
+    ``kms`` (finite, >= 0), ``minutes`` (since midnight) and ``dates``
+    (``date.toordinal()``) are read-only numpy arrays, and so is ``months``
+    (1..12), which is derived from ``dates``; ``species`` is a tuple of
+    str.  ``records`` reads the columns back as AccidentRecord named tuples:
+    each access returns a new one-pass iterator, so wrap it in ``tuple()``
+    to keep or index the records.
     Datasets compare and hash by identity.
     """
 
@@ -176,23 +177,23 @@ class Dataset:
     line_names: tuple[str, ...]
     line_codes: np.ndarray
     kms: np.ndarray
-    months: np.ndarray
     minutes: np.ndarray
     dates: np.ndarray
     species: tuple[str, ...]
+    months: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         start, end = self.period_start, self.period_end
         if end < start:
             raise ValueError("period_end precedes period_start")
         n, names = len(self.line_codes), self.line_names
-        for name in ("kms", "months", "minutes", "dates", "species"):
+        for name in ("kms", "minutes", "dates", "species"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} holds {len(getattr(self, name))} entries, line_codes {n}")
         if list(names) != sorted(set(names)):
             raise ValueError("line_names must be distinct and sorted")
-        bounds = (("line_codes", 0, len(names) - 1), ("months", 1, 12),
-                  ("minutes", 0, MINUTES_PER_DAY - 1), ("kms", 0.0, np.finfo(float).max))
+        bounds = (("line_codes", 0, len(names) - 1), ("minutes", 0, MINUTES_PER_DAY - 1),
+                  ("kms", 0.0, np.finfo(float).max))
         for name, lo, hi in bounds:
             column = getattr(self, name)
             if n and not (lo <= column.min() and column.max() <= hi):  # NaN fails both
@@ -204,6 +205,11 @@ class Dataset:
         if outside.size:
             date = dt.date.fromordinal(int(self.dates[outside[0]]))
             raise ValueError(f"record dated {date} falls outside period {start}..{end}")
+        # numpy's datetime64 counts days and months from 1970-01-01, a January
+        days = (self.dates - dt.date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+        months = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
+        months.setflags(write=False)
+        object.__setattr__(self, "months", months)
 
     @property
     def records(self) -> Iterator[AccidentRecord]:
@@ -349,11 +355,11 @@ class _AccidentColumns:
     gives each line name its code in order of first appearance, and
     ``shared_species`` maps each species text to the one str kept for it.
     ``days`` maps each date the array route has checked, as the integer
-    ``YYYYMMDD``, to its ordinal and month; the row loop keeps its own map
-    from each date text to that pair, or to None for a date outside the
-    period, and puts its rows as lists.  ``skipped`` counts the physical
-    lines the array route has taken, the header among them.  The columns
-    start with room for ``capacity`` rows and double in place when full.
+    ``YYYYMMDD``, to its ordinal; the row loop keeps its own map from each
+    date text to its ordinal, or to None for a date outside the period, and
+    puts its rows as lists.  ``skipped`` counts the physical lines the array
+    route has taken, the header among them.  The columns start with room for
+    ``capacity`` rows and double in place when full.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -361,13 +367,13 @@ class _AccidentColumns:
         self.skipped = 0
         self.lines: dict[str, int] = {}
         self.shared_species: dict[str, str] = {}
-        self.days: dict[int, tuple[int, int]] = {}
-        # line codes, kms, months, minutes and dates, as the Dataset orders them
-        dtypes = (np.int64, float, np.int64, np.int64, np.int64)
+        self.days: dict[int, int] = {}
+        # line codes, kms, minutes and dates, as the Dataset orders them
+        dtypes = (np.int64, float, np.int64, np.int64)
         self.columns = [np.empty(capacity, dtype) for dtype in dtypes]
         self.species = [""] * capacity
 
-    def put(self, codes, kms, months, minutes, dates, species: list[str]) -> None:
+    def put(self, codes, kms, minutes, dates, species: list[str]) -> None:
         """Append rows, one array or list per column."""
         first, end = self.n, self.n + len(species)
         if end > len(self.species):
@@ -375,7 +381,7 @@ class _AccidentColumns:
             for column in self.columns:
                 column.resize(size, refcheck=False)  # nothing else refers to it
             self.species.extend([""] * (size - len(self.species)))
-        for column, values in zip(self.columns, (codes, kms, months, minutes, dates)):
+        for column, values in zip(self.columns, (codes, kms, minutes, dates)):
             column[first:end] = values
         self.species[first:end] = species
         self.n = end
@@ -411,9 +417,9 @@ def _accident_rows(
         _read_header(reader, (ACCIDENT_HEADER,), "accident")
     start, end = period
     known_lines, shared_species = columns.lines, columns.shared_species
-    day_of_text: dict[str, tuple[int, int] | None] = {}  # None: outside the period
+    day_of_text: dict[str, int | None] = {}  # None: outside the period
     minute_of_text: dict[str, int] = {}
-    block = codes, kms, months, minutes, dates, species = [], [], [], [], [], []
+    block = codes, kms, minutes, dates, species = [], [], [], [], []
     for line_no, fields in _rows(reader, len(ACCIDENT_HEADER), columns.skipped):
         date_text, time_text, line, km_text, species_text = fields
         if date_text not in day_of_text:
@@ -421,7 +427,7 @@ def _accident_rows(
                 date = _iso_date(date_text)
             except ValueError:
                 raise ParseError(f"invalid calendar date {date_text!r}", line_no) from None
-            day_of_text[date_text] = (date.toordinal(), date.month) if start <= date <= end else None
+            day_of_text[date_text] = date.toordinal() if start <= date <= end else None
         minute = minute_of_text.get(time_text)
         if minute is None:
             minute = minute_of_text[time_text] = _parse_time_field(time_text, line_no)
@@ -435,8 +441,7 @@ def _accident_rows(
             raise ParseError(f"record dated {date_text} outside period {start}..{end}", line_no)
         codes.append(known_lines.setdefault(line, len(known_lines)))
         kms.append(km)
-        dates.append(day[0])
-        months.append(day[1])
+        dates.append(day)
         minutes.append(minute)
         species.append(shared_species.setdefault(species_text, species_text))
         if len(kms) == _BLOCK:
@@ -580,8 +585,8 @@ def _accident_piece(piece: str, columns: _AccidentColumns, period: tuple[dt.date
                     return False
                 if not start <= date <= end:
                     return False
-                days[key] = (date.toordinal(), date.month)
-        day_ordinals, day_months = np.array([days[key] for key in keys.tolist()], dtype=np.int64).T
+                days[key] = date.toordinal()
+        day_ordinals = np.array([days[key] for key in keys.tolist()], dtype=np.int64)
         names = _cut(buf, begins[:, 2], stops[:, 2])
         new_names = set(names).difference(columns.lines)
         if any(not name or name != name.strip() for name in new_names):
@@ -596,7 +601,7 @@ def _accident_piece(piece: str, columns: _AccidentColumns, period: tuple[dt.date
         shared_species.update(zip(new_species, new_species))
         columns.put(
             np.fromiter(map(lines.__getitem__, names), dtype=np.int64, count=len(names)), kms,
-            day_months[day_index], hours * 60 + mins, day_ordinals[day_index],
+            hours * 60 + mins, day_ordinals[day_index],
             list(map(shared_species.__getitem__, texts)),
         )
     columns.skipped += len(newlines)
@@ -721,7 +726,7 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
     more km bins than any warning grid holds, are refused before any bin is
     counted.  An error names its row: a malformed row is reported once the
     rows before it pass that bound and sum without overflow.  An empty stream
-    yields an empty table.
+    yields an empty table.  The runs are read-only arrays.
 
     Raises:
         TypeError: delta_x is not an int or a float.
@@ -815,6 +820,7 @@ def parse_traffic(stream: Union[str, IO[str]], delta_x: float) -> TrafficTable:
     if error is not None:
         raise error
     x_first = {line: int(k) for line, k in zip(lines, lo.tolist())}
+    flat.setflags(write=False)  # so are the runs, its views
     return TrafficTable(x_first, dict(zip(lines, np.split(flat[:-1], ends[:-1]))), delta_x)
 
 

@@ -144,18 +144,17 @@ class ModelCounts:
     ``by_season_tbin[label][i]`` counts hour bin i, for every bin of the day;
     ``by_line_xbin[line][k]`` counts km bin ``x_first[line] + k``, densely
     from the line's first to its last occupied bin.  Each table is kept as a
-    read-only mapping over a copy of the one passed in.
+    read-only mapping over a copy of the one passed in.  The totals ``n``,
+    ``by_season`` and ``by_line`` are sums of these tables.
     """
 
-    n: int
     total_days: float
     by_month: Mapping[int, int]
     by_season_tbin: Mapping[str, tuple[int, ...]]
-    by_line: Mapping[str, int]
     x_first: Mapping[str, int]
     by_line_xbin: Mapping[str, tuple[int, ...]]
 
-    _TABLES = ("by_month", "by_season_tbin", "by_line", "x_first", "by_line_xbin")
+    _TABLES = ("by_month", "by_season_tbin", "x_first", "by_line_xbin")
 
     def __post_init__(self) -> None:
         for name in self._TABLES:
@@ -163,12 +162,22 @@ class ModelCounts:
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
-        return type(self), (self.n, self.total_days, *(dict(getattr(self, t)) for t in self._TABLES))
+        return type(self), (self.total_days, *(dict(getattr(self, t)) for t in self._TABLES))
+
+    @property
+    def n(self) -> int:
+        """Accidents in all: the sum of the monthly counts."""
+        return sum(self.by_month.values())
 
     @property
     def by_season(self) -> dict[str, int]:
         """Accidents per season label: the sum of its hour bins."""
         return {label: sum(run) for label, run in self.by_season_tbin.items()}
+
+    @property
+    def by_line(self) -> dict[str, int]:
+        """Accidents per line: the sum of its km bins."""
+        return {line: sum(run) for line, run in self.by_line_xbin.items()}
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,18 @@ class FittedModel:
             raise ValueError(f"smoothing must be non-negative and finite, got {smoothing!r}")
         if set(by_month) != set(MONTHS) or min(by_month.values()) < 0:
             raise ValueError("monthly counts must cover months 1..12 and be non-negative")
-        if sum(by_month.values()) != n or sum(by_line.values()) != n or n <= 0:
+        if counts.by_line_xbin.keys() != counts.x_first.keys():
+            raise ValueError("km-bin counts must cover exactly the lines of x_first")
+        p_segment: dict[str, tuple[float, ...]] = {}
+        for line, run in counts.by_line_xbin.items():
+            if counts.x_first[line] < 0 or not run or run[0] == 0 or run[-1] == 0 or min(run) < 0:
+                raise ValueError(
+                    f"km-bin counts of line {line!r} must be one run of {self.bins.delta_x} km bins"
+                    " of counts >= 0 with records in both end bins"
+                )
+            denom = by_line[line] + smoothing * len(run)
+            p_segment[line] = tuple((cnt + smoothing) / denom for cnt in run)
+        if sum(by_line.values()) != n or n <= 0:
             raise ValueError(f"monthly and per-line counts must both sum to n={n} > 0")
         if counts.by_season_tbin.keys() != self.seasons.groups.keys():
             raise ValueError("hour-bin counts must cover exactly the season labels")
@@ -219,19 +239,6 @@ class FittedModel:
             denom = in_season + smoothing * len(run)
             if denom > 0:
                 p_time[label] = tuple((cnt + smoothing) / denom for cnt in run)
-        if not counts.by_line_xbin.keys() == counts.x_first.keys() == by_line.keys():
-            raise ValueError("km-bin counts must cover exactly the counted lines")
-        p_segment: dict[str, tuple[float, ...]] = {}
-        for line, run in counts.by_line_xbin.items():
-            if counts.x_first[line] < 0 or not run or run[0] == 0 or run[-1] == 0:
-                raise ValueError(
-                    f"km-bin counts of line {line!r} must be one run of {self.bins.delta_x} km bins"
-                    " with records in both end bins"
-                )
-            if sum(run) != by_line[line] or min(run) < 0:
-                raise ValueError(f"km-bin counts of line {line!r} disagree with its count")
-            denom = by_line[line] + smoothing * len(run)
-            p_segment[line] = tuple((cnt + smoothing) / denom for cnt in run)
         line_denom = n + smoothing * len(by_line)
         month_denom = T / MONTHS_PER_YEAR
         if month_denom == 0.0 or n / month_denom == math.inf:
@@ -299,8 +306,6 @@ def fit(
         seasons.label_indices(data.months) * n_t + t_bins, minlength=len(labels) * n_t
     ).reshape(len(labels), n_t)
     by_season_tbin = dict(zip(labels, map(tuple, tbin_counts.tolist())))
-    line_counts = np.bincount(data.line_codes, minlength=len(data.line_names))
-    by_line = dict(zip(data.line_names, line_counts.tolist()))
     # dense per-line bins over the observed index range, zeros in the gaps
     x_bins = _bin_floor(data.kms, bins.delta_x)
     if not np.isfinite(x_bins).all():
@@ -322,11 +327,9 @@ def fit(
         for line, start, size in zip(data.line_names, starts.tolist(), sizes.tolist())
     }
     counts = ModelCounts(
-        n=data.n,
         total_days=_real(data.total_days if total_days is None else total_days, "total_days"),
         by_month=by_month,
         by_season_tbin=by_season_tbin,
-        by_line=by_line,
         x_first={line: lo for line, (lo, _) in spans.items()},
         by_line_xbin=by_line_xbin,
     )
@@ -435,11 +438,9 @@ def _read_counts(raw: dict, bins: BinConfig) -> ModelCounts:
     for line, table in raw["by_line_xbin"].items():
         x_first[line], by_line_xbin[line] = _bin_run(table, bins.delta_x)
     return ModelCounts(
-        n=int(raw["n"]),
         total_days=float(raw["total_days"]),
         by_month={int(m): int(c) for m, c in raw["by_month"].items()},
         by_season_tbin=by_season_tbin,
-        by_line={line: int(c) for line, c in raw["by_line"].items()},
         x_first=x_first,
         by_line_xbin=by_line_xbin,
     )

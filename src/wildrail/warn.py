@@ -201,26 +201,27 @@ class WarningGrid:
     """Warning state over (line, km bin, month, hour bin) cells, held as its factors.
 
     Every grid spans all 12 months (the class constant ``months``, 1..12)
-    and all ``n_t`` hour bins of its model; hour bin ti starts at
-    ``ti * delta_t``.  ``x_first`` maps each line, in grid order, to the
-    index of its first km bin, so km bin xi of a line starts at
-    ``(x_first[line] + xi) * delta_x``.  A cell's p_pt is the product of
-    three small tables: ``temporal`` is a (12, n_t) month x hour-bin array,
-    and per line ``spatial`` is an (n_x,) array and ``m_window`` an
-    (n_x, n_t) array of expected trains, so cell (xi, mi, ti) of a line is
-    ``temporal[mi, ti] * spatial[xi] / m_window[xi, ti]``.  ``line_cells``
-    computes a line's p_pt from them on each call; a cell is warned at theta
-    exactly when p_pt > theta, ``no_traffic`` where ``m_window[xi, ti]`` is 0
-    and ``exceeds_unity`` where p_pt > 1.  ``census`` counts the cells per
-    flag and warned per threshold in one read of each line.  The per-line
-    tables are read-only mappings and every stored array is a read-only
-    view, so the caller's own arrays keep their flags.
+    and all ``n_t`` hour bins of its model, derived from ``delta_t`` as
+    ``BinConfig.n_t_bins``; hour bin ti starts at ``ti * delta_t``.
+    ``x_first`` maps each line, in grid order, to the index of its first km
+    bin, so km bin xi of a line starts at ``(x_first[line] + xi) *
+    delta_x``.  A cell's p_pt is the product of three small tables:
+    ``temporal`` is a (12, n_t) month x hour-bin array, and per line
+    ``spatial`` is an (n_x,) array and ``m_window`` an (n_x, n_t) array of
+    expected trains, so cell (xi, mi, ti) of a line is ``temporal[mi, ti] *
+    spatial[xi] / m_window[xi, ti]``.  ``line_cells`` computes a line's p_pt
+    from them on each call; a cell is warned at theta exactly when p_pt >
+    theta, ``no_traffic`` where ``m_window[xi, ti]`` is 0 and
+    ``exceeds_unity`` where p_pt > 1.  ``census`` counts the cells per flag
+    and warned per threshold in one read of each line.  The per-line tables
+    are read-only mappings and every stored array is a read-only view, so
+    the caller's own arrays keep their flags.
 
     A grid is refused unless ``sweep_all`` could have built it: ``spatial``
     and ``m_window`` name the lines of ``x_first`` (at least one) in its
-    order, ``delta_x`` and ``delta_t`` make a ``BinConfig`` whose
-    ``n_t_bins`` is ``n_t``, the ``thresholds`` (possibly none) are positive,
-    finite, sorted and distinct, each ``x_first`` is an int >= 0, the shapes
+    order, ``delta_x`` and ``delta_t`` make a ``BinConfig``, the
+    ``thresholds`` (possibly none) are a collection of positive, finite,
+    sorted and distinct numbers, each ``x_first`` is an int >= 0, the shapes
     are as above with n_x >= 1, and every factor is finite and >= 0.  A
     TypeError or ValueError names the field that breaks a rule.
     """
@@ -229,7 +230,7 @@ class WarningGrid:
     delta_x: float
     delta_t: float
     thresholds: tuple[float, ...]
-    n_t: int
+    n_t: int = field(init=False)
     x_first: Mapping[str, int]
     temporal: np.ndarray
     spatial: Mapping[str, np.ndarray]
@@ -245,12 +246,9 @@ class WarningGrid:
                     f"{name} must name the lines of x_first in its order {lines!r},"
                     f" got {list(getattr(self, name))!r}"
                 )
-        n_t = BinConfig(self.delta_x, self.delta_t).n_t_bins  # the rules of delta_x and delta_t
-        if type(self.n_t) is not int or self.n_t != n_t:
-            raise ValueError(
-                f"n_t must be the int {n_t}, the hour bins of delta_t={self.delta_t!r}, got {self.n_t!r}"
-            )
-        thresholds = tuple(_positive(theta, "thresholds") for theta in self.thresholds)
+        # BinConfig holds the rules of delta_x and delta_t
+        object.__setattr__(self, "n_t", BinConfig(self.delta_x, self.delta_t).n_t_bins)
+        thresholds = _threshold_values(self.thresholds)
         if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError(f"thresholds must be sorted and distinct, got {self.thresholds!r}")
         for line, first in self.x_first.items():
@@ -282,7 +280,7 @@ class WarningGrid:
     def __reduce__(self):
         # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
         return type(self), (
-            self.delta_x, self.delta_t, self.thresholds, self.n_t, dict(self.x_first),
+            self.delta_x, self.delta_t, self.thresholds, dict(self.x_first),
             self.temporal, dict(self.spatial), dict(self.m_window),
         )
 
@@ -356,21 +354,21 @@ class WarningGrid:
         line ``warned_bins``, the km bins warned in any hour of each month at the first
         theta; from one ``line_cells`` read per line."""
         thetas = self.thresholds if thetas is None else tuple(thetas)
-        traffic_positive = no_traffic = 0
+        traffic_positive = 0  # windows are >= 0, so every other cell is no_traffic
         above = [0] * (len(thetas) + 1)  # cells above each theta, then above 1 (exceeds_unity)
         warned_bins = {}
         for line in self.lines:
-            window, p = self.m_window[line], self.line_cells(line)
-            traffic_positive += int(np.count_nonzero(window > 0.0)) * len(self.months)
-            no_traffic += int(np.count_nonzero(window == 0.0)) * len(self.months)
+            p = self.line_cells(line)
+            traffic_positive += int(np.count_nonzero(self.m_window[line])) * len(self.months)
             for i, theta in enumerate((*thetas, 1.0)):
                 warned = _warned(p, theta)
                 above[i] += int(np.count_nonzero(warned))
                 if i == 0 and thetas:  # the first theta's mask also gives the warned km bins
                     warned_bins[line] = tuple(warned.any(axis=2).sum(axis=0).tolist())
         *warned, exceeds = above
-        flagged = {FLAG_NO_TRAFFIC: no_traffic, FLAG_EXCEEDS_UNITY: exceeds}
-        return _Census(self.n_cells(), traffic_positive, flagged, tuple(warned), warned_bins)
+        cells = self.n_cells()
+        flagged = {FLAG_NO_TRAFFIC: cells - traffic_positive, FLAG_EXCEEDS_UNITY: exceeds}
+        return _Census(cells, traffic_positive, flagged, tuple(warned), warned_bins)
 
     def warned_cells(self, theta: float) -> int:
         return self.census((theta,)).warned[0]
@@ -411,8 +409,17 @@ def _warned(p: np.ndarray, theta: float) -> np.ndarray:
         return p > theta
 
 
+def _threshold_values(thresholds) -> tuple[float, ...]:
+    """Each threshold as a float, by the rules of ``_positive``, if they are a collection."""
+    try:
+        values = tuple(thresholds)
+    except TypeError:  # one number, or a 0-d array, is not iterable
+        raise TypeError(f"thresholds must be a collection of numbers, got {thresholds!r}") from None
+    return tuple(_positive(theta, "thresholds") for theta in values)
+
+
 def _check_thresholds(thresholds) -> tuple[float, ...]:
-    out = tuple(sorted({_positive(th, "thresholds") for th in thresholds}))
+    out = tuple(sorted(set(_threshold_values(thresholds))))
     if not out:
         raise ValueError("at least one threshold is required")
     return out
@@ -471,7 +478,6 @@ def _build_grid(
         delta_x=delta_x,
         delta_t=delta_t,
         thresholds=thresholds,
-        n_t=n_t,
         x_first={line: lo for line, (lo, _) in spans.items()},
         temporal=temporal,
         spatial=spatial,

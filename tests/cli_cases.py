@@ -268,6 +268,16 @@ CASES: tuple[Case, ...] = (
         inputs={"doubled.json": tampered(("mu", "1"), lambda mu: mu * 2)},
         stderr_has=("error: doubled.json: ",),
     ),
+    # n and by_line are written beside the tables they sum, and must equal those sums
+    *(
+        Case(
+            f"warn-model-{name}-tampered",
+            ("warn", "--model", "tampered.json", "--traffic", TRAFFIC, "--out-dir", "."),
+            inputs={"tampered.json": tampered(("counts", *path), lambda count: count + 1)},
+            stderr="error: tampered.json: model document disagrees with its counts in ['counts']",
+        )
+        for name, path in (("count", ("n",)), ("line-count", ("by_line", "139")))
+    ),
     # 5e-324 days made a month of 0 days (ZeroDivisionError), 4e-322 a rate of inf
     *(
         Case(

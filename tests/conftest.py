@@ -79,7 +79,7 @@ def dataset_of(records, start: dt.date, end: dt.date) -> Dataset:
     records = tuple(records)
     if not records:
         no_ints = np.zeros(0, dtype=np.int64)
-        return Dataset(start, end, (), no_ints, np.zeros(0), no_ints, no_ints, no_ints, ())
+        return Dataset(start, end, (), no_ints, np.zeros(0), no_ints, no_ints, ())
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("date", "time", "line", "km", "species"))

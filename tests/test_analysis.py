@@ -709,9 +709,9 @@ def test_holdout_peak_memory_per_test_row(eval_grid, adjacent: bool) -> None:
     for blocks in (2, 8):
         n = blocks * analysis._BLOCK + 7
         codes, kms = rng.integers(0, len(names), n), rng.uniform(0.0, 45.0, n)
-        months, minutes = rng.integers(1, 13, n), rng.integers(0, 24 * 60, n)
-        days = np.full(n, PERIOD[0].toordinal())
-        test = Dataset(*PERIOD, names, codes, kms, months, minutes, days, ("",) * n)
+        minutes = rng.integers(0, 24 * 60, n)
+        days = rng.integers(PERIOD[0].toordinal(), PERIOD[1].toordinal() + 1, n)
+        test = Dataset(*PERIOD, names, codes, kms, minutes, days, ("",) * n)
         tracemalloc.start()
         try:
             report = evaluate_holdout(eval_grid, test, 0.001, include_adjacent=adjacent)

@@ -202,6 +202,13 @@ def test_values_no_float_or_cell_holds_are_value_errors(key: str, value, bundled
     assert type(error) is ValueError
 
 
+# one number where a collection of them is due was a bare "'float' object is not iterable"
+@pytest.mark.parametrize("value", [0.001, 1, True, np.float64(0.001), np.array(0.001)])
+def test_one_threshold_is_not_taken_for_a_collection_of_them(value, bundled) -> None:
+    with pytest.raises(TypeError, match=r"^thresholds must be a collection of numbers, got "):
+        sweep_all(bundled.model, bundled.traffic, DEFAULT_PROFILE, value)
+
+
 def test_a_huge_int_is_named_without_printing_it() -> None:
     for value in (10**5000, -(10**5000)):  # past the int-to-str digit limit of Python 3.11+
         with pytest.raises(ValueError, match="^delta_x must fit a float, got an int of 16610 bits$"):

@@ -1,9 +1,11 @@
 """The modules the package imports (numpy and a pinned set of the standard library), the
-public names it exports, and the standard-library-only imports of tests/cli_cases.py."""
+public names it exports with the constructor fields of its dataclasses, and the
+standard-library-only imports of tests/cli_cases.py."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -77,3 +79,38 @@ def test_the_package_exports_the_pinned_public_names() -> None:
     assert len(wildrail.__all__) == len(set(wildrail.__all__))
     assert set(wildrail.__all__) == PUBLIC
     assert all(hasattr(wildrail, name) for name in PUBLIC)
+
+
+# the constructor fields, in order, of every public dataclass; a field added,
+# removed, reordered or made derived (init=False) changes how callers build
+# one, and must be made here on purpose
+INIT_FIELDS = {
+    "BinConfig": ("delta_x", "delta_t"),
+    "CorrelationReport": ("n", "pearson", "spearman", "pairs"),
+    "Dataset": (
+        "period_start", "period_end", "line_names", "line_codes", "kms", "minutes", "dates", "species",
+    ),
+    "EvalReport": (
+        "theta", "hit_rate", "warned_fraction", "n_test", "n_mapped", "n_unmapped", "hits", "curve",
+        "include_adjacent",
+    ),
+    "FittedModel": ("counts", "seasons", "bins", "smoothing"),
+    "HexGrid": ("spacing", "lat0", "lon0", "cells"),
+    "LineGeometry": ("line", "vertices"),
+    "ModelCounts": ("total_days", "by_month", "by_season_tbin", "x_first", "by_line_xbin"),
+    "SeasonScheme": ("groups",),
+    "SpeedProfile": ("line", "intervals"),
+    "TrafficProfile": ("groups",),
+    "TrafficTable": ("x_first", "counts", "delta_x"),
+    "WarningGrid": ("delta_x", "delta_t", "thresholds", "x_first", "temporal", "spatial", "m_window"),
+}
+
+
+def test_the_public_dataclasses_take_the_pinned_fields() -> None:
+    classes = {name: getattr(wildrail, name) for name in PUBLIC}
+    fields = {
+        name: tuple(f.name for f in dataclasses.fields(cls) if f.init)
+        for name, cls in classes.items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    }
+    assert fields == INIT_FIELDS

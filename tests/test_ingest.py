@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, event, given, settings
+from hypothesis import Phase, event, example, given, settings
 from hypothesis import strategies as st
 
 import wildrail.model
@@ -155,7 +155,7 @@ def test_km_bin_counts_matches_record_loop_in_order(delta: float) -> None:
     codes[-1] = 4
     names = ("0", "1", "2", "3", "4")
     ints = np.ones(n, dtype=np.int64)
-    data = Dataset(*PERIOD, names, codes, kms, ints, ints, ints * PERIOD[0].toordinal(), ("",) * n)
+    data = Dataset(*PERIOD, names, codes, kms, ints, ints * PERIOD[0].toordinal(), ("",) * n)
     loop: dict[str, dict[int, int]] = {}
     for code, km in zip(codes.tolist(), kms.tolist()):
         bins = loop.setdefault(names[code], {})
@@ -203,13 +203,11 @@ def test_dataset_refuses_columns_parsing_never_gives(bundled_data) -> None:
         # fit, IndexError, and a numpy broadcast error
         ({"line_names": (*names, "zzz")}, "line_names entry 'zzz' has no record"),
         ({"line_codes": data.line_codes + 5}, f"line_codes must lie in 0..{len(names) - 1}"),
-        ({"months": data.months[:-1]}, f"months holds {data.n - 1} entries, line_codes {data.n}"),
+        ({"minutes": data.minutes[:-1]}, f"minutes holds {data.n - 1} entries, line_codes {data.n}"),
         ({"species": data.species + ("",)}, f"species holds {data.n + 1} entries"),
         ({"line_names": names[::-1]}, "line_names must be distinct and sorted"),
         ({"line_names": (names[0], *names)}, "line_names must be distinct and sorted"),
         ({"line_codes": data.line_codes - 1}, "line_codes must lie in"),
-        ({"months": data.months % 12}, "months must lie in 1..12"),
-        ({"months": data.months + 1}, "months must lie in 1..12"),
         ({"minutes": data.minutes + 1440}, "minutes must lie in 0..1439"),
         ({"minutes": data.minutes - 1440}, "minutes must lie in 0..1439"),
         ({"kms": with_km(data, -0.5)}, "kms must lie in 0.0.."),
@@ -221,6 +219,23 @@ def test_dataset_refuses_columns_parsing_never_gives(bundled_data) -> None:
             dataclasses.replace(data, **changes)
     # -0.0 is a km parse_accidents accepts
     assert dataclasses.replace(data, kms=with_km(data, -0.0)).n == data.n
+    # the months are derived from the dates, so they cannot be passed in
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(data, months=np.full(data.n, 7))
+    with pytest.raises(ValueError, match="read-only"):
+        data.months[0] = 7
+
+
+@settings(max_examples=200)
+@given(dates=st.lists(st.dates(), min_size=1, max_size=50))
+@example(dates=[dt.date.min, dt.date.max])  # ordinals 1 and 3,652,059
+@example(dates=[dt.date(1600, 2, 29), dt.date(1900, 2, 28), dt.date(2000, 2, 29), dt.date(2024, 2, 29)])
+def test_dataset_months_are_the_months_of_its_dates(dates: list[dt.date]) -> None:
+    n = len(dates)
+    ordinals = np.array([date.toordinal() for date in dates], dtype=np.int64)
+    no_ints = np.zeros(n, dtype=np.int64)
+    data = Dataset(dt.date.min, dt.date.max, ("1",), no_ints, np.zeros(n), no_ints, ordinals, ("",) * n)
+    assert data.months.tolist() == [dt.date.fromordinal(d).month for d in ordinals.tolist()]
 
 
 # --- accident CSV ---
@@ -268,7 +283,7 @@ def test_records_stream_in_memory_of_one_block() -> None:
     days = rng.integers(PERIOD[0].toordinal(), PERIOD[1].toordinal() + 1, n)
     data = Dataset(
         *PERIOD, names, rng.permutation(np.arange(n) % len(names)), rng.uniform(0.0, 400.0, n),
-        rng.integers(1, 13, n), rng.integers(0, 24 * 60, n), days, ("roe deer", "") * (n // 2),
+        rng.integers(0, 24 * 60, n), days, ("roe deer", "") * (n // 2),
     )
     tracemalloc.start()
     try:
@@ -1028,6 +1043,8 @@ def test_parse_traffic_sums_duplicates() -> None:
     assert table.x_first == {"139": 2, "1": 0}
     assert table.counts["139"].tolist() == [131.0] and table.counts["1"].tolist() == [80.0]
     assert table == traffic_of({("139", 2): 131.0, ("1", 0): 80.0})
+    with pytest.raises(ValueError, match="read-only"):
+        table.counts["139"][0] = -5.0  # the runs are read-only, so no rule can be broken after
 
 
 def test_parse_traffic_refuses_counts_that_sum_to_inf() -> None:

@@ -321,16 +321,16 @@ def broken_counts(c) -> list[tuple[dict, str]]:
     sums = "monthly and per-line counts must both sum"
     seasons, lines = "hour-bin counts must cover exactly", "km-bin counts must cover exactly"
     off_hours = "hour-bin counts of season 'short' disagree"
-    off_count = "km-bin counts of line '139' disagree"
     one_run = "km-bin counts of line '139' must be one run"
+    no_months = dict.fromkeys(c.by_month, 0)
     return [
         ({"total_days": 0.0}, "total_days must be positive and finite"),
         ({"total_days": math.inf}, "total_days must be positive and finite"),
         ({"by_month": {m: v for m, v in c.by_month.items() if m != 12}}, "monthly counts must cover"),
         ({"by_month": {**c.by_month, 1: -c.by_month[1]}}, "monthly counts must cover"),
-        ({"n": c.n + 1}, sums),
-        ({"by_line": {**c.by_line, "139": c.by_line["139"] + 1}}, sums),
-        ({"n": 0, "by_month": dict.fromkeys(c.by_month, 0), "by_line": dict.fromkeys(c.by_line, 0)}, sums),
+        ({"by_month": {**c.by_month, 1: c.by_month[1] + 1}}, sums),
+        ({"by_month": no_months}, sums),
+        ({"by_month": no_months, "x_first": {}, "by_line_xbin": {}}, sums),
         ({"by_season_tbin": {k: v for k, v in c.by_season_tbin.items() if k != "short"}}, seasons),
         ({"by_season_tbin": {**c.by_season_tbin, "spare": hours}}, seasons),
         (hour_run(hours[:-1]), off_hours),
@@ -342,8 +342,8 @@ def broken_counts(c) -> list[tuple[dict, str]]:
         (km_run(()), one_run),
         (km_run((0, *kms)), one_run),
         (km_run((*kms, 0)), one_run),
-        (km_run((kms[0] + 1, *kms[1:])), off_count),
-        (km_run((kms[0] + kms[1] + 1, -1, *kms[2:])), off_count),
+        (km_run((kms[0] + 1, *kms[1:])), sums),
+        (km_run((kms[0] + kms[1] + 1, -1, *kms[2:])), one_run),
     ]
 
 
@@ -368,8 +368,8 @@ def test_model_tables_and_counts_are_read_only(bundled_data) -> None:
     with pytest.raises(TypeError):
         model.mu[2] = 99.0
     counts = model.counts
-    for table in (counts.by_month, counts.by_season_tbin, counts.by_line, counts.x_first,
-                  counts.by_line_xbin, model.mu, model.p_time, model.p_line, model.p_segment):
+    for table in (counts.by_month, counts.by_season_tbin, counts.x_first, counts.by_line_xbin,
+                  model.mu, model.p_time, model.p_line, model.p_segment):
         key = next(iter(table))
         with pytest.raises(TypeError):
             table[key] = table[key]
@@ -377,10 +377,10 @@ def test_model_tables_and_counts_are_read_only(bundled_data) -> None:
             del table[key]
     assert model_to_json(model) == text
     # the counts keep a copy of the tables they are given
-    by_line = dict(counts.by_line)
-    kept = dataclasses.replace(counts, by_line=by_line)
-    by_line["139"] += 1
-    assert kept.by_line == counts.by_line
+    by_month = dict(counts.by_month)
+    kept = dataclasses.replace(counts, by_month=by_month)
+    by_month[1] += 1
+    assert kept.by_month == counts.by_month
     assert model_to_json(FittedModel(kept, model.seasons, model.bins)) == text
     # a mappingproxy cannot be pickled; the model and its counts still can
     for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
@@ -410,6 +410,17 @@ def test_season_counts_sum_their_months(bundled_model) -> None:
         label: sum(counts.by_month[m] for m in months)
         for label, months in bundled_model.seasons.groups.items()
     }
+
+
+def test_the_count_totals_are_the_records_counted(bundled_data, bundled_model) -> None:
+    counts = bundled_model.counts
+    assert counts.n == bundled_data.n == 877
+    names, codes = bundled_data.line_names, bundled_data.line_codes.tolist()
+    assert counts.by_line == {line: codes.count(i) for i, line in enumerate(names)}
+    # n and by_line are sums of the tables, so they cannot be passed in
+    for name in ("n", "by_line"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(counts, **{name: getattr(counts, name)})
 
 
 # --- serialization ---

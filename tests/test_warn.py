@@ -569,7 +569,7 @@ def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
 def one_bin_grid(**changes) -> dict:
     """The fields of a valid grid of one line, one km bin and one hour bin, with ``changes``."""
     fields = {
-        "delta_x": 5.0, "delta_t": 24.0, "thresholds": (0.001,), "n_t": 1, "x_first": {"a": 0},
+        "delta_x": 5.0, "delta_t": 24.0, "thresholds": (0.001,), "x_first": {"a": 0},
         "temporal": np.full((12, 1), 0.5), "spatial": {"a": np.array([1.0])},
         "m_window": {"a": np.array([[2.0]])},
     }
@@ -585,7 +585,7 @@ BAD_GRIDS = {
         one_bin_grid(spatial={"a": np.array([np.nan])}, m_window={"a": np.array([[-1.0]])})),
     "line b without tables": (
         ValueError, r"spatial must name the lines of x_first in its order \['a', 'b'\]",
-        one_bin_grid(x_first={"a": 0, "b": 0}, temporal=np.full((5, 2), 0.5), n_t=3,
+        one_bin_grid(x_first={"a": 0, "b": 0}, temporal=np.full((5, 2), 0.5),
                      m_window={"a": np.array([[2.0, 2.0]])})),
     "m_window lines in another order": (
         ValueError, "m_window must name the lines of x_first",
@@ -619,10 +619,6 @@ BAD_GRIDS = {
         one_bin_grid(delta_x=-5.0, thresholds=(0.002, 0.001, 0.001), x_first={"a": -3})),
     "delta_t not dividing the day": (
         ValueError, "delta_t=7.0 must divide 24 hours", one_bin_grid(delta_t=7.0)),
-    "n_t not the hour bins of delta_t": (
-        ValueError, r"n_t must be the int 1, the hour bins of delta_t=24.0, got 2",
-        one_bin_grid(n_t=2, temporal=np.full((12, 2), 0.5), m_window={"a": np.ones((1, 2))})),
-    "n_t of a bool": (ValueError, "n_t must be the int 1, .* got True", one_bin_grid(n_t=True)),
     "thresholds out of order": (
         ValueError, r"thresholds must be sorted and distinct, got \(0.002, 0.001\)",
         one_bin_grid(thresholds=(0.002, 0.001))),
@@ -635,6 +631,8 @@ BAD_GRIDS = {
         ValueError, "thresholds must be positive and finite, got inf", one_bin_grid(thresholds=(math.inf,))),
     "threshold of a string": (
         TypeError, "thresholds must be an integer or a float", one_bin_grid(thresholds=("0.001",))),
+    "one threshold, not a collection of them": (
+        TypeError, "thresholds must be a collection of numbers, got 0.001", one_bin_grid(thresholds=0.001)),
     "negative x_first": (
         ValueError, r"x_first\['a'\] must be an int >= 0, got -3", one_bin_grid(x_first={"a": -3})),
     "x_first of a float": (
@@ -661,6 +659,11 @@ def test_a_valid_grid_builds_from_its_factors_without_copying_them() -> None:
     grid = WarningGrid(**one_bin_grid(thresholds=(np.float64(0.001), 1)))
     assert grid.thresholds == (0.001, 1.0) and {type(theta) for theta in grid.thresholds} == {float}
     assert pickle.loads(pickle.dumps(grid)).thresholds == grid.thresholds
+    # n_t is the hour bins of delta_t, so it cannot be passed in
+    eight_hours = {"delta_t": 8.0, "temporal": np.ones((12, 3)), "m_window": {"a": np.ones((1, 3))}}
+    assert grid.n_t == 1 and dataclasses.replace(grid, **eight_hours).n_t == 3
+    with pytest.raises(TypeError):
+        WarningGrid(**one_bin_grid(n_t=1))
 
 
 # factors whose products and quotients are exact, so cells tie with thresholds
@@ -684,7 +687,7 @@ def test_grids_built_from_drawn_factors_agree_with_the_cell_loops(
 
     n_x = {line: data.draw(st.integers(1, 4)) for line in lines}
     probe = WarningGrid(
-        delta_x=5.0, delta_t=delta_t, thresholds=(), n_t=n_t,
+        delta_x=5.0, delta_t=delta_t, thresholds=(),
         x_first={line: data.draw(st.integers(0, 3)) for line in lines},
         temporal=factors(12, n_t),
         spatial={line: factors(n_x[line]) for line in lines},
