@@ -15,20 +15,23 @@ are ignored, so one config file can serve every command.
 Exit codes: 0 success, 1 undefined correlation, 2 input error (missing or
 malformed files, bad flags or config values), with one ``error:`` line on
 stderr.  An error in an input file names the file first: ``error: <path>:
-...``.
+...``, and so does an output that cannot be written.  A failed run leaves no
+output behind: a command opens all its outputs before it writes one, and
+removes what it made if any of them fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import calendar
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
 import json
 import os
 import sys
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from .analysis import (
     UndefinedCorrelationError,
@@ -95,16 +98,42 @@ def _parse(path: str, parse: Callable[..., Any], *args: Any) -> Any:
         raise
 
 
-def _open_out(path: str) -> TextIO:
-    """``path`` opened for writing UTF-8 text, its parent directories created."""
+def _open_out(path: str, made: list[str]) -> TextIO:
+    """``path`` opened for writing UTF-8 text, its missing parent directories created;
+    each directory and then the file go on ``made`` once made.  Its errors name the file."""
+    missing = []
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="")
+    while parent and not os.path.lexists(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
+    try:
+        for directory in reversed(missing):
+            os.mkdir(directory)
+            made.append(directory)
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
+    made.append(path)
+    return fh
+
+
+@contextlib.contextmanager
+def _outputs(*paths: str) -> Iterator[list[TextIO]]:
+    """Every one of ``paths`` opened by ``_open_out`` before the body runs; if an open
+    fails or the body raises, the files and directories made here are removed."""
+    made: list[str] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(_open_out(path, made)) for path in paths]
+    except BaseException:
+        for name in reversed(made):
+            with contextlib.suppress(OSError):
+                (os.rmdir if os.path.isdir(name) else os.remove)(name)
+        raise
 
 
 def _write_text(path: str, text: str) -> None:
-    with _open_out(path) as fh:
+    with _outputs(path) as (fh,):
         fh.write(text)
 
 
@@ -251,13 +280,6 @@ def _out_path(opts: argparse.Namespace, filename: str) -> str:
     return os.path.join(opts.out_dir, filename)
 
 
-def _write_csv(opts: argparse.Namespace, filename: str, header: list[str], rows) -> None:
-    with _open_out(_out_path(opts, filename)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_fit(opts: argparse.Namespace) -> int:
     data = _load_dataset(_require(opts, "accidents"), opts)
     total_days = count_days(data.period_start, data.period_end, opts.days_per_year)
@@ -306,28 +328,30 @@ def cmd_warn(opts: argparse.Namespace) -> int:
         grid, geometries, theta_map, month=opts.month, hour=opts.hour
     )
     census = grid.census()
-    exceeds = census.flagged[FLAG_EXCEEDS_UNITY]
-    if exceeds:
-        print(
-            f"warning: {exceeds} cells have p_pt > 1 ({FLAG_EXCEEDS_UNITY});"
-            " check the traffic table",
-            file=sys.stderr,
-        )
-    no_traffic = census.flagged[FLAG_NO_TRAFFIC]
-    if no_traffic > census.cells / 2:
-        print(
-            f"warning: {no_traffic} of {census.cells} cells have no trains ({FLAG_NO_TRAFFIC});"
-            " check the traffic table",
-            file=sys.stderr,
-        )
-    csv_path = _out_path(opts, "warnings.csv")
-    with _open_out(csv_path) as fh:
-        warnings_to_csv(grid, fh)
-    print(f"warning grid written to {csv_path}")
+    paths = [_out_path(opts, "warnings.csv")]
     if geojson is not None:
-        geo_path = _out_path(opts, "warnings.geojson")
-        _write_text(geo_path, geojson)
-        print(f"warned segments written to {geo_path}")
+        paths.append(_out_path(opts, "warnings.geojson"))
+    with _outputs(*paths) as files:
+        exceeds = census.flagged[FLAG_EXCEEDS_UNITY]
+        if exceeds:
+            print(
+                f"warning: {exceeds} cells have p_pt > 1 ({FLAG_EXCEEDS_UNITY});"
+                " check the traffic table",
+                file=sys.stderr,
+            )
+        no_traffic = census.flagged[FLAG_NO_TRAFFIC]
+        if no_traffic > census.cells / 2:
+            print(
+                f"warning: {no_traffic} of {census.cells} cells have no trains"
+                f" ({FLAG_NO_TRAFFIC}); check the traffic table",
+                file=sys.stderr,
+            )
+        warnings_to_csv(grid, files[0])
+        if geojson is not None:
+            files[1].write(geojson)
+    print(f"warning grid written to {paths[0]}")
+    if geojson is not None:
+        print(f"warned segments written to {paths[1]}")
     _print_warn_summary(grid, census)
     return 0
 
@@ -353,9 +377,13 @@ def cmd_profile(opts: argparse.Namespace) -> int:
     seasons = opts.seasons
     species = species_profile(data)
     hourly = hourly_profile(data, seasons)
-    _write_csv(opts, "species.csv", ["species", "count"], species.items())
     hourly_rows = [(label, h, hourly[(label, h)]) for label in seasons.labels for h in range(24)]
-    _write_csv(opts, "hourly.csv", ["season", "hour", "count"], hourly_rows)
+    tables = ((["species", "count"], species.items()), (["season", "hour", "count"], hourly_rows))
+    with _outputs(_out_path(opts, "species.csv"), _out_path(opts, "hourly.csv")) as files:
+        for fh, (header, rows) in zip(files, tables):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
     print(f"records: {data.n}")
     print("most frequent species:")
     for name, count in list(species.items())[:5]:

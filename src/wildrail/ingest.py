@@ -10,7 +10,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -101,6 +102,16 @@ def _real_array(values, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` when neither it nor the array that owns its memory is writable, else a
+    read-only copy, so no one can change what a table has checked."""
+    owner = arr if arr.base is None else arr.base
+    if arr.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def bin_index(value: float, delta: float) -> int:
     """Index k of the bin [k*delta, (k+1)*delta) holding ``value``, as ``_bin_floor`` finds it;
     a ValueError where there is no finite index (NaN, infinite or too large a value) or
@@ -158,17 +169,20 @@ class Dataset:
     stated even when no accident falls on its first or last day.
     ``__post_init__`` holds the rules ``parse_accidents`` gives its datasets
     for ``dataclasses.replace`` of one too, with a ValueError naming the
-    field at fault: columns of equal length, every date inside the period,
-    and the column rules below.
+    field at fault (a TypeError for a column of the wrong kind): columns of
+    equal length, every date inside the period, and the column rules below.
 
     The columns hold one entry per record, in input order: ``line_codes``
     indexes ``line_names`` (the distinct lines, sorted, each with a record);
     ``kms`` (finite, >= 0), ``minutes`` (since midnight) and ``dates``
-    (``date.toordinal()``) are read-only numpy arrays, and so is ``months``
-    (1..12), which is derived from ``dates``; ``species`` is a tuple of
-    str.  ``records`` reads the columns back as AccidentRecord named tuples:
-    each access returns a new one-pass iterator, so wrap it in ``tuple()``
-    to keep or index the records.
+    (``date.toordinal()``) are numpy arrays, ``kms`` of floats and the
+    others of integers, and ``months`` (1..12) is derived from ``dates``;
+    ``species`` is a tuple of str.  Every array is read-only: a column is
+    kept as given when neither it nor the array that owns its memory is
+    writable, as ``parse_accidents`` gives them, and copied otherwise, so no
+    one can change a checked column.  ``records`` reads the columns back as
+    AccidentRecord named tuples: each access returns a new one-pass
+    iterator, so wrap it in ``tuple()`` to keep or index the records.
     Datasets compare and hash by identity.
     """
 
@@ -183,6 +197,12 @@ class Dataset:
     months: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        for name, kinds in (("line_codes", "iu"), ("kms", "f"), ("minutes", "iu"), ("dates", "iu")):
+            column = np.asarray(getattr(self, name))
+            if column.dtype.kind not in kinds:
+                kind = "floats" if kinds == "f" else "integers"
+                raise TypeError(f"{name} must hold {kind}, got dtype {column.dtype}")
+            object.__setattr__(self, name, _read_only(column))
         start, end = self.period_start, self.period_end
         if end < start:
             raise ValueError("period_end precedes period_start")
@@ -685,27 +705,39 @@ class TrafficTable:
     [k * delta_x, (k + 1) * delta_x); bins off a line's run count as zero.
     ``x_first`` values must be plain non-negative ints, so a start such as
     10.0 is not read as bin 10, and runs 1-D arrays of finite, non-negative
-    counts.  Tables are equal when their bin widths and runs are.
+    counts.  ``x_first`` and ``counts`` are kept as read-only mappings, and
+    a run as given when neither it nor the array that owns its memory is
+    writable, as ``parse_traffic`` gives them, else as a read-only copy, so
+    no one can change a checked count.  Tables are equal when their bin
+    widths and runs are.
     """
 
-    x_first: dict[str, int]
-    counts: dict[str, np.ndarray]
+    x_first: Mapping[str, int]
+    counts: Mapping[str, np.ndarray]
     delta_x: float
 
     def __post_init__(self) -> None:
         _positive(self.delta_x, "delta_x")
         if self.x_first.keys() != self.counts.keys():
             raise ValueError("x_first and counts must name the same lines")
+        counts = {}
         for line, run in self.counts.items():
             k = self.x_first[line]
             if type(k) is not int or k < 0:
                 raise ValueError(f"km bin {k!r} on line {line} must be a non-negative int index")
             if not isinstance(run, np.ndarray) or run.ndim != 1:
                 raise ValueError(f"counts of line {line} must be a 1-D numpy array")
+            counts[line] = run = _read_only(run)
             bad = np.flatnonzero(~((run >= 0) & (run < math.inf)))
             if bad.size:
                 value, kind = float(run[bad[0]]), "negative" if run[bad[0]] < 0 else "non-finite"
                 raise ValueError(f"{kind} count {value} on line {line} in km bin {k + int(bad[0])}")
+        object.__setattr__(self, "x_first", MappingProxyType(dict(self.x_first)))
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
+        return type(self), (dict(self.x_first), dict(self.counts), self.delta_x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrafficTable):

@@ -219,7 +219,10 @@ class FittedModel:
             raise ValueError("km-bin counts must cover exactly the lines of x_first")
         p_segment: dict[str, tuple[float, ...]] = {}
         for line, run in counts.by_line_xbin.items():
-            if counts.x_first[line] < 0 or not run or run[0] == 0 or run[-1] == 0 or min(run) < 0:
+            first = counts.x_first[line]
+            if type(first) is not int or first < 0:
+                raise ValueError(f"x_first[{line!r}] must be an int >= 0, got {first!r}")
+            if not run or run[0] == 0 or run[-1] == 0 or min(run) < 0:
                 raise ValueError(
                     f"km-bin counts of line {line!r} must be one run of {self.bins.delta_x} km bins"
                     " of counts >= 0 with records in both end bins"
@@ -416,10 +419,10 @@ def model_from_json(text: str) -> FittedModel:
 
 def _bin_run(table: dict, delta: float) -> tuple[int, tuple[int, ...]]:
     """The first bin index and the counts of a document table keyed by bin start;
-    (-1, ()) unless the keys are one gap-free run of bins."""
+    (0, ()) unless the keys are one gap-free run of bins."""
     indexed = {_grid_index(float(start), delta): int(count) for start, count in table.items()}
     if not indexed or None in indexed or max(indexed) - min(indexed) + 1 != len(indexed):
-        return -1, ()
+        return 0, ()
     first = min(indexed)
     return first, tuple(indexed[i] for i in range(first, first + len(indexed)))
 
@@ -427,7 +430,7 @@ def _bin_run(table: dict, delta: float) -> tuple[int, tuple[int, ...]]:
 def _read_counts(raw: dict, bins: BinConfig) -> ModelCounts:
     """The counts of a model document, each bin table read as a run of bins.
 
-    Keys off the grid or with a gap give a km run ``-1, ()`` and an hour run
+    Keys off the grid or with a gap give a km run ``0, ()`` and an hour run
     ``()``, as does an hour run not starting at bin 0; FittedModel refuses both.
     """
     by_season_tbin = {}

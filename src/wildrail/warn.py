@@ -32,7 +32,7 @@ from typing import ClassVar, Mapping, Sequence, TextIO
 import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, _bin_floor, _grid_index, bin_index, km_to_geo
-from .ingest import _positive, _real, _real_array
+from .ingest import _positive, _read_only, _real, _real_array
 from .model import MONTHS, BinConfig, FittedModel, _check_grid_size
 
 __all__ = [
@@ -214,8 +214,9 @@ class WarningGrid:
     theta, ``no_traffic`` where ``m_window[xi, ti]`` is 0 and
     ``exceeds_unity`` where p_pt > 1.  ``census`` counts the cells per flag
     and warned per threshold in one read of each line.  The per-line tables
-    are read-only mappings and every stored array is a read-only view, so
-    the caller's own arrays keep their flags.
+    are read-only mappings.  An array is kept as given when neither it nor
+    the array that owns its memory is writable, as ``sweep_all`` gives
+    them, else as a read-only copy, so no one can change a checked factor.
 
     A grid is refused unless ``sweep_all`` could have built it: ``spatial``
     and ``m_window`` name the lines of ``x_first`` (at least one) in its
@@ -378,10 +379,10 @@ class WarningGrid:
 
 
 def _factor(values, name: str) -> np.ndarray:
-    """A read-only view of ``values`` as floats (a float array is not copied and keeps its
-    own flags); a TypeError naming ``name`` unless they are ints or floats, and a
-    ValueError naming it unless every entry is finite and >= 0."""
-    arr = _real_array(values, name)
+    """``values`` as floats, read-only by the rule of ``_read_only``; a TypeError naming
+    ``name`` unless they are ints or floats, and a ValueError naming it unless every
+    entry is finite and >= 0."""
+    arr = _read_only(_real_array(values, name))
     if arr.size:
         # min is NaN where any entry is; two reductions, no temporary array
         with np.errstate(invalid="ignore"):
@@ -389,9 +390,7 @@ def _factor(values, name: str) -> np.ndarray:
         if not (low >= 0.0 and high < math.inf):
             bad = low if not low >= 0.0 else high
             raise ValueError(f"{name} entries must be finite and >= 0, got {bad!r}")
-    view = arr.view()
-    view.setflags(write=False)
-    return view
+    return arr
 
 
 def _p_pt(temporal: np.ndarray, spatial: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -473,6 +472,8 @@ def _build_grid(
         spatial[line] = segment * model.p_line.get(line, 0.0)
         m_vec = _bins(traffic.counts.get(line, ()), traffic.x_first.get(line, 0), lo, hi)
         m_window[line] = (m_vec[:, None] * alpha_vec[None, :]) * delta_t  # (n_x, n_t)
+    for factor in (temporal, *spatial.values(), *m_window.values()):
+        factor.setflags(write=False)  # so the grid keeps them without a copy
 
     return WarningGrid(
         delta_x=delta_x,

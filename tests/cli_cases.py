@@ -22,7 +22,10 @@ This reports every failing case, with its exit code and stderr, and exits 1
 if any failed.  It imports the standard library only, so it runs where the
 package is installed without test extras.  ``tests/test_cli.py`` runs the
 same table through ``wildrail.cli.main`` in the test process
-(``in_process``).  A new command-line rule is one more ``Case``.
+(``in_process``).  Every command-line refusal is a ``Case`` here, and a new
+command-line rule is one more; ``tests/test_cli.py`` keeps only what a case
+cannot check: the contents of outputs, the option table, bounds it
+monkeypatches, and generated inputs.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -46,6 +50,7 @@ DATA = ROOT / "data"
 GOLDEN = ROOT / "demos" / "output"
 
 ACCIDENTS = str(DATA / "accidents_2020_2022.csv")
+TEST = str(DATA / "accidents_2023_test.csv")
 TRAFFIC = str(DATA / "traffic.csv")
 SPEEDS = str(DATA / "speeds.csv")
 GEOMETRY = str(DATA / "lines.geojson")
@@ -107,11 +112,11 @@ def long_log(quote_last: bool) -> Callable[[], bytes]:
     return build
 
 
-def tampered(path: tuple[str, ...], change: Callable[[Any], Any]) -> Callable[[], bytes]:
-    """The committed model.json with ``change`` applied to the value at ``path``."""
+def tampered(source: str, path: tuple, change: Callable[[Any], Any]) -> Callable[[], bytes]:
+    """The JSON file ``source`` with ``change`` applied to the value at ``path``."""
 
     def build() -> bytes:
-        doc = json.loads(Path(MODEL).read_text(encoding="utf-8"))
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
@@ -148,6 +153,20 @@ class Case:
     limit: float = 20.0
 
 
+def refused(name: str, argv: tuple[str, ...], option: str, flags=(), configs=()) -> tuple[Case, ...]:
+    """``argv`` refused with each of ``flags`` as ``--option=value`` and each of ``configs``
+    as the option's value in a config file."""
+    key = option.replace("-", "_")
+    return (
+        *(Case(f"{name}-{option}-{value}", (*argv, f"--{option}={value}")) for value in flags),
+        *(
+            Case(f"{name}-config-{key}-{json.dumps(value)}", (*argv, "--config", "config.json"),
+                 inputs={"config.json": literal(json.dumps({key: value}))})
+            for value in configs
+        ),
+    )
+
+
 def far_traffic(km: str) -> dict[str, Callable[[], bytes]]:
     """far.csv: the bundled traffic and one train a day at ``km`` on line 139, its row 39."""
     return {"far.csv": appended(TRAFFIC, f"139,{km},1")}
@@ -170,17 +189,35 @@ def map_filter(name: str, *flags: str, config: dict | None = None, far: bool = F
 
 def hexmap(spacing: str) -> tuple[str, ...]:
     return ("map", "--accidents", ACCIDENTS, *PERIOD, "--geometry", GEOMETRY,
-            "--spacing", spacing, "--out-dir", ".")
+            f"--spacing={spacing}", "--out-dir", ".")
 
 
 def fit(accidents: str, *flags: str) -> tuple[str, ...]:
     return ("fit", "--accidents", accidents, *PERIOD, *flags)
 
 
+FIT = fit(ACCIDENTS, "--out-dir", "out")
+WARN = ("warn", "--model", MODEL, "--traffic", TRAFFIC, "--out-dir", "out")
+EVAL = ("eval", "--model", MODEL, "--traffic", TRAFFIC, "--test", TEST, "--out-dir", "out")
+MAP = ("map", "--accidents", ACCIDENTS, "--out-dir", "out")
+
 PAST_ANY_GRID = (
     "error: far.csv: line 39: traffic spans 1,000,000,026 km bins of 5.0 km,"
     " more than the 4,166,666 that a 50,000,000-cell grid holds"
 )
+
+# each input file option, and a command that reads it with its other inputs
+FILE_OPTIONS = {
+    "accidents": ("profile", *PERIOD),
+    "test": ("eval", "--model", MODEL, "--traffic", TRAFFIC),
+    "traffic": ("eval", "--model", MODEL, "--test", TEST),
+    "speeds": ("corr", "--accidents", ACCIDENTS, *PERIOD, "--traffic", TRAFFIC),
+    "geometry": ("map", "--accidents", ACCIDENTS, *PERIOD),
+    "model": ("warn", "--traffic", TRAFFIC),
+    "config": ("fit", "--accidents", ACCIDENTS, *PERIOD),
+}
+# a file every reader rejects: a CSV row, not JSON, against no header a reader expects
+MALFORMED = {"text": b"line,km_from,km_to\n1,0,x\n", "bytes": b"\xff\xfe\n", "missing": None}
 
 CASES: tuple[Case, ...] = (
     # an input file every reader refuses is named first on the one error line
@@ -203,18 +240,98 @@ CASES: tuple[Case, ...] = (
         inputs={"bad.csv": literal(b"\xff\xfe\n")},
         stderr_has=("error: bad.csv: ",),
     ),
+    *(
+        Case(
+            f"{argv[0]}-{option}-{content}",
+            (*argv, f"--{option}", "bad.input", "--out-dir", "out"),
+            inputs={} if data is None else {"bad.input": literal(data)},
+            stderr_has=("error: bad.input: ",),
+        )
+        for option, argv in FILE_OPTIONS.items()
+        for content, data in MALFORMED.items()
+    ),
+    Case(
+        "fit-malformed-row",
+        fit("bad.csv"),
+        inputs={"bad.csv": literal("date,time,line,km,species\n2020-01-01,25:00,139,1.0,\n")},
+        stderr_has=("error: bad.csv: line 2: ",),
+    ),
+    # a field over csv.field_size_limit() on the third line
+    *(
+        Case(
+            f"{argv[0]}-field-over-the-csv-limit",
+            (*argv, "--out-dir", "out"),
+            inputs={"bad.csv": literal(f"{header}\n{row.format('')}\n{row.format('x' * 200_000)}\n")},
+            stderr=f"error: bad.csv: line 3: field larger than field limit ({csv.field_size_limit()})",
+        )
+        for argv, header, row in (
+            (("profile", "--accidents", "bad.csv", *PERIOD), "date,time,line,km,species",
+             "2020-01-01,10:00,139,1.0,{}"),
+            (("eval", "--model", MODEL, "--traffic", "bad.csv", "--test", TEST),
+             "line,km_from,count", "139,0,10{}"),
+        )
+    ),
+    # missing, half-given or malformed options
+    Case("fit-without-accidents", ("fit", "--out-dir", "out")),
+    Case("fit-accidents-not-found", ("fit", "--accidents", "nope.csv")),
+    Case("fit-period-start-alone", ("fit", "--accidents", ACCIDENTS, "--period-start", "2020-01-01")),
+    Case("fit-seasons-leave-months-out", fit(ACCIDENTS, "--seasons", "odd=1,2")),
+    Case("fit-period-end-not-a-date", fit(ACCIDENTS, "--period-end", "soon")),
+    Case("warn-without-traffic", ("warn", "--model", MODEL, "--out-dir", "out"),
+         stderr="error: missing required option --traffic"),
+    # date.fromisoformat reads the first two from Python 3.11 on
+    *(
+        Case(
+            f"fit-period-start-{value}",
+            ("fit", "--accidents", ACCIDENTS, "--period-start", value, "--period-end", "2022-12-31",
+             "--out-dir", "out"),
+            stderr=f"error: --period-start: must be YYYY-MM-DD, got {value!r}",
+        )
+        for value in ("20200101", "2020-W01-3", "2020-1-01", "\uff12020-01-01")
+    ),
+    # a reversed period is refused before the accident file is read
+    *(
+        Case(
+            f"{command}-reversed-period{suffix}",
+            (command, "--accidents", accidents, "--period-start", "2022-01-01",
+             "--period-end", "2020-01-01", "--out-dir", "out"),
+            stderr="error: --period-end 2020-01-01 precedes --period-start 2022-01-01",
+        )
+        for command, accidents, suffix in (("fit", ACCIDENTS, ""),
+                                           ("fit", "missing.csv", "-of-a-missing-file"),
+                                           ("profile", ACCIDENTS, ""))
+    ),
+    # 24 h or a km post over 1e-320 is not a finite bin count; 24 h over 1e-300
+    # is a whole number, of bins far shorter than a minute
+    *refused("fit", FIT, "delta-t", ("1e-320", "1e-300"), (1e-320, 1e-300)),
+    *refused("fit", FIT, "delta-x", ("1e-320",), (1e-320,)),
     # 1e-9 km bins would span each bundled line with some 1e10 bins
     Case(
         "fit-bin-width-too-fine",
         fit(ACCIDENTS, "--delta-x", "1e-9", "--out-dir", "."),
         stderr_has=("error: line '1' spans km ", "warning grid would exceed 50,000,000 cells"),
     ),
+    *refused("warn", WARN, "thresholds",
+             ("0.002,0.001", "0", "abc", "nan", "inf", "0.001,inf", "-inf"), (5,)),
+    *refused("warn", (*WARN, "--geometry", GEOMETRY), "theta-map",
+             ("nan", "inf", "-inf", "0", "-1", "-0.0", "-1e-300"), (math.nan, math.inf, 0, -1, -0.001)),
+    *refused("eval", EVAL, "theta", ("nan", "inf", "-inf"), (math.nan, math.inf, "nan")),
+    *refused("eval", EVAL, "adjacent", configs=("no", "false", 0, 1, None, [])),
+    # --theta-map, --month and --hour only shape warnings.geojson, so they need --geometry
+    *refused("warn-no-geometry", WARN, "theta-map", ("0.001",), (0.001,)),
+    *refused("warn-no-geometry", WARN, "month", ("1",), (1,)),
+    *refused("warn-no-geometry", WARN, "hour", ("3",), (3,)),
+    Case("warn-no-geometry-all-map-options",
+         (*WARN, "--month", "1", "--theta-map", "0.001", "--hour", "3")),
+    Case("warn-no-geometry", WARN, code=0, written=("out/warnings.csv",)),
     # outside 1e-6..1e6 km, and from 1e4 km on, where a hexagon of the bundled
     # map would reach past lat 90, map exits 2 and writes no map
     *(
         Case(f"map-spacing-{spacing}", hexmap(spacing))
-        for spacing in ("1e-300", "1e-13", "9.99e-7", "10000", "1e6", "1.01e6", "1e7")
+        for spacing in ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e-13", "9.99e-7", "10000",
+                        "1e6", "1.01e6", "1e7", "1e300")
     ),
+    *refused("map", (*MAP, "--geometry", GEOMETRY), "spacing", configs=(math.nan, math.inf, 0)),
     Case("map-spacing-1000", hexmap("1000"), code=0, written=("hexmap.geojson",)),
     # 60 km runs over 1e-6 km bins: more bins than any warning grid holds
     Case(
@@ -223,6 +340,16 @@ CASES: tuple[Case, ...] = (
          "--delta-x", "1e-6", "--out-dir", "."),
         inputs={"runs.csv": literal("line,km_from,km_to,departure\n139,0,60,08:00\n")},
         stderr_has=("error: runs.csv: ",),
+    ),
+    Case(
+        "corr-constant-speed",
+        ("corr", "--accidents", ACCIDENTS, *PERIOD, "--traffic", TRAFFIC, "--speeds", "flat.csv",
+         "--out-dir", "out"),
+        code=1,
+        inputs={"flat.csv": literal(
+            "line,km_from,km_to,vmax\n139,0.0,60.0,100\n1,0.0,45.0,100\n140,0.0,80.0,100\n"
+        )},
+        stderr_has=("constant",),
     ),
     # a row at km 5e9 stretches line 139 over a billion 5 km bins; corr, which
     # lays out no grid, refuses it too, and neither makes its out-dir
@@ -239,6 +366,26 @@ CASES: tuple[Case, ...] = (
         inputs=far_traffic("5000000000.0"),
         stderr=PAST_ANY_GRID,
     ),
+    # a row at km 5,000,000 would stretch line 139's grid over a million 5 km bins
+    *(
+        Case(
+            f"{argv[0]}-traffic-row-past-the-grid-bound",
+            argv,
+            inputs=far_traffic("5000000.0"),
+            stderr="error: line '139' spans km 0.0..5000005.0, so the 5.0 km x 1.0 h warning grid"
+            " would exceed 50,000,000 cells",
+        )
+        for argv in (
+            ("warn", "--model", MODEL, "--traffic", "far.csv", "--out-dir", "out"),
+            ("eval", "--model", MODEL, "--traffic", "far.csv", "--test", TEST, "--out-dir", "out"),
+        )
+    ),
+    Case(
+        "warn-traffic-off-the-model-grid",
+        ("warn", "--model", MODEL, "--traffic", "traffic25.csv", "--out-dir", "out"),
+        inputs={"traffic25.csv": literal("line,km_from,count\n139,2.5,100\n")},
+        stderr_has=("aligned",),
+    ),
     # one train a day at km 2000 stretches line 139's grid over 400 km bins without traffic
     Case(
         "warn-grid-mostly-without-traffic",
@@ -251,6 +398,17 @@ CASES: tuple[Case, ...] = (
                 "flagged cells: no_traffic=111744 exceeds_unity=0"),
         written=("warnings.csv",),
     ),
+    # 2 h bins divide the day, so fit takes them, but 2 h does not divide the
+    # default profile's 9 h and 15 h boundaries
+    *(
+        Case(
+            f"{command}-hour-bins-straddle-profile-pieces",
+            (command, "--model", "model2h.json", "--traffic", TRAFFIC, *extra, "--out-dir", "out"),
+            before=(fit(ACCIDENTS, "--delta-t", "2", "--out", "model2h.json"),),
+            stderr_has=("error: delta_t=2.0 straddles",),
+        )
+        for command, *extra in (("warn", "--geometry", GEOMETRY), ("eval", "--test", TEST))
+    ),
     # a --month or --hour on no cell, from a flag or the config, is refused
     # before any warning or file; also over a table that would warn on stderr
     map_filter("month-13", "--month", "13"),
@@ -261,19 +419,49 @@ CASES: tuple[Case, ...] = (
     map_filter("config-month-list", config={"month": [1]}),
     map_filter("config-hour-noon", config={"hour": "noon"}),
     map_filter("month-13-over-far-traffic", "--month", "13", far=True),
+    # an output path that is a directory fails the run with the path named, and
+    # the outputs opened before it are removed
+    *(
+        Case(
+            f"{argv[0]}-{blocked}-is-a-directory",
+            (*argv, "--out-dir", "."),
+            before=(fit(ACCIDENTS, "--out", f"{blocked}/model.json"),),
+            stderr=f"error: ./{blocked}: Is a directory",
+        )
+        for argv, blocked in (
+            (("warn", "--model", MODEL, "--traffic", TRAFFIC, "--geometry", GEOMETRY),
+             "warnings.geojson"),
+            (("profile", "--accidents", ACCIDENTS, *PERIOD), "hourly.csv"),
+        )
+    ),
+    Case("fit-out-is-a-directory", fit(ACCIDENTS, "--out", "model"),
+         before=(fit(ACCIDENTS, "--out", "model/model.json"),),
+         stderr="error: model: Is a directory"),
     # a model that fit could not have written fails before the sweep
     Case(
         "warn-model-tables-disagree-with-counts",
         ("warn", "--model", "doubled.json", "--traffic", TRAFFIC, "--out-dir", "."),
-        inputs={"doubled.json": tampered(("mu", "1"), lambda mu: mu * 2)},
+        inputs={"doubled.json": tampered(MODEL, ("mu", "1"), lambda mu: mu * 2)},
         stderr_has=("error: doubled.json: ",),
+    ),
+    *(
+        Case(
+            f"warn-model-{name}",
+            ("warn", "--model", "bad.json", "--traffic", TRAFFIC, "--out-dir", "out"),
+            inputs={"bad.json": tampered(MODEL, path, change)},
+        )
+        for name, path, change in (
+            ("seasons-a-list", ("seasons",), lambda _: [1, 2]),
+            ("p-line-nan", ("p_line", "139"), lambda _: math.nan),
+            ("mu-off-its-counts", ("mu", "1"), lambda _: 0.5),
+        )
     ),
     # n and by_line are written beside the tables they sum, and must equal those sums
     *(
         Case(
             f"warn-model-{name}-tampered",
             ("warn", "--model", "tampered.json", "--traffic", TRAFFIC, "--out-dir", "."),
-            inputs={"tampered.json": tampered(("counts", *path), lambda count: count + 1)},
+            inputs={"tampered.json": tampered(MODEL, ("counts", *path), lambda count: count + 1)},
             stderr="error: tampered.json: model document disagrees with its counts in ['counts']",
         )
         for name, path in (("count", ("n",)), ("line-count", ("by_line", "139")))
@@ -283,11 +471,22 @@ CASES: tuple[Case, ...] = (
         Case(
             f"warn-model-exposure-{days}-too-short",
             ("warn", "--model", "short.json", "--traffic", TRAFFIC, "--out-dir", "."),
-            inputs={"short.json": tampered(("counts", "total_days"), lambda _, days=days: days)},
+            inputs={"short.json": tampered(MODEL, ("counts", "total_days"), lambda _, days=days: days)},
             stderr=f"error: short.json: total_days is too small for a finite monthly rate,"
             f" got {days!r}",
         )
         for days in (5e-324, 4e-322)
+    ),
+    # geometry that is not a line, or a line name that is not a string
+    *(
+        Case(f"{argv[0]}-geometry-{name}", (*argv, "--geometry", "bad.geojson"),
+             inputs={"bad.geojson": tampered(GEOMETRY, path, lambda _, value=value: value)})
+        for argv, name, path, value in (
+            (WARN, "feature-5", ("features",), [5]),
+            (WARN, "null-coordinate", ("features", 0, "geometry", "coordinates", 0), None),
+            *((MAP, f"line-{json.dumps(line)}", ("features", 0, "properties", "line"), line)
+              for line in ([1], {"a": 1}, 5, True)),
+        )
     ),
     # copies of the log, quoted throughout or with CRLF or lone-CR line ends,
     # fit to the committed model: quotes send the log through the csv.reader

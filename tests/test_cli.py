@@ -82,6 +82,13 @@ def test_cli_contract_case(case: Case, tmp_path: Path) -> None:
     assert not problems, (problems, result.stderr)
 
 
+def test_cli_case_names_are_unique() -> None:
+    # a repeated name would be a suffixed test id here and two report lines
+    # under one name from python tests/cli_cases.py
+    names = [case.name for case in CASES]
+    assert len(set(names)) == len(names), sorted({name for name in names if names.count(name) > 1})
+
+
 # --- fit ---
 
 
@@ -120,127 +127,12 @@ def test_fit_custom_seasons(tmp_path: Path) -> None:
     assert set(model.seasons.labels) == {"cold", "warm"}
 
 
-def test_fit_input_errors(tmp_path: Path, capsys) -> None:
-    assert main(["fit", "--out-dir", str(tmp_path)]) == 2  # --accidents missing
-    assert main(["fit", "--accidents", str(tmp_path / "nope.csv")]) == 2
-    assert main(["fit", "--accidents", ACCIDENTS, "--period-start", "2020-01-01"]) == 2
-    assert main(["fit", "--accidents", ACCIDENTS, *PERIOD_FLAGS, "--seasons", "odd=1,2"]) == 2
-    assert main(["fit", "--accidents", ACCIDENTS, *PERIOD_FLAGS, "--period-end", "soon"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
-
-
-@pytest.mark.parametrize("value", ["20200101", "2020-W01-3", "2020-1-01", "\uff12020-01-01"])
-def test_a_period_date_must_read_yyyy_mm_dd(value: str, tmp_path: Path, capsys) -> None:
-    # date.fromisoformat reads the first two from Python 3.11 on
-    flags = ["--period-start", value, "--period-end", "2022-12-31", "--out-dir", str(tmp_path)]
-    assert main(["fit", "--accidents", ACCIDENTS, *flags]) == 2
-    assert capsys.readouterr().err == f"error: --period-start: must be YYYY-MM-DD, got {value!r}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_reversed_period_names_both_flags_before_reading_the_file(tmp_path: Path, capsys) -> None:
-    flags = ["--period-start", "2022-01-01", "--period-end", "2020-01-01"]
-    flags += ["--out-dir", str(tmp_path)]
-    missing = str(tmp_path / "missing.csv")
-    for command, accidents in ("fit", ACCIDENTS), ("fit", missing), ("profile", ACCIDENTS):
-        assert main([command, "--accidents", accidents, *flags]) == 2
-        assert capsys.readouterr().err == (
-            "error: --period-end 2020-01-01 precedes --period-start 2022-01-01\n"
-        )
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        # 24 h or a km post over 1e-320 is not a finite bin count
-        pytest.param("--delta-t", "1e-320", id="--delta-t"),
-        pytest.param("--delta-x", "1e-320", id="--delta-x"),
-        # 24 h over 1e-300 is a whole number, of bins far shorter than a minute
-        pytest.param("--delta-t", "1e-300", id="--delta-t-1e-300"),
-    ],
-)
-def test_fit_rejects_bin_widths_too_small_to_index(flag: str, value: str, tmp_path: Path, capsys) -> None:
-    assert_input_error(run_fit(tmp_path, flag, value), capsys)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
-    assert_input_error(run_fit(tmp_path, "--config", str(config)), capsys)
-    assert not (tmp_path / "model.json").exists()
-
-
 def test_fit_refuses_a_bin_width_whose_grid_is_too_large(tmp_path: Path, capsys, monkeypatch) -> None:
-    # with no cells allowed, fit stops before writing; checked first, so a
-    # missing check fails here and never lays out the bins below
+    # with no cells allowed, fit stops before writing; bins too fine for the
+    # real bound are the row fit-bin-width-too-fine of tests/cli_cases.py
     monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 0)
     assert_input_error(run_fit(tmp_path), capsys)
-    monkeypatch.undo()
-    # 1e-9 km bins would span each bundled line with some 1e10 bins
-    assert run_fit(tmp_path, "--delta-x", "1e-9") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: line '1' spans km "), err
-    assert err[0].endswith("warning grid would exceed 50,000,000 cells")
     assert not (tmp_path / "model.json").exists()
-
-
-def test_fit_rejects_malformed_rows_with_location(tmp_path: Path, capsys) -> None:
-    bad = tmp_path / "bad.csv"
-    bad.write_text("date,time,line,km,species\n2020-01-01,25:00,139,1.0,\n")
-    assert main(["fit", "--accidents", str(bad), *PERIOD_FLAGS]) == 2
-    err = capsys.readouterr().err
-    assert "line 2" in err
-    assert str(bad) in err
-
-
-@pytest.mark.parametrize(
-    "option, row",
-    [
-        ("--accidents", "2020-01-01,10:00,139,1.0,{long}"),
-        ("--traffic", "139,0,10{long}"),
-    ],
-)
-def test_csv_module_errors_are_input_errors(option: str, row: str, tmp_path: Path, capsys) -> None:
-    # a field over csv.field_size_limit() on the third line
-    header = {"--accidents": "date,time,line,km,species", "--traffic": "line,km_from,count"}[option]
-    bad = tmp_path / "bad.csv"
-    bad.write_text(f"{header}\n{row.format(long='')}\n{row.format(long='x' * 200_000)}\n")
-    if option == "--accidents":
-        argv = ["profile", "--accidents", str(bad), *PERIOD_FLAGS]
-    else:
-        argv = ["eval", "--model", MODEL, "--traffic", str(bad), "--test", TEST_ACCIDENTS]
-    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    limit = csv.field_size_limit()
-    assert err == [f"error: {bad}: line 3: field larger than field limit ({limit})"]
-    assert not (tmp_path / "out").exists()
-
-
-# each input file option, and a command that reads it with its other inputs
-FILE_OPTIONS = {
-    "accidents": ["profile", *PERIOD_FLAGS],
-    "test": ["eval", "--model", MODEL, "--traffic", TRAFFIC],
-    "traffic": ["eval", "--model", MODEL, "--test", TEST_ACCIDENTS],
-    "speeds": ["corr", "--accidents", ACCIDENTS, *PERIOD_FLAGS, "--traffic", TRAFFIC],
-    "geometry": ["map", "--accidents", ACCIDENTS, *PERIOD_FLAGS],
-    "model": ["warn", "--traffic", TRAFFIC],
-    "config": ["fit", "--accidents", ACCIDENTS, *PERIOD_FLAGS],
-}
-# a file every reader rejects: a CSV row, not JSON, against no header a reader expects
-MALFORMED = {"text": b"line,km_from,km_to\n1,0,x\n", "bytes": b"\xff\xfe\n", "missing": None}
-
-
-@pytest.mark.parametrize("content", sorted(MALFORMED))
-@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
-def test_input_file_errors_name_the_file(option: str, content: str, tmp_path: Path, capsys) -> None:
-    bad = tmp_path / "bad.input"
-    if MALFORMED[content] is not None:
-        bad.write_bytes(MALFORMED[content])
-    out = tmp_path / "out"
-    argv = [*FILE_OPTIONS[option], f"--{option}", str(bad), "--out-dir", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
-    assert not out.exists()
 
 
 # --- warn ---
@@ -332,87 +224,19 @@ def test_warn_accepts_run_level_traffic(tmp_path: Path, fitted: Path) -> None:
     assert by_line == {"1", "139", "140"}  # model lines survive even without runs
 
 
-def test_warn_traffic_source_must_be_unambiguous(tmp_path: Path, fitted: Path, capsys) -> None:
-    # --traffic reads either traffic form, and a run without it is an input error
-    assert main(["warn", "--model", str(fitted), "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: missing required option --traffic\n"
-    assert not (tmp_path / "warnings.csv").exists()
-
-
-def test_warn_rejects_traffic_on_a_different_grid(tmp_path: Path, fitted: Path, capsys) -> None:
-    off_grid = tmp_path / "traffic25.csv"
-    off_grid.write_text("line,km_from,count\n139,2.5,100\n")
-    code = main(
-        ["warn", "--model", str(fitted), "--traffic", str(off_grid), "--out-dir", str(tmp_path)]
-    )
-    assert code == 2
-    assert "aligned" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["warn", "eval"])
 def test_far_off_traffic_row_is_refused_before_the_sweep(
     command: str, tmp_path: Path, capsys, monkeypatch
 ) -> None:
     test = ["--test", TEST_ACCIDENTS] if command == "eval" else []
     out = tmp_path / "out"
-    # one cell short of the bundled grid; checked first, so a missing check
-    # fails here and never lays out the grid below
+    # one cell short of the bundled grid; a row far off the grid under the real
+    # bound is a row of tests/cli_cases.py, warn- and eval-traffic-row-past-the-grid-bound
     monkeypatch.setattr(wildrail.model, "MAX_GRID_CELLS", 10_655)
     assert_input_error(
         main([command, "--model", MODEL, "--traffic", TRAFFIC, *test, "--out-dir", str(out)]), capsys
     )
-    monkeypatch.undo()
-    # one row at km 5,000,000 would stretch line 139 over a million 5 km bins
-    traffic = tmp_path / "traffic.csv"
-    traffic.write_text(Path(TRAFFIC).read_text() + "139,5000000.0,1\n")
-    code = main([command, "--model", MODEL, "--traffic", str(traffic), *test, "--out-dir", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        "error: line '139' spans km 0.0..5000005.0, so the 5.0 km x 1.0 h warning grid"
-        " would exceed 50,000,000 cells"
-    ]
     assert not out.exists()
-
-
-def test_warn_rejects_bad_thresholds(tmp_path: Path, fitted: Path, capsys) -> None:
-    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)]
-    assert main(base + ["--thresholds", "0.002,0.001"]) == 2
-    assert main(base + ["--thresholds", "0"]) == 2
-    assert main(base + ["--thresholds", "abc"]) == 2
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"thresholds": 5}))
-    capsys.readouterr()
-    assert_input_error(main(base + ["--config", str(config)]), capsys)
-    for value in ("nan", "inf", "0.001,inf", "-inf"):
-        assert_input_error(main(base + [f"--thresholds={value}"]), capsys)
-    assert not (tmp_path / "warnings.csv").exists()
-
-
-def test_warn_rejects_non_finite_theta_map(tmp_path: Path, fitted: Path, capsys) -> None:
-    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", GEOMETRY,
-            "--out-dir", str(tmp_path)]
-    for value in ("nan", "inf", "-inf"):
-        assert_input_error(main(base + [f"--theta-map={value}"]), capsys)
-    config = tmp_path / "config.json"
-    for text in ('{"theta_map": NaN}', '{"theta_map": Infinity}'):
-        config.write_text(text)
-        assert_input_error(main(base + ["--config", str(config)]), capsys)
-    assert not (tmp_path / "warnings.csv").exists()
-    assert not (tmp_path / "warnings.geojson").exists()
-
-
-def test_warn_rejects_non_positive_theta_map(tmp_path: Path, fitted: Path, capsys) -> None:
-    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", GEOMETRY,
-            "--out-dir", str(tmp_path)]
-    for value in ("0", "-1", "-0.0", "-1e-300"):
-        assert_input_error(main(base + [f"--theta-map={value}"]), capsys)
-    config = tmp_path / "config.json"
-    for value in (0, -1, -0.001):
-        config.write_text(json.dumps({"theta_map": value}))
-        assert_input_error(main(base + ["--config", str(config)]), capsys)
-    assert not (tmp_path / "warnings.csv").exists()
-    assert not (tmp_path / "warnings.geojson").exists()
 
 
 def test_warn_counts_cells_per_flag(tmp_path: Path, fitted: Path, capsys) -> None:
@@ -464,65 +288,6 @@ def test_warn_prints_the_pinned_summary(tmp_path: Path, capsys) -> None:
     captured = capsys.readouterr()
     assert captured.out.replace(str(tmp_path), "<out>") == WARN_STDOUT
     assert captured.err == ""
-
-
-def test_warn_rejects_map_options_without_geometry(tmp_path: Path, fitted: Path, capsys) -> None:
-    # --theta-map, --month and --hour only shape warnings.geojson
-    base = ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)]
-    for flag_args in (["--theta-map", "0.001"], ["--month", "1"], ["--hour", "3"],
-                      ["--month", "1", "--theta-map", "0.001", "--hour", "3"]):
-        assert_input_error(main(base + flag_args), capsys)
-    for key, value in (("theta_map", 0.001), ("month", 1), ("hour", 3)):
-        config = tmp_path / f"{key}.json"
-        config.write_text(json.dumps({key: value}))
-        assert_input_error(main(base + ["--config", str(config)]), capsys)
-    assert not (tmp_path / "warnings.csv").exists()
-    assert main(base) == 0
-
-
-def test_warn_rejects_malformed_model_and_geometry(tmp_path: Path, fitted: Path, capsys) -> None:
-    doc = json.loads(fitted.read_text())
-    bad_models = {
-        "seasons.json": {**doc, "seasons": [1, 2]},
-        "nan.json": {**doc, "p_line": {**doc["p_line"], "139": float("nan")}},
-        "tampered.json": {**doc, "mu": {**doc["mu"], "1": 0.5}},
-    }
-    for name, bad in bad_models.items():
-        path = tmp_path / name
-        path.write_text(json.dumps(bad))
-        code = main(["warn", "--model", str(path), "--traffic", TRAFFIC, "--out-dir", str(tmp_path)])
-        assert_input_error(code, capsys)
-    geometry = tmp_path / "features.geojson"
-    null_coordinate = {
-        "type": "Feature",
-        "properties": {"line": "1", "km": [0.0, 5.0]},
-        "geometry": {"type": "LineString", "coordinates": [None, [19.1, 50.1]]},
-    }
-    for features in ([5], [null_coordinate]):
-        geometry.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
-        code = main(
-            ["warn", "--model", str(fitted), "--traffic", TRAFFIC, "--geometry", str(geometry),
-             "--out-dir", str(tmp_path)]
-        )
-        assert_input_error(code, capsys)
-    # the geometry is read before any output is written
-    assert not (tmp_path / "warnings.csv").exists()
-
-
-def test_warn_and_eval_reject_hour_bins_that_straddle_profile_pieces(tmp_path: Path, capsys) -> None:
-    # 2 h bins divide the day, so fit takes them, but 2 h does not divide the
-    # default profile's 9 h and 15 h boundaries
-    model = tmp_path / "model2h.json"
-    assert run_fit(tmp_path, "--delta-t", "2", "--out", str(model)) == 0
-    capsys.readouterr()
-    out = tmp_path / "out"
-    for command, *extra in (("warn", "--geometry", GEOMETRY), ("eval", "--test", TEST_ACCIDENTS)):
-        code = main([command, "--model", str(model), "--traffic", TRAFFIC, *extra,
-                     "--out-dir", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: delta_t=2.0 straddles"), err
-    assert not out.exists() or not any(out.iterdir())
 
 
 # --- map ---
@@ -597,17 +362,6 @@ def test_map_skips_km_off_the_calibrated_range(tmp_path: Path, capsys, bundled_d
     assert sum(f["properties"]["count"] for f in hexmap["features"]) == len(placed)
 
 
-def test_map_rejects_non_finite_spacing(tmp_path: Path, capsys) -> None:
-    base = ["map", "--accidents", ACCIDENTS, "--geometry", GEOMETRY, "--out-dir", str(tmp_path)]
-    for value in ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"):
-        assert_input_error(main(base + [f"--spacing={value}"]), capsys)
-    config = tmp_path / "config.json"
-    for text in ('{"spacing": NaN}', '{"spacing": Infinity}', '{"spacing": 0}'):
-        config.write_text(text)
-        assert_input_error(main(base + ["--config", str(config)]), capsys)
-    assert not (tmp_path / "hexmap.geojson").exists()
-
-
 def test_map_spacing_range(tmp_path: Path, capsys) -> None:
     # at the ends of the range the map keeps six distinct corners per hexagon;
     # the spacings map refuses are cases of tests/cli_cases.py
@@ -619,19 +373,6 @@ def test_map_spacing_range(tmp_path: Path, capsys) -> None:
         for feature in doc["features"]:
             corners = feature["geometry"]["coordinates"][0][:-1]
             assert len({tuple(corner) for corner in corners}) == 6, (value, feature)
-
-
-def test_map_rejects_line_names_that_are_not_strings(tmp_path: Path, capsys) -> None:
-    geometry = tmp_path / "lines.geojson"
-    doc = json.loads(Path(GEOMETRY).read_text())
-    out = tmp_path / "out"
-    for line in ([1], {"a": 1}, 5, True):
-        doc["features"][0]["properties"]["line"] = line
-        geometry.write_text(json.dumps(doc))
-        code = main(["map", "--accidents", ACCIDENTS, "--geometry", str(geometry),
-                     "--out-dir", str(out)])
-        assert_input_error(code, capsys)
-    assert not out.exists()
 
 
 # --- profile ---
@@ -684,19 +425,6 @@ def test_corr_reports_coefficients(tmp_path: Path, capsys) -> None:
     assert "pearson:" in capsys.readouterr().out
 
 
-def test_corr_constant_speed_is_a_computation_error(tmp_path: Path, capsys) -> None:
-    flat = tmp_path / "flat.csv"
-    flat.write_text(
-        "line,km_from,km_to,vmax\n139,0.0,60.0,100\n1,0.0,45.0,100\n140,0.0,80.0,100\n"
-    )
-    code = main(
-        ["corr", "--accidents", ACCIDENTS, "--traffic", TRAFFIC, "--speeds", str(flat),
-         "--out-dir", str(tmp_path), *PERIOD_FLAGS]
-    )
-    assert code == 1
-    assert "constant" in capsys.readouterr().err
-
-
 # --- eval ---
 
 
@@ -742,26 +470,11 @@ def test_eval_adjacent_flag(tmp_path: Path, fitted: Path) -> None:
     assert doc["include_adjacent"] is True
 
 
-def test_eval_rejects_non_finite_theta(tmp_path: Path, fitted: Path, capsys) -> None:
-    base = ["eval", "--model", str(fitted), "--traffic", TRAFFIC, "--test", TEST_ACCIDENTS,
-            "--out-dir", str(tmp_path)]
-    for value in ("nan", "inf", "-inf"):
-        assert_input_error(main(base + [f"--theta={value}"]), capsys)
-    config = tmp_path / "config.json"
-    for text in ('{"theta": NaN}', '{"theta": Infinity}', '{"theta": "nan"}'):
-        config.write_text(text)
-        assert_input_error(main(base + ["--config", str(config)]), capsys)
-    assert not (tmp_path / "eval.json").exists()
-
-
 def test_eval_adjacent_from_config_must_be_boolean(tmp_path: Path, fitted: Path, capsys) -> None:
     base = ["eval", "--model", str(fitted), "--traffic", TRAFFIC, "--test", TEST_ACCIDENTS,
             "--out-dir", str(tmp_path)]
+    # the values refused are the eval-config-adjacent-* rows of tests/cli_cases.py
     config = tmp_path / "config.json"
-    for value in ("no", "false", 0, 1, None, []):
-        config.write_text(json.dumps({"adjacent": value}))
-        assert_input_error(main(base + ["--config", str(config)]), capsys)
-    assert not (tmp_path / "eval.json").exists()
     for value in (False, True):
         config.write_text(json.dumps({"adjacent": value}))
         assert main(base + ["--config", str(config)]) == 0

@@ -18,8 +18,9 @@ CLI_CASES = Path(__file__).resolve().with_name("cli_cases.py")
 # function.  Each CLI command pays for importing them, so a new one must be
 # added here on purpose
 PINNED = {
-    "__future__", "argparse", "bisect", "calendar", "collections", "csv", "dataclasses",
-    "datetime", "functools", "io", "json", "math", "numpy", "os", "sys", "types", "typing",
+    "__future__", "argparse", "bisect", "calendar", "collections", "contextlib", "csv",
+    "dataclasses", "datetime", "functools", "io", "json", "math", "numpy", "os", "sys", "types",
+    "typing",
 }
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import dataclasses
 import datetime as dt
 import io
 import itertools
 import math
+import pickle
 import re
 import runpy
 import shutil
@@ -217,6 +219,13 @@ def test_dataset_refuses_columns_parsing_never_gives(bundled_data) -> None:
     for changes, message in cases:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             dataclasses.replace(data, **changes)
+    # float line codes, minutes or dates, or bool kms, built a Dataset that
+    # failed only when read or gave km=False
+    for name in ("line_codes", "minutes", "dates"):
+        with pytest.raises(TypeError, match=f"^{name} must hold integers, got dtype float64$"):
+            dataclasses.replace(data, **{name: getattr(data, name) + 0.5})
+    with pytest.raises(TypeError, match="^kms must hold floats, got dtype bool$"):
+        dataclasses.replace(data, kms=data.kms > 5.0)
     # -0.0 is a km parse_accidents accepts
     assert dataclasses.replace(data, kms=with_km(data, -0.0)).n == data.n
     # the months are derived from the dates, so they cannot be passed in
@@ -224,6 +233,19 @@ def test_dataset_refuses_columns_parsing_never_gives(bundled_data) -> None:
         dataclasses.replace(data, months=np.full(data.n, 7))
     with pytest.raises(ValueError, match="read-only"):
         data.months[0] = 7
+
+
+def test_a_dataset_keeps_no_array_its_caller_can_write(bundled_data) -> None:
+    kms = bundled_data.kms.copy()
+    data = dataclasses.replace(bundled_data, kms=kms)
+    kms[0] = -7.0
+    assert data.kms[0] == bundled_data.kms[0]
+    with pytest.raises(ValueError, match="read-only"):
+        data.kms[0] = -7.0
+    # the columns parse_accidents gives are read-only, so they are kept, not copied
+    same = dataclasses.replace(bundled_data)
+    assert all(getattr(same, name) is getattr(bundled_data, name)
+               for name in ("line_codes", "kms", "minutes", "dates"))
 
 
 @settings(max_examples=200)
@@ -1175,6 +1197,23 @@ def test_traffic_table_refuses_non_finite_counts() -> None:
             TrafficTable(x_first={"1": 1}, counts={"1": np.array([value])}, delta_x=5.0)
     with pytest.raises(ValueError, match="^negative count -inf"):
         TrafficTable(x_first={"1": 1}, counts={"1": np.array([-math.inf])}, delta_x=5.0)
+
+
+def test_a_traffic_table_keeps_no_array_its_caller_can_write() -> None:
+    run = np.array([0.0, 2.0])
+    table = TrafficTable({"a": 0}, {"a": run}, 5.0)
+    run[0] = -5.0
+    assert table.counts["a"].tolist() == [0.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        table.counts["a"][0] = -5.0
+    for mapping in (table.x_first, table.counts):
+        with pytest.raises(TypeError):
+            mapping["a"] = mapping["a"]
+    assert pickle.loads(pickle.dumps(table)) == copy.deepcopy(table) == table
+    # parse_traffic's runs are read-only views of one array, so they are kept, not copied
+    parsed = parse_traffic(io.StringIO("line,km_from,count\n1,0,3\n2,5,4\n"), 5.0)
+    same = dataclasses.replace(parsed)
+    assert all(same.counts[line] is run for line, run in parsed.counts.items())
 
 
 def test_traffic_table_rejects_starts_no_lookup_reads() -> None:

@@ -338,7 +338,8 @@ def broken_counts(c) -> list[tuple[dict, str]]:
         (hour_run((hours[0] + hours[1] + 1, -1, *hours[2:])), off_hours),
         ({"by_line_xbin": {k: v for k, v in c.by_line_xbin.items() if k != "139"}}, lines),
         ({"x_first": {k: v for k, v in c.x_first.items() if k != "139"}}, lines),
-        ({"x_first": {**c.x_first, "139": -1}}, one_run),
+        *(({"x_first": {**c.x_first, "139": k}}, f"x_first['139'] must be an int >= 0, got {k!r}")
+          for k in (-1, 1.5, True)),
         (km_run(()), one_run),
         (km_run((0, *kms)), one_run),
         (km_run((*kms, 0)), one_run),

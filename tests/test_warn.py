@@ -546,7 +546,7 @@ def test_a_grid_is_read_only(bundled_model, bundled_traffic) -> None:
             table["139"] = table["139"]
         with pytest.raises(TypeError):
             del table["139"]
-    # the grid stores read-only views: the arrays it is built from keep their flags
+    # the grid keeps read-only copies of writable arrays, which keep their flags
     temporal, m_window = np.array(grid.temporal), np.array(grid.m_window["139"])
     built = dataclasses.replace(grid, temporal=temporal, m_window={**grid.m_window, "139": m_window})
     assert temporal.flags.writeable and m_window.flags.writeable
@@ -649,6 +649,8 @@ def test_a_grid_sweep_all_could_not_build_is_refused(name: str) -> None:
 
 def test_a_valid_grid_builds_from_its_factors_without_copying_them() -> None:
     fields = one_bin_grid()
+    for factor in (fields["temporal"], fields["m_window"]["a"]):
+        factor.setflags(write=False)  # as sweep_all hands them over
     grid = WarningGrid(**fields)
     assert np.shares_memory(grid.temporal, fields["temporal"])
     assert np.shares_memory(grid.m_window["a"], fields["m_window"]["a"])
@@ -664,6 +666,17 @@ def test_a_valid_grid_builds_from_its_factors_without_copying_them() -> None:
     assert grid.n_t == 1 and dataclasses.replace(grid, **eight_hours).n_t == 3
     with pytest.raises(TypeError):
         WarningGrid(**one_bin_grid(n_t=1))
+
+
+def test_a_grid_keeps_no_array_its_caller_can_write() -> None:
+    fields = one_bin_grid()
+    grid = WarningGrid(**fields)
+    # edits to the arrays a grid was built from never reach its cells
+    fields["temporal"][...] = 3.0
+    fields["spatial"]["a"][0] = -1.0
+    fields["m_window"]["a"][0, 0] = math.nan
+    assert np.array_equal(grid.line_cells("a"), np.full((1, 12, 1), 0.25))
+    assert grid.census().flagged == {FLAG_NO_TRAFFIC: 0, FLAG_EXCEEDS_UNITY: 0}
 
 
 # factors whose products and quotients are exact, so cells tie with thresholds
