@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable, _bin_floor, _positive, _real, _real_array
+from .ingest import _BLOCK, Dataset, SpeedProfile, TrafficTable, _positive, _real, _real_array, _run_lookup
 from .model import SeasonScheme
 from .warn import WarningGrid, _p_pt, _warned
 
@@ -282,24 +282,21 @@ def speed_correlation(
         raise ValueError(
             f"delta_x={delta_x} does not match the traffic table bin width {traffic.delta_x}"
         )
-    names = sorted(traffic.counts)
     # accidents per bin of every run, the runs laid out one after another; a record
-    # off its line's run, or on a line without one (the empty run last), is not counted
-    firsts = np.array([traffic.x_first[name] for name in names] + [0], dtype=float)
-    sizes = np.array([len(traffic.counts[name]) for name in names] + [0])
-    starts = np.cumsum(sizes) - sizes
-    run_of = {name: i for i, name in enumerate(names)}
-    li = np.array([run_of.get(name, len(names)) for name in data.line_names], dtype=np.int64)
-    li = li[data.line_codes]
-    pos = _bin_floor(data.kms, delta_x) - firsts[li]
-    inside = (pos >= 0) & (pos < sizes[li])
-    acc = np.bincount((pos + starts[li])[inside].astype(np.int64), minlength=int(sizes.sum()))
+    # off its line's run, or on a line without one, is not counted
+    li, _, size, pos = _run_lookup(
+        traffic.x_first, traffic.counts, delta_x, data.line_names, data.line_codes, data.kms
+    )
+    starts = np.cumsum([0, *map(len, traffic.counts.values())])  # and the end of the last run
+    inside = (pos >= 0) & (pos < size)
+    acc = np.bincount((pos + starts[li])[inside].astype(np.int64), minlength=int(starts[-1]))
+    start_of = dict(zip(traffic.counts, starts.tolist()))
     pairs: list[tuple[str, float, float, float]] = []
-    for line, first, start in zip(names, firsts.tolist(), starts.tolist()):
-        run, profile = traffic.counts[line], speeds.get(line)
+    for line in sorted(traffic.counts):
+        run, profile, start = traffic.counts[line], speeds.get(line), start_of[line]
         if profile is None or not profile.intervals:
             continue
-        x_from = (first + np.arange(len(run))) * delta_x
+        x_from = (float(traffic.x_first[line]) + np.arange(len(run))) * delta_x
         mid = x_from + delta_x / 2.0
         steps = np.array(profile.intervals)  # (km_from, km_to, vmax) rows, ascending and disjoint
         # the one step that can hold a midpoint is the last that starts at or before it

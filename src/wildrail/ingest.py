@@ -8,7 +8,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
@@ -112,6 +112,67 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _factor(values, name: str) -> np.ndarray:
+    """``values`` as floats, read-only by the rule of ``_read_only``; a TypeError naming
+    ``name`` unless they are ints or floats, and a ValueError naming it unless every
+    entry is finite and >= 0."""
+    arr = _read_only(_real_array(values, name))
+    if arr.size:
+        # min is NaN where any entry is; two reductions, no temporary array
+        with np.errstate(invalid="ignore"):
+            low, high = float(arr.min()), float(arr.max())
+        if not (low >= 0.0 and high < math.inf):
+            bad = low if not low >= 0.0 else high
+            raise ValueError(f"{name} entries must be finite and >= 0, got {bad!r}")
+    return arr
+
+
+def _first_bin(k, name: str) -> None:
+    """A ValueError naming ``name`` unless ``k`` is a plain int >= 0, so a km start
+    such as 10.0 is never read as bin 10."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {k!r}")
+
+
+def _runs(x_first: Mapping[str, int], runs: Mapping, name: str, ndim: int = 1) -> Mapping[str, np.ndarray]:
+    """``runs``, each line's km bins as one dense run from bin ``x_first[line]``, as a read-only
+    mapping of ``_factor`` arrays; a ValueError (a TypeError for a run that is not numbers) names
+    the field at fault unless they name the lines of ``x_first`` in its order, each first bin
+    passes ``_first_bin`` and each run has ``ndim`` dimensions and at least one km bin."""
+    if list(runs) != list(x_first):
+        order = f"in its order {list(x_first)!r}, got {list(runs)!r}"
+        raise ValueError(f"{name} must name the lines of x_first {order}")
+    checked = {}
+    for line, run in runs.items():
+        _first_bin(x_first[line], f"x_first[{line!r}]")
+        checked[line] = run = _factor(run, f"{name}[{line!r}]")
+        if run.ndim != ndim or not len(run):
+            shape = "(n_x,)" if ndim == 1 else "(n_x, n_t)"
+            raise ValueError(f"{name}[{line!r}] must have shape {shape} with n_x >= 1, got {run.shape}")
+    return MappingProxyType(checked)
+
+
+def _run_lookup(x_first: Mapping[str, int], runs: Mapping, delta_x: float, names, codes, km):
+    """Per query at float ``km[i]`` on line ``names[codes[i]]`` (a ``Dataset``'s form), arrays of
+    the line's position in ``x_first`` (-1 for no run), its ``_runs`` run's first bin and size
+    (0 and 0 for -1), and the query's bin counted from that first bin, floats but the first."""
+    at = {line: i for i, line in enumerate(x_first)}
+    li = np.array([at.get(name, -1) for name in names], dtype=np.int64)[codes]
+    # one (first bin, bin count) row per line, plus an empty row that li = -1 picks
+    firsts = np.array([*x_first.values(), 0], dtype=float)
+    sizes = np.array([*map(len, runs.values()), 0], dtype=float)
+    first, size = firsts[li], sizes[li]
+    return li, first, size, _bin_floor(km, delta_x) - first  # a float, so a huge km cannot overflow
+
+
+def _reduce(self):
+    """The ``__reduce__`` of every checked dataclass: a copy or an unpickled value is rebuilt
+    through the constructor from the init fields, each read-only mapping passed as a dict,
+    so it is checked and read-only as the original was."""
+    values = (getattr(self, f.name) for f in fields(self) if f.init)
+    return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
+
+
 def bin_index(value: float, delta: float) -> int:
     """Index k of the bin [k*delta, (k+1)*delta) holding ``value``, as ``_bin_floor`` finds it;
     a ValueError where there is no finite index (NaN, infinite or too large a value) or
@@ -177,10 +238,9 @@ class Dataset:
     ``kms`` (finite, >= 0), ``minutes`` (since midnight) and ``dates``
     (``date.toordinal()``) are numpy arrays, ``kms`` of floats and the
     others of integers, and ``months`` (1..12) is derived from ``dates``;
-    ``species`` is a tuple of str.  Every array is read-only: a column is
-    kept as given when neither it nor the array that owns its memory is
-    writable, as ``parse_accidents`` gives them, and copied otherwise, so no
-    one can change a checked column.  ``records`` reads the columns back as
+    ``species`` is a tuple of str.  The dataset is kept as README "Checked
+    tables" says, and ``parse_accidents``'s columns and tuples without a
+    copy.  ``records`` reads the columns back as
     AccidentRecord named tuples: each access returns a new one-pass
     iterator, so wrap it in ``tuple()`` to keep or index the records.
     Datasets compare and hash by identity.
@@ -197,6 +257,8 @@ class Dataset:
     months: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("line_names", "species"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))  # a tuple is kept as it is
         for name, kinds in (("line_codes", "iu"), ("kms", "f"), ("minutes", "iu"), ("dates", "iu")):
             column = np.asarray(getattr(self, name))
             if column.dtype.kind not in kinds:
@@ -230,6 +292,8 @@ class Dataset:
         months = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
         months.setflags(write=False)
         object.__setattr__(self, "months", months)
+
+    __reduce__ = _reduce
 
     @property
     def records(self) -> Iterator[AccidentRecord]:
@@ -703,13 +767,12 @@ class TrafficTable:
 
     ``counts[line][i]`` counts km bin k = ``x_first[line] + i``, which is
     [k * delta_x, (k + 1) * delta_x); bins off a line's run count as zero.
-    ``x_first`` values must be plain non-negative ints, so a start such as
-    10.0 is not read as bin 10, and runs 1-D arrays of finite, non-negative
-    counts.  ``x_first`` and ``counts`` are kept as read-only mappings, and
-    a run as given when neither it nor the array that owns its memory is
-    writable, as ``parse_traffic`` gives them, else as a read-only copy, so
-    no one can change a checked count.  Tables are equal when their bin
-    widths and runs are.
+    ``counts`` must name the lines of ``x_first`` in its order, each
+    ``x_first`` value must be a plain int >= 0, so a start such as 10.0 is
+    not read as bin 10, and each run a non-empty 1-D array of finite counts
+    >= 0; a ValueError or TypeError names the field at fault.  The table is
+    kept as README "Checked tables" says, and ``parse_traffic``'s runs
+    without a copy.  Tables are equal when their bin widths and runs are.
     """
 
     x_first: Mapping[str, int]
@@ -718,26 +781,10 @@ class TrafficTable:
 
     def __post_init__(self) -> None:
         _positive(self.delta_x, "delta_x")
-        if self.x_first.keys() != self.counts.keys():
-            raise ValueError("x_first and counts must name the same lines")
-        counts = {}
-        for line, run in self.counts.items():
-            k = self.x_first[line]
-            if type(k) is not int or k < 0:
-                raise ValueError(f"km bin {k!r} on line {line} must be a non-negative int index")
-            if not isinstance(run, np.ndarray) or run.ndim != 1:
-                raise ValueError(f"counts of line {line} must be a 1-D numpy array")
-            counts[line] = run = _read_only(run)
-            bad = np.flatnonzero(~((run >= 0) & (run < math.inf)))
-            if bad.size:
-                value, kind = float(run[bad[0]]), "negative" if run[bad[0]] < 0 else "non-finite"
-                raise ValueError(f"{kind} count {value} on line {line} in km bin {k + int(bad[0])}")
+        object.__setattr__(self, "counts", _runs(self.x_first, self.counts, "counts"))
         object.__setattr__(self, "x_first", MappingProxyType(dict(self.x_first)))
-        object.__setattr__(self, "counts", MappingProxyType(counts))
 
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
-        return type(self), (dict(self.x_first), dict(self.counts), self.delta_x)
+    __reduce__ = _reduce
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrafficTable):
@@ -862,7 +909,8 @@ class LineGeometry:
 
     ``vertices`` are (lat, lon, km) triples with strictly increasing finite
     km; the km values tie track positions to the map, so at least two are
-    required.
+    required.  The geometry keeps the checked triples, a tuple of float
+    tuples, not the container it was given.
     """
 
     line: str
@@ -884,6 +932,7 @@ class LineGeometry:
                 raise ValueError(f"{where}: coordinate ({lat}, {lon}) out of range")
             if math.isinf(km):  # NaN fails the order check
                 raise ValueError(f"{where}: km must be finite, got {km}")
+        object.__setattr__(self, "vertices", tuple(vertices))
 
     @cached_property
     def kms(self) -> tuple[float, ...]:
@@ -1013,7 +1062,12 @@ def parse_geometries(stream: Union[str, IO[str]]) -> dict[str, LineGeometry]:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Maximum permitted speed along one line as disjoint, finite [km_from, km_to) steps."""
+    """Maximum permitted speed along one line as disjoint, finite [km_from, km_to) steps.
+
+    ``intervals`` holds (km_from, km_to, vmax) steps in ascending order; the
+    profile keeps the checked steps, a tuple of float tuples, not the
+    container it was given.
+    """
 
     line: str
     intervals: tuple[tuple[float, float, float], ...]
@@ -1021,6 +1075,7 @@ class SpeedProfile:
     def __post_init__(self) -> None:
         where = f"line {self.line!r}"
         prev_end = -math.inf
+        steps = []
         for step in self.intervals:
             km_from, km_to, vmax = (
                 _real(value, f"{where}: {name}") for value, name in zip(step, SPEED_HEADER[1:])
@@ -1035,6 +1090,8 @@ class SpeedProfile:
             if not 0.0 < vmax < math.inf:
                 raise ValueError(f"{where}: vmax must be positive and finite, got {vmax}")
             prev_end = km_to
+            steps.append((km_from, km_to, vmax))
+        object.__setattr__(self, "intervals", tuple(steps))
 
 
 def parse_speed_profiles(stream: Union[str, IO[str]]) -> dict[str, SpeedProfile]:

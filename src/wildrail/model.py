@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import MINUTES_PER_DAY, Dataset, _bin_floor, _grid_index, _positive, _real
+from .ingest import MINUTES_PER_DAY, Dataset, _bin_floor, _first_bin, _grid_index, _positive, _real, _reduce
 
 __all__ = [
     "SeasonScheme",
@@ -49,15 +49,17 @@ class SeasonScheme:
 
     The default groups months by daylight length: short days (Nov-Feb), long
     days (May-Aug), and the transitional months in between.  Every month must
-    belong to exactly one group.
+    belong to exactly one group.  ``groups`` is kept as a read-only mapping
+    of month tuples, as README "Checked tables" says.
     """
 
-    groups: dict[str, tuple[int, ...]]
+    groups: Mapping[str, tuple[int, ...]]
     _by_month: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        groups = {label: tuple(months) for label, months in self.groups.items()}
         by_month: dict[int, str] = {}
-        for label, months in self.groups.items():
+        for label, months in groups.items():
             if not label:
                 raise ValueError("season label must be non-empty")
             if not months:
@@ -71,7 +73,10 @@ class SeasonScheme:
         if len(by_month) != 12:
             missing = sorted(set(MONTHS) - set(by_month))
             raise ValueError(f"months {missing} are not assigned to any season")
+        object.__setattr__(self, "groups", MappingProxyType(groups))
         object.__setattr__(self, "_by_month", by_month)
+
+    __reduce__ = _reduce
 
     def season_of(self, month: int) -> str:
         if _real(month, "month") not in MONTHS:
@@ -144,8 +149,9 @@ class ModelCounts:
     ``by_season_tbin[label][i]`` counts hour bin i, for every bin of the day;
     ``by_line_xbin[line][k]`` counts km bin ``x_first[line] + k``, densely
     from the line's first to its last occupied bin.  Each table is kept as a
-    read-only mapping over a copy of the one passed in.  The totals ``n``,
-    ``by_season`` and ``by_line`` are sums of these tables.
+    read-only mapping over a copy of the one passed in, as README "Checked
+    tables" says.  The totals ``n``, ``by_season`` and ``by_line`` are sums
+    of these tables.
     """
 
     total_days: float
@@ -160,9 +166,7 @@ class ModelCounts:
         for name in self._TABLES:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
-        return type(self), (self.total_days, *(dict(getattr(self, t)) for t in self._TABLES))
+    __reduce__ = _reduce
 
     @property
     def n(self) -> int:
@@ -195,7 +199,8 @@ class FittedModel:
     probabilities of its observed km bins from ``counts.x_first[line]`` on,
     so ``p_segment[line][k - counts.x_first[line]]`` is km bin k.  The tables
     are read-only mappings, so a model cannot be edited into disagreeing
-    with its counts.
+    with its counts, and a copy is rebuilt from ``counts`` (README "Checked
+    tables").
     """
 
     counts: ModelCounts
@@ -219,9 +224,7 @@ class FittedModel:
             raise ValueError("km-bin counts must cover exactly the lines of x_first")
         p_segment: dict[str, tuple[float, ...]] = {}
         for line, run in counts.by_line_xbin.items():
-            first = counts.x_first[line]
-            if type(first) is not int or first < 0:
-                raise ValueError(f"x_first[{line!r}] must be an int >= 0, got {first!r}")
+            _first_bin(counts.x_first[line], f"x_first[{line!r}]")
             if not run or run[0] == 0 or run[-1] == 0 or min(run) < 0:
                 raise ValueError(
                     f"km-bin counts of line {line!r} must be one run of {self.bins.delta_x} km bins"
@@ -256,9 +259,7 @@ class FittedModel:
         for name, table in tables.items():
             object.__setattr__(self, name, MappingProxyType(table))
 
-    def __reduce__(self):
-        # the tables are read-only mappings, which cannot be pickled; rebuild them
-        return type(self), (self.counts, self.seasons, self.bins, self.smoothing)
+    __reduce__ = _reduce
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -401,9 +402,7 @@ def model_from_json(text: str) -> FittedModel:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_TAG:
         raise ValueError(f"model document must have format={_FORMAT_TAG!r}")
     try:
-        seasons = SeasonScheme(
-            groups={label: tuple(months) for label, months in doc["seasons"].items()}
-        )
+        seasons = SeasonScheme(groups=doc["seasons"])
         bins = BinConfig(delta_x=doc["bins"]["delta_x"], delta_t=doc["bins"]["delta_t"])
         model = FittedModel(_read_counts(doc["counts"], bins), seasons, bins, doc["smoothing"])
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:

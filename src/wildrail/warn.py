@@ -32,7 +32,7 @@ from typing import ClassVar, Mapping, Sequence, TextIO
 import numpy as np
 
 from .ingest import LineGeometry, TrafficTable, _bin_floor, _grid_index, bin_index, km_to_geo
-from .ingest import _positive, _read_only, _real, _real_array
+from .ingest import _factor, _positive, _real, _real_array, _reduce, _run_lookup, _runs
 from .model import MONTHS, BinConfig, FittedModel, _check_grid_size
 
 __all__ = [
@@ -113,6 +113,8 @@ class TrafficProfile:
         if abs(total_mass - 1.0) > 1e-9:
             raise ValueError(f"piece masses must sum to 1, got {total_mass!r}")
         object.__setattr__(self, "_segments", tuple(segments))
+
+    __reduce__ = _reduce
 
     @property
     def boundaries(self) -> tuple[float, ...]:
@@ -213,10 +215,8 @@ class WarningGrid:
     from them on each call; a cell is warned at theta exactly when p_pt >
     theta, ``no_traffic`` where ``m_window[xi, ti]`` is 0 and
     ``exceeds_unity`` where p_pt > 1.  ``census`` counts the cells per flag
-    and warned per threshold in one read of each line.  The per-line tables
-    are read-only mappings.  An array is kept as given when neither it nor
-    the array that owns its memory is writable, as ``sweep_all`` gives
-    them, else as a read-only copy, so no one can change a checked factor.
+    and warned per threshold in one read of each line.  The grid is kept as
+    README "Checked tables" says, and ``sweep_all``'s factors without a copy.
 
     A grid is refused unless ``sweep_all`` could have built it: ``spatial``
     and ``m_window`` name the lines of ``x_first`` (at least one) in its
@@ -238,52 +238,31 @@ class WarningGrid:
     m_window: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        lines = list(self.x_first)
-        if not lines:
+        if not self.x_first:
             raise ValueError("x_first must name at least one line")
-        for name in ("spatial", "m_window"):
-            if list(getattr(self, name)) != lines:
-                raise ValueError(
-                    f"{name} must name the lines of x_first in its order {lines!r},"
-                    f" got {list(getattr(self, name))!r}"
-                )
         # BinConfig holds the rules of delta_x and delta_t
         object.__setattr__(self, "n_t", BinConfig(self.delta_x, self.delta_t).n_t_bins)
         thresholds = _threshold_values(self.thresholds)
         if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError(f"thresholds must be sorted and distinct, got {self.thresholds!r}")
-        for line, first in self.x_first.items():
-            if type(first) is not int or first < 0:
-                raise ValueError(f"x_first[{line!r}] must be an int >= 0, got {first!r}")
+        spatial = _runs(self.x_first, self.spatial, "spatial")
+        m_window = _runs(self.x_first, self.m_window, "m_window", ndim=2)
+        for line, window in m_window.items():
+            if window.shape != (len(spatial[line]), self.n_t):
+                raise ValueError(
+                    f"m_window[{line!r}] must have shape ({len(spatial[line])}, {self.n_t}),"
+                    f" got {window.shape}"
+                )
         temporal = _factor(self.temporal, "temporal")
         if temporal.shape != (len(self.months), self.n_t):
             raise ValueError(f"temporal must have shape (12, {self.n_t}), got {temporal.shape}")
-        spatial, m_window = {}, {}
-        for line in lines:
-            spatial[line] = _factor(self.spatial[line], f"spatial[{line!r}]")
-            m_window[line] = _factor(self.m_window[line], f"m_window[{line!r}]")
-            if spatial[line].ndim != 1 or not spatial[line].size:
-                raise ValueError(
-                    f"spatial[{line!r}] must have shape (n_x,) with n_x >= 1,"
-                    f" got {spatial[line].shape}"
-                )
-            if m_window[line].shape != (spatial[line].size, self.n_t):
-                raise ValueError(
-                    f"m_window[{line!r}] must have shape ({spatial[line].size}, {self.n_t}),"
-                    f" got {m_window[line].shape}"
-                )
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "temporal", temporal)
         object.__setattr__(self, "x_first", MappingProxyType(dict(self.x_first)))
-        object.__setattr__(self, "spatial", MappingProxyType(spatial))
-        object.__setattr__(self, "m_window", MappingProxyType(m_window))
+        object.__setattr__(self, "spatial", spatial)
+        object.__setattr__(self, "m_window", m_window)
 
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled or deep-copied, so rebuild from dict copies
-        return type(self), (
-            self.delta_x, self.delta_t, self.thresholds, dict(self.x_first),
-            self.temporal, dict(self.spatial), dict(self.m_window),
-        )
+    __reduce__ = _reduce
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -321,15 +300,8 @@ class WarningGrid:
         anything further out misses.  km, months and hours must be integers
         or floats (not bools); a TypeError names the one that is not.
         """
-        at = {line: i for i, line in enumerate(self.x_first)}
-        li = np.array([at.get(name, -1) for name in names], dtype=np.int64)[codes]
-        # one (first bin, bin count) row per line, plus an empty row that li = -1 picks
-        firsts = np.array([*self.x_first.values(), 0], dtype=float)
-        sizes = np.array([self.m_window[line].shape[0] for line in self.x_first] + [0], dtype=float)
-        first, size = firsts[li], sizes[li]
         km = _real_array(km, "km")
-        # positions stay floats until checked, so a huge km cannot overflow
-        pos = _bin_floor(km, self.delta_x) - first
+        li, first, size, pos = _run_lookup(self.x_first, self.spatial, self.delta_x, names, codes, km)
         inside = (pos >= 0) & (pos < size)
         end_edge = (size > 0) & (pos == size) & (km == (first + size) * self.delta_x)
         pos = np.where(end_edge, size - 1, pos)
@@ -376,21 +348,6 @@ class WarningGrid:
 
     def n_cells(self) -> int:
         return sum(arr.shape[0] for arr in self.m_window.values()) * len(self.months) * self.n_t
-
-
-def _factor(values, name: str) -> np.ndarray:
-    """``values`` as floats, read-only by the rule of ``_read_only``; a TypeError naming
-    ``name`` unless they are ints or floats, and a ValueError naming it unless every
-    entry is finite and >= 0."""
-    arr = _read_only(_real_array(values, name))
-    if arr.size:
-        # min is NaN where any entry is; two reductions, no temporary array
-        with np.errstate(invalid="ignore"):
-            low, high = float(arr.min()), float(arr.max())
-        if not (low >= 0.0 and high < math.inf):
-            bad = low if not low >= 0.0 else high
-            raise ValueError(f"{name} entries must be finite and >= 0, got {bad!r}")
-    return arr
 
 
 def _p_pt(temporal: np.ndarray, spatial: np.ndarray, window: np.ndarray) -> np.ndarray:

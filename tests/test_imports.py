@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import wildrail
+from wildrail import ingest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wildrail"
 CLI_CASES = Path(__file__).resolve().with_name("cli_cases.py")
@@ -115,3 +116,19 @@ def test_the_public_dataclasses_take_the_pinned_fields() -> None:
         if isinstance(cls, type) and dataclasses.is_dataclass(cls)
     }
     assert fields == INIT_FIELDS
+
+
+def test_every_public_dataclass_that_derives_or_freezes_a_field_is_copied_through_its_constructor() -> None:
+    # the default copy and pickle skip __post_init__: they cannot copy a read-only
+    # mapping, and they give writable arrays and derived fields no check has seen
+    classes = {name: getattr(wildrail, name) for name in PUBLIC}
+    checked = {
+        name for name, cls in classes.items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and any(not f.init or "Mapping" in str(f.type) for f in dataclasses.fields(cls))
+    }
+    assert checked == {
+        "Dataset", "FittedModel", "ModelCounts", "SeasonScheme", "TrafficProfile", "TrafficTable",
+        "WarningGrid",
+    }
+    assert all(classes[name].__reduce__ is ingest._reduce for name in checked)

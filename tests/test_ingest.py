@@ -16,6 +16,8 @@ import runpy
 import shutil
 import tracemalloc
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 from unittest import mock
 
 import numpy as np
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 import wildrail.model
 from wildrail import ingest
 from wildrail import (
+    DEFAULT_PROFILE,
     DEFAULT_SEASONS,
     AccidentRecord,
     BinConfig,
@@ -47,6 +50,7 @@ from wildrail import (
     parse_traffic,
     species_profile,
     speed_correlation,
+    sweep_all,
 )
 from conftest import DATA_DIR, dataset_of, no_records, traffic_of
 from oracles import (
@@ -246,6 +250,56 @@ def test_a_dataset_keeps_no_array_its_caller_can_write(bundled_data) -> None:
     same = dataclasses.replace(bundled_data)
     assert all(getattr(same, name) is getattr(bundled_data, name)
                for name in ("line_codes", "kms", "minutes", "dates"))
+
+
+def test_a_dataset_keeps_no_container_its_caller_can_edit(bundled_data) -> None:
+    species, names = list(bundled_data.species), list(bundled_data.line_names)
+    data = dataclasses.replace(bundled_data, species=species, line_names=names)
+    species.append("ghost")
+    names[0] = "zzz"
+    assert data.species == bundled_data.species and data.line_names == bundled_data.line_names
+    assert sum(species_profile(data).values()) == data.n
+    # the tuples parse_accidents gives are kept, not copied
+    same = dataclasses.replace(bundled_data)
+    assert same.species is bundled_data.species and same.line_names is bundled_data.line_names
+
+
+def assert_same_and_read_only(value, copied, where: str) -> None:
+    """``copied`` equals ``value`` field by field, and its arrays and mappings are read-only."""
+    if dataclasses.is_dataclass(value):
+        assert type(copied) is type(value), where
+        for f in dataclasses.fields(value):
+            if not f.name.startswith("_"):
+                assert_same_and_read_only(getattr(value, f.name), getattr(copied, f.name), f"{where}.{f.name}")
+    elif isinstance(value, Mapping):
+        assert isinstance(copied, MappingProxyType) and list(copied) == list(value), where
+        for key in value:
+            assert_same_and_read_only(value[key], copied[key], f"{where}[{key!r}]")
+    elif isinstance(value, np.ndarray):
+        assert not copied.flags.writeable, where
+        assert copied.dtype == value.dtype and np.array_equal(copied, value), where
+    else:
+        assert type(copied) is type(value) and copied == value, where
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIERS))
+def test_every_checked_table_survives_a_copy_and_a_pickle(
+    how: str, bundled_data, bundled_traffic, bundled_model
+) -> None:
+    # a copy made without the constructor keeps writable columns: an edited km then
+    # reaches fit, which refuses an x_first the caller never passed
+    grid = sweep_all(bundled_model, bundled_traffic, DEFAULT_PROFILE, (0.001, 0.002))
+    tables = (bundled_data, bundled_traffic, bundled_model.counts, bundled_model, grid,
+              bundled_model.seasons, DEFAULT_PROFILE)
+    for table in tables:
+        assert_same_and_read_only(table, COPIERS[how](table), type(table).__name__)
 
 
 @settings(max_examples=200)
@@ -1181,21 +1235,21 @@ def test_parse_traffic_empty_inputs() -> None:
 def test_traffic_table_validation() -> None:
     from wildrail import TrafficTable
 
-    with pytest.raises(ValueError, match="^negative count -1.0 on line 1 in km bin 3$"):
+    with pytest.raises(ValueError, match=r"^counts\['1'\] entries must be finite and >= 0, got -1.0$"):
         TrafficTable(x_first={"1": 1}, counts={"1": np.array([1.0, 0.0, -1.0])}, delta_x=5.0)
     with pytest.raises(ValueError):
         TrafficTable(x_first={}, counts={}, delta_x=0.0)
-    with pytest.raises(ValueError, match="must be a 1-D numpy array"):
+    with pytest.raises(ValueError, match=r"^counts\['1'\] must have shape \(n_x,\) with n_x >= 1, got \(2, 2\)$"):
         TrafficTable(x_first={"1": 1}, counts={"1": np.ones((2, 2))}, delta_x=5.0)
-    with pytest.raises(ValueError, match="must name the same lines"):
+    with pytest.raises(ValueError, match=r"^counts must name the lines of x_first in its order \['1', '2'\], got \['1'\]$"):
         TrafficTable(x_first={"1": 1, "2": 0}, counts={"1": np.ones(2)}, delta_x=5.0)
 
 
 def test_traffic_table_refuses_non_finite_counts() -> None:
     for value in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=f"^non-finite count {value} on line 1 in km bin 1$"):
+        with pytest.raises(ValueError, match=rf"^counts\['1'\] entries must be finite and >= 0, got {value}$"):
             TrafficTable(x_first={"1": 1}, counts={"1": np.array([value])}, delta_x=5.0)
-    with pytest.raises(ValueError, match="^negative count -inf"):
+    with pytest.raises(ValueError, match=r"^counts\['1'\] entries must be finite and >= 0, got -inf$"):
         TrafficTable(x_first={"1": 1}, counts={"1": np.array([-math.inf])}, delta_x=5.0)
 
 
@@ -1220,7 +1274,7 @@ def test_traffic_table_rejects_starts_no_lookup_reads() -> None:
     # lookups read runs from a first bin index; a km start such as 10.0 would
     # equal bin 10 (km 50), so any first bin but a non-negative int is refused
     for k in (10.0, 10.000000000000002, 3.0, 0.3, True, np.int64(2), -1, "2"):
-        with pytest.raises(ValueError, match="must be a non-negative int index"):
+        with pytest.raises(ValueError, match=r"^x_first\['139'\] must be an int >= 0, got "):
             TrafficTable(x_first={"139": k}, counts={"139": np.array([131.0])}, delta_x=5.0)
     # parse_traffic writes the bin index a lookup reads, for starts within 1e-9 of a bin
     text = "line,km_from,count\n139,10.000000000000002,131\n"
@@ -1321,6 +1375,14 @@ def test_geometry_validation() -> None:
         LineGeometry(line="x", vertices=((50.0, 19.0, 5.0), (50.1, 19.1, 5.0)))
     with pytest.raises(ValueError):
         LineGeometry(line="x", vertices=((99.0, 19.0, 0.0), (50.1, 19.1, 5.0)))
+
+
+def test_a_geometry_keeps_no_container_its_caller_can_edit() -> None:
+    vertices = [(50.0, 19.0, 0), (50.1, 19.1, 10.0)]
+    geo = LineGeometry("x", vertices)
+    vertices.append((50.2, 19.2, 5.0))  # km 5 after km 10
+    assert geo.vertices == ((50.0, 19.0, 0.0), (50.1, 19.1, 10.0))
+    assert {type(v) for vertex in geo.vertices for v in vertex} == {float}
 
 
 def test_km_to_geo_interpolates() -> None:
@@ -1555,6 +1617,14 @@ def test_speed_profile_validation() -> None:
         SpeedProfile(line="x", intervals=((10.0, 10.0, 100.0),))
     with pytest.raises(ValueError):
         SpeedProfile(line="x", intervals=((0.0, 10.0, 0.0),))
+
+
+def test_a_speed_profile_keeps_no_container_its_caller_can_edit() -> None:
+    steps = [(0.0, 5.0, 100)]
+    profile = SpeedProfile("x", steps)
+    steps.append((5.0, 6.0, -1.0))  # a vmax of -1
+    assert profile.intervals == ((0.0, 5.0, 100.0),)
+    assert {type(v) for step in profile.intervals for v in step} == {float}
 
 
 def test_parse_speed_profiles() -> None:

@@ -66,6 +66,19 @@ def test_season_scheme_requires_partition() -> None:
     assert two.season_of(4) == "cold"
 
 
+def test_a_season_scheme_keeps_no_container_its_caller_can_edit(bundled_data) -> None:
+    groups = {"short": [11, 12, 1, 2], "long": (5, 6, 7, 8), "mid": (3, 4, 9, 10)}
+    seasons = SeasonScheme(groups)
+    groups["short"].append(3)
+    groups["long"] = (11, 12)
+    assert seasons.groups == DEFAULT_SEASONS.groups and seasons.groups["short"] == (11, 12, 1, 2)
+    # the default is shared by every caller, so no one may edit it for the rest
+    for scheme in (seasons, DEFAULT_SEASONS):
+        with pytest.raises(TypeError):
+            scheme.groups["short"] = (11, 12)
+    assert model_to_json(fit(bundled_data, seasons)) == model_to_json(fit(bundled_data))
+
+
 # --- bin config ---
 
 
